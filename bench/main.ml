@@ -300,77 +300,6 @@ let profile_shares p =
       (fields @ if other > 0. then [ ("other", Dsim.Json.Float other) ] else [])
   end
 
-(* ------------------------------------------------------------------ *)
-(* Shard-scaling matrix                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Strong scaling over engine shards: every cell runs the same fixed
-   workload — [shard_matrix_replicas] independent udp-blast replica
-   topologies on one engine, replica [i] placed on shard [i mod
-   shards] — and reports events retired per wall-clock second. Because
-   the schedule-seq counter is shared across shards, every interleaved
-   cell executes the *identical* dispatch sequence regardless of shard
-   count, so those ratios isolate the multi-heap bookkeeping overhead
-   (expected within a few percent of shards=1). The domains executor
-   runs one OCaml 5 Domain per shard under the conservative-window
-   rendezvous; its cells only show speedup when the host grants at
-   least [shards] cores, so [host_cores] is recorded alongside the
-   numbers. Profiling and watermarks stay disabled here: both
-   registries are process-global and the domains gear bypasses
-   them. *)
-let shard_matrix_replicas = 4
-
-let shard_matrix_cell ~shards ~domains ~until =
-  Core.Shardcfg.configure ~shards ~domains;
-  let engine = Core.Shardcfg.engine ~seed:61L () in
-  let builts =
-    List.init shard_matrix_replicas (fun i ->
-        Core.Shardcfg.with_placement engine i (fun () ->
-            Core.Scenarios.build_udp_blast ~engine
-              ~seed:(Int64.of_int (61 + i))
-              ~offered_mbit:950. ()))
-  in
-  let t0 = Unix.gettimeofday () in
-  Dsim.Engine.run engine ~until;
-  let wall = Unix.gettimeofday () -. t0 in
-  let events = Dsim.Engine.events_fired engine in
-  List.iter (fun b -> b.Core.Scenarios.stop ()) builts;
-  (events, wall)
-
-let run_shard_matrix ~warmup ~duration =
-  let until = Dsim.Time.add warmup duration in
-  let cells =
-    List.concat_map
-      (fun domains -> List.map (fun s -> (s, domains)) [ 1; 2; 4 ])
-      [ false; true ]
-  in
-  let rows =
-    List.map
-      (fun (shards, domains) ->
-        let events, wall = shard_matrix_cell ~shards ~domains ~until in
-        let eps = float_of_int events /. wall in
-        let executor = if domains then "domains" else "interleaved" in
-        Printf.printf
-          "shard-matrix %-11s shards=%d replicas=%d %12.0f events/s  (%d \
-           events, %.2fs wall)\n\
-           %!"
-          executor shards shard_matrix_replicas eps events wall;
-        ( Printf.sprintf "%s-shards%d" executor shards,
-          Dsim.Json.Obj
-            [
-              ("executor", Dsim.Json.String executor);
-              ("shards", Dsim.Json.Int shards);
-              ("replicas", Dsim.Json.Int shard_matrix_replicas);
-              ("events_fired", Dsim.Json.Int events);
-              ("wall_seconds", Dsim.Json.Float wall);
-              ("events_per_wall_second", Dsim.Json.Float eps);
-            ] ))
-      cells
-  in
-  Core.Shardcfg.configure ~shards:1 ~domains:false;
-  Dsim.Json.Obj
-    (("host_cores", Dsim.Json.Int (Domain.recommended_domain_count ())) :: rows)
-
 let wallclock_scenario ~name ~warmup ~duration built =
   let p = Dsim.Profile.default in
   Dsim.Profile.reset p;
@@ -435,7 +364,6 @@ let run_wallclock profile_name =
         (Core.Scenarios.build_udp_blast ~offered_mbit:950. ());
     ]
   in
-  let shard_scaling = run_shard_matrix ~warmup ~duration in
   let summary =
     Dsim.Json.to_string
       (Dsim.Json.Obj
@@ -448,9 +376,7 @@ let run_wallclock profile_name =
            ("profile", Dsim.Json.String profile_name);
            ( "results",
              Dsim.Json.Obj
-               (("fig4_data_path", fig4_json)
-               :: List.map (fun (n, j) -> (n, j)) scenarios
-               @ [ ("shard_scaling", shard_scaling) ]) );
+               (("fig4_data_path", fig4_json) :: scenarios) );
          ])
   in
   write_file "BENCH_wallclock.json" summary;

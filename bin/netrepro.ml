@@ -110,24 +110,6 @@ let arm_journal ~header path =
     Printf.eprintf "netrepro: cannot write %s\n" msg;
     exit 1
 
-(* The journal is a single process-global dispatch stream ordered by
-   the engine's sequence numbers; the domains executor dispatches on
-   several cores whose interleaving is wall-clock-dependent, so a
-   recorded stream would not be replayable (nor even well-ordered).
-   Interleaved sharding (any count) and --shards 1 --domains (which
-   never spawns) stay journal-clean, so only the true parallel case is
-   refused. *)
-let refuse_journal_with_domains journal =
-  if
-    journal <> None && !Core.Shardcfg.domains && !Core.Shardcfg.shards > 1
-  then begin
-    Printf.eprintf
-      "netrepro: --journal is incompatible with --domains when --shards > 1 \
-       (cross-domain wall-clock interleaving is not replayable); drop \
-       --domains or use --shards 1\n";
-    exit 2
-  end
-
 let run_experiment ids quick iterations telemetry journal =
   (* The sampler schedules its own events on the engine, so a sampled
      run can never replay against an unsampled one (or vice versa):
@@ -139,7 +121,6 @@ let run_experiment ids quick iterations telemetry journal =
        schedules events, so replay would diverge)\n";
     exit 2
   | _ -> ());
-  refuse_journal_with_domains journal;
   let profile = profile_of quick iterations in
   let targets =
     match ids with
@@ -359,7 +340,6 @@ let run_audit seed quick json_file =
 
 let run_chaos seed quick journal blackbox_dir =
   ensure_blackbox_dir blackbox_dir @@ fun () ->
-  refuse_journal_with_domains journal;
   let profile =
     if quick then Core.Chaos_experiment.quick else Core.Chaos_experiment.full
   in
@@ -549,39 +529,6 @@ let journal_opt =
            Incompatible with $(b,--timeseries) (the sampler schedules its \
            own events).")
 
-let shards_opt =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition each topology's event population across $(docv) engine \
-           shards. Interleaved execution (the default) is \
-           dispatch-order-identical for every shard count — results are \
-           byte-identical to --shards 1.")
-
-let domains_flag =
-  Arg.(
-    value & flag
-    & info [ "domains" ]
-        ~doc:
-          "Run one OCaml domain per shard (with $(b,--shards) > 1): shards \
-           advance in conservative virtual-time windows with a rendezvous \
-           barrier, deterministic per seed but not byte-identical to \
-           interleaved runs. Incompatible with $(b,--journal) above one \
-           shard.")
-
-(* Evaluated before each command body runs: the scenario builders pick
-   the configuration up through [Shardcfg.engine]. *)
-let sharding_term =
-  let make shards domains =
-    if shards < 1 then begin
-      Printf.eprintf "netrepro: --shards must be >= 1\n";
-      exit 2
-    end;
-    Core.Shardcfg.configure ~shards ~domains
-  in
-  Term.(const make $ shards_opt $ domains_flag)
-
 let ids_arg =
   Arg.(
     value & pos_all string []
@@ -591,9 +538,8 @@ let ids_arg =
 let run_cmd =
   Cmd.v (cmd_info "run")
     Term.(
-      const (fun () -> run_experiment)
-      $ sharding_term $ ids_arg $ quick_flag $ iters_opt $ telemetry_term
-      $ journal_opt)
+      const run_experiment $ ids_arg $ quick_flag $ iters_opt
+      $ telemetry_term $ journal_opt)
 
 let list_cmd =
   Cmd.v (cmd_info "list") Term.(const list_experiments $ const ())
@@ -659,8 +605,7 @@ let attack_net_cmd =
               holds the >= 0.9x blast-radius bound in every phase.";
          ])
     Term.(
-      const (fun () -> run_attack_net)
-      $ sharding_term $ attack_seed_opt $ quick_flag $ attack_json_opt
+      const run_attack_net $ attack_seed_opt $ quick_flag $ attack_json_opt
       $ attack_blackbox_opt)
 
 let attack_cmd =
@@ -703,8 +648,7 @@ let chaos_cmd =
             attributed and sibling goodput holds.";
          ])
     Term.(
-      const (fun () -> run_chaos)
-      $ sharding_term $ chaos_seed_opt $ quick_flag $ journal_opt
+      const run_chaos $ chaos_seed_opt $ quick_flag $ journal_opt
       $ chaos_blackbox_opt)
 
 let audit_seed_opt =
@@ -737,9 +681,7 @@ let audit_cmd =
             surface not strictly smaller than Scenario 1's replicated \
             stack, or if a seeded capability fault goes unattributed.";
          ])
-    Term.(
-      const (fun () -> run_audit)
-      $ sharding_term $ audit_seed_opt $ quick_flag $ audit_json_opt)
+    Term.(const run_audit $ audit_seed_opt $ quick_flag $ audit_json_opt)
 
 let fleet_tenants_opt =
   Arg.(
@@ -796,8 +738,7 @@ let fleet_cmd =
             a broken stage decomposition.";
          ])
     Term.(
-      const (fun () -> run_fleet)
-      $ sharding_term $ fleet_tenants_opt $ fleet_seed_opt $ quick_flag
+      const run_fleet $ fleet_tenants_opt $ fleet_seed_opt $ quick_flag
       $ fleet_scaling_flag $ fleet_json_opt)
 
 let analyze_file_arg =
@@ -959,11 +900,11 @@ let experiment_cmds =
       Cmd.v
         (Cmd.info s.Core.Experiment.id ~doc)
         Term.(
-          const (fun () quick iterations telemetry journal ->
+          const (fun quick iterations telemetry journal ->
               run_experiment
                 [ s.Core.Experiment.id ]
                 quick iterations telemetry journal)
-          $ sharding_term $ quick_flag $ iters_opt $ telemetry_term
+          $ quick_flag $ iters_opt $ telemetry_term
           $ journal_opt))
     Core.Experiment.all
 

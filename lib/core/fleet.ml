@@ -571,7 +571,7 @@ let stack_driver f =
 (* ------------------------------------------------------------------ *)
 
 let build ~profile ~tenants ~seed =
-  let engine = Shardcfg.engine () in
+  let engine = Dsim.Engine.create () in
   let dut = Topology.make_node engine ~name:"morello" ~ports:2 () in
   let peer =
     Topology.make_node engine ~name:"loadgen" ~generous_pci:true ~ports:2 ()

@@ -87,7 +87,7 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
      match) — so [cheri] only affects the latency harness, not this
      topology. *)
   ignore cheri;
-  let engine = Shardcfg.engine () in
+  let engine = Dsim.Engine.create () in
   let supervise = Option.map (fun f -> f engine) supervise in
   let dut = Topology.make_node engine ~name:"morello" ~ports:2 () in
   let peer =
@@ -115,13 +115,8 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
       Netstack.Stack.set_hook nif.Topology.stack (Some hook);
       supervised_stack_loop sup ~cvm ~running nif.Topology.stack
   in
-  (* Each port pair (DUT stack, peer stack, their link and apps) is a
-     self-contained event population — place pair [i] on shard
-     [i mod shards]. Interleaved execution is order-identical whatever
-     the placement; under domains the two pairs run in parallel. *)
   List.iter
     (fun i ->
-      Shardcfg.with_placement engine i @@ fun () ->
       links := Topology.link engine dut i peer i :: !links;
       let subnet = i in
       let tune s cfg = { cfg with Netstack.Stack.rng_seed = seed_plus seed s } in
@@ -205,11 +200,8 @@ type single_port = {
   sp_link : Nic.Link.t;
 }
 
-let single_port_base ?engine ~seed () =
-  (* [engine] lets a caller (the wall-clock bench) build several
-     independent single-port topologies as replicas sharing one sharded
-     engine, each under its own {!Shardcfg.with_placement}. *)
-  let engine = match engine with Some e -> e | None -> Shardcfg.engine () in
+let single_port_base ~seed () =
+  let engine = Dsim.Engine.create () in
   let dut = Topology.make_node engine ~name:"morello" ~ports:2 () in
   let peer =
     Topology.make_node engine ~name:"loadgen" ~generous_pci:true ~ports:2 ()
@@ -286,8 +278,8 @@ let dut_app sp ~direction ~flow_idx ~app_cvm ?(throttled = false) () =
       (fun () -> Iperf.client_take_tx cli),
       fun () -> Iperf.client_stop cli )
 
-let build_single_baseline ?engine ?(seed = 43L) ~direction () =
-  let sp = single_port_base ?engine ~seed () in
+let build_single_baseline ?(seed = 43L) ~direction () =
+  let sp = single_port_base ~seed () in
   (* Single process: the app runs inside the stack loop, directly. *)
   let app_cvm =
     Capvm.Intravisor.create_cvm
@@ -652,8 +644,8 @@ let build_measurement ?(seed = 45L) ~mode () =
 (* Extension: UDP blast (no flow control)                           *)
 (* --------------------------------------------------------------- *)
 
-let build_udp_blast ?engine ?(seed = 47L) ?(payload = 1472) ~offered_mbit () =
-  let sp = single_port_base ?engine ~seed () in
+let build_udp_blast ?(seed = 47L) ?(payload = 1472) ~offered_mbit () =
+  let sp = single_port_base ~seed () in
   let engine = sp.sp_engine in
   let dut_stack = sp.sp_dnif.Topology.stack in
   let peer_stack = sp.sp_pnif.Topology.stack in

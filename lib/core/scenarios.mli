@@ -90,11 +90,9 @@ val build_dual_port :
     point. *)
 
 val build_single_baseline :
-  ?engine:Dsim.Engine.t -> ?seed:int64 -> direction:direction -> unit -> built
+  ?seed:int64 -> direction:direction -> unit -> built
 (** Single process, single port (the Baseline row of the Scenario 2
-    table). Flow: "Baseline (cVM2)". [engine] substitutes a caller-owned
-    (possibly sharded) engine — the wall-clock bench builds N replicas
-    under {!Shardcfg.with_placement} on one engine, one per shard. *)
+    table). Flow: "Baseline (cVM2)". *)
 
 val build_scenario2 :
   ?seed:int64 ->
@@ -145,16 +143,9 @@ val build_measurement :
   measurement_topology
 
 val build_udp_blast :
-  ?engine:Dsim.Engine.t ->
-  ?seed:int64 ->
-  ?payload:int ->
-  offered_mbit:float ->
-  unit ->
-  built
+  ?seed:int64 -> ?payload:int -> offered_mbit:float -> unit -> built
 (** Extension: a UDP datagram blast from the DUT at a fixed offered
     rate, received and counted on the peer. Flows: "offered" (bytes the
     app attempted) and "received" (bytes that made it through) — their
     gap is the loss a protocol without flow control suffers once the
-    offered load exceeds the path capacity. [engine] as in
-    {!build_single_baseline}: replicas of this topology on one sharded
-    engine are the shard-scaling bench workload. *)
+    offered load exceeds the path capacity. *)

@@ -22,10 +22,6 @@ let make_node engine ~name ?(cost = Dsim.Cost_model.default)
       Nic.Pci_bus.create ~rx_bps:1e10 ~tx_bps:1e10 ~per_transfer_ns:0. ()
     else Nic.Pci_bus.of_cost_model cost
   in
-  (* One independent bus channel per engine shard: serial runs reserve
-     on channel 0 only (unchanged semantics); the domains executor
-     gives each shard its own horizon so parallel pairs never race. *)
-  Nic.Pci_bus.set_channels bus (Dsim.Engine.shard_count engine);
   let macs = List.init ports (mac_for name) in
   let nic =
     Nic.Igb.create engine (Capvm.Intravisor.mem iv) ~bus ~macs ~queues ()

@@ -10,8 +10,7 @@
     per queue, each with its own mbuf pool — the
     rte_eth_rx_queue_setup-with-per-queue-mempool configuration.
     Instances on different queues of one port share no mutable state,
-    so each can be polled by its own stack loop (and placed on its own
-    engine shard). *)
+    so each can be polled by its own stack loop. *)
 
 type t
 

@@ -8,41 +8,16 @@ type handle = {
      a common ancestor. *)
   sched_parent : int;
   owner : t;
-  (* Index of the shard whose heap holds this event. *)
-  shard : int;
   mutable cancelled : bool;
   mutable fired : bool;
 }
 
-(* One shard: its own heap, clock, seq stream (parallel mode), fired
-   counter and RNG stream. The inbox is a per-producer mailbox array:
-   slot [src] is written only by shard [src] inside its execution
-   window and drained only by the owner after the post-window barrier
-   (barrier C in [run_domains]), so the two sides never touch a queue
-   concurrently and the barrier's mutex provides the only
-   synchronization either needs. *)
-and shard = {
-  sid : int;
-  heap : handle Heap.t;
-  mutable s_clock : Time.t;
-  mutable s_live : int;
-  mutable s_fired : int;
-  mutable s_seq : int;
-  s_rng : Rng.t;
-  inbox : mail Queue.t array;
-}
-
-and mail = { m_at : Time.t; m_label : Profile.key; m_fn : unit -> unit }
-
 and t = {
-  mutable clock : Time.t; (* global committed time (serial modes) *)
-  shards : shard array;
-  mutable next_seq : int; (* shared seq counter: global FIFO tie-break *)
-  mutable cur_shard : int; (* placement target / dispatching shard *)
-  mutable parallel : bool; (* domains executor currently driving *)
-  mutable use_domains : bool;
-  mutable quantum : Time.t; (* rendezvous window (domains mode) *)
-  shard_keys : Profile.key array; (* folded-stack "shardN" frames *)
+  mutable clock : Time.t;
+  heap : handle Heap.t;
+  mutable next_seq : int; (* FIFO tie-break among equal deadlines *)
+  mutable live : int;
+  mutable fired_count : int;
   wm_heap : Watermark.cell;
 }
 
@@ -56,500 +31,142 @@ let cmp_event a b =
 let wm_heap_cell () =
   Watermark.cell Watermark.default ~growth_alarm:2048 "event_heap"
 
-(* Which shard the current domain is executing, when the domains
-   executor is driving. Serial modes never read it. *)
-let dls_sid : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let create ?(shards = 1) ?(domains = false) ?(seed = 0x5eedL) () =
-  if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
-  let base_rng = Rng.create ~seed in
-  let mk_shard sid =
-    {
-      sid;
-      heap = Heap.create ~cmp:cmp_event;
-      s_clock = Time.zero;
-      s_live = 0;
-      s_fired = 0;
-      s_seq = 0;
-      s_rng = Rng.split base_rng;
-      inbox = Array.init shards (fun _ -> Queue.create ());
-    }
-  in
+let create () =
   {
     clock = Time.zero;
-    shards = Array.init shards mk_shard;
+    heap = Heap.create ~cmp:cmp_event;
     next_seq = 0;
-    cur_shard = 0;
-    parallel = false;
-    use_domains = domains;
-    quantum = Time.ms 1;
-    shard_keys =
-      Array.init shards (fun i ->
-          Profile.(key default)
-            ~component:(Printf.sprintf "shard%d" i)
-            ~cvm:"-" ~stage:"-");
+    live = 0;
+    fired_count = 0;
     wm_heap = wm_heap_cell ();
   }
 
-let shard_count t = Array.length t.shards
-
-let check_sid t sid =
-  if sid < 0 || sid >= Array.length t.shards then
-    invalid_arg (Printf.sprintf "Engine: no shard %d" sid)
-
-let current_shard t = if t.parallel then Domain.DLS.get dls_sid else t.cur_shard
-
-(* 0 in every serial mode (interleaved execution keeps the global
-   order, so serial callers must all see one resource channel); the
-   executing shard only while the domains executor is driving. Shared
-   simulated resources (e.g. the PCI bus) key per-shard state off this
-   so serial runs stay byte-identical while parallel shards touch
-   disjoint slots. *)
-let parallel_shard t = if t.parallel then Domain.DLS.get dls_sid else 0
-
-let set_shard t sid =
-  check_sid t sid;
-  if t.parallel then
-    invalid_arg "Engine.set_shard: placement is fixed while domains run";
-  t.cur_shard <- sid
-
-let with_shard t sid f =
-  check_sid t sid;
-  if t.parallel then
-    invalid_arg "Engine.with_shard: placement is fixed while domains run";
-  let saved = t.cur_shard in
-  t.cur_shard <- sid;
-  Fun.protect ~finally:(fun () -> t.cur_shard <- saved) f
-
-let now t =
-  if t.parallel then t.shards.(Domain.DLS.get dls_sid).s_clock else t.clock
-
-let shard_rng t sid =
-  check_sid t sid;
-  t.shards.(sid).s_rng
-
-let rng t = t.shards.(current_shard t).s_rng
-
-(* Parallel-mode scheduling: per-shard clock clamp and per-shard seq
-   stream (the shared counter would race across domains). Seqs only
-   order events within one heap, so per-shard streams preserve FIFO;
-   [run_domains] re-joins the namespaces at the end of the run. *)
-let schedule_parallel t ~at ~label fn =
-  let sh = t.shards.(Domain.DLS.get dls_sid) in
-  let at = Time.max at sh.s_clock in
-  let h =
-    { at; seq = sh.s_seq; fn; label; sched_parent = -1; owner = t;
-      shard = sh.sid; cancelled = false; fired = false }
-  in
-  sh.s_seq <- sh.s_seq + 1;
-  sh.s_live <- sh.s_live + 1;
-  Heap.push sh.heap h;
-  h
+let now t = t.clock
 
 let schedule_at_l t ~at ~label fn =
-  if t.parallel then schedule_parallel t ~at ~label fn
-  else begin
-    let at = Time.max at t.clock in
-    let sh = t.shards.(t.cur_shard) in
-    let h =
-      { at; seq = t.next_seq; fn; label; sched_parent = Journal.parent_seq ();
-        owner = t; shard = sh.sid; cancelled = false; fired = false }
-    in
-    t.next_seq <- t.next_seq + 1;
-    sh.s_live <- sh.s_live + 1;
-    Heap.push sh.heap h;
-    if Watermark.hot () then Watermark.observe t.wm_heap (Heap.size sh.heap);
-    h
-  end
+  let at = Time.max at t.clock in
+  let h =
+    { at; seq = t.next_seq; fn; label; sched_parent = Journal.parent_seq ();
+      owner = t; cancelled = false; fired = false }
+  in
+  t.next_seq <- t.next_seq + 1;
+  t.live <- t.live + 1;
+  Heap.push t.heap h;
+  if Watermark.hot () then Watermark.observe t.wm_heap (Heap.size t.heap);
+  h
 
 let schedule_l t ~delay ~label fn =
-  schedule_at_l t ~at:(Time.add (now t) delay) ~label fn
+  schedule_at_l t ~at:(Time.add t.clock delay) ~label fn
 
 let schedule_at t ~at fn = schedule_at_l t ~at ~label:Profile.unattributed fn
 let schedule t ~delay fn = schedule_l t ~delay ~label:Profile.unattributed fn
 
-(* Cross-shard scheduling. Serial modes place directly (the global
-   (time, seq) order makes any placement safe); under the domains
-   executor the event travels through the target's single-producer
-   mailbox slot and is materialized at the next rendezvous. No handle
-   is returned: a mailbox event cannot be cancelled in flight. *)
-let schedule_on t ~shard:sid ~at ~label fn =
-  check_sid t sid;
-  if t.parallel then begin
-    let me = Domain.DLS.get dls_sid in
-    if me = sid then ignore (schedule_parallel t ~at ~label fn)
-    else Queue.push { m_at = at; m_label = label; m_fn = fn } t.shards.(sid).inbox.(me)
-  end
-  else
-    with_shard t sid (fun () -> ignore (schedule_at_l t ~at ~label fn))
-
-(* Rebuild a shard's heap without cancelled entries. Re-pushing
-   preserves the (time, seq) order, so compaction cannot perturb event
-   ordering. *)
-let compact sh =
+(* Rebuild the heap without cancelled entries. Re-pushing preserves the
+   (time, seq) order, so compaction cannot perturb event ordering. *)
+let compact t =
   let keep = ref [] in
   let rec drain () =
-    match Heap.pop sh.heap with
+    match Heap.pop t.heap with
     | None -> ()
     | Some h ->
       if not h.cancelled then keep := h :: !keep;
       drain ()
   in
   drain ();
-  List.iter (Heap.push sh.heap) !keep
+  List.iter (Heap.push t.heap) !keep
 
-(* Compact once cancelled handles outnumber live ones — per shard, so
-   mass cancellation on one shard never scans its siblings' heaps. *)
+(* Compact once cancelled handles outnumber live ones. *)
 let compaction_floor = 64
 
 let cancel h =
   if (not h.cancelled) && not h.fired then begin
     h.cancelled <- true;
-    let sh = h.owner.shards.(h.shard) in
-    sh.s_live <- sh.s_live - 1;
-    if Heap.size sh.heap > compaction_floor && 2 * sh.s_live < Heap.size sh.heap
-    then compact sh
+    let t = h.owner in
+    t.live <- t.live - 1;
+    if Heap.size t.heap > compaction_floor && 2 * t.live < Heap.size t.heap
+    then compact t
   end
 
 let is_pending h = (not h.cancelled) && not h.fired
+let pending_count t = t.live
+let heap_size t = Heap.size t.heap
+let events_fired t = t.fired_count
 
-let pending_count t =
-  Array.fold_left (fun acc sh -> acc + sh.s_live) 0 t.shards
-
-let heap_size t =
-  Array.fold_left (fun acc sh -> acc + Heap.size sh.heap) 0 t.shards
-
-let events_fired t =
-  Array.fold_left (fun acc sh -> acc + sh.s_fired) 0 t.shards
-
-let shard_pending t sid =
-  check_sid t sid;
-  t.shards.(sid).s_live
-
-let shard_events_fired t sid =
-  check_sid t sid;
-  t.shards.(sid).s_fired
-
-let rec drop_cancelled_sh sh =
-  if (not (Heap.is_empty sh.heap)) && (Heap.peek_exn sh.heap).cancelled then begin
-    ignore (Heap.pop_exn sh.heap);
-    drop_cancelled_sh sh
+(* Drop cancelled heads; [true] when a live event is pending. *)
+let rec has_next t =
+  if Heap.is_empty t.heap then false
+  else if (Heap.peek_exn t.heap).cancelled then begin
+    ignore (Heap.pop_exn t.heap);
+    has_next t
   end
-
-(* Index of the shard holding the globally next event, or -1 when every
-   heap is empty. Lowest (deadline, seq) wins; the ascending scan makes
-   the lowest shard id the final tie-break (seqs are globally unique in
-   serial operation, so that last rung is only reachable after a
-   domains phase re-used per-shard seq streams). *)
-let select t =
-  let n = Array.length t.shards in
-  if n = 1 then begin
-    let sh = t.shards.(0) in
-    drop_cancelled_sh sh;
-    if Heap.is_empty sh.heap then -1 else 0
-  end
-  else begin
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      let sh = t.shards.(i) in
-      drop_cancelled_sh sh;
-      if not (Heap.is_empty sh.heap) then
-        if !best < 0 then best := i
-        else begin
-          let a = Heap.peek_exn sh.heap
-          and b = Heap.peek_exn t.shards.(!best).heap in
-          if cmp_event a b < 0 then best := i
-        end
-    done;
-    !best
-  end
+  else true
 
 (* The dispatch loop uses the [_exn] heap accessors: no [Some] cell is
    allocated per fired event, which matters at millions of events per
-   simulated second. [select] has already discarded cancelled heads. *)
-let dispatch t sid =
-  let sh = t.shards.(sid) in
-  let h = Heap.pop_exn sh.heap in
-  sh.s_live <- sh.s_live - 1;
+   simulated second. [has_next] has already discarded cancelled heads. *)
+let dispatch t =
+  let h = Heap.pop_exn t.heap in
+  t.live <- t.live - 1;
   t.clock <- h.at;
-  sh.s_clock <- h.at;
-  let saved_shard = t.cur_shard in
-  t.cur_shard <- sid;
   h.fired <- true;
-  sh.s_fired <- sh.s_fired + 1;
+  t.fired_count <- t.fired_count + 1;
   (* Journal bracket: assigns this dispatch its global seq, snapshots
      the RNG draw counter, and on exit writes the black-box ring slot
      and streams/verifies the record. Exception-safe so a trapping
      handler still leaves a complete record for the supervisor's
      black-box dump. *)
-  Journal.begin_dispatch ~at:h.at ~parent:h.sched_parent ~shard:sid h.label;
+  Journal.begin_dispatch ~at:h.at ~parent:h.sched_parent h.label;
   (* Flat branches, no closure: this is the hottest line in the
      simulator and a per-dispatch allocation here shows up in both
-     the wallclock budget and the perf baseline. The shard frame under
-     profiling prefixes every folded stack with "shardN". *)
-  (if Profile.hot () then begin
-     Profile.enter_event t.shard_keys.(sid);
-     Profile.enter_event h.label;
-     match h.fn () with
-     | () ->
-       Profile.exit_event ();
-       Profile.exit_event ();
-       Journal.end_dispatch ();
-       t.cur_shard <- saved_shard
-     | exception e ->
-       Profile.exit_event ();
-       Profile.exit_event ();
-       Journal.end_dispatch ();
-       t.cur_shard <- saved_shard;
-       raise e
-   end
-   else
-     match h.fn () with
-     | () ->
-       Journal.end_dispatch ();
-       t.cur_shard <- saved_shard
-     | exception e ->
-       Journal.end_dispatch ();
-       t.cur_shard <- saved_shard;
-       raise e)
+     the wallclock budget and the perf baseline. *)
+  if Profile.hot () then begin
+    Profile.enter_event h.label;
+    match h.fn () with
+    | () ->
+      Profile.exit_event ();
+      Journal.end_dispatch ()
+    | exception e ->
+      Profile.exit_event ();
+      Journal.end_dispatch ();
+      raise e
+  end
+  else
+    match h.fn () with
+    | () -> Journal.end_dispatch ()
+    | exception e ->
+      Journal.end_dispatch ();
+      raise e
 
 let step t =
-  match select t with
-  | -1 -> false
-  | sid ->
-    dispatch t sid;
+  if has_next t then begin
+    dispatch t;
     true
+  end
+  else false
 
-let finish_until t until =
-  Option.iter
-    (fun u ->
-      if Time.(u > t.clock) then t.clock <- u;
-      Array.iter
-        (fun sh -> if Time.(u > sh.s_clock) then sh.s_clock <- u)
-        t.shards)
-    until
-
-let run_interleaved ?until ?max_events t =
+let run ?until ?max_events t =
+  let finish () =
+    Option.iter (fun u -> if Time.(u > t.clock) then t.clock <- u) until
+  in
   let fired = ref 0 in
   let budget_ok () =
     match max_events with None -> true | Some m -> !fired < m
   in
   let rec loop () =
-    match select t with
-    | -1 -> finish_until t until
-    | sid ->
-      let h = Heap.peek_exn t.shards.(sid).heap in
+    if not (has_next t) then finish ()
+    else begin
+      let h = Heap.peek_exn t.heap in
       let in_window =
         match until with None -> true | Some u -> Time.(h.at <= u)
       in
       if in_window && budget_ok () then begin
-        dispatch t sid;
+        dispatch t;
         incr fired;
         loop ()
       end
-      else if not in_window then finish_until t until
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Domains executor                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Reusable N-party rendezvous barrier (generation-counted). *)
-module Barrier = struct
-  type b = {
-    m : Mutex.t;
-    c : Condition.t;
-    parties : int;
-    mutable waiting : int;
-    mutable gen : int;
-  }
-
-  let make parties =
-    { m = Mutex.create (); c = Condition.create (); parties; waiting = 0;
-      gen = 0 }
-
-  let wait b =
-    Mutex.lock b.m;
-    let g = b.gen in
-    b.waiting <- b.waiting + 1;
-    if b.waiting = b.parties then begin
-      b.waiting <- 0;
-      b.gen <- g + 1;
-      Condition.broadcast b.c
-    end
-    else
-      while b.gen = g do
-        Condition.wait b.c b.m
-      done;
-    Mutex.unlock b.m
-end
-
-(* Materialize mailbox deliveries into the owner's heap, in producer-id
-   order then send order — both deterministic in virtual time, so a
-   given seed always yields the same per-shard schedule. A delivery
-   whose deadline the receiver has already passed is clamped to the
-   receiver's clock: rendezvous latency is bounded by one quantum. *)
-let drain_inbox t sh =
-  Array.iter
-    (fun q ->
-      while not (Queue.is_empty q) do
-        let m = Queue.pop q in
-        let at = Time.max m.m_at sh.s_clock in
-        let h =
-          { at; seq = sh.s_seq; fn = m.m_fn; label = m.m_label;
-            sched_parent = -1; owner = t; shard = sh.sid; cancelled = false;
-            fired = false }
-        in
-        sh.s_seq <- sh.s_seq + 1;
-        sh.s_live <- sh.s_live + 1;
-        Heap.push sh.heap h
-      done)
-    sh.inbox
-
-(* Raw in-window dispatch: no journal/profile brackets (both are
-   process-global and not domain-safe; the CLI refuses --journal with
-   --domains, and profiled runs are serial). *)
-let run_shard_window sh ~until =
-  let rec loop () =
-    drop_cancelled_sh sh;
-    if not (Heap.is_empty sh.heap) then begin
-      let h = Heap.peek_exn sh.heap in
-      if Time.(h.at <= until) then begin
-        ignore (Heap.pop_exn sh.heap);
-        sh.s_live <- sh.s_live - 1;
-        sh.s_clock <- h.at;
-        h.fired <- true;
-        sh.s_fired <- sh.s_fired + 1;
-        h.fn ();
-        loop ()
-      end
+      else if not in_window then finish ()
     end
   in
   loop ()
-
-(* Conservative window protocol, three barriers per round:
-
-     drain inboxes; publish next_at
-     --- barrier A ---           (every deadline published)
-     shard 0 folds the minimum M into a horizon
-     --- barrier B ---           (horizon visible to all)
-     execute events with deadline <= M + quantum
-     --- barrier C ---           (every producer's window closed)
-     loop
-
-   Barrier C is load-bearing twice over. It keeps the inbox slots
-   single-threaded: a producer only pushes into a sibling's slot
-   inside its window, so without C a fast shard could loop around and
-   drain a slot while its producer is still pushing (Stdlib.Queue is
-   not thread-safe, and delivery timing would leak wall-clock order
-   into virtual time). And it makes quiescence exact: the next round's
-   drain runs after *all* windows closed and before next_at is
-   published, so mail sent during a shard's final window surfaces as a
-   pending deadline instead of every shard publishing None and
-   stranding the event. The horizon is a pure function of virtual
-   time, so runs are per-seed deterministic; a shard never needs to
-   look inside a sibling's window because cross-shard sends
-   materialize only at the next rendezvous (lowest-virtual-time-wins,
-   FIFO per producer). *)
-let run_domains ?until t =
-  let n = Array.length t.shards in
-  Array.iter
-    (fun sh ->
-      sh.s_seq <- max sh.s_seq t.next_seq;
-      sh.s_clock <- Time.max sh.s_clock t.clock)
-    t.shards;
-  let next_at = Array.make n None in
-  let horizon = ref Time.zero in
-  let continue_ = ref true in
-  let failure = Array.make n None in
-  let barrier = Barrier.make n in
-  let quantum = t.quantum in
-  let worker sid () =
-    Domain.DLS.set dls_sid sid;
-    let sh = t.shards.(sid) in
-    let rec loop () =
-      drain_inbox t sh;
-      drop_cancelled_sh sh;
-      next_at.(sid) <-
-        (if Heap.is_empty sh.heap then None
-         else Some (Heap.peek_exn sh.heap).at);
-      Barrier.wait barrier;
-      if sid = 0 then begin
-        let m =
-          Array.fold_left
-            (fun acc o ->
-              match (acc, o) with
-              | None, x -> x
-              | x, None -> x
-              | Some a, Some b -> Some (Time.min a b))
-            None next_at
-        in
-        continue_ :=
-          (match m with
-          | None -> false
-          | Some m -> (
-            match until with
-            | Some u when Time.(m > u) -> false
-            | _ ->
-              horizon :=
-                (let h = Time.add m quantum in
-                 match until with Some u -> Time.min h u | None -> h);
-              true))
-      end;
-      Barrier.wait barrier;
-      if !continue_ then begin
-        let w_end = !horizon in
-        (try run_shard_window sh ~until:w_end
-         with e ->
-           (* Keep meeting the barriers so siblings cannot deadlock;
-              the primary domain re-raises after the join. *)
-           failure.(sid) <- Some e;
-           Heap.clear sh.heap;
-           sh.s_live <- 0);
-        sh.s_clock <- Time.max sh.s_clock w_end;
-        (* Barrier C: no shard may drain its inboxes (or publish its
-           next deadline) until every producer's window has closed. *)
-        Barrier.wait barrier;
-        loop ()
-      end
-    in
-    loop ();
-    Option.iter (fun u -> sh.s_clock <- Time.max sh.s_clock u) until
-  in
-  t.parallel <- true;
-  let saved_sid = Domain.DLS.get dls_sid in
-  Domain.DLS.set dls_sid 0;
-  let doms = Array.init (n - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  let fin () =
-    Array.iter Domain.join doms;
-    Domain.DLS.set dls_sid saved_sid;
-    t.parallel <- false;
-    Array.iter
-      (fun sh -> if sh.s_seq > t.next_seq then t.next_seq <- sh.s_seq)
-      t.shards;
-    let mx =
-      Array.fold_left (fun acc sh -> Time.max acc sh.s_clock) t.clock t.shards
-    in
-    t.clock <- (match until with Some u -> Time.max mx u | None -> mx)
-  in
-  (match worker 0 () with
-  | () -> fin ()
-  | exception e ->
-    fin ();
-    raise e);
-  Array.iter (function Some e -> raise e | None -> ()) failure
-
-let set_use_domains t b = t.use_domains <- b
-let uses_domains t = t.use_domains
-
-let set_quantum t q =
-  if Time.(q <= Time.zero) then invalid_arg "Engine.set_quantum: quantum must be > 0";
-  t.quantum <- q
-
-let run ?until ?max_events t =
-  if t.use_domains && Array.length t.shards > 1 && max_events = None then
-    run_domains ?until t
-  else run_interleaved ?until ?max_events t
 
 let run_until_quiet t = run t

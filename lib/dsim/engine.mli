@@ -1,92 +1,35 @@
-(** Discrete-event scheduler, sharded.
+(** Discrete-event scheduler.
 
-    The engine owns the virtual clock and one pending-event heap per
-    {e shard}. Events are plain closures scheduled at an absolute or
-    relative virtual time; ties are broken by insertion order — the
-    comparator is the total order [(deadline, schedule seq)], so
-    equal-deadline events dispatch FIFO and the simulation is fully
-    deterministic ({!Journal} replay depends on this). Components
-    (NIC, TCP timers, cVM loops) interact only by scheduling events on
-    a shared engine.
+    The engine owns the virtual clock and one pending-event heap.
+    Events are plain closures scheduled at an absolute or relative
+    virtual time; ties are broken by insertion order — the comparator
+    is the total order [(deadline, schedule seq)], so equal-deadline
+    events dispatch FIFO and the simulation is fully deterministic
+    ({!Journal} replay depends on this). Components (NIC, TCP timers,
+    cVM loops) interact only by scheduling events on a shared engine,
+    and one loop dispatches them all on one core.
 
-    {2 Sharding}
-
-    An engine is created with [?shards:n] heaps (default 1). Every
-    event lands on the {e current} shard: the shard whose handler is
-    executing, or the placement target chosen with {!with_shard} /
-    {!set_shard} outside dispatch — so a subsystem built under
-    [with_shard t i] keeps all of its self-rescheduling activity on
-    shard [i] without any call-site changes.
-
-    The default {e interleaved} executor drains all heaps on one core
-    in the global [(deadline, seq)] order. Because the schedule-seq
-    counter is shared across shards, this order is {e identical} to
-    the order a single-heap engine would produce for the same program:
-    sharding an interleaved run changes which heap holds an event,
-    never when it fires. Shard count 1 is byte-identical to the
-    pre-sharding engine by construction.
-
-    The opt-in {e domains} executor ({!set_use_domains}, or
-    [~domains:true]) runs one OCaml 5 [Domain] per shard. Shards
-    advance in conservative windows: at each rendezvous every shard
-    publishes its next pending deadline, the global minimum [M] is
-    computed, and each shard then executes its events with deadline
-    [<= M + quantum] before the next rendezvous (lowest-virtual-time
-    wins; FIFO seq tie-break within a shard). Cross-shard sends
-    ({!schedule_on}) travel through single-producer/single-consumer
-    mailboxes drained at the rendezvous, in producer-id then send
-    order — a pure function of virtual time, so a given seed always
-    produces the same execution. Journal recording and profiling are
-    process-global and are bypassed while domains run (the CLI refuses
-    [--journal] with [--domains] above one shard).
-
-    Every serial dispatch is bracketed by the {!Journal} hot path: it
-    receives a global sequence number, its shard id, its causal parent
-    (the dispatch whose handler scheduled it), and its {!Rng}-draw
-    count, feeding the always-on crash black box and, when armed,
-    journal recording or replay verification. *)
+    Every dispatch is bracketed by the {!Journal} hot path: it receives
+    a global sequence number, its causal parent (the dispatch whose
+    handler scheduled it), and its {!Rng}-draw count, feeding the
+    always-on crash black box and, when armed, journal recording or
+    replay verification. *)
 
 type t
 
 type handle
 (** A scheduled event, cancellable until it fires. *)
 
-val create : ?shards:int -> ?domains:bool -> ?seed:int64 -> unit -> t
-(** [shards] (default 1) fixes the heap count for the engine's
-    lifetime. [domains] arms the domain-per-shard executor for
-    {!run}. [seed] derives the per-shard {!Rng} streams. *)
-
-val shard_count : t -> int
+val create : unit -> t
 
 val now : t -> Time.t
-(** Current virtual time: the global clock, or the executing shard's
-    clock while the domains executor is driving. *)
-
-val current_shard : t -> int
-(** The shard new events land on: the dispatching shard during a
-    handler, the placement target otherwise. *)
-
-val set_shard : t -> int -> unit
-(** Set the placement target for subsequent schedules made outside any
-    handler. Invalid while domains run. *)
-
-val parallel_shard : t -> int
-(** [0] in every serial mode; the executing shard's id while the
-    domains executor is driving. Shared simulated resources key
-    per-shard state (e.g. {!Nic.Pci_bus} channels) off this so serial
-    runs stay byte-identical while parallel shards touch disjoint
-    slots. *)
-
-val with_shard : t -> int -> (unit -> 'a) -> 'a
-(** [with_shard t i f] runs [f] with the placement target set to shard
-    [i], restoring the previous target afterwards: build a subsystem
-    under it and all of the subsystem's activity stays on shard [i]. *)
+(** Current virtual time. *)
 
 val schedule_at : t -> at:Time.t -> (unit -> unit) -> handle
-(** Schedule at an absolute time on the current shard. Times in the
-    past fire "now" (at the current clock value), never before
-    already-pending earlier events. Wall time spent in the handler is
-    charged to {!Profile.unattributed} — prefer {!schedule_at_l}. *)
+(** Schedule at an absolute time. Times in the past fire "now" (at the
+    current clock value), never before already-pending earlier events.
+    Wall time spent in the handler is charged to
+    {!Profile.unattributed} — prefer {!schedule_at_l}. *)
 
 val schedule : t -> delay:Time.t -> (unit -> unit) -> handle
 (** Schedule relative to {!now}; unattributed like {!schedule_at}. *)
@@ -103,75 +46,35 @@ val schedule_l :
   t -> delay:Time.t -> label:Profile.key -> (unit -> unit) -> handle
 (** {!schedule} with an attribution key. *)
 
-val schedule_on :
-  t -> shard:int -> at:Time.t -> label:Profile.key -> (unit -> unit) -> unit
-(** Schedule onto an explicit shard. Serial modes place directly (the
-    global dispatch order makes any placement order-invisible); under
-    the domains executor the event goes through the target shard's
-    mailbox and materializes at the next rendezvous, clamped to the
-    receiver's clock (delivery latency is bounded by one quantum). No
-    handle: a mailbox event cannot be cancelled in flight. *)
-
 val cancel : handle -> unit
 (** Idempotent; cancelling a fired event is a no-op. When cancelled
-    handles come to outnumber live ones on a shard, that shard's heap
-    is compacted in place, so mass cancellation (e.g. tearing down
-    every TCP timer) does not pin dead closures until their deadline
-    pops — and never scans sibling shards. Under the domains executor,
-    only the shard owning the handle may cancel it. *)
+    handles come to outnumber live ones, the heap is compacted in
+    place, so mass cancellation (e.g. tearing down every TCP timer)
+    does not pin dead closures until their deadline pops. *)
 
 val is_pending : handle -> bool
 
 val pending_count : t -> int
-(** Live (not cancelled, not fired) events summed over all shards.
-    Exact: cancelled events are discounted immediately, not lazily at
-    pop time. *)
-
-val shard_pending : t -> int -> int
-(** Live events on one shard. *)
+(** Live (not cancelled, not fired) events. Exact: cancelled events are
+    discounted immediately, not lazily at pop time. *)
 
 val heap_size : t -> int
-(** Entries physically in the heaps, including cancelled ones awaiting
+(** Entries physically in the heap, including cancelled ones awaiting
     pop or compaction. For tests/diagnostics;
     [heap_size t >= pending_count t] always holds. *)
 
 val events_fired : t -> int
-(** Total events executed since {!create}, summed over shards (the
-    wall-clock benchmark's events/sec numerator). *)
-
-val shard_events_fired : t -> int -> int
-(** Events executed by one shard. *)
-
-val rng : t -> Rng.t
-(** The current shard's deterministic RNG stream. *)
-
-val shard_rng : t -> int -> Rng.t
-(** A specific shard's RNG stream (streams are split from the engine
-    seed at creation, one per shard). *)
+(** Total events executed since {!create} (the wall-clock benchmark's
+    events/sec numerator). *)
 
 val step : t -> bool
-(** Fire the globally next event (lowest deadline across shards, FIFO
-    seq tie-break), advancing the clock to it. Returns [false] when no
-    event is pending. Always interleaved. *)
+(** Fire the next event (lowest deadline, FIFO seq tie-break), advancing
+    the clock to it. Returns [false] when no event is pending. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain events in time order. [until] stops (inclusive) once the next
     event would fire strictly after it, leaving the clock at [until].
-    [max_events] guards against runaway self-rescheduling loops. With
-    the domains executor armed (and more than one shard, and no
-    [max_events] budget), this drives one [Domain] per shard under the
-    rendezvous protocol instead of interleaving. *)
+    [max_events] guards against runaway self-rescheduling loops. *)
 
 val run_until_quiet : t -> unit
 (** Run until no events remain. *)
-
-val set_use_domains : t -> bool -> unit
-(** Arm/disarm the domain-per-shard executor for subsequent {!run}
-    calls. A no-op in effect when the engine has one shard. *)
-
-val uses_domains : t -> bool
-
-val set_quantum : t -> Time.t -> unit
-(** Rendezvous window width for the domains executor (default 1 ms of
-    virtual time). Smaller bounds cross-shard delivery latency
-    tighter; larger amortizes the barrier. Must be positive. *)

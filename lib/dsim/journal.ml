@@ -3,10 +3,10 @@
    dispatch stream it journals is itself a process-global total order,
    even when several engines run in sequence. *)
 
-(* Schema 2 added the per-dispatch shard id ("sh"); schema 1 journals
-   load with every dispatch on shard 0. *)
-let schema = "netrepro-journal/2"
-let schema_v1 = "netrepro-journal/1"
+(* Schema 2 was schema 1 plus one per-dispatch field, "sh"; the loader
+   still accepts it and ignores that field. *)
+let schema = "netrepro-journal/1"
+let schema_v2 = "netrepro-journal/2"
 
 type dispatch = {
   d_seq : int;
@@ -14,7 +14,6 @@ type dispatch = {
   d_label : string;
   d_parent : int;
   d_rng : int;
-  d_shard : int;
 }
 
 let dispatch_json d =
@@ -25,7 +24,6 @@ let dispatch_json d =
       ("label", Json.String d.d_label);
       ("parent", Json.Int d.d_parent);
       ("rng_draws", Json.Int d.d_rng);
-      ("shard", Json.Int d.d_shard);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -39,7 +37,6 @@ type loaded = {
   l_label : int array;
   l_parent : int array;
   l_rng : int array;
-  l_shard : int array;
   l_chaos : int;
   l_supervisor : int;
   l_faults : int;
@@ -59,7 +56,6 @@ let dispatch_at l i =
        else Printf.sprintf "<label#%d>" li);
     d_parent = l.l_parent.(i);
     d_rng = l.l_rng.(i);
-    d_shard = l.l_shard.(i);
   }
 
 let context l ~seq ~k =
@@ -116,7 +112,6 @@ let cur_at = ref 0
 let cur_parent = ref (-1)
 let cur_key = ref Profile.unattributed
 let cur_rng0 = ref 0
-let cur_shard = ref 0
 
 (* Crash black box: a bounded ring of the last completed dispatches,
    always on, preallocated — recording a slot is a handful of unboxed
@@ -127,7 +122,6 @@ type ring = {
   mutable rg_key : Profile.key array;
   mutable rg_parent : int array;
   mutable rg_rng : int array;
-  mutable rg_shard : int array;
   mutable rg_n : int;  (* total dispatches ever recorded *)
   mutable rg_next : int;  (* = rg_n mod capacity, kept to spare the hot
                              path an integer division per dispatch *)
@@ -142,7 +136,6 @@ let make_ring n =
     rg_key = Array.make n Profile.unattributed;
     rg_parent = Array.make n (-1);
     rg_rng = Array.make n 0;
-    rg_shard = Array.make n 0;
     rg_n = 0;
     rg_next = 0;
   }
@@ -174,7 +167,6 @@ let blackbox () =
            d_label = key_label r.rg_key.(slot);
            d_parent = r.rg_parent.(slot);
            d_rng = r.rg_rng.(slot);
-           d_shard = r.rg_shard.(slot);
          }
         :: acc)
   in
@@ -190,7 +182,6 @@ let in_flight () =
         d_label = key_label !cur_key;
         d_parent = !cur_parent;
         d_rng = Rng.draws () - !cur_rng0;
-        d_shard = !cur_shard;
       }
 
 let blackbox_json () =
@@ -279,21 +270,20 @@ let label_id rs k =
 
 let parent_seq () = !cur_seq
 
-let begin_dispatch ~at ~parent ~shard key =
+let begin_dispatch ~at ~parent key =
   cur_seq := !next_seq;
   next_seq := !next_seq + 1;
   cur_at := Int64.to_int (Time.to_ns at);
   cur_parent := parent;
   cur_key := key;
-  cur_shard := shard;
   cur_rng0 := Rng.draws ()
 
-let check_dispatch vs ~seq ~at ~parent ~rng ~shard key =
+let check_dispatch vs ~seq ~at ~parent ~rng key =
   if vs.vs_mismatch = None then begin
     let n = dispatch_count vs.vs in
     let actual =
       { d_seq = seq; d_at_ns = at; d_label = key_label key;
-        d_parent = parent; d_rng = rng; d_shard = shard }
+        d_parent = parent; d_rng = rng }
     in
     if seq >= n then
       vs.vs_mismatch <-
@@ -311,7 +301,6 @@ let check_dispatch vs ~seq ~at ~parent ~rng ~shard key =
         else if not (String.equal exp.d_label actual.d_label) then Some "label"
         else if exp.d_parent <> parent then Some "causal_parent"
         else if exp.d_rng <> rng then Some "rng_draws"
-        else if exp.d_shard <> shard then Some "shard"
         else None
       in
       match field with
@@ -333,7 +322,6 @@ let end_dispatch () =
   if seq >= 0 then begin
     let key = !cur_key in
     let at = !cur_at and parent = !cur_parent in
-    let shard = !cur_shard in
     let rng = Rng.draws () - !cur_rng0 in
     Profile.add_rng_draws key rng;
     (* Black-box ring slot: unboxed stores only, no division. *)
@@ -344,7 +332,6 @@ let end_dispatch () =
     r.rg_key.(slot) <- key;
     r.rg_parent.(slot) <- parent;
     r.rg_rng.(slot) <- rng;
-    r.rg_shard.(slot) <- shard;
     r.rg_n <- r.rg_n + 1;
     let nxt = slot + 1 in
     r.rg_next <- (if nxt = Array.length r.rg_seq then 0 else nxt);
@@ -361,9 +348,8 @@ let end_dispatch () =
              ("l", Json.Int lid);
              ("p", Json.Int parent);
              ("r", Json.Int rng);
-             ("sh", Json.Int shard);
            ])
-    | Verify vs -> check_dispatch vs ~seq ~at ~parent ~rng ~shard key);
+    | Verify vs -> check_dispatch vs ~seq ~at ~parent ~rng key);
     cur_seq := -1
   end
 
@@ -468,11 +454,11 @@ let load_lines lines =
     | None -> Error "journal header is not valid JSON"
     | Some hdr -> (
       match str_member "schema" hdr with
-      | Some s when String.equal s schema || String.equal s schema_v1 -> (
+      | Some s when String.equal s schema || String.equal s schema_v2 -> (
         let labels = Hashtbl.create 64 in
         let max_label = ref (-1) in
         let ats = ref [] and lbls = ref [] and parents = ref [] in
-        let rngs = ref [] and shards_ = ref [] in
+        let rngs = ref [] in
         let n = ref 0 in
         let chaos = ref 0 and sup = ref 0 and faults = ref 0 in
         let exception Bad of string in
@@ -513,7 +499,6 @@ let load_lines lines =
                       lbls := l :: !lbls;
                       parents := p :: !parents;
                       rngs := r :: !rngs;
-                      shards_ := Option.value ~default:0 (int_member "sh" j) :: !shards_;
                       incr n
                     | _ ->
                       raise
@@ -547,7 +532,6 @@ let load_lines lines =
               l_label = arr !lbls;
               l_parent = arr !parents;
               l_rng = arr !rngs;
-              l_shard = arr !shards_;
               l_chaos = !chaos;
               l_supervisor = !sup;
               l_faults = !faults;

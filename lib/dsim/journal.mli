@@ -31,16 +31,16 @@
     and one branch — Fig. 4 / Table II outputs are bit-identical with
     journaling on or off (regression-tested).
 
-    {b File format} ([netrepro-journal/2]): JSONL. Line 1 is a header
-    [{"schema": "netrepro-journal/2", ...}] carrying caller metadata
+    {b File format} ([netrepro-journal/1]): JSONL. Line 1 is a header
+    [{"schema": "netrepro-journal/1", ...}] carrying caller metadata
     (experiment ids, seed, profile) used by replay. Subsequent lines are
     tagged by ["t"]: ["l"] interns a label (file-local [id] — journals
     are byte-comparable across processes), ["d"] is a dispatch
-    [{"q": seq, "at": ns, "l": label, "p": parent, "r": rng_draws,
-    "sh": shard}], and ["c"]/["s"]/["f"] are chaos-injection,
-    supervisor-transition and capability-fault annotations stamped with
-    the in-flight dispatch's [q]. Schema 1 journals (no ["sh"] field)
-    still load, with every dispatch on shard 0. *)
+    [{"q": seq, "at": ns, "l": label, "p": parent, "r": rng_draws}],
+    and ["c"]/["s"]/["f"] are chaos-injection, supervisor-transition
+    and capability-fault annotations stamped with the in-flight
+    dispatch's [q]. The loader also accepts [netrepro-journal/2] files
+    (schema 1 plus a per-dispatch ["sh"] field, which it ignores). *)
 
 (** {1 Records} *)
 
@@ -52,7 +52,6 @@ type dispatch = {
       (** Seq of the dispatch whose handler scheduled this event; [-1]
           when scheduled outside any dispatch (setup code). *)
   d_rng : int;  (** {!Rng} draws made by the handler. *)
-  d_shard : int;  (** {!Engine} shard the event was dispatched on. *)
 }
 
 val dispatch_json : dispatch -> Json.t
@@ -65,7 +64,7 @@ val parent_seq : unit -> int
     {!Engine.schedule_at_l} captures this at schedule time as the new
     handle's causal parent. *)
 
-val begin_dispatch : at:Time.t -> parent:int -> shard:int -> Profile.key -> unit
+val begin_dispatch : at:Time.t -> parent:int -> Profile.key -> unit
 (** Open dispatch [next_seq]: snapshot {!Rng.draws} and stash the
     label/parent. Dispatches must not nest (the engine loop is not
     reentrant). *)

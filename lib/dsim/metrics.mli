@@ -8,8 +8,7 @@
     and the CLI exposes the registry as Prometheus text via
     [netrepro ... --metrics FILE].
 
-    Updates follow the same discipline as {!Trace.record}: instruments
-    are registered once at construction time (allocation allowed), and
+    Instruments are registered once at construction time (allocation allowed), and
     the hot-path update ([incr], [set], [observe]) is a single flag
     check when the registry is disabled — no allocation, so the
     1M-iteration Fig. 4-6 loops keep their calibrated medians.

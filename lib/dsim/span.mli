@@ -5,7 +5,7 @@
     [trace_event] JSON for chrome://tracing or Perfetto. The CLI wires
     the {!default} collector to [netrepro ... --trace-json FILE].
 
-    Like {!Trace} and {!Metrics}, collection is off by default and a
+    Like {!Metrics}, collection is off by default and a
     disabled collector costs one branch per call — {!start} returns a
     preallocated dummy span, so the measurement loops pay nothing. *)
 

@@ -136,9 +136,9 @@ let set_rx_fault p f = p.rx_fault <- f
    The [bytes] handed to the link models the frame DMA'd out of
    simulated memory; it is dead as soon as the far end's RX DMA writes
    it back in (or the frame is dropped). The recycling pool lives on
-   the {!Link} (per-link, not process-global) so ports placed on
-   different engine shards share no mutable state under the domains
-   executor; an unconnected port just allocates. *)
+   the {!Link} (per-link, not process-global), so a frame goes back to
+   the pool of the wire that carried it; an unconnected port just
+   allocates. *)
 
 let wire_rent p len =
   match p.wire with Some (link, _) -> Link.rent link len | None -> Bytes.create len
@@ -160,9 +160,7 @@ let kick_tx p q =
     let req = Queue.pop q.tx_pending in
     let now = Dsim.Engine.now p.engine in
     let dma_done =
-      Pci_bus.reserve p.bus From_memory
-        ~channel:(Dsim.Engine.parallel_shard p.engine)
-        ~now ~bytes:req.tx_len
+      Pci_bus.reserve p.bus From_memory ~now ~bytes:req.tx_len
     in
     ignore
       (Dsim.Engine.schedule_at_l p.engine ~at:dma_done ~label:q.k_tx_dma
@@ -304,9 +302,7 @@ let deliver_frame p ~flow ~fcs ~recycle frame =
           (p.rx_ring_size - Queue.length q.rx_free);
         let now = Dsim.Engine.now p.engine in
         let dma_done =
-          Pci_bus.reserve p.bus To_memory
-            ~channel:(Dsim.Engine.parallel_shard p.engine)
-            ~now ~bytes:len
+          Pci_bus.reserve p.bus To_memory ~now ~bytes:len
         in
         ignore
           (Dsim.Engine.schedule_at_l p.engine ~at:dma_done ~label:q.k_rx_dma

@@ -23,10 +23,9 @@ type t = {
   mutable up : bool;
   mutable tamper : tamper option;
   (* Frame-buffer recycling pool, keyed by exact length. Per-link (not
-     process-global) so that two links placed on different engine
-     shards never share mutable state under the domains executor: a
-     frame is rented by one endpoint's TX engine and released by the
-     peer endpoint's RX completion, and both live on the same link. *)
+     process-global): a frame is rented by one endpoint's TX engine and
+     released by the peer endpoint's RX completion, and both live on
+     the same link. *)
   pool : (int, bytes Stack.t) Hashtbl.t;
 }
 

@@ -30,9 +30,8 @@ val create :
 
 val rent : t -> int -> bytes
 (** Rent an exact-[len] frame buffer from the link's recycling pool
-    (fresh allocation when the pool is dry). The pool is per-link so
-    links on different engine shards share no mutable state under the
-    domains executor; a frame rented by one endpoint's TX DMA is
+    (fresh allocation when the pool is dry). The pool is per-link, not
+    process-global: a frame rented by one endpoint's TX DMA is
     {!release}d by the peer endpoint's RX completion. *)
 
 val release : t -> bytes -> unit

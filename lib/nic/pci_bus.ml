@@ -1,72 +1,30 @@
 type direction = To_memory | From_memory
 
-(* Each lane (direction) carries [channels] independent busy horizons.
-   Channel 0 is the whole bus in every serial execution mode; under the
-   engine's domains executor each shard reserves on its own channel
-   ([Dsim.Engine.parallel_shard]), so parallel shards mutate disjoint
-   slots — deterministic and race-free — at the cost of not modelling
-   cross-shard bus contention in that gear (think PCIe virtual
-   channels with independent credits). Serial runs always see exactly
-   the single-horizon FIFO bus. *)
-type lane = {
-  bps : float;
-  mutable busy_until : Dsim.Time.t array;
-  mutable transfers : int array;
-}
+(* One busy horizon per lane (direction): transfers queue FIFO behind
+   it. *)
+type lane = { bps : float; mutable busy_until : Dsim.Time.t; mutable transfers : int }
 
 type t = { rx : lane; tx : lane; per_transfer_ns : float }
 
-let lane bps ~channels =
-  {
-    bps;
-    busy_until = Array.make channels Dsim.Time.zero;
-    transfers = Array.make channels 0;
-  }
+let lane bps = { bps; busy_until = Dsim.Time.zero; transfers = 0 }
 
-let create ?(rx_bps = 1.395e9) ?(tx_bps = 1.609e9) ?(per_transfer_ns = 0.)
-    ?(channels = 1) () =
-  if channels < 1 then invalid_arg "Pci_bus.create: channels must be >= 1";
-  { rx = lane rx_bps ~channels; tx = lane tx_bps ~channels; per_transfer_ns }
+let create ?(rx_bps = 1.395e9) ?(tx_bps = 1.609e9) ?(per_transfer_ns = 0.) () =
+  { rx = lane rx_bps; tx = lane tx_bps; per_transfer_ns }
 
 let of_cost_model (cm : Dsim.Cost_model.t) =
   create ~rx_bps:cm.pci_rx_bps ~tx_bps:cm.pci_tx_bps
     ~per_transfer_ns:cm.dma_per_packet_ns ()
 
-let grow_lane l n =
-  if Array.length l.busy_until < n then begin
-    let busy = Array.make n Dsim.Time.zero in
-    let xfer = Array.make n 0 in
-    Array.blit l.busy_until 0 busy 0 (Array.length l.busy_until);
-    Array.blit l.transfers 0 xfer 0 (Array.length l.transfers);
-    l.busy_until <- busy;
-    l.transfers <- xfer
-  end
-
-(* Setup-time only (single-threaded): topology assembly sizes the bus
-   to the engine's shard count before any traffic flows. *)
-let set_channels t n =
-  if n < 1 then invalid_arg "Pci_bus.set_channels: channels must be >= 1";
-  grow_lane t.rx n;
-  grow_lane t.tx n
-
-let channels t = Array.length t.rx.busy_until
 let lane_of t = function To_memory -> t.rx | From_memory -> t.tx
 
-let reserve ?(channel = 0) t dir ~now ~bytes =
+let reserve t dir ~now ~bytes =
   let l = lane_of t dir in
-  (* An under-provisioned bus folds excess shards onto existing
-     channels rather than faulting mid-run; [Topology.make_node] sizes
-     every bus to the engine, so this only triggers on hand-built
-     setups. *)
-  let c = channel mod Array.length l.busy_until in
-  let start = Dsim.Time.max now l.busy_until.(c) in
+  let start = Dsim.Time.max now l.busy_until in
   let dur_ns = (float_of_int bytes *. 8. /. l.bps *. 1e9) +. t.per_transfer_ns in
   let fin = Dsim.Time.add start (Dsim.Time.of_float_ns dur_ns) in
-  l.busy_until.(c) <- fin;
-  l.transfers.(c) <- l.transfers.(c) + 1;
+  l.busy_until <- fin;
+  l.transfers <- l.transfers + 1;
   fin
 
-let busy_until t dir =
-  Array.fold_left Dsim.Time.max Dsim.Time.zero (lane_of t dir).busy_until
-
-let transfers t dir = Array.fold_left ( + ) 0 (lane_of t dir).transfers
+let busy_until t dir = (lane_of t dir).busy_until
+let transfers t dir = (lane_of t dir).transfers

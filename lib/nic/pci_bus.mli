@@ -15,37 +15,17 @@ type direction =
   | From_memory  (** Device reads packet data (transmit path). *)
 
 val create :
-  ?rx_bps:float ->
-  ?tx_bps:float ->
-  ?per_transfer_ns:float ->
-  ?channels:int ->
-  unit ->
-  t
-(** Defaults come from {!Dsim.Cost_model.default}'s calibration.
-    [channels] (default 1) is the number of independent busy horizons
-    per direction — see {!reserve}. *)
+  ?rx_bps:float -> ?tx_bps:float -> ?per_transfer_ns:float -> unit -> t
+(** Defaults come from {!Dsim.Cost_model.default}'s calibration. *)
 
 val of_cost_model : Dsim.Cost_model.t -> t
 
-val set_channels : t -> int -> unit
-(** Grow to [n] channels (never shrinks). Topology assembly calls this
-    with the engine's shard count, at setup time, before traffic. *)
-
-val channels : t -> int
-
-val reserve :
-  ?channel:int -> t -> direction -> now:Dsim.Time.t -> bytes:int -> Dsim.Time.t
+val reserve : t -> direction -> now:Dsim.Time.t -> bytes:int -> Dsim.Time.t
 (** Book a transfer starting no earlier than [now]; returns its
-    completion time and advances the channel's busy horizon. Channel 0
-    (the default) is the whole bus; serial engine modes always reserve
-    on it, so single-horizon FIFO semantics are unchanged. Under the
-    domains executor each shard reserves on its own channel
-    ({!Dsim.Engine.parallel_shard}) — disjoint mutable state, hence
-    deterministic and race-free, at the cost of not modelling
-    cross-shard bus contention in the parallel gear. *)
+    completion time and advances the direction's busy horizon. *)
 
 val busy_until : t -> direction -> Dsim.Time.t
-(** Latest busy horizon across channels. *)
+(** The direction's busy horizon. *)
 
 val transfers : t -> direction -> int
-(** Number of transfers booked so far, all channels (diagnostics). *)
+(** Number of transfers booked so far (diagnostics). *)

@@ -3,7 +3,7 @@
    queue. Classification is a pure function of the frame bytes and the
    (key, reta) configuration: the same flow always lands on the same
    queue, in arrival order — the determinism the per-queue stack loops
-   and the sharded engine both rely on. *)
+   rely on. *)
 
 let reta_size = 128
 

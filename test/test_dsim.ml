@@ -303,7 +303,7 @@ let stats_percentile_monotone_prop =
       p25 <= p50 && p50 <= p75)
 
 (* ------------------------------------------------------------------ *)
-(* Cost model / Trace                                                   *)
+(* Cost model                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let cost_model_values () =
@@ -329,35 +329,6 @@ let cost_model_calibration () =
     200.
     ((2. *. cm.Dsim.Cost_model.tramp_oneway_ns)
     +. cm.Dsim.Cost_model.mutex_uncontended_ns)
-
-let trace_basic () =
-  let t = Dsim.Trace.create ~enabled:true () in
-  Dsim.Trace.record t ~at:(Dsim.Time.ns 5) ~component:"nic" "rx";
-  Dsim.Trace.recordf t ~at:(Dsim.Time.ns 7) ~component:"tcp" "seq=%d" 42;
-  Alcotest.(check int) "two events" 2 (List.length (Dsim.Trace.events t));
-  Alcotest.(check int) "find by component" 1
-    (List.length (Dsim.Trace.find t ~component:"tcp"));
-  (match Dsim.Trace.find t ~component:"tcp" with
-  | [ e ] -> Alcotest.(check string) "formatted" "seq=42" e.Dsim.Trace.message
-  | _ -> Alcotest.fail "expected one tcp event");
-  Dsim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Dsim.Trace.events t))
-
-let trace_disabled () =
-  let t = Dsim.Trace.create () in
-  Alcotest.(check bool) "disabled by default" false (Dsim.Trace.enabled t);
-  Dsim.Trace.record t ~at:Dsim.Time.zero ~component:"x" "dropped";
-  Alcotest.(check int) "no events recorded" 0 (List.length (Dsim.Trace.events t));
-  Dsim.Trace.set_enabled t true;
-  Dsim.Trace.record t ~at:Dsim.Time.zero ~component:"x" "kept";
-  Alcotest.(check int) "recorded after enable" 1 (List.length (Dsim.Trace.events t))
-
-let trace_capacity () =
-  let t = Dsim.Trace.create ~enabled:true ~capacity:3 () in
-  for i = 1 to 10 do
-    Dsim.Trace.record t ~at:Dsim.Time.zero ~component:"x" (string_of_int i)
-  done;
-  Alcotest.(check int) "capped" 3 (List.length (Dsim.Trace.events t))
 
 let histogram_buckets () =
   let h = Dsim.Histogram.create ~lo:1. ~ratio:2. ~buckets:8 () in
@@ -436,9 +407,6 @@ let suite =
     QCheck_alcotest.to_alcotest stats_percentile_monotone_prop;
     Alcotest.test_case "cost model: derived constants" `Quick cost_model_values;
     Alcotest.test_case "cost model: paper calibration relations" `Quick cost_model_calibration;
-    Alcotest.test_case "trace: record/find/clear" `Quick trace_basic;
-    Alcotest.test_case "trace: disabled is a no-op" `Quick trace_disabled;
-    Alcotest.test_case "trace: capacity cap" `Quick trace_capacity;
     Alcotest.test_case "histogram: bucket ladder" `Quick histogram_buckets;
     Alcotest.test_case "histogram: rendering" `Quick histogram_render;
     Alcotest.test_case "histogram: errors" `Quick histogram_errors;

@@ -2,7 +2,6 @@ let () =
   Alcotest.run "cheri-netstack"
     [
       ("dsim", Test_dsim.suite);
-      ("shards", Test_shards.suite);
       ("metrics", Test_metrics.suite);
       ("flowtrace", Test_flowtrace.suite);
       ("cheri", Test_cheri.suite);

@@ -83,8 +83,8 @@ let disabled_updates_dropped () =
   Alcotest.(check int) "counts once enabled" 1 (Dsim.Metrics.value c)
 
 (* The hot-path discipline: updating a disabled instrument must not
-   allocate (same rule as Trace.record). The loop below would allocate
-   megabytes if incr/set boxed anything. *)
+   allocate. The loop below would allocate megabytes if incr/set boxed
+   anything. *)
 let disabled_zero_allocation () =
   let r = Dsim.Metrics.create () in
   let c = Dsim.Metrics.counter r "hot_total" in
@@ -266,25 +266,6 @@ let json_round_trip () =
     (Dsim.Json.parse_opt "{\"a\": }" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Trace additions                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let trace_error_and_count () =
-  let tr = Dsim.Trace.create ~enabled:true () in
-  Dsim.Trace.record tr ~at:Dsim.Time.zero ~component:"nic" "rx";
-  Dsim.Trace.record tr ~at:Dsim.Time.zero ~level:Dsim.Trace.Error ~component:"nic" "dma fault";
-  Dsim.Trace.record tr ~at:Dsim.Time.zero ~component:"stack" "tx";
-  Alcotest.(check int) "count by component" 2 (Dsim.Trace.count tr ~component:"nic");
-  Alcotest.(check int) "other component" 1 (Dsim.Trace.count tr ~component:"stack");
-  Alcotest.(check int) "absent component" 0 (Dsim.Trace.count tr ~component:"umtx");
-  let errors =
-    List.filter
-      (fun (e : Dsim.Trace.event) -> e.Dsim.Trace.level = Dsim.Trace.Error)
-      (Dsim.Trace.events tr)
-  in
-  Alcotest.(check int) "error level recorded" 1 (List.length errors)
-
-(* ------------------------------------------------------------------ *)
 (* Telemetry must not move the calibrated medians                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -342,7 +323,6 @@ let suite =
     Alcotest.test_case "disabled spans inert" `Quick span_disabled_inert;
     Alcotest.test_case "chrome trace round trip" `Quick chrome_export_round_trip;
     Alcotest.test_case "json round trip" `Quick json_round_trip;
-    Alcotest.test_case "trace error level and count" `Quick trace_error_and_count;
     Alcotest.test_case "fig4 medians unmoved by telemetry" `Slow
       fig4_median_invariant;
   ]

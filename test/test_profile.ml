@@ -267,45 +267,6 @@ let folded_output () =
       Alcotest.(check bool) "outer self line present" true
         (List.exists (fun l -> l = "c:v:o 200") lines))
 
-(* On a sharded engine every dispatch runs under a "shardN" frame, so
-   folded stacks carry the executing shard as their first frame and a
-   flamegraph splits cleanly by shard. *)
-let folded_shard_prefix () =
-  with_synthetic_profiler (fun p ->
-      let engine = Dsim.Engine.create ~shards:2 () in
-      let k = Dsim.Profile.key p ~component:"t" ~cvm:"e" ~stage:"h" in
-      for i = 0 to 1 do
-        Dsim.Engine.with_shard engine i (fun () ->
-            ignore
-              (Dsim.Engine.schedule_l engine
-                 ~delay:(Dsim.Time.ns (i + 1))
-                 ~label:k
-                 (fun () -> ())))
-      done;
-      Dsim.Engine.run_until_quiet engine;
-      let lines = String.split_on_char '\n' (Dsim.Profile.folded p) in
-      List.iter
-        (fun sid ->
-          let prefix = Printf.sprintf "shard%d:-:-;t:e:h " sid in
-          Alcotest.(check bool)
-            (Printf.sprintf "stack prefixed with shard%d" sid)
-            true
-            (List.exists (fun l -> String.starts_with ~prefix l) lines))
-        [ 0; 1 ];
-      (* Per-shard dispatch counts land on the shard frames. *)
-      let shard_events sid =
-        match
-          List.find_opt
-            (fun (r : Dsim.Profile.row) ->
-              r.Dsim.Profile.r_component = Printf.sprintf "shard%d" sid)
-            (Dsim.Profile.rows p)
-        with
-        | Some r -> r.Dsim.Profile.r_events
-        | None -> 0
-      in
-      Alcotest.(check int) "shard0 fired one" 1 (shard_events 0);
-      Alcotest.(check int) "shard1 fired one" 1 (shard_events 1))
-
 (* ------------------------------------------------------------------ *)
 (* Perfdiff                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -527,8 +488,6 @@ let suite =
     Alcotest.test_case "engine dispatch attributes to labels" `Quick
       engine_dispatch_attribution;
     Alcotest.test_case "folded-stack output" `Quick folded_output;
-    Alcotest.test_case "folded stacks prefixed with shard id" `Quick
-      folded_shard_prefix;
     Alcotest.test_case "perfdiff: identical snapshots pass" `Quick
       perfdiff_clean;
     Alcotest.test_case "perfdiff: event drift flags" `Quick
