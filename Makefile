@@ -1,4 +1,4 @@
-.PHONY: all build test check bench wallclock audit attack fleet profile perfdiff journal clean
+.PHONY: all build test check audit attack fleet profile perfdiff journal clean
 
 all: build
 
@@ -7,15 +7,6 @@ build:
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe -- quick
-
-# Wall-clock throughput + allocation profile of the simulator itself
-# (writes BENCH_wallclock.json; exits non-zero when the ff_write fast
-# path blows its minor-allocation budget).
-wallclock:
-	dune exec bench/main.exe -- wallclock
 
 # Capability provenance audit: stock scenarios under the invariant
 # checker plus the attack-surface report (exit non-zero on any
@@ -108,19 +99,19 @@ journal:
 	@echo "journal: record/replay/jdiff round-trip OK"
 
 # Full gate, and the whole of CI: build, unit/property tests (plus the
-# edgebench --smoke run), then the smoke runs — Table II with metrics
-# enabled must expose the cross-layer instrument families in the
-# Prometheus dump, Fig. 5 with flow tracing enabled must produce an
-# analyzable trace covering the measurement stages, the seeded chaos
-# run must attribute or recover every injected fault, the capability
-# audit must find zero invariant violations on the stock scenarios,
-# the red-team packet corpus (attack) and the fleet observatory (fleet)
-# must each be byte-identical across two runs and pass their gates,
-# the wall-clock bench must keep the ff_write fast path within its
-# minor-allocation budget (the zero-copy regression gate), the
-# profiled Fig. 4 run must attribute its wall time and hold against
-# the checked-in perf baseline, and a recorded Fig. 4 journal must
-# replay clean and jdiff equivalent against itself.
+# edgebench --smoke run, and the zero-copy regression gate: the Fig. 4
+# data path must stay within its minor-allocation budget per packet),
+# then the smoke runs — Table II with metrics enabled must expose the
+# cross-layer instrument families in the Prometheus dump, Fig. 5 with
+# flow tracing enabled must produce an analyzable trace covering the
+# measurement stages, the seeded chaos run must attribute or recover
+# every injected fault, the capability audit must find zero invariant
+# violations on the stock scenarios, the red-team packet corpus
+# (attack) and the fleet observatory (fleet) must each be
+# byte-identical across two runs and pass their gates, the profiled
+# Fig. 4 run must attribute its wall time and hold against the
+# checked-in perf baseline, and a recorded Fig. 4 journal must replay
+# clean and jdiff equivalent against itself.
 check:
 	dune build
 	dune runtest
@@ -162,7 +153,6 @@ check:
 	@echo "check: red-team corpus contained and attributed"
 	$(MAKE) fleet
 	@echo "check: fleet tenancy observatory deterministic, SLO gates hold"
-	dune exec bench/main.exe -- wallclock quick
 	$(MAKE) profile > /tmp/netrepro-check.profile.txt \
 	  || { cat /tmp/netrepro-check.profile.txt; \
 	       echo "check: profile run failed"; exit 1; }

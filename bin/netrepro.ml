@@ -38,11 +38,8 @@ let with_telemetry t f =
     Dsim.Metrics.set_enabled Dsim.Metrics.default true;
     Dsim.Metrics.reset Dsim.Metrics.default
   end;
-  if t.trace_file <> None then begin
-    Dsim.Span.set_enabled Dsim.Span.default true;
-    Dsim.Span.clear Dsim.Span.default
-  end;
-  if t.flow_trace_file <> None then begin
+  (* --trace-json is a Chrome-format view of the same flow traces. *)
+  if t.flow_trace_file <> None || t.trace_file <> None then begin
     Dsim.Flowtrace.set_enabled Dsim.Flowtrace.default true;
     Dsim.Flowtrace.set_sample_every Dsim.Flowtrace.default t.sample_every;
     Dsim.Flowtrace.clear Dsim.Flowtrace.default
@@ -74,7 +71,9 @@ let with_telemetry t f =
     match t.trace_file with
     | None -> true
     | Some path ->
-      dump path (fun () -> Dsim.Span.to_chrome_json Dsim.Span.default)
+      dump path (fun () ->
+          Dsim.Json.to_string
+            (Dsim.Flowtrace.to_chrome_trace Dsim.Flowtrace.default))
   in
   let ok_flow =
     match t.flow_trace_file with
@@ -167,10 +166,9 @@ let run_experiment ids quick iterations telemetry journal =
         (fun () ->
           List.iter
             (fun (s : Core.Experiment.spec) ->
-              let out = s.Core.Experiment.report profile in
               Printf.printf "=== %s (%s): %s ===\n%s\n\n" s.Core.Experiment.id
                 s.Core.Experiment.paper_ref s.Core.Experiment.title
-                out.Core.Experiment.text;
+                (s.Core.Experiment.report profile);
               if telemetry.metrics_file <> None then
                 Printf.printf "--- per-compartment metrics (%s) ---\n%s\n\n"
                   s.Core.Experiment.id
@@ -429,7 +427,7 @@ let summaries =
     ("fleet", "multi-tenant churn run with per-tenant SLO rollups");
     ("analyze", "summarize a flow-trace or time-series export");
     ("profile", "wall-clock hotspot and capacity-watermark profile");
-    ("perfdiff", "compare two performance snapshots for regressions");
+    ("perfdiff", "compare two profile snapshots for regressions");
     ("replay", "re-execute a recorded journal, verifying every dispatch");
     ("jdiff", "first-divergence diff between two journals");
   ]
@@ -475,9 +473,10 @@ let trace_opt =
     & opt (some string) None
     & info [ "trace-json" ] ~docv:"FILE"
         ~doc:
-          "Enable span collection and write a Chrome trace_event JSON file \
-           (load it in chrome://tracing or Perfetto) to $(docv) after the \
-           run.")
+          "Enable sampled flow tracing (1 frame in $(b,--sample-every)) and \
+           write every traced frame's per-stage hop intervals as a Chrome \
+           trace_event JSON file (load it in chrome://tracing or Perfetto) \
+           to $(docv) after the run.")
 
 let flow_trace_opt =
   Arg.(
@@ -493,7 +492,9 @@ let sample_every_opt =
   Arg.(
     value & opt int 64
     & info [ "sample-every" ] ~docv:"N"
-        ~doc:"Trace 1 frame in $(docv) (with --flow-trace; default 64).")
+        ~doc:
+          "Trace 1 frame in $(docv) (with --flow-trace or --trace-json; \
+           default 64).")
 
 let timeseries_opt =
   Arg.(
@@ -804,7 +805,7 @@ let perfdiff_old_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"OLD" ~doc:"Baseline snapshot (.profile.json or bench JSON).")
+    & info [] ~docv:"OLD" ~doc:"Baseline .profile.json snapshot.")
 
 let perfdiff_new_arg =
   Arg.(
@@ -823,12 +824,11 @@ let perfdiff_cmd =
     (cmd_info "perfdiff"
        ~detail:
          [
-           "Compare two performance snapshots key by key and exit 1 when \
-            any key regressed past --max-regress (2 on I/O or parse \
-            errors). Profile snapshots diff per hotspot with noise floors \
-            on wall time; deterministic event counts flag on any drift. \
-            Other JSON snapshots diff every numeric leaf, with the \
-            improvement direction inferred from the leaf name.";
+           "Compare two $(b,netrepro profile) snapshots per hotspot and \
+            exit 1 when any key regressed past --max-regress (2 on I/O or \
+            parse errors, or when a file is not a profile snapshot). Wall \
+            time is gated with noise floors; deterministic event counts \
+            flag on any drift.";
          ])
     Term.(
       const run_perfdiff $ perfdiff_old_arg $ perfdiff_new_arg

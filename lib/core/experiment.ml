@@ -100,30 +100,6 @@ let ablation_split ?(profile = full) () =
 (* Rendering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type output = { text : string; summary : Dsim.Json.t }
-
-let json_of_bw_groups groups =
-  Dsim.Json.List
-    (List.map
-       (fun (group, samples) ->
-         Dsim.Json.Obj
-           [
-             ("configuration", Dsim.Json.String group);
-             ( "flows",
-               Dsim.Json.List
-                 (List.map
-                    (fun (s : Bandwidth.sample) ->
-                      Dsim.Json.Obj
-                        [
-                          ("label", Dsim.Json.String s.Bandwidth.label);
-                          ("mbit_s", Dsim.Json.Float s.Bandwidth.mbit_s);
-                          ( "efficiency_pct",
-                            Dsim.Json.Float s.Bandwidth.efficiency_pct );
-                        ])
-                    samples) );
-           ])
-       groups)
-
 let render_bw_groups groups =
   let rows =
     List.concat_map
@@ -137,60 +113,13 @@ let render_bw_groups groups =
   in
   Report.table ~header:[ "Configuration"; "Flow"; "Mbit/s"; "Efficiency" ] ~rows
 
-let report_bw_groups groups =
-  { text = render_bw_groups groups; summary = json_of_bw_groups groups }
+let report_table1 _profile = Format.asprintf "%a" Loc_table.pp (table1 ())
 
-let report_table1 _profile =
-  let rows = table1 () in
-  {
-    text = Format.asprintf "%a" Loc_table.pp rows;
-    summary =
-      Dsim.Json.List
-        (List.map
-           (fun (r : Loc_table.row) ->
-             Dsim.Json.Obj
-               [
-                 ("library", Dsim.Json.String r.Loc_table.library);
-                 ("cheri_loc", Dsim.Json.Int r.Loc_table.cheri_loc);
-                 ("total_loc", Dsim.Json.Int r.Loc_table.total_loc);
-                 ("pct", Dsim.Json.Float r.Loc_table.pct);
-               ])
-           rows);
-  }
-
-let report_table2 profile = report_bw_groups (table2 ~profile ())
-
-let json_of_outcome = function
-  | Attack.Trapped f -> Dsim.Json.String (Cheri.Fault.to_string f)
-  | Attack.Leaked s -> Dsim.Json.String ("LEAKED: " ^ s)
+let report_table2 profile = render_bw_groups (table2 ~profile ())
 
 let report_fig3 _profile =
-  let reports = fig3 () in
-  {
-    text =
-      String.concat "\n\n"
-        (List.map (fun r -> Format.asprintf "%a" Attack.pp_report r) reports);
-    summary =
-      Dsim.Json.List
-        (List.map
-           (fun (r : Attack.report) ->
-             Dsim.Json.Obj
-               [
-                 ("attack", Dsim.Json.String (Attack.attack_name r.Attack.attack));
-                 ("cheri", json_of_outcome r.Attack.cheri);
-                 ( "trapped",
-                   Dsim.Json.Bool (Attack.outcome_is_trap r.Attack.cheri) );
-                 ( "baseline",
-                   match r.Attack.baseline with
-                   | Some o -> json_of_outcome o
-                   | None -> Dsim.Json.Null );
-                 ("victim_alive", Dsim.Json.Bool r.Attack.victim_alive);
-                 ( "victim_mbit_before",
-                   Dsim.Json.Float r.Attack.victim_mbit_before );
-                 ("victim_mbit_after", Dsim.Json.Float r.Attack.victim_mbit_after);
-               ])
-           reports);
-  }
+  String.concat "\n\n"
+    (List.map (fun r -> Format.asprintf "%a" Attack.pp_report r) (fig3 ()))
 
 let render_measurements ?(log_scale = false) results =
   let boxes =
@@ -199,22 +128,6 @@ let render_measurements ?(log_scale = false) results =
       results
   in
   Report.ascii_boxplot ~labels_and_boxes:boxes ~log_scale ()
-
-let json_of_measurements results =
-  Dsim.Json.List
-    (List.map
-       (fun (r : Measurement.result) ->
-         let b = r.Measurement.boxplot in
-         Dsim.Json.Obj
-           [
-             ("label", Dsim.Json.String r.Measurement.label);
-             ("median_ns", Dsim.Json.Float b.Dsim.Stats.median);
-             ("mean_ns", Dsim.Json.Float b.Dsim.Stats.mean);
-             ("stddev_ns", Dsim.Json.Float b.Dsim.Stats.stddev);
-             ("n", Dsim.Json.Int (Dsim.Stats.count r.Measurement.filtered));
-             ("removed_pct", Dsim.Json.Float r.Measurement.removed_pct);
-           ])
-       results)
 
 let report_fig n profile =
   let results =
@@ -243,16 +156,13 @@ let report_fig n profile =
       | [] -> ""
     end
   in
-  {
-    text = render_measurements ~log_scale:(n = 6) results ^ "\n\n" ^ detail ^ extra;
-    summary = json_of_measurements results;
-  }
+  render_measurements ~log_scale:(n = 6) results ^ "\n\n" ^ detail ^ extra
 
 type spec = {
   id : string;
   title : string;
   paper_ref : string;
-  report : profile -> output;
+  report : profile -> string;
 }
 
 let all =
@@ -297,19 +207,19 @@ let all =
       id = "ablation-lock";
       title = "Locking strategies under contention (paper future work)";
       paper_ref = "Sec. VI";
-      report = (fun p -> report_bw_groups (ablation_lock ~profile:p ()));
+      report = (fun p -> render_bw_groups (ablation_lock ~profile:p ()));
     };
     {
       id = "ablation-udp";
       title = "UDP blast: goodput and loss without flow control";
       paper_ref = "extension";
-      report = (fun p -> report_bw_groups (ablation_udp ~profile:p ()));
+      report = (fun p -> render_bw_groups (ablation_udp ~profile:p ()));
     };
     {
       id = "ablation-split";
       title = "Finer-grained split: DPDK in its own cVM (paper future work)";
       paper_ref = "Sec. VI";
-      report = (fun p -> report_bw_groups (ablation_split ~profile:p ()));
+      report = (fun p -> render_bw_groups (ablation_split ~profile:p ()));
     };
   ]
 

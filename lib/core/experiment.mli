@@ -1,10 +1,10 @@
 (** Registry of the paper's experiments: one entry per table/figure,
-    plus the ablations. The CLI ([bin/netrepro]) and the bench harness
-    ([bench/main.exe]) both dispatch through this module, so every
+    plus the ablations. The CLI ([bin/netrepro]), [netrepro profile] and
+    [netrepro replay] all dispatch through this module, so every
     artefact regenerates from a single code path.
 
     Each runner takes a {!profile} so tests can exercise the full
-    pipeline in milliseconds while the bench reproduces the paper's
+    pipeline in milliseconds while a full run reproduces the paper's
     parameters (the paper's 1M-iteration latency runs are available via
     {!paper_grade}). *)
 
@@ -16,7 +16,7 @@ type profile = {
 
 val quick : profile  (** CI-sized: ~100 ms windows, 3k samples. *)
 
-val full : profile  (** Default bench: 1 s windows, 100k samples. *)
+val full : profile  (** Default: 1 s windows, 100k samples. *)
 
 val paper_grade : profile  (** 1M samples, as in the paper. *)
 
@@ -53,19 +53,12 @@ val ablation_udp :
 
 (** {1 Rendered runners} *)
 
-type output = {
-  text : string;  (** Human-readable table / boxplot rendering. *)
-  summary : Dsim.Json.t;
-      (** Machine-readable digest of the same run (one JSON value per
-          table row / boxplot / attack report) — what the bench harness
-          writes to its [BENCH_<id>.json] files. *)
-}
-
 type spec = {
   id : string;  (** e.g. "table2", "fig4". *)
   title : string;
   paper_ref : string;
-  report : profile -> output;
+  report : profile -> string;
+      (** Runs the experiment and renders its table / boxplot text. *)
 }
 
 val all : spec list

@@ -53,7 +53,7 @@ type result = {
   r_crossings : int;  (** Tenant-attributed trampoline crossings. *)
   r_packets : int;  (** Tenant-attributed TX frames. *)
   r_live_socks_peak : int;  (** Peak live socket count on the DUT stack. *)
-  r_events : int;  (** Engine events fired (the bench curve's y-axis). *)
+  r_events : int;  (** Engine events fired (the scaling curve's cost axis). *)
   r_rollups : Dsim.Tenancy.rollup list;
   r_gates : (string * bool * string) list;  (** (gate, ok, detail). *)
   r_pass : bool;

@@ -53,11 +53,6 @@ let setup_connected ?(seed = 45L) ~mode ~write_size () =
     ~until:(Dsim.Time.add (Dsim.Engine.now engine) (Dsim.Time.ms 100));
   (mt, fd, buf)
 
-(* At most this many iteration spans are recorded per configuration, so
-   paper-grade runs do not swamp the trace with a million identical
-   intervals. *)
-let span_sample_limit = 512
-
 let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100)
     ?(seed = 45L) path =
   let mode =
@@ -72,7 +67,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
       ~labels:[ ("path", label) ]
       ~lo:50. ~ratio:1.3 ~buckets:48 "ff_write_latency_ns"
   in
-  let span_tid = Dsim.Span.track Dsim.Span.default label in
   (* Fig. 4's wall time flows through these handlers: each scheduling
      point in the measured ff_write round trip carries its own stage
      key so the profiler can split the path. *)
@@ -187,22 +181,9 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
                                  ~at:(Dsim.Engine.now engine);
                                k ())))))))
   in
-  let run_span =
-    Dsim.Span.start Dsim.Span.default
-      ~at:(Dsim.Engine.now engine)
-      ~cat:"measurement" ~tid:span_tid "run"
-  in
   let rec iterate remaining =
     if remaining = 0 then done_flag := true
     else begin
-      let sp =
-        if iterations - remaining < span_sample_limit then
-          Some
-            (Dsim.Span.start Dsim.Span.default
-               ~at:(Dsim.Engine.now engine)
-               ~cat:"ff_write" ~tid:span_tid "iteration")
-        else None
-      in
       let v1, c1 = clock () in
       (* One trace per sampled iteration: its stage intervals telescope
          to exactly [v2 - v1], the pre-jitter end-to-end sample. *)
@@ -218,10 +199,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
                  let v2, c2 = clock () in
                  Dsim.Flowtrace.hop_ns flow Clock_entry ~at_ns:v2;
                  record v1 v2;
-                 Option.iter
-                   (Dsim.Span.finish Dsim.Span.default
-                      ~at:(Dsim.Engine.now engine))
-                   sp;
                  ignore
                    (Dsim.Engine.schedule_l engine
                       ~delay:(Dsim.Time.add interval (Dsim.Time.of_float_ns c2))
@@ -234,7 +211,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
     Dsim.Engine.run engine
       ~until:(Dsim.Time.add (Dsim.Engine.now engine) (Dsim.Time.ms 50))
   done;
-  Dsim.Span.finish Dsim.Span.default ~at:(Dsim.Engine.now engine) run_span;
   built.Scenarios.stop ();
   let filtered = Dsim.Stats.iqr_filter raw in
   {

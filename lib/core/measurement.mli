@@ -56,5 +56,6 @@ val setup_connected :
   unit ->
   Scenarios.measurement_topology * int * Cheri.Capability.t
 (** Build the measurement topology with an Established connection and an
-    app-compartment buffer: [(topology, fd, buffer)]. Exposed for the
-    bench harness, which measures individual API calls on it. *)
+    app-compartment buffer: [(topology, fd, buffer)]. Exposed for
+    [edgebench] and the zero-copy allocation test, which drive
+    individual API calls on it. *)

@@ -1,6 +1,6 @@
 module J = Dsim.Json
 
-type direction = Higher_better | Lower_better | Informational
+type direction = Lower_better | Informational
 
 type delta = {
   d_key : string;
@@ -33,10 +33,6 @@ let pct_change ~old_v ~new_v =
   if old_v = 0. then if new_v = 0. then 0. else Float.infinity
   else 100. *. (new_v -. old_v) /. Float.abs old_v
 
-(* ------------------------------------------------------------------ *)
-(* Profile-snapshot mode                                               *)
-(* ------------------------------------------------------------------ *)
-
 let number = function
   | J.Int n -> Some (float_of_int n)
   | J.Float f -> Some f
@@ -63,9 +59,7 @@ let hotspots j =
            | _ -> None)
          rows)
 
-let diff_profiles ~max_regress_pct old_j new_j =
-  let old_rows = Option.get (hotspots old_j) in
-  let new_rows = Option.get (hotspots new_j) in
+let diff_profiles ~max_regress_pct old_j ~old_rows ~new_rows =
   let old_total =
     Option.value ~default:0. (num_member "total_self_wall_ns" old_j)
   in
@@ -151,100 +145,10 @@ let diff_profiles ~max_regress_pct old_j new_j =
   List.rev !deltas
 
 (* ------------------------------------------------------------------ *)
-(* Generic-snapshot mode                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Substring checks are ordered: "events_per_wall_second" must match
-   the throughput patterns before "wall_second" drags it into the
-   latency bucket. *)
-let better_up_patterns =
-  [ "per_wall_second"; "per_sec"; "mbit"; "goodput"; "reduction_factor";
-    "efficiency"; "throughput" ]
-
-let worse_up_patterns =
-  [ "_ns"; "ns_per"; "minor_words"; "wall_seconds"; "latency"; "dropped";
-    "failures"; "share_pct" ]
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m > 0 && go 0
-
-let direction_of key =
-  let leaf =
-    match String.rindex_opt key '.' with
-    | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-    | None -> key
-  in
-  if List.exists (fun p -> contains ~sub:p leaf) better_up_patterns then
-    Higher_better
-  else if List.exists (fun p -> contains ~sub:p leaf) worse_up_patterns then
-    Lower_better
-  else Informational
-
-(* Arrays of labelled objects path by their label, so scenario rows
-   diff by name even if the list order changes between snapshots. *)
-let elem_name j =
-  List.find_map
-    (fun f -> str_member f j)
-    [ "name"; "label"; "scenario"; "id"; "component" ]
-
-let flatten j =
-  let out = ref [] in
-  let rec go prefix j =
-    match j with
-    | J.Int n -> out := (prefix, float_of_int n) :: !out
-    | J.Float f -> out := (prefix, f) :: !out
-    | J.Obj fields ->
-      List.iter
-        (fun (k, v) -> go (if prefix = "" then k else prefix ^ "." ^ k) v)
-        fields
-    | J.List elems ->
-      List.iteri
-        (fun i e ->
-          let seg =
-            match elem_name e with Some n -> n | None -> string_of_int i
-          in
-          go (if prefix = "" then seg else prefix ^ "." ^ seg) e)
-        elems
-    | J.Null | J.Bool _ | J.String _ -> ()
-  in
-  go "" j;
-  List.rev !out
-
-let diff_generic ~max_regress_pct old_j new_j =
-  let old_leaves = flatten old_j in
-  let new_leaves = flatten new_j in
-  List.filter_map
-    (fun (key, old_v) ->
-      match List.assoc_opt key new_leaves with
-      | None -> None
-      | Some new_v ->
-        let pct = pct_change ~old_v ~new_v in
-        let dir = direction_of key in
-        let regress =
-          match dir with
-          | Higher_better -> pct < -.max_regress_pct
-          | Lower_better -> pct > max_regress_pct && old_v > 0.
-          | Informational -> false
-        in
-        Some
-          {
-            d_key = key;
-            d_old = old_v;
-            d_new = new_v;
-            d_pct = pct;
-            d_dir = dir;
-            d_regression = regress;
-          })
-    old_leaves
-
-(* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let dir_mark = function
-  | Higher_better -> "up-good"
   | Lower_better -> "down-good"
   | Informational -> "info"
 
@@ -252,20 +156,12 @@ let fmt_val v =
   if Float.abs v >= 1000. then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.2f" v
 
-let severity d =
-  match d.d_dir with
-  | Higher_better -> -.d.d_pct
-  | Lower_better | Informational -> d.d_pct
-
-let render ~max_regress_pct deltas =
-  let regressions = List.filter (fun d -> d.d_regression) deltas in
+(* [sorted] is worst first: full table for small diffs; for big ones
+   show regressions plus the largest movements. *)
+let render ~max_regress_pct sorted =
+  let regressions = List.filter (fun d -> d.d_regression) sorted in
   let buf = Buffer.create 2048 in
   let shown =
-    (* Full table for small diffs; for big ones show regressions plus
-       the largest movements either way. *)
-    let sorted =
-      List.sort (fun a b -> Float.compare (severity b) (severity a)) deltas
-    in
     if List.length sorted <= 40 then sorted
     else
       regressions
@@ -286,25 +182,22 @@ let render ~max_regress_pct deltas =
   Buffer.add_string buf
     (Printf.sprintf
        "\n%d keys compared, %d regression(s) beyond %.1f%% threshold\n"
-       (List.length deltas) (List.length regressions) max_regress_pct);
+       (List.length sorted) (List.length regressions) max_regress_pct);
   (regressions, Buffer.contents buf)
 
-let is_profile j = Option.is_some (hotspots j)
-
 let compare_json ?(max_regress_pct = 10.) old_j new_j =
-  let deltas =
-    if is_profile old_j && is_profile new_j then
-      diff_profiles ~max_regress_pct old_j new_j
-    else diff_generic ~max_regress_pct old_j new_j
-  in
-  if deltas = [] then Error "no comparable numeric keys between the snapshots"
-  else begin
-    let sorted =
-      List.sort (fun a b -> Float.compare (severity b) (severity a)) deltas
-    in
-    let regressions, text = render ~max_regress_pct sorted in
-    Ok { deltas = sorted; regressions; text }
-  end
+  match (hotspots old_j, hotspots new_j) with
+  | None, _ | _, None ->
+    Error "not a profile snapshot (no \"hotspots\" list)"
+  | Some old_rows, Some new_rows -> (
+    match diff_profiles ~max_regress_pct old_j ~old_rows ~new_rows with
+    | [] -> Error "no comparable hotspot keys between the snapshots"
+    | deltas ->
+      let sorted =
+        List.sort (fun a b -> Float.compare b.d_pct a.d_pct) deltas
+      in
+      let regressions, text = render ~max_regress_pct sorted in
+      Ok { deltas = sorted; regressions; text })
 
 let read_json path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -1,31 +1,21 @@
-(** Perf-regression differ over profile / bench JSON snapshots.
+(** Perf-regression differ over [netrepro profile] snapshots.
 
-    [netrepro perfdiff OLD.json NEW.json] compares two machine-readable
-    performance snapshots key by key and exits non-zero when any key
-    regressed past the threshold — the CI gate every scale PR runs
-    against the checked-in Fig. 4 baseline.
+    [netrepro perfdiff OLD.json NEW.json] compares two
+    [FILE.profile.json] snapshots per (component, cvm, stage) hotspot
+    and exits non-zero when any key regressed past the threshold — the
+    CI gate run against the checked-in Fig. 4 baseline.
 
-    Two input shapes are understood:
+    Event counts are deterministic per seed, so any change beyond the
+    threshold flags — it means the simulation did different work, on any
+    machine. Wall-time (ns/event) comparisons are gated by noise floors
+    (the key must have held ≥ {!share_floor_pct} of old self time {e and}
+    grown by ≥ {!abs_floor_ns}) so cross-machine jitter in cold keys
+    cannot fail CI. A snapshot without a [hotspots] list is rejected. *)
 
-    - {b Profile snapshots} ([FILE.profile.json], written by
-      [netrepro profile]): compared per (component, cvm, stage) hotspot.
-      Event counts are deterministic per seed, so any change beyond the
-      threshold flags — it means the simulation did different work, on
-      any machine. Wall-time (ns/event) comparisons are gated by noise
-      floors (the key must have held ≥ {!share_floor_pct} of old self
-      time {e and} grown by ≥ {!abs_floor_ns}) so cross-machine jitter
-      in cold keys cannot fail CI.
-
-    - {b Generic snapshots} (e.g. [BENCH_wallclock.json]): every numeric
-      leaf is flattened to a dotted path; the leaf name decides the
-      improvement direction (throughput-like keys are better up,
-      latency/allocation-like keys are better down, anything else is
-      informational). *)
-
-type direction = Higher_better | Lower_better | Informational
+type direction = Lower_better | Informational
 
 type delta = {
-  d_key : string;  (** Dotted path or [component:cvm:stage/metric]. *)
+  d_key : string;  (** [component:cvm:stage/metric]. *)
   d_old : float;
   d_new : float;
   d_pct : float;  (** Signed percentage change, + = increased. *)
@@ -48,7 +38,8 @@ val abs_floor_ns : float
 
 val compare_json :
   ?max_regress_pct:float -> Dsim.Json.t -> Dsim.Json.t -> (report, string) result
-(** Default threshold 10%. [Error] on snapshots with no comparable keys. *)
+(** Default threshold 10%. [Error] when either snapshot is not a profile
+    snapshot or they share no comparable keys. *)
 
 val compare_files :
   ?max_regress_pct:float -> string -> string -> (report, string) result

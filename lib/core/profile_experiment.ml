@@ -14,7 +14,7 @@ let run_once (spec : Experiment.spec) profile =
   Dsim.Watermark.reset w;
   Dsim.Profile.set_enabled p true;
   Dsim.Watermark.set_enabled w true;
-  let out =
+  let text =
     Fun.protect
       ~finally:(fun () ->
         Dsim.Profile.set_enabled p false;
@@ -32,7 +32,7 @@ let run_once (spec : Experiment.spec) profile =
   in
   {
     exp_id = spec.Experiment.id;
-    experiment_text = out.Experiment.text;
+    experiment_text = text;
     hotspot_text = Dsim.Profile.render p;
     watermark_text = Dsim.Watermark.render w;
     folded = Dsim.Profile.folded p;

@@ -118,7 +118,7 @@ let dispatch t =
   Journal.begin_dispatch ~at:h.at ~parent:h.sched_parent h.label;
   (* Flat branches, no closure: this is the hottest line in the
      simulator and a per-dispatch allocation here shows up in both
-     the wallclock budget and the perf baseline. *)
+     the zero-copy allocation budget and the perf baseline. *)
   if Profile.hot () then begin
     Profile.enter_event h.label;
     match h.fn () with

@@ -64,8 +64,8 @@ val heap_size : t -> int
     [heap_size t >= pending_count t] always holds. *)
 
 val events_fired : t -> int
-(** Total events executed since {!create} (the wall-clock benchmark's
-    events/sec numerator). *)
+(** Total events executed since {!create} (the fleet report's
+    [events_fired]). *)
 
 val step : t -> bool
 (** Fire the next event (lowest deadline, FIFO seq tie-break), advancing

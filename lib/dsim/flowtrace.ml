@@ -282,3 +282,55 @@ let to_json t =
       ("traces", Json.List (List.map trace_json (traces t)));
       ("drops", Json.List (List.map drop_json (drop_table t)));
     ]
+
+(* chrome://tracing and Perfetto want microsecond timestamps; the hop
+   stamps are virtual nanoseconds. Each hop interval is named by the
+   stage it ends in — the attribution [analyze] uses — so the X events
+   of one trace tile its end-to-end time exactly. *)
+let to_chrome_trace t =
+  let tids = Hashtbl.create 16 in
+  let meta = ref [] and events = ref [] in
+  let tid_of label =
+    match Hashtbl.find_opt tids label with
+    | Some tid -> tid
+    | None ->
+      let tid = Hashtbl.length tids + 1 in
+      Hashtbl.replace tids label tid;
+      meta :=
+        Json.Obj
+          [
+            ("name", Json.String "thread_name");
+            ("ph", Json.String "M");
+            ("pid", Json.Int 1);
+            ("tid", Json.Int tid);
+            ("args", Json.Obj [ ("name", Json.String label) ]);
+          ]
+        :: !meta;
+      tid
+  in
+  let us ns = Json.Float (ns /. 1_000.) in
+  List.iter
+    (fun c ->
+      let tid = tid_of c.tr_flow in
+      let rec go = function
+        | (_, t0) :: ((st, t1) :: _ as rest) ->
+          events :=
+            Json.Obj
+              [
+                ("name", Json.String (stage_name st));
+                ("cat", Json.String "flow");
+                ("ph", Json.String "X");
+                ("pid", Json.Int 1);
+                ("tid", Json.Int tid);
+                ("ts", us t0);
+                ("dur", us (t1 -. t0));
+                ("args", Json.Obj [ ("trace", Json.Int c.tr_id) ]);
+              ]
+            :: !events;
+          go rest
+        | [ _ ] | [] -> ()
+      in
+      go (hops c))
+    (traces t);
+  Json.Obj
+    [ ("traceEvents", Json.List (List.rev_append !meta (List.rev !events))) ]

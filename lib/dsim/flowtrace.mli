@@ -172,3 +172,10 @@ val to_json : t -> Json.t
 (** Self-contained export: counters, every retained trace with its hop
     timeline and drop marker, and the drop-attribution table. Consumed
     by [netrepro analyze]. *)
+
+val to_chrome_trace : t -> Json.t
+(** Chrome [trace_event] export for chrome://tracing or Perfetto:
+    [{"traceEvents": [...]}] with one ["M"] thread-name record per flow
+    label and one ["X"] event per hop interval of every retained trace,
+    named by the stage the interval ends in, with [ts]/[dur] in
+    microseconds. The events of one trace sum to its end-to-end time. *)

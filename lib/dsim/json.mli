@@ -1,9 +1,10 @@
 (** Minimal JSON tree, emitter and parser.
 
-    The telemetry surface needs JSON in three places: the Chrome
-    [trace_event] export ({!Span.to_chrome_json}), the bench harness's
-    machine-readable per-artefact summaries, and the round-trip tests
-    that validate both. The container carries no JSON library, so this
+    Every machine-readable artefact is JSON: flow traces and their
+    Chrome [trace_event] view ({!Flowtrace.to_chrome_trace}), profile
+    snapshots, journals, time series, and the attack, audit and fleet
+    reports — plus the parsers that read them back ([analyze],
+    [perfdiff], [replay]). The build carries no JSON library, so this
     is a small self-contained implementation. *)
 
 type t =

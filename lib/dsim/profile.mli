@@ -3,12 +3,12 @@
     The engine's virtual clock says nothing about where the {e host's}
     time goes: a run that simulates one second may spend its wall time
     in TCP segmentation, RX DMA completions, or the measurement harness,
-    and the aggregate events/sec number in [BENCH_wallclock.json]
-    cannot tell them apart. This module attributes measured wall time to
-    a [(component, cvm, stage)] key attached where the event was
-    {e scheduled} ({!Engine.schedule_l} / {!Engine.schedule_at_l}): the
-    engine brackets every dispatched handler with two monotonic-clock
-    reads and charges the interval to the handle's key. Within a
+    and an aggregate events/sec number cannot tell them apart. This
+    module attributes measured wall time to a [(component, cvm, stage)]
+    key attached where the event was {e scheduled} ({!Engine.schedule_l}
+    / {!Engine.schedule_at_l}): the engine brackets every dispatched
+    handler with two monotonic-clock reads and charges the interval to
+    the handle's key. Within a
     handler, {!span} pushes a nested key, so a stack iteration can split
     its time into rx/tcp/arp/app phases; self time excludes children,
     cumulative time includes them.

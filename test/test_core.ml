@@ -169,7 +169,7 @@ let experiment_registry () =
 let experiment_render_table1 () =
   match Core.Experiment.find "table1" with
   | Some spec ->
-    let out = (spec.Core.Experiment.report quick).Core.Experiment.text in
+    let out = spec.Core.Experiment.report quick in
     Alcotest.(check bool) "mentions F-Stack" true
       (Astring_contains.contains out "F-Stack")
   | None -> Alcotest.fail "table1 missing"

@@ -128,11 +128,11 @@ let bandwidth_journal_byte_identical () =
    with recording armed or not. *)
 let fig4_output_unchanged_by_journaling () =
   jreset ();
-  let plain = ((fig4_spec ()).Core.Experiment.report tiny_profile).text in
+  let plain = (fig4_spec ()).Core.Experiment.report tiny_profile in
   let recorded =
     let buf = Buffer.create 4096 in
     J.record_to (J.To_buffer buf);
-    let out = ((fig4_spec ()).Core.Experiment.report tiny_profile).text in
+    let out = (fig4_spec ()).Core.Experiment.report tiny_profile in
     J.stop ();
     out
   in

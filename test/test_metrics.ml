@@ -174,45 +174,20 @@ let prometheus_export () =
     (contains text "wait_ns_bucket{le=\"100\"} 2")
 
 (* ------------------------------------------------------------------ *)
-(* Spans                                                                *)
+(* Chrome trace export                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let span_nesting () =
-  let s = Dsim.Span.create ~enabled:true () in
-  let tid = Dsim.Span.track s "cvm1" in
-  let outer = Dsim.Span.start s ~at:(Dsim.Time.ns 100) ~tid ~cat:"run" "outer" in
-  let inner = Dsim.Span.start s ~at:(Dsim.Time.ns 150) ~tid "inner" in
-  Dsim.Span.finish s ~at:(Dsim.Time.ns 180) inner;
-  Dsim.Span.finish s ~at:(Dsim.Time.ns 300) outer;
-  Dsim.Span.instant s ~at:(Dsim.Time.ns 200) ~tid "tick";
-  match Dsim.Span.completed s with
-  | [ o; i; t ] ->
-    Alcotest.(check string) "outer first" "outer" o.Dsim.Span.name;
-    Alcotest.(check int) "outer depth" 0 o.Dsim.Span.depth;
-    check_float "outer dur" 200. o.Dsim.Span.dur_ns;
-    Alcotest.(check string) "inner nested" "inner" i.Dsim.Span.name;
-    Alcotest.(check int) "inner depth" 1 i.Dsim.Span.depth;
-    check_float "inner dur" 30. i.Dsim.Span.dur_ns;
-    Alcotest.(check string) "instant" "tick" t.Dsim.Span.name;
-    check_float "instant dur" 0. t.Dsim.Span.dur_ns
-  | l -> Alcotest.failf "expected 3 events, got %d" (List.length l)
-
-let span_disabled_inert () =
-  let s = Dsim.Span.create () in
-  let sp = Dsim.Span.start s ~at:(Dsim.Time.ns 1) "ghost" in
-  Dsim.Span.finish s ~at:(Dsim.Time.ns 2) sp;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Dsim.Span.completed s))
-
 let chrome_export_round_trip () =
-  let s = Dsim.Span.create ~enabled:true () in
-  let tid = Dsim.Span.track s "netstack" in
-  let sp =
-    Dsim.Span.start s ~at:(Dsim.Time.us 2) ~tid ~cat:"tcp"
-      ~args:[ ("bytes", "64") ] "ff_write"
+  let ft = Dsim.Flowtrace.create ~enabled:true ~sample_every:1 () in
+  let flow =
+    Dsim.Flowtrace.origin_ns ft ~at_ns:2_000. ~flow:"Scenario 1"
+      Dsim.Flowtrace.App
   in
-  Dsim.Span.finish s ~at:(Dsim.Time.us 5) sp;
-  let json = Dsim.Span.to_chrome_json s in
-  let parsed = Dsim.Json.parse json in
+  Dsim.Flowtrace.hop_ns flow Dsim.Flowtrace.Clock_ret ~at_ns:2_500.;
+  Dsim.Flowtrace.hop_ns flow Dsim.Flowtrace.Ff_write ~at_ns:5_000.;
+  let parsed =
+    Dsim.Json.parse (Dsim.Json.to_string (Dsim.Flowtrace.to_chrome_trace ft))
+  in
   let events =
     match Dsim.Json.member "traceEvents" parsed with
     | Some l -> (
@@ -221,28 +196,33 @@ let chrome_export_round_trip () =
       | None -> Alcotest.fail "traceEvents not a list")
     | None -> Alcotest.fail "no traceEvents"
   in
-  (* One thread_name metadata record plus the X event. *)
-  let phases =
-    List.filter_map
-      (fun e ->
-        match Dsim.Json.member "ph" e with
-        | Some (Dsim.Json.String p) -> Some p
-        | _ -> None)
-      events
+  let str field e =
+    match Dsim.Json.member field e with
+    | Some (Dsim.Json.String v) -> v
+    | _ -> Alcotest.failf "no %s" field
   in
-  Alcotest.(check (list string)) "phases" [ "M"; "X" ] phases;
-  let x = List.nth events 1 in
-  let number field =
-    match Dsim.Json.member field x with
+  let number field e =
+    match Dsim.Json.member field e with
     | Some (Dsim.Json.Float v) -> v
     | Some (Dsim.Json.Int v) -> float_of_int v
     | _ -> Alcotest.failf "no %s" field
   in
-  check_float "ts in us" 2. (number "ts");
-  check_float "dur in us" 3. (number "dur");
-  match Dsim.Json.member "args" x with
-  | Some (Dsim.Json.Obj [ ("bytes", Dsim.Json.String "64") ]) -> ()
-  | _ -> Alcotest.fail "args lost"
+  (* One thread_name record for the flow label, then one X event per
+     hop interval. *)
+  Alcotest.(check (list string)) "phases" [ "M"; "X"; "X" ]
+    (List.map (str "ph") events);
+  (match Dsim.Json.member "args" (List.hd events) with
+  | Some (Dsim.Json.Obj [ ("name", Dsim.Json.String "Scenario 1") ]) -> ()
+  | _ -> Alcotest.fail "thread name is not the flow label");
+  let xs = List.tl events in
+  Alcotest.(check (list string)) "named by stage" [ "clock_ret"; "ff_write" ]
+    (List.map (str "name") xs);
+  Alcotest.(check (list (float 1e-9))) "ts in us" [ 2.; 2.5 ]
+    (List.map (number "ts") xs);
+  Alcotest.(check (list (float 1e-9))) "dur in us" [ 0.5; 2.5 ]
+    (List.map (number "dur") xs);
+  check_float "durations sum to the end-to-end time" 3.
+    (List.fold_left (fun acc x -> acc +. number "dur" x) 0. xs)
 
 (* ------------------------------------------------------------------ *)
 (* Json round trip                                                      *)
@@ -279,13 +259,10 @@ let fig4_median_invariant () =
     r.Core.Measurement.boxplot.Dsim.Stats.median
   in
   Dsim.Metrics.set_enabled Dsim.Metrics.default false;
-  Dsim.Span.set_enabled Dsim.Span.default false;
   let base_off = median Core.Measurement.Baseline in
   let s1_off = median Core.Measurement.Scenario1 in
   Dsim.Metrics.set_enabled Dsim.Metrics.default true;
   Dsim.Metrics.reset Dsim.Metrics.default;
-  Dsim.Span.set_enabled Dsim.Span.default true;
-  Dsim.Span.clear Dsim.Span.default;
   let base_on = median Core.Measurement.Baseline in
   let s1_on = median Core.Measurement.Scenario1 in
   (* Telemetry was live: the registry must actually have counted. *)
@@ -300,8 +277,6 @@ let fig4_median_invariant () =
   in
   Dsim.Metrics.set_enabled Dsim.Metrics.default false;
   Dsim.Metrics.reset Dsim.Metrics.default;
-  Dsim.Span.set_enabled Dsim.Span.default false;
-  Dsim.Span.clear Dsim.Span.default;
   Alcotest.(check bool) "scenario 1 crossings counted" true (crossings > 0);
   check_float "Baseline median unchanged" base_off base_on;
   check_float "Scenario 1 median unchanged" s1_off s1_on
@@ -319,8 +294,6 @@ let suite =
     Alcotest.test_case "histogram percentiles vs Stats" `Quick
       histogram_percentiles;
     Alcotest.test_case "prometheus exposition" `Quick prometheus_export;
-    Alcotest.test_case "span nesting" `Quick span_nesting;
-    Alcotest.test_case "disabled spans inert" `Quick span_disabled_inert;
     Alcotest.test_case "chrome trace round trip" `Quick chrome_export_round_trip;
     Alcotest.test_case "json round trip" `Quick json_round_trip;
     Alcotest.test_case "fig4 medians unmoved by telemetry" `Slow

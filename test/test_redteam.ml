@@ -114,7 +114,7 @@ let sibling_goodput_gate () =
 let fig4_text () =
   match Core.Experiment.find "fig4" with
   | Some spec ->
-    (spec.Core.Experiment.report Core.Experiment.quick).Core.Experiment.text
+    spec.Core.Experiment.report Core.Experiment.quick
   | None -> Alcotest.fail "fig4 missing from the registry"
 
 let disarmed_redteam_bit_identical () =
