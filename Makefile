@@ -14,6 +14,29 @@ test:
 audit:
 	dune exec bin/netrepro.exe -- audit --quick
 
+# Run one report command twice with --json: a failing run prints its
+# output and fails the target, and the two runs' text (JSON path
+# normalised) and JSON must be byte-identical.
+# $(1): target and file stem, $(2): netrepro arguments, $(3): JSON file
+# suffix, $(4): the gates a failing run failed.
+define run_twice
+	dune exec bin/netrepro.exe -- $(2) \
+	  --json /tmp/netrepro-$(1).1.$(3) > /tmp/netrepro-$(1).1.txt \
+	  || { cat /tmp/netrepro-$(1).1.txt; \
+	       echo "$(1): run failed $(4)"; exit 1; }
+	dune exec bin/netrepro.exe -- $(2) \
+	  --json /tmp/netrepro-$(1).2.$(3) > /tmp/netrepro-$(1).2.txt \
+	  || { cat /tmp/netrepro-$(1).2.txt; \
+	       echo "$(1): second run failed $(4)"; exit 1; }
+	@sed 's|/tmp/netrepro-$(1).[12].$(3)|JSON|' \
+	  /tmp/netrepro-$(1).1.txt > /tmp/netrepro-$(1).1.norm.txt
+	@sed 's|/tmp/netrepro-$(1).[12].$(3)|JSON|' \
+	  /tmp/netrepro-$(1).2.txt > /tmp/netrepro-$(1).2.norm.txt
+	cmp /tmp/netrepro-$(1).1.norm.txt /tmp/netrepro-$(1).2.norm.txt
+	cmp /tmp/netrepro-$(1).1.$(3) /tmp/netrepro-$(1).2.$(3)
+	@echo "$(1): report byte-identical across two runs"
+endef
+
 # Red-team smoke: the seeded hostile-packet corpus against all three
 # scenarios, twice. The run must be byte-identical across the two
 # invocations (text and JSON), every attack in the CHERI scenarios
@@ -21,21 +44,7 @@ audit:
 # must be PASS (baseline leak recorded, sibling goodput >= 0.9x,
 # mutex free, pool recovered). Exits non-zero otherwise.
 attack:
-	dune exec bin/netrepro.exe -- attack net --seed 42 --quick \
-	  --json /tmp/netrepro-attack.1.json > /tmp/netrepro-attack.1.txt \
-	  || { cat /tmp/netrepro-attack.1.txt; \
-	       echo "attack: run failed containment gates"; exit 1; }
-	dune exec bin/netrepro.exe -- attack net --seed 42 --quick \
-	  --json /tmp/netrepro-attack.2.json > /tmp/netrepro-attack.2.txt \
-	  || { cat /tmp/netrepro-attack.2.txt; \
-	       echo "attack: second run failed containment gates"; exit 1; }
-	@sed 's|/tmp/netrepro-attack.[12].json|JSON|' \
-	  /tmp/netrepro-attack.1.txt > /tmp/netrepro-attack.1.norm.txt
-	@sed 's|/tmp/netrepro-attack.[12].json|JSON|' \
-	  /tmp/netrepro-attack.2.txt > /tmp/netrepro-attack.2.norm.txt
-	cmp /tmp/netrepro-attack.1.norm.txt /tmp/netrepro-attack.2.norm.txt
-	cmp /tmp/netrepro-attack.1.json /tmp/netrepro-attack.2.json
-	@echo "attack: report byte-identical across two runs"
+	$(call run_twice,attack,attack net --seed 42 --quick,json,containment gates)
 	@grep -q "caught-and-attributed (CHERI scenarios): 100.0%" \
 	  /tmp/netrepro-attack.1.txt \
 	  || { echo "attack: CHERI scenarios let an attack through"; exit 1; }
@@ -49,21 +58,7 @@ attack:
 # budget, 100% drop attribution, telescoping stage decomposition —
 # must hold (the run exits non-zero otherwise).
 fleet:
-	dune exec bin/netrepro.exe -- fleet --seed 42 --quick \
-	  --json /tmp/netrepro-fleet.1.fleet.json > /tmp/netrepro-fleet.1.txt \
-	  || { cat /tmp/netrepro-fleet.1.txt; \
-	       echo "fleet: run failed SLO gates"; exit 1; }
-	dune exec bin/netrepro.exe -- fleet --seed 42 --quick \
-	  --json /tmp/netrepro-fleet.2.fleet.json > /tmp/netrepro-fleet.2.txt \
-	  || { cat /tmp/netrepro-fleet.2.txt; \
-	       echo "fleet: second run failed SLO gates"; exit 1; }
-	@sed 's|/tmp/netrepro-fleet.[12].fleet.json|JSON|' \
-	  /tmp/netrepro-fleet.1.txt > /tmp/netrepro-fleet.1.norm.txt
-	@sed 's|/tmp/netrepro-fleet.[12].fleet.json|JSON|' \
-	  /tmp/netrepro-fleet.2.txt > /tmp/netrepro-fleet.2.norm.txt
-	cmp /tmp/netrepro-fleet.1.norm.txt /tmp/netrepro-fleet.2.norm.txt
-	cmp /tmp/netrepro-fleet.1.fleet.json /tmp/netrepro-fleet.2.fleet.json
-	@echo "fleet: report byte-identical across two runs"
+	$(call run_twice,fleet,fleet --seed 42 --quick,fleet.json,SLO gates)
 	@grep -q "verdict: PASS" /tmp/netrepro-fleet.1.txt \
 	  || { echo "fleet: SLO verdict not PASS"; exit 1; }
 	@grep -c "\[PASS\]" /tmp/netrepro-fleet.1.txt | grep -q "^4$$" \

@@ -21,6 +21,26 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
+(* Print a gated report, write its JSON to [json_file] when one was
+   given, and exit 0 only if the report passed and the file was
+   written. *)
+let report_exit ~text ~json ~pass json_file =
+  print_string text;
+  flush stdout;
+  let ok_json =
+    match json_file with
+    | None -> true
+    | Some path -> (
+      match write_file path (Dsim.Json.to_string json) with
+      | () ->
+        Printf.printf "wrote %s\n" path;
+        true
+      | exception Sys_error msg ->
+        Printf.eprintf "netrepro: cannot write %s\n" msg;
+        false)
+  in
+  if pass && ok_json then 0 else 1
+
 type telemetry = {
   metrics_file : string option;
   trace_file : string option;
@@ -296,45 +316,18 @@ let run_attack_net seed quick json_file blackbox_dir =
   let profile =
     if quick then Core.Attack_traffic.quick else Core.Attack_traffic.full
   in
-  let report = Core.Attack_traffic.run ~profile ?blackbox_dir ~seed () in
-  print_string report.Core.Attack_traffic.text;
-  flush stdout;
-  let ok_json =
-    match json_file with
-    | None -> true
-    | Some path -> (
-      match
-        write_file path (Dsim.Json.to_string report.Core.Attack_traffic.json)
-      with
-      | () ->
-        Printf.printf "wrote %s\n" path;
-        true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false)
-  in
-  if report.Core.Attack_traffic.pass && ok_json then 0 else 1
+  let r = Core.Attack_traffic.run ~profile ?blackbox_dir ~seed () in
+  report_exit ~text:r.Core.Attack_traffic.text ~json:r.Core.Attack_traffic.json
+    ~pass:r.Core.Attack_traffic.pass json_file
 
 let run_audit seed quick json_file =
   let profile =
     if quick then Core.Audit_experiment.quick else Core.Audit_experiment.full
   in
-  let report = Core.Audit_experiment.run ~profile ~seed () in
-  print_string report.Core.Audit_experiment.text;
-  flush stdout;
-  let ok_json =
-    match json_file with
-    | None -> true
-    | Some path -> (
-      match
-        write_file path (Dsim.Json.to_string report.Core.Audit_experiment.json)
-      with
-      | () -> true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false)
-  in
-  if report.Core.Audit_experiment.pass && ok_json then 0 else 1
+  let r = Core.Audit_experiment.run ~profile ~seed () in
+  report_exit ~text:r.Core.Audit_experiment.text
+    ~json:r.Core.Audit_experiment.json ~pass:r.Core.Audit_experiment.pass
+    json_file
 
 let run_chaos seed quick journal blackbox_dir =
   ensure_blackbox_dir blackbox_dir @@ fun () ->
@@ -364,32 +357,15 @@ let run_chaos seed quick journal blackbox_dir =
   if report.Core.Chaos_experiment.pass then 0 else 1
 
 let run_fleet tenants seed quick scaling json_file =
-  let emit_json json =
-    match json_file with
-    | None -> true
-    | Some path -> (
-      match write_file path (Dsim.Json.to_string json) with
-      | () ->
-        Printf.printf "wrote %s\n" path;
-        true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false)
-  in
   if scaling then begin
     let text, json = Core.Fleet.run_scaling ~seed () in
-    print_string text;
-    let ok_json = emit_json json in
-    flush stdout;
-    if ok_json then 0 else 1
+    report_exit ~text ~json ~pass:true json_file
   end
   else begin
     let profile = if quick then Core.Fleet.quick else Core.Fleet.full in
     let r = Core.Fleet.run ~profile ?tenants ~seed () in
-    print_string r.Core.Fleet.r_text;
-    let ok_json = emit_json r.Core.Fleet.r_json in
-    flush stdout;
-    if r.Core.Fleet.r_pass && ok_json then 0 else 1
+    report_exit ~text:r.Core.Fleet.r_text ~json:r.Core.Fleet.r_json
+      ~pass:r.Core.Fleet.r_pass json_file
   end
 
 let run_replay file context =

@@ -1,7 +1,7 @@
 (* Red-team network-borne attack generator with blast-radius gates.
 
    A seeded, deterministic corpus of hostile traffic and hostile app
-   behaviour, organised along the taxonomy of [Dsim.Redteam.cls]:
+   behaviour, organised along the taxonomy of [cls]:
 
    - parser-bounds: crafted frames whose headers lie about the bytes
      actually on the wire (truncations, bad IHL/data-offset, lying
@@ -28,53 +28,55 @@
    extends to attacked runs: sibling goodput outside quarantine must
    stay >= 0.9x the undisturbed twin in every phase. *)
 
-module Rt = Dsim.Redteam
+module V = Dsim.Verdict
 module Ft = Dsim.Flowtrace
 module Time = Dsim.Time
 module Engine = Dsim.Engine
 module Sup = Capvm.Supervisor
+module Br = Blast_radius
 
 let k_redteam stage =
   Dsim.Profile.(key default) ~component:"redteam" ~cvm:"-" ~stage
 
-let k_arm = k_redteam "warmup_arm"
-let k_tick = k_redteam "sample_tick"
+let labels =
+  { Br.arm = k_redteam "warmup_arm"; tick = k_redteam "sample_tick" }
+
 let k_inject = k_redteam "inject"
 let k_check = k_redteam "verdict_check"
 
+type cls = Parser_bounds | Temporal | Resource | Cross_tenant
+
+let cls_name = function
+  | Parser_bounds -> "parser_bounds"
+  | Temporal -> "temporal"
+  | Resource -> "resource"
+  | Cross_tenant -> "cross_tenant"
+
+let all_classes = [ Parser_bounds; Temporal; Resource; Cross_tenant ]
+
 type profile = {
-  warmup : Time.t;
-  duration : Time.t;
+  window : Br.window;
   sample_every : Time.t;
   exhaust_window : Time.t;  (** How long the mbuf spray holds the pool. *)
 }
 
 let quick =
   {
-    warmup = Time.ms 6;
-    duration = Time.ms 30;
+    window = { warmup = Time.ms 6; duration = Time.ms 30 };
     sample_every = Time.ms 1;
     exhaust_window = Time.us 300;
   }
 
 let full =
   {
-    warmup = Time.ms 20;
-    duration = Time.ms 120;
+    window = { warmup = Time.ms 20; duration = Time.ms 120 };
     sample_every = Time.ms 2;
     exhaust_window = Time.us 400;
   }
 
 type phase = {
-  ap_title : string;
-  ap_victim : string;
-  ap_sibling : string;
+  ap_common : Br.phase;
   ap_ids : int list;  (** Ledger ids launched during this phase. *)
-  ap_drops : ((Ft.stage * Ft.reason) * int) list;
-  ap_sibling_rate : float;
-  ap_sibling_ref : float;
-  ap_victim_rate : float;
-  ap_victim_ref : float;
   ap_mutex_free : bool;  (** Shared mutex not left held by the victim. *)
   ap_pool_recovered : bool;  (** Mbufs available again after the spray. *)
   ap_rst_sent : int;  (** RSTs the stack answered probes with. *)
@@ -86,79 +88,15 @@ type report = {
   caught : int;
   leaked : int;
   pending : int;
-  counts : (Rt.cls * Rt.tally) list;
+  counts : (cls * V.tally) list;
   phases : phase list;
   cheri_caught : int;  (** Caught launches in the CHERI phases. *)
   cheri_launched : int;
+  baseline_leaks : int;  (** Leaked launches in the Baseline phase. *)
   pass : bool;
   text : string;
   json : Dsim.Json.t;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Goodput sampling (same machinery as the chaos harness)              *)
-(* ------------------------------------------------------------------ *)
-
-let overlaps (a, b) windows =
-  List.exists
-    (fun (ws, we) ->
-      let ws = Time.to_float_ns ws in
-      match we with
-      | Some we -> a < Time.to_float_ns we && b > ws
-      | None -> b > ws)
-    windows
-
-let rate_outside samples windows =
-  let bytes, ns =
-    List.fold_left
-      (fun (bytes, ns) (a, b, d) ->
-        if overlaps (a, b) windows then (bytes, ns)
-        else (bytes + d, ns +. (b -. a)))
-      (0, 0.) samples
-  in
-  if ns <= 0. then 0. else float_of_int (bytes * 8) /. ns
-
-let drive built profile ~after_warmup =
-  let engine = built.Scenarios.engine in
-  let samples =
-    List.map (fun f -> (f.Scenarios.label, ref [])) built.Scenarios.flows
-  in
-  let t0 = profile.warmup in
-  let t_end = Time.add t0 profile.duration in
-  ignore
-    (Engine.schedule_at_l engine ~at:t0 ~label:k_arm (fun () ->
-         List.iter
-           (fun f -> ignore (f.Scenarios.take_bytes ()))
-           built.Scenarios.flows;
-         after_warmup ()));
-  let rec tick prev () =
-    let now = Engine.now engine in
-    let now_ns = Time.to_float_ns now and prev_ns = Time.to_float_ns prev in
-    List.iter
-      (fun f ->
-        let d = f.Scenarios.take_bytes () in
-        match List.assoc_opt f.Scenarios.label samples with
-        | Some r -> r := (prev_ns, now_ns, d) :: !r
-        | None -> ())
-      built.Scenarios.flows;
-    if Time.(now < t_end) then
-      ignore
-        (Engine.schedule_l engine ~delay:profile.sample_every ~label:k_tick
-           (tick now))
-  in
-  ignore
-    (Engine.schedule_at_l engine ~at:(Time.add t0 profile.sample_every)
-       ~label:k_tick (tick t0));
-  Engine.run ~until:t_end engine;
-  built.Scenarios.stop ();
-  List.map (fun (l, r) -> (l, List.rev !r)) samples
-
-let frac profile f =
-  Time.add profile.warmup
-    (Time.of_float_ns (f *. Time.to_float_ns profile.duration))
-
-let ratio rate ref_ = if ref_ <= 0. then 1. else rate /. ref_
-let sibling_ok p = ratio p.ap_sibling_rate p.ap_sibling_ref >= 0.9
 
 (* ------------------------------------------------------------------ *)
 (* Frame forge                                                         *)
@@ -268,7 +206,7 @@ let udp_frame fg ~src_port ~dst_port ~udp_len ~payload_len =
    failure). *)
 type wire_attack = {
   wa_name : string;
-  wa_cls : Rt.cls;
+  wa_cls : cls;
   wa_expect : (Ft.stage * Ft.reason) list;
   wa_frames : bytes list;
   wa_note : string;
@@ -382,7 +320,7 @@ let parser_corpus rng fg =
     udp_frame fg ~src_port:(sp ()) ~dst_port:5353 ~udp_len:200 ~payload_len:4
   in
   let e name expect frame note =
-    { wa_name = name; wa_cls = Rt.Parser_bounds; wa_expect = [ expect ];
+    { wa_name = name; wa_cls = Parser_bounds; wa_expect = [ expect ];
       wa_frames = [ frame ]; wa_note = note }
   in
   [
@@ -429,7 +367,7 @@ let blind_corpus rng fg ~src_port ~dst_port =
       ~ack_seq:(rand_seq rng) ~flags ()
   in
   let e name flags note =
-    { wa_name = name; wa_cls = Rt.Temporal; wa_expect = blind_expect;
+    { wa_name = name; wa_cls = Temporal; wa_expect = blind_expect;
       wa_frames = [ seg flags ]; wa_note = note }
   in
   [
@@ -467,7 +405,7 @@ let syn_flood rng fg ~server_port ~n =
   in
   {
     wa_name = "syn_flood";
-    wa_cls = Rt.Resource;
+    wa_cls = Resource;
     wa_expect = [ (Ft.Ip_out, Ft.Arp_unresolved) ];
     wa_frames = frames;
     wa_note =
@@ -490,7 +428,7 @@ let frag_flood rng fg ~n =
   in
   {
     wa_name = "fragment_flood";
-    wa_cls = Rt.Resource;
+    wa_cls = Resource;
     wa_expect = [ (Ft.Ip_rx, Ft.Frag_unsupported) ];
     wa_frames = frames;
     wa_note = "pathological reassembly load is refused per-fragment";
@@ -505,7 +443,7 @@ let port_scan rng fg ~n =
   in
   {
     wa_name = "port_scan";
-    wa_cls = Rt.Cross_tenant;
+    wa_cls = Cross_tenant;
     wa_expect = [ (Ft.Tcp_in, Ft.No_socket) ];
     wa_frames = frames;
     wa_note = "scan of closed sibling ports: typed No_socket + RST each";
@@ -521,7 +459,7 @@ let forged_5tuple rng fg ~src_ports ~dst_ports =
   in
   {
     wa_name = "forged_5tuple";
-    wa_cls = Rt.Cross_tenant;
+    wa_cls = Cross_tenant;
     wa_expect = blind_expect;
     wa_frames = frames;
     wa_note =
@@ -556,7 +494,7 @@ let rss_steer rng fg ~victim_src_port ~victim_dst_port =
   in
   {
     wa_name = "rss_steer_probe";
-    wa_cls = Rt.Cross_tenant;
+    wa_cls = Cross_tenant;
     wa_expect = [ (Ft.Tcp_in, Ft.No_socket) ];
     wa_frames = pick [] 0;
     wa_note =
@@ -583,6 +521,12 @@ let drop_count key =
   | Some n -> n
   | None -> 0
 
+let caught_at ledger id (st, re) ~provenance =
+  V.resolve ledger id ~provenance
+    (V.Caught { stage = Ft.stage_name st; reason = Ft.reason_name re })
+
+let leaked ledger id detail = V.resolve ledger id (V.Leaked { detail })
+
 (* Register, inject and schedule the verdict check for one wire attack.
    Injected frames share the legitimate traffic's serialisation queue
    and the stack's poll cadence, so the typed drop lands a few hundred
@@ -590,14 +534,14 @@ let drop_count key =
    (stage, reason) counter at inject time and re-polls until one moves,
    resolving with that key. A launch none of whose counters ever move
    stays Pending and fails the gate at [until]. *)
-let launch_wire rt engine link ~target ~stack_name attack ~at ~until ids =
+let launch_wire ledger engine link ~target ~stack_name attack ~at ~until ids =
   ignore
     (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
          if attack.wa_frames = [] then ()
          else begin
            let at_ns = Time.to_float_ns (Engine.now engine) in
            let id =
-             Rt.launch rt attack.wa_cls ~name:attack.wa_name ~at_ns ~target
+             V.record ledger attack.wa_cls ~name:attack.wa_name ~at_ns ~target
            in
            ids := id :: !ids;
            let before =
@@ -614,14 +558,13 @@ let launch_wire rt engine link ~target ~stack_name attack ~at ~until ids =
                List.find_opt (fun (k, b) -> drop_count k > b) before
              with
              | Some ((st, re), b) ->
-               Rt.resolve_caught rt id ~stage:(Ft.stage_name st)
-                 ~reason:(Ft.reason_name re);
-               Rt.set_provenance rt id
-                 (Printf.sprintf
-                    "%s; attributed at %s's %s/%s guard (+%d typed drops)"
-                    attack.wa_note stack_name (Ft.stage_name st)
-                    (Ft.reason_name re)
-                    (drop_count (st, re) - b))
+               caught_at ledger id (st, re)
+                 ~provenance:
+                   (Printf.sprintf
+                      "%s; attributed at %s's %s/%s guard (+%d typed drops)"
+                      attack.wa_note stack_name (Ft.stage_name st)
+                      (Ft.reason_name re)
+                      (drop_count (st, re) - b))
              | None ->
                if Time.(Engine.now engine < until) then
                  ignore
@@ -646,13 +589,13 @@ let exhaust_expect =
    ring collapses into typed Rx_dma/Rx_ring_full backpressure. Either
    way the symptom is typed, and the pool must be usable again after
    the window. *)
-let launch_exhaust rt engine pool ~target ~at ~window ~until ?spray ids
+let launch_exhaust ledger engine pool ~target ~at ~window ~until ?spray ids
     recovered_flag =
   ignore
     (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =
-           Rt.launch rt Rt.Resource ~name:"mbuf_exhaust_spray" ~at_ns ~target
+           V.record ledger Resource ~name:"mbuf_exhaust_spray" ~at_ns ~target
          in
          ids := id :: !ids;
          let before = List.map (fun k -> (k, drop_count k)) exhaust_expect in
@@ -707,18 +650,17 @@ let launch_exhaust rt engine pool ~target ~at ~window ~until ?spray ids
             with
            | Some ((st, re), b) when not !resolved ->
              resolved := true;
-             Rt.resolve_caught rt id ~stage:(Ft.stage_name st)
-               ~reason:(Ft.reason_name re);
-             Rt.set_provenance rt id
-               (Printf.sprintf
-                  "drained %d mbufs out of the rx pool%s; typed backpressure \
-                   (%s/%s drops +%d)"
-                  !held
-                  (if sprayed > 0 then
-                     Printf.sprintf " and sprayed %d runt frames" sprayed
-                   else "")
-                  (Ft.stage_name st) (Ft.reason_name re)
-                  (drop_count (st, re) - b))
+             caught_at ledger id (st, re)
+               ~provenance:
+                 (Printf.sprintf
+                    "drained %d mbufs out of the rx pool%s; typed \
+                     backpressure (%s/%s drops +%d)"
+                    !held
+                    (if sprayed > 0 then
+                       Printf.sprintf " and sprayed %d runt frames" sprayed
+                     else "")
+                    (Ft.stage_name st) (Ft.reason_name re)
+                    (drop_count (st, re) - b))
            | _ -> ());
            if
              (not !recovered_flag)
@@ -756,7 +698,7 @@ let secret = "DRONE-TELEMETRY-KEY-0xC4FE"
    trap, a flat address space lets the access through. The ledger
    records what actually leaked/corrupted — the baseline's expected
    outcome, and the paper's motivation. *)
-let mmu_attacks rt engine iv mem ~at ids =
+let mmu_attacks ledger engine iv mem ~at ids =
   ignore
     (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
@@ -764,7 +706,9 @@ let mmu_attacks rt engine iv mem ~at ids =
            Capvm.Intravisor.create_cvm iv ~name:"redteam" ~size:(1 lsl 20)
          in
          let lid name cls =
-           let id = Rt.launch rt cls ~name ~at_ns ~target:"process memory" in
+           let id =
+             V.record ledger cls ~name ~at_ns ~target:"process memory"
+           in
            ids := id :: !ids;
            id
          in
@@ -775,48 +719,44 @@ let mmu_attacks rt engine iv mem ~at ids =
          Cheri.Tagged_memory.store_bytes mem ~cap:neighbour
            ~addr:(Cheri.Capability.base neighbour)
            (Bytes.of_string secret);
-         let id = lid "mmu_lying_len_overread" Rt.Parser_bounds in
+         let id = lid "mmu_lying_len_overread" Parser_bounds in
          let leak = Bytes.create 16 in
          Cheri.Tagged_memory.unchecked_blit_out mem
            ~addr:(Cheri.Capability.base buf + 256)
            ~dst:leak ~dst_off:0 ~len:16;
-         Rt.resolve_leaked rt id
-           ~detail:
-             (Printf.sprintf "read past rx buffer: %S" (Bytes.to_string leak));
+         leaked ledger id
+           (Printf.sprintf "read past rx buffer: %S" (Bytes.to_string leak));
          (* Use-after-close write through a stale pointer. *)
          let stale = Capvm.Cvm.malloc attacker 64 in
          let stale_base = Cheri.Capability.base stale in
          Capvm.Cvm.free attacker stale;
-         let id = lid "mmu_use_after_close" Rt.Temporal in
+         let id = lid "mmu_use_after_close" Temporal in
          Cheri.Tagged_memory.unchecked_blit_in mem ~addr:stale_base
            ~src:(Bytes.make 16 'X') ~src_off:0 ~len:16;
-         Rt.resolve_leaked rt id
-           ~detail:
-             "wrote 16 bytes through a freed buffer pointer; no trap, \
-              successor allocation silently corrupted";
+         leaked ledger id
+           "wrote 16 bytes through a freed buffer pointer; no trap, \
+            successor allocation silently corrupted";
          (* Cross-tenant read of the network process's private region. *)
          match Capvm.Intravisor.cvms iv with
          | victim :: _ ->
-           let id = lid "mmu_cross_tenant_read" Rt.Cross_tenant in
+           let id = lid "mmu_cross_tenant_read" Cross_tenant in
            let b = Bytes.create 32 in
            Cheri.Tagged_memory.unchecked_blit_out mem
              ~addr:(Cheri.Capability.base (Capvm.Cvm.region victim))
              ~dst:b ~dst_off:0 ~len:32;
-           Rt.resolve_leaked rt id
-             ~detail:
-               (Printf.sprintf "read 32 bytes of %s's region with no grant"
-                  (Capvm.Cvm.name victim))
+           leaked ledger id
+             (Printf.sprintf "read 32 bytes of %s's region with no grant"
+                (Capvm.Cvm.name victim))
          | [] -> ()))
 
-let phase_baseline rt profile ~seed =
+let phase_baseline ledger rng profile ~seed =
   let topo_seed = Int64.add seed 3L in
   let direction = Scenarios.Dut_receives in
+  let w = profile.window and sample_every = profile.sample_every in
   let build () =
     Scenarios.build_dual_port ~cheri:false ~seed:topo_seed ~direction ()
   in
-  let ub = build () in
-  let ref_samples = drive ub profile ~after_warmup:(fun () -> ()) in
-  Ft.clear Ft.default;
+  let twin = Br.twin labels w ~sample_every build in
   let built = build () in
   let engine = built.Scenarios.engine in
   let victim = (List.nth built.Scenarios.flows 0).Scenarios.label in
@@ -826,8 +766,7 @@ let phase_baseline rt profile ~seed =
   let nif = List.hd built.Scenarios.dut_netifs in
   let stack_name = victim in
   let ids = ref [] in
-  let rng = Rt.rng rt in
-  let t_end = Time.add profile.warmup profile.duration in
+  let t_end = Time.add w.warmup w.duration in
   (* The parser checks are software and present in both models: a
      representative slice of the wire corpus is caught here too. The
      memory attacks are where the models diverge. *)
@@ -841,33 +780,27 @@ let phase_baseline rt profile ~seed =
   in
   List.iteri
     (fun i a ->
-      launch_wire rt engine link0 ~target:victim ~stack_name a
-        ~at:(frac profile (0.10 +. (0.03 *. float_of_int i)))
+      launch_wire ledger engine link0 ~target:victim ~stack_name a
+        ~at:(Br.frac w (0.10 +. (0.03 *. float_of_int i)))
         ~until:t_end ids)
     wire;
-  mmu_attacks rt engine
+  mmu_attacks ledger engine
     (Topology.intravisor built.Scenarios.dut)
     (Topology.node_mem built.Scenarios.dut)
-    ~at:(frac profile 0.45) ids;
+    ~at:(Br.frac w 0.45) ids;
   let pool_recovered = ref false in
-  launch_exhaust rt engine nif.Topology.pool ~target:victim
-    ~at:(frac profile 0.60) ~window:(Time.ms 3) ~until:t_end
+  launch_exhaust ledger engine nif.Topology.pool ~target:victim
+    ~at:(Br.frac w 0.60) ~window:(Time.ms 3) ~until:t_end
     ~spray:(link0, spray_runt fg, 800) ids pool_recovered;
-  let samples = drive built profile ~after_warmup:(fun () -> ()) in
-  let drops = Ft.drop_table Ft.default in
-  let rate l ss = rate_outside (List.assoc l ss) [] in
+  let samples = Br.drive labels w ~sample_every ~after_warmup:ignore built in
   {
-    ap_title =
-      "phase 1: Baseline dual-port (MMU-only) - wire corpus caught, memory \
-       corpus leaks silently";
-    ap_victim = victim;
-    ap_sibling = sibling;
+    ap_common =
+      Br.measure
+        ~title:
+          "phase 1: Baseline dual-port (MMU-only) - wire corpus caught, \
+           memory corpus leaks silently"
+        ~victim ~sibling ~windows:[] ~samples ~twin;
     ap_ids = List.rev !ids;
-    ap_drops = drops;
-    ap_sibling_rate = rate sibling samples;
-    ap_sibling_ref = rate sibling ref_samples;
-    ap_victim_rate = rate victim samples;
-    ap_victim_ref = rate victim ref_samples;
     ap_mutex_free = true;
     ap_pool_recovered = !pool_recovered;
     ap_rst_sent = (Netstack.Stack.counters nif.Topology.stack).rst_sent;
@@ -877,13 +810,12 @@ let phase_baseline rt profile ~seed =
 (* Phase: Scenario 1 dual-port                                         *)
 (* ------------------------------------------------------------------ *)
 
-let phase_s1 rt profile ~seed =
+let phase_s1 ledger rng profile ~seed =
   let topo_seed = Int64.add seed 1L in
   let direction = Scenarios.Dut_receives in
+  let w = profile.window and sample_every = profile.sample_every in
   let build () = Scenarios.build_dual_port ~seed:topo_seed ~direction () in
-  let ub = build () in
-  let ref_samples = drive ub profile ~after_warmup:(fun () -> ()) in
-  Ft.clear Ft.default;
+  let twin = Br.twin labels w ~sample_every build in
   let built = build () in
   let engine = built.Scenarios.engine in
   let victim = (List.nth built.Scenarios.flows 0).Scenarios.label in
@@ -893,8 +825,7 @@ let phase_s1 rt profile ~seed =
   let nif = List.hd built.Scenarios.dut_netifs in
   let rst_before = (Netstack.Stack.counters nif.Topology.stack).rst_sent in
   let ids = ref [] in
-  let rng = Rt.rng rt in
-  let t_end = Time.add profile.warmup profile.duration in
+  let t_end = Time.add w.warmup w.duration in
   let wire =
     parser_corpus rng fg
     @ blind_corpus rng fg ~src_port:49152 ~dst_port:5201
@@ -909,30 +840,24 @@ let phase_s1 rt profile ~seed =
      be counted as Rx_ring_full instead of its own typed parse drop. *)
   List.iteri
     (fun i a ->
-      launch_wire rt engine link0 ~target:victim ~stack_name:victim a
-        ~at:(frac profile (0.08 +. (0.02 *. float_of_int i)))
+      launch_wire ledger engine link0 ~target:victim ~stack_name:victim a
+        ~at:(Br.frac w (0.08 +. (0.02 *. float_of_int i)))
         ~until:t_end ids)
     wire;
   let pool_recovered = ref false in
-  launch_exhaust rt engine nif.Topology.pool ~target:victim
-    ~at:(frac profile 0.55) ~window:(Time.ms 3) ~until:t_end
+  launch_exhaust ledger engine nif.Topology.pool ~target:victim
+    ~at:(Br.frac w 0.55) ~window:(Time.ms 3) ~until:t_end
     ~spray:(link0, spray_runt fg, 800) ids pool_recovered;
-  let samples = drive built profile ~after_warmup:(fun () -> ()) in
-  let drops = Ft.drop_table Ft.default in
+  let samples = Br.drive labels w ~sample_every ~after_warmup:ignore built in
   let rst_after = (Netstack.Stack.counters nif.Topology.stack).rst_sent in
-  let rate l ss = rate_outside (List.assoc l ss) [] in
   {
-    ap_title =
-      "phase 2: Scenario 1 dual-port (CHERI) - full wire corpus against \
-       port 0, port 1 is the control";
-    ap_victim = victim;
-    ap_sibling = sibling;
+    ap_common =
+      Br.measure
+        ~title:
+          "phase 2: Scenario 1 dual-port (CHERI) - full wire corpus against \
+           port 0, port 1 is the control"
+        ~victim ~sibling ~windows:[] ~samples ~twin;
     ap_ids = List.rev !ids;
-    ap_drops = drops;
-    ap_sibling_rate = rate sibling samples;
-    ap_sibling_ref = rate sibling ref_samples;
-    ap_victim_rate = rate victim samples;
-    ap_victim_ref = rate victim ref_samples;
     ap_mutex_free = true;
     ap_pool_recovered = !pool_recovered;
     ap_rst_sent = rst_after - rst_before;
@@ -942,25 +867,20 @@ let phase_s1 rt profile ~seed =
 (* Phase: Scenario 2 shared stack                                      *)
 (* ------------------------------------------------------------------ *)
 
-let get_sup sup_ref =
-  match !sup_ref with
-  | Some s -> s
-  | None -> invalid_arg "redteam: builder did not instantiate the supervisor"
-
-let phase_s2 rt profile ~seed ~blackbox_dir =
+let phase_s2 ledger rng profile ~seed ~blackbox_dir =
   let topo_seed = Int64.add seed 2L in
   (* Dut_sends, like the chaos harness: the DUT apps are clients, so a
      supervised restart reconnects from a fresh ephemeral port instead
      of re-binding a listener whose closing connections still hold the
      port. *)
   let direction = Scenarios.Dut_sends in
+  let w = profile.window and sample_every = profile.sample_every in
   let build ?supervise ?app_hook () =
     Scenarios.build_scenario2 ~seed:topo_seed ~contended:true
       ~lock_policy:Capvm.Umtx.Fifo ?supervise ?app_hook ~direction ()
   in
-  let ub = build () in
-  let ref_samples = drive ub profile ~after_warmup:(fun () -> ()) in
-  Ft.clear Ft.default;
+  let twin = Br.twin labels w ~sample_every build in
+  let ids = ref [] in
   (* The close-race attack: a hostile app step inside the supervised
      ff_* boundary, holding the shared mutex. The app frees its rx
      buffer (socket teardown racing the epoll wakeup), then dereferences
@@ -969,17 +889,21 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
   let race_armed = ref false in
   let race_id = ref (-1) in
   let race_provenance = ref "" in
-  (* The hook runs before the builder returns, so the tagged memory it
-     dereferences through is resolved via a ref filled in after build. *)
-  let mem_ref = ref None in
+  (* The hook runs before the builder returns, so the clock it stamps
+     the launch with and the tagged memory it dereferences through are
+     resolved via a ref filled in after build. *)
+  let node_ref = ref None in
   let app_hook cvm =
-    if !race_armed && Capvm.Cvm.name cvm = "cVM3" then begin
+    match !node_ref with
+    | Some (engine, mem) when !race_armed && Capvm.Cvm.name cvm = "cVM3" ->
       race_armed := false;
       let id =
-        Rt.launch rt Rt.Temporal ~name:"close_race_stale_cap" ~at_ns:0.
+        V.record ledger Temporal ~name:"close_race_stale_cap"
+          ~at_ns:(Time.to_float_ns (Engine.now engine))
           ~target:"cVM3"
       in
       race_id := id;
+      ids := id :: !ids;
       let buf = Capvm.Cvm.malloc cvm 64 in
       let base = Cheri.Capability.base buf in
       Capvm.Cvm.free cvm buf;
@@ -998,52 +922,35 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
         race_provenance :=
           Printf.sprintf
             "capability [0x%x,+0x40) bounds stopped the dereference" base);
-      match !mem_ref with
-      | Some mem ->
-        ignore
-          (Cheri.Tagged_memory.load_bytes mem ~cap:buf ~addr:(base + 64)
-             ~len:16)
-      | None -> ()
-    end
+      ignore
+        (Cheri.Tagged_memory.load_bytes mem ~cap:buf ~addr:(base + 64) ~len:16)
+    | _ -> ()
   in
-  let sup_ref = ref None in
-  let supervise engine =
-    let sup =
-      Sup.create engine ~seed:(Int64.add seed 102L)
-        ~policy:
-          (Sup.Restart
-             { budget = 1; backoff_base = Time.us 50; backoff_max = Time.ms 2;
-               jitter_pct = 0.1 })
-        ()
-    in
-    sup_ref := Some sup;
-    sup
+  let supervise, sup_ref =
+    Br.supervisor ~policy:Br.restart_once ~seed:(Int64.add seed 102L) ()
   in
   let built = build ~supervise ~app_hook () in
   let engine = built.Scenarios.engine in
-  mem_ref := Some (Topology.node_mem built.Scenarios.dut);
-  let sup = get_sup sup_ref in
+  node_ref := Some (engine, Topology.node_mem built.Scenarios.dut);
+  let sup = Br.get_sup sup_ref in
   Sup.set_blackbox_dir sup blackbox_dir;
+  let blackbox =
+    Option.map
+      (fun dir -> Filename.concat dir "cVM3.blackbox.json")
+      blackbox_dir
+  in
+  let race_caught reason =
+    V.resolve ledger !race_id ~provenance:!race_provenance ?blackbox
+      (V.Caught { stage = "supervisor"; reason })
+  in
   Sup.set_on_transition sup
     (Some
        (fun ~cvm ~old_state st ->
-         if cvm = "cVM3" && !race_id >= 0 then begin
-           (match (old_state, st) with
-           | Sup.Restarting, Sup.Running ->
-             Rt.resolve_caught rt !race_id ~stage:"supervisor"
-               ~reason:"capability_fault";
-             Rt.set_provenance rt !race_id !race_provenance
-           | _, Sup.Dead ->
-             Rt.resolve_caught rt !race_id ~stage:"supervisor"
-               ~reason:"quarantined";
-             Rt.set_provenance rt !race_id !race_provenance
-           | _ -> ());
-           match blackbox_dir with
-           | Some dir ->
-             Rt.set_blackbox rt !race_id
-               (Filename.concat dir "cVM3.blackbox.json")
-           | None -> ()
-         end));
+         if cvm = "cVM3" then
+           match (old_state, st) with
+           | Sup.Restarting, Sup.Running -> race_caught "capability_fault"
+           | _, Sup.Dead -> race_caught "quarantined"
+           | _ -> ()));
   let victim = (List.nth built.Scenarios.flows 1).Scenarios.label in
   let sibling = (List.nth built.Scenarios.flows 0).Scenarios.label in
   let victim_cvm = List.nth built.Scenarios.app_cvms 1 in
@@ -1051,8 +958,6 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
   let link0 = List.hd built.Scenarios.links in
   let nif = List.hd built.Scenarios.dut_netifs in
   let rst_before = (Netstack.Stack.counters nif.Topology.stack).rst_sent in
-  let ids = ref [] in
-  let rng = Rt.rng rt in
   (* The DUT's clients connect in flow order through the shared stack's
      ephemeral allocator: cVM2 local 49152 -> peer :5201, cVM3 local
      49153 -> peer :5202. Attack frames arrive at the DUT, so forged
@@ -1073,29 +978,29 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
         rss_steer rng fg ~victim_src_port:5202 ~victim_dst_port:49153;
       ]
   in
-  let t_end = Time.add profile.warmup profile.duration in
+  let t_end = Time.add w.warmup w.duration in
   List.iteri
     (fun i a ->
-      launch_wire rt engine link0 ~target:"cVM1 (shared stack)"
+      launch_wire ledger engine link0 ~target:"cVM1 (shared stack)"
         ~stack_name:"cVM1" a
-        ~at:(frac profile (0.08 +. (0.03 *. float_of_int i)))
+        ~at:(Br.frac w (0.08 +. (0.03 *. float_of_int i)))
         ~until:t_end ids)
     wire;
   (* Arm the close race mid-transfer. *)
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.45) ~label:k_inject
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.45) ~label:k_inject
        (fun () ->
          race_armed := true));
   (* Stale-fd epoll probe against the shared stack's own API: close an
      fd that is still in an epoll interest set, then verify no stale
-     wakeup ever surfaces (the close-race the PR hardened). *)
+     wakeup ever surfaces. *)
   let ff = nif.Topology.ff in
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.55) ~label:k_inject
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.55) ~label:k_inject
        (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =
-           Rt.launch rt Rt.Temporal ~name:"epoll_stale_fd" ~at_ns
+           V.record ledger Temporal ~name:"epoll_stale_fd" ~at_ns
              ~target:"cVM1 (shared stack)"
          in
          ids := id :: !ids;
@@ -1110,49 +1015,37 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
            (match Netstack.Ff_api.ff_epoll_wait ff ~epfd:ep ~max:8 with
            | Ok evs ->
              if List.exists (fun (f, _) -> f = fd) evs then
-               Rt.resolve_leaked rt id
-                 ~detail:"stale wakeup for a closed fd escaped epoll"
-             else begin
-               Rt.resolve_caught rt id ~stage:"sock"
-                 ~reason:"fd_forgotten_on_close";
-               Rt.set_provenance rt id
-                 "socket close revoked the fd from every epoll interest \
-                  set before reuse"
-             end
-           | Error _ ->
-             Rt.resolve_leaked rt id ~detail:"epoll_wait failed");
+               leaked ledger id "stale wakeup for a closed fd escaped epoll"
+             else
+               V.resolve ledger id
+                 ~provenance:
+                   "socket close revoked the fd from every epoll interest \
+                    set before reuse"
+                 (V.Caught { stage = "sock"; reason = "fd_forgotten_on_close" })
+           | Error _ -> leaked ledger id "epoll_wait failed");
            ignore (Netstack.Ff_api.ff_close ff ep)
-         | _ ->
-           Rt.resolve_leaked rt id ~detail:"could not allocate probe fds"));
+         | _ -> leaked ledger id "could not allocate probe fds"));
   let pool_recovered = ref false in
-  launch_exhaust rt engine nif.Topology.pool ~target:"cVM1 (shared stack)"
-    ~at:(frac profile 0.70) ~window:profile.exhaust_window ~until:t_end ids
+  launch_exhaust ledger engine nif.Topology.pool ~target:"cVM1 (shared stack)"
+    ~at:(Br.frac w 0.70) ~window:profile.exhaust_window ~until:t_end ids
     pool_recovered;
-  let samples = drive built profile ~after_warmup:(fun () -> ()) in
-  (* The close race launches from inside the hook with a placeholder
-     timestamp; every id must still be tracked for the phase gate. *)
-  if !race_id >= 0 then ids := !race_id :: !ids;
-  let drops = Ft.drop_table Ft.default in
+  let samples = Br.drive labels w ~sample_every ~after_warmup:ignore built in
   let rst_after = (Netstack.Stack.counters nif.Topology.stack).rst_sent in
-  let windows = Sup.quarantine_windows sup ~cvm:victim_cvm in
-  let rate l ss = rate_outside (List.assoc l ss) windows in
   let mutex_free =
     match built.Scenarios.mutex with
     | Some m -> Capvm.Umtx.holder m <> Some "cVM3"
     | None -> true
   in
   {
-    ap_title =
-      "phase 3: Scenario 2 shared stack (CHERI) - cross-tenant probes, \
-       close races and floods against cVM1";
-    ap_victim = victim;
-    ap_sibling = sibling;
-    ap_ids = List.sort_uniq compare !ids;
-    ap_drops = drops;
-    ap_sibling_rate = rate sibling samples;
-    ap_sibling_ref = rate sibling ref_samples;
-    ap_victim_rate = rate victim samples;
-    ap_victim_ref = rate victim ref_samples;
+    ap_common =
+      Br.measure
+        ~title:
+          "phase 3: Scenario 2 shared stack (CHERI) - cross-tenant probes, \
+           close races and floods against cVM1"
+        ~victim ~sibling
+        ~windows:(Sup.quarantine_windows sup ~cvm:victim_cvm)
+        ~samples ~twin;
+    ap_ids = List.rev !ids;
     ap_mutex_free = mutex_free;
     ap_pool_recovered = !pool_recovered;
     ap_rst_sent = rst_after - rst_before;
@@ -1162,102 +1055,169 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let outcome_line rt b id =
-  match Rt.find rt id with
+let outcome_line ledger b id =
+  match V.find ledger id with
   | None -> ()
-  | Some l ->
+  | Some e ->
     let verdict, detail =
-      match l.Rt.outcome with
-      | Rt.Caught { stage; reason } ->
+      match e.V.outcome with
+      | V.Caught { stage; reason } ->
         ("caught ", Printf.sprintf "-> %s/%s" stage reason)
-      | Rt.Leaked { detail } -> ("LEAKED ", Printf.sprintf "-> %s" detail)
-      | Rt.Pending -> ("PENDING", "-> no typed verdict recorded")
+      | V.Leaked { detail } -> ("LEAKED ", Printf.sprintf "-> %s" detail)
+      | V.Recovered { ttr_ns } ->
+        ("recovered", Printf.sprintf "-> after %.0fns" ttr_ns)
+      | V.Pending -> ("PENDING", "-> no typed verdict recorded")
     in
-    Printf.bprintf b "  [%s] %-13s %-24s %s\n" verdict
-      (Rt.cls_name l.Rt.cls) l.Rt.name detail;
-    (match l.Rt.provenance with
+    Printf.bprintf b "  [%s] %-13s %-24s %s\n" verdict (cls_name e.V.kind)
+      e.V.name detail;
+    (match e.V.provenance with
     | Some p -> Printf.bprintf b "            provenance: %s\n" p
     | None -> ());
-    match l.Rt.blackbox with
+    match e.V.blackbox with
     | Some p -> Printf.bprintf b "            blackbox: %s\n" p
     | None -> ()
 
-let phase_section rt b p =
-  Printf.bprintf b "-- %s --\n" p.ap_title;
-  List.iter (outcome_line rt b) p.ap_ids;
-  if p.ap_drops = [] then Printf.bprintf b "  drop table: (empty)\n"
-  else begin
-    Printf.bprintf b "  drop table (stage/reason -> frames):\n";
-    List.iter
-      (fun ((st, r), n) ->
-        Printf.bprintf b "    %-10s %-16s %6d\n" (Ft.stage_name st)
-          (Ft.reason_name r) n)
-      p.ap_drops
-  end;
+let phase_section ledger b p =
+  Printf.bprintf b "-- %s --\n" p.ap_common.Br.title;
+  List.iter (outcome_line ledger b) p.ap_ids;
+  Br.drop_lines b p.ap_common;
   if p.ap_rst_sent > 0 then
     Printf.bprintf b "  RSTs answered to probes: %d\n" p.ap_rst_sent;
   Printf.bprintf b "  mbuf pool recovered after spray: %s\n"
     (if p.ap_pool_recovered then "yes" else "NO");
   if not p.ap_mutex_free then
     Printf.bprintf b "  shared mutex: LEFT HELD BY VICTIM\n";
-  Printf.bprintf b
-    "  sibling %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f) [%s]\n"
-    p.ap_sibling p.ap_sibling_rate p.ap_sibling_ref
-    (ratio p.ap_sibling_rate p.ap_sibling_ref)
-    (if sibling_ok p then "ok" else "FAIL");
-  Printf.bprintf b
-    "  victim  %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f)\n"
-    p.ap_victim p.ap_victim_rate p.ap_victim_ref
-    (ratio p.ap_victim_rate p.ap_victim_ref)
+  Br.goodput_lines b p.ap_common
 
-let caught id rt =
-  match Rt.find rt id with
-  | Some { Rt.outcome = Rt.Caught _; _ } -> true
-  | _ -> false
+(* ------------------------------------------------------------------ *)
+(* JSON (netrepro-attack-net/1)                                        *)
+(* ------------------------------------------------------------------ *)
+
+module J = Dsim.Json
+
+let outcome_json = function
+  | V.Pending -> J.Obj [ ("verdict", J.String "pending") ]
+  | V.Recovered { ttr_ns } ->
+    J.Obj [ ("verdict", J.String "recovered"); ("ttr_ns", J.Float ttr_ns) ]
+  | V.Caught { stage; reason } ->
+    J.Obj
+      [
+        ("verdict", J.String "caught");
+        ("stage", J.String stage);
+        ("reason", J.String reason);
+      ]
+  | V.Leaked { detail } ->
+    J.Obj [ ("verdict", J.String "leaked"); ("detail", J.String detail) ]
+
+let entry_json e =
+  let opt = function None -> J.Null | Some s -> J.String s in
+  J.Obj
+    [
+      ("id", J.Int e.V.id);
+      ("class", J.String (cls_name e.V.kind));
+      ("name", J.String e.V.name);
+      ("at_ns", J.Float e.V.at_ns);
+      ("target", J.String e.V.target);
+      ("outcome", outcome_json e.V.outcome);
+      ("provenance", opt e.V.provenance);
+      ("blackbox", opt e.V.blackbox);
+    ]
+
+let tally_fields (t : V.tally) =
+  [
+    ("launched", J.Int t.total);
+    ("caught", J.Int t.caught);
+    ("leaked", J.Int t.leaked);
+    ("pending", J.Int t.pending);
+  ]
+
+let ledger_json ~seed ledger counts =
+  let seed = ("seed", J.String (Int64.to_string seed)) in
+  J.Obj
+    ((seed :: tally_fields (V.tally ledger))
+    @ [
+        ( "classes",
+          J.List
+            (List.map
+               (fun (c, t) ->
+                 J.Obj (("class", J.String (cls_name c)) :: tally_fields t))
+               counts) );
+        ("attacks", J.List (List.map entry_json (V.entries ledger)));
+      ])
+
+let phase_json p =
+  let c = p.ap_common in
+  J.Obj
+    [
+      ("title", J.String c.Br.title);
+      ("victim", J.String c.Br.victim);
+      ("sibling", J.String c.Br.sibling);
+      ("sibling_ratio", J.Float (Br.ratio c.Br.sibling_rate c.Br.sibling_ref));
+      ("victim_ratio", J.Float (Br.ratio c.Br.victim_rate c.Br.victim_ref));
+      ("sibling_ok", J.Bool (Br.sibling_ok c));
+      ("mutex_free", J.Bool p.ap_mutex_free);
+      ("pool_recovered", J.Bool p.ap_pool_recovered);
+      ("rst_sent", J.Int p.ap_rst_sent);
+      ( "drops",
+        J.List
+          (List.map
+             (fun ((st, r), n) ->
+               J.Obj
+                 [
+                   ("stage", J.String (Ft.stage_name st));
+                   ("reason", J.String (Ft.reason_name r));
+                   ("frames", J.Int n);
+                 ])
+             c.Br.drops) );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The experiment                                                      *)
+(* ------------------------------------------------------------------ *)
 
 let run ?(profile = quick) ?blackbox_dir ~seed () =
-  let ft_was = Ft.enabled Ft.default in
-  let audit_was = Dsim.Audit.(enabled default) in
-  Ft.set_enabled Ft.default true;
-  Ft.clear Ft.default;
-  (* Provenance cross-references need the audit DAG recording in both
-     the twin and the attacked run (identical settings keep the pair
-     comparable). *)
-  Dsim.Audit.(set_enabled default true);
-  let rt = Rt.create ~seed in
-  let p1 = phase_baseline rt profile ~seed in
-  let p2 = phase_s1 rt profile ~seed in
-  let p3 = phase_s2 rt profile ~seed ~blackbox_dir in
-  Ft.clear Ft.default;
-  Ft.set_enabled Ft.default ft_was;
-  Dsim.Audit.(set_enabled default audit_was);
-  let phases = [ p1; p2; p3 ] in
-  let counts = Rt.counts rt in
-  let launched = Rt.launched_count rt in
-  let caught_n = Rt.caught_count rt in
-  let leaked = Rt.leaked_count rt in
-  let pending = Rt.pending_count rt in
-  let cheri_ids = p2.ap_ids @ p3.ap_ids in
-  let cheri_launched = List.length cheri_ids in
-  let cheri_caught =
-    List.length (List.filter (fun id -> caught id rt) cheri_ids)
+  let ledger = V.create () in
+  (* All attack randomness (probe ports, forged sequence numbers, flood
+     sizes) comes from this one stream, so the seed pins the corpus. *)
+  let rng = Dsim.Rng.create ~seed in
+  let p1, p2, p3 =
+    Br.with_flowtrace (fun () ->
+        (* Provenance cross-references need the audit DAG recording in
+           both the twin and the attacked run (identical settings keep
+           the pair comparable). *)
+        let audit_was = Dsim.Audit.(enabled default) in
+        Dsim.Audit.(set_enabled default true);
+        let p1 = phase_baseline ledger rng profile ~seed in
+        let p2 = phase_s1 ledger rng profile ~seed in
+        let p3 = phase_s2 ledger rng profile ~seed ~blackbox_dir in
+        Dsim.Audit.(set_enabled default audit_was);
+        (p1, p2, p3))
   in
-  let baseline_leaks =
+  let phases = [ p1; p2; p3 ] in
+  let counts = List.map (fun c -> (c, V.tally ~kind:c ledger)) all_classes in
+  let total = V.tally ledger in
+  let count_ids ids verdict =
     List.length
       (List.filter
          (fun id ->
-           match Rt.find rt id with
-           | Some { Rt.outcome = Rt.Leaked _; _ } -> true
-           | _ -> false)
-         p1.ap_ids)
+           match V.find ledger id with
+           | Some e -> verdict e.V.outcome
+           | None -> false)
+         ids)
+  in
+  let cheri_ids = p2.ap_ids @ p3.ap_ids in
+  let cheri_launched = List.length cheri_ids in
+  let cheri_caught =
+    count_ids cheri_ids (function V.Caught _ -> true | _ -> false)
+  in
+  let baseline_leaks =
+    count_ids p1.ap_ids (function V.Leaked _ -> true | _ -> false)
   in
   let pass =
-    pending = 0 && launched > 0
+    total.pending = 0 && total.total > 0
     && cheri_caught = cheri_launched
     && baseline_leaks >= 1
-    && List.for_all sibling_ok phases
+    && List.for_all (fun p -> Br.sibling_ok p.ap_common) phases
     && List.for_all (fun p -> p.ap_mutex_free && p.ap_pool_recovered) phases
   in
   let b = Buffer.create 8192 in
@@ -1266,68 +1226,42 @@ let run ?(profile = quick) ?blackbox_dir ~seed () =
   Printf.bprintf b "  %-15s %9s %7s %7s %8s\n" "class" "launched" "caught"
     "leaked" "pending";
   List.iter
-    (fun (c, t) ->
-      Printf.bprintf b "  %-15s %9d %7d %7d %8d\n" (Rt.cls_name c)
-        t.Rt.t_launched t.Rt.t_caught t.Rt.t_leaked t.Rt.t_pending)
+    (fun (c, (t : V.tally)) ->
+      Printf.bprintf b "  %-15s %9d %7d %7d %8d\n" (cls_name c) t.total
+        t.caught t.leaked t.pending)
     counts;
-  List.iter (phase_section rt b) phases;
+  List.iter (phase_section ledger b) phases;
   Printf.bprintf b "caught-and-attributed (CHERI scenarios): %.1f%% (%d/%d)\n"
     (if cheri_launched = 0 then 0.
      else 100. *. float_of_int cheri_caught /. float_of_int cheri_launched)
     cheri_caught cheri_launched;
   Printf.bprintf b "baseline silent corruption/leaks recorded: %d\n"
     baseline_leaks;
-  Printf.bprintf b "unresolved attacks: %d\n" pending;
+  Printf.bprintf b "unresolved attacks: %d\n" total.pending;
   Printf.bprintf b "verdict: %s\n" (if pass then "PASS" else "FAIL");
-  let phase_json p =
-    Dsim.Json.Obj
-      [
-        ("title", Dsim.Json.String p.ap_title);
-        ("victim", Dsim.Json.String p.ap_victim);
-        ("sibling", Dsim.Json.String p.ap_sibling);
-        ("sibling_ratio",
-         Dsim.Json.Float (ratio p.ap_sibling_rate p.ap_sibling_ref));
-        ("victim_ratio",
-         Dsim.Json.Float (ratio p.ap_victim_rate p.ap_victim_ref));
-        ("sibling_ok", Dsim.Json.Bool (sibling_ok p));
-        ("mutex_free", Dsim.Json.Bool p.ap_mutex_free);
-        ("pool_recovered", Dsim.Json.Bool p.ap_pool_recovered);
-        ("rst_sent", Dsim.Json.Int p.ap_rst_sent);
-        ( "drops",
-          Dsim.Json.List
-            (List.map
-               (fun ((st, r), n) ->
-                 Dsim.Json.Obj
-                   [
-                     ("stage", Dsim.Json.String (Ft.stage_name st));
-                     ("reason", Dsim.Json.String (Ft.reason_name r));
-                     ("frames", Dsim.Json.Int n);
-                   ])
-               p.ap_drops) );
-      ]
-  in
   let json =
-    Dsim.Json.Obj
+    J.Obj
       [
-        ("schema", Dsim.Json.String "netrepro-attack-net/1");
-        ("ledger", Rt.to_json rt);
-        ("phases", Dsim.Json.List (List.map phase_json phases));
-        ("cheri_caught", Dsim.Json.Int cheri_caught);
-        ("cheri_launched", Dsim.Json.Int cheri_launched);
-        ("baseline_leaks", Dsim.Json.Int baseline_leaks);
-        ("pass", Dsim.Json.Bool pass);
+        ("schema", J.String "netrepro-attack-net/1");
+        ("ledger", ledger_json ~seed ledger counts);
+        ("phases", J.List (List.map phase_json phases));
+        ("cheri_caught", J.Int cheri_caught);
+        ("cheri_launched", J.Int cheri_launched);
+        ("baseline_leaks", J.Int baseline_leaks);
+        ("pass", J.Bool pass);
       ]
   in
   {
     seed;
-    launched;
-    caught = caught_n;
-    leaked;
-    pending;
+    launched = total.total;
+    caught = total.caught;
+    leaked = total.leaked;
+    pending = total.pending;
     counts;
     phases;
     cheri_caught;
     cheri_launched;
+    baseline_leaks;
     pass;
     text = Buffer.contents b;
     json;

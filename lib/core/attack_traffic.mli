@@ -1,8 +1,9 @@
 (** Red-team network-borne attack generator with blast-radius gates.
 
-    Drives the seeded attack corpus of {!Dsim.Redteam} against the
-    three reproduction topologies and demands a typed verdict for every
-    launch:
+    Drives a seeded attack corpus (one {!Dsim.Rng} stream from the
+    seed) against the three reproduction topologies, records every
+    launch in a {!Dsim.Verdict} ledger keyed by attack {!cls}, and
+    demands a typed verdict for each:
 
     - {b phase 1}, Baseline dual-port ([cheri:false]): the wire-parser
       subset is caught (those checks are software, common to both
@@ -23,13 +24,22 @@
     Attack frames enter via {!Nic.Link.inject} (the tamper hook), so
     they share serialisation, FCS and propagation with legitimate
     traffic and runs stay deterministic per seed. Each phase runs an
-    undisturbed twin first (same topology seed, no attacks); the PR 4
-    blast-radius gate extends to attacked runs: sibling goodput outside
-    quarantine must be >= 0.9x its twin. *)
+    undisturbed twin first (same topology seed, no attacks); the chaos
+    run's blast-radius gate ({!Blast_radius}) extends to attacked runs:
+    sibling goodput outside quarantine must be >= 0.9x its twin. *)
+
+(** Attack class, the taxonomy axis of the corpus. *)
+type cls =
+  | Parser_bounds  (** Malformed headers, lying lengths, fragments. *)
+  | Temporal  (** Close races: blind RST/FIN/SYN, stale-fd epoll. *)
+  | Resource  (** Floods driving pools into typed backpressure. *)
+  | Cross_tenant  (** Probes at sibling cVMs through the shared stack. *)
+
+val cls_name : cls -> string
+val all_classes : cls list
 
 type profile = {
-  warmup : Dsim.Time.t;
-  duration : Dsim.Time.t;
+  window : Blast_radius.window;  (** Attacks land in the measured window. *)
   sample_every : Dsim.Time.t;
   exhaust_window : Dsim.Time.t;
       (** How long the mbuf spray holds the pool. *)
@@ -42,15 +52,8 @@ val full : profile
 (** 20 ms warmup, 120 ms attacked window. *)
 
 type phase = {
-  ap_title : string;
-  ap_victim : string;
-  ap_sibling : string;
+  ap_common : Blast_radius.phase;
   ap_ids : int list;  (** Ledger ids launched during this phase. *)
-  ap_drops : ((Dsim.Flowtrace.stage * Dsim.Flowtrace.reason) * int) list;
-  ap_sibling_rate : float;  (** Gbit/s outside quarantine. *)
-  ap_sibling_ref : float;  (** Undisturbed twin, same windows. *)
-  ap_victim_rate : float;
-  ap_victim_ref : float;
   ap_mutex_free : bool;
       (** Shared mutex not left held by the victim cVM. *)
   ap_pool_recovered : bool;  (** Mbufs available again after the spray. *)
@@ -63,10 +66,11 @@ type report = {
   caught : int;
   leaked : int;
   pending : int;
-  counts : (Dsim.Redteam.cls * Dsim.Redteam.tally) list;
+  counts : (cls * Dsim.Verdict.tally) list;  (** Every class. *)
   phases : phase list;
   cheri_caught : int;  (** Caught launches in the CHERI phases. *)
   cheri_launched : int;
+  baseline_leaks : int;  (** Leaked launches in the Baseline phase. *)
   pass : bool;
       (** No pending launches, 100% caught-and-attributed in the CHERI
           phases, >= 1 recorded baseline leak, sibling ratio >= 0.9 and

@@ -1,6 +1,7 @@
 module Au = Dsim.Audit
 module Pv = Cheri.Provenance
 module Ch = Dsim.Chaos
+module V = Dsim.Verdict
 module Time = Dsim.Time
 module Engine = Dsim.Engine
 module Sup = Capvm.Supervisor
@@ -66,7 +67,7 @@ let fresh_ledger profile =
   Au.set_sample_every au profile.sample_every;
   au
 
-let drive built profile =
+let run_to_end built profile =
   Engine.run
     ~until:(Time.add profile.warmup profile.duration)
     built.Scenarios.engine;
@@ -102,61 +103,41 @@ let run_scenario profile ~id ~title build =
   let au = fresh_ledger profile in
   let built = build () in
   let apps = List.map Capvm.Cvm.name built.Scenarios.app_cvms in
-  drive built profile;
+  run_to_end built profile;
   (snapshot au ~id ~title, apps)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded chaos capability-fault run (cross-reference section)         *)
 (* ------------------------------------------------------------------ *)
 
-let frac profile f =
-  Time.add profile.warmup
-    (Time.of_float_ns (f *. Time.to_float_ns profile.duration))
-
 let run_chaos_section profile ~seed =
   let au = fresh_ledger profile in
   let ch = Ch.create ~seed in
-  let victim = "cVM1" in
-  let engine_ref = ref None in
-  let due = ref 0 in
-  let app_hook cvm =
-    if Capvm.Cvm.name cvm = victim && !due > 0 then begin
-      decr due;
-      let at_ns =
-        match !engine_ref with
-        | Some e -> Time.to_float_ns (Engine.now e)
-        | None -> 0.
-      in
-      ignore (Ch.inject ch Ch.Cap_fault ~at_ns ~target:victim);
-      Cheri.Fault.raise_fault Cheri.Fault.Tag_violation ~address:0
-        ~detail:"audit: injected capability fault"
-    end
-  in
+  let ci = Chaos_experiment.cap_injector ch in
   let supervise engine = Sup.create engine ~seed:(Int64.add seed 101L) () in
   let built =
-    Scenarios.build_dual_port ~seed:(Int64.add seed 3L) ~supervise ~app_hook
-      ~direction:Scenarios.Dut_receives ()
+    Scenarios.build_dual_port ~seed:(Int64.add seed 3L) ~supervise
+      ~app_hook:ci.ci_hook ~direction:Scenarios.Dut_receives ()
   in
-  engine_ref := Some built.Scenarios.engine;
+  let engine = built.Scenarios.engine in
+  ci.ci_set_engine engine;
+  let window =
+    { Blast_radius.warmup = profile.warmup; duration = profile.duration }
+  in
   ignore
-    (Engine.schedule_at_l built.Scenarios.engine ~at:(frac profile 0.35)
-       ~label:k_audit_arm (fun () -> due := 1));
-  drive built profile;
+    (Engine.schedule_at_l engine ~at:(Blast_radius.frac window 0.35)
+       ~label:k_audit_arm (fun () -> ci.ci_arm "cVM1"));
+  run_to_end built profile;
   let violations = Au.violations au in
   let cap_targets =
     List.filter_map
-      (fun (i : Ch.injection) ->
-        if i.Ch.kind = Ch.Cap_fault then Some i.Ch.target else None)
-      (Ch.injections ch)
+      (fun e -> if e.V.kind = Ch.Cap_fault then Some e.V.target else None)
+      (V.entries (Ch.ledger ch))
   in
   let attributed =
     List.length
       (List.filter (fun v -> List.mem v.Au.v_cvm cap_targets) violations)
   in
-  if attributed > 0 then
-    ignore
-      (Ch.resolve_pending ch Ch.Cap_fault
-         (Ch.Attributed { stage = "audit"; reason = "hw_fault_ledgered" }));
   {
     ca_injected = List.length cap_targets;
     ca_hw_faults = Au.violation_count ~kind:Au.Hw_fault au;

@@ -1,20 +1,20 @@
 module Ch = Dsim.Chaos
+module V = Dsim.Verdict
 module Ft = Dsim.Flowtrace
 module Time = Dsim.Time
 module Engine = Dsim.Engine
 module Sup = Capvm.Supervisor
+module Br = Blast_radius
 
 let k_chaos stage =
   Dsim.Profile.(key default) ~component:"chaos" ~cvm:"-" ~stage
 
-let k_arm = k_chaos "warmup_arm"
-let k_tick = k_chaos "sample_tick"
+let labels = { Br.arm = k_chaos "warmup_arm"; tick = k_chaos "sample_tick" }
 let k_inject = k_chaos "inject"
 let k_heartbeat = k_chaos "heartbeat"
 
 type profile = {
-  warmup : Dsim.Time.t;
-  duration : Dsim.Time.t;
+  window : Br.window;
   sample_every : Dsim.Time.t;
   flap_down : Dsim.Time.t;
   mbuf_window : Dsim.Time.t;
@@ -23,8 +23,7 @@ type profile = {
 
 let quick =
   {
-    warmup = Time.ms 6;
-    duration = Time.ms 30;
+    window = { warmup = Time.ms 6; duration = Time.ms 30 };
     sample_every = Time.ms 1;
     flap_down = Time.us 400;
     mbuf_window = Time.us 300;
@@ -33,24 +32,12 @@ let quick =
 
 let full =
   {
-    warmup = Time.ms 20;
-    duration = Time.ms 120;
+    window = { warmup = Time.ms 20; duration = Time.ms 120 };
     sample_every = Time.ms 2;
     flap_down = Time.us 600;
     mbuf_window = Time.us 400;
     eintr_every = Time.us 200;
   }
-
-type phase = {
-  ph_title : string;
-  ph_victim : string;
-  ph_sibling : string;
-  ph_drops : ((Ft.stage * Ft.reason) * int) list;
-  ph_sibling_rate : float;
-  ph_sibling_ref : float;
-  ph_victim_rate : float;
-  ph_victim_ref : float;
-}
 
 type report = {
   seed : int64;
@@ -58,91 +45,16 @@ type report = {
   recovered : int;
   attributed : int;
   pending : int;
-  counts : (Ch.kind * Ch.tally) list;
-  phases : phase list;
+  counts : (Ch.kind * V.tally) list;
+  phases : Br.phase list;
   pass : bool;
   text : string;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Goodput sampling                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* A sample is one [(t0_ns, t1_ns, bytes)] window of a flow's goodput. *)
-
-let overlaps (a, b) windows =
-  List.exists
-    (fun (ws, we) ->
-      let ws = Time.to_float_ns ws in
-      match we with
-      | Some we -> a < Time.to_float_ns we && b > ws
-      | None -> b > ws)
-    windows
-
-(* Gbit/s over the samples that do not intersect a quarantine window
-   (bits per virtual nanosecond = Gbit/s). *)
-let rate_outside samples windows =
-  let bytes, ns =
-    List.fold_left
-      (fun (bytes, ns) (a, b, d) ->
-        if overlaps (a, b) windows then (bytes, ns)
-        else (bytes + d, ns +. (b -. a)))
-      (0, 0.) samples
-  in
-  if ns <= 0. then 0. else float_of_int (bytes * 8) /. ns
-
-(* Drive [built] through warmup + duration, sampling every flow's byte
-   delta each [sample_every]. [after_warmup] arms the chaos engine;
-   [on_tick] sees each sample (the recovery watchers). Returns the
-   per-flow samples in chronological order. *)
-let drive built profile ~after_warmup ~on_tick =
-  let engine = built.Scenarios.engine in
-  let samples =
-    List.map (fun f -> (f.Scenarios.label, ref [])) built.Scenarios.flows
-  in
-  let t0 = profile.warmup in
-  let t_end = Time.add t0 profile.duration in
-  ignore
-    (Engine.schedule_at_l engine ~at:t0 ~label:k_arm (fun () ->
-         List.iter
-           (fun f -> ignore (f.Scenarios.take_bytes ()))
-           built.Scenarios.flows;
-         after_warmup ()));
-  let rec tick prev () =
-    let now = Engine.now engine in
-    let now_ns = Time.to_float_ns now and prev_ns = Time.to_float_ns prev in
-    let deltas =
-      List.map
-        (fun f -> (f.Scenarios.label, f.Scenarios.take_bytes ()))
-        built.Scenarios.flows
-    in
-    List.iter
-      (fun (l, d) ->
-        match List.assoc_opt l samples with
-        | Some r -> r := (prev_ns, now_ns, d) :: !r
-        | None -> ())
-      deltas;
-    on_tick ~now_ns deltas;
-    if Time.(now < t_end) then
-      ignore (Engine.schedule_l engine ~delay:profile.sample_every ~label:k_tick (tick now))
-  in
-  ignore
-    (Engine.schedule_at_l engine ~at:(Time.add t0 profile.sample_every)
-       ~label:k_tick (tick t0));
-  Engine.run ~until:t_end engine;
-  built.Scenarios.stop ();
-  List.map (fun (l, r) -> (l, List.rev !r)) samples
-
-(* ------------------------------------------------------------------ *)
 (* Injected capability faults                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [ci_arm victim] makes the victim cVM's next supervised entry raise a
-   capability fault (through the scenario's [app_hook], i.e. inside the
-   compartment). The supervisor's transition hook closes the ledger:
-   Restarting->Running resolves the open injections as recovered with
-   the trap-to-recovery time; Dead attributes them to the supervisor's
-   permanent-quarantine verdict. *)
 type cap_injector = {
   ci_hook : Capvm.Cvm.t -> unit;
   ci_arm : string -> unit;
@@ -192,10 +104,11 @@ let cap_injector ch =
     | Sup.Restarting, Sup.Running ->
       let now = now_ns () in
       resolve cvm (fun (id, at) ->
-          Ch.resolve_recovered ch id ~ttr_ns:(now -. at))
+          Ch.resolve ch id (V.Recovered { ttr_ns = now -. at }))
     | _, Sup.Dead ->
       resolve cvm (fun (id, _) ->
-          Ch.resolve_attributed ch id ~stage:"supervisor" ~reason:"quarantined")
+          Ch.resolve ch id
+            (V.Caught { stage = "supervisor"; reason = "quarantined" }))
     | _ -> ()
   in
   {
@@ -204,15 +117,6 @@ let cap_injector ch =
     ci_on_transition = on_transition;
     ci_set_engine = (fun e -> engine_ref := Some e);
   }
-
-let get_sup sup_ref =
-  match !sup_ref with
-  | Some s -> s
-  | None -> invalid_arg "chaos: builder did not instantiate the supervisor"
-
-let frac profile f =
-  Time.add profile.warmup
-    (Time.of_float_ns (f *. Time.to_float_ns profile.duration))
 
 (* Did the victim still move bytes in the last few sample windows?
    (End-to-end health check gating the bulk dup/reorder resolution.) *)
@@ -233,26 +137,20 @@ let phase_a ch profile ~seed ~blackbox_dir =
   let topo_seed = Int64.add seed 1L in
   let direction = Scenarios.Dut_receives in
   let victim = "cVM1" and sibling = "cVM2" in
-  (* Undisturbed twin: same topology seeds, chaos idle. *)
-  let ub = Scenarios.build_dual_port ~seed:topo_seed ~direction () in
-  let ref_samples =
-    drive ub profile ~after_warmup:(fun () -> ()) ~on_tick:(fun ~now_ns:_ _ -> ())
+  let w = profile.window and sample_every = profile.sample_every in
+  let twin =
+    Br.twin labels w ~sample_every (fun () ->
+        Scenarios.build_dual_port ~seed:topo_seed ~direction ())
   in
-  Ft.clear Ft.default;
   let ci = cap_injector ch in
-  let sup_ref = ref None in
-  let supervise engine =
-    let sup = Sup.create engine ~seed:(Int64.add seed 101L) () in
-    sup_ref := Some sup;
-    sup
-  in
+  let supervise, sup_ref = Br.supervisor ~seed:(Int64.add seed 101L) () in
   let built =
     Scenarios.build_dual_port ~seed:topo_seed ~supervise ~app_hook:ci.ci_hook
       ~direction ()
   in
   let engine = built.Scenarios.engine in
   ci.ci_set_engine engine;
-  let sup = get_sup sup_ref in
+  let sup = Br.get_sup sup_ref in
   Sup.set_on_transition sup (Some ci.ci_on_transition);
   Sup.set_blackbox_dir sup blackbox_dir;
   (* Wire chaos on the victim's link only; port 1 is the control. *)
@@ -275,7 +173,8 @@ let phase_a ch profile ~seed ~blackbox_dir =
          if Ch.armed ch && Ch.draw ch ~p:4e-4 then begin
            let at_ns = Time.to_float_ns (Engine.now engine) in
            let id = Ch.inject ch Ch.Dma_desc_error ~at_ns ~target:"morello/port0" in
-           Ch.resolve_attributed ch id ~stage:"rx_dma" ~reason:"dma_error";
+           Ch.resolve ch id
+             (V.Caught { stage = "rx_dma"; reason = "dma_error" });
            true
          end
          else false));
@@ -284,7 +183,7 @@ let phase_a ch profile ~seed ~blackbox_dir =
   let pool = (List.hd built.Scenarios.dut_netifs).Topology.pool in
   let stolen = ref [] in
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.30) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.30) ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          flap := Some (Ch.inject ch Ch.Link_flap ~at_ns ~target:"link0", at_ns);
          Nic.Link.set_up link0 false;
@@ -292,7 +191,7 @@ let phase_a ch profile ~seed ~blackbox_dir =
            (Engine.schedule_l engine ~delay:profile.flap_down ~label:k_inject (fun () ->
                 Nic.Link.set_up link0 true))));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.55) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.55) ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =
            Ch.inject ch Ch.Mbuf_exhaust ~at_ns
@@ -313,13 +212,13 @@ let phase_a ch profile ~seed ~blackbox_dir =
                 (* Only now can the watcher call it recovered. *)
                 mbuf := Some (id, at_ns)))));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.18) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.18) ~label:k_inject (fun () ->
          ci.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.45) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.45) ~label:k_inject (fun () ->
          ci.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.80) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.80) ~label:k_inject (fun () ->
          Ch.set_armed ch false));
   (* Flap and exhaustion count as recovered when the victim moves
      application bytes again after the outage ends. *)
@@ -330,33 +229,41 @@ let phase_a ch profile ~seed ~blackbox_dir =
     if vdelta > 0 then begin
       (match !flap with
       | Some (id, at) when Nic.Link.up link0 ->
-        Ch.resolve_recovered ch id ~ttr_ns:(now_ns -. at);
+        Ch.resolve ch id (V.Recovered { ttr_ns = now_ns -. at });
         flap := None
       | _ -> ());
       match !mbuf with
       | Some (id, at) ->
-        Ch.resolve_recovered ch id ~ttr_ns:(now_ns -. at);
+        Ch.resolve ch id (V.Recovered { ttr_ns = now_ns -. at });
         mbuf := None
       | None -> ()
     end
   in
   let samples =
-    drive built profile ~after_warmup:(fun () -> Ch.set_armed ch true) ~on_tick
+    Br.drive labels w ~sample_every ~on_tick
+      ~after_warmup:(fun () -> Ch.set_armed ch true)
+      built
   in
   Ch.set_armed ch false;
   Nic.Igb.set_rx_fault p0 None;
   Nic.Link.set_tamper link0 None;
   Ch.set_rates ch Ch.zero_rates;
+  let phase =
+    Br.measure
+      ~title:"phase A: scenario 1 dual-port, wire+NIC+cVM chaos on port 0"
+      ~victim ~sibling
+      ~windows:
+        (Sup.quarantine_windows sup ~cvm:(List.hd built.Scenarios.app_cvms))
+      ~samples ~twin
+  in
   (* Attribution reconciliation against the detectors' own counters. *)
   let crc_observed =
     let s0 = Nic.Igb.stats (Topology.port built.Scenarios.dut 0) in
     let s1 = Nic.Igb.stats (Topology.port built.Scenarios.peer 0) in
     s0.Nic.Port_stats.rx_crc_errors + s1.Nic.Port_stats.rx_crc_errors
   in
-  ignore
-    (Ch.reconcile_attributed ch Ch.Wire_bit_flip ~observed:crc_observed
-       ~stage:"rx_dma" ~reason:"fcs_error");
-  let drops = Ft.drop_table Ft.default in
+  Ch.resolve_pending ch ~limit:crc_observed Ch.Wire_bit_flip
+    (V.Caught { stage = "rx_dma"; reason = "fcs_error" });
   let csum_observed =
     List.fold_left
       (fun acc ((_, r), n) ->
@@ -368,32 +275,17 @@ let phase_a ch profile ~seed ~blackbox_dir =
         | Ft.Frag_unsupported ->
           acc + n
         | _ -> acc)
-      0 drops
+      0 phase.Br.drops
   in
-  ignore
-    (Ch.reconcile_attributed ch Ch.Dma_bit_flip ~observed:csum_observed
-       ~stage:"ip_rx" ~reason:"bad_checksum");
+  Ch.resolve_pending ch ~limit:csum_observed Ch.Dma_bit_flip
+    (V.Caught { stage = "ip_rx"; reason = "bad_checksum" });
   (* Dups and reorders are absorbed by TCP sequencing; once end-to-end
      health is verified they are recovered with no measurable TTR. *)
   if tail_healthy samples victim then begin
-    ignore (Ch.resolve_pending ch Ch.Frame_dup (Ch.Recovered { ttr_ns = 0. }));
-    ignore
-      (Ch.resolve_pending ch Ch.Frame_reorder (Ch.Recovered { ttr_ns = 0. }))
+    Ch.resolve_pending ch Ch.Frame_dup (V.Recovered { ttr_ns = 0. });
+    Ch.resolve_pending ch Ch.Frame_reorder (V.Recovered { ttr_ns = 0. })
   end;
-  let windows =
-    Sup.quarantine_windows sup ~cvm:(List.hd built.Scenarios.app_cvms)
-  in
-  let rate l ss = rate_outside (List.assoc l ss) windows in
-  {
-    ph_title = "phase A: scenario 1 dual-port, wire+NIC+cVM chaos on port 0";
-    ph_victim = victim;
-    ph_sibling = sibling;
-    ph_drops = drops;
-    ph_sibling_rate = rate sibling samples;
-    ph_sibling_ref = rate sibling ref_samples;
-    ph_victim_rate = rate victim samples;
-    ph_victim_ref = rate victim ref_samples;
-  }
+  phase
 
 (* ------------------------------------------------------------------ *)
 (* Phase B: Scenario 2 contended, victim cVM3                          *)
@@ -403,6 +295,7 @@ let phase_b ch profile ~seed ~blackbox_dir =
   let topo_seed = Int64.add seed 2L in
   let direction = Scenarios.Dut_sends in
   let victim = "cVM3" and sibling = "cVM2" in
+  let w = profile.window and sample_every = profile.sample_every in
   (* FIFO lock hand-off: under the default barging policy the throttled
      cVM3 can be starved of the mutex for tens of milliseconds (the
      paper's Table II unfairness), which would push the injected fault
@@ -411,31 +304,15 @@ let phase_b ch profile ~seed ~blackbox_dir =
     Scenarios.build_scenario2 ~seed:topo_seed ~contended:true
       ~lock_policy:Capvm.Umtx.Fifo ?supervise ?app_hook ~direction ()
   in
-  let ub = build () in
-  let ref_samples =
-    drive ub profile ~after_warmup:(fun () -> ()) ~on_tick:(fun ~now_ns:_ _ -> ())
-  in
-  Ft.clear Ft.default;
+  let twin = Br.twin labels w ~sample_every build in
   let ci = cap_injector ch in
-  let sup_ref = ref None in
-  let supervise engine =
-    (* Budget 1: the first fault restarts cVM3, the second permanently
-       quarantines it — both paths must leave the shared mutex free. *)
-    let sup =
-      Sup.create engine ~seed:(Int64.add seed 102L)
-        ~policy:
-          (Sup.Restart
-             { budget = 1; backoff_base = Time.us 50; backoff_max = Time.ms 2;
-               jitter_pct = 0.1 })
-        ()
-    in
-    sup_ref := Some sup;
-    sup
+  let supervise, sup_ref =
+    Br.supervisor ~policy:Br.restart_once ~seed:(Int64.add seed 102L) ()
   in
   let built = build ~supervise ~app_hook:ci.ci_hook () in
   let engine = built.Scenarios.engine in
   ci.ci_set_engine engine;
-  let sup = get_sup sup_ref in
+  let sup = Br.get_sup sup_ref in
   Sup.set_on_transition sup (Some ci.ci_on_transition);
   Sup.set_blackbox_dir sup blackbox_dir;
   let victim_cvm = List.nth built.Scenarios.app_cvms 1 in
@@ -463,48 +340,40 @@ let phase_b ch profile ~seed ~blackbox_dir =
          note_recovery =
            (fun ~retries:_ ~backoff_ns ->
              List.iter
-               (fun id -> Ch.resolve_recovered ch id ~ttr_ns:backoff_ns)
+               (fun id ->
+                 Ch.resolve ch id (V.Recovered { ttr_ns = backoff_ns }))
                !eintr_open;
              eintr_open := []);
        });
-  let t_end = Time.add profile.warmup profile.duration in
+  let t_end = Time.add w.warmup w.duration in
   let rec heartbeat () =
     if Ch.armed ch && Sup.state sup ~cvm:victim_cvm = Sup.Running then
       ignore (Capvm.Musl_shim.clock_gettime shim);
     if Time.(Engine.now engine < t_end) then
       ignore (Engine.schedule_l engine ~delay:profile.eintr_every ~label:k_heartbeat heartbeat)
   in
-  ignore (Engine.schedule_at_l engine ~at:profile.warmup ~label:k_heartbeat heartbeat);
+  ignore (Engine.schedule_at_l engine ~at:w.warmup ~label:k_heartbeat heartbeat);
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.25) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.25) ~label:k_inject (fun () ->
          ci.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.60) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.60) ~label:k_inject (fun () ->
          ci.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.80) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Br.frac w 0.80) ~label:k_inject (fun () ->
          Ch.set_armed ch false));
   let samples =
-    drive built profile
+    Br.drive labels w ~sample_every
       ~after_warmup:(fun () -> Ch.set_armed ch true)
-      ~on_tick:(fun ~now_ns:_ _ -> ())
+      built
   in
   Ch.set_armed ch false;
   Capvm.Musl_shim.set_transient shim None;
-  let drops = Ft.drop_table Ft.default in
-  let windows = Sup.quarantine_windows sup ~cvm:victim_cvm in
-  let rate l ss = rate_outside (List.assoc l ss) windows in
-  {
-    ph_title =
-      "phase B: scenario 2 contended, cap faults under the shared mutex";
-    ph_victim = victim;
-    ph_sibling = sibling;
-    ph_drops = drops;
-    ph_sibling_rate = rate sibling samples;
-    ph_sibling_ref = rate sibling ref_samples;
-    ph_victim_rate = rate victim samples;
-    ph_victim_ref = rate victim ref_samples;
-  }
+  Br.measure
+    ~title:"phase B: scenario 2 contended, cap faults under the shared mutex"
+    ~victim ~sibling
+    ~windows:(Sup.quarantine_windows sup ~cvm:victim_cvm)
+    ~samples ~twin
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -515,8 +384,16 @@ let fmt_ns ns =
   else if ns >= 1e3 then Printf.sprintf "%.2fus" (ns /. 1e3)
   else Printf.sprintf "%.0fns" ns
 
-let ttr_line b ch kind =
-  match List.sort compare (Ch.ttrs ch kind) with
+let ttr_line b ledger kind =
+  let ttrs =
+    List.filter_map
+      (fun e ->
+        match e.V.outcome with
+        | V.Recovered { ttr_ns } when e.V.kind = kind -> Some ttr_ns
+        | _ -> None)
+      (V.entries ledger)
+  in
+  match List.sort compare ttrs with
   | [] -> ()
   | sorted ->
     let n = List.length sorted in
@@ -526,54 +403,31 @@ let ttr_line b ch kind =
       (fmt_ns (nth (n / 2)))
       (fmt_ns (nth (n - 1)))
 
-let ratio rate ref_ = if ref_ <= 0. then 1. else rate /. ref_
-
-let sibling_ok p = ratio p.ph_sibling_rate p.ph_sibling_ref >= 0.9
-
 let phase_section b p =
-  Printf.bprintf b "-- %s --\n" p.ph_title;
-  if p.ph_drops = [] then Printf.bprintf b "  drop table: (empty)\n"
-  else begin
-    Printf.bprintf b "  drop table (stage/reason -> frames):\n";
-    List.iter
-      (fun ((st, r), n) ->
-        Printf.bprintf b "    %-10s %-16s %6d\n" (Ft.stage_name st)
-          (Ft.reason_name r) n)
-      p.ph_drops
-  end;
-  Printf.bprintf b
-    "  sibling %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f) [%s]\n"
-    p.ph_sibling p.ph_sibling_rate p.ph_sibling_ref
-    (ratio p.ph_sibling_rate p.ph_sibling_ref)
-    (if sibling_ok p then "ok" else "FAIL");
-  Printf.bprintf b
-    "  victim  %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f)\n"
-    p.ph_victim p.ph_victim_rate p.ph_victim_ref
-    (ratio p.ph_victim_rate p.ph_victim_ref)
+  Printf.bprintf b "-- %s --\n" p.Br.title;
+  Br.drop_lines b p;
+  Br.goodput_lines b p
 
 let run ?(profile = quick) ?blackbox_dir ~seed () =
-  let ft_was = Ft.enabled Ft.default in
-  Ft.set_enabled Ft.default true;
-  Ft.clear Ft.default;
   let ch = Ch.create ~seed in
-  let pa = phase_a ch profile ~seed ~blackbox_dir in
-  let pb = phase_b ch profile ~seed ~blackbox_dir in
-  Ft.clear Ft.default;
-  Ft.set_enabled Ft.default ft_was;
-  let counts = Ch.counts ch in
-  let injected, recovered, attributed, pending =
-    List.fold_left
-      (fun (i, r, a, p) (_, t) ->
-        ( i + t.Ch.t_injected,
-          r + t.Ch.t_recovered,
-          a + t.Ch.t_attributed,
-          p + t.Ch.t_pending ))
-      (0, 0, 0, 0) counts
+  let phases =
+    Br.with_flowtrace (fun () ->
+        let pa = phase_a ch profile ~seed ~blackbox_dir in
+        let pb = phase_b ch profile ~seed ~blackbox_dir in
+        [ pa; pb ])
   in
-  let phases = [ pa; pb ] in
-  let pass = pending = 0 && injected > 0 && List.for_all sibling_ok phases in
+  let ledger = Ch.ledger ch in
+  let counts =
+    List.filter_map
+      (fun k ->
+        let t = V.tally ~kind:k ledger in
+        if t.V.total = 0 then None else Some (k, t))
+      Ch.all_kinds
+  in
+  let { V.total = injected; recovered; caught = attributed; pending; _ } =
+    V.tally ledger
+  in
+  let pass = pending = 0 && injected > 0 && List.for_all Br.sibling_ok phases in
   let b = Buffer.create 4096 in
   Printf.bprintf b "=== chaos blast-radius report (seed %Ld) ===\n" seed;
   Printf.bprintf b "-- fault ledger --\n";
@@ -582,10 +436,10 @@ let run ?(profile = quick) ?blackbox_dir ~seed () =
   List.iter
     (fun (k, t) ->
       Printf.bprintf b "  %-16s %9d %9d %10d %8d\n" (Ch.kind_name k)
-        t.Ch.t_injected t.Ch.t_recovered t.Ch.t_attributed t.Ch.t_pending)
+        t.V.total t.V.recovered t.V.caught t.V.pending)
     counts;
   Printf.bprintf b "-- time to recovery --\n";
-  List.iter (ttr_line b ch) Ch.all_kinds;
+  List.iter (ttr_line b ledger) Ch.all_kinds;
   List.iter (phase_section b) phases;
   Printf.bprintf b "fault attribution: %.1f%% (%d/%d)\n"
     (if injected = 0 then 0.

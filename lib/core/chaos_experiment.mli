@@ -16,19 +16,19 @@
       syscall failures through the Musl shim; cVM2 is the sibling whose
       goodput must survive.
 
-    Every injected fault is tracked in a {!Dsim.Chaos} ledger and must
-    end the run [Recovered] (TTR recorded) or [Attributed] (to a typed
-    {!Dsim.Flowtrace} drop, a hardware counter, or a supervisor
-    verdict). The report fails on any pending entry, on attribution
-    below 100%, or on sibling goodput (outside the victim's quarantine
-    windows) below 90% of the undisturbed twin.
+    Every injected fault is an entry in the {!Dsim.Chaos} engine's
+    {!Dsim.Verdict} ledger and must end the run [Recovered] (TTR
+    recorded) or [Caught] (attributed to a typed {!Dsim.Flowtrace}
+    drop, a hardware counter, or a supervisor verdict). The report
+    fails on any pending entry, on attribution below 100%, or on
+    sibling goodput (outside the victim's quarantine windows) below
+    90% of the undisturbed twin.
 
     All randomness comes from the one seed; two runs with the same seed
     and profile produce byte-identical reports. *)
 
 type profile = {
-  warmup : Dsim.Time.t;
-  duration : Dsim.Time.t;  (** Measured (and injected-into) window. *)
+  window : Blast_radius.window;  (** Injections land in the measured window. *)
   sample_every : Dsim.Time.t;  (** Goodput sample period. *)
   flap_down : Dsim.Time.t;  (** Link-flap outage length. *)
   mbuf_window : Dsim.Time.t;  (** Pool-exhaustion window length. *)
@@ -40,29 +40,36 @@ val quick : profile
 
 val full : profile
 
-type phase = {
-  ph_title : string;
-  ph_victim : string;
-  ph_sibling : string;
-  ph_drops : ((Dsim.Flowtrace.stage * Dsim.Flowtrace.reason) * int) list;
-      (** The phase's typed drop table (attribution evidence). *)
-  ph_sibling_rate : float;  (** Gbit/s outside quarantine windows. *)
-  ph_sibling_ref : float;  (** Undisturbed twin, same windows. *)
-  ph_victim_rate : float;
-  ph_victim_ref : float;
-}
-
 type report = {
   seed : int64;
   injected : int;
   recovered : int;
-  attributed : int;
+  attributed : int;  (** [Caught] entries. *)
   pending : int;  (** Must be 0 for [pass]. *)
-  counts : (Dsim.Chaos.kind * Dsim.Chaos.tally) list;
-  phases : phase list;
+  counts : (Dsim.Chaos.kind * Dsim.Verdict.tally) list;
+      (** Kinds never injected are omitted. *)
+  phases : Blast_radius.phase list;
   pass : bool;
   text : string;  (** Deterministic rendering of everything above. *)
 }
+
+(** Capability faults injected inside a compartment: [ci_arm cvm]
+    makes that cVM's next supervised entry raise a capability fault
+    through the scenario's [app_hook] ([ci_hook]), recorded as a
+    [Cap_fault] chaos injection. [ci_on_transition], installed as the
+    supervisor's transition hook, resolves it: recovered with the
+    trap-to-recovery time on [Restarting -> Running], caught as
+    [supervisor/quarantined] on [Dead]. [ci_set_engine] supplies the
+    clock once the scenario is built. *)
+type cap_injector = {
+  ci_hook : Capvm.Cvm.t -> unit;
+  ci_arm : string -> unit;
+  ci_on_transition :
+    cvm:string -> old_state:Capvm.Supervisor.state -> Capvm.Supervisor.state -> unit;
+  ci_set_engine : Dsim.Engine.t -> unit;
+}
+
+val cap_injector : Dsim.Chaos.t -> cap_injector
 
 val run : ?profile:profile -> ?blackbox_dir:string -> seed:int64 -> unit -> report
 (** [blackbox_dir] arms the supervisors' crash black box: every

@@ -35,25 +35,6 @@ type frame_action =
   | Dup_frame
   | Hold_frame of { extra_ns : float }
 
-type outcome =
-  | Pending
-  | Recovered of { ttr_ns : float }
-  | Attributed of { stage : string; reason : string }
-
-let outcome_label = function
-  | Pending -> "PENDING"
-  | Recovered { ttr_ns } -> Printf.sprintf "recovered (ttr=%.0fns)" ttr_ns
-  | Attributed { stage; reason } ->
-    Printf.sprintf "attributed (%s/%s)" stage reason
-
-type injection = {
-  id : int;
-  kind : kind;
-  at_ns : float;
-  target : string;
-  mutable outcome : outcome;
-}
-
 type rates = {
   wire_flip : float;
   dma_flip : float;
@@ -66,13 +47,10 @@ let zero_rates =
   { wire_flip = 0.; dma_flip = 0.; drop = 0.; dup = 0.; reorder = 0. }
 
 type t = {
-  seed : int64;
   rng : Rng.t;
   mutable rates : rates;
   mutable armed : bool;
-  mutable next_id : int;
-  mutable inj_rev : injection list;
-  by_id : (int, injection) Hashtbl.t;
+  ledger : kind Verdict.t;
   ttr_metric : kind -> Metrics.histogram;
 }
 
@@ -87,28 +65,20 @@ let create ~seed =
      the zero-valued series (same discipline as Cheri.Fault). *)
   List.iter (fun k -> ignore (ttr_metric k)) all_kinds;
   {
-    seed;
     rng = Rng.create ~seed;
     rates = zero_rates;
     armed = false;
-    next_id = 1;
-    inj_rev = [];
-    by_id = Hashtbl.create 64;
+    ledger = Verdict.create ();
     ttr_metric;
   }
 
-let seed t = t.seed
 let set_rates t r = t.rates <- r
-let rates t = t.rates
 let set_armed t b = t.armed <- b
 let armed t = t.armed
+let ledger t = t.ledger
 
 let inject t kind ~at_ns ~target =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let inj = { id; kind; at_ns; target; outcome = Pending } in
-  t.inj_rev <- inj :: t.inj_rev;
-  Hashtbl.replace t.by_id id inj;
+  let id = Verdict.record t.ledger kind ~name:(kind_name kind) ~at_ns ~target in
   (* Mirror into the audit ledger: an audit report over a chaos run can
      cross-reference injected capability faults against audited
      hardware faults by cVM and kind. *)
@@ -116,21 +86,21 @@ let inject t kind ~at_ns ~target =
   Journal.note_chaos ~kind:(kind_name kind) ~id ~at_ns ~target;
   id
 
-let find_exn t id =
-  match Hashtbl.find_opt t.by_id id with
-  | Some inj -> inj
-  | None -> invalid_arg (Printf.sprintf "Chaos: unknown injection id %d" id)
+let resolve t id outcome =
+  match Verdict.find t.ledger id with
+  | Some e when e.Verdict.outcome = Verdict.Pending -> (
+    Verdict.resolve t.ledger id outcome;
+    match outcome with
+    | Verdict.Recovered { ttr_ns } ->
+      Metrics.observe (t.ttr_metric e.Verdict.kind) ttr_ns
+    | _ -> ())
+  | Some _ | None -> ()
 
-let resolve_recovered t id ~ttr_ns =
-  let inj = find_exn t id in
-  if inj.outcome = Pending then begin
-    inj.outcome <- Recovered { ttr_ns };
-    Metrics.observe (t.ttr_metric inj.kind) ttr_ns
-  end
-
-let resolve_attributed t id ~stage ~reason =
-  let inj = find_exn t id in
-  if inj.outcome = Pending then inj.outcome <- Attributed { stage; reason }
+let resolve_pending t ?(limit = max_int) kind outcome =
+  List.filter
+    (fun e -> e.Verdict.kind = kind && e.Verdict.outcome = Verdict.Pending)
+    (Verdict.entries t.ledger)
+  |> List.iteri (fun i e -> if i < limit then resolve t e.Verdict.id outcome)
 
 (* Generic Bernoulli draw for non-frame opportunities (EINTR etc.). *)
 let draw t ~p = p > 0. && Rng.float t.rng 1.0 < p
@@ -163,7 +133,8 @@ let frame_opportunity t ~at_ns ~ipv4 ~len ~target =
       let id = inject t Frame_drop ~at_ns ~target in
       (* The link drops it on the spot and records the typed drop; the
          attribution is by construction. *)
-      resolve_attributed t id ~stage:"wire" ~reason:"chaos_injected";
+      resolve t id
+        (Verdict.Caught { stage = "wire"; reason = "chaos_injected" });
       Drop_frame
     end
     else if u < c2 then begin
@@ -197,109 +168,3 @@ let frame_opportunity t ~at_ns ~ipv4 ~len ~target =
       end
     else Pass
   end
-
-(* End-of-run accounting: match [observed] detector hits (FCS errors,
-   checksum drops, ...) against the oldest pending injections of [kind].
-   Returns how many were marked; a shortfall leaves Pending entries that
-   fail the blast-radius report. *)
-let reconcile_attributed t kind ~observed ~stage ~reason =
-  let marked = ref 0 in
-  List.iter
-    (fun inj ->
-      if !marked < observed && inj.kind = kind && inj.outcome = Pending then begin
-        inj.outcome <- Attributed { stage; reason };
-        incr marked
-      end)
-    (List.rev t.inj_rev);
-  !marked
-
-let resolve_pending t kind outcome =
-  let marked = ref 0 in
-  List.iter
-    (fun inj ->
-      if inj.kind = kind && inj.outcome = Pending then begin
-        (match outcome with
-        | Recovered { ttr_ns } ->
-          inj.outcome <- outcome;
-          Metrics.observe (t.ttr_metric kind) ttr_ns
-        | _ -> inj.outcome <- outcome);
-        incr marked
-      end)
-    t.inj_rev;
-  !marked
-
-let injections t = List.rev t.inj_rev
-let injected_count t = List.length t.inj_rev
-
-let pending_count t =
-  List.fold_left
-    (fun n inj -> if inj.outcome = Pending then n + 1 else n)
-    0 t.inj_rev
-
-type tally = {
-  t_injected : int;
-  t_recovered : int;
-  t_attributed : int;
-  t_pending : int;
-}
-
-let counts t =
-  List.filter_map
-    (fun kind ->
-      let tally =
-        List.fold_left
-          (fun acc inj ->
-            if inj.kind <> kind then acc
-            else
-              match inj.outcome with
-              | Pending ->
-                { acc with t_injected = acc.t_injected + 1;
-                           t_pending = acc.t_pending + 1 }
-              | Recovered _ ->
-                { acc with t_injected = acc.t_injected + 1;
-                           t_recovered = acc.t_recovered + 1 }
-              | Attributed _ ->
-                { acc with t_injected = acc.t_injected + 1;
-                           t_attributed = acc.t_attributed + 1 })
-          { t_injected = 0; t_recovered = 0; t_attributed = 0; t_pending = 0 }
-          t.inj_rev
-      in
-      if tally.t_injected = 0 then None else Some (kind, tally))
-    all_kinds
-
-let ttrs t kind =
-  List.filter_map
-    (fun inj ->
-      match inj.outcome with
-      | Recovered { ttr_ns } when inj.kind = kind -> Some ttr_ns
-      | _ -> None)
-    (List.rev t.inj_rev)
-
-let to_json t =
-  let inj_json inj =
-    Json.Obj
-      [
-        ("id", Json.Int inj.id);
-        ("kind", Json.String (kind_name inj.kind));
-        ("at_ns", Json.Float inj.at_ns);
-        ("target", Json.String inj.target);
-        ( "outcome",
-          match inj.outcome with
-          | Pending -> Json.String "pending"
-          | Recovered { ttr_ns } ->
-            Json.Obj [ ("recovered_ttr_ns", Json.Float ttr_ns) ]
-          | Attributed { stage; reason } ->
-            Json.Obj
-              [
-                ("attributed_stage", Json.String stage);
-                ("attributed_reason", Json.String reason);
-              ] );
-      ]
-  in
-  Json.Obj
-    [
-      ("seed", Json.String (Int64.to_string t.seed));
-      ("injected", Json.Int (injected_count t));
-      ("pending", Json.Int (pending_count t));
-      ("injections", Json.List (List.map inj_json (injections t)));
-    ]

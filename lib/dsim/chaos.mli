@@ -7,12 +7,12 @@
     Musl shim and supervisor inject their faults through closures built
     by the experiment harness and account them here via {!inject}.
 
-    Every injected fault is a ledger entry that must end the run either
-    [Recovered] (with its time-to-recovery, also observed into the
-    [chaos_ttr_ns] metric histogram) or [Attributed] (to a typed
-    {!Flowtrace} drop or a supervisor verdict).  Anything left [Pending]
-    fails the blast-radius report — the ledger is the proof obligation,
-    not just a log.
+    Every injected fault is an entry in a {!Verdict} ledger that must
+    end the run [Recovered] (with its time-to-recovery, also observed
+    into the [chaos_ttr_ns] metric histogram) or [Caught] (attributed
+    to a typed {!Flowtrace} drop or a supervisor verdict). Anything
+    left [Pending] fails the blast-radius report — the ledger is the
+    proof obligation, not just a log.
 
     All randomness comes from one {!Rng} seeded at {!create}, and every
     decision point is reached in deterministic event order, so two runs
@@ -47,21 +47,6 @@ type frame_action =
   | Dup_frame
   | Hold_frame of { extra_ns : float }  (** Reorder by delaying delivery. *)
 
-type outcome =
-  | Pending
-  | Recovered of { ttr_ns : float }
-  | Attributed of { stage : string; reason : string }
-
-val outcome_label : outcome -> string
-
-type injection = {
-  id : int;
-  kind : kind;
-  at_ns : float;
-  target : string;
-  mutable outcome : outcome;
-}
-
 (** Per-frame probabilities for the wire-level mechanisms. *)
 type rates = {
   wire_flip : float;
@@ -73,9 +58,7 @@ type rates = {
 
 val zero_rates : rates
 val create : seed:int64 -> t
-val seed : t -> int64
 val set_rates : t -> rates -> unit
-val rates : t -> rates
 
 val set_armed : t -> bool -> unit
 (** Frame-level injection only happens while armed (lets the harness
@@ -83,11 +66,21 @@ val set_armed : t -> bool -> unit
 
 val armed : t -> bool
 
-val inject : t -> kind -> at_ns:float -> target:string -> int
-(** Record an injection; returns its ledger id. *)
+val ledger : t -> kind Verdict.t
+(** Every injection, named by its {!kind_name}. *)
 
-val resolve_recovered : t -> int -> ttr_ns:float -> unit
-val resolve_attributed : t -> int -> stage:string -> reason:string -> unit
+val inject : t -> kind -> at_ns:float -> target:string -> int
+(** Record an injection (also noted in the journal and the audit
+    ledger); returns its ledger id. *)
+
+val resolve : t -> int -> Verdict.outcome -> unit
+(** {!Verdict.resolve}, observing a [Recovered] TTR into
+    [chaos_ttr_ns]. *)
+
+val resolve_pending : t -> ?limit:int -> kind -> Verdict.outcome -> unit
+(** Resolve the oldest pending injections of [kind], at most [limit] of
+    them (default: all) — e.g. matching detector hits against flips,
+    or dup/reorder once end-to-end health is verified. *)
 
 val draw : t -> p:float -> bool
 (** One Bernoulli draw (non-frame opportunities: EINTR, DMA errors). *)
@@ -101,32 +94,3 @@ val frame_opportunity :
     flips are only aimed at IPv4 frames (payload bytes past the
     version/IHL octet) so a transport/IP checksum is always the
     detector; anything else downgrades to a wire flip caught by FCS. *)
-
-val reconcile_attributed :
-  t -> kind -> observed:int -> stage:string -> reason:string -> int
-(** Match [observed] detector hits against the oldest pending
-    injections of [kind]; returns how many were marked. *)
-
-val resolve_pending : t -> kind -> outcome -> int
-(** Bulk-resolve every pending injection of [kind] (e.g. dup/reorder
-    once end-to-end health is verified). *)
-
-val injections : t -> injection list
-(** Chronological. *)
-
-val injected_count : t -> int
-val pending_count : t -> int
-
-type tally = {
-  t_injected : int;
-  t_recovered : int;
-  t_attributed : int;
-  t_pending : int;
-}
-
-val counts : t -> (kind * tally) list
-(** Per-kind tallies in {!all_kinds} order, kinds never injected
-    omitted. *)
-
-val ttrs : t -> kind -> float list
-val to_json : t -> Json.t

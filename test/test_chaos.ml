@@ -31,8 +31,10 @@ let lottery seed =
     in
     actions := a :: !actions
   done;
-  (!actions, List.map (fun (i : Dsim.Chaos.injection) -> (i.kind, i.at_ns))
-               (Dsim.Chaos.injections ch))
+  ( !actions,
+    List.map
+      (fun (e : Dsim.Chaos.kind Dsim.Verdict.entry) -> (e.kind, e.at_ns))
+      (Dsim.Verdict.entries (Dsim.Chaos.ledger ch)) )
 
 let ledger_determinism () =
   let a1, inj1 = lottery 7L and a2, inj2 = lottery 7L in
@@ -44,23 +46,38 @@ let ledger_determinism () =
     (inj1 <> inj3)
 
 let ledger_resolution () =
-  let ch = Dsim.Chaos.create ~seed:1L in
-  let a = Dsim.Chaos.inject ch Dsim.Chaos.Link_flap ~at_ns:10. ~target:"l" in
-  let b = Dsim.Chaos.inject ch Dsim.Chaos.Cap_fault ~at_ns:20. ~target:"c" in
-  let c = Dsim.Chaos.inject ch Dsim.Chaos.Frame_dup ~at_ns:30. ~target:"l" in
-  ignore c;
-  Alcotest.(check int) "all pending" 3 (Dsim.Chaos.pending_count ch);
-  Dsim.Chaos.resolve_recovered ch a ~ttr_ns:500.;
-  Dsim.Chaos.resolve_attributed ch b ~stage:"supervisor" ~reason:"quarantined";
-  Alcotest.(check int) "one left" 1 (Dsim.Chaos.pending_count ch);
-  let n =
-    Dsim.Chaos.resolve_pending ch Dsim.Chaos.Frame_dup
-      (Dsim.Chaos.Recovered { ttr_ns = 0. })
-  in
-  Alcotest.(check int) "bulk resolve" 1 n;
-  Alcotest.(check int) "ledger clean" 0 (Dsim.Chaos.pending_count ch);
-  Alcotest.(check (list (float 0.))) "ttr recorded" [ 500. ]
-    (Dsim.Chaos.ttrs ch Dsim.Chaos.Link_flap)
+  let module Ch = Dsim.Chaos in
+  let module V = Dsim.Verdict in
+  let ch = Ch.create ~seed:1L in
+  let a = Ch.inject ch Ch.Link_flap ~at_ns:10. ~target:"l" in
+  let b = Ch.inject ch Ch.Cap_fault ~at_ns:20. ~target:"c" in
+  ignore (Ch.inject ch Ch.Frame_dup ~at_ns:30. ~target:"l");
+  let f1 = Ch.inject ch Ch.Wire_bit_flip ~at_ns:40. ~target:"l" in
+  ignore (Ch.inject ch Ch.Wire_bit_flip ~at_ns:50. ~target:"l");
+  let pending () = (V.tally (Ch.ledger ch)).V.pending in
+  Alcotest.(check int) "all pending" 5 (pending ());
+  Ch.resolve ch a (V.Recovered { ttr_ns = 500. });
+  Ch.resolve ch b (V.Caught { stage = "supervisor"; reason = "quarantined" });
+  (* First verdict wins. *)
+  Ch.resolve ch a (V.Caught { stage = "late"; reason = "ignored" });
+  Alcotest.(check int) "three left" 3 (pending ());
+  Ch.resolve_pending ch Ch.Frame_dup (V.Recovered { ttr_ns = 0. });
+  Alcotest.(check int) "bulk resolve" 1
+    (V.tally ~kind:Ch.Frame_dup (Ch.ledger ch)).V.recovered;
+  (* One detector hit marks the oldest pending flip only. *)
+  Ch.resolve_pending ch ~limit:1 Ch.Wire_bit_flip
+    (V.Caught { stage = "rx_dma"; reason = "fcs_error" });
+  (match V.find (Ch.ledger ch) f1 with
+  | Some { V.outcome = V.Caught _; _ } -> ()
+  | _ -> Alcotest.fail "oldest flip not matched first");
+  Alcotest.(check int) "one flip left" 1 (pending ());
+  Ch.resolve_pending ch Ch.Wire_bit_flip
+    (V.Caught { stage = "rx_dma"; reason = "fcs_error" });
+  Alcotest.(check int) "ledger clean" 0 (pending ());
+  match V.find (Ch.ledger ch) a with
+  | Some { V.outcome = V.Recovered { ttr_ns }; _ } ->
+    Alcotest.(check (float 0.)) "ttr recorded" 500. ttr_ns
+  | _ -> Alcotest.fail "first verdict overwritten"
 
 (* ------------------------------------------------------------------ *)
 (* Wire corruption vs the FCS                                          *)
@@ -382,6 +399,7 @@ let blast_radius_quick () =
   let r2 = Core.Chaos_experiment.run ~seed:42L () in
   Alcotest.(check string) "byte-identical report for the same seed"
     r1.Core.Chaos_experiment.text r2.Core.Chaos_experiment.text;
+  Golden_file.check "chaos.seed42.quick.txt" r1.Core.Chaos_experiment.text;
   Alcotest.(check bool) "faults were injected" true
     (r1.Core.Chaos_experiment.injected > 0);
   Alcotest.(check int) "ledger fully resolved" 0
