@@ -81,17 +81,20 @@ perfdiff: profile
 	dune exec bin/netrepro.exe -- perfdiff \
 	  baseline/fig4.profile.json PROFILE_fig4.profile.json --max-regress 10
 
-# Flight-recorder smoke: record a Fig. 4 journal, replay it (every
-# dispatch re-verified against the recording), and jdiff it against
-# itself (must report equivalence). Exercises the full record ->
-# verify -> diff loop end to end.
+# Flight-recorder smoke: record a journal, replay it (every dispatch
+# re-verified against the recording), and jdiff it against itself (must
+# report equivalence). Exercises the full record -> verify -> diff loop
+# end to end on Fig. 4 (Baseline and Scenario 1) and on Fig. 6, whose
+# Scenario 2 runs take the shared umtx and run the app crossing window.
 journal:
-	dune exec bin/netrepro.exe -- fig4 --quick --iterations 300 \
-	  --journal /tmp/netrepro-check.journal.jsonl > /dev/null
-	dune exec bin/netrepro.exe -- replay /tmp/netrepro-check.journal.jsonl
-	dune exec bin/netrepro.exe -- jdiff \
-	  /tmp/netrepro-check.journal.jsonl /tmp/netrepro-check.journal.jsonl
-	@echo "journal: record/replay/jdiff round-trip OK"
+	@for exp in fig4 fig6; do \
+	  j=/tmp/netrepro-check.$$exp.journal.jsonl; \
+	  dune exec bin/netrepro.exe -- $$exp --quick --iterations 300 \
+	    --journal $$j > /dev/null || exit 1; \
+	  dune exec bin/netrepro.exe -- replay $$j || exit 1; \
+	  dune exec bin/netrepro.exe -- jdiff $$j $$j || exit 1; \
+	done
+	@echo "journal: record/replay/jdiff round-trip OK (fig4, fig6)"
 
 # Full gate, and the whole of CI: build, unit/property tests (plus the
 # edgebench --smoke run, and the zero-copy regression gate: the Fig. 4
@@ -105,8 +108,8 @@ journal:
 # (attack) and the fleet observatory (fleet) must each be
 # byte-identical across two runs and pass their gates, the profiled
 # Fig. 4 run must attribute its wall time and hold against the
-# checked-in perf baseline, and a recorded Fig. 4 journal must replay
-# clean and jdiff equivalent against itself.
+# checked-in perf baseline, and recorded Fig. 4 and Fig. 6 journals must
+# replay clean and jdiff equivalent against themselves.
 check:
 	dune build
 	dune runtest

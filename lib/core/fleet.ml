@@ -275,33 +275,26 @@ type tenant = {
   mutable tn_flows : int;
   mutable tn_failed : int;
   mutable tn_bytes : int;
-  mutable tn_tx_frames : int;
+  tn_app : Scenarios.app;  (* the tenant's side of the S2 boundary *)
 }
 
 type fleet = {
-  f_engine : Dsim.Engine.t;
-  f_dut : Topology.node;
-  f_peer : Topology.node;
-  f_stack_cvm : Capvm.Cvm.t;
-  f_dnif : Topology.netif;
-  f_pnif : Topology.netif;
-  f_mutex : Capvm.Umtx.t;
+  f_sh : Scenarios.shared;
   f_tenants : tenant array;
   f_obs : Dsim.Tenancy.t;
   f_fct : Dsim.Stats.t;  (* fleet-wide FCT buffer for the p99.9 gate *)
-  f_running : bool ref;
   mutable f_socks_peak : int;
 }
+
+let topo f = f.f_sh.Scenarios.sh_base
 
 let cl_get = function
   | Ok v -> v
   | Error e -> invalid_arg ("fleet client: " ^ Netstack.Errno.to_string e)
 
-let client_drop f tn af ~failed =
-  ignore
-    ((Iperf.api_of_ff f.f_dnif.Topology.ff).Iperf.epoll_ctl ~epfd:tn.tn_epfd
-       ~op:`Del ~fd:af.af_fd 0);
-  ignore ((Iperf.api_of_ff f.f_dnif.Topology.ff).Iperf.close af.af_fd);
+let client_drop api tn af ~failed =
+  ignore (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Del ~fd:af.af_fd 0);
+  ignore (api.Iperf.close af.af_fd);
   tn.tn_active <- List.filter (fun a -> a.af_fd <> af.af_fd) tn.tn_active;
   if failed then tn.tn_failed <- tn.tn_failed + 1
 
@@ -309,7 +302,7 @@ let client_drop f tn af ~failed =
    while [af_sent < header_len] each write re-stages the unsent header
    remainder at the buffer base (body bytes are arbitrary padding). *)
 let client_send f api tn af =
-  let mem = Topology.node_mem f.f_dut in
+  let mem = Topology.node_mem (topo f).Scenarios.sp_dut in
   let blen = Cheri.Capability.length tn.tn_buf in
   let base = Cheri.Capability.base tn.tn_buf in
   let rec go n =
@@ -323,7 +316,7 @@ let client_send f api tn af =
         af.af_sent <- af.af_sent + sent;
         if sent = nbytes then go (n + 1)
       | Error Netstack.Errno.EAGAIN -> ()
-      | Error _ -> client_drop f tn af ~failed:true
+      | Error _ -> client_drop api tn af ~failed:true
     end
   in
   go 0;
@@ -338,8 +331,8 @@ let client_send f api tn af =
          Netstack.Epoll.epollin)
   end
 
-let client_complete f tn af =
-  let now = Dsim.Engine.now f.f_engine in
+let client_complete f api tn af =
+  let now = Dsim.Engine.now (topo f).Scenarios.sp_engine in
   let fct_ns =
     Dsim.Time.to_float_ns (Dsim.Time.sub now af.af_spec.fs_arrived)
   in
@@ -348,20 +341,20 @@ let client_complete f tn af =
   tn.tn_bytes <- tn.tn_bytes + bytes;
   Dsim.Stats.add f.f_fct fct_ns;
   Dsim.Tenancy.note_flow f.f_obs ~tenant:tn.tn_name ~bytes ~fct_ns;
-  client_drop f tn af ~failed:false
+  client_drop api tn af ~failed:false
 
 let client_recv f api tn af =
   let nbytes = Cheri.Capability.length tn.tn_buf in
   let rec go n =
     if n < 16 then
       match api.Iperf.read af.af_fd ~buf:tn.tn_buf ~nbytes with
-      | Ok 0 -> client_drop f tn af ~failed:true
+      | Ok 0 -> client_drop api tn af ~failed:true
       | Ok got ->
         af.af_rcvd <- af.af_rcvd + got;
-        if af.af_rcvd >= af.af_spec.fs_resp then client_complete f tn af
+        if af.af_rcvd >= af.af_spec.fs_resp then client_complete f api tn af
         else go (n + 1)
       | Error Netstack.Errno.EAGAIN -> ()
-      | Error _ -> client_drop f tn af ~failed:true
+      | Error _ -> client_drop api tn af ~failed:true
   in
   go 0
 
@@ -369,7 +362,7 @@ let client_recv f api tn af =
    to the concurrency cap, then service whatever epoll reports. Returns
    whether the window made progress, which drives the poll backoff. *)
 let tenant_body f ~conc api tn =
-  let peer_ip = Netstack.Stack.ip f.f_pnif.Topology.stack in
+  let peer_ip = Netstack.Stack.ip (topo f).Scenarios.sp_pnif.Topology.stack in
   let started = ref false in
   while
     List.length tn.tn_active < conc && not (Queue.is_empty tn.tn_queue)
@@ -409,7 +402,7 @@ let tenant_body f ~conc api tn =
           if
             Netstack.Epoll.has ev Netstack.Epoll.epollerr
             || Netstack.Epoll.has ev Netstack.Epoll.epollhup
-          then client_drop f tn af ~failed:true
+          then client_drop api tn af ~failed:true
           else begin
             if Netstack.Epoll.has ev Netstack.Epoll.epollout then
               client_send f api tn af;
@@ -421,12 +414,10 @@ let tenant_body f ~conc api tn =
       events;
     !started || events <> []
 
-(* The s2-style app driver, generalised to N tenants: while a tenant
-   has work it polls under the mutex at [poll_interval]; when idle it
-   parks and the next arrival restarts it. Every window is charged the
-   trampoline round trip, the uncontended lock cost, a fixed app cost
-   and the per-frame TX cost — and attributed to the tenant's fault
-   context so {!Capvm.Intravisor.crossings_from} can bill it later.
+(* A tenant is a Scenario 2 app generalised to churn: while it has work
+   it runs one crossing window ({!Scenarios.crossing}) [p_poll_interval]
+   x backoff after the last one released; when idle it parks and the
+   next arrival restarts it.
 
    Polling backs off exponentially (x2 per empty window, capped) and
    snaps back on progress: with hundreds of tenants FIFO-queued on one
@@ -435,73 +426,36 @@ let tenant_body f ~conc api tn =
    useful windows. *)
 let backoff_cap = 32
 let tenant_driver f ~profile tn =
-  let engine = f.f_engine in
-  let iv = Topology.intravisor f.f_dut in
-  let cost = Topology.node_cost f.f_dut in
-  let api = Iperf.api_of_ff f.f_dnif.Topology.ff in
-  let stack_counters = Netstack.Stack.counters f.f_dnif.Topology.stack in
-  let per_seg =
-    (Netstack.Stack.config f.f_dnif.Topology.stack).Netstack.Stack.per_packet_ns
-  in
-  let app_base_ns = 800. in
-  let k_hold =
-    Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name
-      ~stage:"step_hold"
-  in
+  let engine = (topo f).Scenarios.sp_engine in
+  let running = f.f_sh.Scenarios.sh_running in
+  let api = Iperf.api_of_ff (topo f).Scenarios.sp_dnif.Topology.ff in
   let k_step =
     Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name ~stage:"step"
   in
   let rec step () =
-    if not !(f.f_running) then tn.tn_polling <- false
+    if not !running then tn.tn_polling <- false
     else if tn.tn_active = [] && Queue.is_empty tn.tn_queue then
       tn.tn_polling <- false
-    else
-      let flow =
-        Dsim.Flowtrace.origin Dsim.Flowtrace.default
-          ~at:(Dsim.Engine.now engine) ~flow:tn.tn_name App
-      in
-      Capvm.Umtx.acquire f.f_mutex ~flow ~owner:tn.tn_name (fun ~wait_ns:_ ->
-          let saved_ctx = Cheri.Fault.current_context () in
-          Cheri.Fault.set_context tn.tn_name;
-          let tx0 = stack_counters.Netstack.Stack.tx_frames in
-          let progress, tramp_ns =
-            Fun.protect
-              ~finally:(fun () -> Cheri.Fault.set_context saved_ctx)
-              (fun () ->
-                Capvm.Intravisor.trampoline iv ~flow ~into:f.f_stack_cvm
-                  (fun () -> tenant_body f ~conc:profile.p_concurrency api tn))
-          in
-          let tx_delta = stack_counters.Netstack.Stack.tx_frames - tx0 in
-          tn.tn_tx_frames <- tn.tn_tx_frames + tx_delta;
-          tn.tn_backoff <-
-            (if progress then 1 else min backoff_cap (2 * tn.tn_backoff));
-          let work_ns =
-            tramp_ns
-            +. cost.Dsim.Cost_model.mutex_uncontended_ns
-            +. app_base_ns
-            +. (per_seg *. float_of_int tx_delta)
-          in
-          ignore
-            (Dsim.Engine.schedule_l engine
-               ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-               (fun () ->
-                 Capvm.Umtx.release f.f_mutex;
-                 Dsim.Flowtrace.hop flow Tramp_out
-                   ~at:(Dsim.Engine.now engine);
-                 ignore
-                   (Dsim.Engine.schedule_l engine
-                      ~delay:
-                        (Dsim.Time.of_float_ns
-                           (Dsim.Time.to_float_ns profile.p_poll_interval
-                           *. float_of_int tn.tn_backoff))
-                      ~label:k_step step))))
+    else Scenarios.crossing f.f_sh tn.tn_app body poll
+  and body () =
+    tn.tn_backoff <-
+      (if tenant_body f ~conc:profile.p_concurrency api tn then 1
+       else min backoff_cap (2 * tn.tn_backoff))
+  and poll () =
+    ignore
+      (Dsim.Engine.schedule_l engine
+         ~delay:
+           (Dsim.Time.of_float_ns
+              (Dsim.Time.to_float_ns profile.p_poll_interval
+              *. float_of_int tn.tn_backoff))
+         ~label:k_step step)
   in
   let k_arrival =
     Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name
       ~stage:"arrival"
   in
   let rec arrival () =
-    if !(f.f_running) then begin
+    if !running then begin
       let req, resp = draw_flow tn.tn_rng in
       tn.tn_arrivals <- tn.tn_arrivals + 1;
       Queue.add
@@ -535,88 +489,40 @@ let tenant_driver f ~profile tn =
             (Dsim.Rng.exponential tn.tn_rng ~mean:profile.p_arrival_mean_ns))
        ~label:k_arrival arrival)
 
-(* Stack cVM driver: identical discipline to Scenario 2's main loop —
-   each iteration runs under the mutex and holds it for its CPU cost.
-   Also the sampling point for the live-socket high-water mark. *)
-let stack_driver f =
-  let engine = f.f_engine in
-  let cost = Topology.node_cost f.f_dut in
-  let gap = Dsim.Time.of_float_ns cost.Dsim.Cost_model.stack_loop_gap_ns in
-  let k_hold =
-    Dsim.Profile.(key default) ~component:"netstack" ~cvm:"cVM1"
-      ~stage:"loop_hold"
-  in
-  let k_gap =
-    Dsim.Profile.(key default) ~component:"netstack" ~cvm:"cVM1"
-      ~stage:"loop_gap"
-  in
-  let rec iter () =
-    if !(f.f_running) then
-      Capvm.Umtx.acquire f.f_mutex ~owner:"cVM1-loop" (fun ~wait_ns:_ ->
-          let work_ns = Netstack.Stack.loop_once f.f_dnif.Topology.stack in
-          let live = Netstack.Stack.live_sockets f.f_dnif.Topology.stack in
-          if live > f.f_socks_peak then f.f_socks_peak <- live;
-          ignore
-            (Dsim.Engine.schedule_l engine
-               ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-               (fun () ->
-                 Capvm.Umtx.release f.f_mutex;
-                 ignore
-                   (Dsim.Engine.schedule_l engine ~delay:gap ~label:k_gap iter))))
-  in
-  iter ()
-
 (* ------------------------------------------------------------------ *)
 (* Topology                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Churn sizing: TIME_WAIT holds an fd for 50 ms per completed flow, so
+   the fd space must cover the live window plus the churn backlog;
+   socket buffers shrink so thousands of concurrent connections don't
+   dominate memory. *)
+let stack_tuning cfg =
+  {
+    cfg with
+    Netstack.Stack.max_fds = 16384;
+    tcp =
+      {
+        cfg.Netstack.Stack.tcp with
+        Netstack.Tcp_cb.snd_buf_size = 16 * 1024;
+        rcv_buf_size = 16 * 1024;
+        (* Under FIFO rotation across hundreds of tenants the effective
+           RTT is tens of ms; the stock 10 ms initial RTO would fire
+           spuriously and feed the congestion back. *)
+        rto_initial = Dsim.Time.ms 80;
+      };
+  }
+
+(* The Scenario 2 shared stack with a FIFO umtx and N tenant cVMs. *)
 let build ~profile ~tenants ~seed =
-  let engine = Dsim.Engine.create () in
-  let dut = Topology.make_node engine ~name:"morello" ~ports:2 () in
-  let peer =
-    Topology.make_node engine ~name:"loadgen" ~generous_pci:true ~ports:2 ()
+  let sh =
+    Scenarios.shared_stack ~lock_policy:Capvm.Umtx.Fifo
+      (Scenarios.single_port_base ~seed ~stack_tuning ())
   in
-  ignore (Topology.link engine dut 0 peer 0 : Nic.Link.t);
-  (* Churn sizing: TIME_WAIT holds an fd for 50 ms per completed flow,
-     so the fd space must cover the live window plus the churn backlog;
-     socket buffers shrink so thousands of concurrent connections don't
-     dominate memory. *)
-  let tune extra s cfg =
-    {
-      cfg with
-      Netstack.Stack.rng_seed = Scenarios.seed_plus seed s;
-      max_fds = 16384;
-      tcp =
-        {
-          cfg.Netstack.Stack.tcp with
-          Netstack.Tcp_cb.snd_buf_size = 16 * 1024;
-          rcv_buf_size = 16 * 1024;
-          (* Under FIFO rotation across hundreds of tenants the
-             effective RTT is tens of ms; the stock 10 ms initial RTO
-             would fire spuriously and feed the congestion back. *)
-          rto_initial = Dsim.Time.ms 80;
-        };
-    }
-    |> extra
-  in
-  let stack_cvm, dnif =
-    Scenarios.cvm_netif dut ~name:"cVM1" ~port_idx:0
-      ~ip:(Scenarios.ip_dut 0)
-      ~stack_tuning:(tune Fun.id 0) ()
-  in
-  let peer_cvm, pnif =
-    Scenarios.cvm_netif peer ~name:"gen1" ~port_idx:0
-      ~ip:(Scenarios.ip_peer 0)
-      ~stack_tuning:(tune Fun.id 1) ()
-  in
-  let cost = Topology.node_cost dut in
-  let mutex =
-    Capvm.Umtx.create engine ~policy:Capvm.Umtx.Fifo
-      ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
-      ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ()
-  in
+  let sp = sh.Scenarios.sh_base in
+  let dut = sp.Scenarios.sp_dut in
   let iv = Topology.intravisor dut in
-  let dut_api = Iperf.api_of_ff dnif.Topology.ff in
+  let dut_api = Iperf.api_of_ff sp.Scenarios.sp_dnif.Topology.ff in
   let root_rng = Dsim.Rng.create ~seed in
   let tenant_arr =
     Array.init tenants (fun i ->
@@ -641,36 +547,36 @@ let build ~profile ~tenants ~seed =
           tn_flows = 0;
           tn_failed = 0;
           tn_bytes = 0;
-          tn_tx_frames = 0;
+          tn_app = Scenarios.app sh ~component:"fleet" cvm;
         })
   in
   let f =
     {
-      f_engine = engine;
-      f_dut = dut;
-      f_peer = peer;
-      f_stack_cvm = stack_cvm;
-      f_dnif = dnif;
-      f_pnif = pnif;
-      f_mutex = mutex;
+      f_sh = sh;
       f_tenants = tenant_arr;
       f_obs = Dsim.Tenancy.create ();
       f_fct = Dsim.Stats.create ();
-      f_running = ref true;
       f_socks_peak = 0;
     }
   in
   (* Peer: server farm inside the load generator's stack loop. *)
-  let peer_api = Iperf.api_of_ff pnif.Topology.ff in
-  let peer_mem = Topology.node_mem peer in
+  let peer_api = Iperf.api_of_ff sp.Scenarios.sp_pnif.Topology.ff in
+  let peer_mem = Topology.node_mem sp.Scenarios.sp_peer in
+  let peer_cvm = sp.Scenarios.sp_peer_cvm in
   let sv =
     make_server peer_api ~mem:peer_mem
       ~rbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~wbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~tenants
   in
-  Netstack.Stack.start ~hook:(fun _ -> server_step sv) pnif.Topology.stack;
-  stack_driver f;
+  Netstack.Stack.start ~hook:(fun _ -> server_step sv)
+    sp.Scenarios.sp_pnif.Topology.stack;
+  (* The stack loop is also the sampling point for the live-socket
+     high-water mark. *)
+  let dut_stack = sp.Scenarios.sp_dnif.Topology.stack in
+  Scenarios.stack_loop sh ~sample:(fun () ->
+      let live = Netstack.Stack.live_sockets dut_stack in
+      if live > f.f_socks_peak then f.f_socks_peak <- live);
   Array.iter (fun tn -> tenant_driver f ~profile tn) tenant_arr;
   f
 
@@ -792,10 +698,11 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
   let was_enabled = Dsim.Flowtrace.enabled ft in
   let old_sample = Dsim.Flowtrace.sample_every ft in
   let f = build ~profile ~tenants ~seed in
-  let engine = f.f_engine in
+  let sp = topo f in
+  let engine = sp.Scenarios.sp_engine in
   (* Warmup: resolve ARP both ways before the first SYN, so the opening
      flows don't eat an ARP-retry timeout into their completion times. *)
-  Netstack.Stack.ping f.f_dnif.Topology.stack
+  Netstack.Stack.ping sp.Scenarios.sp_dnif.Topology.stack
     ~ip:(Scenarios.ip_peer 0) ~ident:1 ~seq:1 ~payload:(Bytes.create 8);
   Dsim.Engine.run engine ~until:profile.p_warmup;
   Dsim.Flowtrace.clear ft;
@@ -804,14 +711,15 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
   let t0 = Dsim.Engine.now engine in
   let t_end = Dsim.Time.add t0 profile.p_duration in
   Dsim.Engine.run engine ~until:t_end;
-  f.f_running := false;
-  Netstack.Stack.stop f.f_pnif.Topology.stack;
+  f.f_sh.Scenarios.sh_running := false;
+  Netstack.Stack.stop sp.Scenarios.sp_pnif.Topology.stack;
   let duration_ns = Dsim.Time.to_float_ns profile.p_duration in
   (* Fold the collected streams into the observatory. *)
-  let iv = Topology.intravisor f.f_dut in
+  let iv = Topology.intravisor sp.Scenarios.sp_dut in
+  let tx_frames tn = Scenarios.app_tx_frames tn.tn_app in
   Array.iter
     (fun tn ->
-      Dsim.Tenancy.note_packets f.f_obs ~tenant:tn.tn_name tn.tn_tx_frames;
+      Dsim.Tenancy.note_packets f.f_obs ~tenant:tn.tn_name (tx_frames tn);
       Dsim.Tenancy.note_crossings f.f_obs ~tenant:tn.tn_name
         (Capvm.Intravisor.crossings_from iv ~caller:tn.tn_name))
     f.f_tenants;
@@ -829,7 +737,7 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
       0 f.f_tenants
   in
   let packets =
-    Array.fold_left (fun a tn -> a + tn.tn_tx_frames) 0 f.f_tenants
+    Array.fold_left (fun a tn -> a + tx_frames tn) 0 f.f_tenants
   in
   let goodput_mbit = float_of_int bytes *. 8000. /. duration_ns in
   let per_tenant sel = Array.to_list (Array.map sel f.f_tenants) in

@@ -5,7 +5,9 @@
     One stack cVM (F-Stack + DPDK under the shared umtx) serves every
     tenant; each tenant is a small cVM whose request/response client
     trampolines into the stack compartment for every ff_* window, FIFO
-    on the mutex. The peer node runs an epoll server farm absorbing the
+    on the mutex. The topology, the stack loop and each tenant's window
+    are the Scenario 2 boundary of {!Scenarios}, with the fleet's own
+    stack tuning. The peer node runs an epoll server farm absorbing the
     churn. Flow sizes are heavy-tailed (lognormal RPC/bulk mix), flow
     arrivals Poisson per tenant, all drawn from split {!Dsim.Rng}
     streams — a run is a pure function of (profile, tenants, seed).

@@ -85,9 +85,7 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
   let cm = Topology.node_cost built.Scenarios.dut in
   let rng = Dsim.Rng.create ~seed:(Int64.add seed 0x6d65L) in
   let shim = Capvm.Musl_shim.create iv mt.Scenarios.mt_app_cvm in
-  let stack = mt.Scenarios.mt_stack in
   let ff = mt.Scenarios.mt_ff in
-  let stack_counters = Netstack.Stack.counters stack in
 
   (* Clock read: returns (value_ns, total_cost_ns). The value is taken
      [read_offset] into the call — the remainder is the return path that
@@ -150,8 +148,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
              Dsim.Flowtrace.hop flow Tramp_in ~at:(Dsim.Engine.now engine);
              Capvm.Umtx.acquire mu ~flow ~owner:"cVM2-measured"
                (fun ~wait_ns:_ ->
-                 let tx0 = stack_counters.Netstack.Stack.tx_frames in
-                 ignore tx0;
                  let write_result, _tramp_ns =
                    Capvm.Intravisor.trampoline iv ~into:mt.Scenarios.mt_stack_cvm
                      (fun () -> Netstack.Ff_api.ff_write ff fd ~buf ~nbytes:write_size)

@@ -200,14 +200,16 @@ type single_port = {
   sp_link : Nic.Link.t;
 }
 
-let single_port_base ~seed () =
+let single_port_base ~seed ?(stack_tuning = Fun.id) () =
   let engine = Dsim.Engine.create () in
   let dut = Topology.make_node engine ~name:"morello" ~ports:2 () in
   let peer =
     Topology.make_node engine ~name:"loadgen" ~generous_pci:true ~ports:2 ()
   in
   let link = Topology.link engine dut 0 peer 0 in
-  let tune s cfg = { cfg with Netstack.Stack.rng_seed = seed_plus seed s } in
+  let tune s cfg =
+    stack_tuning { cfg with Netstack.Stack.rng_seed = seed_plus seed s }
+  in
   let stack_cvm, dnif =
     cvm_netif dut ~name:"cVM1" ~port_idx:0 ~ip:(ip_dut 0)
       ~stack_tuning:(tune 0) ()
@@ -304,10 +306,31 @@ let build_single_baseline ?(seed = 43L) ~direction () =
         Netstack.Stack.stop sp.sp_pnif.Topology.stack);
   }
 
-(* Scenario 2 main-loop driver: each iteration runs under the mutex and
-   holds it for the iteration's CPU cost. *)
-let s2_stack_driver sp mu ~running =
+(* --------------------------------------------------------------- *)
+(* The Scenario 2 boundary                                          *)
+(* --------------------------------------------------------------- *)
+
+type shared = {
+  sh_base : single_port;
+  sh_mutex : Capvm.Umtx.t;
+  sh_running : bool ref;
+}
+
+let shared_stack ~lock_policy sp =
+  let cost = Topology.node_cost sp.sp_dut in
+  {
+    sh_base = sp;
+    sh_mutex =
+      Capvm.Umtx.create sp.sp_engine ~policy:lock_policy
+        ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
+        ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ();
+    sh_running = ref true;
+  }
+
+let stack_loop ?(sample = ignore) sh =
+  let sp = sh.sh_base in
   let engine = sp.sp_engine in
+  let stack = sp.sp_dnif.Topology.stack in
   let cost = Topology.node_cost sp.sp_dut in
   let gap = Dsim.Time.of_float_ns cost.Dsim.Cost_model.stack_loop_gap_ns in
   let k_hold =
@@ -319,187 +342,173 @@ let s2_stack_driver sp mu ~running =
       ~stage:"loop_gap"
   in
   let rec iter () =
-    if !running then
-      Capvm.Umtx.acquire mu ~owner:"cVM1-loop" (fun ~wait_ns:_ ->
-          let work_ns = Netstack.Stack.loop_once sp.sp_dnif.Topology.stack in
+    if !(sh.sh_running) then
+      Capvm.Umtx.acquire sh.sh_mutex ~owner:"cVM1-loop" (fun ~wait_ns:_ ->
+          let work_ns = Netstack.Stack.loop_once stack in
+          sample ();
           ignore
             (Dsim.Engine.schedule_l engine
                ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
                (fun () ->
-                 Capvm.Umtx.release mu;
+                 Capvm.Umtx.release sh.sh_mutex;
                  ignore (Dsim.Engine.schedule_l engine ~delay:gap ~label:k_gap iter))))
   in
   iter ()
 
-(* Scenario 2 application driver: a separate cVM thread; each step
-   trampolines into cVM1 under the mutex.
+(* The application's own work in one window, between its ff_* calls. *)
+let app_base_ns = 800.
 
-   [extra_tramp] models Scenario 3's additional F-Stack/DPDK split. *)
-let s2_app_driver sp mu ~running ~app_cvm ~interval ~extra_tramp step =
+(* An app cVM's crossing context. Scenario 2's own apps may run under a
+   supervisor and a fault-injection hook, and Scenario 3's pay
+   [extra_tramp] more trampoline round trips per window. *)
+type app = {
+  ap_cvm : Capvm.Cvm.t;
+  ap_name : string;
+  ap_sup : Capvm.Supervisor.t option;
+  ap_hook : (Capvm.Cvm.t -> unit) option;
+  ap_extra_ns : float;
+  ap_k_hold : Dsim.Profile.key;
+  mutable ap_tx_frames : int;
+}
+
+let app_context ~sup ~app_hook ~extra_tramp sh ~component cvm =
+  let name = Capvm.Cvm.name cvm in
+  let iv = Topology.intravisor sh.sh_base.sp_dut in
+  {
+    ap_cvm = cvm;
+    ap_name = name;
+    ap_sup = sup;
+    ap_hook = app_hook;
+    ap_extra_ns =
+      float_of_int extra_tramp *. Capvm.Intravisor.trampoline_cost_ns iv;
+    ap_k_hold =
+      Dsim.Profile.(key default) ~component ~cvm:name ~stage:"step_hold";
+    ap_tx_frames = 0;
+  }
+
+let app sh ~component cvm =
+  app_context ~sup:None ~app_hook:None ~extra_tramp:0 sh ~component cvm
+
+let app_tx_frames ap = ap.ap_tx_frames
+
+(* The part of a window that runs inside the app's fault-attribution
+   context, with the mutex held: the hook, the trampoline into cVM1,
+   and the hold that prices the window. *)
+let enter sh ap flow body k =
+  let sp = sh.sh_base in
   let engine = sp.sp_engine in
-  let iv = Topology.intravisor sp.sp_dut in
-  let cost = Topology.node_cost sp.sp_dut in
-  let stack_counters = Netstack.Stack.counters sp.sp_dnif.Topology.stack in
-  let per_seg =
-    (Netstack.Stack.config sp.sp_dnif.Topology.stack).Netstack.Stack.per_packet_ns
+  let stack = sp.sp_dnif.Topology.stack in
+  let counters = Netstack.Stack.counters stack in
+  (match ap.ap_hook with Some inject -> inject ap.ap_cvm | None -> ());
+  let tx0 = counters.Netstack.Stack.tx_frames in
+  let (), tramp_ns =
+    Capvm.Intravisor.trampoline
+      (Topology.intravisor sp.sp_dut)
+      ~flow ~into:sp.sp_stack_cvm body
   in
-  let app_base_ns = 800. in
-  let k_hold =
-    Dsim.Profile.(key default) ~component:"app"
-      ~cvm:(Capvm.Cvm.name app_cvm) ~stage:"step_hold"
+  let tx = counters.Netstack.Stack.tx_frames - tx0 in
+  ap.ap_tx_frames <- ap.ap_tx_frames + tx;
+  let hold_ns =
+    tramp_ns +. ap.ap_extra_ns
+    +. (Topology.node_cost sp.sp_dut).Dsim.Cost_model.mutex_uncontended_ns
+    +. app_base_ns
+    +. ((Netstack.Stack.config stack).Netstack.Stack.per_packet_ns
+       *. float_of_int tx)
+  in
+  ignore
+    (Dsim.Engine.schedule_l engine ~delay:(Dsim.Time.of_float_ns hold_ns)
+       ~label:ap.ap_k_hold (fun () ->
+         Capvm.Umtx.release sh.sh_mutex;
+         Dsim.Flowtrace.hop flow Tramp_out ~at:(Dsim.Engine.now engine);
+         k ()))
+
+let crossing sh ap body k =
+  (* One trace per window: App origin, then the umtx wait and the
+     trampoline into cVM1 show up as stages. *)
+  let flow =
+    Dsim.Flowtrace.origin Dsim.Flowtrace.default
+      ~at:(Dsim.Engine.now sh.sh_base.sp_engine)
+      ~flow:ap.ap_name App
+  in
+  Capvm.Umtx.acquire sh.sh_mutex ~flow ~owner:ap.ap_name (fun ~wait_ns:_ ->
+      match ap.ap_sup with
+      | None ->
+        (* The window belongs to the app cVM, so the trampoline records
+           an appN -> cVM1 crossing (not host -> cVM1) and the audit's
+           cross-compartment edges match the paper's topology. *)
+        let saved_ctx = Cheri.Fault.current_context () in
+        Cheri.Fault.set_context ap.ap_name;
+        Fun.protect
+          ~finally:(fun () -> Cheri.Fault.set_context saved_ctx)
+          (fun () -> enter sh ap flow body k)
+      | Some sup ->
+        (* Neither a fault nor a refused entry calls [k]: containment
+           force-released the mutex and the restart (if any) re-arms the
+           app; a refused entry is a wake already in flight when the cVM
+           trapped, whose hold the cleanup broke. *)
+        ignore
+          (Capvm.Supervisor.run sup ~cvm:ap.ap_cvm (fun () ->
+               enter sh ap flow body k)
+            : unit Capvm.Supervisor.outcome))
+
+(* A Scenario 2 application cVM: a thread of its own whose every step
+   is one crossing window, [interval] after the last one released.
+   Returns the flow's byte counter.
+
+   Under [sup] every window runs inside the supervisor's trap boundary,
+   the app is rebuilt on restart (its connection died with the cVM),
+   and containment force-releases the shared mutex — the Scenario 2
+   hazard is precisely a dead app cVM leaving the F-Stack mutex held,
+   deadlocking cVM1's main loop and every sibling. *)
+let s2_app ?sup ?app_hook sh ~app_cvm ~interval ~extra_tramp make_app =
+  let engine = sh.sh_base.sp_engine in
+  let ap =
+    app_context ~sup ~app_hook ~extra_tramp sh ~component:"app" app_cvm
   in
   let k_iter =
-    Dsim.Profile.(key default) ~component:"app"
-      ~cvm:(Capvm.Cvm.name app_cvm) ~stage:"step"
-  in
-  let rec iter () =
-    if !running then begin
-      (* One trace per app step: App origin, then the umtx wait and the
-         trampoline into cVM1 show up as stages. *)
-      let flow =
-        Dsim.Flowtrace.origin Dsim.Flowtrace.default
-          ~at:(Dsim.Engine.now engine)
-          ~flow:(Capvm.Cvm.name app_cvm) App
-      in
-      Capvm.Umtx.acquire mu ~flow ~owner:(Capvm.Cvm.name app_cvm) (fun ~wait_ns:_ ->
-          (* The app step belongs to the app cVM: set the attribution
-             context for the synchronous part so the trampoline records
-             an appN -> cVM1 crossing (not host -> cVM1) and the audit's
-             cross-compartment edges match the paper's topology. *)
-          let saved_ctx = Cheri.Fault.current_context () in
-          Cheri.Fault.set_context (Capvm.Cvm.name app_cvm);
-          let tx0 = stack_counters.Netstack.Stack.tx_frames in
-          let (), tramp_ns =
-            Fun.protect
-              ~finally:(fun () -> Cheri.Fault.set_context saved_ctx)
-              (fun () ->
-                Capvm.Intravisor.trampoline iv ~flow ~into:sp.sp_stack_cvm step)
-          in
-          let tx_delta = stack_counters.Netstack.Stack.tx_frames - tx0 in
-          let work_ns =
-            tramp_ns
-            +. (float_of_int extra_tramp *. Capvm.Intravisor.trampoline_cost_ns iv)
-            +. cost.Dsim.Cost_model.mutex_uncontended_ns
-            +. app_base_ns
-            +. (per_seg *. float_of_int tx_delta)
-          in
-          ignore
-            (Dsim.Engine.schedule_l engine
-               ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-               (fun () ->
-                 Capvm.Umtx.release mu;
-                 Dsim.Flowtrace.hop flow Tramp_out
-                   ~at:(Dsim.Engine.now engine);
-                 ignore
-                   (Dsim.Engine.schedule_l engine ~delay:interval ~label:k_iter
-                      iter))))
-    end
-  in
-  iter ()
-
-(* Supervised variant of [s2_app_driver]. Differences: the app object is
-   rebuilt on restart (its connection died with the cVM), every entry
-   that runs compartment code goes through the supervisor's trap
-   boundary, and containment force-releases the shared mutex — the
-   Scenario 2 hazard is precisely a dead app cVM leaving the F-Stack
-   mutex held, deadlocking cVM1's main loop and every sibling. *)
-let s2_app_driver_supervised sp mu sup ~running ~app_cvm ~interval ~extra_tramp
-    ~app_hook make_app =
-  let engine = sp.sp_engine in
-  let iv = Topology.intravisor sp.sp_dut in
-  let cost = Topology.node_cost sp.sp_dut in
-  let stack_counters = Netstack.Stack.counters sp.sp_dnif.Topology.stack in
-  let per_seg =
-    (Netstack.Stack.config sp.sp_dnif.Topology.stack).Netstack.Stack.per_packet_ns
-  in
-  let app_base_ns = 800. in
-  let name = Capvm.Cvm.name app_cvm in
-  let k_hold =
-    Dsim.Profile.(key default) ~component:"app" ~cvm:name ~stage:"step_hold"
-  in
-  let k_iter =
-    Dsim.Profile.(key default) ~component:"app" ~cvm:name ~stage:"step"
+    Dsim.Profile.(key default) ~component:"app" ~cvm:ap.ap_name ~stage:"step"
   in
   let cur = ref (make_app ()) in
-  let iter_ref = ref (fun () -> ()) in
-  let resched () =
-    ignore
-      (Dsim.Engine.schedule_l engine ~delay:interval ~label:k_iter (fun () ->
-           !iter_ref ()))
+  let step () =
+    let s, _, _ = !cur in
+    s ()
   in
-  Capvm.Supervisor.register sup app_cvm;
-  Capvm.Supervisor.add_cleanup sup ~cvm:app_cvm (fun () ->
-      ignore (Capvm.Umtx.force_release mu ~owner:name);
-      let _, _, stop = !cur in
-      stop ());
-  Capvm.Supervisor.set_restart sup ~cvm:app_cvm (fun () ->
-      cur := make_app ();
-      resched ());
-  (* Runs with the mutex held, inside the trap boundary; a fault here
-     (e.g. injected by [app_hook]) is the held-mutex crash scenario. *)
-  let body flow =
-    (match app_hook with Some inject -> inject app_cvm | None -> ());
-    let step, _, _ = !cur in
-    let tx0 = stack_counters.Netstack.Stack.tx_frames in
-    let (), tramp_ns =
-      Capvm.Intravisor.trampoline iv ~flow ~into:sp.sp_stack_cvm step
-    in
-    let tx_delta = stack_counters.Netstack.Stack.tx_frames - tx0 in
-    let work_ns =
-      tramp_ns
-      +. (float_of_int extra_tramp *. Capvm.Intravisor.trampoline_cost_ns iv)
-      +. cost.Dsim.Cost_model.mutex_uncontended_ns
-      +. app_base_ns
-      +. (per_seg *. float_of_int tx_delta)
-    in
-    ignore
-      (Dsim.Engine.schedule_l engine
-         ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-         (fun () ->
-           Capvm.Umtx.release mu;
-           Dsim.Flowtrace.hop flow Tramp_out ~at:(Dsim.Engine.now engine);
-           resched ()))
+  let rec iter () =
+    if !(sh.sh_running) then
+      match sup with
+      | None -> crossing sh ap step resched
+      | Some sup -> (
+        match Capvm.Supervisor.state sup ~cvm:app_cvm with
+        | Capvm.Supervisor.Dead -> ()
+        | Capvm.Supervisor.Running -> crossing sh ap step resched
+        | _ -> resched ())
+  and resched () =
+    ignore (Dsim.Engine.schedule_l engine ~delay:interval ~label:k_iter iter)
   in
-  let iter () =
-    if !running then
-      match Capvm.Supervisor.state sup ~cvm:app_cvm with
-      | Capvm.Supervisor.Dead -> ()
-      | Capvm.Supervisor.Running ->
-        let flow =
-          Dsim.Flowtrace.origin Dsim.Flowtrace.default
-            ~at:(Dsim.Engine.now engine) ~flow:name App
-        in
-        Capvm.Umtx.acquire mu ~flow ~owner:name (fun ~wait_ns:_ ->
-            match
-              Capvm.Supervisor.run sup ~cvm:app_cvm (fun () -> body flow)
-            with
-            | Capvm.Supervisor.Done () -> ()
-            | Capvm.Supervisor.Faulted _ ->
-              (* Containment force-released the mutex; the restart (if
-                 any) re-arms the loop. *)
-              ()
-            | Capvm.Supervisor.Refused _ ->
-              (* A wake already in flight when the cVM trapped; the
-                 cleanup broke the hold, nothing runs. *)
-              ())
-      | _ -> resched ()
-  in
-  iter_ref := iter;
-  iter ()
+  (match sup with
+  | None -> ()
+  | Some sup ->
+    Capvm.Supervisor.register sup app_cvm;
+    Capvm.Supervisor.add_cleanup sup ~cvm:app_cvm (fun () ->
+        ignore (Capvm.Umtx.force_release sh.sh_mutex ~owner:ap.ap_name);
+        let _, _, stop = !cur in
+        stop ());
+    Capvm.Supervisor.set_restart sup ~cvm:app_cvm (fun () ->
+        cur := make_app ();
+        resched ()));
+  iter ();
+  fun () ->
+    let _, take, _ = !cur in
+    take ()
 
+(* [extra_tramp] models Scenario 3's additional F-Stack/DPDK split. *)
 let build_s2_like ?(seed = 44L) ?(contended = false)
-    ?(lock_policy = Capvm.Umtx.Barging) ?(app_interval = Dsim.Time.us 2)
-    ?supervise ?app_hook ~extra_tramp ~direction () =
+    ?(lock_policy = Capvm.Umtx.Barging) ?supervise ?app_hook ~extra_tramp
+    ~direction () =
   let sp = single_port_base ~seed () in
-  let engine = sp.sp_engine in
-  let supervise = Option.map (fun f -> f engine) supervise in
-  let cost = Topology.node_cost sp.sp_dut in
-  let mu =
-    Capvm.Umtx.create engine ~policy:lock_policy
-      ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
-      ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ()
-  in
-  let running = ref true in
+  let sup = Option.map (fun f -> f sp.sp_engine) supervise in
+  let sh = shared_stack ~lock_policy sp in
+  let app_interval = Dsim.Time.us 2 in
   let napps = if contended then 2 else 1 in
   let cvms = ref [] in
   let flows =
@@ -515,50 +524,33 @@ let build_s2_like ?(seed = 44L) ?(contended = false)
         let interval =
           if throttled then Dsim.Time.mul app_interval 33 else app_interval
         in
-        let label = Printf.sprintf "cVM%d" (i + 2) in
-        match supervise with
-        | None ->
-          let step, take, _stop =
-            dut_app sp ~direction ~flow_idx:i ~app_cvm ~throttled ()
-          in
-          s2_app_driver sp mu ~running ~app_cvm ~interval ~extra_tramp step;
-          { label; take_bytes = take }
-        | Some sup ->
-          (* The app is rebuilt on restart; route take_bytes through the
-             current incarnation. *)
-          let cur_take = ref (fun () -> 0) in
-          let make_app () =
-            let ((_, take, _) as app) =
-              dut_app sp ~direction ~flow_idx:i ~app_cvm ~throttled ()
-            in
-            cur_take := take;
-            app
-          in
-          s2_app_driver_supervised sp mu sup ~running ~app_cvm ~interval
-            ~extra_tramp ~app_hook make_app;
-          { label; take_bytes = (fun () -> !cur_take ()) })
+        let take_bytes =
+          s2_app ?sup ?app_hook sh ~app_cvm ~interval ~extra_tramp (fun () ->
+              dut_app sp ~direction ~flow_idx:i ~app_cvm ~throttled ())
+        in
+        { label = Printf.sprintf "cVM%d" (i + 2); take_bytes })
   in
-  s2_stack_driver sp mu ~running;
+  stack_loop sh;
   peer_apps sp ~direction ~n:napps;
   {
-    engine;
+    engine = sp.sp_engine;
     dut = sp.sp_dut;
     peer = sp.sp_peer;
     flows;
-    mutex = Some mu;
+    mutex = Some sh.sh_mutex;
     links = [ sp.sp_link ];
     dut_netifs = [ sp.sp_dnif ];
     app_cvms = List.rev !cvms;
     stop =
       (fun () ->
-        running := false;
+        sh.sh_running := false;
         Netstack.Stack.stop sp.sp_pnif.Topology.stack);
   }
 
-let build_scenario2 ?seed ?contended ?lock_policy ?app_interval ?supervise
-    ?app_hook ~direction () =
-  build_s2_like ?seed ?contended ?lock_policy ?app_interval ?supervise
-    ?app_hook ~extra_tramp:0 ~direction ()
+let build_scenario2 ?seed ?contended ?lock_policy ?supervise ?app_hook
+    ~direction () =
+  build_s2_like ?seed ?contended ?lock_policy ?supervise ?app_hook
+    ~extra_tramp:0 ~direction ()
 
 let build_scenario3_split ?seed ~direction () =
   build_s2_like ?seed ~contended:false ~extra_tramp:2 ~direction ()
@@ -583,39 +575,35 @@ let build_measurement ?(seed = 45L) ~mode () =
       (Topology.intravisor sp.sp_dut)
       ~name:"cVM2" ~size:cvm_size
   in
-  let running = ref true in
-  let mu_ref = ref None in
-  (match mode with
-  | `Direct ->
-    (* Baseline / Scenario 1: the stack loop drives itself, the measured
-       app issues ff_write from its own thread (no mutex involved). *)
-    Netstack.Stack.start sp.sp_dnif.Topology.stack;
-    peer_apps sp ~direction:Dut_sends ~n:1
-  | `S2 contended ->
-    let cost = Topology.node_cost sp.sp_dut in
-    let mu =
-      Capvm.Umtx.create sp.sp_engine ~policy:Capvm.Umtx.Barging
-        ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
-        ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ()
-    in
-    mu_ref := Some mu;
-    s2_stack_driver sp mu ~running;
-    if contended then begin
-      (* Background cVM3: a full-rate iperf client keeping the main loop
-         and the mutex busy, as in the contended Fig. 6 runs. *)
-      let bg_cvm =
-        Capvm.Intravisor.create_cvm
-          (Topology.intravisor sp.sp_dut)
-          ~name:"cVM3" ~size:cvm_size
-      in
-      let step, _take, _stop =
-        dut_app sp ~direction:Dut_sends ~flow_idx:1 ~app_cvm:bg_cvm ()
-      in
-      s2_app_driver sp mu ~running ~app_cvm:bg_cvm ~interval:(Dsim.Time.us 2)
-        ~extra_tramp:0 step;
-      peer_apps sp ~direction:Dut_sends ~n:2
-    end
-    else peer_apps sp ~direction:Dut_sends ~n:1);
+  let sh =
+    match mode with
+    | `Direct ->
+      (* Baseline / Scenario 1: the stack loop drives itself, the measured
+         app issues ff_write from its own thread (no mutex involved). *)
+      Netstack.Stack.start sp.sp_dnif.Topology.stack;
+      peer_apps sp ~direction:Dut_sends ~n:1;
+      None
+    | `S2 contended ->
+      let sh = shared_stack ~lock_policy:Capvm.Umtx.Barging sp in
+      stack_loop sh;
+      if contended then begin
+        (* Background cVM3: a full-rate iperf client keeping the main loop
+           and the mutex busy, as in the contended Fig. 6 runs. *)
+        let bg_cvm =
+          Capvm.Intravisor.create_cvm
+            (Topology.intravisor sp.sp_dut)
+            ~name:"cVM3" ~size:cvm_size
+        in
+        ignore
+          (s2_app sh ~app_cvm:bg_cvm ~interval:(Dsim.Time.us 2)
+             ~extra_tramp:0 (fun () ->
+               dut_app sp ~direction:Dut_sends ~flow_idx:1 ~app_cvm:bg_cvm ())
+            : unit -> int);
+        peer_apps sp ~direction:Dut_sends ~n:2
+      end
+      else peer_apps sp ~direction:Dut_sends ~n:1;
+      Some sh
+  in
   {
     mt_built =
       {
@@ -623,13 +611,13 @@ let build_measurement ?(seed = 45L) ~mode () =
         dut = sp.sp_dut;
         peer = sp.sp_peer;
         flows = [];
-        mutex = !mu_ref;
+        mutex = Option.map (fun sh -> sh.sh_mutex) sh;
         links = [ sp.sp_link ];
         dut_netifs = [ sp.sp_dnif ];
         app_cvms = [ app_cvm ];
         stop =
           (fun () ->
-            running := false;
+            Option.iter (fun sh -> sh.sh_running := false) sh;
             Netstack.Stack.stop sp.sp_dnif.Topology.stack;
             Netstack.Stack.stop sp.sp_pnif.Topology.stack);
       };
@@ -644,8 +632,9 @@ let build_measurement ?(seed = 45L) ~mode () =
 (* Extension: UDP blast (no flow control)                           *)
 (* --------------------------------------------------------------- *)
 
-let build_udp_blast ?(seed = 47L) ?(payload = 1472) ~offered_mbit () =
+let build_udp_blast ?(seed = 47L) ~offered_mbit () =
   let sp = single_port_base ~seed () in
+  let payload = 1472 in
   let engine = sp.sp_engine in
   let dut_stack = sp.sp_dnif.Topology.stack in
   let peer_stack = sp.sp_pnif.Topology.stack in

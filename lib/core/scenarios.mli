@@ -45,29 +45,11 @@ type built = {
 val app_buffer_size : int
 (** iperf's default 128 KiB write/read chunk. *)
 
-(** {1 Topology building blocks}
-
-    Shared by the canned scenarios and {!Fleet}, which composes the same
-    single-port DUT/peer pieces at a different scale. *)
-
 val ip_dut : int -> Netstack.Ipv4_addr.t
 (** 10.0.[subnet].1 — the DUT side of subnet [subnet]. *)
 
 val ip_peer : int -> Netstack.Ipv4_addr.t
 (** 10.0.[subnet].2 — the load-generator side. *)
-
-val seed_plus : int64 -> int -> int64
-(** Derive a per-component seed from the run seed. *)
-
-val cvm_netif :
-  Topology.node ->
-  name:string ->
-  port_idx:int ->
-  ip:Netstack.Ipv4_addr.t ->
-  ?stack_tuning:(Netstack.Stack.config -> Netstack.Stack.config) ->
-  unit ->
-  Capvm.Cvm.t * Topology.netif
-(** One cVM hosting a full network stack on [port_idx]. *)
 
 val build_dual_port :
   ?cheri:bool ->
@@ -98,7 +80,6 @@ val build_scenario2 :
   ?seed:int64 ->
   ?contended:bool ->
   ?lock_policy:Capvm.Umtx.policy ->
-  ?app_interval:Dsim.Time.t ->
   ?supervise:(Dsim.Engine.t -> Capvm.Supervisor.t) ->
   ?app_hook:(Capvm.Cvm.t -> unit) ->
   direction:direction ->
@@ -111,13 +92,83 @@ val build_scenario2 :
     [supervise] wraps each app cVM's steps in the supervisor's trap
     boundary: on a capability fault the shared mutex is force-released,
     the app torn down, and (policy permitting) rebuilt on restart.
-    [app_hook] runs with the mutex held, inside the boundary — faulting
-    there reproduces the held-mutex crash hazard of Scenario 2. *)
+    [app_hook] runs at the top of every app window, with the mutex held
+    (inside the boundary when supervised) — faulting there reproduces
+    the held-mutex crash hazard of Scenario 2. *)
 
 val build_scenario3_split :
   ?seed:int64 -> direction:direction -> unit -> built
 (** Ablation: DPDK split from F-Stack as well — one extra trampoline
     round trip on each API call and each loop iteration. *)
+
+(** {1 The Scenario 2 boundary}
+
+    Scenario 2's one mechanism, defined once: every F-Stack API call
+    trampolines into the stack cVM and takes the mutex that cVM1's main
+    loop also holds. {!build_scenario2}, {!build_scenario3_split}, the
+    Fig. 6 background app and every {!Fleet} tenant run on these
+    pieces. *)
+
+type single_port = {
+  sp_engine : Dsim.Engine.t;
+  sp_dut : Topology.node;
+  sp_peer : Topology.node;
+  sp_stack_cvm : Capvm.Cvm.t;  (** cVM1: the DUT's stack, on port 0. *)
+  sp_dnif : Topology.netif;
+  sp_pnif : Topology.netif;
+  sp_peer_cvm : Capvm.Cvm.t;  (** gen1: the peer's stack. *)
+  sp_link : Nic.Link.t;
+}
+
+val single_port_base :
+  seed:int64 ->
+  ?stack_tuning:(Netstack.Stack.config -> Netstack.Stack.config) ->
+  unit ->
+  single_port
+(** A DUT and a load generator joined on port 0, one stack cVM on each
+    side. Each stack's RNG is seeded from [seed]; [stack_tuning] then
+    adjusts both stacks' configs. Nothing is started. *)
+
+type shared = {
+  sh_base : single_port;
+  sh_mutex : Capvm.Umtx.t;
+      (** The F-Stack mutex, priced by the DUT's cost model. *)
+  sh_running : bool ref;
+      (** Cleared to stop the stack loop and every app. *)
+}
+
+val shared_stack : lock_policy:Capvm.Umtx.policy -> single_port -> shared
+(** Put cVM1 behind the shared umtx. *)
+
+val stack_loop : ?sample:(unit -> unit) -> shared -> unit
+(** Start cVM1's main loop: each iteration takes the mutex, runs one
+    stack poll and holds the mutex for that poll's CPU cost, then waits
+    the stack loop gap. [sample] runs right after each poll, with the
+    mutex held. *)
+
+type app
+(** An application cVM's side of the boundary. *)
+
+val app : shared -> component:string -> Capvm.Cvm.t -> app
+(** The cVM's crossing context. Its windows hold the mutex under the
+    profile key [component/<cvm>/step_hold]. *)
+
+val app_tx_frames : app -> int
+(** Frames the stack sent during this app's windows so far. *)
+
+val crossing : shared -> app -> (unit -> unit) -> (unit -> unit) -> unit
+(** [crossing sh app body k] runs one window. It takes the mutex,
+    enters the app's fault-attribution context and trampolines into
+    cVM1 to run [body]. The mutex stays held for the trampoline round
+    trip, the uncontended lock cost, 800 ns of app work and the stack's
+    per-packet cost for each frame sent. The window then releases the
+    mutex, records the [Tramp_out] hop and calls [k].
+
+    {!build_scenario2}'s apps run the same window with two additions:
+    under [supervise] the context switch is [Supervisor.run], and a
+    window that faults never calls [k]; [app_hook] runs first in every
+    window. {!build_scenario3_split}'s windows also pay two extra
+    trampoline round trips. *)
 
 (** {1 Latency-measurement topology (Figs. 4-6)}
 
@@ -142,10 +193,9 @@ val build_measurement :
   unit ->
   measurement_topology
 
-val build_udp_blast :
-  ?seed:int64 -> ?payload:int -> offered_mbit:float -> unit -> built
-(** Extension: a UDP datagram blast from the DUT at a fixed offered
-    rate, received and counted on the peer. Flows: "offered" (bytes the
+val build_udp_blast : ?seed:int64 -> offered_mbit:float -> unit -> built
+(** Extension: a blast of 1472-byte UDP datagrams from the DUT at a
+    fixed offered rate, received and counted on the peer. Flows: "offered" (bytes the
     app attempted) and "received" (bytes that made it through) — their
     gap is the loss a protocol without flow control suffers once the
     offered load exceeds the path capacity. *)

@@ -63,6 +63,59 @@ let bw_scenario2_contended () =
       (Float.abs (a.Core.Bandwidth.mbit_s -. b.Core.Bandwidth.mbit_s) < 60.)
   | l -> Alcotest.failf "expected two flows, got %d" (List.length l)
 
+(* The Scenario 2 boundary pinned: 30 ms at the builders' default seed
+   (44), with and without a supervisor that never faults. Supervision
+   must not move one event, byte or trampoline, and the counts
+   themselves are pinned; S3 pins the crossing window's
+   extra-trampoline term. *)
+let s2_supervisor_neutral () =
+  let run ?supervise build =
+    let built = build supervise in
+    let engine = built.Core.Scenarios.engine in
+    Dsim.Engine.run engine ~until:(Dsim.Time.ms 30);
+    let bytes =
+      List.map (fun f -> f.Core.Scenarios.take_bytes ()) built.Core.Scenarios.flows
+    in
+    let tramps =
+      Capvm.Intravisor.total_trampolines
+        (Core.Topology.intravisor built.Core.Scenarios.dut)
+    in
+    built.Core.Scenarios.stop ();
+    (Dsim.Engine.events_fired engine, tramps, bytes)
+  in
+  let check name (events, tramps, bytes) (events', tramps', bytes') =
+    Alcotest.(check int) (name ^ ": events") events events';
+    Alcotest.(check int) (name ^ ": trampolines") tramps tramps';
+    Alcotest.(check (list int)) (name ^ ": bytes per flow") bytes bytes'
+  in
+  let open Core.Scenarios in
+  List.iter
+    (fun (name, build, pinned) ->
+      let supervise, _ = Core.Blast_radius.supervisor ~seed:1L () in
+      let plain = run build in
+      check (name ^ " unsupervised") pinned plain;
+      check (name ^ " supervised") plain (run ~supervise build))
+    [
+      ( "contended FIFO sends",
+        (fun supervise ->
+          build_scenario2 ?supervise ~contended:true
+            ~lock_policy:Capvm.Umtx.Fifo ~direction:Dut_sends ()),
+        (17_295, 276, [ 3_330_456; 491_520 ]) );
+      ( "contended barging sends",
+        (fun supervise ->
+          build_scenario2 ?supervise ~contended:true ~direction:Dut_sends ()),
+        (17_413, 266, [ 3_528_832; 245_760 ]) );
+      ( "contended barging receives",
+        (fun supervise ->
+          build_scenario2 ?supervise ~contended:true ~direction:Dut_receives ()),
+        (20_295, 2_840, [ 1_856_336; 1_650_720 ]) );
+      ( "uncontended receives",
+        (fun supervise -> build_scenario2 ?supervise ~direction:Dut_receives ()),
+        (19_181, 1_134, [ 3_515_744 ]) );
+    ];
+  check "S3 split sends" (18_964, 882, [ 3_776_440 ])
+    (run (fun _ -> build_scenario3_split ~direction:Dut_sends ()))
+
 (* ------------------------------------------------------------------ *)
 (* Latency measurement                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -218,6 +271,8 @@ let suite =
     Alcotest.test_case "bandwidth: dual-port PCI ceiling ~658" `Slow bw_dual_port;
     Alcotest.test_case "bandwidth: S2 uncontended line rate" `Slow bw_scenario2_uncontended;
     Alcotest.test_case "bandwidth: S2 contended sharing" `Slow bw_scenario2_contended;
+    Alcotest.test_case "S2: never-faulting supervisor is neutral" `Quick
+      s2_supervisor_neutral;
     Alcotest.test_case "latency: baseline/S1/S2 deltas" `Slow measurement_shape;
     Alcotest.test_case "latency: contended magnitude" `Slow measurement_contended;
     Alcotest.test_case "attack: overflow write (Fig 3)" `Slow attack_overflow;
