@@ -97,8 +97,9 @@ journal:
 	@echo "journal: record/replay/jdiff round-trip OK (fig4, fig6)"
 
 # Full gate, and the whole of CI: build, unit/property tests (plus the
-# edgebench --smoke run, and the zero-copy regression gate: the Fig. 4
-# data path must stay within its minor-allocation budget per packet),
+# edgebench --smoke run, and the zero-copy regression gates: the Fig. 4
+# data path must stay within its minor- and direct major-heap
+# allocation budgets per packet),
 # then the smoke runs — Table II with metrics enabled must expose the
 # cross-layer instrument families in the Prometheus dump, Fig. 5 with
 # flow tracing enabled must produce an analyzable trace covering the

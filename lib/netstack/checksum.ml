@@ -1,11 +1,18 @@
+(* Big-endian 32-bit words summed into the native int: since
+   2^16 = 1 (mod 0xFFFF), [finish] folds this to the same value as the
+   RFC 1071 sum of 16-bit words, and a nonzero sum never folds to 0. *)
 let ones_complement_sum ?(init = 0) b ~off ~len =
   let sum = ref init in
   let i = ref off in
   let last = off + len in
-  while !i + 1 < last do
-    sum := !sum + (Char.code (Bytes.get b !i) lsl 8) + Char.code (Bytes.get b (!i + 1));
-    i := !i + 2
+  while !i + 3 < last do
+    sum := !sum + (Int32.to_int (Bytes.get_int32_be b !i) land 0xFFFFFFFF);
+    i := !i + 4
   done;
+  if !i + 1 < last then begin
+    sum := !sum + Bytes.get_uint16_be b !i;
+    i := !i + 2
+  end;
   if !i < last then sum := !sum + (Char.code (Bytes.get b !i) lsl 8);
   !sum
 
@@ -19,14 +26,3 @@ let finish sum =
 let compute ?init b ~off ~len = finish (ones_complement_sum ?init b ~off ~len)
 
 let valid ?init b ~off ~len = compute ?init b ~off ~len = 0
-
-(* Slice variants: one bounds check against the borrow window, then the
-   summation loop runs on the backing bytes directly. *)
-let slice_sum ?init s ~off ~len =
-  Dsim.Slice.check s ~off ~len;
-  ones_complement_sum ?init (Dsim.Slice.base s)
-    ~off:(Dsim.Slice.base_off s + off) ~len
-
-let compute_slice ?init s ~off ~len = finish (slice_sum ?init s ~off ~len)
-
-let valid_slice ?init s ~off ~len = compute_slice ?init s ~off ~len = 0

@@ -1,8 +1,9 @@
 (** RFC 1071 Internet checksum. *)
 
 val ones_complement_sum : ?init:int -> bytes -> off:int -> len:int -> int
-(** 16-bit one's-complement running sum (not yet complemented); chain
-    calls via [init] to cover pseudo-headers. *)
+(** One's-complement running sum (not yet complemented or folded to 16
+    bits); chain calls via [init] to cover pseudo-headers. [len <= 0]
+    returns [init]; a window past [b] raises [Invalid_argument]. *)
 
 val finish : int -> int
 (** Fold carries and complement; the value to store in a header. *)
@@ -13,14 +14,3 @@ val compute : ?init:int -> bytes -> off:int -> len:int -> int
 val valid : ?init:int -> bytes -> off:int -> len:int -> bool
 (** True when the region (with its embedded checksum field) sums to
     zero. *)
-
-(** {1 Slice variants}
-
-    Operate in place on a borrow window ({!Dsim.Slice.t}); [off] is
-    slice-relative. One bounds check per call (raising the slice's
-    fault, i.e. [Cheri.Fault] for mbuf borrows), then a copy-free sum
-    over the backing bytes. *)
-
-val slice_sum : ?init:int -> Dsim.Slice.t -> off:int -> len:int -> int
-val compute_slice : ?init:int -> Dsim.Slice.t -> off:int -> len:int -> int
-val valid_slice : ?init:int -> Dsim.Slice.t -> off:int -> len:int -> bool

@@ -1,6 +1,8 @@
-type t = { stack : Stack.t; mem : Cheri.Tagged_memory.t }
+(* [staging] is [ff_read]'s landing buffer, grown to the largest
+   [nbytes] seen and reused, so a read allocates nothing per call. *)
+type t = { stack : Stack.t; mem : Cheri.Tagged_memory.t; mutable staging : bytes }
 
-let attach stack mem = { stack; mem }
+let attach stack mem = { stack; mem; staging = Bytes.empty }
 let stack t = t.stack
 
 (* Capability violations at the F-Stack API boundary still raise (the
@@ -45,13 +47,14 @@ let ff_read t fd ~buf ~nbytes =
         Cheri.Capability.check_access buf Cheri.Capability.Store ~addr
           ~len:nbytes);
     Cheri.Provenance.record_exercise buf ~address:addr;
-    let staging = Bytes.create nbytes in
-    match Stack.read t.stack fd ~buf:staging ~off:0 ~len:nbytes with
+    if Bytes.length t.staging < nbytes then t.staging <- Bytes.create nbytes;
+    match Stack.read t.stack fd ~buf:t.staging ~off:0 ~len:nbytes with
     | Error _ as e -> e
     | Ok n ->
+      (* Only the [n] bytes this read filled reach the window. *)
       if n > 0 then
-        Cheri.Tagged_memory.blit_in t.mem ~cap:buf ~addr ~src:staging ~src_off:0
-          ~len:n;
+        Cheri.Tagged_memory.blit_in t.mem ~cap:buf ~addr ~src:t.staging
+          ~src_off:0 ~len:n;
       Ok n
   end
 
@@ -65,11 +68,13 @@ let ff_sendto t fd ~ip ~port ~buf ~nbytes =
   else begin
     let addr = Cheri.Capability.cursor buf in
     Cheri.Provenance.record_exercise buf ~address:addr;
-    let staging = Bytes.create nbytes in
+    (* Not [t.staging]: [udp_sendto] takes the datagram's length from
+       its buffer, so this one is exactly [nbytes] long. *)
+    let datagram = Bytes.create nbytes in
     guard_cap (fun () ->
-        Cheri.Tagged_memory.blit_out t.mem ~cap:buf ~addr ~dst:staging
+        Cheri.Tagged_memory.blit_out t.mem ~cap:buf ~addr ~dst:datagram
           ~dst_off:0 ~len:nbytes);
-    Stack.udp_sendto t.stack fd ~ip ~port ~buf:staging
+    Stack.udp_sendto t.stack fd ~ip ~port ~buf:datagram
   end
 
 let ff_recvfrom t fd ~buf ~nbytes =

@@ -8,4 +8,5 @@
     hardware detects it. *)
 
 val compute : bytes -> int
-(** CRC-32 over the whole frame; allocation-free. *)
+(** CRC-32 over the whole frame, slicing-by-8 (eight bytes per step);
+    allocation-free. *)

@@ -284,6 +284,90 @@ let ff_api_capability_checks () =
     | exception Cheri.Fault.Capability_fault f ->
       f.Cheri.Fault.kind = Cheri.Fault.Permission_violation)
 
+(* ff_read lands data through one staging buffer per handle: each read
+   writes exactly its [n] bytes into the window, never stale bytes of an
+   earlier, longer read, clears tags only on the granules it writes, and
+   a rogue buffer faults before any byte moves. *)
+let ff_read_memory_semantics () =
+  let w = make_world () in
+  let ff = w.left.nif.Core.Topology.ff in
+  let srv = w.right.nif.Core.Topology.stack in
+  let lfd = get (Stack.socket_stream srv) in
+  get (Stack.bind srv lfd ~port:5201);
+  get (Stack.listen srv lfd ~backlog:4);
+  let cfd = get (Ff_api.ff_socket ff) in
+  ignore (Ff_api.ff_connect ff cfd ~ip:ip_right ~port:5201);
+  run_for w (Dsim.Time.ms 20);
+  let afd, _, _ = get (Stack.accept srv lfd) in
+  let send c n =
+    Alcotest.(check int) "sent" n
+      (get (Stack.write srv afd ~buf:(Bytes.make n c) ~off:0 ~len:n));
+    run_for w (Dsim.Time.ms 5)
+  in
+  let mem = Core.Topology.node_mem w.left.node in
+  let base = 0x3f00000 and nbytes = 256 in
+  let region =
+    Cheri.Capability.root ~base ~length:4096 ~perms:Cheri.Perms.read_write
+  in
+  let reset () = Cheri.Tagged_memory.fill mem ~cap:region ~addr:base ~len:nbytes '.' in
+  let window () =
+    Bytes.to_string (Cheri.Tagged_memory.load_bytes mem ~cap:region ~addr:base ~len:nbytes)
+  in
+  let expect what filled c =
+    Alcotest.(check string) what
+      (String.make filled c ^ String.make (nbytes - filled) '.')
+      (window ())
+  in
+  reset ();
+  send 'A' 200;
+  Alcotest.(check int) "long read" 200 (get (Ff_api.ff_read ff cfd ~buf:region ~nbytes));
+  expect "exactly n bytes written" 200 'A';
+  reset ();
+  send 'B' 40;
+  Alcotest.(check int) "short read" 40 (get (Ff_api.ff_read ff cfd ~buf:region ~nbytes));
+  expect "no stale staging bytes past n" 40 'B';
+  (* Granules [0,16) and [32,48) sit below n = 48; [48,64) starts at n. *)
+  reset ();
+  List.iter
+    (fun off -> Cheri.Tagged_memory.store_cap mem ~cap:region ~addr:(base + off) region)
+    [ 0; 32; 48; 64 ];
+  send 'C' 48;
+  Alcotest.(check int) "tag read" 48 (get (Ff_api.ff_read ff cfd ~buf:region ~nbytes));
+  List.iter
+    (fun (off, tagged) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "granule at +%d tagged" off)
+        tagged
+        (Cheri.Tagged_memory.tag_at mem ~addr:(base + off)))
+    [ (0, false); (32, false); (48, true); (64, true) ];
+  (* A rogue nbytes: the store check faults with the API-boundary drop
+     recorded, before the socket gives up a byte or the window changes. *)
+  reset ();
+  send 'D' 16;
+  let ft = Dsim.Flowtrace.default in
+  let was = Dsim.Flowtrace.enabled ft in
+  Dsim.Flowtrace.set_enabled ft true;
+  Dsim.Flowtrace.clear ft;
+  let drops =
+    Fun.protect
+      ~finally:(fun () ->
+        Dsim.Flowtrace.set_enabled ft was;
+        Dsim.Flowtrace.clear ft)
+      (fun () ->
+        Alcotest.(check bool) "rogue nbytes traps" true
+          (match Ff_api.ff_read ff cfd ~buf:region ~nbytes:5000 with
+          | _ -> false
+          | exception Cheri.Fault.Capability_fault f ->
+            f.Cheri.Fault.kind = Cheri.Fault.Out_of_bounds);
+        Dsim.Flowtrace.drop_table ft)
+  in
+  Alcotest.(check bool) "ff_api drop recorded" true
+    (drops = [ ((Dsim.Flowtrace.Ff_api, Dsim.Flowtrace.Capability_fault), 1) ]);
+  expect "window untouched by the fault" 0 '.';
+  Alcotest.(check int) "pending data still readable" 16
+    (get (Ff_api.ff_read ff cfd ~buf:region ~nbytes));
+  expect "then delivered" 16 'D'
+
 let loop_accounting () =
   let w = make_world () in
   run_for w (Dsim.Time.ms 5);
@@ -310,6 +394,7 @@ let suite =
     Alcotest.test_case "epoll lifecycle" `Quick epoll_lifecycle;
     Alcotest.test_case "udp roundtrip + EMSGSIZE" `Quick udp_roundtrip;
     Alcotest.test_case "ff_api capability enforcement" `Quick ff_api_capability_checks;
+    Alcotest.test_case "ff_read memory semantics" `Quick ff_read_memory_semantics;
     Alcotest.test_case "poll loop accounting" `Quick loop_accounting;
   ]
 

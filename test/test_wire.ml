@@ -27,6 +27,104 @@ let checksum_verify () =
   Bytes.set b 0 '\x46';
   Alcotest.(check bool) "corruption detected" false (Netstack.Checksum.valid b ~off:0 ~len:20)
 
+(* Reference kernels in their plainest form, RFC 1071 over byte pairs
+   and CRC-32 a byte at a time, for the word-at-a-time ones to match. *)
+let byte_pair_sum ~init b ~off ~len =
+  let sum = ref init in
+  let i = ref off in
+  while !i + 1 < off + len do
+    sum := !sum + (Char.code (Bytes.get b !i) lsl 8) + Char.code (Bytes.get b (!i + 1));
+    i := !i + 2
+  done;
+  if !i < off + len then sum := !sum + (Char.code (Bytes.get b !i) lsl 8);
+  !sum
+
+let crc32_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc32_bytewise b =
+  let crc = ref 0xFFFFFFFF in
+  Bytes.iter
+    (fun c -> crc := crc32_table.((!crc lxor Char.code c) land 0xff) lxor (!crc lsr 8))
+    b;
+  !crc lxor 0xFFFFFFFF
+
+let fcs_known_answers () =
+  Alcotest.(check int) "check value" 0xCBF43926
+    (Nic.Fcs.compute (Bytes.of_string "123456789"));
+  Alcotest.(check int) "empty frame" 0 (Nic.Fcs.compute Bytes.empty)
+
+(* Each case also checks the seven shorter prefixes, so every tail
+   length 0-7 behind the eight-byte steps is covered. *)
+let fcs_matches_bytewise_prop =
+  QCheck.Test.make ~name:"fcs: slicing-by-8 = byte-at-a-time" ~count:300
+    QCheck.(string_of_size Gen.(int_range 0 2048))
+    (fun s ->
+      let b = Bytes.of_string s in
+      List.for_all
+        (fun k ->
+          let p = Bytes.sub b 0 (max 0 (Bytes.length b - k)) in
+          Nic.Fcs.compute p = crc32_bytewise p)
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* A buffer (random, all 0x00 or all 0xFF), a window at offset 0-7 of
+   any parity, an [init], and a split point where the sum is chained. *)
+let checksum_matches_byte_pairs_prop =
+  let gen =
+    QCheck.Gen.(
+      let* fill = oneofl [ `Random; `Zero; `Ones ] in
+      let* n = int_range 0 1600 in
+      let* bytes =
+        match fill with
+        | `Random -> string_size (return n)
+        | `Zero -> return (String.make n '\x00')
+        | `Ones -> return (String.make n '\xff')
+      in
+      let* off = int_range 0 (min 7 n) in
+      let* len = int_range 0 (n - off) in
+      let* split = int_range 0 len in
+      let* init = oneof [ return 0; int_bound 0xFFFFF ] in
+      return (Bytes.of_string bytes, off, len, split, init))
+  in
+  QCheck.Test.make ~name:"checksum: word sum = byte-pair sum" ~count:500
+    (QCheck.make gen) (fun (b, off, len, split, init) ->
+      let open Netstack.Checksum in
+      let whole = compute ~init b ~off ~len in
+      let chained =
+        compute
+          ~init:(ones_complement_sum ~init b ~off ~len:split)
+          b ~off:(off + split) ~len:(len - split)
+      in
+      let ref_chained =
+        byte_pair_sum
+          ~init:(byte_pair_sum ~init b ~off ~len:split)
+          b ~off:(off + split) ~len:(len - split)
+      in
+      whole = finish (byte_pair_sum ~init b ~off ~len)
+      && chained = finish ref_chained
+      && ones_complement_sum ~init b ~off ~len:0 = init
+      && ones_complement_sum ~init b ~off ~len:(-3) = init)
+
+let checksum_window_past_buffer () =
+  let b = Bytes.make 10 '\x5a' in
+  let raises ~off ~len =
+    match Netstack.Checksum.compute b ~off ~len with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "window ending at the buffer end" false (raises ~off:2 ~len:8);
+  List.iter
+    (fun (off, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "off %d len %d raises" off len)
+        true (raises ~off ~len))
+    [ (0, 11); (3, 8); (7, 4); (9, 2); (10, 1); (12, 2); (-1, 4) ]
+
 (* ------------------------------------------------------------------ *)
 (* IPv4 addresses                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -485,6 +583,11 @@ let suite =
     Alcotest.test_case "ring_buf: errors" `Quick rb_errors;
     Alcotest.test_case "ring_buf: clear" `Quick rb_clear;
     QCheck_alcotest.to_alcotest rb_model_prop;
+    Alcotest.test_case "fcs: known answers" `Quick fcs_known_answers;
+    QCheck_alcotest.to_alcotest fcs_matches_bytewise_prop;
+    QCheck_alcotest.to_alcotest checksum_matches_byte_pairs_prop;
+    Alcotest.test_case "checksum: window past the buffer" `Quick
+      checksum_window_past_buffer;
   ]
 
 (* ------------------------------------------------------------------ *)
