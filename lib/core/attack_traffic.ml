@@ -467,16 +467,17 @@ let forged_5tuple rng fg ~src_ports ~dst_ports =
   }
 
 (* RSS-steering abuse: the Toeplitz hash is a pure function of the
-   frame bytes, so the attacker computes which forged source ports land
-   on the victim's RX queue and aims the probes there. *)
+   frame bytes, so the attacker computes which forged source ports the
+   82576's reset RSS function for a 4-queue port would put on the
+   victim's RX queue and aims the probes there. The DUT runs one queue,
+   so what the probes meet is the stack's [No_socket] guard. *)
 let rss_steer rng fg ~victim_src_port ~victim_dst_port =
-  let rss = Nic.Rss.create ~queues:4 () in
   let victim_frame =
     tcp_frame fg ~src_port:victim_src_port ~dst_port:victim_dst_port ~seq:0
       ~ack_seq:0 ~flags:f_ack ()
   in
   let vhash, vq =
-    match Nic.Rss.probe rss victim_frame with
+    match Nic.Rss.probe ~queues:4 victim_frame with
     | Some (h, q) -> (h, q)
     | None -> (0, 0)
   in
@@ -488,7 +489,7 @@ let rss_steer rng fg ~victim_src_port ~victim_dst_port =
         tcp_frame fg ~src_port:p ~dst_port:7777 ~seq:(rand_seq rng)
           ~ack_seq:0 ~flags:f_syn ()
       in
-      match Nic.Rss.probe rss f with
+      match Nic.Rss.probe ~queues:4 f with
       | Some (_, q) when q = vq -> pick (f :: acc) (tries + 1)
       | _ -> pick acc (tries + 1)
   in

@@ -15,7 +15,9 @@
       floods, a port scan, an mbuf exhaust-and-spray) against port 0,
       with port 1 as the blast-radius control.
     - {b phase 3}, Scenario 2 shared stack (CHERI): cross-tenant
-      probes (forged 5-tuples, port scan, RSS-steering abuse), a
+      probes (forged 5-tuples, port scan, probes aimed with the
+      82576's reset RSS function for a 4-queue port — the DUT runs one
+      queue, so they meet the stack's [No_socket] guard), a
       close-race stale-capability dereference inside the supervised
       [ff_*] boundary (mutex held), a stale-fd epoll probe, and
       floods — the supervisor must contain the fault, release the

@@ -61,7 +61,7 @@ let from_sources ~root =
 (* Refreshed from `wc -l` at release time; used when the source tree is
    not present at runtime. *)
 let recorded =
-  [ mk "F-Stack (netstack)" 130 3491; mk "DPDK" 39 384 ]
+  [ mk "F-Stack (netstack)" 156 4304; mk "DPDK" 39 550 ]
 
 let compute ?(root = ".") () =
   match from_sources ~root with Some rows -> rows | None -> recorded

@@ -14,8 +14,7 @@ let mac_for name idx =
   Nic.Mac_addr.make 0x02 0x82 ((h lsr 8) land 0xff) (h land 0xff) 0x57 idx
 
 let make_node engine ~name ?(cost = Dsim.Cost_model.default)
-    ?(generous_pci = false) ?(mem_size = 64 * 1024 * 1024) ?(queues = 1) ~ports
-    () =
+    ?(generous_pci = false) ?(mem_size = 64 * 1024 * 1024) ~ports () =
   let iv = Capvm.Intravisor.create engine ~mem_size ~cost in
   let bus =
     if generous_pci then
@@ -23,9 +22,7 @@ let make_node engine ~name ?(cost = Dsim.Cost_model.default)
     else Nic.Pci_bus.of_cost_model cost
   in
   let macs = List.init ports (mac_for name) in
-  let nic =
-    Nic.Igb.create engine (Capvm.Intravisor.mem iv) ~bus ~macs ~queues ()
-  in
+  let nic = Nic.Igb.create engine (Capvm.Intravisor.mem iv) ~bus ~macs () in
   { name; engine; iv; cost; bus; nic; next_mac = ports }
 
 let node_name t = t.name
@@ -59,16 +56,14 @@ let default_netif_region_size = 9 * 1024 * 1024
 
 let pool_counter = ref 0
 
-let make_netif node ~region ~port_idx ?(queue = 0) ?dma_window ~ip
-    ?(stack_tuning = Fun.id) ?(pool_bufs = 4096) () =
+(* Mbufs per netif pool. *)
+let pool_bufs = 4096
+
+let make_netif node ~region ~port_idx ~ip ?(stack_tuning = Fun.id) () =
   let mem = node_mem node in
   let eal = Dpdk.Eal.create node.engine mem ~region in
   incr pool_counter;
-  let pool_name =
-    if queue = 0 then
-      Printf.sprintf "%s-p%d-%d" node.name port_idx !pool_counter
-    else Printf.sprintf "%s-p%dq%d-%d" node.name port_idx queue !pool_counter
-  in
+  let pool_name = Printf.sprintf "%s-p%d-%d" node.name port_idx !pool_counter in
   let pool =
     Dpdk.Mbuf.pool_create eal ~name:pool_name ~n:pool_bufs ~buf_len:2048 ()
   in
@@ -79,15 +74,8 @@ let make_netif node ~region ~port_idx ?(queue = 0) ?dma_window ~ip
     | Some z -> z
     | None -> invalid_arg "make_netif: mempool zone vanished"
   in
-  (* The port has ONE bus-master window; by default it is narrowed to
-     this netif's mempool zone. When several netifs share a port (one
-     per RSS queue) each bind would otherwise revoke the previous
-     queue's pool — pass a common [dma_window] (e.g. the shared region)
-     covering every queue's mempool, as DPDK maps one window over all
-     hugepage segments. *)
-  let window = match dma_window with Some w -> w | None -> zone in
-  let uio = Dpdk.Igb_uio.bind p ~dma_window:window in
-  let dev = Dpdk.Eth_dev.attach eal p ~queue ~rx_pool:pool () in
+  let uio = Dpdk.Igb_uio.bind p ~dma_window:zone in
+  let dev = Dpdk.Eth_dev.attach eal p ~rx_pool:pool in
   Dpdk.Eth_dev.start dev;
   let cfg = stack_tuning (Netstack.Stack.default_config ~ip) in
   let stack = Netstack.Stack.create node.engine mem dev cfg in

@@ -15,15 +15,13 @@ val make_node :
   ?cost:Dsim.Cost_model.t ->
   ?generous_pci:bool ->
   ?mem_size:int ->
-  ?queues:int ->
   ports:int ->
   unit ->
   node
 (** [generous_pci] gives the node a 10 Gbit/s DMA bus per direction so
     it can never be the bottleneck — used for the load-generator peer,
-    which stands in for the authors' test server. [queues] (default 1)
-    configures RSS descriptor-ring pairs on every NIC port
-    ({!Nic.Igb.create}). *)
+    which stands in for the authors' test server. Each NIC port has one
+    RX/TX descriptor-ring pair ({!Nic.Igb}). *)
 
 val node_name : node -> string
 val intravisor : node -> Capvm.Intravisor.t
@@ -49,21 +47,16 @@ val make_netif :
   node ->
   region:Cheri.Capability.t ->
   port_idx:int ->
-  ?queue:int ->
-  ?dma_window:Cheri.Capability.t ->
   ip:Netstack.Ipv4_addr.t ->
   ?stack_tuning:(Netstack.Stack.config -> Netstack.Stack.config) ->
-  ?pool_bufs:int ->
   unit ->
   netif
 (** Build the full user-space data path inside [region] (a cVM region
-    or, for Baseline, a process heap): EAL, mempool, kernel detach of
-    the port with the mempool zone as DMA window, poll-mode ethdev, and
-    an F-Stack instance. [queue] binds the ethdev and stack loop to one
-    RSS queue of the port (default 0). A port has a single bus-master
-    window: when attaching several queue-netifs to one port, pass a
-    common [dma_window] covering every queue's mempool (e.g. the shared
-    region) so later binds don't revoke earlier pools. *)
+    or, for Baseline, a process heap): EAL, a 4096-mbuf mempool, kernel
+    detach of the port with the mempool zone as its one bus-master DMA
+    window, poll-mode ethdev, and an F-Stack instance. One netif drives
+    one port; a later [make_netif] on the same port rebinds the window
+    to its own pool. *)
 
 val default_netif_region_size : int
 (** Bytes a [make_netif] region must at least provide. *)

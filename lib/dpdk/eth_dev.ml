@@ -1,6 +1,5 @@
 type t = {
   port : Nic.Igb.port;
-  queue : int;
   rx_pool : Mbuf.pool;
   in_flight : (int, Mbuf.t) Hashtbl.t;  (* posted addr -> owning mbuf *)
   m_rx_bursts : Dsim.Metrics.counter;
@@ -14,18 +13,12 @@ type t = {
   m_rx_free : Dsim.Metrics.gauge;
 }
 
-let attach _eal port ?(queue = 0) ~rx_pool () =
-  if queue < 0 || queue >= Nic.Igb.num_queues port then
-    invalid_arg (Printf.sprintf "Eth_dev.attach: no queue %d" queue);
+let attach _eal port ~rx_pool =
   let reg = Dsim.Metrics.default in
-  (* Queue 0 keeps the pre-multi-queue label set so single-queue metric
-     series are unchanged; extra queues get their own series. *)
   let p = [ ("port", Nic.Mac_addr.to_string (Nic.Igb.mac port)) ] in
-  let p = if queue = 0 then p else p @ [ ("queue", string_of_int queue) ] in
   let dir d = ("dir", d) :: p in
   {
     port;
-    queue;
     rx_pool;
     in_flight = Hashtbl.create 512;
     m_rx_bursts =
@@ -62,17 +55,14 @@ let attach _eal port ?(queue = 0) ~rx_pool () =
 
 let sync_rings t =
   if Dsim.Metrics.enabled Dsim.Metrics.default then begin
-    Dsim.Metrics.set t.m_tx_backlog
-      (Nic.Igb.tx_in_flight ~queue:t.queue t.port);
-    Dsim.Metrics.set t.m_rx_free
-      (Nic.Igb.rx_free_slots ~queue:t.queue t.port);
+    Dsim.Metrics.set t.m_tx_backlog (Nic.Igb.tx_in_flight t.port);
+    Dsim.Metrics.set t.m_rx_free (Nic.Igb.rx_free_slots t.port);
     let s = Nic.Igb.stats t.port in
     Dsim.Metrics.set t.m_drops
       Nic.Port_stats.(s.rx_no_desc + s.rx_filtered + s.tx_ring_full)
   end
 
 let port t = t.port
-let queue t = t.queue
 let rx_pool t = t.rx_pool
 
 let post_rx t m =
@@ -80,7 +70,7 @@ let post_rx t m =
      available for (de)encapsulation by the stack. *)
   let addr = Mbuf.data_addr m in
   let room = Mbuf.tailroom m in
-  if Nic.Igb.rx_refill ~queue:t.queue t.port ~addr ~len:room then begin
+  if Nic.Igb.rx_refill t.port ~addr ~len:room then begin
     Hashtbl.replace t.in_flight addr m;
     true
   end
@@ -91,7 +81,7 @@ let post_rx t m =
 
 let restock t =
   let rec go () =
-    if Nic.Igb.rx_free_slots ~queue:t.queue t.port > 0 then
+    if Nic.Igb.rx_free_slots t.port > 0 then
       match Mbuf.alloc t.rx_pool with
       | None -> ()
       | Some m -> if post_rx t m then go ()
@@ -108,11 +98,11 @@ let reap t =
         Hashtbl.remove t.in_flight addr;
         Mbuf.free m
       | None -> ())
-    (Nic.Igb.tx_reap ~queue:t.queue t.port ~max:max_int)
+    (Nic.Igb.tx_reap t.port ~max:max_int)
 
 let rx_burst t ~max =
   reap t;
-  let completions = Nic.Igb.rx_burst ~queue:t.queue t.port ~max in
+  let completions = Nic.Igb.rx_burst t.port ~max in
   let now = Dsim.Engine.now (Nic.Igb.engine t.port) in
   let take (addr, pkt_len, flow) =
     match Hashtbl.find_opt t.in_flight addr with
@@ -144,10 +134,7 @@ let tx_burst t mbufs =
     | m :: rest ->
       let addr = Mbuf.data_addr m in
       let len = Mbuf.data_len m in
-      if
-        Nic.Igb.tx_enqueue ~queue:t.queue t.port ~flow:(Mbuf.flow m) ~addr ~len
-          ()
-      then begin
+      if Nic.Igb.tx_enqueue t.port ~flow:(Mbuf.flow m) ~addr ~len () then begin
         Hashtbl.replace t.in_flight addr m;
         go (sent + 1) (bytes + len) rest
       end
@@ -161,5 +148,3 @@ let tx_burst t mbufs =
   end;
   sync_rings t;
   leftover
-
-let tx_backlog t = Nic.Igb.tx_in_flight ~queue:t.queue t.port

@@ -5,24 +5,17 @@
     descriptors back to mbufs, and recycles transmitted buffers. All in
     polling mode — there are no interrupts anywhere, matching DPDK.
 
-    One [t] binds one {e queue} of a port (default 0): with a
-    multi-queue NIC ({!Nic.Igb.create} [?queues]), attach one ethdev
-    per queue, each with its own mbuf pool — the
-    rte_eth_rx_queue_setup-with-per-queue-mempool configuration.
-    Instances on different queues of one port share no mutable state,
-    so each can be polled by its own stack loop. *)
+    One [t] drives the port's one RX/TX descriptor-ring pair, stocked
+    from one mbuf pool. *)
 
 type t
 
-val attach :
-  Eal.t -> Nic.Igb.port -> ?queue:int -> rx_pool:Mbuf.pool -> unit -> t
-(** @raise Invalid_argument when [queue] is out of range for the port. *)
+val attach : Eal.t -> Nic.Igb.port -> rx_pool:Mbuf.pool -> t
 
 val start : t -> unit
 (** Fill the RX ring from the pool. Must be called once before polling. *)
 
 val port : t -> Nic.Igb.port
-val queue : t -> int
 val rx_pool : t -> Mbuf.pool
 
 val rx_burst : t -> max:int -> Mbuf.t list
@@ -40,6 +33,3 @@ val tx_burst : t -> Mbuf.t list -> Mbuf.t list
 val reap : t -> unit
 (** Recycle completed TX buffers; called internally by both bursts, and
     callable from an idle loop. *)
-
-val tx_backlog : t -> int
-(** Frames enqueued to the device and not yet completed. *)

@@ -203,7 +203,6 @@ let create engine mem dev config =
 let engine t = t.engine
 let ip t = t.config.ip
 let mac t = t.mac
-let queue t = Dpdk.Eth_dev.queue t.dev
 let config t = t.config
 let now t = Dsim.Engine.now t.engine
 let counters t = t.counters

@@ -42,11 +42,6 @@ val engine : t -> Dsim.Engine.t
 val ip : t -> Ipv4_addr.t
 val mac : t -> Nic.Mac_addr.t
 
-val queue : t -> int
-(** The NIC RSS queue this stack's loop polls — fixed by the ethdev
-    handed to {!create}; one stack loop per queue is the multi-queue
-    deployment shape. *)
-
 val config : t -> config
 val now : t -> Dsim.Time.t
 

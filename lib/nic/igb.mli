@@ -13,23 +13,13 @@
       with correct permission flags" step the paper implemented for
       DPDK/Morello.
 
-    {2 Multi-queue}
-
-    A port carries [?queues:n] RX/TX descriptor-ring pairs (default 1,
-    the reset configuration). With more than one queue, received IPv4
-    frames are steered by an RSS Toeplitz hash over the 5-tuple through
-    a 128-entry indirection table ({!Rss}) — the device's MRQC/RETA
-    machinery — so one flow always lands on one queue, in order.
-    Non-IPv4 frames fall to queue 0. Every driver-facing descriptor
-    operation takes [?queue] (default 0); single-queue behaviour,
-    counters, profile keys and watermark cells are exactly those of the
-    pre-multi-queue device. Each queue has its own ring-occupancy
-    bounds, {!Port_stats} shadow counters, and [("port", _); ("queue",
-    _)]-labelled watermark cells; queues share the PCI bus and the MAC,
-    where their DMA and wire transmissions serialise like hardware.
-
-    Ring occupancy is bounded like the hardware's descriptor rings;
-    overflow drops (RX) or refusals (TX) are counted in {!Port_stats}. *)
+    Each port has one RX/TX descriptor-ring pair, the 82576's reset
+    configuration and the one the paper's testbed runs: one DPDK +
+    F-Stack instance per port, no receive-side scaling. Ring occupancy
+    is bounded like the hardware's descriptor rings; overflow drops
+    (RX) or refusals (TX) are counted in {!Port_stats}, and each ring
+    has a [("port", _)]-labelled {!Dsim.Watermark} cell. The two ports
+    share the PCI bus. *)
 
 type t
 type port
@@ -41,14 +31,10 @@ val create :
   macs:Mac_addr.t list ->
   ?rx_ring_size:int ->
   ?tx_ring_size:int ->
-  ?queues:int ->
-  ?rss_key:bytes ->
   unit ->
   t
 (** One port per MAC in [macs] (the 82576 has two). Default ring sizes
-    follow common DPDK igb configuration (512 RX / 1024 TX); each of
-    the [?queues] ring pairs gets the full configured ring size.
-    [rss_key] overrides the 40-byte Toeplitz key. *)
+    follow common DPDK igb configuration (512 RX / 1024 TX). *)
 
 val num_ports : t -> int
 val port : t -> int -> port
@@ -57,23 +43,7 @@ val port : t -> int -> port
 val port_index : port -> int
 val engine : port -> Dsim.Engine.t
 val mac : port -> Mac_addr.t
-
 val stats : port -> Port_stats.t
-(** Port-level aggregate over all queues. *)
-
-val num_queues : port -> int
-
-val queue_stats : port -> int -> Port_stats.t
-(** Per-queue shadow counters: queue-scoped events (packets, bytes,
-    ring-full) only — port-level drops (FCS, MAC filter, DMA fault)
-    happen before RSS classification and appear in {!stats} alone.
-    @raise Invalid_argument on a bad queue index. *)
-
-val rss : port -> Rss.t
-(** The port's RSS configuration (retarget RETA entries in tests). *)
-
-val queue_of_frame : port -> bytes -> int
-(** The RX queue this frame would steer to ({!Rss.classify}). *)
 
 val set_dma_cap : port -> Cheri.Capability.t -> unit
 (** Install the bus-master window. All DMA is checked against it; DMA
@@ -96,36 +66,27 @@ val deliver : port -> ?flow:Dsim.Flowtrace.ctx option -> bytes -> unit
     context travelling with the frame; MAC-filter and no-descriptor
     drops are attributed to it. *)
 
-(** {1 Driver-facing descriptor operations}
+(** {1 Driver-facing descriptor operations} *)
 
-    All take [?queue] (default 0). *)
-
-val rx_refill : ?queue:int -> port -> addr:int -> len:int -> bool
+val rx_refill : port -> addr:int -> len:int -> bool
 (** Give the device an empty buffer; [false] when the RX ring is full. *)
 
-val rx_burst :
-  ?queue:int -> port -> max:int -> (int * int * Dsim.Flowtrace.ctx option) list
+val rx_burst : port -> max:int -> (int * int * Dsim.Flowtrace.ctx option) list
 (** Completed receives as [(buffer_addr, packet_len, flow)], oldest
     first; [flow] is the trace context carried across the wire. *)
 
-val rx_pending : ?queue:int -> port -> int
+val rx_pending : port -> int
 (** Completed-but-not-collected receives. *)
 
-val rx_free_slots : ?queue:int -> port -> int
+val rx_free_slots : port -> int
 
 val tx_enqueue :
-  ?queue:int ->
-  port ->
-  ?flow:Dsim.Flowtrace.ctx option ->
-  addr:int ->
-  len:int ->
-  unit ->
-  bool
+  port -> ?flow:Dsim.Flowtrace.ctx option -> addr:int -> len:int -> unit -> bool
 (** Doorbell: packet at [addr..addr+len) is ready; [false] (and a
     counter bump plus a [Tx_ring]/[Tx_ring_full] drop attribution) when
     the TX ring is full. *)
 
-val tx_reap : ?queue:int -> port -> max:int -> int list
+val tx_reap : port -> max:int -> int list
 (** Buffer addresses whose transmission fully completed. *)
 
-val tx_in_flight : ?queue:int -> port -> int
+val tx_in_flight : port -> int

@@ -1,52 +1,27 @@
-(* Receive-side scaling: a Toeplitz hash over the 5-tuple steers each
-   IPv4 frame through a 128-entry indirection table (RETA) to an RX
-   queue. Classification is a pure function of the frame bytes and the
-   (key, reta) configuration: the same flow always lands on the same
-   queue, in arrival order — the determinism the per-queue stack loops
-   rely on. *)
+(* Receive-side scaling's steering function: a Toeplitz hash over the
+   5-tuple picks a 128-entry indirection-table (RETA) slot, and the
+   slot names an RX queue. It is a pure function of the frame bytes
+   and the key. The modelled ports run one queue, so only the red-team
+   corpus calls it, to aim frames. *)
 
+(* igb indirection-table entries. *)
 let reta_size = 128
-
-type t = {
-  key : bytes;
-  reta : int array;
-  queues : int;
-}
 
 (* The Microsoft reference RSS key; any 40-byte key works, this one has
    well-studied dispersion and makes hash values comparable against
    real-NIC captures. *)
-let default_key () =
+let key =
   Bytes.of_string
     "\x6d\x5a\x56\xda\x25\x5b\x0e\xc2\x41\x67\x25\x3d\x43\xa3\x8f\xb0\
      \xd0\xca\x2b\xcb\xae\x7b\x30\xb4\x77\xcb\x2d\xa3\x80\x30\xf2\x0c\
      \x6a\x42\xb7\x3b\xbe\xac\x01\xfa"
-
-let create ?key ~queues () =
-  if queues < 1 then invalid_arg "Rss.create: queues must be >= 1";
-  let key = match key with Some k -> Bytes.copy k | None -> default_key () in
-  if Bytes.length key < 40 then invalid_arg "Rss.create: key must be 40 bytes";
-  {
-    key;
-    (* Default RETA: round-robin over queues, the igb reset value. *)
-    reta = Array.init reta_size (fun i -> i mod queues);
-    queues;
-  }
-
-let queues t = t.queues
-
-let set_reta t ~entry ~queue =
-  if entry < 0 || entry >= reta_size then invalid_arg "Rss.set_reta: entry";
-  if queue < 0 || queue >= t.queues then invalid_arg "Rss.set_reta: queue";
-  t.reta.(entry) <- queue
 
 (* Toeplitz: the hash is the XOR of a sliding 32-bit window of the key
    at every set input bit, MSB first. [input] is the packed tuple from
    [five_tuple] — 12 bytes (src ip, dst ip, src port, dst port) for
    TCP/UDP or 8 bytes (src ip, dst ip) otherwise — so the key's 40
    bytes cover 32 + 96 window positions with room to spare. *)
-let hash_input t input =
-  let key = t.key in
+let hash_input input =
   let window =
     ref
       ((Char.code (Bytes.get key 0) lsl 24)
@@ -73,7 +48,7 @@ let hash_input t input =
   !result
 
 (* Pack the hash tuple straight off an Ethernet frame: no allocation
-   beyond the tuple scratch (only reached when queues > 1). TCP/UDP
+   beyond the tuple scratch. TCP/UDP
    frames yield the standard 12-byte RSS TCP/IPv4 input, everything
    else the 8-byte IPv4 2-tuple — matching hardware hash types, so
    hash values line up with the Microsoft verification vectors and
@@ -81,8 +56,8 @@ let hash_input t input =
    set) also falls back to the 2-tuple, igb-style: non-first fragments
    carry no L4 header, and hashing payload bytes as ports would scatter
    one flow's fragments across queues. Returns None for non-IPv4
-   frames (ARP, runts) — those fall to queue 0, like hardware
-   delivering un-hashable traffic to the default queue. *)
+   frames (ARP, runts), which hardware delivers un-hashed to the
+   default queue. *)
 let five_tuple frame =
   let len = Bytes.length frame in
   if
@@ -113,22 +88,14 @@ let five_tuple frame =
   end
   else None
 
-let classify t frame =
-  if t.queues = 1 then 0
-  else
-    match five_tuple frame with
-    | None -> 0
-    | Some tuple -> t.reta.(hash_input t tuple land (reta_size - 1))
-
 (* Attacker's-eye view of the steering function: the full hash and the
-   queue it would land on, regardless of [t.queues]. Because Toeplitz +
+   queue a [queues]-queue port at its reset RETA (round-robin, entry
+   [i] -> queue [i mod queues]) would land it on. Because Toeplitz +
    RETA is a pure function of the frame bytes, an off-path attacker who
-   knows (or guesses) the key can aim flows at a victim's queue; the
-   red-team corpus uses this to prove that a steered hostile flow still
-   ends in a typed verdict inside the victim's compartment. *)
-let probe t frame =
+   knows (or guesses) the key can aim flows at a victim's queue. *)
+let probe ~queues frame =
   match five_tuple frame with
   | None -> None
   | Some tuple ->
-    let h = hash_input t tuple in
-    Some (h, t.reta.(h land (reta_size - 1)))
+    let h = hash_input tuple in
+    Some (h, (h land (reta_size - 1)) mod queues)

@@ -1,29 +1,17 @@
-(** Receive-side scaling: Toeplitz 5-tuple flow steering.
+(** Receive-side scaling's steering function, as an attacker sees it.
 
-    A hash over (src ip, dst ip, src port, dst port) — or the
+    The 82576 can spread received IPv4 frames across RX queues with a
+    Toeplitz hash over (src ip, dst ip, src port, dst port) — or the
     (src ip, dst ip) 2-tuple for non-TCP/UDP traffic and IPv4
-    fragments — indexed into a 128-entry indirection table (RETA)
-    picks the RX queue for each IPv4 frame. Classification is deterministic in the frame
-    bytes and the configuration: a flow always lands on one queue, in
-    arrival order. Non-IPv4 frames fall to queue 0 (the default
-    queue), like hardware. *)
+    fragments — indexed into a 128-entry indirection table (RETA). The
+    modelled device runs one queue per port, as the paper's testbed
+    does, so nothing on the data path steers. What stays is the pure
+    function: the red-team corpus uses {!probe} to aim frames the way
+    an off-path attacker would at a multi-queue port. *)
 
-type t
-
-val reta_size : int
-(** Indirection-table entries (128, the igb value). *)
-
-val create : ?key:bytes -> queues:int -> unit -> t
-(** [key] is the 40-byte Toeplitz key (default: the Microsoft
-    reference key). The RETA resets to round-robin over [queues]. *)
-
-val queues : t -> int
-
-val set_reta : t -> entry:int -> queue:int -> unit
-(** Repoint one indirection-table entry. *)
-
-val hash_input : t -> bytes -> int
-(** Raw 32-bit Toeplitz hash of a packed input (exposed for tests). *)
+val hash_input : bytes -> int
+(** Raw 32-bit Toeplitz hash of a packed input under the Microsoft
+    reference key. *)
 
 val five_tuple : bytes -> bytes option
 (** Packed Toeplitz input of an Ethernet frame, [None] if not IPv4:
@@ -33,13 +21,9 @@ val five_tuple : bytes -> bytes option
     2-tuple (also used for fragments, so all fragments of a datagram
     steer to one queue). *)
 
-val classify : t -> bytes -> int
-(** RX queue for a frame: [0] when single-queue or non-IPv4, otherwise
-    [reta[toeplitz(5-tuple) mod 128]]. *)
-
-val probe : t -> bytes -> (int * int) option
-(** [(hash, queue)] the steering function assigns this frame, [None]
-    if not IPv4. The attacker's-eye view of RSS: steering is a pure
-    function of the frame bytes, so a crafted 5-tuple can aim a flow
-    at a chosen victim queue — the red-team corpus uses this surface
-    to build steering-abuse probes. *)
+val probe : queues:int -> bytes -> (int * int) option
+(** [(hash, queue)] the steering function of a [queues]-queue port at
+    its reset RETA (entry [i] points at queue [i mod queues]) assigns
+    this frame, [None] if not IPv4. Steering is a pure function of the
+    frame bytes, so a crafted 5-tuple can aim a flow at a chosen
+    queue. *)

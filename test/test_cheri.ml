@@ -295,6 +295,29 @@ let alloc_free_reuse () =
   let c2 = Cheri.Alloc.malloc a 256 in
   Alcotest.(check int) "freed space reused" base1 (Cheri.Capability.base c2)
 
+(* Pins today's temporal behaviour: [free] only records the revocation
+   in the provenance DAG. The freed capability keeps its tag, the next
+   [malloc] of the same size gets the same slot, and an in-bounds load
+   through the stale capability reads what the new owner stored. A
+   revocation mechanism (quarantine plus sweep) would turn that load
+   into a fault. *)
+let alloc_stale_cap_reads_successor () =
+  let mem, a = alloc_fixture () in
+  let stale = Cheri.Alloc.malloc a 64 in
+  Cheri.Alloc.free a stale;
+  let fresh = Cheri.Alloc.malloc a 64 in
+  let base = Cheri.Capability.base fresh in
+  Alcotest.(check int) "same base" (Cheri.Capability.base stale) base;
+  Alcotest.(check bool) "stale equals fresh" true
+    (Cheri.Capability.equal stale fresh);
+  Alcotest.(check bool) "stale still tagged" true
+    (Cheri.Capability.is_tagged stale);
+  Cheri.Tagged_memory.store_bytes mem ~cap:fresh ~addr:base
+    (Bytes.of_string "SECRET");
+  Alcotest.(check string) "stale load reads the new owner's bytes" "SECRET"
+    (Bytes.to_string
+       (Cheri.Tagged_memory.load_bytes mem ~cap:stale ~addr:base ~len:6))
+
 let alloc_double_free () =
   let _, a = alloc_fixture () in
   let c = Cheri.Alloc.malloc a 64 in
@@ -416,6 +439,8 @@ let suite =
     Alcotest.test_case "memory: unchecked DMA path" `Quick mem_unchecked;
     Alcotest.test_case "alloc: basic carving" `Quick alloc_basic;
     Alcotest.test_case "alloc: free and reuse" `Quick alloc_free_reuse;
+    Alcotest.test_case "alloc: freed cap reads the next owner" `Quick
+      alloc_stale_cap_reads_successor;
     Alcotest.test_case "alloc: double free" `Quick alloc_double_free;
     Alcotest.test_case "alloc: out of memory" `Quick alloc_oom;
     Alcotest.test_case "alloc: coalescing" `Quick alloc_coalesce;

@@ -183,7 +183,7 @@ let make_pair () =
     let pool = Dpdk.Mbuf.pool_create eal ~name ~n:128 ~buf_len:2048 () in
     let zone = Option.get (Dpdk.Eal.memzone_lookup eal ~name:("mbuf-" ^ name)) in
     ignore (Dpdk.Igb_uio.bind port ~dma_window:zone);
-    let dev = Dpdk.Eth_dev.attach eal port ~rx_pool:pool () in
+    let dev = Dpdk.Eth_dev.attach eal port ~rx_pool:pool in
     Dpdk.Eth_dev.start dev;
     dev
   in
