@@ -65,8 +65,9 @@ fleet:
 	  || { echo "fleet: expected 4 passing SLO gates"; exit 1; }
 	@echo "fleet: 64 tenants, all SLO gates PASS"
 
-# Wall-clock profile of the Fig. 4 run: hotspot table, capacity
-# watermarks and backpressure stalls on stdout, flamegraph-ready
+# Wall-clock profile of the Fig. 4 run: hotspot table, every metrics
+# gauge with its high watermark and the backpressure stalls on stdout,
+# flamegraph-ready
 # PROFILE_fig4.folded and machine-readable PROFILE_fig4.profile.json
 # on disk. Each wall-time figure is the median of three runs, so the
 # perfdiff gate below is not at the mercy of one noisy run.
@@ -101,7 +102,8 @@ journal:
 # data path must stay within its minor- and direct major-heap
 # allocation budgets per packet),
 # then the smoke runs — Table II with metrics enabled must expose the
-# cross-layer instrument families in the Prometheus dump, Fig. 5 with
+# cross-layer instrument families, ring, pool and event-heap gauges
+# included, in the Prometheus dump, Fig. 5 with
 # flow tracing enabled must produce an analyzable trace covering the
 # measurement stages, the seeded chaos run must attribute or recover
 # every injected fault, the capability audit must find zero invariant
@@ -117,7 +119,8 @@ check:
 	dune exec bin/netrepro.exe -- table2 --quick --metrics /tmp/netrepro-check.prom > /dev/null
 	@for m in trampoline_crossings_total capability_faults_total \
 	          dpdk_bursts_total nic_dma_bytes_total \
-	          netstack_rx_frames_total syscalls_total; do \
+	          netstack_rx_frames_total syscalls_total \
+	          nic_rx_ring dpdk_mbuf_in_use event_heap; do \
 	  grep -q "$$m" /tmp/netrepro-check.prom \
 	    || { echo "check: $$m missing from metrics dump"; exit 1; }; \
 	  echo "check: $$m present"; \

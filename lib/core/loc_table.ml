@@ -61,10 +61,10 @@ let from_sources ~root =
 (* Refreshed from `wc -l` at release time; used when the source tree is
    not present at runtime. *)
 let recorded =
-  [ mk "F-Stack (netstack)" 156 4304; mk "DPDK" 39 550 ]
+  [ mk "F-Stack (netstack)" 156 4304; mk "DPDK" 39 547 ]
 
-let compute ?(root = ".") () =
-  match from_sources ~root with Some rows -> rows | None -> recorded
+let compute () =
+  match from_sources ~root:"." with Some rows -> rows | None -> recorded
 
 let pp fmt rows =
   Format.fprintf fmt "%-22s %10s %10s %8s@." "Library" "CHERI LoC" "total LoC"

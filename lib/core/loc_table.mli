@@ -19,9 +19,9 @@ type row = {
   pct : float;
 }
 
-val compute : ?root:string -> unit -> row list
-(** [root] defaults to the current directory; falls back to recorded
-    counts when sources are unreadable. *)
+val compute : unit -> row list
+(** Counts the sources under the current directory; falls back to
+    recorded counts when they are unreadable. *)
 
 val from_sources : root:string -> row list option
 val recorded : row list

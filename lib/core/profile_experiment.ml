@@ -9,16 +9,16 @@ type report = {
 }
 
 let run_once (spec : Experiment.spec) profile =
-  let p = Dsim.Profile.default and w = Dsim.Watermark.default in
+  let p = Dsim.Profile.default and m = Dsim.Metrics.default in
   Dsim.Profile.reset p;
-  Dsim.Watermark.reset w;
+  Dsim.Metrics.reset m;
   Dsim.Profile.set_enabled p true;
-  Dsim.Watermark.set_enabled w true;
+  Dsim.Metrics.set_enabled m true;
   let text =
     Fun.protect
       ~finally:(fun () ->
         Dsim.Profile.set_enabled p false;
-        Dsim.Watermark.set_enabled w false)
+        Dsim.Metrics.set_enabled m false)
       (fun () -> spec.Experiment.report profile)
   in
   let profile_json =
@@ -27,14 +27,14 @@ let run_once (spec : Experiment.spec) profile =
       Dsim.Json.Obj
         (("experiment", Dsim.Json.String spec.Experiment.id)
         :: ("schema", Dsim.Json.String "netrepro-profile/1")
-        :: (fields @ [ ("watermarks", Dsim.Watermark.to_json w) ]))
+        :: (fields @ [ ("watermarks", Dsim.Metrics.watermark_json m) ]))
     | other -> other
   in
   {
     exp_id = spec.Experiment.id;
     experiment_text = text;
     hotspot_text = Dsim.Profile.render p;
-    watermark_text = Dsim.Watermark.render w;
+    watermark_text = Dsim.Metrics.watermark_table m;
     folded = Dsim.Profile.folded p;
     attributed_pct = Dsim.Profile.attributed_pct p;
     json = profile_json;

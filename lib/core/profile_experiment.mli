@@ -1,11 +1,12 @@
 (** Run one registered experiment under the wall-clock profiler.
 
     [netrepro profile <exp>] dispatches here: the global
-    {!Dsim.Profile} and {!Dsim.Watermark} registries are reset and
+    {!Dsim.Profile} and {!Dsim.Metrics} registries are reset and
     enabled around the experiment's normal runner, then rendered into
-    the hotspot table, the capacity/stall report, the folded-stack
-    dump, and the [FILE.profile.json] snapshot [netrepro perfdiff]
-    diffs against a baseline.
+    the hotspot table, the capacity/stall report (every Metrics gauge
+    with its high watermark, then the backpressure stalls), the
+    folded-stack dump, and the [FILE.profile.json] snapshot
+    [netrepro perfdiff] diffs against a baseline.
 
     Profiling never touches the virtual clock, so the experiment's own
     output (medians, goldens) is bit-identical to an unprofiled run —
@@ -15,7 +16,7 @@ type report = {
   exp_id : string;
   experiment_text : string;  (** The experiment's normal rendering. *)
   hotspot_text : string;  (** {!Dsim.Profile.render} of the run. *)
-  watermark_text : string;  (** {!Dsim.Watermark.render} of the run. *)
+  watermark_text : string;  (** {!Dsim.Metrics.watermark_table} of the run. *)
   folded : string;  (** Folded-stack lines for flamegraph tooling. *)
   attributed_pct : float;  (** Acceptance gate: must be ≥ 95 on fig4. *)
   json : Dsim.Json.t;
@@ -25,7 +26,7 @@ type report = {
 
 val run : ?profile:Experiment.profile -> ?runs:int -> Experiment.spec -> report
 (** Default profile {!Experiment.quick}. Always disables the profiler
-    and watermark registries again, even if the runner raises.
+    and metrics registries again, even if the runner raises.
 
     [runs] (default 1) repeats the profiled run and merges the
     snapshot by per-hotspot {e median} of the wall-time fields

@@ -29,7 +29,7 @@ let metric_value = function
    grouped by compartment. Zero-valued counters are elided (the
    pre-registered fault kinds would otherwise drown the table) except
    trampoline_crossings, which is the headline per-cVM number. *)
-let metrics_digest ?(registry = Dsim.Metrics.default) () =
+let metrics_digest () =
   let interesting (name, _labels, v) =
     String.equal name "trampoline_crossings_total"
     ||
@@ -56,7 +56,7 @@ let metrics_digest ?(registry = Dsim.Metrics.default) () =
           in
           Some (cvm, name ^ qualifier, metric_value v)
         | _ -> None)
-      (Dsim.Metrics.snapshot registry)
+      (Dsim.Metrics.snapshot Dsim.Metrics.default)
   in
   match cvm_series with
   | [] -> "(no per-compartment metrics recorded)"

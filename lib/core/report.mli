@@ -16,7 +16,7 @@ val table :
 val mbit : float -> string
 val pct : float -> string
 
-val metrics_digest : ?registry:Dsim.Metrics.t -> unit -> string
-(** Table of every cvm-labelled series in [registry] (default:
-    {!Dsim.Metrics.default}), grouped by compartment. Zero-valued
-    series other than [trampoline_crossings_total] are elided. *)
+val metrics_digest : unit -> string
+(** Table of every cvm-labelled series in {!Dsim.Metrics.default},
+    grouped by compartment. Zero-valued series other than
+    [trampoline_crossings_total] are elided. *)

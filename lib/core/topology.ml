@@ -32,10 +32,10 @@ let node_cost t = t.cost
 let nic t = t.nic
 let port t i = Nic.Igb.port t.nic i
 
-let link engine ?(bps = 1e9) a ai b bi =
+let link engine a ai b bi =
   let cost = a.cost in
   let l =
-    Nic.Link.create engine ~bps
+    Nic.Link.create engine ~bps:1e9
       ~prop_delay:(Dsim.Time.of_float_ns cost.Dsim.Cost_model.prop_delay_ns)
       ()
   in
@@ -65,7 +65,7 @@ let make_netif node ~region ~port_idx ~ip ?(stack_tuning = Fun.id) () =
   incr pool_counter;
   let pool_name = Printf.sprintf "%s-p%d-%d" node.name port_idx !pool_counter in
   let pool =
-    Dpdk.Mbuf.pool_create eal ~name:pool_name ~n:pool_bufs ~buf_len:2048 ()
+    Dpdk.Mbuf.pool_create eal ~name:pool_name ~n:pool_bufs ~buf_len:2048
   in
   let p = port node port_idx in
   (* Kernel detach: the DMA window is exactly the mempool's memzone. *)

@@ -30,9 +30,9 @@ val node_cost : node -> Dsim.Cost_model.t
 val nic : node -> Nic.Igb.t
 val port : node -> int -> Nic.Igb.port
 
-val link :
-  Dsim.Engine.t -> ?bps:float -> node -> int -> node -> int -> Nic.Link.t
-(** Cable port [i] of one node to port [j] of another. *)
+val link : Dsim.Engine.t -> node -> int -> node -> int -> Nic.Link.t
+(** Cable port [i] of one node to port [j] of another with a 1 Gbit/s
+    link, the 82576's port rate. *)
 
 type netif = {
   eal : Dpdk.Eal.t;

@@ -9,8 +9,6 @@ type t = {
   m_rx_bytes : Dsim.Metrics.counter;
   m_tx_bytes : Dsim.Metrics.counter;
   m_drops : Dsim.Metrics.gauge;
-  m_tx_backlog : Dsim.Metrics.gauge;
-  m_rx_free : Dsim.Metrics.gauge;
 }
 
 let attach _eal port ~rx_pool =
@@ -45,18 +43,10 @@ let attach _eal port ~rx_pool =
       Dsim.Metrics.gauge reg
         ~help:"Device drops so far (RX ring empty + MAC filter + TX ring full)."
         ~labels:p "nic_drops";
-    m_tx_backlog =
-      Dsim.Metrics.gauge reg ~help:"TX descriptors posted but not reaped."
-        ~labels:p "dpdk_tx_ring_backlog";
-    m_rx_free =
-      Dsim.Metrics.gauge reg ~help:"Empty RX descriptors available to the device."
-        ~labels:p "dpdk_rx_ring_free";
   }
 
-let sync_rings t =
+let sync_drops t =
   if Dsim.Metrics.enabled Dsim.Metrics.default then begin
-    Dsim.Metrics.set t.m_tx_backlog (Nic.Igb.tx_in_flight t.port);
-    Dsim.Metrics.set t.m_rx_free (Nic.Igb.rx_free_slots t.port);
     let s = Nic.Igb.stats t.port in
     Dsim.Metrics.set t.m_drops
       Nic.Port_stats.(s.rx_no_desc + s.rx_filtered + s.tx_ring_full)
@@ -124,7 +114,7 @@ let rx_burst t ~max =
     Dsim.Metrics.incr t.m_rx_bytes
       ~by:(List.fold_left (fun n m -> n + Mbuf.data_len m) 0 mbufs)
   end;
-  sync_rings t;
+  sync_drops t;
   mbufs
 
 let tx_burst t mbufs =
@@ -146,5 +136,5 @@ let tx_burst t mbufs =
     Dsim.Metrics.incr t.m_tx_packets ~by:sent;
     Dsim.Metrics.incr t.m_tx_bytes ~by:bytes
   end;
-  sync_rings t;
+  sync_drops t;
   leftover

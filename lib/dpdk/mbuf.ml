@@ -6,7 +6,7 @@ type pool = {
   mutable alloc_failures : int;
   in_use_metric : Dsim.Metrics.gauge;
   alloc_fail_metric : Dsim.Metrics.counter;
-  wm : Dsim.Watermark.cell;
+  exhausted : Dsim.Metrics.counter;
 }
 
 and t = {
@@ -14,16 +14,20 @@ and t = {
   bcap : Cheri.Capability.t;
   buf_addr : int;
   buf_len : int;
-  default_headroom : int;
   mutable data_off : int;
   mutable data_len : int;
   mutable in_use : bool;
   mutable flow : Dsim.Flowtrace.ctx option;
 }
 
-let pool_create eal ~name ~n ~buf_len ?(headroom = 128) () =
+(* RTE_PKTMBUF_HEADROOM. *)
+let default_headroom = 128
+
+let pool_create eal ~name ~n ~buf_len =
   if n <= 0 || buf_len <= 0 then invalid_arg "Mbuf.pool_create: bad geometry";
-  if headroom >= buf_len then invalid_arg "Mbuf.pool_create: headroom >= buf_len";
+  if default_headroom >= buf_len then
+    invalid_arg "Mbuf.pool_create: headroom >= buf_len";
+  let labels = [ ("pool", name) ] in
   let zone = Eal.memzone_reserve eal ~name:("mbuf-" ^ name) ~size:(n * buf_len) in
   let mem = Eal.mem eal in
   let pool =
@@ -35,15 +39,15 @@ let pool_create eal ~name ~n ~buf_len ?(headroom = 128) () =
       alloc_failures = 0;
       in_use_metric =
         Dsim.Metrics.gauge Dsim.Metrics.default
-          ~help:"Mbufs currently allocated from the pool."
-          ~labels:[ ("pool", name) ] "dpdk_mbuf_in_use";
+          ~help:"Mbufs currently allocated from the pool." ~capacity:n ~labels
+          "dpdk_mbuf_in_use";
       alloc_fail_metric =
         Dsim.Metrics.counter Dsim.Metrics.default
           ~help:"Allocation attempts refused because the pool was empty."
-          ~labels:[ ("pool", name) ] "dpdk_mbuf_alloc_failures_total";
-      wm =
-        Dsim.Watermark.(cell default) ~capacity:n
-          ~labels:[ ("pool", name) ] "mbuf_pool";
+          ~labels "dpdk_mbuf_alloc_failures_total";
+      exhausted =
+        Dsim.Metrics.stall Dsim.Metrics.default ~labels
+          ~resource:"dpdk_mbuf_in_use" ~kind:"pool_exhausted" ();
     }
   in
   for i = 0 to n - 1 do
@@ -59,8 +63,7 @@ let pool_create eal ~name ~n ~buf_len ?(headroom = 128) () =
         bcap;
         buf_addr = Cheri.Capability.base bcap;
         buf_len;
-        default_headroom = headroom;
-        data_off = headroom;
+        data_off = default_headroom;
         data_len = 0;
         in_use = false;
         flow = None;
@@ -75,12 +78,17 @@ let capacity p = p.capacity
 let alloc_failures p = p.alloc_failures
 
 let reset m =
-  m.data_off <- m.default_headroom;
+  m.data_off <- default_headroom;
   m.data_len <- 0;
   m.flow <- None
 
 let flow m = m.flow
 let set_flow m f = m.flow <- f
+
+(* Set absolutely, not by deltas, so enabling the registry mid-run
+   still reads the true level. *)
+let sync_in_use p =
+  Dsim.Metrics.set p.in_use_metric (p.capacity - Queue.length p.free_list)
 
 let alloc p =
   if Queue.is_empty p.free_list then begin
@@ -88,15 +96,14 @@ let alloc p =
        [None] into a typed drop, never an exception. *)
     p.alloc_failures <- p.alloc_failures + 1;
     Dsim.Metrics.incr p.alloc_fail_metric;
-    Dsim.Watermark.(stall p.wm Pool_exhausted);
+    Dsim.Metrics.incr p.exhausted;
     None
   end
   else begin
     let m = Queue.pop p.free_list in
     m.in_use <- true;
     reset m;
-    Dsim.Metrics.add p.in_use_metric 1;
-    Dsim.Watermark.observe p.wm (p.capacity - Queue.length p.free_list);
+    sync_in_use p;
     Some m
   end
 
@@ -111,10 +118,8 @@ let free m =
   (* Drop the trace context now, not at the next alloc: a free pool
      buffer must not pin trace records live across reuse. *)
   m.flow <- None;
-  Dsim.Metrics.add m.pool.in_use_metric (-1);
   Queue.push m m.pool.free_list;
-  Dsim.Watermark.observe m.pool.wm
-    (m.pool.capacity - Queue.length m.pool.free_list)
+  sync_in_use m.pool
 
 let buf_addr m = m.buf_addr
 let buf_len m = m.buf_len

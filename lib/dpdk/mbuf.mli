@@ -13,10 +13,12 @@
 type pool
 type t
 
-val pool_create :
-  Eal.t -> name:string -> n:int -> buf_len:int -> ?headroom:int -> unit -> pool
-(** [n] buffers of [buf_len] bytes each (headroom included in
-    [buf_len]), backed by a fresh memzone. *)
+val pool_create : Eal.t -> name:string -> n:int -> buf_len:int -> pool
+(** [n] buffers of [buf_len] bytes each, backed by a fresh memzone.
+    Each buffer starts with DPDK's 128-byte [RTE_PKTMBUF_HEADROOM],
+    included in [buf_len]. The pool's occupancy is the gauge
+    [dpdk_mbuf_in_use{pool=name}] with capacity [n], and each refused
+    allocation a [pool_exhausted] stall. *)
 
 val pool_name : pool -> string
 val available : pool -> int

@@ -18,18 +18,30 @@ and t = {
   mutable next_seq : int; (* FIFO tie-break among equal deadlines *)
   mutable live : int;
   mutable fired_count : int;
-  wm_heap : Watermark.cell;
 }
 
 let cmp_event a b =
   let c = Time.compare a.at b.at in
   if c <> 0 then c else compare a.seq b.seq
 
-(* All engines share one heap-depth cell: watermarks are only armed
-   around a profiled run, which drives a single engine. The growth
-   alarm fires at successive doublings from 2048 pending entries. *)
-let wm_heap_cell () =
-  Watermark.cell Watermark.default ~growth_alarm:2048 "event_heap"
+(* All engines share one heap-depth gauge: a metered run drives one
+   engine at a time. *)
+let heap_depth =
+  Metrics.gauge Metrics.default
+    ~help:"Entries in the event heap, cancelled ones included."
+    "event_heap"
+
+let heap_growth =
+  Metrics.stall Metrics.default ~resource:"event_heap" ~kind:"heap_growth" ()
+
+(* The heap grows one entry per push, so its high watermark steps
+   through every level: one stall per power of two from 2048 on keeps
+   an unbounded scheduling leak at O(log n) stalls. *)
+let note_depth n =
+  let before = Metrics.high heap_depth in
+  Metrics.set heap_depth n;
+  if n > before && n >= 2048 && n land (n - 1) = 0 then
+    Metrics.incr heap_growth
 
 let create () =
   {
@@ -38,7 +50,6 @@ let create () =
     next_seq = 0;
     live = 0;
     fired_count = 0;
-    wm_heap = wm_heap_cell ();
   }
 
 let now t = t.clock
@@ -52,7 +63,7 @@ let schedule_at_l t ~at ~label fn =
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
   Heap.push t.heap h;
-  if Watermark.hot () then Watermark.observe t.wm_heap (Heap.size t.heap);
+  if Metrics.enabled Metrics.default then note_depth (Heap.size t.heap);
   h
 
 let schedule_l t ~delay ~label fn =

@@ -1,6 +1,7 @@
 type t = {
   lo : float;
   ratio : float;
+  log_ratio : float;
   counts : int array;
   mutable total : int;
 }
@@ -8,12 +9,12 @@ type t = {
 let create ?(lo = 1.0) ?(ratio = 2.0) ?(buckets = 40) () =
   if lo <= 0. || ratio <= 1. || buckets < 1 then
     invalid_arg "Histogram.create: need lo > 0, ratio > 1, buckets >= 1";
-  { lo; ratio; counts = Array.make buckets 0; total = 0 }
+  { lo; ratio; log_ratio = log ratio; counts = Array.make buckets 0; total = 0 }
 
 let bucket_of t v =
   if v < t.lo then 0
   else begin
-    let i = int_of_float (Float.floor (log (v /. t.lo) /. log t.ratio)) in
+    let i = int_of_float (Float.floor (log (v /. t.lo) /. t.log_ratio)) in
     min i (Array.length t.counts - 1)
   end
 
@@ -25,6 +26,10 @@ let add t v =
 let add_stats t s =
   Array.iter (add t) (Stats.to_array s);
   t
+
+let clear t =
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  t.total <- 0
 
 let count t = t.total
 let bucket_count t = Array.length t.counts

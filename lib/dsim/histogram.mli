@@ -2,7 +2,8 @@
 
     The contended ff_write distribution (Fig. 6) spans ns to tens of µs;
     a geometric bucket ladder renders it readably where a linear one
-    cannot. Buckets are [\[lo·r^i, lo·r^i+1)]. *)
+    cannot. Buckets are [\[lo·r^i, lo·r^i+1)]. Every {!Metrics}
+    histogram holds one of these ladders. *)
 
 type t
 
@@ -14,6 +15,9 @@ val create : ?lo:float -> ?ratio:float -> ?buckets:int -> unit -> t
 val add : t -> float -> unit
 val add_stats : t -> Stats.t -> t
 (** Fold a sample buffer in; returns the histogram for chaining. *)
+
+val clear : t -> unit
+(** Empty every bucket, keeping the ladder. *)
 
 val count : t -> int
 val bucket_count : t -> int

@@ -5,17 +5,17 @@ type labels = (string * string) list
 type switch = { mutable on : bool }
 
 type counter = { c_sw : switch; mutable count : int }
-type gauge = { g_sw : switch; mutable level : int }
 
-type histogram = {
-  h_sw : switch;
-  h_lo : float;
-  h_ratio : float;
-  h_log_ratio : float;
-  h_counts : int array;
-  mutable h_sum : float;
-  mutable h_n : int;
+(* [high] is the level's maximum since the last [reset]; [capacity] is
+   the resource's hard limit, when it has one. *)
+type gauge = {
+  g_sw : switch;
+  g_capacity : int option;
+  mutable level : int;
+  mutable high : int;
 }
+
+type histogram = { h_sw : switch; h_ladder : Histogram.t; mutable h_sum : float }
 
 type instrument =
   | Counter of counter
@@ -107,27 +107,28 @@ let counter t ?(help = "") ?(labels = []) name =
     invalid_arg
       (Printf.sprintf "Metrics.counter: %s is a %s" name (type_name other))
 
-let gauge t ?(help = "") ?(labels = []) name =
-  match register t ~name ~labels ~help (fun () -> Gauge { g_sw = t.sw; level = 0 }) with
+let gauge t ?(help = "") ?capacity ?(labels = []) name =
+  let make () = Gauge { g_sw = t.sw; g_capacity = capacity; level = 0; high = 0 } in
+  match register t ~name ~labels ~help make with
   | Gauge g -> g
   | other ->
     invalid_arg (Printf.sprintf "Metrics.gauge: %s is a %s" name (type_name other))
 
+let stall_family = "backpressure_stalls_total"
+
+let stall t ?(labels = []) ~resource ~kind () =
+  counter t
+    ~help:
+      "Backpressure stalls: a finite resource refused work or outgrew its \
+       alarm, by resource and kind."
+    ~labels:(("resource", resource) :: ("kind", kind) :: labels)
+    stall_family
+
 let histogram t ?(help = "") ?(labels = []) ?(lo = 1.) ?(ratio = 2.)
     ?(buckets = 40) name =
-  if lo <= 0. || ratio <= 1. || buckets < 1 then
-    invalid_arg "Metrics.histogram: need lo > 0, ratio > 1, buckets >= 1";
   let make () =
     Histogram
-      {
-        h_sw = t.sw;
-        h_lo = lo;
-        h_ratio = ratio;
-        h_log_ratio = Float.log ratio;
-        h_counts = Array.make buckets 0;
-        h_sum = 0.;
-        h_n = 0;
-      }
+      { h_sw = t.sw; h_ladder = Histogram.create ~lo ~ratio ~buckets (); h_sum = 0. }
   in
   match register t ~name ~labels ~help make with
   | Histogram h -> h
@@ -142,63 +143,30 @@ let histogram t ?(help = "") ?(labels = []) ?(lo = 1.) ?(ratio = 2.)
 let incr ?(by = 1) c = if c.c_sw.on then c.count <- c.count + by
 let value c = c.count
 
-let set g v = if g.g_sw.on then g.level <- v
-let add g d = if g.g_sw.on then g.level <- g.level + d
-let level g = g.level
-
-let bucket_index h x =
-  if x < h.h_lo then 0
-  else begin
-    let i = int_of_float (Float.floor (Float.log (x /. h.h_lo) /. h.h_log_ratio)) in
-    min i (Array.length h.h_counts - 1)
+let set g v =
+  if g.g_sw.on then begin
+    g.level <- v;
+    if v > g.high then g.high <- v
   end
+
+let add g d = set g (g.level + d)
+let level g = g.level
+let high g = g.high
+let capacity g = g.g_capacity
 
 let observe h x =
   if h.h_sw.on then begin
-    let i = bucket_index h x in
-    h.h_counts.(i) <- h.h_counts.(i) + 1;
-    h.h_sum <- h.h_sum +. x;
-    h.h_n <- h.h_n + 1
+    Histogram.add h.h_ladder x;
+    h.h_sum <- h.h_sum +. x
   end
 
-let observations h = h.h_n
+let observations h = Histogram.count h.h_ladder
 let sum h = h.h_sum
+let percentile h p = Histogram.percentile h.h_ladder p
 
-(* Upper bound of bucket [i]: lo * ratio^(i+1); the last bucket absorbs
-   everything above the ladder, so its bound reports as infinity. *)
-let bucket_bound h i =
-  if i = Array.length h.h_counts - 1 then Float.infinity
-  else h.h_lo *. (h.h_ratio ** float_of_int (i + 1))
-
-let bucket_lower h i = if i = 0 then 0. else h.h_lo *. (h.h_ratio ** float_of_int i)
-
-let percentile h p =
-  if h.h_n = 0 then 0.
-  else begin
-    let target =
-      Float.max 1. (Float.of_int h.h_n *. Float.min 100. (Float.max 0. p) /. 100.)
-    in
-    let rec walk i cum =
-      if i >= Array.length h.h_counts then bucket_lower h (Array.length h.h_counts - 1)
-      else begin
-        let c = h.h_counts.(i) in
-        if Float.of_int (cum + c) >= target && c > 0 then begin
-          (* Interpolate geometrically inside the bucket. *)
-          let frac = (target -. Float.of_int cum) /. Float.of_int c in
-          let lo = Float.max h.h_lo (bucket_lower h i) in
-          let hi =
-            if i = Array.length h.h_counts - 1 then lo *. h.h_ratio
-            else bucket_bound h i
-          in
-          lo *. ((hi /. lo) ** frac)
-        end
-        else walk (i + 1) (cum + c)
-      end
-    in
-    walk 0 0
-  end
-
-let mean h = if h.h_n = 0 then 0. else h.h_sum /. float_of_int h.h_n
+let mean h =
+  let n = observations h in
+  if n = 0 then 0. else h.h_sum /. float_of_int n
 
 (* ------------------------------------------------------------------ *)
 (* Registry traversal                                                   *)
@@ -212,14 +180,12 @@ type value =
 let value_of = function
   | Counter c -> Counter_value c.count
   | Gauge g -> Gauge_value g.level
-  | Histogram h -> Histogram_value { n = h.h_n; sum = h.h_sum }
+  | Histogram h -> Histogram_value { n = observations h; sum = h.h_sum }
+
+let series_in_order t = List.rev_map (Hashtbl.find t.table) t.order
 
 let snapshot t =
-  List.rev_map
-    (fun key ->
-      let s = Hashtbl.find t.table key in
-      (s.s_name, s.s_labels, value_of s.s_instrument))
-    t.order
+  List.map (fun s -> (s.s_name, s.s_labels, value_of s.s_instrument)) (series_in_order t)
 
 let series_count t = Hashtbl.length t.table
 
@@ -243,11 +209,12 @@ let reset t =
     (fun _ s ->
       match s.s_instrument with
       | Counter c -> c.count <- 0
-      | Gauge g -> g.level <- 0
+      | Gauge g ->
+        g.level <- 0;
+        g.high <- 0
       | Histogram h ->
-        Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-        h.h_sum <- 0.;
-        h.h_n <- 0)
+        Histogram.clear h.h_ladder;
+        h.h_sum <- 0.)
     t.table
 
 (* ------------------------------------------------------------------ *)
@@ -294,14 +261,13 @@ let to_prometheus t =
   let by_name = Hashtbl.create 32 in
   let name_order = ref [] in
   List.iter
-    (fun key ->
-      let s = Hashtbl.find t.table key in
-      (match Hashtbl.find_opt by_name s.s_name with
+    (fun s ->
+      match Hashtbl.find_opt by_name s.s_name with
       | None ->
         Hashtbl.replace by_name s.s_name [ s ];
         name_order := s.s_name :: !name_order
-      | Some group -> Hashtbl.replace by_name s.s_name (s :: group)))
-    (List.rev t.order);
+      | Some group -> Hashtbl.replace by_name s.s_name (s :: group))
+    (series_in_order t);
   List.iter
     (fun name ->
       let group = List.rev (Hashtbl.find by_name name) in
@@ -327,16 +293,20 @@ let to_prometheus t =
             Buffer.add_string buf
               (Printf.sprintf "%s%s %d\n" name (prom_labels s.s_labels) g.level)
           | Histogram h ->
+            let ladder = h.h_ladder in
+            let last = Histogram.bucket_count ladder - 1 in
             let cum = ref 0 in
-            Array.iteri
-              (fun i n ->
-                cum := !cum + n;
-                let labels =
-                  s.s_labels @ [ ("le", prom_bound (bucket_bound h i)) ]
-                in
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_bucket%s %d\n" name (prom_labels labels) !cum))
-              h.h_counts;
+            for i = 0 to last do
+              cum := !cum + Histogram.bucket_value ladder i;
+              (* The last bucket absorbs everything above the ladder. *)
+              let le =
+                if i = last then Float.infinity
+                else snd (Histogram.bucket_range ladder i)
+              in
+              let labels = s.s_labels @ [ ("le", prom_bound le) ] in
+              Buffer.add_string buf
+                (Printf.sprintf "%s_bucket%s %d\n" name (prom_labels labels) !cum)
+            done;
             (* Summary-style quantile lines (incl. p99.9) alongside the
                cumulative buckets, so dashboards need no PromQL
                histogram_quantile step to read tail latency. *)
@@ -351,7 +321,8 @@ let to_prometheus t =
               (Printf.sprintf "%s_sum%s %s\n" name (prom_labels s.s_labels)
                  (prom_float h.h_sum));
             Buffer.add_string buf
-              (Printf.sprintf "%s_count%s %d\n" name (prom_labels s.s_labels) h.h_n))
+              (Printf.sprintf "%s_count%s %d\n" name (prom_labels s.s_labels)
+                 (observations h)))
         group)
     (List.rev !name_order);
   (* Surface cardinality-cap overflow so dropped series are visible in
@@ -365,3 +336,108 @@ let to_prometheus t =
       (Printf.sprintf "metrics_dropped_series_total %d\n" t.dropped_series)
   end;
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Capacity watermarks                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every gauge, then every non-zero stall counter, in registration
+   order. A stall is named by its [resource] label; [kind] is its own
+   column and the remaining labels qualify the resource. *)
+let watermarks t =
+  let series = series_in_order t in
+  let gauges =
+    List.filter_map
+      (fun s ->
+        match s.s_instrument with
+        | Gauge g -> Some (s.s_name, s.s_labels, g)
+        | _ -> None)
+      series
+  in
+  let stalls =
+    List.filter_map
+      (fun s ->
+        match s.s_instrument with
+        | Counter c when String.equal s.s_name stall_family && c.count > 0 ->
+          let label k = Option.value ~default:"" (List.assoc_opt k s.s_labels) in
+          let rest =
+            List.filter (fun (k, _) -> k <> "resource" && k <> "kind") s.s_labels
+          in
+          Some (label "resource", rest, label "kind", c.count)
+        | _ -> None)
+      series
+  in
+  (gauges, stalls)
+
+let utilisation g =
+  match g.g_capacity with
+  | Some cap when cap > 0 ->
+    Some (cap, 100. *. float_of_int g.high /. float_of_int cap)
+  | _ -> None
+
+let title name = function
+  | [] -> name
+  | labels ->
+    name ^ "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels) ^ "}"
+
+let watermark_table t =
+  let gauges, stalls = watermarks t in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    (Printf.sprintf "%-40s %10s %10s %10s %7s\n" "resource" "current" "high"
+       "capacity" "util%");
+  List.iter
+    (fun (name, labels, g) ->
+      let cap_s, util_s =
+        match utilisation g with
+        | Some (cap, pct) -> (string_of_int cap, Printf.sprintf "%.1f" pct)
+        | None -> ("-", "-")
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "%-40s %10d %10d %10s %7s\n" (title name labels) g.level
+           g.high cap_s util_s))
+    gauges;
+  if stalls <> [] then begin
+    Buffer.add_string buf
+      (Printf.sprintf "\n%-40s %-16s %10s\n" "resource" "stall" "count");
+    List.iter
+      (fun (resource, labels, kind, count) ->
+        Buffer.add_string buf
+          (Printf.sprintf "%-40s %-16s %10d\n" (title resource labels) kind count))
+      stalls
+  end;
+  Buffer.contents buf
+
+let watermark_json t =
+  let gauges, stalls = watermarks t in
+  let labels_json labels =
+    Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
+  in
+  let gauge_json (name, labels, g) =
+    Json.Obj
+      ([
+         ("name", Json.String name);
+         ("labels", labels_json labels);
+         ("current", Json.Int g.level);
+         ("high", Json.Int g.high);
+       ]
+      @
+      match utilisation g with
+      | Some (cap, pct) ->
+        [ ("capacity", Json.Int cap); ("utilisation_pct", Json.Float pct) ]
+      | None -> [])
+  in
+  let stall_json (resource, labels, kind, count) =
+    Json.Obj
+      [
+        ("name", Json.String resource);
+        ("labels", labels_json labels);
+        ("kind", Json.String kind);
+        ("count", Json.Int count);
+      ]
+  in
+  Json.Obj
+    [
+      ("watermarks", Json.List (List.map gauge_json gauges));
+      ("stalls", Json.List (List.map stall_json stalls));
+    ]

@@ -8,6 +8,18 @@
     and the CLI exposes the registry as Prometheus text via
     [netrepro ... --metrics FILE].
 
+    The registry is also the one record of every finite resource's
+    occupancy: the event heap, each NIC descriptor ring, each mbuf pool
+    and each umtx wait queue is a gauge. A gauge keeps its high
+    watermark (the maximum since the last {!reset}) and, where the
+    resource has one, its capacity, and the resource's backpressure
+    stalls — a ring refusing a frame, a pool refusing an allocation,
+    the event heap outgrowing its alarm — are counters of the one
+    [backpressure_stalls_total{resource, kind, ...}] family ({!stall}).
+    [netrepro profile] renders them as the capacity table
+    ({!watermark_table}), and the {!Sampler} time series and the
+    Prometheus dump carry them like every other series.
+
     Instruments are registered once at construction time (allocation allowed), and
     the hot-path update ([incr], [set], [observe]) is a single flag
     check when the registry is disabled — no allocation, so the
@@ -54,7 +66,8 @@ val set_max_series : t -> int -> unit
 val dropped_series : t -> int
 
 val reset : t -> unit
-(** Zero every instrument, keeping all series registered. *)
+(** Zero every instrument, high watermarks included, keeping all
+    series registered. *)
 
 (** {1 Registration}
 
@@ -63,7 +76,17 @@ val reset : t -> unit
     types raises [Invalid_argument]. *)
 
 val counter : t -> ?help:string -> ?labels:labels -> string -> counter
-val gauge : t -> ?help:string -> ?labels:labels -> string -> gauge
+val gauge :
+  t -> ?help:string -> ?capacity:int -> ?labels:labels -> string -> gauge
+(** [capacity] is the resource's hard limit, reported as utilisation of
+    the high watermark by {!watermark_table}. *)
+
+val stall :
+  t -> ?labels:labels -> resource:string -> kind:string -> unit -> counter
+(** The counter [backpressure_stalls_total{resource, kind, ...labels}]:
+    one backpressure event of [kind] (["ring_full"],
+    ["pool_exhausted"], ["heap_growth"]) against the gauge named
+    [resource]. *)
 
 val histogram :
   t ->
@@ -83,7 +106,11 @@ val histogram :
     No-ops (one branch, no allocation) while the registry is disabled. *)
 
 val incr : ?by:int -> counter -> unit
+
 val set : gauge -> int -> unit
+(** Also raises the gauge's high watermark when the new level exceeds
+    it. *)
+
 val add : gauge -> int -> unit
 val observe : histogram -> float -> unit
 
@@ -91,14 +118,18 @@ val observe : histogram -> float -> unit
 
 val value : counter -> int
 val level : gauge -> int
+
+val high : gauge -> int
+(** The highest level since the last {!reset}. *)
+
+val capacity : gauge -> int option
 val observations : histogram -> int
 val sum : histogram -> float
 val mean : histogram -> float
 
 val percentile : histogram -> float -> float
-(** Estimated from the bucket ladder with geometric interpolation:
-    accurate to within one bucket ratio of the exact ({!Stats})
-    percentile. *)
+(** {!Histogram.percentile} of the bucket ladder: accurate to within one
+    bucket ratio of the exact ({!Stats}) percentile. *)
 
 val find_counter : t -> ?labels:labels -> string -> counter option
 val find_gauge : t -> ?labels:labels -> string -> gauge option
@@ -118,3 +149,13 @@ val to_prometheus : t -> string
 (** Prometheus text exposition format: [# HELP]/[# TYPE] headers, one
     line per series, histograms as cumulative [_bucket{le=...}] plus
     [_sum]/[_count]. *)
+
+val watermark_table : t -> string
+(** Two-part capacity table: every gauge in registration order with
+    its current level, high watermark, capacity and utilisation, then
+    every non-zero {!stall} counter by resource and kind. *)
+
+val watermark_json : t -> Json.t
+(** [{"watermarks": [{name, labels, current, high, capacity?,
+    utilisation_pct?}], "stalls": [{name, labels, kind, count}]}], the
+    table's rows; a stall's [name] is its [resource]. *)

@@ -304,10 +304,10 @@ let folded t =
   ^ if !lines = [] then "" else "\n"
 
 (* Mirror per-label RNG draw totals into a Metrics registry as
-   [rng_draws_total{component,cvm,stage}]. Delta-published like
-   Watermark.publish so repeated calls (telemetry dumps, sampler ticks)
-   stay monotone; keys that never drew are skipped to avoid flooding
-   the exposition with zero series. *)
+   [rng_draws_total{component,cvm,stage}]. Only the delta since the
+   last call is published, so repeated calls (telemetry dumps) stay
+   monotone; keys that never drew are skipped to avoid flooding the
+   exposition with zero series. *)
 let publish_rng_draws t registry =
   if Metrics.enabled registry then
     List.iter

@@ -43,9 +43,6 @@ let attach t engine metrics =
   if t.on then begin
     let rec tick () =
       if t.on then begin
-        (* Mirror capacity watermarks first so this snapshot carries
-           their freshest values. *)
-        Watermark.publish Watermark.default metrics;
         if t.n < t.capacity then begin
           t.rows_rev <-
             {

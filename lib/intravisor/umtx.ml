@@ -21,7 +21,7 @@ type t = {
   cont_metric : Dsim.Metrics.counter;
   wait_metric : Dsim.Metrics.histogram;
   k_wake : Dsim.Profile.key;
-  wm_queue : Dsim.Watermark.cell;
+  queue_metric : Dsim.Metrics.gauge;
 }
 
 let policy_label = function Barging -> "barging" | Fifo -> "fifo"
@@ -53,7 +53,10 @@ let create engine ?(policy = Barging) ?(uncontended_ns = 75.) ?(wake_ns = 350.)
     k_wake =
       Dsim.Profile.(key default) ~component:"intravisor"
         ~cvm:(policy_label policy) ~stage:"umtx_wake";
-    wm_queue = Dsim.Watermark.(cell default) ~labels "umtx_wait_queue";
+    queue_metric =
+      Dsim.Metrics.gauge Dsim.Metrics.default
+        ~help:"Threads blocked in the umtx kernel wait queue." ~labels
+        "umtx_wait_queue";
   }
 
 let policy t = t.policy
@@ -80,7 +83,7 @@ let acquire t ?(flow = None) ~owner k =
       (match t.policy with
       | Barging -> w :: t.queue  (* most recent waiter barges in first *)
       | Fifo -> t.queue @ [ w ]);
-    Dsim.Watermark.observe t.wm_queue (List.length t.queue)
+    Dsim.Metrics.set t.queue_metric (List.length t.queue)
 
 let try_acquire t ~owner =
   match t.owner with
@@ -100,7 +103,7 @@ let release t =
     | [] -> ()
     | next :: rest ->
       t.queue <- rest;
-      Dsim.Watermark.observe t.wm_queue (List.length t.queue);
+      Dsim.Metrics.set t.queue_metric (List.length t.queue);
       t.owner <- Some next.name;
       t.acquisitions <- t.acquisitions + 1;
       t.contended <- t.contended + 1;

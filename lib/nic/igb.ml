@@ -24,8 +24,10 @@ type port = {
   k_tx_dma : Dsim.Profile.key;
   k_tx_wire : Dsim.Profile.key;
   k_rx_dma : Dsim.Profile.key;
-  wm_tx : Dsim.Watermark.cell;
-  wm_rx : Dsim.Watermark.cell;
+  tx_ring : Dsim.Metrics.gauge;
+  rx_ring : Dsim.Metrics.gauge;
+  tx_stalls : Dsim.Metrics.counter;
+  rx_stalls : Dsim.Metrics.counter;
   mutable dma_cap : Cheri.Capability.t;
   mutable wire : (Link.t * Link.endpoint) option;
   mutable promisc : bool;
@@ -39,7 +41,11 @@ let create engine mem ~bus ~macs ?(rx_ring_size = 512) ?(tx_ring_size = 1024)
     () =
   let make_port index mac =
     let cvm = Printf.sprintf "port%d" index in
-    let wm_labels = [ ("port", string_of_int index) ] in
+    let reg = Dsim.Metrics.default in
+    let labels = [ ("port", Mac_addr.to_string mac) ] in
+    let ring_full resource =
+      Dsim.Metrics.stall reg ~labels ~resource ~kind:"ring_full" ()
+    in
     {
       index;
       mac;
@@ -57,12 +63,15 @@ let create engine mem ~bus ~macs ?(rx_ring_size = 512) ?(tx_ring_size = 1024)
       k_tx_wire =
         Dsim.Profile.(key default) ~component:"nic" ~cvm ~stage:"tx_wire";
       k_rx_dma = Dsim.Profile.(key default) ~component:"nic" ~cvm ~stage:"rx_dma";
-      wm_tx =
-        Dsim.Watermark.(cell default) ~capacity:tx_ring_size ~labels:wm_labels
-          "nic_tx_ring";
-      wm_rx =
-        Dsim.Watermark.(cell default) ~capacity:rx_ring_size ~labels:wm_labels
-          "nic_rx_ring";
+      tx_ring =
+        Dsim.Metrics.gauge reg ~help:"TX descriptors posted and not yet reaped."
+          ~capacity:tx_ring_size ~labels "nic_tx_ring";
+      rx_ring =
+        Dsim.Metrics.gauge reg
+          ~help:"RX descriptors consumed by the device and not yet refilled."
+          ~capacity:rx_ring_size ~labels "nic_rx_ring";
+      tx_stalls = ring_full "nic_tx_ring";
+      rx_stalls = ring_full "nic_rx_ring";
       dma_cap = Cheri.Capability.null;
       wire = None;
       promisc = false;
@@ -152,7 +161,7 @@ let tx_enqueue p ?(flow = None) ~addr ~len () =
   if len <= 0 then invalid_arg "Igb.tx_enqueue: empty frame";
   if p.tx_inflight >= p.tx_ring_size then begin
     p.stats.tx_ring_full <- p.stats.tx_ring_full + 1;
-    Dsim.Watermark.(stall p.wm_tx Ring_full);
+    Dsim.Metrics.incr p.tx_stalls;
     Dsim.Flowtrace.(drop default ~flow Tx_ring Tx_ring_full);
     false
   end
@@ -162,7 +171,7 @@ let tx_enqueue p ?(flow = None) ~addr ~len () =
        does not corrupt memory later. *)
     Cheri.Capability.check_access p.dma_cap Load ~addr ~len;
     p.tx_inflight <- p.tx_inflight + 1;
-    Dsim.Watermark.observe p.wm_tx p.tx_inflight;
+    Dsim.Metrics.set p.tx_ring p.tx_inflight;
     Dsim.Flowtrace.hop flow Tx_ring ~at:(Dsim.Engine.now p.engine);
     Queue.push { tx_addr = addr; tx_len = len; tx_flow = flow } p.tx_pending;
     kick_tx p;
@@ -179,12 +188,16 @@ let tx_reap p ~max =
     end
   in
   let reaped = take max [] in
-  Dsim.Watermark.observe p.wm_tx p.tx_inflight;
+  Dsim.Metrics.set p.tx_ring p.tx_inflight;
   reaped
 
 let tx_in_flight p = p.tx_inflight
 
 (* --- receive path ---------------------------------------------------- *)
+
+(* RX occupancy: ring slots holding no posted buffer, i.e. descriptors
+   the device consumed and [rx_refill] has not yet replenished. *)
+let rx_free_slots p = p.rx_ring_size - Queue.length p.rx_free
 
 (* Destination filter straight off the frame bytes — no per-packet
    address allocation. The multicast test covers broadcast (I/G bit). *)
@@ -223,7 +236,7 @@ let deliver_frame p ~flow ~fcs ~recycle frame =
   end
   else if Queue.is_empty p.rx_free then begin
     p.stats.rx_no_desc <- p.stats.rx_no_desc + 1;
-    Dsim.Watermark.(stall p.wm_rx Ring_full);
+    Dsim.Metrics.incr p.rx_stalls;
     Dsim.Flowtrace.(drop default ~flow Rx_dma Rx_ring_full);
     if recycle then wire_release p frame
   end
@@ -234,16 +247,13 @@ let deliver_frame p ~flow ~fcs ~recycle frame =
          descriptors, our driver always posts MTU-sized buffers so this
          only happens on misconfiguration. Count it as a drop. *)
       p.stats.rx_no_desc <- p.stats.rx_no_desc + 1;
-      Dsim.Watermark.(stall p.wm_rx Ring_full);
+      Dsim.Metrics.incr p.rx_stalls;
       Dsim.Flowtrace.(drop default ~flow Rx_dma Rx_ring_full);
       if recycle then wire_release p frame
     end
     else begin
       ignore (Queue.pop p.rx_free);
-      (* RX occupancy = posted descriptors consumed and not yet
-         replenished by [rx_refill]. *)
-      Dsim.Watermark.observe p.wm_rx
-        (p.rx_ring_size - Queue.length p.rx_free);
+      Dsim.Metrics.set p.rx_ring (rx_free_slots p);
       let now = Dsim.Engine.now p.engine in
       let dma_done =
         Pci_bus.reserve p.bus To_memory ~now ~bytes:len
@@ -278,7 +288,7 @@ let rx_refill p ~addr ~len =
   else begin
     Cheri.Capability.check_access p.dma_cap Store ~addr ~len;
     Queue.push { rx_addr = addr; rx_len = len } p.rx_free;
-    Dsim.Watermark.observe p.wm_rx (p.rx_ring_size - Queue.length p.rx_free);
+    Dsim.Metrics.set p.rx_ring (rx_free_slots p);
     true
   end
 
@@ -290,4 +300,3 @@ let rx_burst p ~max =
   take max []
 
 let rx_pending p = Queue.length p.rx_done
-let rx_free_slots p = p.rx_ring_size - Queue.length p.rx_free

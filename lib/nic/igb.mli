@@ -17,9 +17,11 @@
     configuration and the one the paper's testbed runs: one DPDK +
     F-Stack instance per port, no receive-side scaling. Ring occupancy
     is bounded like the hardware's descriptor rings; overflow drops
-    (RX) or refusals (TX) are counted in {!Port_stats}, and each ring
-    has a [("port", _)]-labelled {!Dsim.Watermark} cell. The two ports
-    share the PCI bus. *)
+    (RX) or refusals (TX) are counted in {!Port_stats}. Each ring's
+    occupancy is a {!Dsim.Metrics} gauge ([nic_tx_ring], [nic_rx_ring])
+    with its size as capacity, and each overflow a [ring_full] stall,
+    all labelled [port=<MAC>] like the port's DPDK series. The two
+    ports share the PCI bus. *)
 
 type t
 type port

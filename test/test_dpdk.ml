@@ -37,7 +37,7 @@ let eal_oom () =
 
 let make_pool ?(n = 4) ?(buf_len = 2048) () =
   let _, mem, eal = make_eal () in
-  (mem, Dpdk.Mbuf.pool_create eal ~name:"test" ~n ~buf_len ())
+  (mem, Dpdk.Mbuf.pool_create eal ~name:"test" ~n ~buf_len)
 
 let mbuf_pool_lifecycle () =
   let _, pool = make_pool () in
@@ -180,7 +180,7 @@ let make_pair () =
   let setup idx ep name =
     let port = Nic.Igb.port nic idx in
     Nic.Igb.connect port link ep;
-    let pool = Dpdk.Mbuf.pool_create eal ~name ~n:128 ~buf_len:2048 () in
+    let pool = Dpdk.Mbuf.pool_create eal ~name ~n:128 ~buf_len:2048 in
     let zone = Option.get (Dpdk.Eal.memzone_lookup eal ~name:("mbuf-" ^ name)) in
     ignore (Dpdk.Igb_uio.bind port ~dma_window:zone);
     let dev = Dpdk.Eth_dev.attach eal port ~rx_pool:pool in

@@ -1,4 +1,4 @@
-(* The wall-clock profiler, capacity watermarks, backpressure stalls,
+(* The wall-clock profiler, capacity gauges, backpressure stalls,
    and the perf-regression differ.
 
    Ordering note: the tests that install a synthetic clock on
@@ -72,82 +72,71 @@ let fig4_events_deterministic () =
     (events_of r1 = events_of r2)
 
 (* ------------------------------------------------------------------ *)
-(* Watermarks                                                           *)
+(* Capacity gauges and backpressure stalls                              *)
 (* ------------------------------------------------------------------ *)
 
 let watermark_monotone () =
-  let w = Dsim.Watermark.create ~enabled:true () in
-  let c = Dsim.Watermark.cell w ~capacity:100 "res" in
+  let m = Dsim.Metrics.create ~enabled:true () in
+  let g = Dsim.Metrics.gauge m ~capacity:100 "res" in
   let high_seen = ref 0 in
   List.iter
     (fun level ->
-      Dsim.Watermark.observe c level;
-      let h = Dsim.Watermark.high c in
+      Dsim.Metrics.set g level;
+      let h = Dsim.Metrics.high g in
       Alcotest.(check bool) "high never decreases" true (h >= !high_seen);
-      Alcotest.(check bool) "high >= current" true
-        (h >= Dsim.Watermark.current c);
+      Alcotest.(check bool) "high >= current" true (h >= Dsim.Metrics.level g);
       high_seen := h)
     [ 3; 10; 7; 42; 11; 0; 41 ];
-  Alcotest.(check int) "high is the running max" 42 (Dsim.Watermark.high c);
-  Alcotest.(check int) "current is the last level" 41
-    (Dsim.Watermark.current c)
+  Alcotest.(check int) "high is the running max" 42 (Dsim.Metrics.high g);
+  Alcotest.(check int) "current is the last level" 41 (Dsim.Metrics.level g);
+  Alcotest.(check (option int)) "capacity kept" (Some 100)
+    (Dsim.Metrics.capacity g);
+  Dsim.Metrics.reset m;
+  Alcotest.(check int) "reset zeroes high" 0 (Dsim.Metrics.high g);
+  Dsim.Metrics.add g 5;
+  Alcotest.(check int) "add raises high" 5 (Dsim.Metrics.high g)
 
-let watermark_growth_alarm () =
-  let w = Dsim.Watermark.create ~enabled:true () in
-  let c = Dsim.Watermark.cell w ~growth_alarm:4 "heap" in
-  for level = 1 to 40 do
-    Dsim.Watermark.observe c level
-  done;
-  (* Crossings at 4, 8, 16, 32 — doubling keeps an unbounded leak at
-     O(log n) stalls. *)
-  Alcotest.(check int) "doubling alarm fired log-many times" 4
-    (Dsim.Watermark.stall_count w "heap" Dsim.Watermark.Heap_growth)
+(* The process-wide registry, reset and enabled for one check. *)
+let with_default_metrics f =
+  let m = Dsim.Metrics.default in
+  Dsim.Metrics.reset m;
+  Dsim.Metrics.set_enabled m true;
+  Fun.protect ~finally:(fun () -> Dsim.Metrics.set_enabled m false) (fun () -> f m)
 
-let watermark_publish () =
-  let w = Dsim.Watermark.create ~enabled:true () in
-  let m = Dsim.Metrics.create ~enabled:true () in
-  let c = Dsim.Watermark.cell w ~capacity:8 ~labels:[ ("port", "0") ] "ring" in
-  Dsim.Watermark.observe c 5;
-  Dsim.Watermark.stall c Dsim.Watermark.Ring_full;
-  Dsim.Watermark.stall c Dsim.Watermark.Ring_full;
-  Dsim.Watermark.publish w m;
-  Dsim.Watermark.publish w m (* second publish must not double-count *);
-  let families =
-    List.map (fun (name, _, _) -> name) (Dsim.Metrics.snapshot m)
-  in
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) (f ^ " family published") true
-        (List.mem f families))
-    [ "capacity_watermark"; "capacity_watermark_high";
-      "backpressure_stalls_total" ];
+let stall_count m ?(labels = []) ~resource kind =
   match
     Dsim.Metrics.find_counter m
-      ~labels:[ ("resource", "ring"); ("kind", "ring_full"); ("port", "0") ]
+      ~labels:(("resource", resource) :: ("kind", kind) :: labels)
       "backpressure_stalls_total"
   with
-  | Some ctr -> Alcotest.(check int) "stall delta published once" 2
-                  (Dsim.Metrics.value ctr)
-  | None -> Alcotest.fail "backpressure_stalls_total series missing"
+  | Some c -> Dsim.Metrics.value c
+  | None -> Alcotest.failf "no %s stall series for %s" kind resource
+
+let watermark_growth_alarm () =
+  with_default_metrics (fun m ->
+      let engine = Dsim.Engine.create () in
+      for _ = 1 to 5000 do
+        ignore (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 1) ignore)
+      done;
+      (* Stalls at 2048 and 4096 — doubling keeps an unbounded leak at
+         O(log n) stalls. *)
+      Alcotest.(check int) "doubling alarm fired log-many times" 2
+        (stall_count m ~resource:"event_heap" "heap_growth");
+      match Dsim.Metrics.find_gauge m "event_heap" with
+      | Some g -> Alcotest.(check int) "heap high" 5000 (Dsim.Metrics.high g)
+      | None -> Alcotest.fail "event_heap gauge missing")
 
 (* Forced mbuf-pool exhaustion must surface as typed backpressure, not
    just a None from alloc. *)
 let mbuf_exhaustion_backpressure () =
-  let w = Dsim.Watermark.default in
-  Dsim.Watermark.reset w;
-  Dsim.Watermark.set_enabled w true;
-  Fun.protect
-    ~finally:(fun () -> Dsim.Watermark.set_enabled w false)
-    (fun () ->
+  with_default_metrics (fun m ->
       let engine = Dsim.Engine.create () in
       let mem = Cheri.Tagged_memory.create ~size:0x200000 in
       let region =
         Cheri.Capability.root ~base:0 ~length:0x100000 ~perms:Cheri.Perms.all
       in
       let eal = Dpdk.Eal.create engine mem ~region in
-      let pool =
-        Dpdk.Mbuf.pool_create eal ~name:"squeeze" ~n:8 ~buf_len:256 ()
-      in
+      let pool = Dpdk.Mbuf.pool_create eal ~name:"squeeze" ~n:8 ~buf_len:256 in
       let live = ref [] in
       let refusals = ref 0 in
       for _ = 1 to 12 do
@@ -158,18 +147,96 @@ let mbuf_exhaustion_backpressure () =
       Alcotest.(check int) "pool handed out its capacity" 8
         (List.length !live);
       Alcotest.(check int) "alloc refused past capacity" 4 !refusals;
+      let labels = [ ("pool", "squeeze") ] in
       Alcotest.(check int) "each refusal is a pool_exhausted stall" 4
-        (Dsim.Watermark.stall_count w
-           ~labels:[ ("pool", "squeeze") ]
-           "mbuf_pool" Dsim.Watermark.Pool_exhausted);
-      let hi =
-        let c =
-          Dsim.Watermark.cell w ~labels:[ ("pool", "squeeze") ] "mbuf_pool"
-        in
-        Dsim.Watermark.high c
+        (stall_count m ~labels ~resource:"dpdk_mbuf_in_use" "pool_exhausted");
+      (match Dsim.Metrics.find_gauge m ~labels "dpdk_mbuf_in_use" with
+      | Some g ->
+        Alcotest.(check int) "high watermark pinned at capacity" 8
+          (Dsim.Metrics.high g)
+      | None -> Alcotest.fail "dpdk_mbuf_in_use gauge missing");
+      (* The profile.json rows: the pool at 100% and its stall. *)
+      let rows key =
+        match J.member key (Dsim.Metrics.watermark_json m) with
+        | Some (J.List l) -> l
+        | _ -> Alcotest.failf "watermark json has no %s list" key
       in
-      Alcotest.(check int) "high watermark pinned at capacity" 8 hi;
+      let squeeze row =
+        J.member "labels" row = Some (J.Obj [ ("pool", J.String "squeeze") ])
+      in
+      (match List.find_opt squeeze (rows "watermarks") with
+      | Some row ->
+        Alcotest.(check bool) "pool row at capacity" true
+          (J.member "high" row = Some (J.Int 8)
+          && J.member "capacity" row = Some (J.Int 8)
+          && J.member "utilisation_pct" row = Some (J.Float 100.))
+      | None -> Alcotest.fail "no watermark row for the pool");
+      Alcotest.(check bool) "stall row" true
+        (List.exists
+           (fun row ->
+             squeeze row
+             && J.member "name" row = Some (J.String "dpdk_mbuf_in_use")
+             && J.member "kind" row = Some (J.String "pool_exhausted")
+             && J.member "count" row = Some (J.Int 4))
+           (rows "stalls"));
       List.iter Dpdk.Mbuf.free !live)
+
+(* Each port's rings are their own series, named by MAC: the DUT's and
+   the load generator's port 0 no longer share one. *)
+let rx_rings_per_node () =
+  with_default_metrics (fun m ->
+      let built =
+        Core.Scenarios.build_dual_port ~direction:Core.Scenarios.Dut_receives ()
+      in
+      let ring node =
+        let mac =
+          Nic.Mac_addr.to_string (Nic.Igb.mac (Core.Topology.port node 0))
+        in
+        match Dsim.Metrics.find_gauge m ~labels:[ ("port", mac) ] "nic_rx_ring" with
+        | Some g -> g
+        | None -> Alcotest.failf "no nic_rx_ring series for %s" mac
+      in
+      let dut = ring built.Core.Scenarios.dut
+      and peer = ring built.Core.Scenarios.peer in
+      Alcotest.(check bool) "two series" true (dut != peer);
+      (* The first refill of an empty ring leaves 511 of 512 slots
+         unposted. *)
+      List.iter
+        (fun g ->
+          Alcotest.(check int) "rx ring high" 511 (Dsim.Metrics.high g);
+          Alcotest.(check (option int)) "rx ring capacity" (Some 512)
+            (Dsim.Metrics.capacity g))
+        [ dut; peer ];
+      built.Core.Scenarios.stop ())
+
+(* [--timeseries] enables only the registry and a sampler; the ring
+   gauges are registry series, so the rows show real occupancy. *)
+let timeseries_ring_levels () =
+  with_default_metrics (fun m ->
+      let built =
+        Core.Scenarios.build_dual_port ~direction:Core.Scenarios.Dut_sends ()
+      in
+      let engine = built.Core.Scenarios.engine in
+      let s =
+        Dsim.Sampler.create ~enabled:true ~interval:(Dsim.Time.ms 1) ()
+      in
+      Dsim.Sampler.attach s engine m;
+      Dsim.Engine.run engine ~until:(Dsim.Time.ms 20);
+      built.Core.Scenarios.stop ();
+      let peak =
+        List.fold_left
+          (fun acc (r : Dsim.Sampler.row) ->
+            List.fold_left
+              (fun acc (name, _, v) ->
+                match v with
+                | Dsim.Metrics.Gauge_value n when name = "nic_tx_ring" -> max acc n
+                | _ -> acc)
+              acc r.Dsim.Sampler.values)
+          0 (Dsim.Sampler.rows s)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "nic_tx_ring peaks at %d in the rows" peak)
+        true (peak > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Profiler mechanics (synthetic clock on the default registry)         *)
@@ -471,10 +538,12 @@ let suite =
     Alcotest.test_case "watermark high is monotone" `Quick watermark_monotone;
     Alcotest.test_case "heap growth alarm doubles" `Quick
       watermark_growth_alarm;
-    Alcotest.test_case "watermarks publish into metrics once" `Quick
-      watermark_publish;
     Alcotest.test_case "mbuf exhaustion raises typed backpressure" `Quick
       mbuf_exhaustion_backpressure;
+    Alcotest.test_case "rx rings are one series per node" `Quick
+      rx_rings_per_node;
+    Alcotest.test_case "timeseries rows show ring occupancy" `Quick
+      timeseries_ring_levels;
     Alcotest.test_case "span self vs cumulative split" `Quick span_self_vs_cum;
     Alcotest.test_case "engine dispatch attributes to labels" `Quick
       engine_dispatch_attribution;

@@ -59,7 +59,7 @@ let make_pool ?(n = 4) ?(buf_len = 2048) () =
     Cheri.Capability.root ~base:0 ~length:0x100000 ~perms:Cheri.Perms.all
   in
   let eal = Dpdk.Eal.create engine mem ~region in
-  (mem, Dpdk.Mbuf.pool_create eal ~name:"zc" ~n ~buf_len ())
+  (mem, Dpdk.Mbuf.pool_create eal ~name:"zc" ~n ~buf_len)
 
 let borrow_reads_in_place () =
   let mem, pool = make_pool () in
@@ -259,7 +259,6 @@ let fig4_alloc_per_packet =
     (Dsim.Metrics.set_enabled Dsim.Metrics.default false;
      Dsim.Flowtrace.set_enabled Dsim.Flowtrace.default false;
      Dsim.Profile.set_enabled Dsim.Profile.default false;
-     Dsim.Watermark.set_enabled Dsim.Watermark.default false;
      Dsim.Audit.set_enabled Dsim.Audit.default false;
      Dsim.Sampler.set_enabled Dsim.Sampler.default false;
      Dsim.Journal.stop ();
