@@ -41,7 +41,9 @@ let set_bounds c ~base ~length =
   if length < 0 then
     Fault.raise_fault Monotonicity_violation ~address:base
       ~detail:"set_bounds with negative length";
-  if base < c.base || base + length > limit c then
+  (* [length > limit c - base], not [base + length > limit c]: a length
+     near [max_int] would wrap the sum negative and pass. *)
+  if base < c.base || base > limit c || length > limit c - base then
     Fault.raise_fault Monotonicity_violation ~address:base
       ~detail:
         (Printf.sprintf "set_bounds [0x%x,+0x%x) escapes [0x%x,+0x%x)" base
@@ -118,7 +120,9 @@ let has_perm p = function
   | Load_cap -> p.Perms.load_cap
   | Store_cap -> p.Perms.store_cap
 
-let in_bounds c ~addr ~len = addr >= c.base && addr + len <= limit c && len >= 0
+(* Overflow-free: [addr + len] is never formed. *)
+let in_bounds c ~addr ~len =
+  len >= 0 && addr >= c.base && addr <= limit c && len <= limit c - addr
 
 let check_access c access ~addr ~len =
   if not c.tag then

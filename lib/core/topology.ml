@@ -13,8 +13,12 @@ let mac_for name idx =
   let h = Hashtbl.hash name land 0xffff in
   Nic.Mac_addr.make 0x02 0x82 ((h lsr 8) land 0xff) (h land 0xff) 0x57 idx
 
+(* Each node's address space. Pages are created on first write, so the
+   size costs nothing until touched. *)
+let mem_size = 64 * 1024 * 1024
+
 let make_node engine ~name ?(cost = Dsim.Cost_model.default)
-    ?(generous_pci = false) ?(mem_size = 64 * 1024 * 1024) ~ports () =
+    ?(generous_pci = false) ~ports () =
   let iv = Capvm.Intravisor.create engine ~mem_size ~cost in
   let bus =
     if generous_pci then

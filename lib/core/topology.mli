@@ -14,14 +14,14 @@ val make_node :
   name:string ->
   ?cost:Dsim.Cost_model.t ->
   ?generous_pci:bool ->
-  ?mem_size:int ->
   ports:int ->
   unit ->
   node
-(** [generous_pci] gives the node a 10 Gbit/s DMA bus per direction so
-    it can never be the bottleneck — used for the load-generator peer,
-    which stands in for the authors' test server. Each NIC port has one
-    RX/TX descriptor-ring pair ({!Nic.Igb}). *)
+(** A node's address space is 64 MiB. [generous_pci] gives the node a
+    10 Gbit/s DMA bus per direction so it can never be the bottleneck —
+    used for the load-generator peer, which stands in for the authors'
+    test server. Each NIC port has one RX/TX descriptor-ring pair
+    ({!Nic.Igb}). *)
 
 val node_name : node -> string
 val intravisor : node -> Capvm.Intravisor.t

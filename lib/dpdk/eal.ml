@@ -20,6 +20,9 @@ let memzone_reserve t ~name ~size =
   if Hashtbl.mem t.zones name then
     invalid_arg ("Eal.memzone_reserve: duplicate zone " ^ name);
   let cap = Cheri.Alloc.malloc t.alloc size in
+  (* The EAL maps pre-faulted hugepages: the zone's pages exist before
+     the first packet touches them. *)
+  Cheri.Tagged_memory.populate t.mem ~addr:(Cheri.Capability.base cap) ~len:size;
   Hashtbl.replace t.zones name cap;
   cap
 

@@ -17,7 +17,9 @@ val engine : t -> Dsim.Engine.t
 val mem : t -> Cheri.Tagged_memory.t
 
 val memzone_reserve : t -> name:string -> size:int -> Cheri.Capability.t
-(** Carve a named zone; the name must be fresh.
+(** Carve a named zone; the name must be fresh. Its pages are created
+    at once ({!Cheri.Tagged_memory.populate}), as the EAL maps
+    pre-faulted hugepages, so the packet path never creates one.
     @raise Invalid_argument on duplicates, [Out_of_memory] when full. *)
 
 val memzone_lookup : t -> name:string -> Cheri.Capability.t option

@@ -29,6 +29,14 @@ let pool_create eal ~name ~n ~buf_len =
     invalid_arg "Mbuf.pool_create: headroom >= buf_len";
   let labels = [ ("pool", name) ] in
   let zone = Eal.memzone_reserve eal ~name:("mbuf-" ^ name) ~size:(n * buf_len) in
+  (* As in DPDK since 19.11, no buffer straddles a page: a frame borrow
+     lends one page's bytes. *)
+  for i = 0 to n - 1 do
+    let addr = Cheri.Capability.base zone + (i * buf_len) in
+    if not (Cheri.Tagged_memory.within_page ~addr ~len:buf_len) then
+      invalid_arg
+        (Printf.sprintf "Mbuf.pool_create: buffer at 0x%x straddles a page" addr)
+  done;
   let mem = Eal.mem eal in
   let pool =
     {

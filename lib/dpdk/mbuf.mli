@@ -18,7 +18,10 @@ val pool_create : Eal.t -> name:string -> n:int -> buf_len:int -> pool
     Each buffer starts with DPDK's 128-byte [RTE_PKTMBUF_HEADROOM],
     included in [buf_len]. The pool's occupancy is the gauge
     [dpdk_mbuf_in_use{pool=name}] with capacity [n], and each refused
-    allocation a [pool_exhausted] stall. *)
+    allocation a [pool_exhausted] stall.
+    @raise Invalid_argument if a buffer would straddle a
+    {!Cheri.Tagged_memory.page_size} page: DPDK mempools never place an
+    object across one. *)
 
 val pool_name : pool -> string
 val available : pool -> int

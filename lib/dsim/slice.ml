@@ -11,7 +11,8 @@ let default_oob =
 type t = { base : bytes; off : int; len : int; abs : int; oob : oob }
 
 let make ?(abs = 0) ?(oob = default_oob) base ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length base then
+  if off < 0 || len < 0 || off > Bytes.length base || len > Bytes.length base - off
+  then
     invalid_arg
       (Printf.sprintf "Slice.make: window [%d,+%d) outside 0..%d" off len
          (Bytes.length base));
@@ -25,7 +26,7 @@ let base_off t = t.off
 let absolute t = t.abs
 
 let check t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.len then
+  if off < 0 || len < 0 || off > t.len || len > t.len - off then
     t.oob.raise_oob ~addr:(t.abs + off) ~len
       ~detail:(Printf.sprintf "outside slice [0x%x,+0x%x)" t.abs t.len)
 

@@ -14,7 +14,8 @@ let free_space t = capacity t - t.len
 let is_empty t = t.len = 0
 
 let write t src ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length src then
+  if off < 0 || len < 0 || off > Bytes.length src || len > Bytes.length src - off
+  then
     invalid_arg "Ring_buf.write: bad source range";
   let n = min len (free_space t) in
   let cap = capacity t in
@@ -26,7 +27,7 @@ let write t src ~off ~len =
   n
 
 let blit_to t ~off ~len ~dst ~dst_off =
-  if off < 0 || len < 0 || off + len > t.len then
+  if off < 0 || len < 0 || off > t.len || len > t.len - off then
     invalid_arg "Ring_buf.blit_to: range exceeds buffered data";
   let cap = capacity t in
   let start = (t.head + off) mod cap in
@@ -35,7 +36,7 @@ let blit_to t ~off ~len ~dst ~dst_off =
   if len > first then Bytes.blit t.data 0 dst (dst_off + first) (len - first)
 
 let peek t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.len then
+  if off < 0 || len < 0 || off > t.len || len > t.len - off then
     invalid_arg "Ring_buf.peek: range exceeds buffered data";
   let dst = Bytes.create len in
   blit_to t ~off ~len ~dst ~dst_off:0;

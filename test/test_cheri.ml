@@ -38,6 +38,11 @@ let perms_pp () =
 
 let root_cap () = Cheri.Capability.root ~base:0x1000 ~length:0x1000 ~perms:Cheri.Perms.all
 
+(* A length past [max_int - addr] wraps [addr + len] negative, which an
+   [addr + len <= limit] check lets through: both the largest length
+   and the smallest overflowing one must fault. *)
+let overflowing_lens addr = [ max_int; max_int - addr + 1 ]
+
 let cap_root_fields () =
   let c = root_cap () in
   Alcotest.(check int) "base" 0x1000 (Cheri.Capability.base c);
@@ -67,7 +72,17 @@ let cap_set_bounds_monotonic () =
   expect_fault "grow limit" Cheri.Fault.Monotonicity_violation (fun () ->
       Cheri.Capability.set_bounds c ~base:0x1f00 ~length:0x200);
   expect_fault "negative length" Cheri.Fault.Monotonicity_violation (fun () ->
-      Cheri.Capability.set_bounds c ~base:0x1100 ~length:(-1))
+      Cheri.Capability.set_bounds c ~base:0x1100 ~length:(-1));
+  List.iter
+    (fun length ->
+      expect_fault (Printf.sprintf "set_bounds to 0x%x bytes" length)
+        Cheri.Fault.Monotonicity_violation (fun () ->
+          Cheri.Capability.set_bounds c ~base:0x1100 ~length);
+      expect_fault (Printf.sprintf "derive of 0x%x bytes" length)
+        Cheri.Fault.Monotonicity_violation (fun () ->
+          Cheri.Capability.derive c ~offset:0x100 ~length
+            ~perms:Cheri.Perms.read_only))
+    (overflowing_lens 0x1100)
 
 let cap_and_perms_monotonic () =
   let c = root_cap () in
@@ -112,7 +127,14 @@ let cap_check_access_faults () =
   expect_fault "store via ro" Cheri.Fault.Permission_violation (fun () ->
       Cheri.Capability.check_access c Cheri.Capability.Store ~addr:0x1000 ~len:1);
   expect_fault "execute without X" Cheri.Fault.Permission_violation (fun () ->
-      Cheri.Capability.check_access c Cheri.Capability.Execute ~addr:0x1000 ~len:4)
+      Cheri.Capability.check_access c Cheri.Capability.Execute ~addr:0x1000 ~len:4);
+  List.iter
+    (fun len ->
+      expect_fault (Printf.sprintf "load of 0x%x bytes" len)
+        Cheri.Fault.Out_of_bounds (fun () ->
+          Cheri.Capability.check_access c Cheri.Capability.Load ~addr:0x1000
+            ~len))
+    (overflowing_lens 0x1000)
 
 let cap_seal_unseal () =
   let c = root_cap () in
@@ -217,7 +239,13 @@ let mem_capability_checks () =
   expect_fault "store via ro" Cheri.Fault.Permission_violation (fun () ->
       Cheri.Tagged_memory.store_bytes mem ~cap:ro ~addr:0x100 (Bytes.of_string "x"));
   expect_fault "load oob" Cheri.Fault.Out_of_bounds (fun () ->
-      Cheri.Tagged_memory.load_bytes mem ~cap:ro ~addr:0x1ff ~len:2)
+      Cheri.Tagged_memory.load_bytes mem ~cap:ro ~addr:0x1ff ~len:2);
+  List.iter
+    (fun len ->
+      expect_fault (Printf.sprintf "borrow of 0x%x bytes" len)
+        Cheri.Fault.Out_of_bounds (fun () ->
+          Cheri.Tagged_memory.borrow mem ~cap:ro ~addr:0x100 ~len))
+    (overflowing_lens 0x100)
 
 let mem_physical_bounds () =
   let mem = Cheri.Tagged_memory.create ~size:0x100 in
@@ -259,6 +287,120 @@ let mem_cap_store_rules () =
     (fun () -> Cheri.Tagged_memory.store_cap mem ~cap:no_caps ~addr:0x500 cap);
   expect_fault "load_cap needs permission" Cheri.Fault.Permission_violation
     (fun () -> ignore (Cheri.Tagged_memory.load_cap mem ~cap:no_caps ~addr:0x500))
+
+(* Paged backing: two 2 MiB pages under one all-powerful capability. *)
+let page = Cheri.Tagged_memory.page_size
+
+let paged () =
+  let mem = Cheri.Tagged_memory.create ~size:(2 * page) in
+  (mem, Cheri.Capability.root ~base:0 ~length:(2 * page) ~perms:Cheri.Perms.all)
+
+let mem_absent_pages_read_zero () =
+  let module M = Cheri.Tagged_memory in
+  let mem, cap = paged () in
+  let addr = page + 0x100 in
+  let resident what n = Alcotest.(check int) what n (M.resident_pages mem) in
+  Alcotest.(check string) "load_bytes" (String.make 8 '\000')
+    (Bytes.to_string (M.load_bytes mem ~cap ~addr ~len:8));
+  Alcotest.(check int) "get_u8" 0 (M.get_u8 mem ~cap ~addr);
+  Alcotest.(check int) "get_u16_be" 0 (M.get_u16_be mem ~cap ~addr);
+  Alcotest.(check int) "get_u32_be" 0 (M.get_u32_be mem ~cap ~addr);
+  Alcotest.(check int64) "get_u64_le" 0L (M.get_u64_le mem ~cap ~addr);
+  let dst = Bytes.make 8 'x' in
+  M.blit_out mem ~cap ~addr ~dst ~dst_off:0 ~len:8;
+  Alcotest.(check string) "blit_out" (String.make 8 '\000') (Bytes.to_string dst);
+  Alcotest.(check bool) "load_cap untagged" false
+    (Cheri.Capability.is_tagged (M.load_cap mem ~cap ~addr));
+  Alcotest.(check bool) "tag_at" false (M.tag_at mem ~addr);
+  resident "reads create no page" 0;
+  M.fill mem ~cap ~addr:page ~len:page '\000';
+  resident "zero fill leaves the page absent" 0;
+  M.set_u8 mem ~cap ~addr 1;
+  resident "a write creates its page" 1;
+  Alcotest.(check int) "and only its page: page 0 still reads zeros" 0
+    (M.get_u8 mem ~cap ~addr:0)
+
+(* Bytes [2 MiB - 7, 2 MiB + 8] through every accessor family. *)
+let mem_page_boundary_roundtrip () =
+  let module M = Cheri.Tagged_memory in
+  let mem, cap = paged () in
+  let lo = page - 7 and len = 16 in
+  let load () = Bytes.to_string (M.load_bytes mem ~cap ~addr:lo ~len) in
+  let pattern c0 = String.init len (fun i -> Char.chr (c0 + i)) in
+  M.store_bytes mem ~cap ~addr:lo (Bytes.of_string (pattern 0x10));
+  Alcotest.(check string) "store_bytes" (pattern 0x10) (load ());
+  M.blit_in mem ~cap ~addr:lo ~src:(Bytes.of_string ("..." ^ pattern 0x40))
+    ~src_off:3 ~len;
+  let dst = Bytes.make (len + 2) '.' in
+  M.blit_out mem ~cap ~addr:lo ~dst ~dst_off:2 ~len;
+  Alcotest.(check string) "blit_in/blit_out" (".." ^ pattern 0x40)
+    (Bytes.to_string dst);
+  M.fill mem ~cap ~addr:lo ~len 'q';
+  Alcotest.(check string) "fill" (String.make len 'q') (load ());
+  for addr = lo to lo + len - 2 do
+    M.set_u16_be mem ~cap ~addr 0xbeef;
+    Alcotest.(check int) (Printf.sprintf "u16 at %+d" (addr - page)) 0xbeef
+      (M.get_u16_be mem ~cap ~addr);
+    Alcotest.(check int) "u16 big-endian" 0xbe (M.get_u8 mem ~cap ~addr)
+  done;
+  for addr = lo to lo + len - 4 do
+    M.set_u32_be mem ~cap ~addr 0xdeadbeef;
+    Alcotest.(check int) (Printf.sprintf "u32 at %+d" (addr - page)) 0xdeadbeef
+      (M.get_u32_be mem ~cap ~addr);
+    Alcotest.(check int) "u32 big-endian" 0xef (M.get_u8 mem ~cap ~addr:(addr + 3))
+  done;
+  for addr = lo to lo + len - 8 do
+    M.set_u64_le mem ~cap ~addr 0x1122334455667788L;
+    Alcotest.(check int64) (Printf.sprintf "u64 at %+d" (addr - page))
+      0x1122334455667788L (M.get_u64_le mem ~cap ~addr);
+    Alcotest.(check int) "u64 little-endian" 0x88 (M.get_u8 mem ~cap ~addr);
+    Alcotest.(check int) "u64 top byte" 0x11 (M.get_u8 mem ~cap ~addr:(addr + 7))
+  done;
+  Alcotest.(check int) "both pages resident" 2 (M.resident_pages mem)
+
+let mem_tag_cleared_across_page () =
+  let module M = Cheri.Tagged_memory in
+  let mem, cap = paged () in
+  M.store_cap mem ~cap ~addr:page cap;
+  Alcotest.(check bool) "page 1 granule tagged" true (M.tag_at mem ~addr:page);
+  M.blit_in mem ~cap ~addr:(page - 8) ~src:(Bytes.make 16 'z') ~src_off:0 ~len:16;
+  Alcotest.(check bool) "tag cleared by a blit from page 0" false
+    (M.tag_at mem ~addr:page);
+  Alcotest.(check bool) "load yields untagged" false
+    (Cheri.Capability.is_tagged (M.load_cap mem ~cap ~addr:page))
+
+let mem_borrow_across_page () =
+  let module M = Cheri.Tagged_memory in
+  let mem, cap = paged () in
+  let addr = page - 32 and len = 64 in
+  M.store_bytes mem ~cap ~addr (Bytes.init len Char.chr);
+  let s = M.borrow mem ~cap ~addr ~len in
+  Alcotest.(check string) "same bytes as load_bytes"
+    (Bytes.to_string (M.load_bytes mem ~cap ~addr ~len))
+    (Bytes.to_string (Dsim.Slice.to_bytes s));
+  Alcotest.(check int) "absolute address" addr (Dsim.Slice.absolute s);
+  (* Escaping the copied window faults where a per-access check over
+     the same window would. *)
+  let window = Cheri.Capability.set_bounds cap ~base:addr ~length:len in
+  let fault_addr f =
+    match f () with
+    | _ -> Alcotest.fail "expected a capability fault"
+    | exception Cheri.Fault.Capability_fault f ->
+      Alcotest.(check bool) "out of bounds" true
+        (f.Cheri.Fault.kind = Cheri.Fault.Out_of_bounds);
+      f.Cheri.Fault.address
+  in
+  Alcotest.(check int) "fault address"
+    (fault_addr (fun () -> M.get_u8 mem ~cap:window ~addr:(addr + len)))
+    (fault_addr (fun () -> Dsim.Slice.get_u8 s len));
+  Alcotest.(check bool) "borrow_mut refuses a crossing window" true
+    (match M.borrow_mut mem ~cap ~addr ~len with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* Inside one page both borrows lend the page itself. *)
+  Alcotest.(check bool) "in-page borrows share the page" true
+    (Dsim.Slice.base (M.borrow mem ~cap ~addr:page ~len)
+    == Dsim.Slice.base (M.borrow_mut mem ~cap ~addr:(page + len) ~len))
 
 let mem_unchecked () =
   let mem, cap = mem_and_cap () in
@@ -437,6 +579,14 @@ let suite =
     Alcotest.test_case "memory: raw write clears tag" `Quick mem_tag_cleared_by_raw_write;
     Alcotest.test_case "memory: capability store rules" `Quick mem_cap_store_rules;
     Alcotest.test_case "memory: unchecked DMA path" `Quick mem_unchecked;
+    Alcotest.test_case "memory: absent pages read zeros" `Quick
+      mem_absent_pages_read_zero;
+    Alcotest.test_case "memory: page boundary round trips" `Quick
+      mem_page_boundary_roundtrip;
+    Alcotest.test_case "memory: tags cleared across a page" `Quick
+      mem_tag_cleared_across_page;
+    Alcotest.test_case "memory: borrows across a page" `Quick
+      mem_borrow_across_page;
     Alcotest.test_case "alloc: basic carving" `Quick alloc_basic;
     Alcotest.test_case "alloc: free and reuse" `Quick alloc_free_reuse;
     Alcotest.test_case "alloc: freed cap reads the next owner" `Quick

@@ -11,9 +11,12 @@ let make_eal ?(size = 0x100000) () =
 (* ------------------------------------------------------------------ *)
 
 let eal_memzones () =
-  let _, _, eal = make_eal () in
+  let _, mem, eal = make_eal () in
+  Alcotest.(check int) "no page before" 0 (Cheri.Tagged_memory.resident_pages mem);
   let z = Dpdk.Eal.memzone_reserve eal ~name:"ring" ~size:0x1000 in
   Alcotest.(check int) "zone size" 0x1000 (Cheri.Capability.length z);
+  Alcotest.(check int) "zone page created at reserve" 1
+    (Cheri.Tagged_memory.resident_pages mem);
   (match Dpdk.Eal.memzone_lookup eal ~name:"ring" with
   | Some z' -> Alcotest.(check bool) "lookup finds it" true (Cheri.Capability.equal z z')
   | None -> Alcotest.fail "zone not found");
@@ -47,6 +50,27 @@ let mbuf_pool_lifecycle () =
   Alcotest.(check int) "one taken" 3 (Dpdk.Mbuf.available pool);
   Dpdk.Mbuf.free m1;
   Alcotest.(check int) "returned" 4 (Dpdk.Mbuf.available pool)
+
+(* A zone starting 1 KiB below the first page boundary puts buffer 0
+   across it; DPDK never places a mempool object so. *)
+let mbuf_pool_page_geometry () =
+  let page = Cheri.Tagged_memory.page_size in
+  let mem = Cheri.Tagged_memory.create ~size:(2 * page) in
+  let eal_at base =
+    Dpdk.Eal.create (Dsim.Engine.create ()) mem
+      ~region:(Cheri.Capability.root ~base ~length:0x10000 ~perms:Cheri.Perms.all)
+  in
+  Alcotest.(check bool) "straddling buffer rejected" true
+    (match
+       Dpdk.Mbuf.pool_create (eal_at (page - 1024)) ~name:"straddle" ~n:4
+         ~buf_len:2048
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let pool =
+    Dpdk.Mbuf.pool_create (eal_at page) ~name:"aligned" ~n:4 ~buf_len:2048
+  in
+  Alcotest.(check int) "page-aligned zone accepted" 4 (Dpdk.Mbuf.capacity pool)
 
 let mbuf_exhaustion () =
   let _, pool = make_pool ~n:2 () in
@@ -249,6 +273,8 @@ let suite =
     Alcotest.test_case "eal: out of memory" `Quick eal_oom;
     Alcotest.test_case "mbuf: pool lifecycle" `Quick mbuf_pool_lifecycle;
     Alcotest.test_case "mbuf: exhaustion back-pressure" `Quick mbuf_exhaustion;
+    Alcotest.test_case "mbuf: no buffer straddles a page" `Quick
+      mbuf_pool_page_geometry;
     Alcotest.test_case "mbuf: double free" `Quick mbuf_double_free;
     Alcotest.test_case "mbuf: geometry operations" `Quick mbuf_geometry;
     Alcotest.test_case "mbuf: geometry errors" `Quick mbuf_geometry_errors;

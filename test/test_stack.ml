@@ -368,6 +368,48 @@ let ff_read_memory_semantics () =
     (get (Ff_api.ff_read ff cfd ~buf:region ~nbytes));
   expect "then delivered" 16 'D'
 
+(* An [nbytes] past [max_int - addr] wraps [addr + nbytes] negative; a
+   bounds check that forms the sum would queue memory from outside the
+   64-byte measurement buffer. It must trap at the API boundary, with
+   the drop recorded and nothing queued. *)
+let ff_write_overflowing_nbytes () =
+  let mt, fd, buf =
+    Core.Measurement.setup_connected ~seed:52L ~mode:`Direct ~write_size:64 ()
+  in
+  let ff = mt.Core.Scenarios.mt_ff and stack = mt.Core.Scenarios.mt_stack in
+  let queued () =
+    match Stack.tcp_sock_of_fd stack fd with
+    | Some s -> Ring_buf.length s.Socket.cb.Tcp_cb.snd_buf
+    | None -> Alcotest.fail "measurement socket vanished"
+  in
+  let addr = Cheri.Capability.cursor buf in
+  let ft = Dsim.Flowtrace.default in
+  let was = Dsim.Flowtrace.enabled ft in
+  Dsim.Flowtrace.set_enabled ft true;
+  Dsim.Flowtrace.clear ft;
+  let drops =
+    Fun.protect
+      ~finally:(fun () ->
+        Dsim.Flowtrace.set_enabled ft was;
+        Dsim.Flowtrace.clear ft;
+        mt.Core.Scenarios.mt_built.Core.Scenarios.stop ())
+      (fun () ->
+        List.iter
+          (fun nbytes ->
+            Alcotest.(check bool)
+              (Printf.sprintf "nbytes 0x%x traps" nbytes)
+              true
+              (match Ff_api.ff_write ff fd ~buf ~nbytes with
+              | _ -> false
+              | exception Cheri.Fault.Capability_fault f ->
+                f.Cheri.Fault.kind = Cheri.Fault.Out_of_bounds))
+          [ max_int; max_int - addr + 1 ];
+        Dsim.Flowtrace.drop_table ft)
+  in
+  Alcotest.(check bool) "ff_api drops recorded" true
+    (drops = [ ((Dsim.Flowtrace.Ff_api, Dsim.Flowtrace.Capability_fault), 2) ]);
+  Alcotest.(check int) "nothing queued" 0 (queued ())
+
 let loop_accounting () =
   let w = make_world () in
   run_for w (Dsim.Time.ms 5);
@@ -395,6 +437,8 @@ let suite =
     Alcotest.test_case "udp roundtrip + EMSGSIZE" `Quick udp_roundtrip;
     Alcotest.test_case "ff_api capability enforcement" `Quick ff_api_capability_checks;
     Alcotest.test_case "ff_read memory semantics" `Quick ff_read_memory_semantics;
+    Alcotest.test_case "ff_write overflowing nbytes traps" `Quick
+      ff_write_overflowing_nbytes;
     Alcotest.test_case "poll loop accounting" `Quick loop_accounting;
   ]
 

@@ -2,7 +2,8 @@
    capability borrows on mbufs, engine heap compaction under mass
    cancellation, the determinism of the published figures across the
    slice-based refactor (golden values captured on the copying code),
-   and the Fig. 4 data path's minor-allocation budget. *)
+   the Fig. 4 data path's allocation budgets, and the resident-page
+   budget of the paged address space. *)
 
 let fault_kind = function
   | Cheri.Fault.Capability_fault f -> Some f.Cheri.Fault.kind
@@ -252,8 +253,9 @@ let fig4_major_words_budget = 16.0
    ff_write per 50 us slice, just under the 1 Gb/s wire rate, so the
    figure reflects the packet path rather than idle polling. Every
    registry is off — instrumentation allocates by design — and only Gc
-   counters are read, never the wall clock. One window serves both
-   budgets: (minor words, direct major words) per packet. *)
+   counters are read, never the wall clock. One window serves three
+   budgets: (minor words, direct major words) per packet, and the
+   resident pages of both nodes before and after. *)
 let fig4_alloc_per_packet =
   lazy
     (Dsim.Metrics.set_enabled Dsim.Metrics.default false;
@@ -270,6 +272,11 @@ let fig4_alloc_per_packet =
      let built = mt.Core.Scenarios.mt_built in
      let engine = built.Core.Scenarios.engine in
      let ff = mt.Core.Scenarios.mt_ff in
+     let pages () =
+       List.map
+         (fun n -> Cheri.Tagged_memory.resident_pages (Core.Topology.node_mem n))
+         [ built.Core.Scenarios.dut; built.Core.Scenarios.peer ]
+     in
      let once () =
        ignore (Netstack.Ff_api.ff_write ff fd ~buf ~nbytes:chunk);
        Dsim.Engine.run engine
@@ -281,15 +288,19 @@ let fig4_alloc_per_packet =
        let st = Gc.quick_stat () in
        st.Gc.major_words -. st.Gc.promoted_words
      in
+     let pages0 = pages () in
      let major0 = direct_major () in
      let minor0 = Gc.minor_words () in
      for _ = 1 to 2_000 do once () done;
      let minor = Gc.minor_words () -. minor0 in
      let major = direct_major () -. major0 in
      let packets = dut_nic_packets built - packets0 in
+     let pages1 = pages () in
      built.Core.Scenarios.stop ();
      Alcotest.(check bool) "packets flowed" true (packets > 0);
-     (minor /. float_of_int packets, major /. float_of_int packets))
+     ( minor /. float_of_int packets,
+       major /. float_of_int packets,
+       (pages0, pages1) ))
 
 let within_budget ~kind per_packet budget =
   Alcotest.(check bool)
@@ -298,12 +309,52 @@ let within_budget ~kind per_packet budget =
     true (per_packet <= budget)
 
 let fig4_minor_word_budget () =
-  within_budget ~kind:"minor" (fst (Lazy.force fig4_alloc_per_packet))
-    fig4_minor_words_budget
+  let minor, _, _ = Lazy.force fig4_alloc_per_packet in
+  within_budget ~kind:"minor" minor fig4_minor_words_budget
 
 let fig4_major_word_budget () =
-  within_budget ~kind:"direct major" (snd (Lazy.force fig4_alloc_per_packet))
-    fig4_major_words_budget
+  let _, major, _ = Lazy.force fig4_alloc_per_packet in
+  within_budget ~kind:"direct major" major fig4_major_words_budget
+
+(* Memzones are populated when reserved, so the packet path never
+   creates a page: a lazily created mbuf page is a direct major
+   allocation of 2 MiB. *)
+let fig4_window_creates_no_page () =
+  let _, _, (before, after) = Lazy.force fig4_alloc_per_packet in
+  Alcotest.(check (list int)) "resident pages (DUT, peer) unchanged" before after
+
+(* ------------------------------------------------------------------ *)
+(* Resident-page budget                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Pages each node of the Table II S1 dual-port build may hold. It
+   holds 8 of its 32 after build — its two 8 MiB mbuf pools — and 10
+   after 350 ms. *)
+let node_page_budget = 12
+
+let table2_s1_page_budget () =
+  let b =
+    Core.Scenarios.build_dual_port ~cheri:true
+      ~direction:Core.Scenarios.Dut_receives ()
+  in
+  let check_nodes phase =
+    List.iter
+      (fun (name, node) ->
+        let mem = Core.Topology.node_mem node in
+        let n = Cheri.Tagged_memory.resident_pages mem in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: %d of %d pages within budget %d" name phase n
+             (Cheri.Tagged_memory.size mem / Cheri.Tagged_memory.page_size)
+             node_page_budget)
+          true (n <= node_page_budget))
+      [ ("DUT", b.Core.Scenarios.dut); ("peer", b.Core.Scenarios.peer) ]
+  in
+  check_nodes "after build";
+  let engine = b.Core.Scenarios.engine in
+  Dsim.Engine.run engine
+    ~until:(Dsim.Time.add (Dsim.Engine.now engine) (Dsim.Time.ms 350));
+  check_nodes "after 350 ms";
+  b.Core.Scenarios.stop ()
 
 let suite =
   [
@@ -331,4 +382,8 @@ let suite =
       fig4_minor_word_budget;
     Alcotest.test_case "fig4 data path within major-word budget" `Slow
       fig4_major_word_budget;
+    Alcotest.test_case "fig4 data path creates no page" `Slow
+      fig4_window_creates_no_page;
+    Alcotest.test_case "table II S1 nodes within page budget" `Slow
+      table2_s1_page_budget;
   ]
