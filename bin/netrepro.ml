@@ -3,17 +3,11 @@
 
 let list_experiments () =
   List.iter
-    (fun (s : Core.Experiment.spec) ->
-      Printf.printf "%-14s %-10s %s\n" s.Core.Experiment.id
-        s.Core.Experiment.paper_ref s.Core.Experiment.title)
+    (fun (e : Core.Experiment.t) ->
+      Printf.printf "%-14s %-10s %s\n" e.Core.Experiment.id
+        e.Core.Experiment.paper_ref e.Core.Experiment.title)
     Core.Experiment.all;
   0
-
-let profile_of quick iterations =
-  let base = if quick then Core.Experiment.quick else Core.Experiment.full in
-  match iterations with
-  | None -> base
-  | Some n -> { base with Core.Experiment.iterations = n }
 
 let write_file path contents =
   let oc = open_out path in
@@ -21,25 +15,16 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-(* Print a gated report, write its JSON to [json_file] when one was
-   given, and exit 0 only if the report passed and the file was
-   written. *)
-let report_exit ~text ~json ~pass json_file =
-  print_string text;
-  flush stdout;
-  let ok_json =
-    match json_file with
-    | None -> true
-    | Some path -> (
-      match write_file path (Dsim.Json.to_string json) with
-      | () ->
-        Printf.printf "wrote %s\n" path;
-        true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false)
-  in
-  if pass && ok_json then 0 else 1
+(* Write an output file the user asked for and say so; false, with the
+   cause on stderr, when it cannot be written. *)
+let write_reported path contents =
+  match write_file path contents with
+  | () ->
+    Printf.printf "wrote %s\n" path;
+    true
+  | exception Sys_error msg ->
+    Printf.eprintf "netrepro: cannot write %s\n" msg;
+    false
 
 type telemetry = {
   metrics_file : string option;
@@ -129,7 +114,39 @@ let arm_journal ~header path =
     Printf.eprintf "netrepro: cannot write %s\n" msg;
     exit 1
 
-let run_experiment ids quick iterations telemetry journal =
+(* The supervisor writes <cvm>.blackbox.json into the directory as
+   faults land mid-run; make sure it exists up front so a typo'd path
+   fails here and not as an uncaught Sys_error at the first trap. *)
+let ensure_blackbox_dir dir k =
+  match dir with
+  | None -> k ()
+  | Some d -> (
+    let rec mkdirs d =
+      if not (Sys.file_exists d) then begin
+        let parent = Filename.dirname d in
+        if parent <> d then mkdirs parent;
+        try Sys.mkdir d 0o755 with Sys_error _ when Sys.is_directory d -> ()
+      end
+    in
+    match
+      mkdirs d;
+      if not (Sys.is_directory d) then
+        raise (Sys_error (d ^ ": not a directory"))
+    with
+    | () -> k ()
+    | exception Sys_error msg ->
+      Printf.eprintf "netrepro: cannot use blackbox dir: %s\n" msg;
+      1)
+
+(* A report under its banner, followed by a blank line. *)
+let print_report (e : Core.Experiment.t) text =
+  Printf.printf "=== %s (%s): %s ===\n%s\n\n" e.Core.Experiment.id
+    e.Core.Experiment.paper_ref e.Core.Experiment.title text
+
+(* The one runner behind every experiment command: run [entries] with
+   [options], print each report, write [--json] and the journal, and
+   exit 0 only if every outcome passed and every file was written. *)
+let exec entries (options : Core.Experiment.options) telemetry journal json_file =
   (* The sampler schedules its own events on the engine, so a sampled
      run can never replay against an unsampled one (or vice versa):
      refuse the combination instead of recording unverifiable journals. *)
@@ -140,65 +157,57 @@ let run_experiment ids quick iterations telemetry journal =
        schedules events, so replay would diverge)\n";
     exit 2
   | _ -> ());
-  let profile = profile_of quick iterations in
-  let targets =
-    match ids with
-    | [] -> Core.Experiment.all
-    | ids -> (
-      match
-        List.map
-          (fun id ->
-            match Core.Experiment.find id with
-            | Some s -> Ok s
-            | None -> Error id)
-          ids
-        |> List.partition_map (function Ok s -> Left s | Error e -> Right e)
-      with
-      | specs, [] -> specs
-      | _, missing ->
-        Printf.eprintf "unknown experiment(s): %s\nknown: %s\n"
-          (String.concat ", " missing)
-          (String.concat ", " (Core.Experiment.ids ()));
-        exit 2)
-  in
+  ensure_blackbox_dir options.Core.Experiment.blackbox_dir @@ fun () ->
   with_telemetry telemetry (fun () ->
       (match journal with
       | None -> ()
       | Some path ->
-        arm_journal path
-          ~header:
-            [
-              ("kind", Dsim.Json.String "run");
-              ( "experiments",
-                Dsim.Json.List
-                  (List.map
-                     (fun (s : Core.Experiment.spec) ->
-                       Dsim.Json.String s.Core.Experiment.id)
-                     targets) );
-              ("quick", Dsim.Json.Bool quick);
-              ( "iterations",
-                match iterations with
-                | Some n -> Dsim.Json.Int n
-                | None -> Dsim.Json.Null );
-            ]);
-      Fun.protect
-        ~finally:(fun () -> Dsim.Journal.stop ())
-        (fun () ->
-          List.iter
-            (fun (s : Core.Experiment.spec) ->
-              Printf.printf "=== %s (%s): %s ===\n%s\n\n" s.Core.Experiment.id
-                s.Core.Experiment.paper_ref s.Core.Experiment.title
-                (s.Core.Experiment.report profile);
-              if telemetry.metrics_file <> None then
-                Printf.printf "--- per-compartment metrics (%s) ---\n%s\n\n"
-                  s.Core.Experiment.id
-                  (Core.Report.metrics_digest ());
-              flush stdout)
-            targets);
+        arm_journal path ~header:(Core.Replay.header entries options));
+      let outcomes =
+        Fun.protect
+          ~finally:(fun () -> Dsim.Journal.stop ())
+          (fun () ->
+            List.map
+              (fun (e : Core.Experiment.t) ->
+                let o = e.Core.Experiment.run options in
+                print_report e o.Core.Experiment.text;
+                if telemetry.metrics_file <> None then
+                  Printf.printf "--- per-compartment metrics (%s) ---\n%s\n\n"
+                    e.Core.Experiment.id
+                    (Core.Report.metrics_digest ());
+                flush stdout;
+                o)
+              entries)
+      in
       (match journal with
       | Some path -> Printf.printf "wrote %s\n" path
       | None -> ());
-      0)
+      let ok_json =
+        List.for_all
+          (fun (o : Core.Experiment.outcome) ->
+            match (json_file, o.Core.Experiment.json) with
+            | Some path, Some j -> write_reported path (Dsim.Json.to_string j)
+            | _ -> true)
+          outcomes
+      in
+      if ok_json && List.for_all (fun o -> o.Core.Experiment.pass) outcomes
+      then 0
+      else 1)
+
+(* [netrepro run]'s entries: the paper's, all of them by default. *)
+let paper_entries = function
+  | [] -> Core.Experiment.paper
+  | ids -> (
+    match Core.Experiment.select Core.Experiment.paper ids with
+    | Ok entries -> entries
+    | Error missing ->
+      Printf.eprintf "unknown experiment(s): %s\nknown: %s\n"
+        (String.concat ", " missing)
+        (String.concat ", "
+           (List.map
+              (fun (e : Core.Experiment.t) -> e.Core.Experiment.id)
+              Core.Experiment.paper));
+      exit 2)
 
 let run_analyze file =
   let parsed =
@@ -230,18 +239,16 @@ let run_profile exp_id quick runs out_prefix =
     Printf.eprintf "unknown experiment: %s\nknown: %s\n" exp_id
       (String.concat ", " (Core.Experiment.ids ()));
     2
-  | Some spec ->
+  | Some e ->
     if runs < 1 then begin
       Printf.eprintf "netrepro: --runs must be >= 1\n";
       exit 2
     end;
-    let profile =
-      if quick then Core.Experiment.quick else Core.Experiment.full
+    let r =
+      Core.Profile_experiment.run ~runs e
+        { Core.Experiment.defaults with Core.Experiment.quick }
     in
-    let r = Core.Profile_experiment.run ~profile ~runs spec in
-    Printf.printf "=== %s (%s): %s ===\n%s\n\n" spec.Core.Experiment.id
-      spec.Core.Experiment.paper_ref spec.Core.Experiment.title
-      r.Core.Profile_experiment.experiment_text;
+    print_report e r.Core.Profile_experiment.experiment_text;
     print_string r.Core.Profile_experiment.hotspot_text;
     print_newline ();
     print_string r.Core.Profile_experiment.watermark_text;
@@ -251,24 +258,15 @@ let run_profile exp_id quick runs out_prefix =
       | Some p -> p
       | None -> "PROFILE_" ^ exp_id
     in
-    let dump path contents =
-      match write_file path contents with
-      | () ->
-        Printf.printf "wrote %s\n" path;
-        true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false
-    in
     let ok_folded =
-      dump (prefix ^ ".folded") r.Core.Profile_experiment.folded
+      write_reported (prefix ^ ".folded") r.Core.Profile_experiment.folded
     in
     let ok_json =
-      dump
+      write_reported
         (prefix ^ ".profile.json")
         (Dsim.Json.to_string r.Core.Profile_experiment.json)
     in
-    if ok_folded && ok_json then 0 else 1
+    if r.Core.Profile_experiment.pass && ok_folded && ok_json then 0 else 1
 
 let run_perfdiff old_file new_file max_regress =
   match
@@ -280,93 +278,6 @@ let run_perfdiff old_file new_file max_regress =
   | Error msg ->
     Printf.eprintf "netrepro perfdiff: %s\n" msg;
     2
-
-let run_attacks () =
-  List.iter
-    (fun r -> Format.printf "%a@.@." Core.Attack.pp_report r)
-    (Core.Attack.run_all ());
-  0
-
-(* The supervisor writes <cvm>.blackbox.json into the directory as
-   faults land mid-run; make sure it exists up front so a typo'd path
-   fails here and not as an uncaught Sys_error at the first trap. *)
-let ensure_blackbox_dir dir k =
-  match dir with
-  | None -> k ()
-  | Some d -> (
-    let rec mkdirs d =
-      if not (Sys.file_exists d) then begin
-        let parent = Filename.dirname d in
-        if parent <> d then mkdirs parent;
-        try Sys.mkdir d 0o755 with Sys_error _ when Sys.is_directory d -> ()
-      end
-    in
-    match
-      mkdirs d;
-      if not (Sys.is_directory d) then
-        raise (Sys_error (d ^ ": not a directory"))
-    with
-    | () -> k ()
-    | exception Sys_error msg ->
-      Printf.eprintf "netrepro: cannot use blackbox dir: %s\n" msg;
-      1)
-
-let run_attack_net seed quick json_file blackbox_dir =
-  ensure_blackbox_dir blackbox_dir @@ fun () ->
-  let profile =
-    if quick then Core.Attack_traffic.quick else Core.Attack_traffic.full
-  in
-  let r = Core.Attack_traffic.run ~profile ?blackbox_dir ~seed () in
-  report_exit ~text:r.Core.Attack_traffic.text ~json:r.Core.Attack_traffic.json
-    ~pass:r.Core.Attack_traffic.pass json_file
-
-let run_audit seed quick json_file =
-  let profile =
-    if quick then Core.Audit_experiment.quick else Core.Audit_experiment.full
-  in
-  let r = Core.Audit_experiment.run ~profile ~seed () in
-  report_exit ~text:r.Core.Audit_experiment.text
-    ~json:r.Core.Audit_experiment.json ~pass:r.Core.Audit_experiment.pass
-    json_file
-
-let run_chaos seed quick journal blackbox_dir =
-  ensure_blackbox_dir blackbox_dir @@ fun () ->
-  let profile =
-    if quick then Core.Chaos_experiment.quick else Core.Chaos_experiment.full
-  in
-  (match journal with
-  | None -> ()
-  | Some path ->
-    arm_journal path
-      ~header:
-        [
-          ("kind", Dsim.Json.String "chaos");
-          ("seed", Dsim.Json.Int (Int64.to_int seed));
-          ("quick", Dsim.Json.Bool quick);
-        ]);
-  let report =
-    Fun.protect
-      ~finally:(fun () -> Dsim.Journal.stop ())
-      (fun () -> Core.Chaos_experiment.run ~profile ?blackbox_dir ~seed ())
-  in
-  print_string report.Core.Chaos_experiment.text;
-  (match journal with
-  | Some path -> Printf.printf "wrote %s\n" path
-  | None -> ());
-  flush stdout;
-  if report.Core.Chaos_experiment.pass then 0 else 1
-
-let run_fleet tenants seed quick scaling json_file =
-  if scaling then begin
-    let text, json = Core.Fleet.run_scaling ~seed () in
-    report_exit ~text ~json ~pass:true json_file
-  end
-  else begin
-    let profile = if quick then Core.Fleet.quick else Core.Fleet.full in
-    let r = Core.Fleet.run ~profile ?tenants ~seed () in
-    report_exit ~text:r.Core.Fleet.r_text ~json:r.Core.Fleet.r_json
-      ~pass:r.Core.Fleet.r_pass json_file
-  end
 
 let run_replay file context =
   match Core.Replay.run ~context file with
@@ -390,17 +301,14 @@ let run_jdiff file_a file_b context =
 
 open Cmdliner
 
-(* Single registry of subcommand one-line summaries: the top-level help
-   and each command's own man page both render from it, so the listing
-   under `netrepro --help` cannot drift from the commands themselves. *)
+(* Single registry of the tool commands' one-line summaries: the
+   top-level help and each command's own man page both render from it,
+   so the listing under `netrepro --help` cannot drift from the commands
+   themselves. Experiment commands take theirs from Core.Experiment. *)
 let summaries =
   [
     ("run", "regenerate tables/figures, optionally recording a journal");
     ("list", "list available experiments");
-    ("attack", "memory (Fig. 3) and network-borne red-team attack runs");
-    ("chaos", "deterministic fault injection with a blast-radius verdict");
-    ("audit", "capability provenance audit and attack-surface report");
-    ("fleet", "multi-tenant churn run with per-tenant SLO rollups");
     ("analyze", "summarize a flow-trace or time-series export");
     ("profile", "wall-clock hotspot and capacity-watermark profile");
     ("perfdiff", "compare two profile snapshots for regressions");
@@ -413,15 +321,14 @@ let summary name =
   | Some s -> s
   | None -> invalid_arg ("netrepro: no summary registered for " ^ name)
 
-(* Command info whose one-liner comes from the registry; [detail]
-   paragraphs land in the man page DESCRIPTION. *)
+(* [detail] paragraphs land in the man page DESCRIPTION. *)
+let man_of = function
+  | [] -> []
+  | ps -> `S Manpage.s_description :: List.map (fun p -> `P p) ps
+
+(* Command info whose one-liner comes from the registry. *)
 let cmd_info ?(detail = []) name =
-  let man =
-    match detail with
-    | [] -> []
-    | ps -> `S Manpage.s_description :: List.map (fun p -> `P p) ps
-  in
-  Cmd.info name ~doc:(summary name) ~man
+  Cmd.info name ~doc:(summary name) ~man:(man_of detail)
 
 let quick_flag =
   Arg.(value & flag & info [ "quick" ] ~doc:"CI-sized runs (short windows, few samples).")
@@ -506,6 +413,153 @@ let journal_opt =
            Incompatible with $(b,--timeseries) (the sampler schedules its \
            own events).")
 
+let seed_opt =
+  Arg.(
+    value
+    & opt int64 Core.Experiment.defaults.Core.Experiment.seed
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:
+          "Run seed. The report is a pure function of the seed and the \
+           profile (and $(b,--tenants)): two runs with the same values \
+           produce byte-identical reports.")
+
+let json_opt =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:
+          "Write the machine-readable report to $(docv): the attack ledger \
+           with per-attack verdicts, provenance and blackbox \
+           cross-references; the audit's provenance DAG summary, surfaces \
+           and violations; the fleet's totals, per-tenant rollups, drop \
+           table and SLO gates.")
+
+let blackbox_opt =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "blackbox-dir" ] ~docv:"DIR"
+        ~doc:
+          "Write each supervised containment's crash black box — the \
+           last-N dispatch ring plus the supervisor verdict and the \
+           fault's flow-trace/provenance cross-references — to \
+           $(docv)/<cvm>.blackbox.json; attack reports link each contained \
+           verdict to its dump file.")
+
+let tenants_opt =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "tenants" ] ~docv:"N"
+        ~doc:
+          "Number of tenant cVMs sharing the stack compartment (default: \
+           the profile's — 64 with $(b,--quick), 256 otherwise).")
+
+let scaling_flag =
+  Arg.(
+    value & flag
+    & info [ "scaling" ]
+        ~doc:
+          "Instead of one run, print the scaling table: quick-profile runs \
+           at 8, 64 and 256 tenants.")
+
+type flag =
+  | Quick
+  | Iterations
+  | Seed
+  | Tenants
+  | Scaling
+  | Blackbox_dir
+  | Telemetry
+  | Journal
+  | Json
+
+let paper_flags = [ Quick; Iterations; Telemetry; Journal ]
+
+(* The flags and man-page paragraphs of each gated command; every paper
+   entry takes [paper_flags] and no paragraph. *)
+let gated =
+  [
+    ( "attack",
+      [ Seed; Quick; Json; Blackbox_dir ],
+      [
+        "Drive the seeded attack corpus — parser-bounds frames, \
+         connection-close races, resource floods, cross-tenant probes — \
+         against the Baseline, Scenario 1 and Scenario 2 topologies. Exit 1 \
+         unless every attack in the CHERI scenarios ends \
+         caught-and-attributed (a typed drop, typed backpressure, or a \
+         supervisor-contained capability fault), the MMU-only baseline \
+         records at least one silent corruption/leak, and sibling goodput \
+         outside quarantine holds the >= 0.9x blast-radius bound in every \
+         phase.";
+      ] );
+    ( "chaos",
+      [ Seed; Quick; Journal; Blackbox_dir ],
+      [
+        "Run the scenarios under seeded chaos and print the blast-radius \
+         report: exit 1 unless every injected fault is recovered or \
+         attributed and sibling goodput holds.";
+      ] );
+    ( "audit",
+      [ Seed; Quick; Json ],
+      [
+        "Run the stock scenarios with the provenance DAG and invariant \
+         checker enabled and print the per-compartment attack-surface \
+         report: exit 1 on any invariant violation, on a Scenario 2 app \
+         surface not strictly smaller than Scenario 1's replicated stack, \
+         or if a seeded capability fault goes unattributed.";
+      ] );
+    ( "fleet",
+      [ Tenants; Seed; Quick; Scaling; Json ],
+      [
+        "Scale the Scenario 2 shared-stack topology to N application cVMs \
+         and drive a seeded connection-churn workload against an epoll \
+         server farm: Poisson arrivals and heavy-tailed request/response \
+         sizes per tenant, every application window trampolining into the \
+         stack compartment under the shared FIFO umtx.";
+        "The report is the tenancy rollup: per-tenant goodput, \
+         flow-completion-time percentiles down to p99.9, per-stage latency \
+         decomposition (stage means telescope to the end-to-end mean), \
+         trampoline crossings per packet, drop attribution and the Jain \
+         fairness index. SLO gates fail the run (exit 1) on unfair \
+         allocation, a blown p99.9 budget, unattributed drops or a broken \
+         stage decomposition.";
+      ] );
+  ]
+
+(* The runner of a command with [flags], awaiting its entries; a flag
+   the command lacks takes its default. *)
+let harness_term flags =
+  let d = Core.Experiment.defaults in
+  let has f term default = if List.mem f flags then term else Term.const default in
+  let no_telemetry =
+    {
+      metrics_file = None;
+      trace_file = None;
+      flow_trace_file = None;
+      sample_every = 64;
+      timeseries_file = None;
+    }
+  in
+  let make quick iterations seed tenants scaling blackbox_dir telemetry journal
+      json entries =
+    exec entries
+      { Core.Experiment.quick; iterations; seed; tenants; scaling; blackbox_dir }
+      telemetry journal json
+  in
+  Term.(
+    const make
+    $ has Quick quick_flag d.Core.Experiment.quick
+    $ has Iterations iters_opt d.Core.Experiment.iterations
+    $ has Seed seed_opt d.Core.Experiment.seed
+    $ has Tenants tenants_opt d.Core.Experiment.tenants
+    $ has Scaling scaling_flag d.Core.Experiment.scaling
+    $ has Blackbox_dir blackbox_opt d.Core.Experiment.blackbox_dir
+    $ has Telemetry telemetry_term no_telemetry
+    $ has Journal journal_opt None
+    $ has Json json_opt None)
+
 let ids_arg =
   Arg.(
     value & pos_all string []
@@ -515,208 +569,11 @@ let ids_arg =
 let run_cmd =
   Cmd.v (cmd_info "run")
     Term.(
-      const run_experiment $ ids_arg $ quick_flag $ iters_opt
-      $ telemetry_term $ journal_opt)
+      const (fun ids run -> run (paper_entries ids))
+      $ ids_arg $ harness_term paper_flags)
 
 let list_cmd =
   Cmd.v (cmd_info "list") Term.(const list_experiments $ const ())
-
-let attack_mem_cmd =
-  Cmd.v
-    (Cmd.info "mem" ~doc:"Run the Fig. 3 compartmentalization attacks."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Replay the paper's Fig. 3 memory attacks (overflow read, \
-              stale capability, cross-compartment store) against the \
-              baseline and CHERI memory models and print the trap/leak \
-              matrix.";
-         ])
-    Term.(const run_attacks $ const ())
-
-let attack_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Red-team corpus seed. Two runs with the same seed and profile \
-           produce byte-identical reports.")
-
-let attack_json_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine-readable attack report (full ledger with \
-           per-attack verdicts, provenance and blackbox cross-references, \
-           per-phase blast-radius ratios) to $(docv).")
-
-let attack_blackbox_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "blackbox-dir" ] ~docv:"DIR"
-        ~doc:
-          "Write each supervised containment's crash black box to \
-           $(docv)/<cvm>.blackbox.json and link the corresponding attack \
-           verdicts to their dump files in the report.")
-
-let attack_net_cmd =
-  Cmd.v
-    (Cmd.info "net"
-       ~doc:"Run the network-borne red-team attack corpus."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Drive the seeded attack corpus — parser-bounds frames, \
-              connection-close races, resource floods, cross-tenant \
-              probes — against the Baseline, Scenario 1 and Scenario 2 \
-              topologies. Exit 1 unless every attack in the CHERI \
-              scenarios ends caught-and-attributed (a typed drop, typed \
-              backpressure, or a supervisor-contained capability fault), \
-              the MMU-only baseline records at least one silent \
-              corruption/leak, and sibling goodput outside quarantine \
-              holds the >= 0.9x blast-radius bound in every phase.";
-         ])
-    Term.(
-      const run_attack_net $ attack_seed_opt $ quick_flag $ attack_json_opt
-      $ attack_blackbox_opt)
-
-let attack_cmd =
-  Cmd.group
-    (cmd_info "attack"
-       ~detail:
-         [
-           "$(b,attack mem) replays the paper's Fig. 3 memory attacks; \
-            $(b,attack net) runs the seeded network-borne red-team corpus \
-            with blast-radius containment gates.";
-         ])
-    [ attack_mem_cmd; attack_net_cmd ]
-
-let chaos_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Chaos RNG seed. Two runs with the same seed and profile produce \
-           byte-identical reports.")
-
-let chaos_blackbox_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "blackbox-dir" ] ~docv:"DIR"
-        ~doc:
-          "Write each supervised containment's crash black box — the \
-           last-N dispatch ring plus the supervisor verdict and the \
-           fault's flow-trace/provenance cross-references — to \
-           $(docv)/<cvm>.blackbox.json.")
-
-let chaos_cmd =
-  Cmd.v
-    (cmd_info "chaos"
-       ~detail:
-         [
-           "Run the scenarios under seeded chaos and print the blast-radius \
-            report: exit 1 unless every injected fault is recovered or \
-            attributed and sibling goodput holds.";
-         ])
-    Term.(
-      const run_chaos $ chaos_seed_opt $ quick_flag $ journal_opt
-      $ chaos_blackbox_opt)
-
-let audit_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Audit topology/chaos seed. The audit paths use no RNG and no \
-           clock reads, so the report is a pure function of seed and \
-           profile.")
-
-let audit_json_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine-readable audit report (provenance DAG \
-           summary, per-compartment surfaces, violations, chaos \
-           cross-reference) to $(docv).")
-
-let audit_cmd =
-  Cmd.v
-    (cmd_info "audit"
-       ~detail:
-         [
-           "Run the stock scenarios with the provenance DAG and invariant \
-            checker enabled and print the per-compartment attack-surface \
-            report: exit 1 on any invariant violation, on a Scenario 2 app \
-            surface not strictly smaller than Scenario 1's replicated \
-            stack, or if a seeded capability fault goes unattributed.";
-         ])
-    Term.(const run_audit $ audit_seed_opt $ quick_flag $ audit_json_opt)
-
-let fleet_tenants_opt =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "tenants" ] ~docv:"N"
-        ~doc:
-          "Number of tenant cVMs sharing the stack compartment (default: \
-           the profile's — 64 with $(b,--quick), 256 otherwise).")
-
-let fleet_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Workload seed. Arrivals and flow sizes are drawn from split \
-           deterministic streams, so the report is a pure function of \
-           (profile, tenants, seed).")
-
-let fleet_scaling_flag =
-  Arg.(
-    value & flag
-    & info [ "scaling" ]
-        ~doc:
-          "Instead of one run, print the scaling table: quick-profile runs \
-           at 8, 64 and 256 tenants.")
-
-let fleet_json_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine-readable report (fleet totals, full per-tenant \
-           rollups, drop table, SLO gates) to $(docv).")
-
-let fleet_cmd =
-  Cmd.v
-    (cmd_info "fleet"
-       ~detail:
-         [
-           "Scale the Scenario 2 shared-stack topology to N application \
-            cVMs and drive a seeded connection-churn workload against an \
-            epoll server farm: Poisson arrivals and heavy-tailed \
-            request/response sizes per tenant, every application window \
-            trampolining into the stack compartment under the shared FIFO \
-            umtx.";
-           "The report is the tenancy rollup: per-tenant goodput, \
-            flow-completion-time percentiles down to p99.9, per-stage \
-            latency decomposition (stage means telescope to the end-to-end \
-            mean), trampoline crossings per packet, drop attribution and \
-            the Jain fairness index. SLO gates fail the run (exit 1) on \
-            unfair allocation, a blown p99.9 budget, unattributed drops or \
-            a broken stage decomposition.";
-         ])
-    Term.(
-      const run_fleet $ fleet_tenants_opt $ fleet_seed_opt $ quick_flag
-      $ fleet_scaling_flag $ fleet_json_opt)
 
 let analyze_file_arg =
   Arg.(
@@ -863,25 +720,24 @@ let jdiff_cmd =
          ])
     Term.(const run_jdiff $ jdiff_a_arg $ jdiff_b_arg $ context_opt)
 
-(* One top-level command per experiment, so
+(* One top-level command per registry entry, so
    `netrepro fig4 --metrics out.prom --trace-json out.json` works
    without the `run` prefix. *)
 let experiment_cmds =
   List.map
-    (fun (s : Core.Experiment.spec) ->
-      let doc =
-        Printf.sprintf "%s (%s)" s.Core.Experiment.title
-          s.Core.Experiment.paper_ref
+    (fun (e : Core.Experiment.t) ->
+      let flags, detail =
+        match List.find_opt (fun (id, _, _) -> id = e.Core.Experiment.id) gated with
+        | Some (_, flags, detail) -> (flags, detail)
+        | None -> (paper_flags, [])
       in
       Cmd.v
-        (Cmd.info s.Core.Experiment.id ~doc)
+        (Cmd.info e.Core.Experiment.id ~man:(man_of detail)
+           ~doc:
+             (Printf.sprintf "%s (%s)" e.Core.Experiment.title
+                e.Core.Experiment.paper_ref))
         Term.(
-          const (fun quick iterations telemetry journal ->
-              run_experiment
-                [ s.Core.Experiment.id ]
-                quick iterations telemetry journal)
-          $ quick_flag $ iters_opt $ telemetry_term
-          $ journal_opt))
+          const (fun run -> run [ e ]) $ harness_term flags))
     Core.Experiment.all
 
 let default = Term.(ret (const (`Help (`Pager, None))))
@@ -900,10 +756,6 @@ let () =
           ([
              run_cmd;
              list_cmd;
-             attack_cmd;
-             chaos_cmd;
-             audit_cmd;
-             fleet_cmd;
              analyze_cmd;
              profile_cmd;
              perfdiff_cmd;

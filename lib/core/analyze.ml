@@ -24,30 +24,24 @@ let json_int = function
   | Dsim.Json.Float f -> Some (int_of_float f)
   | _ -> None
 
-let json_float = function
-  | Dsim.Json.Float f -> Some f
-  | Dsim.Json.Int n -> Some (float_of_int n)
-  | _ -> None
-
-let json_string = function Dsim.Json.String s -> Some s | _ -> None
-
-let field name conv j =
-  match Dsim.Json.member name j with
-  | Some v -> conv v
-  | None -> None
+let int_field name j = Option.bind (Dsim.Json.member name j) json_int
 
 let parse_hop j =
-  match (field "stage" json_string j, field "at_ns" json_float j) with
+  match
+    (Dsim.Json.string_member "stage" j, Dsim.Json.number_member "at_ns" j)
+  with
   | Some stage, Some at_ns -> Some (stage, at_ns)
   | _ -> None
 
 let parse_drop j =
-  match (field "stage" json_string j, field "reason" json_string j) with
+  match
+    (Dsim.Json.string_member "stage" j, Dsim.Json.string_member "reason" j)
+  with
   | Some stage, Some reason -> Some (stage, reason)
   | _ -> None
 
 let parse_trace j =
-  match (field "id" json_int j, field "flow" json_string j) with
+  match (int_field "id" j, Dsim.Json.string_member "flow" j) with
   | Some t_id, Some t_flow ->
     let t_parent =
       match Dsim.Json.member "parent" j with
@@ -72,38 +66,40 @@ let parse_trace j =
 
 let parse_drop_row j =
   match
-    ( field "stage" json_string j,
-      field "reason" json_string j,
-      field "count" json_int j )
+    ( Dsim.Json.string_member "stage" j,
+      Dsim.Json.string_member "reason" j,
+      int_field "count" j )
   with
   | Some stage, Some reason, Some count -> Some (stage, reason, count)
   | _ -> None
 
+(* Every field [Dsim.Flowtrace.to_json] writes is required, so another
+   report's JSON (a fleet or attack export, a profile snapshot) is
+   refused instead of read as an empty trace. *)
 let of_json j =
+  let ( let* ) = Result.bind in
+  let required name = function
+    | Some v -> Ok v
+    | None ->
+      Error
+        (Printf.sprintf "not a flow-trace export: no %S field of the right type"
+           name)
+  in
+  let int name = required name (int_field name j) in
+  let list name conv =
+    required name
+      (Option.map (List.filter_map conv)
+         (Option.bind (Dsim.Json.member name j) Dsim.Json.to_list))
+  in
   match j with
   | Dsim.Json.Obj _ ->
-    let int_field name =
-      match field name json_int j with Some n -> n | None -> 0
-    in
-    let list_field name conv =
-      match Dsim.Json.member name j with
-      | Some v -> (
-        match Dsim.Json.to_list v with
-        | Some l -> List.filter_map conv l
-        | None -> [])
-      | None -> []
-    in
-    Ok
-      {
-        sample_every = (match field "sample_every" json_int j with
-                       | Some n -> n
-                       | None -> 1);
-        origins = int_field "origins";
-        sampled = int_field "sampled";
-        dropped_frames = int_field "dropped_frames";
-        traces = list_field "traces" parse_trace;
-        drops = list_field "drops" parse_drop_row;
-      }
+    let* sample_every = int "sample_every" in
+    let* origins = int "origins" in
+    let* sampled = int "sampled" in
+    let* dropped_frames = int "dropped_frames" in
+    let* traces = list "traces" parse_trace in
+    let* drops = list "drops" parse_drop_row in
+    Ok { sample_every; origins; sampled; dropped_frames; traces; drops }
   | _ -> Error "flow-trace file: top-level JSON object expected"
 
 let of_file path =
@@ -333,29 +329,20 @@ let timeseries_summary j =
       | None -> []
     in
     let ival_ns =
-      match Dsim.Json.member "interval_ns" j with
-      | Some v -> Option.value ~default:0. (json_float v)
-      | None -> 0.
+      Option.value ~default:0. (Dsim.Json.number_member "interval_ns" j)
     in
     let truncated =
       match Dsim.Json.member "truncated" j with
       | Some (Dsim.Json.Bool b) -> b
       | _ -> false
     in
-    let dropped =
-      match Option.bind (Dsim.Json.member "dropped_rows" j) json_int with
-      | Some d -> d
-      | None -> 0
-    in
-    let capacity =
-      Option.bind (Dsim.Json.member "capacity" j) json_int
-    in
+    let dropped = Option.value ~default:0 (int_field "dropped_rows" j) in
+    let capacity = int_field "capacity" j in
     let span_ns =
       match (rows, List.rev rows) with
       | first :: _, last :: _ ->
         let at r =
-          Option.value ~default:0.
-            (Option.bind (Dsim.Json.member "at_ns" r) json_float)
+          Option.value ~default:0. (Dsim.Json.number_member "at_ns" r)
         in
         at last -. at first
       | _ -> 0.

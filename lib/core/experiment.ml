@@ -1,3 +1,22 @@
+type options = {
+  quick : bool;
+  iterations : int option;
+  seed : int64;
+  tenants : int option;
+  scaling : bool;
+  blackbox_dir : string option;
+}
+
+let defaults =
+  {
+    quick = false;
+    iterations = None;
+    seed = 42L;
+    tenants = None;
+    scaling = false;
+    blackbox_dir = None;
+  }
+
 type profile = {
   warmup : Dsim.Time.t;
   duration : Dsim.Time.t;
@@ -10,13 +29,15 @@ let quick =
 let full =
   { warmup = Dsim.Time.ms 300; duration = Dsim.Time.sec 1; iterations = 100_000 }
 
-let paper_grade = { full with iterations = 1_000_000 }
+let profile_of (o : options) =
+  let base = if o.quick then quick else full in
+  match o.iterations with
+  | None -> base
+  | Some n -> { base with iterations = n }
 
 (* ------------------------------------------------------------------ *)
 (* Structured results                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let table1 () = Loc_table.compute ()
 
 let run_bw profile ?fair_share_mbit built =
   Bandwidth.run built ~warmup:profile.warmup ~duration:profile.duration
@@ -49,22 +70,20 @@ let table2 ?(profile = full) () =
         (Scenarios.build_scenario2 ~contended:true ~direction:Scenarios.Dut_sends ()) );
   ]
 
-let fig3 () = Attack.run_all ()
-
-let fig4 ?(profile = full) () =
+let fig4 profile =
   [
     Measurement.run ~iterations:profile.iterations Measurement.Baseline;
     Measurement.run ~iterations:profile.iterations Measurement.Scenario1;
   ]
 
-let fig5 ?(profile = full) () =
+let fig5 profile =
   [
     Measurement.run ~iterations:profile.iterations Measurement.Baseline;
     Measurement.run ~iterations:profile.iterations
       (Measurement.Scenario2 { contended = false });
   ]
 
-let fig6 ?(profile = full) () =
+let fig6 profile =
   [
     Measurement.run ~iterations:profile.iterations
       (Measurement.Scenario2 { contended = false });
@@ -72,7 +91,7 @@ let fig6 ?(profile = full) () =
       (Measurement.Scenario2 { contended = true });
   ]
 
-let ablation_lock ?(profile = full) () =
+let ablation_lock profile =
   List.map
     (fun (name, policy) ->
       ( name,
@@ -81,14 +100,14 @@ let ablation_lock ?(profile = full) () =
              ~direction:Scenarios.Dut_sends ()) ))
     [ ("barging umtx (paper)", Capvm.Umtx.Barging); ("FIFO ticket", Capvm.Umtx.Fifo) ]
 
-let ablation_udp ?(profile = full) () =
+let ablation_udp profile =
   List.map
     (fun offered ->
       ( Printf.sprintf "UDP blast, offered %.0f Mbit/s" offered,
         run_bw profile (Scenarios.build_udp_blast ~offered_mbit:offered ()) ))
     [ 500.; 950.; 1500. ]
 
-let ablation_split ?(profile = full) () =
+let ablation_split profile =
   [
     ( "Scenario 2 (app | F-Stack+DPDK)",
       run_bw profile (Scenarios.build_scenario2 ~direction:Scenarios.Dut_sends ()) );
@@ -113,13 +132,12 @@ let render_bw_groups groups =
   in
   Report.table ~header:[ "Configuration"; "Flow"; "Mbit/s"; "Efficiency" ] ~rows
 
-let report_table1 _profile = Format.asprintf "%a" Loc_table.pp (table1 ())
-
-let report_table2 profile = render_bw_groups (table2 ~profile ())
+let report_table1 _profile =
+  Format.asprintf "%a" Loc_table.pp (Loc_table.compute ())
 
 let report_fig3 _profile =
   String.concat "\n\n"
-    (List.map (fun r -> Format.asprintf "%a" Attack.pp_report r) (fig3 ()))
+    (List.map (fun r -> Format.asprintf "%a" Attack.pp_report r) (Attack.run_all ()))
 
 let render_measurements ?(log_scale = false) results =
   let boxes =
@@ -132,9 +150,9 @@ let render_measurements ?(log_scale = false) results =
 let report_fig n profile =
   let results =
     match n with
-    | 4 -> fig4 ~profile ()
-    | 5 -> fig5 ~profile ()
-    | _ -> fig6 ~profile ()
+    | 4 -> fig4 profile
+    | 5 -> fig5 profile
+    | _ -> fig6 profile
   in
   let detail =
     String.concat "\n"
@@ -158,70 +176,123 @@ let report_fig n profile =
   in
   render_measurements ~log_scale:(n = 6) results ^ "\n\n" ^ detail ^ extra
 
-type spec = {
+(* ------------------------------------------------------------------ *)
+(* The registry                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type outcome = { text : string; json : Dsim.Json.t option; pass : bool }
+
+type t = {
   id : string;
   title : string;
   paper_ref : string;
-  report : profile -> string;
+  run : options -> outcome;
 }
 
-let all =
+(* A paper report: rendered text at the options' profile, ungated. *)
+let report id title paper_ref render =
+  {
+    id;
+    title;
+    paper_ref;
+    run = (fun o -> { text = render (profile_of o); json = None; pass = true });
+  }
+
+let paper =
   [
-    {
-      id = "table1";
-      title = "LoC added/modified for the CHERI port";
-      paper_ref = "Table I";
-      report = report_table1;
-    };
-    {
-      id = "table2";
-      title = "TCP bandwidth in the three scenarios (server & client)";
-      paper_ref = "Table II";
-      report = report_table2;
-    };
-    {
-      id = "fig3";
-      title = "Out-of-bounds accesses trap under CHERI";
-      paper_ref = "Figure 3";
-      report = report_fig3;
-    };
-    {
-      id = "fig4";
-      title = "ff_write() execution time: Scenario 1 vs Baseline";
-      paper_ref = "Figure 4";
-      report = report_fig 4;
-    };
-    {
-      id = "fig5";
-      title = "ff_write() execution time: Scenario 2 (uncontended) vs Baseline";
-      paper_ref = "Figure 5";
-      report = report_fig 5;
-    };
-    {
-      id = "fig6";
-      title = "ff_write() execution time: contended vs uncontended Scenario 2";
-      paper_ref = "Figure 6";
-      report = report_fig 6;
-    };
-    {
-      id = "ablation-lock";
-      title = "Locking strategies under contention (paper future work)";
-      paper_ref = "Sec. VI";
-      report = (fun p -> render_bw_groups (ablation_lock ~profile:p ()));
-    };
-    {
-      id = "ablation-udp";
-      title = "UDP blast: goodput and loss without flow control";
-      paper_ref = "extension";
-      report = (fun p -> render_bw_groups (ablation_udp ~profile:p ()));
-    };
-    {
-      id = "ablation-split";
-      title = "Finer-grained split: DPDK in its own cVM (paper future work)";
-      paper_ref = "Sec. VI";
-      report = (fun p -> render_bw_groups (ablation_split ~profile:p ()));
-    };
+    report "table1" "LoC added/modified for the CHERI port" "Table I" report_table1;
+    report "table2" "TCP bandwidth in the three scenarios (server & client)"
+      "Table II" (fun p -> render_bw_groups (table2 ~profile:p ()));
+    report "fig3" "Out-of-bounds accesses trap under CHERI" "Figure 3" report_fig3;
+    report "fig4" "ff_write() execution time: Scenario 1 vs Baseline" "Figure 4"
+      (report_fig 4);
+    report "fig5"
+      "ff_write() execution time: Scenario 2 (uncontended) vs Baseline"
+      "Figure 5" (report_fig 5);
+    report "fig6"
+      "ff_write() execution time: contended vs uncontended Scenario 2"
+      "Figure 6" (report_fig 6);
+    report "ablation-lock"
+      "Locking strategies under contention (paper future work)" "Sec. VI"
+      (fun p -> render_bw_groups (ablation_lock p));
+    report "ablation-udp" "UDP blast: goodput and loss without flow control"
+      "extension" (fun p -> render_bw_groups (ablation_udp p));
+    report "ablation-split"
+      "Finer-grained split: DPDK in its own cVM (paper future work)" "Sec. VI"
+      (fun p -> render_bw_groups (ablation_split p));
   ]
 
-let find id = List.find_opt (fun s -> String.equal s.id id) all
-let ids () = List.map (fun s -> s.id) all
+(* A gated extension run. Its runner's text ends in a newline and a
+   paper report's does not; the outcome drops it, so the CLI prints
+   every report the same way: banner, text, one blank line. *)
+let extension id title run =
+  let chop text =
+    if String.ends_with ~suffix:"\n" text then
+      String.sub text 0 (String.length text - 1)
+    else text
+  in
+  {
+    id;
+    title;
+    paper_ref = "extension";
+    run = (fun o -> let r = run o in { r with text = chop r.text });
+  }
+
+let attack =
+  extension "attack" "Network-borne red-team attack corpus with containment gates"
+    (fun o ->
+      let profile =
+        if o.quick then Attack_traffic.quick else Attack_traffic.full
+      in
+      let r =
+        Attack_traffic.run ~profile ?blackbox_dir:o.blackbox_dir ~seed:o.seed ()
+      in
+      { text = r.Attack_traffic.text; json = Some r.Attack_traffic.json;
+        pass = r.Attack_traffic.pass })
+
+let chaos =
+  extension "chaos" "Deterministic fault injection with a blast-radius verdict"
+    (fun o ->
+      let profile =
+        if o.quick then Chaos_experiment.quick else Chaos_experiment.full
+      in
+      let r =
+        Chaos_experiment.run ~profile ?blackbox_dir:o.blackbox_dir ~seed:o.seed ()
+      in
+      { text = r.Chaos_experiment.text; json = None;
+        pass = r.Chaos_experiment.pass })
+
+let audit =
+  extension "audit" "Capability provenance audit and attack-surface report"
+    (fun o ->
+      let profile =
+        if o.quick then Audit_experiment.quick else Audit_experiment.full
+      in
+      let r = Audit_experiment.run ~profile ~seed:o.seed () in
+      { text = r.Audit_experiment.text; json = Some r.Audit_experiment.json;
+        pass = r.Audit_experiment.pass })
+
+let fleet =
+  extension "fleet" "Multi-tenant churn run with per-tenant SLO rollups"
+    (fun o ->
+      if o.scaling then
+        let text, json = Fleet.run_scaling ~seed:o.seed () in
+        { text; json = Some json; pass = true }
+      else
+        let profile = if o.quick then Fleet.quick else Fleet.full in
+        let r = Fleet.run ~profile ?tenants:o.tenants ~seed:o.seed () in
+        { text = r.Fleet.r_text; json = Some r.Fleet.r_json; pass = r.Fleet.r_pass })
+
+let all = paper @ [ attack; chaos; audit; fleet ]
+let find id = List.find_opt (fun e -> String.equal e.id id) all
+let ids () = List.map (fun e -> e.id) all
+
+let select entries ids =
+  let by_id id = List.find_opt (fun e -> String.equal e.id id) entries in
+  match
+    List.partition_map
+      (fun id -> match by_id id with Some e -> Left e | None -> Right id)
+      ids
+  with
+  | found, [] -> Ok found
+  | _, missing -> Error missing

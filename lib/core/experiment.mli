@@ -1,12 +1,27 @@
-(** Registry of the paper's experiments: one entry per table/figure,
-    plus the ablations. The CLI ([bin/netrepro]), [netrepro profile] and
-    [netrepro replay] all dispatch through this module, so every
-    artefact regenerates from a single code path.
+(** Registry of every report the CLI prints: the paper's tables and
+    figures plus the ablations ({!paper}), and the gated extension runs
+    [attack], [chaos], [audit] and [fleet] ({!all}). The experiment
+    commands of [bin/netrepro], [netrepro profile] and [netrepro
+    replay] all run entries through this module, so every artefact
+    regenerates from a single code path.
 
-    Each runner takes a {!profile} so tests can exercise the full
-    pipeline in milliseconds while a full run reproduces the paper's
-    parameters (the paper's 1M-iteration latency runs are available via
-    {!paper_grade}). *)
+    An entry's {!t.run} takes the CLI's {!options}. Paper entries
+    render at the {!profile} those options select, so tests can
+    exercise the full pipeline in milliseconds while a full run
+    reproduces the paper's parameters (its 1M-sample latency runs are
+    [--iterations 1000000]). *)
+
+type options = {
+  quick : bool;  (** [--quick]: CI-sized profile. *)
+  iterations : int option;  (** [--iterations]: latency samples override. *)
+  seed : int64;  (** [--seed] of the gated runs. *)
+  tenants : int option;  (** [fleet --tenants]. *)
+  scaling : bool;  (** [fleet --scaling]: the scaling table instead. *)
+  blackbox_dir : string option;  (** [--blackbox-dir] of chaos and attack. *)
+}
+
+val defaults : options
+(** No flag given: full profile, seed 42. *)
 
 type profile = {
   warmup : Dsim.Time.t;
@@ -18,49 +33,45 @@ val quick : profile  (** CI-sized: ~100 ms windows, 3k samples. *)
 
 val full : profile  (** Default: 1 s windows, 100k samples. *)
 
-val paper_grade : profile  (** 1M samples, as in the paper. *)
-
-(** {1 Structured results} *)
-
-val table1 : unit -> Loc_table.row list
-
 val table2 :
   ?profile:profile -> unit -> (string * Bandwidth.sample list) list
 (** All ten Table II rows, grouped by configuration block. *)
 
-val fig3 : unit -> Attack.report list
+(** {1 The registry} *)
 
-val fig4 : ?profile:profile -> unit -> Measurement.result list
-(** Baseline vs Scenario 1. *)
-
-val fig5 : ?profile:profile -> unit -> Measurement.result list
-(** Baseline vs Scenario 2 (uncontended). *)
-
-val fig6 : ?profile:profile -> unit -> Measurement.result list
-(** Scenario 2 uncontended vs contended. *)
-
-val ablation_lock :
-  ?profile:profile -> unit -> (string * Bandwidth.sample list) list
-(** Barging vs FIFO hand-off under the contended Scenario 2. *)
-
-val ablation_split :
-  ?profile:profile -> unit -> (string * Bandwidth.sample list) list
-(** Scenario 3 (app / F-Stack / DPDK in three cVMs) vs Scenario 2. *)
-
-val ablation_udp :
-  ?profile:profile -> unit -> (string * Bandwidth.sample list) list
-(** Offered vs received UDP under increasing load (extension). *)
-
-(** {1 Rendered runners} *)
-
-type spec = {
-  id : string;  (** e.g. "table2", "fig4". *)
-  title : string;
-  paper_ref : string;
-  report : profile -> string;
-      (** Runs the experiment and renders its table / boxplot text. *)
+type outcome = {
+  text : string;
+      (** The rendered report. A gated runner's final newline is dropped,
+          as the CLI follows every report with a blank line. *)
+  json : Dsim.Json.t option;  (** What [--json] writes, when the run has it. *)
+  pass : bool;  (** The run's gates held; [true] for ungated reports. *)
 }
 
-val all : spec list
-val find : string -> spec option
+type t = {
+  id : string;  (** e.g. "table2", "fig4", "chaos". *)
+  title : string;
+  paper_ref : string;
+  run : options -> outcome;
+}
+
+val paper : t list
+(** The nine paper entries: what [netrepro run] runs by default, and
+    the only ids it accepts. *)
+
+val all : t list
+(** {!paper}, then the gated runs: [attack] (the network-borne red-team
+    corpus, {!Attack_traffic}), [chaos] ({!Chaos_experiment}), [audit]
+    ({!Audit_experiment}) and [fleet] ({!Fleet.run}, or with
+    [scaling] {!Fleet.run_scaling}). Each maps [quick] to its own
+    quick or full profile and reports its runner's text, JSON and
+    verdict. *)
+
+val find : string -> t option
+(** Looks in {!all}. *)
+
 val ids : unit -> string list
+(** Ids of {!all}, in order. *)
+
+val select : t list -> string list -> (t list, string list) result
+(** [select entries ids]: the entries with these ids, in the order
+    given, or [Error] with every id not among [entries]. *)

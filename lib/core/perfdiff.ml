@@ -33,16 +33,6 @@ let pct_change ~old_v ~new_v =
   if old_v = 0. then if new_v = 0. then 0. else Float.infinity
   else 100. *. (new_v -. old_v) /. Float.abs old_v
 
-let number = function
-  | J.Int n -> Some (float_of_int n)
-  | J.Float f -> Some f
-  | _ -> None
-
-let str_member name j =
-  match J.member name j with Some (J.String s) -> Some s | _ -> None
-
-let num_member name j = Option.bind (J.member name j) number
-
 let hotspots j =
   match Option.bind (J.member "hotspots" j) J.to_list with
   | None -> None
@@ -51,9 +41,9 @@ let hotspots j =
       (List.filter_map
          (fun r ->
            match
-             ( str_member "component" r,
-               str_member "cvm" r,
-               str_member "stage" r )
+             ( J.string_member "component" r,
+               J.string_member "cvm" r,
+               J.string_member "stage" r )
            with
            | Some c, Some v, Some s -> Some (c ^ ":" ^ v ^ ":" ^ s, r)
            | _ -> None)
@@ -61,7 +51,7 @@ let hotspots j =
 
 let diff_profiles ~max_regress_pct old_j ~old_rows ~new_rows =
   let old_total =
-    Option.value ~default:0. (num_member "total_self_wall_ns" old_j)
+    Option.value ~default:0. (J.number_member "total_self_wall_ns" old_j)
   in
   let deltas = ref [] in
   let add d = deltas := d :: !deltas in
@@ -69,7 +59,7 @@ let diff_profiles ~max_regress_pct old_j ~old_rows ~new_rows =
     (fun (key, old_r) ->
       match List.assoc_opt key new_rows with
       | None ->
-        let ev = Option.value ~default:0. (num_member "events" old_r) in
+        let ev = Option.value ~default:0. (J.number_member "events" old_r) in
         add
           {
             d_key = key ^ "/events";
@@ -80,8 +70,8 @@ let diff_profiles ~max_regress_pct old_j ~old_rows ~new_rows =
             d_regression = false;
           }
       | Some new_r ->
-        let old_ev = Option.value ~default:0. (num_member "events" old_r) in
-        let new_ev = Option.value ~default:0. (num_member "events" new_r) in
+        let old_ev = Option.value ~default:0. (J.number_member "events" old_r) in
+        let new_ev = Option.value ~default:0. (J.number_member "events" new_r) in
         let ev_pct = pct_change ~old_v:old_ev ~new_v:new_ev in
         (* Event counts are a function of the seed alone: any drift
            past the threshold is a real behaviour change, not noise. *)
@@ -95,16 +85,16 @@ let diff_profiles ~max_regress_pct old_j ~old_rows ~new_rows =
             d_regression = Float.abs ev_pct > max_regress_pct;
           };
         let old_npe =
-          Option.value ~default:0. (num_member "ns_per_event" old_r)
+          Option.value ~default:0. (J.number_member "ns_per_event" old_r)
         in
         let new_npe =
-          Option.value ~default:0. (num_member "ns_per_event" new_r)
+          Option.value ~default:0. (J.number_member "ns_per_event" new_r)
         in
         let old_self =
-          Option.value ~default:0. (num_member "self_wall_ns" old_r)
+          Option.value ~default:0. (J.number_member "self_wall_ns" old_r)
         in
         let new_self =
-          Option.value ~default:0. (num_member "self_wall_ns" new_r)
+          Option.value ~default:0. (J.number_member "self_wall_ns" new_r)
         in
         let npe_pct = pct_change ~old_v:old_npe ~new_v:new_npe in
         let share =
@@ -131,7 +121,7 @@ let diff_profiles ~max_regress_pct old_j ~old_rows ~new_rows =
   List.iter
     (fun (key, new_r) ->
       if not (List.mem_assoc key old_rows) then
-        let ev = Option.value ~default:0. (num_member "events" new_r) in
+        let ev = Option.value ~default:0. (J.number_member "events" new_r) in
         add
           {
             d_key = key ^ "/events";

@@ -1,6 +1,6 @@
 type report = {
-  exp_id : string;
   experiment_text : string;
+  pass : bool;
   hotspot_text : string;
   watermark_text : string;
   folded : string;
@@ -8,31 +8,31 @@ type report = {
   json : Dsim.Json.t;
 }
 
-let run_once (spec : Experiment.spec) profile =
+let run_once (e : Experiment.t) options =
   let p = Dsim.Profile.default and m = Dsim.Metrics.default in
   Dsim.Profile.reset p;
   Dsim.Metrics.reset m;
   Dsim.Profile.set_enabled p true;
   Dsim.Metrics.set_enabled m true;
-  let text =
+  let outcome =
     Fun.protect
       ~finally:(fun () ->
         Dsim.Profile.set_enabled p false;
         Dsim.Metrics.set_enabled m false)
-      (fun () -> spec.Experiment.report profile)
+      (fun () -> e.Experiment.run options)
   in
   let profile_json =
     match Dsim.Profile.to_json p with
     | Dsim.Json.Obj fields ->
       Dsim.Json.Obj
-        (("experiment", Dsim.Json.String spec.Experiment.id)
+        (("experiment", Dsim.Json.String e.Experiment.id)
         :: ("schema", Dsim.Json.String "netrepro-profile/1")
         :: (fields @ [ ("watermarks", Dsim.Metrics.watermark_json m) ]))
     | other -> other
   in
   {
-    exp_id = spec.Experiment.id;
-    experiment_text = text;
+    experiment_text = outcome.Experiment.text;
+    pass = outcome.Experiment.pass;
     hotspot_text = Dsim.Profile.render p;
     watermark_text = Dsim.Metrics.watermark_table m;
     folded = Dsim.Profile.folded p;
@@ -62,19 +62,8 @@ let median xs =
     if n mod 2 = 1 then nth (n / 2)
     else (nth ((n / 2) - 1) +. nth (n / 2)) /. 2.
 
-let num = function
-  | Dsim.Json.Int n -> Some (float_of_int n)
-  | Dsim.Json.Float f -> Some f
-  | _ -> None
-
-let num_member name j = Option.bind (Dsim.Json.member name j) num
-
 let hotspot_key row =
-  let s name =
-    match Dsim.Json.member name row with
-    | Some (Dsim.Json.String v) -> v
-    | _ -> ""
-  in
+  let s name = Option.value ~default:"" (Dsim.Json.string_member name row) in
   s "component" ^ ":" ^ s "cvm" ^ ":" ^ s "stage"
 
 let rows_of json =
@@ -92,7 +81,8 @@ let merge_row all_jsons row =
          (fun j ->
            List.find_map
              (fun r ->
-               if hotspot_key r = key then num_member name r else None)
+               if hotspot_key r = key then Dsim.Json.number_member name r
+               else None)
              (rows_of j))
          all_jsons)
   in
@@ -120,7 +110,7 @@ let merge_jsons rep_json all_jsons =
                Dsim.Json.Float
                  (median
                     (List.filter_map
-                       (fun j -> num_member k j)
+                       (fun j -> Dsim.Json.number_member k j)
                        all_jsons)) )
            | "hotspots" -> (
              match v with
@@ -131,9 +121,9 @@ let merge_jsons rep_json all_jsons =
          fields)
   | other -> other
 
-let run ?(profile = Experiment.quick) ?(runs = 1) (spec : Experiment.spec) =
+let run ?(runs = 1) e options =
   if runs < 1 then invalid_arg "Profile_experiment.run: runs must be >= 1";
-  let reports = List.init runs (fun _ -> run_once spec profile) in
+  let reports = List.init runs (fun _ -> run_once e options) in
   match reports with
   | [ r ] -> r
   | reports ->
@@ -150,7 +140,9 @@ let run ?(profile = Experiment.quick) ?(runs = 1) (spec : Experiment.spec) =
       reports;
     let totals =
       List.map
-        (fun r -> Option.value ~default:0. (num_member "total_self_wall_ns" r.json))
+        (fun r ->
+          Option.value ~default:0.
+            (Dsim.Json.number_member "total_self_wall_ns" r.json))
         reports
     in
     let med_total = median totals in
@@ -163,7 +155,7 @@ let run ?(profile = Experiment.quick) ?(runs = 1) (spec : Experiment.spec) =
           let dist x =
             Float.abs
               (Option.value ~default:0.
-                 (num_member "total_self_wall_ns" x.json)
+                 (Dsim.Json.number_member "total_self_wall_ns" x.json)
               -. med_total)
           in
           if dist r < dist best then r else best)

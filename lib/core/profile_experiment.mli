@@ -1,4 +1,4 @@
-(** Run one registered experiment under the wall-clock profiler.
+(** Run one registry entry under the wall-clock profiler.
 
     [netrepro profile <exp>] dispatches here: the global
     {!Dsim.Profile} and {!Dsim.Metrics} registries are reset and
@@ -13,8 +13,8 @@
     regression-tested in [test/test_profile.ml]. *)
 
 type report = {
-  exp_id : string;
   experiment_text : string;  (** The experiment's normal rendering. *)
+  pass : bool;  (** The experiment's own verdict ({!Experiment.outcome}). *)
   hotspot_text : string;  (** {!Dsim.Profile.render} of the run. *)
   watermark_text : string;  (** {!Dsim.Metrics.watermark_table} of the run. *)
   folded : string;  (** Folded-stack lines for flamegraph tooling. *)
@@ -24,9 +24,10 @@ type report = {
           "watermarks"}] — the [.profile.json] payload. *)
 }
 
-val run : ?profile:Experiment.profile -> ?runs:int -> Experiment.spec -> report
-(** Default profile {!Experiment.quick}. Always disables the profiler
-    and metrics registries again, even if the runner raises.
+val run : ?runs:int -> Experiment.t -> Experiment.options -> report
+(** Runs any registry entry, gated runs included, at the given
+    options. Always disables the profiler and metrics registries again,
+    even if the runner raises.
 
     [runs] (default 1) repeats the profiled run and merges the
     snapshot by per-hotspot {e median} of the wall-time fields

@@ -16,69 +16,71 @@ type outcome = {
 
 let default_context = 5
 
-let str_member name j =
-  match Json.member name j with Some (Json.String s) -> Some s | _ -> None
+let header entries (o : Experiment.options) =
+  [
+    ("kind", Json.String "run");
+    ( "experiments",
+      Json.List
+        (List.map (fun (e : Experiment.t) -> Json.String e.Experiment.id) entries)
+    );
+    ("quick", Json.Bool o.Experiment.quick);
+    ( "iterations",
+      match o.Experiment.iterations with Some n -> Json.Int n | None -> Json.Null
+    );
+    ("seed", Json.Int (Int64.to_int o.Experiment.seed));
+  ]
 
-let int_member name j =
-  match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
+(* The options a header recorded; a field it lacks takes the CLI's
+   default. *)
+let options_of_header hdr =
+  let d = Experiment.defaults in
+  {
+    d with
+    Experiment.quick =
+      Option.value ~default:d.Experiment.quick (Json.bool_member "quick" hdr);
+    iterations = Json.int_member "iterations" hdr;
+    seed =
+      Option.fold ~none:d.Experiment.seed ~some:Int64.of_int
+        (Json.int_member "seed" hdr);
+  }
 
-let bool_member name j =
-  match Json.member name j with Some (Json.Bool b) -> Some b | _ -> None
-
-let profile_of_header hdr =
-  let quick = Option.value ~default:false (bool_member "quick" hdr) in
-  let base = if quick then Experiment.quick else Experiment.full in
-  match int_member "iterations" hdr with
-  | None -> base
-  | Some n -> { base with Experiment.iterations = n }
+(* The kind and experiment ids a header names. Chaos journals
+   recorded before the registry carry [{"kind": "chaos", "seed",
+   "quick"}] and no id list. *)
+let ids_of_header hdr =
+  match Json.string_member "kind" hdr with
+  | Some "run" ->
+    let ids =
+      match Option.bind (Json.member "experiments" hdr) Json.to_list with
+      | Some l -> List.filter_map (function Json.String s -> Some s | _ -> None) l
+      | None -> []
+    in
+    Ok ("run", ids)
+  | Some "chaos" -> Ok ("chaos", [ "chaos" ])
+  | Some k -> Error (Printf.sprintf "journal kind %S is not replayable" k)
+  | None -> Error "journal header has no \"kind\" field"
 
 (* Resolve the re-execution closure from the header, without running
    anything yet: unknown experiments or a foreign kind fail before the
    verifier is armed. *)
 let driver_of_header hdr =
-  match str_member "kind" hdr with
-  | Some "run" -> (
-    let ids =
-      match Json.member "experiments" hdr with
-      | Some (Json.List l) ->
-        List.filter_map (function Json.String s -> Some s | _ -> None) l
-      | _ -> []
-    in
-    if ids = [] then Error "journal header lists no experiments"
-    else
-      match
-        List.partition_map
-          (fun id ->
-            match Experiment.find id with
-            | Some s -> Left s
-            | None -> Right id)
-          ids
-      with
-      | specs, [] ->
-        let profile = profile_of_header hdr in
-        Ok
-          ( "run",
-            fun () ->
-              List.iter
-                (fun (s : Experiment.spec) ->
-                  ignore (s.Experiment.report profile))
-                specs )
-      | _, missing ->
-        Error
-          ("journal references unknown experiment(s): "
-          ^ String.concat ", " missing))
-  | Some "chaos" ->
-    let seed =
-      Int64.of_int (Option.value ~default:42 (int_member "seed" hdr))
-    in
-    let profile =
-      if Option.value ~default:false (bool_member "quick" hdr) then
-        Chaos_experiment.quick
-      else Chaos_experiment.full
-    in
-    Ok ("chaos", fun () -> ignore (Chaos_experiment.run ~profile ~seed ()))
-  | Some k -> Error (Printf.sprintf "journal kind %S is not replayable" k)
-  | None -> Error "journal header has no \"kind\" field"
+  match ids_of_header hdr with
+  | Error _ as e -> e
+  | Ok (_, []) -> Error "journal header lists no experiments"
+  | Ok (kind, ids) -> (
+    match Experiment.select Experiment.all ids with
+    | Ok entries ->
+      let options = options_of_header hdr in
+      Ok
+        ( kind,
+          fun () ->
+            List.iter
+              (fun (e : Experiment.t) -> ignore (e.Experiment.run options))
+              entries )
+    | Error missing ->
+      Error
+        ("journal references unknown experiment(s): "
+        ^ String.concat ", " missing))
 
 let pp_dispatch (d : Journal.dispatch) =
   Printf.sprintf "seq=%d at=%dns label=%s parent=%d rng=%d" d.Journal.d_seq

@@ -1,13 +1,16 @@
 (** Replay verification for recorded journals ([netrepro replay]).
 
-    A [*.journal.jsonl] header written by [netrepro run --journal] or
-    [netrepro chaos --journal] carries everything needed to re-execute
-    the run: the kind (["run"] or ["chaos"]), the experiment ids, the
-    profile knobs and the seed. {!run} re-executes with
-    {!Dsim.Journal.verify_against} armed, so every live dispatch is
-    compared — virtual time, label, causal parent, RNG-draw count —
-    against the recording, and the first mismatch is reported with a
-    ±K-event context window from the journal.
+    A [*.journal.jsonl] header written by an experiment command's
+    [--journal] ({!header}) carries everything needed to re-execute the
+    run: the registry ids, the profile knobs and the seed. Any
+    {!Experiment.all} entry replays, the gated runs included; chaos
+    journals recorded before the registry, whose header is
+    [{"kind": "chaos", "seed", "quick"}], replay as the [chaos] entry.
+    {!run} re-executes with {!Dsim.Journal.verify_against} armed, so
+    every live dispatch is compared — virtual time, label, causal
+    parent, RNG-draw count — against the recording, and the first
+    mismatch is reported with a ±K-event context window from the
+    journal.
 
     Replay {e verifies} rather than re-drives: the journal is an
     assertion oracle over a normal re-execution, not a script that
@@ -15,9 +18,14 @@
     replayed into submission; it surfaces as the first diverging
     dispatch. *)
 
+val header :
+  Experiment.t list -> Experiment.options -> (string * Dsim.Json.t) list
+(** The journal header of a run of these entries at these options:
+    [{"kind": "run", "experiments", "quick", "iterations", "seed"}]. *)
+
 type outcome = {
   path : string;
-  kind : string;  (** ["run"] or ["chaos"], from the header. *)
+  kind : string;  (** ["run"], or ["chaos"] for a pre-registry chaos header. *)
   checked : int;  (** Dispatches that matched. *)
   total : int;  (** Dispatches recorded in the journal. *)
   mismatch : Dsim.Journal.mismatch option;

@@ -439,12 +439,6 @@ let reset () =
 (* Parsing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let int_member name j =
-  match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
-
-let str_member name j =
-  match Json.member name j with Some (Json.String s) -> Some s | _ -> None
-
 let load_lines lines =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match lines with
@@ -453,7 +447,7 @@ let load_lines lines =
     match Json.parse_opt header_line with
     | None -> Error "journal header is not valid JSON"
     | Some hdr -> (
-      match str_member "schema" hdr with
+      match Json.string_member "schema" hdr with
       | Some s when String.equal s schema || String.equal s schema_v2 -> (
         let labels = Hashtbl.create 64 in
         let max_label = ref (-1) in
@@ -470,10 +464,10 @@ let load_lines lines =
                 | None ->
                   raise (Bad (Printf.sprintf "line %d: invalid JSON" (lineno + 2)))
                 | Some j -> (
-                  match str_member "t" j with
+                  match Json.string_member "t" j with
                   | Some "l" -> (
-                    match (int_member "id" j, str_member "c" j,
-                           str_member "v" j, str_member "s" j)
+                    match (Json.int_member "id" j, Json.string_member "c" j,
+                           Json.string_member "v" j, Json.string_member "s" j)
                     with
                     | Some id, Some c, Some v, Some s ->
                       Hashtbl.replace labels id (c ^ ":" ^ v ^ ":" ^ s);
@@ -483,9 +477,9 @@ let load_lines lines =
                         (Bad (Printf.sprintf "line %d: malformed label record"
                                 (lineno + 2))))
                   | Some "d" -> (
-                    match (int_member "q" j, int_member "at" j,
-                           int_member "l" j, int_member "p" j,
-                           int_member "r" j)
+                    match (Json.int_member "q" j, Json.int_member "at" j,
+                           Json.int_member "l" j, Json.int_member "p" j,
+                           Json.int_member "r" j)
                     with
                     | Some q, Some at, Some l, Some p, Some r ->
                       if q <> !n then

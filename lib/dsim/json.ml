@@ -224,3 +224,18 @@ let member key = function
   | _ -> None
 
 let to_list = function List items -> Some items | _ -> None
+
+let string_member key j =
+  match member key j with Some (String s) -> Some s | _ -> None
+
+let int_member key j =
+  match member key j with Some (Int i) -> Some i | _ -> None
+
+let bool_member key j =
+  match member key j with Some (Bool b) -> Some b | _ -> None
+
+let number_member key j =
+  match member key j with
+  | Some (Int n) -> Some (float_of_int n)
+  | Some (Float f) -> Some f
+  | _ -> None

@@ -30,3 +30,17 @@ val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] elsewhere. *)
 
 val to_list : t -> t list option
+
+(** {1 Typed field readers}
+
+    [None] when the field is absent or holds another type. *)
+
+val string_member : string -> t -> string option
+
+val int_member : string -> t -> int option
+(** [Int] only: a [Float] field is [None]. *)
+
+val bool_member : string -> t -> bool option
+
+val number_member : string -> t -> float option
+(** [Int] or [Float], as a float. *)

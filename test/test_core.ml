@@ -209,10 +209,15 @@ let loc_table () =
 
 let experiment_registry () =
   let ids = Core.Experiment.ids () in
-  Alcotest.(check (list string)) "all artefacts present"
+  let paper =
     [ "table1"; "table2"; "fig3"; "fig4"; "fig5"; "fig6"; "ablation-lock";
       "ablation-udp"; "ablation-split" ]
+  in
+  Alcotest.(check (list string)) "all artefacts present"
+    (paper @ [ "attack"; "chaos"; "audit"; "fleet" ])
     ids;
+  Alcotest.(check (list string)) "run's default set is the paper's" paper
+    (List.map (fun e -> e.Core.Experiment.id) Core.Experiment.paper);
   Alcotest.(check bool) "find works" true (Core.Experiment.find "table2" <> None);
   Alcotest.(check bool) "unknown id" true (Core.Experiment.find "table9" = None);
   (* Ids unique. *)
@@ -222,7 +227,9 @@ let experiment_registry () =
 let experiment_render_table1 () =
   match Core.Experiment.find "table1" with
   | Some spec ->
-    let out = spec.Core.Experiment.report quick in
+    let out =
+      (spec.Core.Experiment.run Core.Experiment.defaults).Core.Experiment.text
+    in
     Alcotest.(check bool) "mentions F-Stack" true
       (Astring_contains.contains out "F-Stack")
   | None -> Alcotest.fail "table1 missing"

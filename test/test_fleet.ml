@@ -151,6 +151,26 @@ let fleet_gates_pass () =
         (ru.Dsim.Tenancy.r_crossings > 0))
     r.Core.Fleet.r_rollups
 
+(* The CLI's `fleet --quick` run (64 tenants, seed 42): byte-identical
+   text and JSON across two runs in one process, and exactly its four
+   SLO gates, all passing. *)
+let fleet_quick_gates () =
+  let a = Core.Fleet.run ~profile:Core.Fleet.quick ~seed:42L () in
+  let b = Core.Fleet.run ~profile:Core.Fleet.quick ~seed:42L () in
+  Alcotest.(check string) "text byte-identical across runs"
+    a.Core.Fleet.r_text b.Core.Fleet.r_text;
+  Alcotest.(check string) "json byte-identical across runs"
+    (Dsim.Json.to_string a.Core.Fleet.r_json)
+    (Dsim.Json.to_string b.Core.Fleet.r_json);
+  Alcotest.(check (list string)) "the four SLO gates"
+    [ "jain-fairness"; "fct-p99.9"; "drop-attribution"; "stage-telescoping" ]
+    (List.map (fun (gate, _, _) -> gate) a.Core.Fleet.r_gates);
+  List.iter
+    (fun (gate, ok, detail) ->
+      Alcotest.(check bool) (gate ^ ": " ^ detail) true ok)
+    a.Core.Fleet.r_gates;
+  Alcotest.(check bool) "verdict" true a.Core.Fleet.r_pass
+
 let fleet_restores_tracing () =
   let ft = Dsim.Flowtrace.default in
   (* The suite runs with default tracing off; a fleet run borrows the
@@ -314,6 +334,8 @@ let suite =
       ingest_telescoping;
     Alcotest.test_case "fleet run is deterministic" `Quick fleet_deterministic;
     Alcotest.test_case "fleet SLO gates pass" `Quick fleet_gates_pass;
+    Alcotest.test_case "fleet --quick: deterministic, four gates pass" `Slow
+      fleet_quick_gates;
     Alcotest.test_case "fleet restores default tracing" `Quick
       fleet_restores_tracing;
     Alcotest.test_case "listener farm: port index + epoll cache" `Quick

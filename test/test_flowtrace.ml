@@ -184,6 +184,27 @@ let rx_path_propagation () =
         Alcotest.(check bool) "report renders" true
           (String.length (Core.Analyze.render a) > 0))
 
+(* `netrepro analyze` reads flow-trace exports only: another report's
+   JSON is refused, not read as an empty trace, while an export with
+   nothing traced still loads. *)
+let analyze_refuses_other_json () =
+  let refused name j =
+    match Core.Analyze.of_json j with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s read as a flow trace" name
+  in
+  refused "{}" (Dsim.Json.Obj []);
+  refused "attack report"
+    (Dsim.Json.parse (Golden_file.read "attack_net.seed42.quick.json"));
+  refused "fleet report"
+    (Dsim.Json.parse (Golden_file.read "fleet.tiny.seed42.json"));
+  match
+    Core.Analyze.of_json
+      (Dsim.Flowtrace.to_json (Dsim.Flowtrace.create ~enabled:true ()))
+  with
+  | Ok a -> Alcotest.(check int) "empty export loads" 0 a.Core.Analyze.sampled
+  | Error msg -> Alcotest.failf "empty export refused: %s" msg
+
 (* A link flap loses an in-flight segment; the RTO retransmission must
    carry a parent link to the original transmission's trace, and the
    lost frame must show up in the drop table as (wire, link_down). *)
@@ -359,6 +380,8 @@ let suite =
     Alcotest.test_case "stage names round trip" `Quick stage_names_round_trip;
     Alcotest.test_case "rx path propagation" `Quick rx_path_propagation;
     Alcotest.test_case "retransmit lineage" `Quick retransmit_lineage;
+    Alcotest.test_case "analyze refuses non-trace JSON" `Quick
+      analyze_refuses_other_json;
     Alcotest.test_case "drop attribution (udp no_socket)" `Quick
       drop_attribution_no_socket;
     Alcotest.test_case "sampler rows monotone" `Quick sampler_rows_monotone;

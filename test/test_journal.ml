@@ -91,8 +91,12 @@ let rejects_garbage () =
 (* Determinism: byte-identical journals, bit-identical outputs          *)
 (* ------------------------------------------------------------------ *)
 
-let tiny_profile =
-  { Core.Experiment.quick with Core.Experiment.iterations = 120 }
+let tiny_options =
+  {
+    Core.Experiment.defaults with
+    Core.Experiment.quick = true;
+    iterations = Some 120;
+  }
 
 let fig4_spec () =
   match Core.Experiment.find "fig4" with
@@ -103,7 +107,7 @@ let fig4_journal_byte_identical () =
   jreset ();
   let record () =
     record_to_string (fun () ->
-        ignore ((fig4_spec ()).Core.Experiment.report tiny_profile))
+        ignore ((fig4_spec ()).Core.Experiment.run tiny_options))
   in
   let a = record () in
   let b = record () in
@@ -128,11 +132,14 @@ let bandwidth_journal_byte_identical () =
    with recording armed or not. *)
 let fig4_output_unchanged_by_journaling () =
   jreset ();
-  let plain = (fig4_spec ()).Core.Experiment.report tiny_profile in
+  let text () =
+    ((fig4_spec ()).Core.Experiment.run tiny_options).Core.Experiment.text
+  in
+  let plain = text () in
   let recorded =
     let buf = Buffer.create 4096 in
     J.record_to (J.To_buffer buf);
-    let out = (fig4_spec ()).Core.Experiment.report tiny_profile in
+    let out = text () in
     J.stop ();
     out
   in
@@ -194,6 +201,58 @@ let verify_flags_extra_and_missing () =
   | Some mm ->
     Alcotest.(check string) "missing dispatch" "missing_dispatch" mm.J.mm_field
   | None -> Alcotest.fail "missing dispatch not detected"
+
+(* End to end through the registry: a chaos journal recorded under the
+   CLI's header replays clean, and so does the same journal under the
+   header chaos journals carried before the registry. An unknown id and
+   a foreign kind are refused before anything runs. *)
+let replay_chaos_journal () =
+  jreset ();
+  let chaos =
+    match Core.Experiment.find "chaos" with
+    | Some e -> e
+    | None -> Alcotest.fail "chaos not registered"
+  in
+  let options =
+    { Core.Experiment.defaults with Core.Experiment.quick = true }
+  in
+  let recorded =
+    record_to_string ~header:(Core.Replay.header [ chaos ] options) (fun () ->
+        ignore (chaos.Core.Experiment.run options))
+  in
+  let header_end = String.index recorded '\n' in
+  let body =
+    String.sub recorded header_end (String.length recorded - header_end)
+  in
+  let with_header header =
+    let path = Filename.temp_file "netrepro-replay" ".journal.jsonl" in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc header;
+        output_string oc body);
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> Core.Replay.run path)
+  in
+  let replays_clean what header =
+    match with_header header with
+    | Ok o ->
+      Alcotest.(check bool) (what ^ " replays clean") true o.Core.Replay.pass;
+      Alcotest.(check int) (what ^ ": every dispatch checked")
+        o.Core.Replay.total o.Core.Replay.checked
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  let refused what header =
+    match with_header header with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  replays_clean "registry header" (String.sub recorded 0 header_end);
+  replays_clean "pre-registry chaos header"
+    {|{"schema":"netrepro-journal/1","kind":"chaos","seed":42,"quick":true}|};
+  refused "unknown id"
+    {|{"schema":"netrepro-journal/1","kind":"run","experiments":["nosuch"],"quick":true}|};
+  refused "foreign kind"
+    {|{"schema":"netrepro-journal/1","kind":"bench","quick":true}|}
 
 (* ------------------------------------------------------------------ *)
 (* FIFO tie-break under colliding deadlines                             *)
@@ -492,6 +551,8 @@ let suite =
       verify_flags_rng_drift;
     Alcotest.test_case "replay flags extra and missing dispatches" `Quick
       verify_flags_extra_and_missing;
+    Alcotest.test_case "replay: chaos journal, both headers" `Slow
+      replay_chaos_journal;
     Alcotest.test_case "equal deadlines dispatch FIFO" `Quick
       fifo_on_equal_deadlines;
     Alcotest.test_case "rng draws attributed per label" `Quick

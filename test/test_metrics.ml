@@ -243,7 +243,25 @@ let json_round_trip () =
   let s = Dsim.Json.to_string v in
   Alcotest.(check bool) "round trip" true (Dsim.Json.parse s = v);
   Alcotest.(check bool) "garbage rejected" true
-    (Dsim.Json.parse_opt "{\"a\": }" = None)
+    (Dsim.Json.parse_opt "{\"a\": }" = None);
+  (* The typed field readers: None when absent or of another type. *)
+  Alcotest.(check (option string)) "string_member"
+    (Some "with \"quotes\" and \n newline")
+    (Dsim.Json.string_member "s" v);
+  Alcotest.(check (option int)) "int_member" (Some (-42))
+    (Dsim.Json.int_member "i" v);
+  Alcotest.(check (option int)) "int_member refuses a float" None
+    (Dsim.Json.int_member "f" v);
+  Alcotest.(check (option bool)) "bool_member" (Some true)
+    (Dsim.Json.bool_member "b" v);
+  Alcotest.(check (option (float 0.))) "number_member reads an int"
+    (Some (-42.)) (Dsim.Json.number_member "i" v);
+  Alcotest.(check (option (float 0.))) "number_member reads a float"
+    (Some 1.5) (Dsim.Json.number_member "f" v);
+  Alcotest.(check (option string)) "absent field" None
+    (Dsim.Json.string_member "absent" v);
+  Alcotest.(check (option string)) "mistyped field" None
+    (Dsim.Json.string_member "i" v)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry must not move the calibrated medians                       *)

@@ -13,6 +13,8 @@ let fig4 () =
   | Some s -> s
   | None -> Alcotest.fail "fig4 experiment not registered"
 
+let quick = { Core.Experiment.defaults with Core.Experiment.quick = true }
+
 (* ------------------------------------------------------------------ *)
 (* Goldens and attribution (real clock)                                 *)
 (* ------------------------------------------------------------------ *)
@@ -22,8 +24,8 @@ let fig4 () =
    with the profiler on or off. *)
 let fig4_bit_identical () =
   let spec = fig4 () in
-  let plain = spec.Core.Experiment.report Core.Experiment.quick in
-  let profiled = Core.Profile_experiment.run ~profile:Core.Experiment.quick (fig4 ()) in
+  let plain = (spec.Core.Experiment.run quick).Core.Experiment.text in
+  let profiled = Core.Profile_experiment.run (fig4 ()) quick in
   Alcotest.(check string)
     "fig4 output identical with profiling enabled" plain
     profiled.Core.Profile_experiment.experiment_text;
@@ -64,12 +66,27 @@ let fig4_events_deterministic () =
       |> List.sort compare
     | _ -> []
   in
-  let r1 = Core.Profile_experiment.run ~profile:Core.Experiment.quick (fig4 ()) in
-  let r2 = Core.Profile_experiment.run ~profile:Core.Experiment.quick (fig4 ()) in
+  let r1 = Core.Profile_experiment.run (fig4 ()) quick in
+  let r2 = Core.Profile_experiment.run (fig4 ()) quick in
   Alcotest.(check bool) "some hotspots" true (events_of r1 <> []);
   Alcotest.(check bool)
     "same (key, events) list across runs" true
     (events_of r1 = events_of r2)
+
+(* Any registry entry profiles, a gated run included: the audit's
+   report and verdict are those of a plain run. *)
+let gated_entry_profiles () =
+  let audit =
+    match Core.Experiment.find "audit" with
+    | Some e -> e
+    | None -> Alcotest.fail "audit not registered"
+  in
+  let plain = audit.Core.Experiment.run quick in
+  let profiled = Core.Profile_experiment.run audit quick in
+  Alcotest.(check string) "audit output identical with profiling enabled"
+    plain.Core.Experiment.text profiled.Core.Profile_experiment.experiment_text;
+  Alcotest.(check bool) "verdict carried" plain.Core.Experiment.pass
+    profiled.Core.Profile_experiment.pass
 
 (* ------------------------------------------------------------------ *)
 (* Capacity gauges and backpressure stalls                              *)
@@ -535,6 +552,8 @@ let suite =
       fig4_bit_identical;
     Alcotest.test_case "fig4 event counts deterministic across runs" `Slow
       fig4_events_deterministic;
+    Alcotest.test_case "profile: gated entry runs unchanged" `Slow
+      gated_entry_profiles;
     Alcotest.test_case "watermark high is monotone" `Quick watermark_monotone;
     Alcotest.test_case "heap growth alarm doubles" `Quick
       watermark_growth_alarm;

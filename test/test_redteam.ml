@@ -144,7 +144,8 @@ let sibling_goodput_gate () =
 let fig4_text () =
   match Core.Experiment.find "fig4" with
   | Some spec ->
-    spec.Core.Experiment.report Core.Experiment.quick
+    let quick = { Core.Experiment.defaults with Core.Experiment.quick = true } in
+    (spec.Core.Experiment.run quick).Core.Experiment.text
   | None -> Alcotest.fail "fig4 missing from the registry"
 
 let live_ledger_bit_identical () =
