@@ -1,7 +1,48 @@
+(* A software ring: one direction's mbufs in descriptor order, as the
+   igb PMD keeps them in [sw_ring]. [Nic.Igb] completes RX descriptors
+   in [rx_refill] order (a dropped frame consumes none) and TX ones in
+   doorbell order (the bus and the wire are serial), so every
+   completion belongs to the head. *)
+type ring = {
+  mutable slots : Mbuf.t array;
+  mutable head : int;
+  mutable count : int;
+}
+
+let ring () = { slots = [||]; head = 0; count = 0 }
+
+(* A full ring doubles, so it allocates only until it reaches its
+   deepest occupancy. *)
+let ring_push r m =
+  let size = Array.length r.slots in
+  if r.count = size then begin
+    let bigger = Array.make (max 64 (2 * size)) m in
+    for i = 0 to r.count - 1 do
+      bigger.(i) <- r.slots.((r.head + i) mod size)
+    done;
+    r.slots <- bigger;
+    r.head <- 0
+  end;
+  r.slots.((r.head + r.count) mod Array.length r.slots) <- m;
+  r.count <- r.count + 1
+
+let ring_take r ~addr =
+  if r.count = 0 then
+    invalid_arg (Printf.sprintf "Eth_dev: completion at 0x%x, ring empty" addr);
+  let m = r.slots.(r.head) in
+  if Mbuf.data_addr m <> addr then
+    invalid_arg
+      (Printf.sprintf "Eth_dev: completion at 0x%x, ring head at 0x%x" addr
+         (Mbuf.data_addr m));
+  r.head <- (r.head + 1) mod Array.length r.slots;
+  r.count <- r.count - 1;
+  m
+
 type t = {
   port : Nic.Igb.port;
   rx_pool : Mbuf.pool;
-  in_flight : (int, Mbuf.t) Hashtbl.t;  (* posted addr -> owning mbuf *)
+  rx_ring : ring;
+  tx_ring : ring;
   m_rx_bursts : Dsim.Metrics.counter;
   m_tx_bursts : Dsim.Metrics.counter;
   m_rx_packets : Dsim.Metrics.counter;
@@ -18,7 +59,8 @@ let attach _eal port ~rx_pool =
   {
     port;
     rx_pool;
-    in_flight = Hashtbl.create 512;
+    rx_ring = ring ();
+    tx_ring = ring ();
     m_rx_bursts =
       Dsim.Metrics.counter reg ~help:"Non-empty PMD bursts, by direction."
         ~labels:(dir "rx") "dpdk_bursts_total";
@@ -54,6 +96,8 @@ let sync_drops t =
 
 let port t = t.port
 let rx_pool t = t.rx_pool
+let rx_posted t = t.rx_ring.count
+let tx_queued t = t.tx_ring.count
 
 let post_rx t m =
   (* The device writes at the mbuf's data address, leaving the headroom
@@ -61,7 +105,7 @@ let post_rx t m =
   let addr = Mbuf.data_addr m in
   let room = Mbuf.tailroom m in
   if Nic.Igb.rx_refill t.port ~addr ~len:room then begin
-    Hashtbl.replace t.in_flight addr m;
+    ring_push t.rx_ring m;
     true
   end
   else begin
@@ -82,12 +126,7 @@ let start t = restock t
 
 let reap t =
   List.iter
-    (fun addr ->
-      match Hashtbl.find_opt t.in_flight addr with
-      | Some m ->
-        Hashtbl.remove t.in_flight addr;
-        Mbuf.free m
-      | None -> ())
+    (fun addr -> Mbuf.free (ring_take t.tx_ring ~addr))
     (Nic.Igb.tx_reap t.port ~max:max_int)
 
 let rx_burst t ~max =
@@ -95,24 +134,21 @@ let rx_burst t ~max =
   let completions = Nic.Igb.rx_burst t.port ~max in
   let now = Dsim.Engine.now (Nic.Igb.engine t.port) in
   let take (addr, pkt_len, flow) =
-    match Hashtbl.find_opt t.in_flight addr with
-    | None -> None
-    | Some m ->
-      Hashtbl.remove t.in_flight addr;
-      (* Geometry: the device filled [pkt_len] bytes at the data
-         address; reflect that in the mbuf. *)
-      ignore (Mbuf.append m pkt_len);
-      Dsim.Flowtrace.hop flow Rx_ring ~at:now;
-      Mbuf.set_flow m flow;
-      Some m
+    let m = ring_take t.rx_ring ~addr in
+    (* Geometry: the device filled [pkt_len] bytes at the data address;
+       reflect that in the mbuf. *)
+    ignore (Mbuf.append m pkt_len);
+    Dsim.Flowtrace.hop flow Rx_ring ~at:now;
+    Mbuf.set_flow m flow;
+    m
   in
-  let mbufs = List.filter_map take completions in
+  let mbufs = List.map take completions in
   restock t;
-  if mbufs <> [] then begin
+  if mbufs <> [] && Dsim.Metrics.enabled Dsim.Metrics.default then begin
     Dsim.Metrics.incr t.m_rx_bursts;
-    Dsim.Metrics.incr t.m_rx_packets ~by:(List.length mbufs);
-    Dsim.Metrics.incr t.m_rx_bytes
-      ~by:(List.fold_left (fun n m -> n + Mbuf.data_len m) 0 mbufs)
+    Dsim.Metrics.incr_by t.m_rx_packets (List.length mbufs);
+    Dsim.Metrics.incr_by t.m_rx_bytes
+      (List.fold_left (fun n m -> n + Mbuf.data_len m) 0 mbufs)
   end;
   sync_drops t;
   mbufs
@@ -125,7 +161,7 @@ let tx_burst t mbufs =
       let addr = Mbuf.data_addr m in
       let len = Mbuf.data_len m in
       if Nic.Igb.tx_enqueue t.port ~flow:(Mbuf.flow m) ~addr ~len () then begin
-        Hashtbl.replace t.in_flight addr m;
+        ring_push t.tx_ring m;
         go (sent + 1) (bytes + len) rest
       end
       else (sent, bytes, m :: rest)
@@ -133,8 +169,8 @@ let tx_burst t mbufs =
   let sent, bytes, leftover = go 0 0 mbufs in
   if sent > 0 then begin
     Dsim.Metrics.incr t.m_tx_bursts;
-    Dsim.Metrics.incr t.m_tx_packets ~by:sent;
-    Dsim.Metrics.incr t.m_tx_bytes ~by:bytes
+    Dsim.Metrics.incr_by t.m_tx_packets sent;
+    Dsim.Metrics.incr_by t.m_tx_bytes bytes
   end;
   sync_drops t;
   leftover

@@ -18,6 +18,12 @@ val start : t -> unit
 val port : t -> Nic.Igb.port
 val rx_pool : t -> Mbuf.pool
 
+val rx_posted : t -> int
+(** RX mbufs posted to the device and not yet returned by {!rx_burst}. *)
+
+val tx_queued : t -> int
+(** TX mbufs accepted by {!tx_burst} and not yet recycled. *)
+
 val rx_burst : t -> max:int -> Mbuf.t list
 (** Completed receives (data region = the frame). Ownership moves to the
     caller, who must {!Mbuf.free} each buffer when done. The ring is

@@ -154,7 +154,7 @@ let record_event t ?(n = 1) kind =
     let i = event_index kind in
     t.counts.(i) <- t.counts.(i) + n;
     if Metrics.enabled Metrics.default then
-      Metrics.incr ~by:n (event_metric kind)
+      Metrics.incr_by (event_metric kind) n
   end
 
 let record_violation t ~kind ~cvm ~address ~detail ~source =

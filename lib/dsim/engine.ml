@@ -12,17 +12,65 @@ type handle = {
   mutable fired : bool;
 }
 
+(* Pending events: a binary min-heap in [heap.(0 .. len - 1)]. *)
 and t = {
   mutable clock : Time.t;
-  heap : handle Heap.t;
+  mutable heap : handle array;
+  mutable len : int;
   mutable next_seq : int; (* FIFO tie-break among equal deadlines *)
   mutable live : int;
   mutable fired_count : int;
 }
 
-let cmp_event a b =
-  let c = Time.compare a.at b.at in
-  if c <> 0 then c else compare a.seq b.seq
+(* The heap order, compared inline: [(at, seq)] is a total order (no
+   two handles share a seq), so equal deadlines pop FIFO and any
+   correct heap pops in exactly this order. *)
+let precedes a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
+
+(* Hole-moving sifts: each step writes one slot instead of swapping
+   two, and as top-level functions they allocate no closure. *)
+let rec sift_up a i h =
+  if i = 0 then a.(0) <- h
+  else begin
+    let p = (i - 1) / 2 in
+    let ph = a.(p) in
+    if precedes h ph then begin
+      a.(i) <- ph;
+      sift_up a p h
+    end
+    else a.(i) <- h
+  end
+
+let rec sift_down a n i h =
+  let l = (2 * i) + 1 in
+  if l >= n then a.(i) <- h
+  else begin
+    let c = if l + 1 < n && precedes a.(l + 1) a.(l) then l + 1 else l in
+    let ch = a.(c) in
+    if precedes ch h then begin
+      a.(i) <- ch;
+      sift_down a n c h
+    end
+    else a.(i) <- h
+  end
+
+let push t h =
+  if t.len = Array.length t.heap then begin
+    (* [h] only fills the fresh slots; [len] bounds every read. *)
+    let bigger = Array.make (max 16 (2 * t.len)) h in
+    Array.blit t.heap 0 bigger 0 t.len;
+    t.heap <- bigger
+  end;
+  t.len <- t.len + 1;
+  sift_up t.heap (t.len - 1) h
+
+let pop t =
+  let a = t.heap in
+  let top = a.(0) in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then sift_down a n 0 a.(n);
+  top
 
 (* All engines share one heap-depth gauge: a metered run drives one
    engine at a time. *)
@@ -46,7 +94,8 @@ let note_depth n =
 let create () =
   {
     clock = Time.zero;
-    heap = Heap.create ~cmp:cmp_event;
+    heap = [||];
+    len = 0;
     next_seq = 0;
     live = 0;
     fired_count = 0;
@@ -62,8 +111,8 @@ let schedule_at_l t ~at ~label fn =
   in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  Heap.push t.heap h;
-  if Metrics.enabled Metrics.default then note_depth (Heap.size t.heap);
+  push t h;
+  if Metrics.enabled Metrics.default then note_depth t.len;
   h
 
 let schedule_l t ~delay ~label fn =
@@ -72,19 +121,21 @@ let schedule_l t ~delay ~label fn =
 let schedule_at t ~at fn = schedule_at_l t ~at ~label:Profile.unattributed fn
 let schedule t ~delay fn = schedule_l t ~delay ~label:Profile.unattributed fn
 
-(* Rebuild the heap without cancelled entries. Re-pushing preserves the
-   (time, seq) order, so compaction cannot perturb event ordering. *)
+(* Drop cancelled entries in place, then re-heapify bottom-up. The
+   heap order is total, so compaction cannot perturb event ordering. *)
 let compact t =
-  let keep = ref [] in
-  let rec drain () =
-    match Heap.pop t.heap with
-    | None -> ()
-    | Some h ->
-      if not h.cancelled then keep := h :: !keep;
-      drain ()
-  in
-  drain ();
-  List.iter (Heap.push t.heap) !keep
+  let a = t.heap in
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    if not a.(i).cancelled then begin
+      a.(!n) <- a.(i);
+      incr n
+    end
+  done;
+  t.len <- !n;
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down a !n i a.(i)
+  done
 
 (* Compact once cancelled handles outnumber live ones. *)
 let compaction_floor = 64
@@ -94,29 +145,28 @@ let cancel h =
     h.cancelled <- true;
     let t = h.owner in
     t.live <- t.live - 1;
-    if Heap.size t.heap > compaction_floor && 2 * t.live < Heap.size t.heap
-    then compact t
+    if t.len > compaction_floor && 2 * t.live < t.len then compact t
   end
 
 let is_pending h = (not h.cancelled) && not h.fired
 let pending_count t = t.live
-let heap_size t = Heap.size t.heap
+let heap_size t = t.len
 let events_fired t = t.fired_count
 
 (* Drop cancelled heads; [true] when a live event is pending. *)
 let rec has_next t =
-  if Heap.is_empty t.heap then false
-  else if (Heap.peek_exn t.heap).cancelled then begin
-    ignore (Heap.pop_exn t.heap);
+  if t.len = 0 then false
+  else if t.heap.(0).cancelled then begin
+    ignore (pop t);
     has_next t
   end
   else true
 
-(* The dispatch loop uses the [_exn] heap accessors: no [Some] cell is
-   allocated per fired event, which matters at millions of events per
-   simulated second. [has_next] has already discarded cancelled heads. *)
+(* No [Some] cell is allocated per fired event, which matters at
+   millions of events per simulated second. [has_next] has already
+   discarded cancelled heads. *)
 let dispatch t =
-  let h = Heap.pop_exn t.heap in
+  let h = pop t in
   t.live <- t.live - 1;
   t.clock <- h.at;
   h.fired <- true;
@@ -166,7 +216,7 @@ let run ?until ?max_events t =
   let rec loop () =
     if not (has_next t) then finish ()
     else begin
-      let h = Heap.peek_exn t.heap in
+      let h = t.heap.(0) in
       let in_window =
         match until with None -> true | Some u -> Time.(h.at <= u)
       in

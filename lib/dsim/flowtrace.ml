@@ -198,15 +198,21 @@ let origin_ns t ~at_ns ~flow ?parent stage =
     end
   end
 
+(* The float timestamp is boxed on its way to [origin_ns], so convert
+   only once the registry is on. *)
 let origin t ~at ~flow ?parent stage =
-  origin_ns t ~at_ns:(Time.to_float_ns at) ~flow ?parent stage
+  if t.on then origin_ns t ~at_ns:(Time.to_float_ns at) ~flow ?parent stage
+  else None
 
 let hop_ns flow stage ~at_ns =
   match flow with
   | None -> ()
   | Some c -> c.tr_hops <- (stage, at_ns) :: c.tr_hops
 
-let hop flow stage ~at = hop_ns flow stage ~at_ns:(Time.to_float_ns at)
+let hop flow stage ~at =
+  match flow with
+  | None -> ()
+  | Some c -> c.tr_hops <- (stage, Time.to_float_ns at) :: c.tr_hops
 
 let drop t ?(flow = None) stage reason =
   if t.on then begin

@@ -273,7 +273,7 @@ let parent_seq () = !cur_seq
 let begin_dispatch ~at ~parent key =
   cur_seq := !next_seq;
   next_seq := !next_seq + 1;
-  cur_at := Int64.to_int (Time.to_ns at);
+  cur_at := Time.to_ns at;
   cur_parent := parent;
   cur_key := key;
   cur_rng0 := Rng.draws ()

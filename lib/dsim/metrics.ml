@@ -140,7 +140,8 @@ let histogram t ?(help = "") ?(labels = []) ?(lo = 1.) ?(ratio = 2.)
 (* Hot-path updates                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let incr ?(by = 1) c = if c.c_sw.on then c.count <- c.count + by
+let incr c = if c.c_sw.on then c.count <- c.count + 1
+let incr_by c n = if c.c_sw.on then c.count <- c.count + n
 let value c = c.count
 
 let set g v =

@@ -105,7 +105,8 @@ val histogram :
 
     No-ops (one branch, no allocation) while the registry is disabled. *)
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+val incr_by : counter -> int -> unit
 
 val set : gauge -> int -> unit
 (** Also raises the gauge's high watermark when the new level exceeds

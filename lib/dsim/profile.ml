@@ -326,7 +326,7 @@ let publish_rng_draws t registry =
                 ]
               "rng_draws_total"
           in
-          Metrics.incr ~by:(k.k_rng - k.k_rng_pub) c;
+          Metrics.incr_by c (k.k_rng - k.k_rng_pub);
           k.k_rng_pub <- k.k_rng
         end)
       (List.rev t.key_order)

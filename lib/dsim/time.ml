@@ -1,32 +1,34 @@
-type t = int64
+type t = int
 
-let zero = 0L
-let ns n = Int64.of_int n
-let us n = Int64.mul (Int64.of_int n) 1_000L
-let ms n = Int64.mul (Int64.of_int n) 1_000_000L
-let sec n = Int64.mul (Int64.of_int n) 1_000_000_000L
+let () = if Sys.int_size < 63 then failwith "Dsim.Time: needs a 63-bit int"
 
-let of_float_ns f = if f <= 0. then 0L else Int64.of_float (Float.round f)
+let zero = 0
+external ns : int -> t = "%identity"
+let us n = n * 1_000
+let ms n = n * 1_000_000
+let sec n = n * 1_000_000_000
+
+let of_float_ns f = if f <= 0. then 0 else int_of_float (Float.round f)
 let of_float_sec f = of_float_ns (f *. 1e9)
 
-let add = Int64.add
-let sub a b = if Int64.compare b a > 0 then 0L else Int64.sub a b
-let diff a b = if Int64.compare a b >= 0 then Int64.sub a b else Int64.sub b a
-let mul t n = Int64.mul t (Int64.of_int n)
-let compare = Int64.compare
-let ( < ) a b = compare a b < 0
-let ( <= ) a b = compare a b <= 0
-let ( > ) a b = compare a b > 0
-let ( >= ) a b = compare a b >= 0
+external add : t -> t -> t = "%addint"
+let sub a b = if b > a then 0 else a - b
+let diff a b = abs (a - b)
+external mul : t -> int -> t = "%mulint"
+external compare : t -> t -> int = "%compare"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
 let min a b = if a <= b then a else b
 let max a b = if a >= b then a else b
-let equal = Int64.equal
+external equal : t -> t -> bool = "%equal"
 
-let to_ns t = t
-let to_float_ns = Int64.to_float
-let to_float_us t = Int64.to_float t /. 1e3
-let to_float_ms t = Int64.to_float t /. 1e6
-let to_float_sec t = Int64.to_float t /. 1e9
+external to_ns : t -> int = "%identity"
+external to_float_ns : t -> float = "%floatofint"
+let to_float_us t = to_float_ns t /. 1e3
+let to_float_ms t = to_float_ns t /. 1e6
+let to_float_sec t = to_float_ns t /. 1e9
 
 let pp fmt t =
   let f = to_float_ns t in

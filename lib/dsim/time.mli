@@ -1,16 +1,21 @@
 (** Virtual time for the discrete-event simulator.
 
     Time is an absolute count of nanoseconds since simulation start,
-    represented as a non-negative [int64]. All simulator components
-    (NIC serialization, cost model, TCP timers) share this unit. *)
+    represented as a non-negative native [int]: unboxed, so reading the
+    clock or scheduling an event allocates nothing. At 63 bits it spans
+    2{^62} ns, about 146 years; the module fails at initialisation on a
+    platform with a narrower [int]. All simulator components (NIC
+    serialization, cost model, TCP timers) share this unit. Arithmetic
+    and comparisons are compiler primitives, inlined at every call
+    site. *)
 
-type t = int64
+type t = int
 
 val zero : t
 
 (** Constructors from the usual units. *)
 
-val ns : int -> t
+external ns : int -> t = "%identity"
 val us : int -> t
 val ms : int -> t
 val sec : int -> t
@@ -21,25 +26,25 @@ val of_float_ns : float -> t
 
 val of_float_sec : float -> t
 
-val add : t -> t -> t
+external add : t -> t -> t = "%addint"
 val sub : t -> t -> t
 (** [sub a b] clamps to {!zero} when [b > a]. *)
 
 val diff : t -> t -> t
 (** [diff a b] is [abs (a - b)]. *)
 
-val mul : t -> int -> t
-val compare : t -> t -> int
-val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
+external mul : t -> int -> t = "%mulint"
+external compare : t -> t -> int = "%compare"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
 val min : t -> t -> t
 val max : t -> t -> t
-val equal : t -> t -> bool
+external equal : t -> t -> bool = "%equal"
 
-val to_ns : t -> int64
-val to_float_ns : t -> float
+external to_ns : t -> int = "%identity"
+external to_float_ns : t -> float = "%floatofint"
 val to_float_us : t -> float
 val to_float_ms : t -> float
 val to_float_sec : t -> float

@@ -186,7 +186,7 @@ let capture_blackbox t e fault ~now ~revoked =
             ("verdict", Dsim.Json.String (state_name e.e_state));
             ("faults", Dsim.Json.Int e.e_faults);
             ("restarts", Dsim.Json.Int e.e_restarts);
-            ("at_ns", Dsim.Json.Int (Int64.to_int (Dsim.Time.to_ns now)));
+            ("at_ns", Dsim.Json.Int (Dsim.Time.to_ns now));
             ("flowtrace_capability_drops", Dsim.Json.Int (capability_drop_count ()));
             ("provenance_revoked", Dsim.Json.Int revoked);
             ( "provenance_live",

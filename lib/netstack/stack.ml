@@ -312,7 +312,7 @@ let send_frame t ?(flow = None) ~dst_mac ~ethertype payload =
     | Some _ ->
       Dsim.Flowtrace.hop flow Eth_tx ~at:(now t);
       flow
-    | None ->
+    | None when Dsim.Flowtrace.(enabled default) ->
       let label =
         match ethertype with
         | Ethernet.Arp -> "arp:" ^ Ipv4_addr.to_string t.config.ip
@@ -320,6 +320,7 @@ let send_frame t ?(flow = None) ~dst_mac ~ethertype payload =
       in
       Dsim.Flowtrace.origin Dsim.Flowtrace.default ~at:(now t) ~flow:label
         Eth_tx
+    | None -> None
   in
   let pool = Dpdk.Eth_dev.rx_pool t.dev in
   match Dpdk.Mbuf.alloc pool with
@@ -346,7 +347,7 @@ let send_frame t ?(flow = None) ~dst_mac ~ethertype payload =
     | [] ->
       t.counters.tx_frames <- t.counters.tx_frames + 1;
       Dsim.Metrics.incr t.metrics.m_tx_frames;
-      Dsim.Metrics.incr t.metrics.m_tx_bytes ~by:frame_len
+      Dsim.Metrics.incr_by t.metrics.m_tx_bytes frame_len
     | rejected ->
       (* TX-ring-full attribution already happened at the doorbell
          (Igb.tx_enqueue); freeing resets the mbuf's flow field. *)
@@ -378,7 +379,7 @@ let ip_output_into t ?(flow = None) ~dst ~protocol ~payload_len write_payload =
     | Some _ ->
       Dsim.Flowtrace.hop flow Ip_out ~at:(now t);
       flow
-    | None ->
+    | None when Dsim.Flowtrace.(enabled default) ->
       let label =
         Printf.sprintf "%s>%s:%s"
           (Ipv4_addr.to_string t.config.ip)
@@ -391,6 +392,7 @@ let ip_output_into t ?(flow = None) ~dst ~protocol ~payload_len write_payload =
       in
       Dsim.Flowtrace.origin Dsim.Flowtrace.default ~at:(now t) ~flow:label
         Ip_out
+    | None -> None
   in
   t.ident <- (t.ident + 1) land 0xffff;
   let total_len = Ipv4.header_len + payload_len in
@@ -434,8 +436,8 @@ let ip_output_into t ?(flow = None) ~dst ~protocol ~payload_len write_payload =
       | [] ->
         t.counters.tx_frames <- t.counters.tx_frames + 1;
         Dsim.Metrics.incr t.metrics.m_tx_frames;
-        Dsim.Metrics.incr t.metrics.m_tx_bytes
-          ~by:(Ethernet.header_len + total_len)
+        Dsim.Metrics.incr_by t.metrics.m_tx_bytes
+          (Ethernet.header_len + total_len)
       | rejected ->
         List.iter Dpdk.Mbuf.free rejected;
         t.counters.tx_no_mbuf <- t.counters.tx_no_mbuf + 1))
@@ -761,7 +763,7 @@ let handle_frame t ?(flow = None) (s : Dsim.Slice.t) =
   let len = Dsim.Slice.length s in
   t.counters.rx_frames <- t.counters.rx_frames + 1;
   Dsim.Metrics.incr t.metrics.m_rx_frames;
-  Dsim.Metrics.incr t.metrics.m_rx_bytes ~by:len;
+  Dsim.Metrics.incr_by t.metrics.m_rx_bytes len;
   (match t.capture with
   | Some c ->
     Capture.record c ~at:(Dsim.Engine.now t.engine) Capture.Rx
@@ -964,7 +966,7 @@ let read t fd ~buf ~off ~len =
       let cb = sock.Socket.cb in
       let n = Ring_buf.read_into cb.Tcp_cb.rcv_buf ~dst:buf ~dst_off:off ~len in
       if n > 0 then begin
-        Dsim.Metrics.incr t.metrics.m_sock_read_bytes ~by:n;
+        Dsim.Metrics.incr_by t.metrics.m_sock_read_bytes n;
         (* Freed receive space: push a window update if we had been
            sitting on a shrunken advertisement. *)
         if cb.Tcp_cb.segs_since_ack > 0 then begin
@@ -999,7 +1001,7 @@ let write t fd ~buf ~off ~len =
         let n = Ring_buf.write cb.Tcp_cb.snd_buf buf ~off ~len in
         if n = 0 then Error Errno.EAGAIN
         else begin
-          Dsim.Metrics.incr t.metrics.m_sock_write_bytes ~by:n;
+          Dsim.Metrics.incr_by t.metrics.m_sock_write_bytes n;
           Tcp_output.flush cb (get_ctx t sock);
           update_armed t sock;
           Ok n

@@ -219,7 +219,7 @@ let tx_trace_remember t seq trace_id =
 let tx_trace_find t seq = List.assoc_opt seq t.tx_traces
 
 let ts_now ctx =
-  Int64.to_int (Int64.rem (Int64.div (Dsim.Time.to_ns (ctx.now ())) 1000L) 0x100000000L)
+  Dsim.Time.to_ns (ctx.now ()) / 1000 mod 0x100000000
 
 let flight_size t = Tcp_seq.sub t.snd_nxt t.snd_una
 

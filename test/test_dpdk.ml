@@ -212,10 +212,10 @@ let make_pair () =
     dev
   in
   let a = setup 0 Nic.Link.A "a" and b = setup 1 Nic.Link.B "b" in
-  (engine, mem, a, b)
+  (engine, mem, a, b, link)
 
 let ethdev_burst_roundtrip () =
-  let engine, mem, a, b = make_pair () in
+  let engine, mem, a, b, _ = make_pair () in
   (* Build a frame addressed to port b in an mbuf from a's pool. *)
   let pool_a = Dpdk.Eth_dev.rx_pool a in
   let m = Option.get (Dpdk.Mbuf.alloc pool_a) in
@@ -241,7 +241,7 @@ let ethdev_burst_roundtrip () =
     (Dpdk.Mbuf.available pool_a)
 
 let ethdev_restock () =
-  let engine, _mem, a, b = make_pair () in
+  let engine, _mem, a, b, _ = make_pair () in
   (* Exhaust b's RX by sending many frames and holding the mbufs. *)
   let pool_a = Dpdk.Eth_dev.rx_pool a in
   let dst = Nic.Mac_addr.to_bytes (Nic.Igb.mac (Dpdk.Eth_dev.port b)) in
@@ -267,6 +267,105 @@ let ethdev_restock () =
   Alcotest.(check int) "ring restocked" 1 (List.length (Dpdk.Eth_dev.rx_burst b ~max:4));
   List.iter Dpdk.Mbuf.free got
 
+(* Drops at every device stage, then a full drain: the software rings
+   hand every mbuf back to its pool, always hold exactly the buffers the
+   device owns, and refuse a completion that is not their head. *)
+let ethdev_rings_neither_leak_nor_reorder () =
+  let engine, mem, a, b, link = make_pair () in
+  let pa = Dpdk.Eth_dev.port a and pb = Dpdk.Eth_dev.port b in
+  let pool_a = Dpdk.Eth_dev.rx_pool a and pool_b = Dpdk.Eth_dev.rx_pool b in
+  let before_a = Dpdk.Mbuf.available pool_a
+  and before_b = Dpdk.Mbuf.available pool_b in
+  let frame_to mac =
+    let m = Option.get (Dpdk.Mbuf.alloc pool_a) in
+    ignore (Dpdk.Mbuf.append m 64);
+    let f = Bytes.make 64 '\000' in
+    Bytes.blit_string (Nic.Mac_addr.to_bytes mac) 0 f 0 6;
+    Dpdk.Mbuf.write mem m ~off:0 f;
+    m
+  in
+  (* Every fourth frame is for a MAC nobody has; the wire flips a bit in
+     every fifth frame, and every seventh RX DMA transfer fails. *)
+  let stranger = Nic.Mac_addr.make 2 0 0 0 0 9 in
+  let frames n =
+    List.init n (fun i ->
+        frame_to (if i mod 4 = 3 then stranger else Nic.Igb.mac pb))
+  in
+  let every k =
+    let n = ref 0 in
+    fun () ->
+      incr n;
+      !n mod k = 0
+  in
+  let flip = every 5 and fault = every 7 in
+  Nic.Link.set_tamper link
+    (Some
+       (fun ~now:_ ~ipv4:_ ~len:_ ->
+         if flip () then
+           Dsim.Chaos.Flip { byte = 20; bit = 0; post_fcs = false }
+         else Dsim.Chaos.Pass));
+  Nic.Igb.set_rx_fault pb (Some (fun ~len:_ -> fault ()));
+  let rings_match stage =
+    (* Nothing is in DMA flight after a run: a posted RX buffer is
+       either still free in the device's ring or completed and not yet
+       collected. *)
+    Alcotest.(check int) (stage ^ ": rx ring = posted buffers")
+      (32 - Nic.Igb.rx_free_slots pb + Nic.Igb.rx_pending pb)
+      (Dpdk.Eth_dev.rx_posted b);
+    Alcotest.(check int) (stage ^ ": tx ring = in-flight descriptors")
+      (Nic.Igb.tx_in_flight pa) (Dpdk.Eth_dev.tx_queued a)
+  in
+  (* 40 frames against a 32-descriptor TX ring, then 32 more without b
+     collecting anything, which overflows b's 32-descriptor RX ring. *)
+  List.iter Dpdk.Mbuf.free (Dpdk.Eth_dev.tx_burst a (frames 40));
+  Dsim.Engine.run_until_quiet engine;
+  rings_match "first burst";
+  Alcotest.(check (list reject)) "second burst accepted" []
+    (Dpdk.Eth_dev.tx_burst a (frames 32));
+  Dsim.Engine.run_until_quiet engine;
+  rings_match "second burst";
+  let sa = Nic.Igb.stats pa and sb = Nic.Igb.stats pb in
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (what ^ " drops happened") true (n > 0))
+    Nic.Port_stats.
+      [
+        ("fcs", sb.rx_crc_errors);
+        ("mac filter", sb.rx_filtered);
+        ("rx_fault", sb.rx_dma_errors);
+        ("rx ring full", sb.rx_no_desc);
+        ("tx ring full", sa.tx_ring_full);
+      ];
+  let rec drain () =
+    match Dpdk.Eth_dev.rx_burst b ~max:8 with
+    | [] -> ()
+    | got ->
+      List.iter Dpdk.Mbuf.free got;
+      drain ()
+  in
+  drain ();
+  Dpdk.Eth_dev.reap a;
+  rings_match "drained";
+  Alcotest.(check int) "a's pool back to its level" before_a
+    (Dpdk.Mbuf.available pool_a);
+  Alcotest.(check int) "b's pool back to its level" before_b
+    (Dpdk.Mbuf.available pool_b);
+  (* A descriptor posted behind Eth_dev's back completes first: its
+     address is not the TX ring's head. *)
+  Nic.Link.set_tamper link None;
+  let stray = Option.get (Dpdk.Mbuf.alloc pool_a) in
+  Alcotest.(check bool) "stray doorbell" true
+    (Nic.Igb.tx_enqueue pa ~addr:(Dpdk.Mbuf.data_addr stray) ~len:64 ());
+  let m = List.hd (frames 1) in
+  Alcotest.(check (list reject)) "queued behind it" []
+    (Dpdk.Eth_dev.tx_burst a [ m ]);
+  Dsim.Engine.run_until_quiet engine;
+  Alcotest.check_raises "completion off the ring head"
+    (Invalid_argument
+       (Printf.sprintf "Eth_dev: completion at 0x%x, ring head at 0x%x"
+          (Dpdk.Mbuf.data_addr stray) (Dpdk.Mbuf.data_addr m)))
+    (fun () -> Dpdk.Eth_dev.reap a)
+
 let suite =
   [
     Alcotest.test_case "eal: memzones" `Quick eal_memzones;
@@ -284,4 +383,6 @@ let suite =
     Alcotest.test_case "igb_uio: requires load+store" `Quick uio_bind_requires_rw;
     Alcotest.test_case "ethdev: burst roundtrip + recycle" `Quick ethdev_burst_roundtrip;
     Alcotest.test_case "ethdev: ring restocking" `Quick ethdev_restock;
+    Alcotest.test_case "ethdev: software rings neither leak nor reorder" `Quick
+      ethdev_rings_neither_leak_nor_reorder;
   ]

@@ -7,30 +7,30 @@ let check_float = Alcotest.(check (float 1e-9))
 (* ------------------------------------------------------------------ *)
 
 let time_units () =
-  Alcotest.(check int64) "us" 1_000L (Dsim.Time.us 1);
-  Alcotest.(check int64) "ms" 1_000_000L (Dsim.Time.ms 1);
-  Alcotest.(check int64) "sec" 1_000_000_000L (Dsim.Time.sec 1);
-  Alcotest.(check int64) "ns" 7L (Dsim.Time.ns 7)
+  Alcotest.(check int) "us" 1_000 (Dsim.Time.us 1);
+  Alcotest.(check int) "ms" 1_000_000 (Dsim.Time.ms 1);
+  Alcotest.(check int) "sec" 1_000_000_000 (Dsim.Time.sec 1);
+  Alcotest.(check int) "ns" 7 (Dsim.Time.ns 7)
 
 let time_arith () =
   let a = Dsim.Time.us 5 and b = Dsim.Time.us 3 in
-  Alcotest.(check int64) "add" 8_000L (Dsim.Time.add a b);
-  Alcotest.(check int64) "sub" 2_000L (Dsim.Time.sub a b);
-  Alcotest.(check int64) "sub clamps" 0L (Dsim.Time.sub b a);
-  Alcotest.(check int64) "diff symmetric" 2_000L (Dsim.Time.diff b a);
-  Alcotest.(check int64) "mul" 15_000L (Dsim.Time.mul a 3);
+  Alcotest.(check int) "add" 8_000 (Dsim.Time.add a b);
+  Alcotest.(check int) "sub" 2_000 (Dsim.Time.sub a b);
+  Alcotest.(check int) "sub clamps" 0 (Dsim.Time.sub b a);
+  Alcotest.(check int) "diff symmetric" 2_000 (Dsim.Time.diff b a);
+  Alcotest.(check int) "mul" 15_000 (Dsim.Time.mul a 3);
   Alcotest.(check bool) "lt" true Dsim.Time.(b < a);
   Alcotest.(check bool) "ge" true Dsim.Time.(a >= b);
-  Alcotest.(check int64) "min" 3_000L (Dsim.Time.min a b);
-  Alcotest.(check int64) "max" 5_000L (Dsim.Time.max a b)
+  Alcotest.(check int) "min" 3_000 (Dsim.Time.min a b);
+  Alcotest.(check int) "max" 5_000 (Dsim.Time.max a b)
 
 let time_float_conv () =
   check_float "to_float_us" 5. (Dsim.Time.to_float_us (Dsim.Time.us 5));
   check_float "to_float_ms" 5. (Dsim.Time.to_float_ms (Dsim.Time.ms 5));
   check_float "to_float_sec" 2. (Dsim.Time.to_float_sec (Dsim.Time.sec 2));
-  Alcotest.(check int64) "of_float_ns rounds" 3L (Dsim.Time.of_float_ns 2.6);
-  Alcotest.(check int64) "of_float_ns clamps negatives" 0L (Dsim.Time.of_float_ns (-5.));
-  Alcotest.(check int64) "of_float_sec" 1_500_000_000L (Dsim.Time.of_float_sec 1.5)
+  Alcotest.(check int) "of_float_ns rounds" 3 (Dsim.Time.of_float_ns 2.6);
+  Alcotest.(check int) "of_float_ns clamps negatives" 0 (Dsim.Time.of_float_ns (-5.));
+  Alcotest.(check int) "of_float_sec" 1_500_000_000 (Dsim.Time.of_float_sec 1.5)
 
 let time_pp () =
   let s t = Format.asprintf "%a" Dsim.Time.pp t in
@@ -38,48 +38,6 @@ let time_pp () =
   Alcotest.(check string) "us" "1.50us" (s (Dsim.Time.ns 1500));
   Alcotest.(check string) "ms" "2.00ms" (s (Dsim.Time.ms 2));
   Alcotest.(check string) "s" "3.000s" (s (Dsim.Time.sec 3))
-
-(* ------------------------------------------------------------------ *)
-(* Heap                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let heap_basic () =
-  let h = Dsim.Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Dsim.Heap.is_empty h);
-  List.iter (Dsim.Heap.push h) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "size" 5 (Dsim.Heap.size h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Dsim.Heap.peek h);
-  Alcotest.(check (option int)) "pop min" (Some 1) (Dsim.Heap.pop h);
-  Alcotest.(check (option int)) "pop dup" (Some 1) (Dsim.Heap.pop h);
-  Alcotest.(check (option int)) "pop next" (Some 3) (Dsim.Heap.pop h);
-  Alcotest.(check int) "size after pops" 2 (Dsim.Heap.size h)
-
-let heap_pop_empty () =
-  let h = Dsim.Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "pop empty" None (Dsim.Heap.pop h);
-  Alcotest.check_raises "pop_exn raises" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Dsim.Heap.pop_exn h))
-
-let heap_to_sorted_list () =
-  let h = Dsim.Heap.create ~cmp:compare in
-  List.iter (Dsim.Heap.push h) [ 9; 2; 7; 2; 0 ];
-  Alcotest.(check (list int)) "sorted copy" [ 0; 2; 2; 7; 9 ]
-    (Dsim.Heap.to_sorted_list h);
-  Alcotest.(check int) "heap unchanged" 5 (Dsim.Heap.size h)
-
-let heap_clear () =
-  let h = Dsim.Heap.create ~cmp:compare in
-  List.iter (Dsim.Heap.push h) [ 1; 2; 3 ];
-  Dsim.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Dsim.Heap.is_empty h)
-
-let heap_sorted_prop =
-  QCheck.Test.make ~name:"heap drains any list in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Dsim.Heap.create ~cmp:compare in
-      List.iter (Dsim.Heap.push h) xs;
-      Dsim.Heap.to_sorted_list h = List.sort compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                               *)
@@ -94,7 +52,7 @@ let engine_order () =
   ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) (note "b"));
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
-  Alcotest.(check int64) "clock at last event" 30L (Dsim.Engine.now e)
+  Alcotest.(check int) "clock at last event" 30 (Dsim.Engine.now e)
 
 let engine_ties_fifo () =
   let e = Dsim.Engine.create () in
@@ -123,10 +81,10 @@ let engine_until () =
   ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) (fun () -> incr fired));
   Dsim.Engine.run e ~until:(Dsim.Time.ns 15);
   Alcotest.(check int) "only first fired" 1 !fired;
-  Alcotest.(check int64) "clock parked at until" 15L (Dsim.Engine.now e);
+  Alcotest.(check int) "clock parked at until" 15 (Dsim.Engine.now e);
   Dsim.Engine.run e ~until:(Dsim.Time.ns 100);
   Alcotest.(check int) "second fired later" 2 !fired;
-  Alcotest.(check int64) "clock at until even when idle" 100L (Dsim.Engine.now e)
+  Alcotest.(check int) "clock at until even when idle" 100 (Dsim.Engine.now e)
 
 let engine_past_schedules_now () =
   let e = Dsim.Engine.create () in
@@ -137,7 +95,7 @@ let engine_past_schedules_now () =
     (Dsim.Engine.schedule_at e ~at:(Dsim.Time.ns 10) (fun () ->
          fired_at := Dsim.Engine.now e));
   Dsim.Engine.run_until_quiet e;
-  Alcotest.(check int64) "past event fires at current clock" 50L !fired_at
+  Alcotest.(check int) "past event fires at current clock" 50 !fired_at
 
 let engine_self_reschedule_budget () =
   let e = Dsim.Engine.create () in
@@ -168,7 +126,73 @@ let engine_nested_schedule () =
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check (list string)) "nested events run" [ "outer"; "inner" ]
     (List.rev !log);
-  Alcotest.(check int64) "clock advanced by nested delay" 15L (Dsim.Engine.now e)
+  Alcotest.(check int) "clock advanced by nested delay" 15 (Dsim.Engine.now e)
+
+(* One generated scenario: [n] events at delays of 0-7 ns, so deadlines
+   collide; when it fires, each may schedule a child at a 0-7 ns delay
+   and cancel any handle scheduled so far (pending, fired or already
+   cancelled). A shuffled two thirds of the events are cancelled before
+   the run, which is past the compaction floor of 64, so the heap is
+   compacted. The dispatch order must be the stable sort of every
+   uncancelled event by deadline, i.e. (time, schedule order), and
+   [pending_count] must equal the live count at every dispatch. *)
+let engine_dispatch_order_prop =
+  let gen =
+    QCheck.Gen.(
+      int_range 130 300 >>= fun n ->
+      pair
+        (list_repeat n
+           (triple (int_bound 7) (opt (int_bound 7)) (opt small_nat)))
+        (shuffle_l (List.init n Fun.id)))
+  in
+  QCheck.Test.make ~count:100
+    ~name:"engine: dispatch order is (time, schedule order)"
+    (QCheck.make gen) (fun (events, shuffled) ->
+      let e = Dsim.Engine.create () in
+      let n = List.length events in
+      let handles = Array.make (2 * n) None in
+      let at = Array.make (2 * n) 0 in
+      let fired = Array.make (2 * n) false in
+      let dead = Array.make (2 * n) false in
+      let scheduled = ref 0 and n_fired = ref 0 and n_dead = ref 0 in
+      let log = ref [] and counts_ok = ref true in
+      let cancel j =
+        if (not fired.(j)) && not dead.(j) then begin
+          dead.(j) <- true;
+          incr n_dead
+        end;
+        Option.iter Dsim.Engine.cancel handles.(j)
+      in
+      let schedule delay on_fire =
+        let id = !scheduled in
+        incr scheduled;
+        at.(id) <- Dsim.Engine.now e + delay;
+        handles.(id) <-
+          Some
+            (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns delay) (fun () ->
+                 fired.(id) <- true;
+                 incr n_fired;
+                 log := id :: !log;
+                 if Dsim.Engine.pending_count e <> !scheduled - !n_fired - !n_dead
+                 then counts_ok := false;
+                 on_fire ()))
+      in
+      List.iter
+        (fun (delay, child, victim) ->
+          schedule delay (fun () ->
+              Option.iter (fun d -> schedule d ignore) child;
+              Option.iter (fun k -> cancel (k mod !scheduled)) victim))
+        events;
+      List.iteri (fun i j -> if 3 * i < 2 * n then cancel j) shuffled;
+      let compacted = Dsim.Engine.heap_size e < n in
+      Dsim.Engine.run_until_quiet e;
+      let expected =
+        List.init !scheduled Fun.id
+        |> List.filter (fun id -> not dead.(id))
+        |> List.stable_sort (fun a b -> compare at.(a) at.(b))
+      in
+      compacted && !counts_ok && List.rev !log = expected
+      && Dsim.Engine.pending_count e = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                  *)
@@ -377,11 +401,6 @@ let suite =
     Alcotest.test_case "time: arithmetic" `Quick time_arith;
     Alcotest.test_case "time: float conversions" `Quick time_float_conv;
     Alcotest.test_case "time: pretty printing" `Quick time_pp;
-    Alcotest.test_case "heap: push/pop ordering" `Quick heap_basic;
-    Alcotest.test_case "heap: empty behaviour" `Quick heap_pop_empty;
-    Alcotest.test_case "heap: to_sorted_list is non-destructive" `Quick heap_to_sorted_list;
-    Alcotest.test_case "heap: clear" `Quick heap_clear;
-    QCheck_alcotest.to_alcotest heap_sorted_prop;
     Alcotest.test_case "engine: events fire in time order" `Quick engine_order;
     Alcotest.test_case "engine: ties break by insertion" `Quick engine_ties_fifo;
     Alcotest.test_case "engine: cancellation" `Quick engine_cancel;
@@ -390,6 +409,7 @@ let suite =
     Alcotest.test_case "engine: max_events bounds runaway loops" `Quick engine_self_reschedule_budget;
     Alcotest.test_case "engine: step" `Quick engine_step;
     Alcotest.test_case "engine: nested scheduling" `Quick engine_nested_schedule;
+    QCheck_alcotest.to_alcotest engine_dispatch_order_prop;
     Alcotest.test_case "rng: determinism" `Quick rng_deterministic;
     Alcotest.test_case "rng: split independence" `Quick rng_split_independent;
     Alcotest.test_case "rng: int bounds" `Quick rng_int_bounds;

@@ -12,7 +12,7 @@ let counter_basics () =
   let r = Dsim.Metrics.create ~enabled:true () in
   let c = Dsim.Metrics.counter r "requests_total" in
   Dsim.Metrics.incr c;
-  Dsim.Metrics.incr c ~by:4;
+  Dsim.Metrics.incr_by c 4;
   Alcotest.(check int) "counted" 5 (Dsim.Metrics.value c);
   (* Get-or-create: same name, same instrument. *)
   let c' = Dsim.Metrics.counter r "requests_total" in
@@ -100,6 +100,29 @@ let disabled_zero_allocation () =
     true
     (w1 -. w0 < 256.)
 
+(* "Instrumentation off costs one branch", per call site kind the data
+   path uses: a hop on an untraced frame, an origin on a disabled
+   Flowtrace registry, and both counter updates on a disabled Metrics
+   registry must each allocate nothing over 10,000 calls. A boxed
+   timestamp or a [Some n] optional argument would cost 20,000 words. *)
+let off_instruments_allocate_nothing () =
+  let ft = Dsim.Flowtrace.create () in
+  let c = Dsim.Metrics.counter (Dsim.Metrics.create ()) "off_total" in
+  let words name f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      f i
+    done;
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check (float 0.)) (name ^ ": minor words per 10,000 calls") 0. w
+  in
+  words "Flowtrace.hop None" (fun i ->
+      Dsim.Flowtrace.hop None Rx_ring ~at:(Dsim.Time.ns i));
+  words "Flowtrace.origin, disabled" (fun i ->
+      ignore (Dsim.Flowtrace.origin ft ~at:(Dsim.Time.ns i) ~flow:"f" Ip_out));
+  words "Metrics.incr, disabled" (fun _ -> Dsim.Metrics.incr c);
+  words "Metrics.incr_by, disabled" (fun i -> Dsim.Metrics.incr_by c i)
+
 (* ------------------------------------------------------------------ *)
 (* Histogram percentiles                                                *)
 (* ------------------------------------------------------------------ *)
@@ -145,7 +168,7 @@ let prometheus_export () =
   let c = Dsim.Metrics.counter r ~help:"Crossings." ~labels:[ ("cvm", "cvm1") ]
       "trampoline_crossings_total"
   in
-  Dsim.Metrics.incr c ~by:12;
+  Dsim.Metrics.incr_by c 12;
   let g = Dsim.Metrics.gauge r "ring_depth" in
   Dsim.Metrics.set g 3;
   let h = Dsim.Metrics.histogram r ~lo:1. ~ratio:10. ~buckets:4 "wait_ns" in
@@ -309,6 +332,8 @@ let suite =
     Alcotest.test_case "disabled updates dropped" `Quick disabled_updates_dropped;
     Alcotest.test_case "disabled updates do not allocate" `Quick
       disabled_zero_allocation;
+    Alcotest.test_case "instruments that are off allocate nothing" `Quick
+      off_instruments_allocate_nothing;
     Alcotest.test_case "histogram percentiles vs Stats" `Quick
       histogram_percentiles;
     Alcotest.test_case "prometheus exposition" `Quick prometheus_export;

@@ -227,11 +227,13 @@ let bandwidth_samples_bit_identical () =
 (* ------------------------------------------------------------------ *)
 
 (* Minor words per DUT NIC packet on the Fig. 4 data path (ff_write ->
-   segment -> wire -> ACK). The budget is ~10% above the zero-copy cost
-   measured when it landed (912 words/packet) and about half the
-   copy-per-layer code it replaced (1880); reintroducing one per-frame
-   copy (a 1.5 KiB frame is ~190 words) trips it. *)
-let fig4_minor_words_budget = 1000.0
+   segment -> wire -> ACK). The budget is ~10% above the cost measured
+   when it was last tightened (544 words/packet, once untraced frames
+   stopped formatting flow labels and virtual time was unboxed; the
+   zero-copy path measured 912 when it landed, and the copy-per-layer
+   code before it 1880). Reintroducing one per-frame copy (a 1.5 KiB
+   frame is ~190 words) or a per-frame label trips it. *)
+let fig4_minor_words_budget = 600.0
 
 let dut_nic_packets (b : Core.Scenarios.built) =
   let nic = Core.Topology.nic b.Core.Scenarios.dut in
