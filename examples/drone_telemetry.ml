@@ -85,9 +85,15 @@ let () =
     | Ok () -> ()
     | Error e -> Format.printf "drone: send failed (%a)@." Errno.pp e
   in
+  let drone_key stage =
+    Dsim.Profile.key Dsim.Profile.default ~component:"app" ~cvm:"drone" ~stage
+  in
+  let k_heartbeat = drone_key "heartbeat" and k_attitude = drone_key "attitude" in
   let rec heartbeat () =
     send (Core.Mavlink.Heartbeat { vehicle_type = 2; autopilot = 12; base_mode = 81; status = 4 });
-    ignore (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 100) heartbeat)
+    ignore
+      (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 100) ~label:k_heartbeat
+         heartbeat)
   in
   let angle = ref 0 in
   let rec attitude () =
@@ -98,7 +104,9 @@ let () =
            roll_cdeg = (!angle mod 1200) - 600;
            pitch_cdeg = (!angle mod 800) - 400;
            yaw_cdeg = !angle - 18000 });
-    ignore (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 20) attitude)
+    ignore
+      (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 20) ~label:k_attitude
+         attitude)
   in
   heartbeat ();
   attitude ();

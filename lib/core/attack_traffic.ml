@@ -537,7 +537,7 @@ let leaked ledger id detail = V.resolve ledger id (V.Leaked { detail })
    stays Pending and fails the gate at [until]. *)
 let launch_wire ledger engine link ~target ~stack_name attack ~at ~until ids =
   ignore
-    (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
+    (Engine.schedule_at engine ~at ~label:k_inject (fun () ->
          if attack.wa_frames = [] then ()
          else begin
            let at_ns = Time.to_float_ns (Engine.now engine) in
@@ -569,11 +569,11 @@ let launch_wire ledger engine link ~target ~stack_name attack ~at ~until ids =
              | None ->
                if Time.(Engine.now engine < until) then
                  ignore
-                   (Engine.schedule_l engine ~delay:(Time.us 100)
+                   (Engine.schedule engine ~delay:(Time.us 100)
                       ~label:k_check check)
            in
            ignore
-             (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check
+             (Engine.schedule engine ~delay:(Time.us 100) ~label:k_check
                 check)
          end))
 
@@ -593,7 +593,7 @@ let exhaust_expect =
 let launch_exhaust ledger engine pool ~target ~at ~window ~until ?spray ids
     recovered_flag =
   ignore
-    (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
+    (Engine.schedule_at engine ~at ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =
            V.record ledger Resource ~name:"mbuf_exhaust_spray" ~at_ns ~target
@@ -623,12 +623,12 @@ let launch_exhaust ledger engine pool ~target ~at ~window ~until ?spray ids
            if Time.(Engine.now engine < t_free) then begin
              steal ();
              ignore
-               (Engine.schedule_l engine ~delay:(Time.us 1) ~label:k_inject
+               (Engine.schedule engine ~delay:(Time.us 1) ~label:k_inject
                   pin)
            end
          in
          ignore
-           (Engine.schedule_l engine ~delay:(Time.us 1) ~label:k_inject pin);
+           (Engine.schedule engine ~delay:(Time.us 1) ~label:k_inject pin);
          let sprayed =
            match spray with
            | Some (link, frame, n) ->
@@ -641,7 +641,7 @@ let launch_exhaust ledger engine pool ~target ~at ~window ~until ?spray ids
            | None -> 0
          in
          ignore
-           (Engine.schedule_at_l engine ~at:t_free ~label:k_inject (fun () ->
+           (Engine.schedule_at engine ~at:t_free ~label:k_inject (fun () ->
                 List.iter Dpdk.Mbuf.free !stolen;
                 stolen := []));
          let resolved = ref false in
@@ -673,11 +673,11 @@ let launch_exhaust ledger engine pool ~target ~at ~window ~until ?spray ids
              && Time.(Engine.now engine < until)
            then
              ignore
-               (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check
+               (Engine.schedule engine ~delay:(Time.us 100) ~label:k_check
                   check)
          in
          ignore
-           (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check
+           (Engine.schedule engine ~delay:(Time.us 100) ~label:k_check
               check)))
 
 (* ------------------------------------------------------------------ *)
@@ -701,7 +701,7 @@ let secret = "DRONE-TELEMETRY-KEY-0xC4FE"
    outcome, and the paper's motivation. *)
 let mmu_attacks ledger engine iv mem ~at ids =
   ignore
-    (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
+    (Engine.schedule_at engine ~at ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          let attacker =
            Capvm.Intravisor.create_cvm iv ~name:"redteam" ~size:(1 lsl 20)
@@ -989,7 +989,7 @@ let phase_s2 ledger rng profile ~seed ~blackbox_dir =
     wire;
   (* Arm the close race mid-transfer. *)
   ignore
-    (Engine.schedule_at_l engine ~at:(Br.frac w 0.45) ~label:k_inject
+    (Engine.schedule_at engine ~at:(Br.frac w 0.45) ~label:k_inject
        (fun () ->
          race_armed := true));
   (* Stale-fd epoll probe against the shared stack's own API: close an
@@ -997,7 +997,7 @@ let phase_s2 ledger rng profile ~seed ~blackbox_dir =
      wakeup ever surfaces. *)
   let ff = nif.Topology.ff in
   ignore
-    (Engine.schedule_at_l engine ~at:(Br.frac w 0.55) ~label:k_inject
+    (Engine.schedule_at engine ~at:(Br.frac w 0.55) ~label:k_inject
        (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =

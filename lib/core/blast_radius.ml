@@ -24,7 +24,7 @@ let drive labels w ~sample_every ?(on_tick = fun ~now_ns:_ _ -> ())
   let t0 = w.warmup in
   let t_end = Time.add t0 w.duration in
   ignore
-    (Engine.schedule_at_l engine ~at:t0 ~label:labels.arm (fun () ->
+    (Engine.schedule_at engine ~at:t0 ~label:labels.arm (fun () ->
          List.iter
            (fun f -> ignore (f.Scenarios.take_bytes ()))
            built.Scenarios.flows;
@@ -46,11 +46,11 @@ let drive labels w ~sample_every ?(on_tick = fun ~now_ns:_ _ -> ())
     on_tick ~now_ns deltas;
     if Time.(now < t_end) then
       ignore
-        (Engine.schedule_l engine ~delay:sample_every ~label:labels.tick
+        (Engine.schedule engine ~delay:sample_every ~label:labels.tick
            (tick now))
   in
   ignore
-    (Engine.schedule_at_l engine ~at:(Time.add t0 sample_every)
+    (Engine.schedule_at engine ~at:(Time.add t0 sample_every)
        ~label:labels.tick (tick t0));
   Engine.run ~until:t_end engine;
   built.Scenarios.stop ();

@@ -5,6 +5,8 @@
    but the per-tenant rollup: who got what, at which percentile, paid
    for by how many compartment crossings. *)
 
+module Ff = Netstack.Ff_api
+
 type profile = {
   p_name : string;
   p_tenants : int;
@@ -100,7 +102,7 @@ type srv_conn = {
 }
 
 type server = {
-  sv_api : Iperf.api;
+  sv_ff : Netstack.Ff_api.t;
   sv_mem : Cheri.Tagged_memory.t;
   sv_rbuf : Cheri.Capability.t;
   sv_wbuf : Cheri.Capability.t;
@@ -113,18 +115,19 @@ let sv_get = function
   | Ok v -> v
   | Error e -> invalid_arg ("fleet server setup: " ^ Netstack.Errno.to_string e)
 
-let make_server api ~mem ~rbuf ~wbuf ~tenants =
-  let epfd = sv_get (api.Iperf.epoll_create ()) in
+let make_server ff ~mem ~rbuf ~wbuf ~tenants =
+  let epfd = sv_get (Ff.ff_epoll_create ff) in
   let listeners = Hashtbl.create (2 * tenants) in
   for i = 0 to tenants - 1 do
-    let lfd = sv_get (api.Iperf.socket ()) in
-    sv_get (api.Iperf.bind lfd ~port:(port_base + i));
-    sv_get (api.Iperf.listen lfd ~backlog:8);
-    sv_get (api.Iperf.epoll_ctl ~epfd ~op:`Add ~fd:lfd Netstack.Epoll.epollin);
+    let lfd = sv_get (Ff.ff_socket ff) in
+    sv_get (Ff.ff_bind ff lfd ~port:(port_base + i));
+    sv_get (Ff.ff_listen ff lfd ~backlog:8);
+    sv_get
+      (Ff.ff_epoll_ctl ff ~epfd ~op:`Add ~fd:lfd Netstack.Epoll.epollin);
     Hashtbl.replace listeners lfd ()
   done;
   {
-    sv_api = api;
+    sv_ff = ff;
     sv_mem = mem;
     sv_rbuf = rbuf;
     sv_wbuf = wbuf;
@@ -134,8 +137,8 @@ let make_server api ~mem ~rbuf ~wbuf ~tenants =
   }
 
 let server_drop sv c =
-  ignore (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Del ~fd:c.sc_fd 0);
-  ignore (sv.sv_api.Iperf.close c.sc_fd);
+  ignore (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Del ~fd:c.sc_fd 0);
+  ignore (Ff.ff_close sv.sv_ff c.sc_fd);
   Hashtbl.remove sv.sv_conns c.sc_fd
 
 (* Push response bytes; on backpressure leave EPOLLOUT armed and come
@@ -145,7 +148,7 @@ let server_write sv c =
   let rec go n =
     if c.sc_resp_left > 0 && n < 32 then begin
       let nbytes = min wlen c.sc_resp_left in
-      match sv.sv_api.Iperf.write c.sc_fd ~buf:sv.sv_wbuf ~nbytes with
+      match Ff.ff_write sv.sv_ff c.sc_fd ~buf:sv.sv_wbuf ~nbytes with
       | Ok sent ->
         c.sc_resp_left <- c.sc_resp_left - sent;
         if sent = nbytes then go (n + 1) else arm ()
@@ -155,14 +158,14 @@ let server_write sv c =
     else if c.sc_resp_left = 0 && c.sc_writing then begin
       c.sc_writing <- false;
       ignore
-        (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
+        (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
            Netstack.Epoll.epollin)
     end
   and arm () =
     if not c.sc_writing then begin
       c.sc_writing <- true;
       ignore
-        (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
+        (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
            Netstack.Epoll.(epollin lor epollout))
     end
   in
@@ -191,7 +194,7 @@ let server_read sv c =
   let nbytes = Cheri.Capability.length sv.sv_rbuf in
   let rec go n =
     if n < 32 then
-      match sv.sv_api.Iperf.read c.sc_fd ~buf:sv.sv_rbuf ~nbytes with
+      match Ff.ff_read sv.sv_ff c.sc_fd ~buf:sv.sv_rbuf ~nbytes with
       | Ok 0 -> server_drop sv c
       | Ok got ->
         server_feed sv c got;
@@ -202,17 +205,17 @@ let server_read sv c =
   go 0
 
 let server_step sv =
-  match sv.sv_api.Iperf.epoll_wait ~epfd:sv.sv_epfd ~max:64 with
+  match Ff.ff_epoll_wait sv.sv_ff ~epfd:sv.sv_epfd ~max:64 with
   | Error _ -> ()
   | Ok events ->
     List.iter
       (fun (fd, ev) ->
         if Hashtbl.mem sv.sv_listeners fd then begin
           let rec accept_all () =
-            match sv.sv_api.Iperf.accept fd with
+            match Ff.ff_accept sv.sv_ff fd with
             | Ok (cfd, _ip, _port) ->
               ignore
-                (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Add ~fd:cfd
+                (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Add ~fd:cfd
                    Netstack.Epoll.epollin);
               Hashtbl.replace sv.sv_conns cfd
                 {
@@ -292,16 +295,16 @@ let cl_get = function
   | Ok v -> v
   | Error e -> invalid_arg ("fleet client: " ^ Netstack.Errno.to_string e)
 
-let client_drop api tn af ~failed =
-  ignore (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Del ~fd:af.af_fd 0);
-  ignore (api.Iperf.close af.af_fd);
+let client_drop ff tn af ~failed =
+  ignore (Ff.ff_epoll_ctl ff ~epfd:tn.tn_epfd ~op:`Del ~fd:af.af_fd 0);
+  ignore (Ff.ff_close ff af.af_fd);
   tn.tn_active <- List.filter (fun a -> a.af_fd <> af.af_fd) tn.tn_active;
   if failed then tn.tn_failed <- tn.tn_failed + 1
 
 (* Send request bytes. The header prefix must survive short writes, so
    while [af_sent < header_len] each write re-stages the unsent header
    remainder at the buffer base (body bytes are arbitrary padding). *)
-let client_send f api tn af =
+let client_send f ff tn af =
   let mem = Topology.node_mem (topo f).Scenarios.sp_dut in
   let blen = Cheri.Capability.length tn.tn_buf in
   let base = Cheri.Capability.base tn.tn_buf in
@@ -311,12 +314,12 @@ let client_send f api tn af =
         Cheri.Tagged_memory.store_bytes mem ~cap:tn.tn_buf ~addr:base
           (Bytes.sub af.af_hdr af.af_sent (header_len - af.af_sent));
       let nbytes = min blen (af.af_spec.fs_req - af.af_sent) in
-      match api.Iperf.write af.af_fd ~buf:tn.tn_buf ~nbytes with
+      match Ff.ff_write ff af.af_fd ~buf:tn.tn_buf ~nbytes with
       | Ok sent ->
         af.af_sent <- af.af_sent + sent;
         if sent = nbytes then go (n + 1)
       | Error Netstack.Errno.EAGAIN -> ()
-      | Error _ -> client_drop api tn af ~failed:true
+      | Error _ -> client_drop ff tn af ~failed:true
     end
   in
   go 0;
@@ -327,11 +330,11 @@ let client_send f api tn af =
   then begin
     af.af_sending <- false;
     ignore
-      (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Mod ~fd:af.af_fd
+      (Ff.ff_epoll_ctl ff ~epfd:tn.tn_epfd ~op:`Mod ~fd:af.af_fd
          Netstack.Epoll.epollin)
   end
 
-let client_complete f api tn af =
+let client_complete f ff tn af =
   let now = Dsim.Engine.now (topo f).Scenarios.sp_engine in
   let fct_ns =
     Dsim.Time.to_float_ns (Dsim.Time.sub now af.af_spec.fs_arrived)
@@ -341,27 +344,27 @@ let client_complete f api tn af =
   tn.tn_bytes <- tn.tn_bytes + bytes;
   Dsim.Stats.add f.f_fct fct_ns;
   Dsim.Tenancy.note_flow f.f_obs ~tenant:tn.tn_name ~bytes ~fct_ns;
-  client_drop api tn af ~failed:false
+  client_drop ff tn af ~failed:false
 
-let client_recv f api tn af =
+let client_recv f ff tn af =
   let nbytes = Cheri.Capability.length tn.tn_buf in
   let rec go n =
     if n < 16 then
-      match api.Iperf.read af.af_fd ~buf:tn.tn_buf ~nbytes with
-      | Ok 0 -> client_drop api tn af ~failed:true
+      match Ff.ff_read ff af.af_fd ~buf:tn.tn_buf ~nbytes with
+      | Ok 0 -> client_drop ff tn af ~failed:true
       | Ok got ->
         af.af_rcvd <- af.af_rcvd + got;
-        if af.af_rcvd >= af.af_spec.fs_resp then client_complete f api tn af
+        if af.af_rcvd >= af.af_spec.fs_resp then client_complete f ff tn af
         else go (n + 1)
       | Error Netstack.Errno.EAGAIN -> ()
-      | Error _ -> client_drop api tn af ~failed:true
+      | Error _ -> client_drop ff tn af ~failed:true
   in
   go 0
 
 (* One mutex-held, trampolined application window: admit queued flows up
    to the concurrency cap, then service whatever epoll reports. Returns
    whether the window made progress, which drives the poll backoff. *)
-let tenant_body f ~conc api tn =
+let tenant_body f ~conc ff tn =
   let peer_ip = Netstack.Stack.ip (topo f).Scenarios.sp_pnif.Topology.stack in
   let started = ref false in
   while
@@ -369,14 +372,14 @@ let tenant_body f ~conc api tn =
   do
     started := true;
     let spec = Queue.pop tn.tn_queue in
-    let fd = cl_get (api.Iperf.socket ()) in
+    let fd = cl_get (Ff.ff_socket ff) in
     (match
-       api.Iperf.connect fd ~ip:peer_ip ~port:(port_base + tn.tn_idx)
+       Ff.ff_connect ff fd ~ip:peer_ip ~port:(port_base + tn.tn_idx)
      with
     | Ok () | Error Netstack.Errno.EINPROGRESS -> ()
     | Error _ -> ());
     cl_get
-      (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Add ~fd
+      (Ff.ff_epoll_ctl ff ~epfd:tn.tn_epfd ~op:`Add ~fd
          Netstack.Epoll.epollout);
     tn.tn_active <-
       tn.tn_active
@@ -391,7 +394,7 @@ let tenant_body f ~conc api tn =
           };
         ]
   done;
-  match api.Iperf.epoll_wait ~epfd:tn.tn_epfd ~max:(2 * conc) with
+  match Ff.ff_epoll_wait ff ~epfd:tn.tn_epfd ~max:(2 * conc) with
   | Error _ -> !started
   | Ok events ->
     List.iter
@@ -402,14 +405,14 @@ let tenant_body f ~conc api tn =
           if
             Netstack.Epoll.has ev Netstack.Epoll.epollerr
             || Netstack.Epoll.has ev Netstack.Epoll.epollhup
-          then client_drop api tn af ~failed:true
+          then client_drop ff tn af ~failed:true
           else begin
             if Netstack.Epoll.has ev Netstack.Epoll.epollout then
-              client_send f api tn af;
+              client_send f ff tn af;
             if
               Netstack.Epoll.has ev Netstack.Epoll.epollin
               && List.memq af tn.tn_active
-            then client_recv f api tn af
+            then client_recv f ff tn af
           end)
       events;
     !started || events <> []
@@ -428,7 +431,7 @@ let backoff_cap = 32
 let tenant_driver f ~profile tn =
   let engine = (topo f).Scenarios.sp_engine in
   let running = f.f_sh.Scenarios.sh_running in
-  let api = Iperf.api_of_ff (topo f).Scenarios.sp_dnif.Topology.ff in
+  let ff = (topo f).Scenarios.sp_dnif.Topology.ff in
   let k_step =
     Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name ~stage:"step"
   in
@@ -439,11 +442,11 @@ let tenant_driver f ~profile tn =
     else Scenarios.crossing f.f_sh tn.tn_app body poll
   and body () =
     tn.tn_backoff <-
-      (if tenant_body f ~conc:profile.p_concurrency api tn then 1
+      (if tenant_body f ~conc:profile.p_concurrency ff tn then 1
        else min backoff_cap (2 * tn.tn_backoff))
   and poll () =
     ignore
-      (Dsim.Engine.schedule_l engine
+      (Dsim.Engine.schedule engine
          ~delay:
            (Dsim.Time.of_float_ns
               (Dsim.Time.to_float_ns profile.p_poll_interval
@@ -468,11 +471,11 @@ let tenant_driver f ~profile tn =
       if not tn.tn_polling then begin
         tn.tn_polling <- true;
         ignore
-          (Dsim.Engine.schedule_l engine ~delay:Dsim.Time.zero ~label:k_step
+          (Dsim.Engine.schedule engine ~delay:Dsim.Time.zero ~label:k_step
              step)
       end;
       ignore
-        (Dsim.Engine.schedule_l engine
+        (Dsim.Engine.schedule engine
            ~delay:
              (Dsim.Time.of_float_ns
                 (Dsim.Rng.exponential tn.tn_rng
@@ -483,7 +486,7 @@ let tenant_driver f ~profile tn =
   (* First arrival after one exponential gap, so the fleet's opening
      burst is already Poisson-spread instead of synchronized at t0. *)
   ignore
-    (Dsim.Engine.schedule_l engine
+    (Dsim.Engine.schedule engine
        ~delay:
          (Dsim.Time.of_float_ns
             (Dsim.Rng.exponential tn.tn_rng ~mean:profile.p_arrival_mean_ns))
@@ -522,7 +525,7 @@ let build ~profile ~tenants ~seed =
   let sp = sh.Scenarios.sh_base in
   let dut = sp.Scenarios.sp_dut in
   let iv = Topology.intravisor dut in
-  let dut_api = Iperf.api_of_ff sp.Scenarios.sp_dnif.Topology.ff in
+  let dut_ff = sp.Scenarios.sp_dnif.Topology.ff in
   let root_rng = Dsim.Rng.create ~seed in
   let tenant_arr =
     Array.init tenants (fun i ->
@@ -538,7 +541,7 @@ let build ~profile ~tenants ~seed =
           tn_name = Capvm.Cvm.name cvm;
           tn_buf = buf;
           tn_rng = Dsim.Rng.split root_rng;
-          tn_epfd = cl_get (dut_api.Iperf.epoll_create ());
+          tn_epfd = cl_get (Ff.ff_epoll_create dut_ff);
           tn_queue = Queue.create ();
           tn_active = [];
           tn_polling = false;
@@ -560,11 +563,11 @@ let build ~profile ~tenants ~seed =
     }
   in
   (* Peer: server farm inside the load generator's stack loop. *)
-  let peer_api = Iperf.api_of_ff sp.Scenarios.sp_pnif.Topology.ff in
+  let peer_ff = sp.Scenarios.sp_pnif.Topology.ff in
   let peer_mem = Topology.node_mem sp.Scenarios.sp_peer in
   let peer_cvm = sp.Scenarios.sp_peer_cvm in
   let sv =
-    make_server peer_api ~mem:peer_mem
+    make_server peer_ff ~mem:peer_mem
       ~rbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~wbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~tenants

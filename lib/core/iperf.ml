@@ -1,40 +1,4 @@
-type api = {
-  socket : unit -> (int, Netstack.Errno.t) result;
-  bind : int -> port:int -> (unit, Netstack.Errno.t) result;
-  listen : int -> backlog:int -> (unit, Netstack.Errno.t) result;
-  accept :
-    int -> (int * Netstack.Ipv4_addr.t * int, Netstack.Errno.t) result;
-  connect :
-    int -> ip:Netstack.Ipv4_addr.t -> port:int -> (unit, Netstack.Errno.t) result;
-  write :
-    int -> buf:Cheri.Capability.t -> nbytes:int -> (int, Netstack.Errno.t) result;
-  read :
-    int -> buf:Cheri.Capability.t -> nbytes:int -> (int, Netstack.Errno.t) result;
-  close : int -> (unit, Netstack.Errno.t) result;
-  epoll_create : unit -> (int, Netstack.Errno.t) result;
-  epoll_ctl :
-    epfd:int -> op:[ `Add | `Mod | `Del ] -> fd:int ->
-    Netstack.Epoll.events -> (unit, Netstack.Errno.t) result;
-  epoll_wait :
-    epfd:int -> max:int ->
-    ((int * Netstack.Epoll.events) list, Netstack.Errno.t) result;
-}
-
-let api_of_ff ff =
-  let open Netstack in
-  {
-    socket = (fun () -> Ff_api.ff_socket ff);
-    bind = (fun fd ~port -> Ff_api.ff_bind ff fd ~port);
-    listen = (fun fd ~backlog -> Ff_api.ff_listen ff fd ~backlog);
-    accept = (fun fd -> Ff_api.ff_accept ff fd);
-    connect = (fun fd ~ip ~port -> Ff_api.ff_connect ff fd ~ip ~port);
-    write = (fun fd ~buf ~nbytes -> Ff_api.ff_write ff fd ~buf ~nbytes);
-    read = (fun fd ~buf ~nbytes -> Ff_api.ff_read ff fd ~buf ~nbytes);
-    close = (fun fd -> Ff_api.ff_close ff fd);
-    epoll_create = (fun () -> Ff_api.ff_epoll_create ff);
-    epoll_ctl = (fun ~epfd ~op ~fd ev -> Ff_api.ff_epoll_ctl ff ~epfd ~op ~fd ev);
-    epoll_wait = (fun ~epfd ~max -> Ff_api.ff_epoll_wait ff ~epfd ~max);
-  }
+module Ff = Netstack.Ff_api
 
 let get = function
   | Ok v -> v
@@ -45,7 +9,7 @@ let get = function
 (* ------------------------------------------------------------------ *)
 
 type server = {
-  s_api : api;
+  s_ff : Ff.t;
   s_buf : Cheri.Capability.t;
   s_port : int;
   s_epfd : int;
@@ -57,14 +21,14 @@ type server = {
 
 let max_reads_per_conn = 32
 
-let server api ~buf ~port =
-  let lfd = get (api.socket ()) in
-  get (api.bind lfd ~port);
-  get (api.listen lfd ~backlog:8);
-  let epfd = get (api.epoll_create ()) in
-  get (api.epoll_ctl ~epfd ~op:`Add ~fd:lfd Netstack.Epoll.epollin);
+let server ff ~buf ~port =
+  let lfd = get (Ff.ff_socket ff) in
+  get (Ff.ff_bind ff lfd ~port);
+  get (Ff.ff_listen ff lfd ~backlog:8);
+  let epfd = get (Ff.ff_epoll_create ff) in
+  get (Ff.ff_epoll_ctl ff ~epfd ~op:`Add ~fd:lfd Netstack.Epoll.epollin);
   {
-    s_api = api;
+    s_ff = ff;
     s_buf = buf;
     s_port = port;
     s_epfd = epfd;
@@ -75,15 +39,16 @@ let server api ~buf ~port =
   }
 
 let server_drop_conn s fd =
-  ignore (s.s_api.close fd);
-  ignore (s.s_api.epoll_ctl ~epfd:s.s_epfd ~op:`Del ~fd Netstack.Epoll.epollin);
+  ignore (Ff.ff_close s.s_ff fd);
+  ignore
+    (Ff.ff_epoll_ctl s.s_ff ~epfd:s.s_epfd ~op:`Del ~fd Netstack.Epoll.epollin);
   s.s_conns <- List.filter (fun c -> c <> fd) s.s_conns
 
 let server_read_conn s fd =
   let nbytes = Cheri.Capability.length s.s_buf in
   let rec go n =
     if n < max_reads_per_conn then begin
-      match s.s_api.read fd ~buf:s.s_buf ~nbytes with
+      match Ff.ff_read s.s_ff fd ~buf:s.s_buf ~nbytes with
       | Ok 0 -> server_drop_conn s fd
       | Ok got ->
         s.s_rx <- s.s_rx + got;
@@ -95,17 +60,17 @@ let server_read_conn s fd =
   go 0
 
 let server_step s =
-  match s.s_api.epoll_wait ~epfd:s.s_epfd ~max:16 with
+  match Ff.ff_epoll_wait s.s_ff ~epfd:s.s_epfd ~max:16 with
   | Error _ -> ()
   | Ok events ->
     List.iter
       (fun (fd, ev) ->
         if fd = s.s_lfd then begin
           let rec accept_all () =
-            match s.s_api.accept s.s_lfd with
+            match Ff.ff_accept s.s_ff s.s_lfd with
             | Ok (cfd, _ip, _port) ->
               ignore
-                (s.s_api.epoll_ctl ~epfd:s.s_epfd ~op:`Add ~fd:cfd
+                (Ff.ff_epoll_ctl s.s_ff ~epfd:s.s_epfd ~op:`Add ~fd:cfd
                    Netstack.Epoll.epollin);
               s.s_conns <- cfd :: s.s_conns;
               accept_all ()
@@ -133,8 +98,8 @@ let server_port s = s.s_port
 
 let server_stop s =
   List.iter (fun fd -> server_drop_conn s fd) s.s_conns;
-  ignore (s.s_api.close s.s_lfd);
-  ignore (s.s_api.close s.s_epfd)
+  ignore (Ff.ff_close s.s_ff s.s_lfd);
+  ignore (Ff.ff_close s.s_ff s.s_epfd)
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                               *)
@@ -143,7 +108,7 @@ let server_stop s =
 type client_state = Connecting | Running | Stopped
 
 type client = {
-  c_api : api;
+  c_ff : Ff.t;
   c_buf : Cheri.Capability.t;
   c_epfd : int;
   c_fd : int;
@@ -154,21 +119,21 @@ type client = {
   mutable c_tx_mark : int;
 }
 
-let client api ~buf ~server_ip ~port ?write_size ?(max_writes_per_step = 16) ()
+let client ff ~buf ~server_ip ~port ?write_size ?(max_writes_per_step = 16) ()
     =
   let write_size =
     match write_size with Some n -> n | None -> Cheri.Capability.length buf
   in
   if write_size > Cheri.Capability.length buf then
     invalid_arg "iperf client: write_size exceeds the buffer capability";
-  let fd = get (api.socket ()) in
-  let epfd = get (api.epoll_create ()) in
-  (match api.connect fd ~ip:server_ip ~port with
+  let fd = get (Ff.ff_socket ff) in
+  let epfd = get (Ff.ff_epoll_create ff) in
+  (match Ff.ff_connect ff fd ~ip:server_ip ~port with
   | Ok () | Error Netstack.Errno.EINPROGRESS -> ()
   | Error e -> invalid_arg ("iperf connect: " ^ Netstack.Errno.to_string e));
-  get (api.epoll_ctl ~epfd ~op:`Add ~fd Netstack.Epoll.epollout);
+  get (Ff.ff_epoll_ctl ff ~epfd ~op:`Add ~fd Netstack.Epoll.epollout);
   {
-    c_api = api;
+    c_ff = ff;
     c_buf = buf;
     c_epfd = epfd;
     c_fd = fd;
@@ -182,7 +147,7 @@ let client api ~buf ~server_ip ~port ?write_size ?(max_writes_per_step = 16) ()
 let client_pump c =
   let rec go n =
     if n < c.c_max_writes then begin
-      match c.c_api.write c.c_fd ~buf:c.c_buf ~nbytes:c.c_write_size with
+      match Ff.ff_write c.c_ff c.c_fd ~buf:c.c_buf ~nbytes:c.c_write_size with
       | Ok sent ->
         c.c_tx <- c.c_tx + sent;
         if sent = c.c_write_size then go (n + 1)
@@ -196,7 +161,7 @@ let client_step c =
   match c.c_state with
   | Stopped -> ()
   | Connecting | Running -> (
-    match c.c_api.epoll_wait ~epfd:c.c_epfd ~max:4 with
+    match Ff.ff_epoll_wait c.c_ff ~epfd:c.c_epfd ~max:4 with
     | Error _ -> ()
     | Ok events ->
       List.iter
@@ -222,5 +187,5 @@ let client_take_tx c =
 let client_stop c =
   if c.c_state <> Stopped then begin
     c.c_state <- Stopped;
-    ignore (c.c_api.close c.c_fd)
+    ignore (Ff.ff_close c.c_ff c.c_fd)
   end

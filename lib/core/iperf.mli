@@ -1,47 +1,22 @@
 (** iperf3-style bandwidth application, ported to the ff_* API + epoll
     (exactly the adaptation the paper performed on iperf3).
 
-    The application is expressed against an {!api} record rather than
-    {!Netstack.Ff_api} directly, because the *same* application code
-    runs in three bindings:
-    - Baseline / Scenario 1: direct ff_* calls (app and stack share a
-      protection domain);
-    - Scenario 2: every call is wrapped by a cross-cVM trampoline plus
-      the shared F-Stack mutex (see {!Scenario2}).
+    Both sides call {!Netstack.Ff_api} directly on the handle of the
+    stack they run against. The compartment boundary is not this
+    module's business: Baseline and Scenario 1 call from inside the
+    stack's loop hook, and Scenario 2 runs the whole [*_step] inside
+    one trampoline crossing under the shared F-Stack mutex
+    ({!Scenarios.crossing}).
 
     Both sides are non-blocking state machines advanced by [*_step],
     which is called from whatever loop owns the app (the F-Stack loop
     hook, or a dedicated cVM thread). *)
 
-type api = {
-  socket : unit -> (int, Netstack.Errno.t) result;
-  bind : int -> port:int -> (unit, Netstack.Errno.t) result;
-  listen : int -> backlog:int -> (unit, Netstack.Errno.t) result;
-  accept :
-    int -> (int * Netstack.Ipv4_addr.t * int, Netstack.Errno.t) result;
-  connect :
-    int -> ip:Netstack.Ipv4_addr.t -> port:int -> (unit, Netstack.Errno.t) result;
-  write :
-    int -> buf:Cheri.Capability.t -> nbytes:int -> (int, Netstack.Errno.t) result;
-  read :
-    int -> buf:Cheri.Capability.t -> nbytes:int -> (int, Netstack.Errno.t) result;
-  close : int -> (unit, Netstack.Errno.t) result;
-  epoll_create : unit -> (int, Netstack.Errno.t) result;
-  epoll_ctl :
-    epfd:int -> op:[ `Add | `Mod | `Del ] -> fd:int ->
-    Netstack.Epoll.events -> (unit, Netstack.Errno.t) result;
-  epoll_wait :
-    epfd:int -> max:int ->
-    ((int * Netstack.Epoll.events) list, Netstack.Errno.t) result;
-}
-
-val api_of_ff : Netstack.Ff_api.t -> api
-
 (** {1 Server (receiver)} *)
 
 type server
 
-val server : api -> buf:Cheri.Capability.t -> port:int -> server
+val server : Netstack.Ff_api.t -> buf:Cheri.Capability.t -> port:int -> server
 (** Sets up listen socket + epoll immediately. [buf] is the receive
     staging buffer (an app-compartment capability). *)
 
@@ -63,7 +38,7 @@ val server_stop : server -> unit
 type client
 
 val client :
-  api ->
+  Netstack.Ff_api.t ->
   buf:Cheri.Capability.t ->
   server_ip:Netstack.Ipv4_addr.t ->
   port:int ->

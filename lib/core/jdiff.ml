@@ -25,14 +25,6 @@ type report = {
 
 let default_context = 5
 
-let field_diff (a : Journal.dispatch) (b : Journal.dispatch) =
-  if a.Journal.d_at_ns <> b.Journal.d_at_ns then Some "virtual_time"
-  else if not (String.equal a.Journal.d_label b.Journal.d_label) then
-    Some "label"
-  else if a.Journal.d_parent <> b.Journal.d_parent then Some "causal_parent"
-  else if a.Journal.d_rng <> b.Journal.d_rng then Some "rng_draws"
-  else None
-
 let first_divergence a b =
   let na = Journal.dispatch_count a and nb = Journal.dispatch_count b in
   let common = min na nb in
@@ -52,7 +44,7 @@ let first_divergence a b =
           }
     else
       let da = Journal.dispatch_at a i and db = Journal.dispatch_at b i in
-      match field_diff da db with
+      match Journal.differing_field da db with
       | None -> scan (i + 1)
       | Some f ->
         Some
@@ -125,16 +117,10 @@ let drift l ~lo =
   done;
   (tbl, List.rev !order)
 
-let pp_dispatch (d : Journal.dispatch) =
-  Printf.sprintf "seq=%d at=%dns label=%s parent=%d rng=%d" d.Journal.d_seq
-    d.Journal.d_at_ns d.Journal.d_label d.Journal.d_parent d.Journal.d_rng
-
-let pp_opt = function None -> "(none)" | Some d -> pp_dispatch d
-
 let pp_chain l ~seq buf =
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   List.iter
-    (fun (d : Journal.dispatch) -> pr "    %s\n" (pp_dispatch d))
+    (fun (d : Journal.dispatch) -> pr "    %s\n" (Journal.dispatch_to_string d))
     (chain l ~seq)
 
 let render ~path_a ~path_b ~context a b = function
@@ -152,11 +138,12 @@ let render ~path_a ~path_b ~context a b = function
       (Journal.dispatch_count a)
       (Journal.dispatch_count b);
     pr "FIRST DIVERGENCE at seq %d (field %s)\n" dv.dv_seq dv.dv_field;
-    pr "  A: %s\n" (pp_opt dv.dv_a);
-    pr "  B: %s\n" (pp_opt dv.dv_b);
+    pr "  A: %s\n" (Journal.dispatch_opt_to_string dv.dv_a);
+    pr "  B: %s\n" (Journal.dispatch_opt_to_string dv.dv_b);
     (match dv.dv_ancestor with
     | Some anc ->
-      pr "last common causal ancestor:\n  %s\n" (pp_dispatch anc);
+      pr "last common causal ancestor:\n  %s\n"
+        (Journal.dispatch_to_string anc);
       (match dv.dv_a with
       | Some da ->
         pr "  causal chain A (diverging dispatch -> root):\n";
@@ -176,7 +163,7 @@ let render ~path_a ~path_b ~context a b = function
       (fun (d : Journal.dispatch) ->
         pr "  %c %s\n"
           (if d.Journal.d_seq = dv.dv_seq then '>' else ' ')
-          (pp_dispatch d))
+          (Journal.dispatch_to_string d))
       (Journal.context a ~seq:dv.dv_seq ~k:context);
     let ta, order_a = drift a ~lo:dv.dv_seq in
     let tb, order_b = drift b ~lo:dv.dv_seq in

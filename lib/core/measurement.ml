@@ -132,7 +132,7 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
       (* Same protection domain as the stack: plain call. *)
       ignore (Netstack.Ff_api.ff_write ff fd ~buf ~nbytes:write_size);
       ignore
-        (Dsim.Engine.schedule_l engine
+        (Dsim.Engine.schedule engine
            ~delay:(Dsim.Time.of_float_ns ff_write_model_ns) ~label:k_ff_done
            (fun () ->
              Dsim.Flowtrace.hop flow Ff_write ~at:(Dsim.Engine.now engine);
@@ -141,7 +141,7 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
       (* Cross into cVM1, take the shared mutex, run the real ff_write
          (whose TCP output work extends the hold), come back. *)
       ignore
-        (Dsim.Engine.schedule_l engine
+        (Dsim.Engine.schedule engine
            ~delay:(Dsim.Time.of_float_ns cm.Dsim.Cost_model.tramp_oneway_ns)
            ~label:k_tramp_in
            (fun () ->
@@ -160,14 +160,14 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
                    cm.Dsim.Cost_model.mutex_uncontended_ns +. ff_write_model_ns
                  in
                  ignore
-                   (Dsim.Engine.schedule_l engine
+                   (Dsim.Engine.schedule engine
                       ~delay:(Dsim.Time.of_float_ns hold_ns) ~label:k_hold
                       (fun () ->
                         Dsim.Flowtrace.hop flow Ff_write
                           ~at:(Dsim.Engine.now engine);
                         Capvm.Umtx.release mu;
                         ignore
-                          (Dsim.Engine.schedule_l engine
+                          (Dsim.Engine.schedule engine
                              ~delay:
                                (Dsim.Time.of_float_ns
                                   cm.Dsim.Cost_model.tramp_oneway_ns)
@@ -188,7 +188,7 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
           App
       in
       ignore
-        (Dsim.Engine.schedule_l engine ~delay:(Dsim.Time.of_float_ns c1)
+        (Dsim.Engine.schedule engine ~delay:(Dsim.Time.of_float_ns c1)
            ~label:k_clock_ret (fun () ->
              Dsim.Flowtrace.hop flow Clock_ret ~at:(Dsim.Engine.now engine);
              do_ff_write flow (fun () ->
@@ -196,7 +196,7 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
                  Dsim.Flowtrace.hop_ns flow Clock_entry ~at_ns:v2;
                  record v1 v2;
                  ignore
-                   (Dsim.Engine.schedule_l engine
+                   (Dsim.Engine.schedule engine
                       ~delay:(Dsim.Time.add interval (Dsim.Time.of_float_ns c2))
                       ~label:k_next
                       (fun () -> iterate (remaining - 1))))))

@@ -4,7 +4,6 @@ type report = {
   hotspot_text : string;
   watermark_text : string;
   folded : string;
-  attributed_pct : float;
   json : Dsim.Json.t;
 }
 
@@ -36,7 +35,6 @@ let run_once (e : Experiment.t) options =
     hotspot_text = Dsim.Profile.render p;
     watermark_text = Dsim.Metrics.watermark_table m;
     folded = Dsim.Profile.folded p;
-    attributed_pct = Dsim.Profile.attributed_pct p;
     json = profile_json;
   }
 
@@ -92,7 +90,7 @@ let merge_row all_jsons row =
       (List.map
          (fun (k, v) ->
            match k with
-           | "self_wall_ns" | "cum_wall_ns" | "ns_per_event" ->
+           | "self_wall_ns" | "ns_per_event" ->
              (k, Dsim.Json.Float (field k))
            | _ -> (k, v))
          fields)
@@ -105,7 +103,7 @@ let merge_jsons rep_json all_jsons =
       (List.map
          (fun (k, v) ->
            match k with
-           | "total_self_wall_ns" | "attributed_wall_ns" ->
+           | "total_self_wall_ns" ->
              ( k,
                Dsim.Json.Float
                  (median

@@ -5,7 +5,7 @@
     enabled around the experiment's normal runner, then rendered into
     the hotspot table, the capacity/stall report (every Metrics gauge
     with its high watermark, then the backpressure stalls), the
-    folded-stack dump, and the [FILE.profile.json] snapshot
+    folded dump, and the [FILE.profile.json] snapshot
     [netrepro perfdiff] diffs against a baseline.
 
     Profiling never touches the virtual clock, so the experiment's own
@@ -17,8 +17,7 @@ type report = {
   pass : bool;  (** The experiment's own verdict ({!Experiment.outcome}). *)
   hotspot_text : string;  (** {!Dsim.Profile.render} of the run. *)
   watermark_text : string;  (** {!Dsim.Metrics.watermark_table} of the run. *)
-  folded : string;  (** Folded-stack lines for flamegraph tooling. *)
-  attributed_pct : float;  (** Acceptance gate: must be ≥ 95 on fig4. *)
+  folded : string;  (** One folded line per key, for flamegraph tooling. *)
   json : Dsim.Json.t;
       (** [{"experiment", "schema", ...profile fields...,
           "watermarks"}] — the [.profile.json] payload. *)
@@ -31,11 +30,11 @@ val run : ?runs:int -> Experiment.t -> Experiment.options -> report
 
     [runs] (default 1) repeats the profiled run and merges the
     snapshot by per-hotspot {e median} of the wall-time fields
-    ([self_wall_ns], [cum_wall_ns], [ns_per_event],
-    [total_self_wall_ns], [attributed_wall_ns]): wall time is the one
-    machine-dependent output, and under container CPU contention a
-    single run's ns/event drifts by double digits while event counts
-    stay bit-identical — the median removes the outlier run so
+    ([self_wall_ns], [ns_per_event], [total_self_wall_ns]): wall time
+    is the one machine-dependent output, and under container CPU
+    contention a single run's ns/event drifts by double digits while
+    event counts stay bit-identical — the median removes the outlier
+    run so
     [netrepro perfdiff] gates on signal. The rendered texts and all
     deterministic fields come from the run whose total wall time is
     closest to the median; a divergence in the experiment's own output

@@ -82,12 +82,6 @@ let driver_of_header hdr =
         ("journal references unknown experiment(s): "
         ^ String.concat ", " missing))
 
-let pp_dispatch (d : Journal.dispatch) =
-  Printf.sprintf "seq=%d at=%dns label=%s parent=%d rng=%d" d.Journal.d_seq
-    d.Journal.d_at_ns d.Journal.d_label d.Journal.d_parent d.Journal.d_rng
-
-let pp_opt = function None -> "(none)" | Some d -> pp_dispatch d
-
 let render ~path ~kind ~context l (vo : Journal.verify_outcome) =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -100,14 +94,15 @@ let render ~path ~kind ~context l (vo : Journal.verify_outcome) =
   | Some mm ->
     pr "verified %d/%d dispatches\n" vo.Journal.vo_checked vo.Journal.vo_total;
     pr "MISMATCH at seq %d (field %s)\n" mm.Journal.mm_seq mm.Journal.mm_field;
-    pr "  journal: %s\n" (pp_opt mm.Journal.mm_expected);
-    pr "  live:    %s\n" (pp_opt mm.Journal.mm_actual);
+    pr "  journal: %s\n"
+      (Journal.dispatch_opt_to_string mm.Journal.mm_expected);
+    pr "  live:    %s\n" (Journal.dispatch_opt_to_string mm.Journal.mm_actual);
     pr "journal context (±%d events):\n" context;
     List.iter
       (fun (d : Journal.dispatch) ->
         pr "  %c %s\n"
           (if d.Journal.d_seq = mm.Journal.mm_seq then '>' else ' ')
-          (pp_dispatch d))
+          (Journal.dispatch_to_string d))
       (Journal.context l ~seq:mm.Journal.mm_seq ~k:context));
   Buffer.contents buf
 

@@ -66,13 +66,13 @@ let supervised_stack_loop sup ~cvm ~running stack =
         with
         | Capvm.Supervisor.Done work_ns ->
           ignore
-            (Dsim.Engine.schedule_l engine
+            (Dsim.Engine.schedule engine
                ~delay:(Dsim.Time.add (Dsim.Time.of_float_ns work_ns) gap)
                ~label:k_loop iter)
         | Capvm.Supervisor.Faulted _ | Capvm.Supervisor.Refused _ ->
-          ignore (Dsim.Engine.schedule_l engine ~delay:down_poll ~label:k_poll iter))
+          ignore (Dsim.Engine.schedule engine ~delay:down_poll ~label:k_poll iter))
       | _ ->
-        ignore (Dsim.Engine.schedule_l engine ~delay:down_poll ~label:k_poll iter)
+        ignore (Dsim.Engine.schedule engine ~delay:down_poll ~label:k_poll iter)
   in
   iter ()
 
@@ -134,16 +134,14 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
       in
       let dut_buf = app_buf dcvm (Topology.node_mem dut) in
       let peer_buf = app_buf pcvm (Topology.node_mem peer) in
-      let dut_api = Iperf.api_of_ff dnif.Topology.ff in
-      let peer_api = Iperf.api_of_ff pnif.Topology.ff in
       let label = Printf.sprintf "cVM%d" (i + 1) in
       netifs := dnif :: !netifs;
       cvms := dcvm :: !cvms;
       (match direction with
       | Dut_receives ->
-        let srv = Iperf.server dut_api ~buf:dut_buf ~port:iperf_port in
+        let srv = Iperf.server dnif.Topology.ff ~buf:dut_buf ~port:iperf_port in
         let cli =
-          Iperf.client peer_api ~buf:peer_buf ~server_ip:(ip_dut subnet)
+          Iperf.client pnif.Topology.ff ~buf:peer_buf ~server_ip:(ip_dut subnet)
             ~port:iperf_port ()
         in
         start_dut_stack dcvm dnif (fun _ -> Iperf.server_step srv);
@@ -153,9 +151,11 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
         flows :=
           { label; take_bytes = (fun () -> Iperf.server_take_rx srv) } :: !flows
       | Dut_sends ->
-        let srv = Iperf.server peer_api ~buf:peer_buf ~port:iperf_port in
+        let srv =
+          Iperf.server pnif.Topology.ff ~buf:peer_buf ~port:iperf_port
+        in
         let cli =
-          Iperf.client dut_api ~buf:dut_buf ~server_ip:(ip_peer subnet)
+          Iperf.client dnif.Topology.ff ~buf:dut_buf ~server_ip:(ip_peer subnet)
             ~port:iperf_port ()
         in
         start_dut_stack dcvm dnif (fun _ -> Iperf.client_step cli);
@@ -232,19 +232,18 @@ let single_port_base ~seed ?(stack_tuning = Fun.id) () =
 (* The peer side of [n] flows: servers when the DUT sends, clients when
    the DUT receives. All peer apps share the peer stack's loop hook. *)
 let peer_apps sp ~direction ~n =
-  let api = Iperf.api_of_ff sp.sp_pnif.Topology.ff in
+  let ff = sp.sp_pnif.Topology.ff in
   let mem = Topology.node_mem sp.sp_peer in
   let steps =
     List.init n (fun i ->
         let buf = app_buf sp.sp_peer_cvm mem in
         match direction with
         | Dut_sends ->
-          let srv = Iperf.server api ~buf ~port:(iperf_port + i) in
+          let srv = Iperf.server ff ~buf ~port:(iperf_port + i) in
           fun () -> Iperf.server_step srv
         | Dut_receives ->
           let cli =
-            Iperf.client api ~buf ~server_ip:(ip_dut 0) ~port:(iperf_port + i)
-              ()
+            Iperf.client ff ~buf ~server_ip:(ip_dut 0) ~port:(iperf_port + i) ()
           in
           fun () -> Iperf.client_step cli)
   in
@@ -261,11 +260,11 @@ let peer_apps sp ~direction ~n =
    fewer useful API slots per lock hand-off. We reproduce that by
    capping the throttled app to one small write per acquisition. *)
 let dut_app sp ~direction ~flow_idx ~app_cvm ?(throttled = false) () =
-  let api = Iperf.api_of_ff sp.sp_dnif.Topology.ff in
+  let ff = sp.sp_dnif.Topology.ff in
   let buf = app_buf app_cvm (Topology.node_mem sp.sp_dut) in
   match direction with
   | Dut_receives ->
-    let srv = Iperf.server api ~buf ~port:(iperf_port + flow_idx) in
+    let srv = Iperf.server ff ~buf ~port:(iperf_port + flow_idx) in
     ( (fun () -> Iperf.server_step srv),
       (fun () -> Iperf.server_take_rx srv),
       fun () -> Iperf.server_stop srv )
@@ -273,7 +272,7 @@ let dut_app sp ~direction ~flow_idx ~app_cvm ?(throttled = false) () =
     let write_size = if throttled then 8192 else app_buffer_size in
     let max_writes_per_step = if throttled then 1 else 16 in
     let cli =
-      Iperf.client api ~buf ~server_ip:(ip_peer 0) ~port:(iperf_port + flow_idx)
+      Iperf.client ff ~buf ~server_ip:(ip_peer 0) ~port:(iperf_port + flow_idx)
         ~write_size ~max_writes_per_step ()
     in
     ( (fun () -> Iperf.client_step cli),
@@ -347,11 +346,11 @@ let stack_loop ?(sample = ignore) sh =
           let work_ns = Netstack.Stack.loop_once stack in
           sample ();
           ignore
-            (Dsim.Engine.schedule_l engine
+            (Dsim.Engine.schedule engine
                ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
                (fun () ->
                  Capvm.Umtx.release sh.sh_mutex;
-                 ignore (Dsim.Engine.schedule_l engine ~delay:gap ~label:k_gap iter))))
+                 ignore (Dsim.Engine.schedule engine ~delay:gap ~label:k_gap iter))))
   in
   iter ()
 
@@ -416,7 +415,7 @@ let enter sh ap flow body k =
        *. float_of_int tx)
   in
   ignore
-    (Dsim.Engine.schedule_l engine ~delay:(Dsim.Time.of_float_ns hold_ns)
+    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.of_float_ns hold_ns)
        ~label:ap.ap_k_hold (fun () ->
          Capvm.Umtx.release sh.sh_mutex;
          Dsim.Flowtrace.hop flow Tramp_out ~at:(Dsim.Engine.now engine);
@@ -483,7 +482,7 @@ let s2_app ?sup ?app_hook sh ~app_cvm ~interval ~extra_tramp make_app =
         | Capvm.Supervisor.Running -> crossing sh ap step resched
         | _ -> resched ())
   and resched () =
-    ignore (Dsim.Engine.schedule_l engine ~delay:interval ~label:k_iter iter)
+    ignore (Dsim.Engine.schedule engine ~delay:interval ~label:k_iter iter)
   in
   (match sup with
   | None -> ()
@@ -685,7 +684,7 @@ let build_udp_blast ?(seed = 47L) ~offered_mbit () =
            ~buf:datagram
        with
       | Ok () | Error _ -> ());
-      ignore (Dsim.Engine.schedule_l engine ~delay:interval ~label:k_tick tick)
+      ignore (Dsim.Engine.schedule engine ~delay:interval ~label:k_tick tick)
     end
   in
   tick ();

@@ -103,7 +103,7 @@ let create () =
 
 let now t = t.clock
 
-let schedule_at_l t ~at ~label fn =
+let schedule_at t ~at ~label fn =
   let at = Time.max at t.clock in
   let h =
     { at; seq = t.next_seq; fn; label; sched_parent = Journal.parent_seq ();
@@ -115,11 +115,8 @@ let schedule_at_l t ~at ~label fn =
   if Metrics.enabled Metrics.default then note_depth t.len;
   h
 
-let schedule_l t ~delay ~label fn =
-  schedule_at_l t ~at:(Time.add t.clock delay) ~label fn
-
-let schedule_at t ~at fn = schedule_at_l t ~at ~label:Profile.unattributed fn
-let schedule t ~delay fn = schedule_l t ~delay ~label:Profile.unattributed fn
+let schedule t ~delay ~label fn =
+  schedule_at t ~at:(Time.add t.clock delay) ~label fn
 
 (* Drop cancelled entries in place, then re-heapify bottom-up. The
    heap order is total, so compaction cannot perturb event ordering. *)

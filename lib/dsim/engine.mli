@@ -2,7 +2,10 @@
 
     The engine owns the virtual clock and one pending-event heap.
     Events are plain closures scheduled at an absolute or relative
-    virtual time; ties are broken by insertion order — the comparator
+    virtual time, each under a mandatory {!Profile} label that names
+    the [(component, cvm, stage)] it runs for — the key the profiler
+    charges its wall time to and the journal records it under. Ties
+    are broken by insertion order — the comparator
     is the total order [(deadline, schedule seq)], so equal-deadline
     events dispatch FIFO and the simulation is fully deterministic
     ({!Journal} replay depends on this). Components (NIC, TCP timers,
@@ -25,26 +28,18 @@ val create : unit -> t
 val now : t -> Time.t
 (** Current virtual time. *)
 
-val schedule_at : t -> at:Time.t -> (unit -> unit) -> handle
+val schedule_at :
+  t -> at:Time.t -> label:Profile.key -> (unit -> unit) -> handle
 (** Schedule at an absolute time. Times in the past fire "now" (at the
     current clock value), never before already-pending earlier events.
-    Wall time spent in the handler is charged to
-    {!Profile.unattributed} — prefer {!schedule_at_l}. *)
+    When profiling is enabled, the dispatch loop charges the handler's
+    wall time to [label]. The label is mandatory, so every dispatch is
+    attributed, and non-optional, so no [Some] cell is allocated per
+    event; virtual-time behaviour does not depend on it. *)
 
-val schedule : t -> delay:Time.t -> (unit -> unit) -> handle
-(** Schedule relative to {!now}; unattributed like {!schedule_at}. *)
-
-val schedule_at_l :
-  t -> at:Time.t -> label:Profile.key -> (unit -> unit) -> handle
-(** {!schedule_at} with a profiler attribution key: when profiling is
-    enabled, the dispatch loop charges the handler's wall time to
-    [label]. The label argument is non-optional so labelled call sites
-    allocate no [Some] cell per event — virtual-time behaviour is
-    identical to {!schedule_at} in every case. *)
-
-val schedule_l :
+val schedule :
   t -> delay:Time.t -> label:Profile.key -> (unit -> unit) -> handle
-(** {!schedule} with an attribution key. *)
+(** {!schedule_at} relative to {!now}. *)
 
 val cancel : handle -> unit
 (** Idempotent; cancelling a fired event is a no-op. When cancelled

@@ -26,6 +26,21 @@ let dispatch_json d =
       ("rng_draws", Json.Int d.d_rng);
     ]
 
+let differing_field a b =
+  if a.d_at_ns <> b.d_at_ns then Some "virtual_time"
+  else if not (String.equal a.d_label b.d_label) then Some "label"
+  else if a.d_parent <> b.d_parent then Some "causal_parent"
+  else if a.d_rng <> b.d_rng then Some "rng_draws"
+  else None
+
+let dispatch_to_string d =
+  Printf.sprintf "seq=%d at=%dns label=%s parent=%d rng=%d" d.d_seq d.d_at_ns
+    d.d_label d.d_parent d.d_rng
+
+let dispatch_opt_to_string = function
+  | None -> "(none)"
+  | Some d -> dispatch_to_string d
+
 (* ------------------------------------------------------------------ *)
 (* Loaded journals                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -110,7 +125,12 @@ let next_seq = ref 0
 let cur_seq = ref (-1)
 let cur_at = ref 0
 let cur_parent = ref (-1)
-let cur_key = ref Profile.unattributed
+(* Idle ring slots and [cur_key] between dispatches hold a key from a
+   private registry: it is never scheduled under, so nothing is ever
+   charged to it and no report shows it. *)
+let idle_key =
+  Profile.key (Profile.create ()) ~component:"-" ~cvm:"-" ~stage:"-"
+let cur_key = ref idle_key
 let cur_rng0 = ref 0
 
 (* Crash black box: a bounded ring of the last completed dispatches,
@@ -133,7 +153,7 @@ let make_ring n =
   {
     rg_seq = Array.make n (-1);
     rg_at = Array.make n 0;
-    rg_key = Array.make n Profile.unattributed;
+    rg_key = Array.make n idle_key;
     rg_parent = Array.make n (-1);
     rg_rng = Array.make n 0;
     rg_n = 0;
@@ -296,14 +316,7 @@ let check_dispatch vs ~seq ~at ~parent ~rng key =
           }
     else begin
       let exp = dispatch_at vs.vs seq in
-      let field =
-        if exp.d_at_ns <> at then Some "virtual_time"
-        else if not (String.equal exp.d_label actual.d_label) then Some "label"
-        else if exp.d_parent <> parent then Some "causal_parent"
-        else if exp.d_rng <> rng then Some "rng_draws"
-        else None
-      in
-      match field with
+      match differing_field exp actual with
       | None -> vs.vs_checked <- vs.vs_checked + 1
       | Some f ->
         vs.vs_mismatch <-

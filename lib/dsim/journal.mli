@@ -56,12 +56,25 @@ type dispatch = {
 
 val dispatch_json : dispatch -> Json.t
 
+val differing_field : dispatch -> dispatch -> string option
+(** The first field, in the order ["virtual_time"], ["label"],
+    ["causal_parent"], ["rng_draws"], in which two records of the same
+    seq differ; [None] when they agree. Replay verification and
+    [netrepro jdiff] both judge a dispatch by this one comparison. *)
+
+val dispatch_to_string : dispatch -> string
+(** [seq=N at=Tns label=L parent=P rng=R] — one dispatch as the replay
+    and jdiff reports print it. *)
+
+val dispatch_opt_to_string : dispatch option -> string
+(** {!dispatch_to_string}, or ["(none)"] for a missing side. *)
+
 (** {1 Hot path} — called by {!Engine.step}; everything else treats
     these as internal. *)
 
 val parent_seq : unit -> int
 (** Seq of the currently dispatching event, [-1] outside dispatch.
-    {!Engine.schedule_at_l} captures this at schedule time as the new
+    {!Engine.schedule_at} captures this at schedule time as the new
     handle's causal parent. *)
 
 val begin_dispatch : at:Time.t -> parent:int -> Profile.key -> unit

@@ -62,10 +62,10 @@ let attach t engine metrics =
         (* Reschedule only while something else is pending: a sampler
            must never be what keeps the simulation running. *)
         if Engine.pending_count engine > 0 then
-          ignore (Engine.schedule_l engine ~delay:t.ival ~label:tick_label tick)
+          ignore (Engine.schedule engine ~delay:t.ival ~label:tick_label tick)
       end
     in
-    ignore (Engine.schedule_l engine ~delay:t.ival ~label:tick_label tick)
+    ignore (Engine.schedule engine ~delay:t.ival ~label:tick_label tick)
   end
 
 let rows t = List.rev t.rows_rev

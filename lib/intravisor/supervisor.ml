@@ -250,7 +250,7 @@ let rec handle_fault t e fault =
   | Restart _ ->
     let delay = backoff_delay t e in
     ignore
-      (Dsim.Engine.schedule_l t.engine ~delay ~label:k_restart (fun () ->
+      (Dsim.Engine.schedule t.engine ~delay ~label:k_restart (fun () ->
            attempt_restart t e)));
   capture_blackbox t e fault ~now ~revoked
 

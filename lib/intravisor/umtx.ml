@@ -111,7 +111,7 @@ let release t =
       Dsim.Metrics.incr t.cont_metric;
       (* The kernel wake costs [wake_ns] before the waiter resumes. *)
       ignore
-        (Dsim.Engine.schedule_l t.engine
+        (Dsim.Engine.schedule t.engine
            ~delay:(Dsim.Time.of_float_ns t.wake_ns) ~label:t.k_wake
            (fun () ->
              let waited =

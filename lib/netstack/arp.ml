@@ -44,9 +44,9 @@ let build p =
   b
 
 let parse b ~off =
-  if Bytes.length b - off < packet_len then Error "arp: packet too short"
+  if Bytes.length b - off < packet_len then Error Dsim.Flowtrace.Parse_error
   else if get_u16 b off <> 1 || get_u16 b (off + 2) <> 0x0800 then
-    Error "arp: not ethernet/ipv4"
+    Error Dsim.Flowtrace.Parse_error
   else begin
     match get_u16 b (off + 6) with
     | (1 | 2) as opv ->
@@ -58,7 +58,7 @@ let parse b ~off =
           target_mac = Nic.Mac_addr.of_bytes_exn (Bytes.sub_string b (off + 18) 6);
           target_ip = get_ip b (off + 24);
         }
-    | v -> Error (Printf.sprintf "arp: unknown op %d" v)
+    | _ -> Error Dsim.Flowtrace.Parse_error
   end
 
 let request ~sender_mac ~sender_ip ~target_ip =

@@ -14,7 +14,10 @@ val packet_len : int
 (** 28 bytes. *)
 
 val build : packet -> bytes
-val parse : bytes -> off:int -> (packet, string) result
+val parse : bytes -> off:int -> (packet, Dsim.Flowtrace.reason) result
+(** Fewer than {!packet_len} bytes from [off] to the end of the buffer,
+    a hardware/protocol type other than Ethernet/IPv4, or an unknown op
+    are all [Parse_error]. *)
 
 val request : sender_mac:Nic.Mac_addr.t -> sender_ip:Ipv4_addr.t -> target_ip:Ipv4_addr.t -> packet
 val reply_to : packet -> mac:Nic.Mac_addr.t -> packet

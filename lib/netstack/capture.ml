@@ -28,7 +28,7 @@ let tcp_flags_string (f : Tcp_wire.flags) =
 
 let summarize_tcp ~src ~dst buf ~off ~len =
   match Tcp_wire.parse ~src ~dst buf ~off ~len with
-  | Error e -> Printf.sprintf "TCP <%s>" e
+  | Error e -> Printf.sprintf "TCP <%s>" (Dsim.Flowtrace.reason_name e)
   | Ok (h, payload_off) ->
     Printf.sprintf "IP %s.%d > %s.%d: Flags [%s], seq %u, ack %u, win %d, length %d"
       (Ipv4_addr.to_string src) h.Tcp_wire.src_port (Ipv4_addr.to_string dst)
@@ -38,7 +38,7 @@ let summarize_tcp ~src ~dst buf ~off ~len =
 
 let summarize_udp ~src ~dst buf ~off ~len =
   match Udp.parse ~src ~dst buf ~off ~len with
-  | Error e -> Printf.sprintf "UDP <%s>" e
+  | Error e -> Printf.sprintf "UDP <%s>" (Dsim.Flowtrace.reason_name e)
   | Ok (h, _) ->
     Printf.sprintf "IP %s.%d > %s.%d: UDP, length %d" (Ipv4_addr.to_string src)
       h.Udp.src_port (Ipv4_addr.to_string dst) h.Udp.dst_port
@@ -46,7 +46,7 @@ let summarize_udp ~src ~dst buf ~off ~len =
 
 let summarize_icmp ~src ~dst buf ~off ~len =
   match Icmp.parse buf ~off ~len with
-  | Error e -> Printf.sprintf "ICMP <%s>" e
+  | Error e -> Printf.sprintf "ICMP <%s>" (Dsim.Flowtrace.reason_name e)
   | Ok msg ->
     Printf.sprintf "IP %s > %s: ICMP %s" (Ipv4_addr.to_string src)
       (Ipv4_addr.to_string dst)
@@ -54,17 +54,17 @@ let summarize_icmp ~src ~dst buf ~off ~len =
 
 let summarize frame =
   match Ethernet.parse frame with
-  | Error e -> Printf.sprintf "<%s>" e
+  | Error e -> Printf.sprintf "<%s>" (Dsim.Flowtrace.reason_name e)
   | Ok (eth, off) -> (
     match eth.Ethernet.ethertype with
     | Ethernet.Arp -> (
       match Arp.parse frame ~off with
-      | Error e -> Printf.sprintf "ARP <%s>" e
+      | Error e -> Printf.sprintf "ARP <%s>" (Dsim.Flowtrace.reason_name e)
       | Ok p -> Format.asprintf "ARP, %a" Arp.pp p)
     | Ethernet.Unknown v -> Printf.sprintf "ethertype 0x%04x, length %d" v (Bytes.length frame)
     | Ethernet.Ipv4 -> (
       match Ipv4.parse frame ~off ~len:(Bytes.length frame - off) with
-      | Error e -> Printf.sprintf "IP <%s>" e
+      | Error e -> Printf.sprintf "IP <%s>" (Dsim.Flowtrace.reason_name e)
       | Ok (ip, poff) -> (
         let plen = ip.Ipv4.total_len - (poff - off) in
         let src = ip.Ipv4.src and dst = ip.Ipv4.dst in

@@ -32,7 +32,7 @@ let build h ~payload =
   frame
 
 let parse_at frame ~off ~len =
-  if len < header_len then Error "ethernet: frame too short"
+  if len < header_len then Error Dsim.Flowtrace.Parse_error
   else begin
     let dst = Nic.Mac_addr.of_bytes_exn (Bytes.sub_string frame off 6) in
     let src = Nic.Mac_addr.of_bytes_exn (Bytes.sub_string frame (off + 6) 6) in

@@ -7,12 +7,21 @@ let stack t = t.stack
 
 (* Capability violations at the F-Stack API boundary still raise (the
    compartment dies, as on hardware), but the flow-trace drop table
-   records that the packet's journey ended here and why. *)
-let guard_cap f =
-  try f ()
-  with Cheri.Fault.Capability_fault _ as e ->
-    Dsim.Flowtrace.(drop default Ff_api Capability_fault);
-    raise e
+   records that the packet's journey ended here and why. Each faulting
+   call is matched where it is made: a [guard (fun () -> ...)] wrapper
+   would allocate its closure on every call. *)
+let drop_and_reraise e =
+  Dsim.Flowtrace.(drop default Ff_api Capability_fault);
+  raise e
+
+(* Probe a store through [buf] right away, so a rogue buffer faults
+   even when no data is pending. *)
+let probe_store buf ~addr ~nbytes =
+  match
+    Cheri.Capability.check_access buf Cheri.Capability.Store ~addr ~len:nbytes
+  with
+  | () -> ()
+  | exception (Cheri.Fault.Capability_fault _ as e) -> drop_and_reraise e
 
 let ff_socket t = Stack.socket_stream t.stack
 let ff_bind t fd ~port = Stack.bind t.stack fd ~port
@@ -30,8 +39,9 @@ let ff_write t fd ~buf ~nbytes =
        staging allocation on the hot path. *)
     let addr = Cheri.Capability.cursor buf in
     let s =
-      guard_cap (fun () ->
-          Cheri.Tagged_memory.borrow t.mem ~cap:buf ~addr ~len:nbytes)
+      match Cheri.Tagged_memory.borrow t.mem ~cap:buf ~addr ~len:nbytes with
+      | s -> s
+      | exception (Cheri.Fault.Capability_fault _ as e) -> drop_and_reraise e
     in
     Stack.write t.stack fd ~buf:(Dsim.Slice.base s)
       ~off:(Dsim.Slice.base_off s) ~len:nbytes
@@ -41,11 +51,7 @@ let ff_read t fd ~buf ~nbytes =
   if nbytes < 0 then Error Errno.EINVAL
   else begin
     let addr = Cheri.Capability.cursor buf in
-    (* Probe the store right away so a rogue buffer faults even when no
-       data is pending. *)
-    guard_cap (fun () ->
-        Cheri.Capability.check_access buf Cheri.Capability.Store ~addr
-          ~len:nbytes);
+    probe_store buf ~addr ~nbytes;
     Cheri.Provenance.record_exercise buf ~address:addr;
     if Bytes.length t.staging < nbytes then t.staging <- Bytes.create nbytes;
     match Stack.read t.stack fd ~buf:t.staging ~off:0 ~len:nbytes with
@@ -71,9 +77,12 @@ let ff_sendto t fd ~ip ~port ~buf ~nbytes =
     (* Not [t.staging]: [udp_sendto] takes the datagram's length from
        its buffer, so this one is exactly [nbytes] long. *)
     let datagram = Bytes.create nbytes in
-    guard_cap (fun () ->
-        Cheri.Tagged_memory.blit_out t.mem ~cap:buf ~addr ~dst:datagram
-          ~dst_off:0 ~len:nbytes);
+    (match
+       Cheri.Tagged_memory.blit_out t.mem ~cap:buf ~addr ~dst:datagram
+         ~dst_off:0 ~len:nbytes
+     with
+    | () -> ()
+    | exception (Cheri.Fault.Capability_fault _ as e) -> drop_and_reraise e);
     Stack.udp_sendto t.stack fd ~ip ~port ~buf:datagram
   end
 
@@ -81,9 +90,7 @@ let ff_recvfrom t fd ~buf ~nbytes =
   if nbytes < 0 then Error Errno.EINVAL
   else begin
     let addr = Cheri.Capability.cursor buf in
-    guard_cap (fun () ->
-        Cheri.Capability.check_access buf Cheri.Capability.Store ~addr
-          ~len:nbytes);
+    probe_store buf ~addr ~nbytes;
     Cheri.Provenance.record_exercise buf ~address:addr;
     match Stack.udp_recvfrom t.stack fd with
     | Error _ as e -> e

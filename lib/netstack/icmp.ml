@@ -31,8 +31,9 @@ let build = function
     b
 
 let parse b ~off ~len =
-  if len < 8 then Error "icmp: truncated"
-  else if not (Checksum.valid b ~off ~len) then Error "icmp: bad checksum"
+  if len < 8 then Error Dsim.Flowtrace.Bad_length
+  else if not (Checksum.valid b ~off ~len) then
+    Error Dsim.Flowtrace.Bad_checksum
   else begin
     let typ = Char.code (Bytes.get b off) in
     let code = Char.code (Bytes.get b (off + 1)) in

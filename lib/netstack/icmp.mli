@@ -7,8 +7,10 @@ type message =
   | Other of { typ : int; code : int }
 
 val build : message -> bytes
-val parse : bytes -> off:int -> len:int -> (message, string) result
-(** Validates the ICMP checksum. *)
+val parse :
+  bytes -> off:int -> len:int -> (message, Dsim.Flowtrace.reason) result
+(** Validates the ICMP checksum. Fewer than 8 bytes is [Bad_length]; a
+    wrong checksum is [Bad_checksum]. *)
 
 val reply_to : message -> message option
 (** The echo reply for a request; [None] for anything else. *)

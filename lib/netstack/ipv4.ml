@@ -63,15 +63,16 @@ let build h ~payload =
   b
 
 let parse b ~off ~len =
-  if len < header_len then Error "ipv4: truncated header"
+  if len < header_len then Error Dsim.Flowtrace.Bad_length
   else begin
     let vihl = Char.code (Bytes.get b off) in
-    if vihl lsr 4 <> 4 then Error "ipv4: not version 4"
+    if vihl lsr 4 <> 4 then Error Dsim.Flowtrace.Parse_error
     else begin
       let ihl = (vihl land 0xf) * 4 in
-      if ihl < header_len then Error "ipv4: bad ihl"
-      else if len < ihl then Error "ipv4: truncated options"
-      else if not (Checksum.valid b ~off ~len:ihl) then Error "ipv4: bad checksum"
+      if ihl < header_len then Error Dsim.Flowtrace.Parse_error
+      else if len < ihl then Error Dsim.Flowtrace.Bad_option
+      else if not (Checksum.valid b ~off ~len:ihl) then
+        Error Dsim.Flowtrace.Bad_checksum
       else begin
         let total_len = get_u16 b (off + 2) in
         (* More Fragments set or a non-zero fragment offset: this stack
@@ -79,9 +80,10 @@ let parse b ~off ~len =
            datagram would hand the upper parser payload bytes that are
            not where its header claims. Typed reject instead. *)
         let frag_field = get_u16 b (off + 6) in
-        if frag_field land 0x3fff <> 0 then Error "ipv4: fragment unsupported"
+        if frag_field land 0x3fff <> 0 then
+          Error Dsim.Flowtrace.Frag_unsupported
         else if total_len < ihl || total_len > len then
-          Error "ipv4: bad total length"
+          Error Dsim.Flowtrace.Bad_length
         else
           Ok
             ( {

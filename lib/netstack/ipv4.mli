@@ -26,9 +26,15 @@ val build_into : header -> bytes -> off:int -> unit
 
 val build : header -> payload:bytes -> bytes
 
-val parse : bytes -> off:int -> len:int -> (header * int, string) result
+val parse :
+  bytes -> off:int -> len:int -> (header * int, Dsim.Flowtrace.reason) result
 (** Validates version, header length, checksum and total length against
-    [len] available bytes; returns the header and payload offset. *)
+    [len] available bytes; returns the header and payload offset. The
+    drop reason of each check: a truncated header or a total length
+    outside [[ihl, len]] is [Bad_length]; a version other than 4 or an
+    IHL below 5 is [Parse_error]; options running past [len] are
+    [Bad_option]; a wrong checksum is [Bad_checksum]; a fragment is
+    [Frag_unsupported]. *)
 
 val pseudo_header_sum : src:Ipv4_addr.t -> dst:Ipv4_addr.t -> protocol:protocol -> len:int -> int
 (** One's-complement sum of the TCP/UDP pseudo-header, for transport

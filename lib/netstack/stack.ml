@@ -240,24 +240,6 @@ let drop_arp_unresolved ?(flow = None) t =
   Dsim.Metrics.incr t.metrics.m_arp_failures;
   Dsim.Flowtrace.(drop default ~flow Ip_out Arp_unresolved)
 
-let contains msg sub =
-  let n = String.length msg in
-  let m = String.length sub in
-  let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-  go 0
-
-(* Map a parser's error message onto the typed drop taxonomy: checksum
-   failures, fragments, malformed options and length lies each get
-   their own reason so the drop ledger distinguishes a corrupted frame
-   from a crafted one; anything else stays a generic [Parse_error]. *)
-let reason_of_parse_error msg =
-  if contains msg "checksum" then Dsim.Flowtrace.Bad_checksum
-  else if contains msg "fragment" then Dsim.Flowtrace.Frag_unsupported
-  else if contains msg "option" then Dsim.Flowtrace.Bad_option
-  else if contains msg "truncated" || contains msg "length" then
-    Dsim.Flowtrace.Bad_length
-  else Dsim.Flowtrace.Parse_error
-
 let port_bound_incr t port =
   if port <> 0 then
     Hashtbl.replace t.bound_ports port
@@ -635,9 +617,7 @@ let spawn_passive t listener ~(ip_hdr : Ipv4.header) (hdr : Tcp_wire.header) =
 
 let tcp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
   match Tcp_wire.parse ~src:ip_hdr.Ipv4.src ~dst:ip_hdr.Ipv4.dst buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Tcp_in reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Tcp_in reason
   | Ok (hdr, payload_off) -> (
     Dsim.Flowtrace.hop flow Tcp_in ~at:(now t);
     (* The payload stays a region of the borrowed frame; Tcp_input blits
@@ -679,9 +659,7 @@ let tcp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
 
 let icmp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
   match Icmp.parse buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
   | Ok msg -> (
     match msg with
     | Icmp.Echo_reply { ident; seq; _ } ->
@@ -694,9 +672,7 @@ let icmp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
 
 let udp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
   match Udp.parse ~src:ip_hdr.Ipv4.src ~dst:ip_hdr.Ipv4.dst buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Udp_in reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Udp_in reason
   | Ok (hdr, payload_off) -> (
     Dsim.Flowtrace.hop flow Udp_in ~at:(now t);
     match Hashtbl.find_opt t.udp_binds hdr.Udp.dst_port with
@@ -723,7 +699,7 @@ let arp_input t ?(flow = None) buf ~off ~len =
     drop_rx ~flow t Dsim.Flowtrace.Eth_rx Dsim.Flowtrace.Bad_length
   else
   match Arp.parse buf ~off with
-  | Error _ -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx Dsim.Flowtrace.Parse_error
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx reason
   | Ok pkt ->
     if Ipv4_addr.equal pkt.Arp.target_ip t.config.ip then begin
       Arp_cache.insert t.arp ~now:(now t) pkt.Arp.sender_ip pkt.Arp.sender_mac;
@@ -738,9 +714,7 @@ let arp_input t ?(flow = None) buf ~off ~len =
 
 let ipv4_input t ?(flow = None) buf ~off ~len =
   match Ipv4.parse buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
   | Ok (ip_hdr, payload_off) ->
     if
       Ipv4_addr.equal ip_hdr.Ipv4.dst t.config.ip
@@ -772,7 +746,7 @@ let handle_frame t ?(flow = None) (s : Dsim.Slice.t) =
   Dsim.Slice.check s ~off:0 ~len;
   let buf = Dsim.Slice.base s and off = Dsim.Slice.base_off s in
   match Ethernet.parse_at buf ~off ~len with
-  | Error _ -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx Dsim.Flowtrace.Parse_error
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx reason
   | Ok (eth, payload_off) -> (
     Dsim.Flowtrace.hop flow Eth_rx ~at:(now t);
     let payload_len = off + len - payload_off in
@@ -878,7 +852,7 @@ let start ?hook t =
         end
       in
       let delay = Dsim.Time.add (Dsim.Time.of_float_ns work_ns) gap in
-      ignore (Dsim.Engine.schedule_l t.engine ~delay ~label:t.k_loop iterate)
+      ignore (Dsim.Engine.schedule t.engine ~delay ~label:t.k_loop iterate)
     end
   in
   iterate ()

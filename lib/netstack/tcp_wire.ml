@@ -143,11 +143,11 @@ let parse_options b ~off ~limit =
       | 0 (* EOL *) -> Ok (List.rev acc)
       | 1 (* NOP *) -> go (off + 1) acc
       | kind ->
-        if off + 1 >= limit then Error "tcp: bad option (truncated)"
+        if off + 1 >= limit then Error Dsim.Flowtrace.Bad_option
         else begin
           let olen = Char.code (Bytes.get b (off + 1)) in
           if olen < 2 || off + olen > limit then
-            Error "tcp: bad option (length)"
+            Error Dsim.Flowtrace.Bad_option
           else begin
             let opt =
               match kind with
@@ -165,18 +165,20 @@ let parse_options b ~off ~limit =
   go off []
 
 let parse ~src ~dst b ~off ~len =
-  if len < base_header_len then Error "tcp: truncated header"
+  if len < base_header_len then Error Dsim.Flowtrace.Bad_length
   else begin
     let init = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.Tcp ~len in
-    if Checksum.compute ~init b ~off ~len <> 0 then Error "tcp: bad checksum"
+    if Checksum.compute ~init b ~off ~len <> 0 then
+      Error Dsim.Flowtrace.Bad_checksum
     else begin
       let data_off = (Char.code (Bytes.get b (off + 12)) lsr 4) * 4 in
-      if data_off < base_header_len || data_off > len then Error "tcp: bad data offset"
+      if data_off < base_header_len || data_off > len then
+        Error Dsim.Flowtrace.Parse_error
       else begin
         match
           parse_options b ~off:(off + base_header_len) ~limit:(off + data_off)
         with
-        | Error msg -> Error msg
+        | Error _ as e -> e
         | Ok options ->
           Ok
             ( {

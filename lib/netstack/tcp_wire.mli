@@ -52,8 +52,12 @@ val write_header :
 
 val parse :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> bytes -> off:int -> len:int ->
-  (header * int, string) result
-(** Validates the checksum; returns the header and payload offset. *)
+  (header * int, Dsim.Flowtrace.reason) result
+(** Validates the checksum; returns the header and payload offset.
+    Fewer than 20 bytes is [Bad_length]; a wrong checksum is
+    [Bad_checksum]; a data offset below 20 bytes or past [len] is
+    [Parse_error]; an option whose length byte is missing, below 2 or
+    runs past the data offset is [Bad_option]. *)
 
 val find_mss : header -> int option
 val find_timestamps : header -> (int * int) option

@@ -29,10 +29,10 @@ let build ~src ~dst ~src_port ~dst_port ~payload =
   b
 
 let parse ~src ~dst b ~off ~len =
-  if len < header_len then Error "udp: truncated"
+  if len < header_len then Error Dsim.Flowtrace.Bad_length
   else begin
     let length = get_u16 b (off + 4) in
-    if length < header_len || length > len then Error "udp: bad length"
+    if length < header_len || length > len then Error Dsim.Flowtrace.Bad_length
     else begin
       let csum = get_u16 b (off + 6) in
       let ok =
@@ -41,7 +41,7 @@ let parse ~src ~dst b ~off ~len =
         let init = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.Udp ~len:length in
         Checksum.compute ~init b ~off ~len:length = 0
       in
-      if not ok then Error "udp: bad checksum"
+      if not ok then Error Dsim.Flowtrace.Bad_checksum
       else
         Ok
           ( { src_port = get_u16 b off; dst_port = get_u16 b (off + 2); length },

@@ -18,6 +18,7 @@ val write_header :
 
 val parse :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> bytes -> off:int -> len:int ->
-  (header * int, string) result
+  (header * int, Dsim.Flowtrace.reason) result
 (** Validates length and (when non-zero) checksum; returns header and
-    payload offset. *)
+    payload offset. Fewer than 8 bytes, or a length field outside
+    [[8, len]], is [Bad_length]; a wrong checksum is [Bad_checksum]. *)

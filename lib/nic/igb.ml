@@ -129,7 +129,7 @@ let kick_tx p =
       Pci_bus.reserve p.bus From_memory ~now ~bytes:req.tx_len
     in
     ignore
-      (Dsim.Engine.schedule_at_l p.engine ~at:dma_done ~label:p.k_tx_dma
+      (Dsim.Engine.schedule_at p.engine ~at:dma_done ~label:p.k_tx_dma
          (fun () ->
            let frame = wire_rent p req.tx_len in
            (* The descriptor was validated against [dma_cap] at the
@@ -148,7 +148,7 @@ let kick_tx p =
                Dsim.Engine.now p.engine
            in
            ignore
-             (Dsim.Engine.schedule_at_l p.engine ~at:tx_done_at
+             (Dsim.Engine.schedule_at p.engine ~at:tx_done_at
                 ~label:p.k_tx_wire (fun () ->
                   p.stats.tx_packets <- p.stats.tx_packets + 1;
                   p.stats.tx_bytes <- p.stats.tx_bytes + req.tx_len;
@@ -259,7 +259,7 @@ let deliver_frame p ~flow ~fcs ~recycle frame =
         Pci_bus.reserve p.bus To_memory ~now ~bytes:len
       in
       ignore
-        (Dsim.Engine.schedule_at_l p.engine ~at:dma_done ~label:p.k_rx_dma
+        (Dsim.Engine.schedule_at p.engine ~at:dma_done ~label:p.k_rx_dma
            (fun () ->
              (* The buffer was validated against [dma_cap] when posted
                 ([rx_refill]); no second check at DMA completion. *)

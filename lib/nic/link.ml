@@ -139,7 +139,7 @@ let transmit t ?(flow = None) ~from ~frame () =
             let copy = Bytes.copy frame in
             f ~flow ~fcs frame;
             ignore
-              (Dsim.Engine.schedule_l t.engine ~delay:(Dsim.Time.ns 1000)
+              (Dsim.Engine.schedule t.engine ~delay:(Dsim.Time.ns 1000)
                  ~label:k_dup (fun () ->
                    if t.up then f ~flow:None ~fcs copy
                    else begin
@@ -149,12 +149,12 @@ let transmit t ?(flow = None) ~from ~frame () =
           | Dsim.Chaos.Hold_frame { extra_ns } ->
             t.tampered <- t.tampered + 1;
             ignore
-              (Dsim.Engine.schedule_l t.engine
+              (Dsim.Engine.schedule t.engine
                  ~delay:(Dsim.Time.of_float_ns extra_ns) ~label:k_hold
                  (fun () ->
                    if t.up then f ~flow ~fcs frame else drop_down ()))))
   in
-  ignore (Dsim.Engine.schedule_at_l t.engine ~at:arrival ~label:k_deliver deliver);
+  ignore (Dsim.Engine.schedule_at t.engine ~at:arrival ~label:k_deliver deliver);
   tx_done
 
 let peer = function A -> B | B -> A

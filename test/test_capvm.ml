@@ -1,6 +1,12 @@
 (* Tests for the CAP-VM layer: Intravisor, cVMs, trampolines, syscall
    proxying, the umtx mutex and the musl shim. *)
 
+(* Every event is scheduled under a profiler label; these tests need
+   only one. *)
+let k_test =
+  Dsim.Profile.key Dsim.Profile.default ~component:"test" ~cvm:"-"
+    ~stage:"event"
+
 let make_iv ?(mem_size = 4 * 1024 * 1024) () =
   let engine = Dsim.Engine.create () in
   (engine, Capvm.Intravisor.create engine ~mem_size ~cost:Dsim.Cost_model.default)
@@ -97,7 +103,9 @@ let syscall_translation () =
 let syscall_paths () =
   let engine, iv = make_iv () in
   let a = Capvm.Intravisor.create_cvm iv ~name:"a" ~size:0x10000 in
-  ignore (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) (fun () -> ()));
+  ignore
+    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) ~label:k_test
+       (fun () -> ()));
   Dsim.Engine.run_until_quiet engine;
   (* cVM path: trampolines + kernel body. *)
   let v, cvm_cost = Capvm.Intravisor.syscall iv ~from:a Capvm.Syscall.Clock_gettime in
@@ -118,7 +126,9 @@ let musl_shim_calls () =
   let engine, iv = make_iv () in
   let a = Capvm.Intravisor.create_cvm iv ~name:"a" ~size:0x10000 in
   let shim = Capvm.Musl_shim.create iv a in
-  ignore (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 3) (fun () -> ()));
+  ignore
+    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 3) ~label:k_test
+       (fun () -> ()));
   Dsim.Engine.run_until_quiet engine;
   let t, cost = Capvm.Musl_shim.clock_gettime shim in
   Alcotest.(check int) "time value" 3_000 t;
@@ -157,8 +167,8 @@ let umtx_contended_wait () =
   Alcotest.(check int) "queued" 1 (Capvm.Umtx.waiters mu);
   (* Hold for 5us of simulated time, then release. *)
   ignore
-    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) (fun () ->
-         Capvm.Umtx.release mu));
+    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) ~label:k_test
+       (fun () -> Capvm.Umtx.release mu));
   Dsim.Engine.run_until_quiet engine;
   Alcotest.(check (float 1.)) "waited hold + wake" 5_100. !waited;
   Alcotest.(check (option string)) "handed off" (Some "app") (Capvm.Umtx.holder mu);

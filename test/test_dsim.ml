@@ -43,13 +43,22 @@ let time_pp () =
 (* Engine                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Every event is scheduled under a profiler label; these tests need
+   only one. *)
+let k_test =
+  Dsim.Profile.key Dsim.Profile.default ~component:"test" ~cvm:"-"
+    ~stage:"event"
+
 let engine_order () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 30) (note "c"));
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) (note "a"));
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) (note "b"));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 30) ~label:k_test (note "c"));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test (note "a"));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) ~label:k_test (note "b"));
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
   Alcotest.(check int) "clock at last event" 30 (Dsim.Engine.now e)
@@ -58,8 +67,12 @@ let engine_ties_fifo () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) (note "first"));
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) (note "second"));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test
+       (note "first"));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test
+       (note "second"));
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check (list string)) "insertion order on ties" [ "first"; "second" ]
     (List.rev !log)
@@ -67,7 +80,10 @@ let engine_ties_fifo () =
 let engine_cancel () =
   let e = Dsim.Engine.create () in
   let fired = ref false in
-  let h = Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) (fun () -> fired := true) in
+  let h =
+    Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test (fun () ->
+        fired := true)
+  in
   Alcotest.(check bool) "pending before" true (Dsim.Engine.is_pending h);
   Dsim.Engine.cancel h;
   Alcotest.(check bool) "not pending after" false (Dsim.Engine.is_pending h);
@@ -77,8 +93,12 @@ let engine_cancel () =
 let engine_until () =
   let e = Dsim.Engine.create () in
   let fired = ref 0 in
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) (fun () -> incr fired));
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) (fun () -> incr fired));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test
+       (fun () -> incr fired));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) ~label:k_test
+       (fun () -> incr fired));
   Dsim.Engine.run e ~until:(Dsim.Time.ns 15);
   Alcotest.(check int) "only first fired" 1 !fired;
   Alcotest.(check int) "clock parked at until" 15 (Dsim.Engine.now e);
@@ -88,11 +108,13 @@ let engine_until () =
 
 let engine_past_schedules_now () =
   let e = Dsim.Engine.create () in
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 50) (fun () -> ()));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 50) ~label:k_test
+       (fun () -> ()));
   Dsim.Engine.run_until_quiet e;
   let fired_at = ref Dsim.Time.zero in
   ignore
-    (Dsim.Engine.schedule_at e ~at:(Dsim.Time.ns 10) (fun () ->
+    (Dsim.Engine.schedule_at e ~at:(Dsim.Time.ns 10) ~label:k_test (fun () ->
          fired_at := Dsim.Engine.now e));
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check int) "past event fires at current clock" 50 !fired_at
@@ -102,27 +124,29 @@ let engine_self_reschedule_budget () =
   let count = ref 0 in
   let rec tick () =
     incr count;
-    ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) tick)
+    ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick)
   in
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) tick);
+  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick);
   Dsim.Engine.run e ~max_events:100;
   Alcotest.(check int) "bounded by max_events" 100 !count
 
 let engine_step () =
   let e = Dsim.Engine.create () in
   Alcotest.(check bool) "step on empty" false (Dsim.Engine.step e);
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) (fun () -> ()));
+  ignore
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test
+       (fun () -> ()));
   Alcotest.(check bool) "step fires" true (Dsim.Engine.step e)
 
 let engine_nested_schedule () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
   ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) (fun () ->
+    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test (fun () ->
          log := "outer" :: !log;
          ignore
-           (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) (fun () ->
-                log := "inner" :: !log))));
+           (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test
+              (fun () -> log := "inner" :: !log))));
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check (list string)) "nested events run" [ "outer"; "inner" ]
     (List.rev !log);
@@ -169,7 +193,8 @@ let engine_dispatch_order_prop =
         at.(id) <- Dsim.Engine.now e + delay;
         handles.(id) <-
           Some
-            (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns delay) (fun () ->
+            (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns delay) ~label:k_test
+               (fun () ->
                  fired.(id) <- true;
                  incr n_fired;
                  log := id :: !log;

@@ -29,19 +29,19 @@ let tiny_run ?(extra = false) ?(draws = 2) () =
   let engine = Dsim.Engine.create () in
   let rng = Dsim.Rng.create ~seed:7L in
   ignore
-    (Dsim.Engine.schedule_l engine ~delay:(Time.us 1) ~label:k_a (fun () ->
+    (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a (fun () ->
          ignore
-           (Dsim.Engine.schedule_l engine ~delay:(Time.us 1) ~label:k_b
+           (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_b
               (fun () ->
                 for _ = 1 to draws do
                   ignore (Dsim.Rng.bits64 rng)
                 done));
          ignore
-           (Dsim.Engine.schedule_l engine ~delay:(Time.us 2) ~label:k_a
+           (Dsim.Engine.schedule engine ~delay:(Time.us 2) ~label:k_a
               (fun () -> ()))));
   if extra then
     ignore
-      (Dsim.Engine.schedule_l engine ~delay:(Time.us 9) ~label:k_b (fun () ->
+      (Dsim.Engine.schedule engine ~delay:(Time.us 9) ~label:k_b (fun () ->
            ()));
   Dsim.Engine.run_until_quiet engine
 
@@ -271,7 +271,7 @@ let fifo_on_equal_deadlines () =
       for i = 0 to n - 1 do
         let label = if i mod 3 = 0 then k_a else k_b in
         ignore
-          (Dsim.Engine.schedule_at_l engine ~at ~label (fun () ->
+          (Dsim.Engine.schedule_at engine ~at ~label (fun () ->
                order := i :: !order))
       done;
       Dsim.Engine.run_until_quiet engine;
@@ -327,7 +327,7 @@ let ring_keeps_last_n () =
   let engine = Dsim.Engine.create () in
   for i = 1 to 10 do
     ignore
-      (Dsim.Engine.schedule_l engine ~delay:(Time.us i) ~label:k_a (fun () ->
+      (Dsim.Engine.schedule engine ~delay:(Time.us i) ~label:k_a (fun () ->
            ()))
   done;
   Dsim.Engine.run_until_quiet engine;
@@ -368,9 +368,9 @@ let blackbox_on_trap () =
   Capvm.Supervisor.set_blackbox_dir sup (Some dir);
   (* Warm the ring with some traffic, then trap inside a dispatched
      handler so the faulting dispatch is in flight at capture time. *)
-  ignore (Dsim.Engine.schedule_l engine ~delay:(Time.us 1) ~label:k_a Fun.id);
+  ignore (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a Fun.id);
   ignore
-    (Dsim.Engine.schedule_l engine ~delay:(Time.us 2) ~label:k_b (fun () ->
+    (Dsim.Engine.schedule engine ~delay:(Time.us 2) ~label:k_b (fun () ->
          match
            Capvm.Supervisor.run sup ~cvm (fun () ->
                Cheri.Fault.raise_fault Cheri.Fault.Out_of_bounds
@@ -432,7 +432,7 @@ let annotations_recorded () =
         let engine, cvm, sup = mk_supervised ~policy:Capvm.Supervisor.Kill in
         let ch = Dsim.Chaos.create ~seed:5L in
         ignore
-          (Dsim.Engine.schedule_l engine ~delay:(Time.us 1) ~label:k_a
+          (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a
              (fun () ->
                ignore
                  (Dsim.Chaos.inject ch Dsim.Chaos.Wire_bit_flip ~at_ns:1000.

@@ -4,6 +4,22 @@
 let ip = Netstack.Ipv4_addr.of_string_exn
 let mac = Nic.Mac_addr.of_string_exn
 
+let reason =
+  Alcotest.testable (Fmt.of_to_string Dsim.Flowtrace.reason_name) ( = )
+let fail_reason r = Alcotest.fail (Dsim.Flowtrace.reason_name r)
+
+(* A parser's verdict on malformed input: a typed reject with exactly
+   the drop reason the stack files it under. *)
+let check_reject what expected = function
+  | Ok _ -> Alcotest.failf "%s: parsed, expected a reject" what
+  | Error r -> Alcotest.check reason what expected r
+
+(* Rewrite the 16-bit checksum field at [field] so the region
+   [off, off + len) sums to zero again, after [init]. *)
+let fix_checksum ?(init = 0) b ~off ~len ~field =
+  Bytes.set_uint16_be b field 0;
+  Bytes.set_uint16_be b field (Netstack.Checksum.compute ~init b ~off ~len)
+
 (* ------------------------------------------------------------------ *)
 (* Checksum                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -171,9 +187,9 @@ let ethernet_roundtrip () =
     Alcotest.(check bool) "src" true (Nic.Mac_addr.equal h.Netstack.Ethernet.src h'.Netstack.Ethernet.src);
     Alcotest.(check bool) "ethertype" true (h'.Netstack.Ethernet.ethertype = Netstack.Ethernet.Ipv4);
     Alcotest.(check int) "payload offset" 14 off
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "short frame rejected" true
-    (Result.is_error (Netstack.Ethernet.parse (Bytes.create 10)))
+  | Error e -> fail_reason e);
+  check_reject "short frame" Dsim.Flowtrace.Parse_error
+    (Netstack.Ethernet.parse (Bytes.create 10))
 
 let ethernet_ethertypes () =
   Alcotest.(check int) "ipv4" 0x0800 (Netstack.Ethernet.ethertype_to_int Netstack.Ethernet.Ipv4);
@@ -199,7 +215,7 @@ let arp_roundtrip () =
       (Netstack.Ipv4_addr.equal p.Netstack.Arp.sender_ip (ip "10.0.0.1"));
     Alcotest.(check bool) "target ip" true
       (Netstack.Ipv4_addr.equal p.Netstack.Arp.target_ip (ip "10.0.0.2"))
-  | Error e -> Alcotest.fail e);
+  | Error e -> fail_reason e);
   let rep = Netstack.Arp.reply_to req ~mac:(mac "02:00:00:00:00:02") in
   Alcotest.(check bool) "reply op" true (rep.Netstack.Arp.op = Netstack.Arp.Reply);
   Alcotest.(check bool) "reply targets requester" true
@@ -208,14 +224,20 @@ let arp_roundtrip () =
     (Netstack.Ipv4_addr.equal rep.Netstack.Arp.sender_ip (ip "10.0.0.2"))
 
 let arp_parse_errors () =
-  Alcotest.(check bool) "truncated" true
-    (Result.is_error (Netstack.Arp.parse (Bytes.create 10) ~off:0));
-  let b = Netstack.Arp.build
+  let parse_error = Dsim.Flowtrace.Parse_error in
+  check_reject "truncated" parse_error
+    (Netstack.Arp.parse (Bytes.create 10) ~off:0);
+  let build () =
+    Netstack.Arp.build
       (Netstack.Arp.request ~sender_mac:Nic.Mac_addr.zero
          ~sender_ip:(ip "1.1.1.1") ~target_ip:(ip "2.2.2.2"))
   in
+  let b = build () in
   Bytes.set b 7 '\x09' (* bogus op *);
-  Alcotest.(check bool) "bad op" true (Result.is_error (Netstack.Arp.parse b ~off:0))
+  check_reject "bad op" parse_error (Netstack.Arp.parse b ~off:0);
+  let b = build () in
+  Bytes.set_uint16_be b 2 0x86dd (* IPv6 protocol type *);
+  check_reject "not ethernet/ipv4" parse_error (Netstack.Arp.parse b ~off:0)
 
 let arp_cache_behaviour () =
   let c = Netstack.Arp_cache.create ~entry_lifetime:(Dsim.Time.ms 10) () in
@@ -278,7 +300,7 @@ let ipv4_roundtrip () =
     Alcotest.(check int) "total" (20 + 19) h'.Netstack.Ipv4.total_len;
     Alcotest.(check string) "payload intact" "some-transport-data"
       (Bytes.sub_string pkt off 19)
-  | Error e -> Alcotest.fail e
+  | Error e -> fail_reason e
 
 let ipv4_parse_errors () =
   let payload = Bytes.of_string "x" in
@@ -287,16 +309,29 @@ let ipv4_parse_errors () =
       protocol = Netstack.Ipv4.Udp; ttl = 1; ident = 0; total_len = 21 }
   in
   let pkt = Netstack.Ipv4.build h ~payload in
-  let corrupt = Bytes.copy pkt in
-  Bytes.set corrupt 8 '\x63';
-  Alcotest.(check bool) "checksum detects ttl change" true
-    (Result.is_error (Netstack.Ipv4.parse corrupt ~off:0 ~len:21));
-  let bad_version = Bytes.copy pkt in
-  Bytes.set bad_version 0 '\x65';
-  Alcotest.(check bool) "wrong version" true
-    (Result.is_error (Netstack.Ipv4.parse bad_version ~off:0 ~len:21));
-  Alcotest.(check bool) "truncated" true
-    (Result.is_error (Netstack.Ipv4.parse pkt ~off:0 ~len:10))
+  let parse b = Netstack.Ipv4.parse b ~off:0 ~len:21 in
+  (* [edit] rewrites a copy, then re-checksums the header unless
+     [csum] is false, so the check under test is the one that fails. *)
+  let edited ?(csum = true) edit =
+    let b = Bytes.copy pkt in
+    edit b;
+    if csum then fix_checksum b ~off:0 ~len:20 ~field:10;
+    b
+  in
+  check_reject "checksum detects ttl change" Dsim.Flowtrace.Bad_checksum
+    (parse (edited ~csum:false (fun b -> Bytes.set b 8 '\x63')));
+  check_reject "wrong version" Dsim.Flowtrace.Parse_error
+    (parse (edited (fun b -> Bytes.set b 0 '\x65')));
+  check_reject "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Ipv4.parse pkt ~off:0 ~len:10);
+  check_reject "ihl below 5" Dsim.Flowtrace.Parse_error
+    (parse (edited (fun b -> Bytes.set b 0 '\x44')));
+  check_reject "options past the packet" Dsim.Flowtrace.Bad_option
+    (parse (edited ~csum:false (fun b -> Bytes.set b 0 '\x46')));
+  check_reject "fragment" Dsim.Flowtrace.Frag_unsupported
+    (parse (edited (fun b -> Bytes.set_uint16_be b 6 0x2000 (* MF *))));
+  check_reject "total length past the buffer" Dsim.Flowtrace.Bad_length
+    (parse (edited (fun b -> Bytes.set_uint16_be b 2 22)))
 
 (* ------------------------------------------------------------------ *)
 (* ICMP                                                                 *)
@@ -311,7 +346,7 @@ let icmp_roundtrip () =
     Alcotest.(check int) "seq" 3 seq;
     Alcotest.(check string) "data" "ping" (Bytes.to_string data)
   | Ok _ -> Alcotest.fail "wrong message type"
-  | Error e -> Alcotest.fail e);
+  | Error e -> fail_reason e);
   (match Netstack.Icmp.reply_to msg with
   | Some (Netstack.Icmp.Echo_reply { ident = 7; seq = 3; _ }) -> ()
   | _ -> Alcotest.fail "expected an echo reply");
@@ -320,9 +355,11 @@ let icmp_roundtrip () =
 
 let icmp_checksum () =
   let b = Netstack.Icmp.build (Netstack.Icmp.Echo_request { ident = 1; seq = 1; data = Bytes.empty }) in
+  check_reject "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Icmp.parse b ~off:0 ~len:7);
   Bytes.set b 4 '\xFF';
-  Alcotest.(check bool) "corruption detected" true
-    (Result.is_error (Netstack.Icmp.parse b ~off:0 ~len:(Bytes.length b)))
+  check_reject "corruption detected" Dsim.Flowtrace.Bad_checksum
+    (Netstack.Icmp.parse b ~off:0 ~len:(Bytes.length b))
 
 (* ------------------------------------------------------------------ *)
 (* UDP                                                                  *)
@@ -337,15 +374,21 @@ let udp_roundtrip () =
     Alcotest.(check int) "dst port" 53 h.Netstack.Udp.dst_port;
     Alcotest.(check int) "length" 13 h.Netstack.Udp.length;
     Alcotest.(check string) "payload" "query" (Bytes.sub_string d off 5)
-  | Error e -> Alcotest.fail e
+  | Error e -> fail_reason e
 
 let udp_checksum_pseudo_header () =
   let src = ip "10.0.0.1" and dst = ip "10.0.0.2" in
   let d = Netstack.Udp.build ~src ~dst ~src_port:1 ~dst_port:2 ~payload:(Bytes.of_string "x") in
   (* Same datagram checked against different addresses must fail: the
      pseudo-header is part of the checksum. *)
-  Alcotest.(check bool) "wrong pseudo header" true
-    (Result.is_error (Netstack.Udp.parse ~src:(ip "10.0.0.9") ~dst d ~off:0 ~len:(Bytes.length d)))
+  let len = Bytes.length d in
+  check_reject "wrong pseudo header" Dsim.Flowtrace.Bad_checksum
+    (Netstack.Udp.parse ~src:(ip "10.0.0.9") ~dst d ~off:0 ~len);
+  check_reject "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Udp.parse ~src ~dst d ~off:0 ~len:7);
+  Bytes.set_uint16_be d 4 (len + 1);
+  check_reject "length past the buffer" Dsim.Flowtrace.Bad_length
+    (Netstack.Udp.parse ~src ~dst d ~off:0 ~len)
 
 (* ------------------------------------------------------------------ *)
 (* TCP sequence arithmetic                                              *)
@@ -409,14 +452,41 @@ let tcp_wire_roundtrip () =
     Alcotest.(check (option (pair int int))) "timestamps" (Some (111, 222))
       (Netstack.Tcp_wire.find_timestamps h');
     Alcotest.(check string) "payload" "DATA" (Bytes.sub_string seg off 4)
-  | Error e -> Alcotest.fail e
+  | Error e -> fail_reason e
 
 let tcp_wire_checksum () =
   let src = ip "10.0.0.1" and dst = ip "10.0.0.2" in
   let seg = Netstack.Tcp_wire.build ~src ~dst (tcp_header 40000) ~payload:(Bytes.of_string "DATA") in
-  Bytes.set seg (Bytes.length seg - 1) 'X';
-  Alcotest.(check bool) "payload corruption detected" true
-    (Result.is_error (Netstack.Tcp_wire.parse ~src ~dst seg ~off:0 ~len:(Bytes.length seg)))
+  let len = Bytes.length seg in
+  let parse b = Netstack.Tcp_wire.parse ~src ~dst b ~off:0 ~len in
+  let init =
+    Netstack.Ipv4.pseudo_header_sum ~src ~dst ~protocol:Netstack.Ipv4.Tcp ~len
+  in
+  (* Options start at byte 20: MSS (kind, length at 21), NOP and
+     window scale (length at 26), two NOPs and timestamps (length at
+     31); see [tcp_header]. *)
+  let edited edit =
+    let b = Bytes.copy seg in
+    edit b;
+    fix_checksum ~init b ~off:0 ~len ~field:16;
+    b
+  in
+  check_reject "truncated header" Dsim.Flowtrace.Bad_length
+    (Netstack.Tcp_wire.parse ~src ~dst seg ~off:0 ~len:19);
+  check_reject "data offset below 20" Dsim.Flowtrace.Parse_error
+    (parse (edited (fun b -> Bytes.set b 12 '\x40')));
+  check_reject "option length below 2" Dsim.Flowtrace.Bad_option
+    (parse (edited (fun b -> Bytes.set b 26 '\x01')));
+  check_reject "option length past the header" Dsim.Flowtrace.Bad_option
+    (parse (edited (fun b -> Bytes.set b 31 '\x0b')));
+  check_reject "option length byte missing" Dsim.Flowtrace.Bad_option
+    (parse
+       (edited (fun b ->
+            Bytes.set b 12 '\x60' (* 24-byte header: options 20-23 *);
+            Bytes.blit_string "\x01\x01\x01\x02" 0 b 20 4)));
+  Bytes.set seg (len - 1) 'X';
+  check_reject "payload corruption detected" Dsim.Flowtrace.Bad_checksum
+    (parse seg)
 
 let tcp_wire_mss_1448 () =
   (* 20 IP + 20 TCP + 12 timestamp option + 1448 payload = 1500 MTU. *)
@@ -434,7 +504,7 @@ let tcp_wire_no_options () =
   | Ok (h', off) ->
     Alcotest.(check int) "no options" 0 (List.length h'.Netstack.Tcp_wire.options);
     Alcotest.(check int) "payload offset" 20 off
-  | Error e -> Alcotest.fail e
+  | Error e -> fail_reason e
 
 let tcp_wire_roundtrip_prop =
   QCheck.Test.make ~name:"tcp_wire: build/parse roundtrips seq numbers" ~count:100
@@ -550,6 +620,180 @@ let rb_model_prop =
         ops;
       !ok && Netstack.Ring_buf.length rb = Buffer.length model)
 
+(* ------------------------------------------------------------------ *)
+(* Parser fuzzing                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The drop reasons each parser may file a malformed frame under. *)
+let eth_reasons = Dsim.Flowtrace.[ Parse_error ]
+let arp_reasons = Dsim.Flowtrace.[ Parse_error ]
+
+let ipv4_reasons =
+  Dsim.Flowtrace.
+    [ Bad_length; Parse_error; Bad_option; Bad_checksum; Frag_unsupported ]
+
+let icmp_reasons = Dsim.Flowtrace.[ Bad_length; Bad_checksum ]
+let udp_reasons = Dsim.Flowtrace.[ Bad_length; Bad_checksum ]
+
+let tcp_reasons =
+  Dsim.Flowtrace.[ Bad_length; Bad_checksum; Parse_error; Bad_option ]
+
+(* Valid frames to start from: ARP, and ICMP echo, UDP and a TCP
+   segment carrying MSS, window-scale and timestamp options over IPv4,
+   each behind an Ethernet header. *)
+let fuzz_seeds =
+  let src = ip "10.0.0.1" and dst = ip "10.0.0.2" in
+  let eth ethertype payload =
+    Netstack.Ethernet.build
+      { Netstack.Ethernet.dst = mac "02:00:00:00:00:02";
+        src = mac "02:00:00:00:00:01"; ethertype }
+      ~payload
+  in
+  let over_ip protocol transport =
+    eth Netstack.Ethernet.Ipv4
+      (Netstack.Ipv4.build
+         { Netstack.Ipv4.src; dst; protocol; ttl = 64; ident = 7;
+           total_len = Netstack.Ipv4.header_len + Bytes.length transport }
+         ~payload:transport)
+  in
+  [|
+    eth Netstack.Ethernet.Arp
+      (Netstack.Arp.build
+         (Netstack.Arp.request ~sender_mac:(mac "02:00:00:00:00:01")
+            ~sender_ip:src ~target_ip:dst));
+    over_ip Netstack.Ipv4.Icmp
+      (Netstack.Icmp.build
+         (Netstack.Icmp.Echo_request
+            { ident = 1; seq = 2; data = Bytes.of_string "ping" }));
+    over_ip Netstack.Ipv4.Udp
+      (Netstack.Udp.build ~src ~dst ~src_port:5000 ~dst_port:53
+         ~payload:(Bytes.of_string "query"));
+    over_ip Netstack.Ipv4.Tcp
+      (Netstack.Tcp_wire.build ~src ~dst (tcp_header 40000)
+         ~payload:(Bytes.of_string "DATA"));
+  |]
+
+type mutation =
+  | Set of int * int  (** Overwrite the byte at this offset (mod length). *)
+  | Truncate of int  (** Keep at most this many bytes. *)
+  | Fit_ip_length
+      (** Rewrite the IPv4 total length to the bytes actually present,
+          so a truncation is not simply refused as [Bad_length]. *)
+  | Option_length of int * int
+      (** Give the n-th TCP option of the seed segment this length. *)
+
+let pp_mutation = function
+  | Set (pos, v) -> Printf.sprintf "set %d=0x%02x" pos v
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Fit_ip_length -> "fit ip length"
+  | Option_length (i, v) -> Printf.sprintf "option %d length %d" i v
+
+(* The seed TCP segment's option-length bytes: Ethernet 14 + IPv4 20 +
+   TCP 20, then MSS (length at +1), NOP + window scale (+6), two NOPs
+   + timestamps (+11). *)
+let option_length_offsets = [| 55; 60; 65 |]
+
+let mutate b = function
+  | Set (pos, v) ->
+    if Bytes.length b > 0 then Bytes.set_uint8 b (pos mod Bytes.length b) v;
+    b
+  | Truncate n -> Bytes.sub b 0 (min n (Bytes.length b))
+  | Fit_ip_length ->
+    if Bytes.length b >= 18 then Bytes.set_uint16_be b 16 (Bytes.length b - 14);
+    b
+  | Option_length (i, v) ->
+    let pos = option_length_offsets.(i) in
+    if pos < Bytes.length b then Bytes.set_uint8 b pos v;
+    b
+
+(* Re-checksum whatever the mutated header bytes still describe — the
+   IPv4 header, then the transport its total length covers — so a
+   mutation is judged by the check it aims at, not by the checksum. *)
+let fix_checksums b =
+  let len = Bytes.length b in
+  if len >= 34 then begin
+    let ihl = (Bytes.get_uint8 b 14 land 0xf) * 4 in
+    if ihl >= 20 && 14 + ihl <= len then begin
+      fix_checksum b ~off:14 ~len:ihl ~field:24;
+      let total = Bytes.get_uint16_be b 16 in
+      let toff = 14 + ihl and tlen = total - ihl in
+      if tlen >= 0 && 14 + total <= len then begin
+        let addr off = Netstack.Ipv4_addr.of_int32 (Bytes.get_int32_be b off) in
+        let pseudo protocol len =
+          Netstack.Ipv4.pseudo_header_sum ~src:(addr 26) ~dst:(addr 30)
+            ~protocol ~len
+        in
+        match Netstack.Ipv4.protocol_of_int (Bytes.get_uint8 b 23) with
+        | Netstack.Ipv4.Tcp when tlen >= 18 ->
+          fix_checksum b ~init:(pseudo Netstack.Ipv4.Tcp tlen) ~off:toff
+            ~len:tlen ~field:(toff + 16)
+        | Netstack.Ipv4.Udp when tlen >= 8 ->
+          let ulen = Bytes.get_uint16_be b (toff + 4) in
+          if ulen >= 8 && ulen <= tlen then
+            fix_checksum b ~init:(pseudo Netstack.Ipv4.Udp ulen) ~off:toff
+              ~len:ulen ~field:(toff + 6)
+        | Netstack.Ipv4.Icmp when tlen >= 4 ->
+          fix_checksum b ~off:toff ~len:tlen ~field:(toff + 2)
+        | _ -> ()
+      end
+    end
+  end
+
+(* Parse [frame] layer by layer, as [Stack.handle_frame] does: every
+   verdict must be [Ok] or a reject in that parser's reason set. *)
+let verdicts_typed frame =
+  let typed reasons = function Ok _ -> true | Error r -> List.mem r reasons in
+  match Netstack.Ethernet.parse frame with
+  | Error r -> List.mem r eth_reasons
+  | Ok (eth, off) -> (
+    match eth.Netstack.Ethernet.ethertype with
+    | Netstack.Ethernet.Arp -> typed arp_reasons (Netstack.Arp.parse frame ~off)
+    | Netstack.Ethernet.Unknown _ -> true
+    | Netstack.Ethernet.Ipv4 -> (
+      match Netstack.Ipv4.parse frame ~off ~len:(Bytes.length frame - off) with
+      | Error r -> List.mem r ipv4_reasons
+      | Ok (h, poff) -> (
+        let len = h.Netstack.Ipv4.total_len - (poff - off) in
+        let src = h.Netstack.Ipv4.src and dst = h.Netstack.Ipv4.dst in
+        match h.Netstack.Ipv4.protocol with
+        | Netstack.Ipv4.Tcp ->
+          typed tcp_reasons
+            (Netstack.Tcp_wire.parse ~src ~dst frame ~off:poff ~len)
+        | Netstack.Ipv4.Udp ->
+          typed udp_reasons (Netstack.Udp.parse ~src ~dst frame ~off:poff ~len)
+        | Netstack.Ipv4.Icmp ->
+          typed icmp_reasons (Netstack.Icmp.parse frame ~off:poff ~len)
+        | Netstack.Ipv4.Unknown_proto _ -> true)))
+
+let parsers_reject_typed_prop =
+  let mutation =
+    QCheck.Gen.(
+      frequency
+        [ (6, map2 (fun pos v -> Set (pos, v)) (int_bound 79) (int_bound 255));
+          (1, map (fun n -> Truncate n) (int_bound 100));
+          (1, return Fit_ip_length);
+          ( 2,
+            map2 (fun i v -> Option_length (i, v)) (int_bound 2) (int_bound 255)
+          ) ])
+  in
+  let print (seed, ms, fix) =
+    Printf.sprintf "seed %d, [%s], checksums %s" seed
+      (String.concat "; " (List.map pp_mutation ms))
+      (if fix then "recomputed" else "left")
+  in
+  QCheck.Test.make ~count:3000
+    ~name:"parsers: mutated frames reject with a typed reason"
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple
+           (int_bound (Array.length fuzz_seeds - 1))
+           (list_size (int_range 1 4) mutation)
+           (frequency [ (3, return true); (1, return false) ])))
+    (fun (seed, ms, fix) ->
+      let frame = List.fold_left mutate (Bytes.copy fuzz_seeds.(seed)) ms in
+      if fix then fix_checksums frame;
+      verdicts_typed frame)
+
 let suite =
   [
     Alcotest.test_case "checksum: RFC 1071 example" `Quick checksum_rfc1071_example;
@@ -588,6 +832,7 @@ let suite =
     QCheck_alcotest.to_alcotest checksum_matches_byte_pairs_prop;
     Alcotest.test_case "checksum: window past the buffer" `Quick
       checksum_window_past_buffer;
+    QCheck_alcotest.to_alcotest parsers_reject_typed_prop;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -141,13 +141,19 @@ let free_clears_flow () =
 (* Engine compaction                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Every event is scheduled under a profiler label; these tests need
+   only one. *)
+let k_test =
+  Dsim.Profile.key Dsim.Profile.default ~component:"test" ~cvm:"-"
+    ~stage:"event"
+
 let engine_mass_cancel_compacts () =
   let e = Dsim.Engine.create () in
   let fired = ref 0 in
   let handles =
     List.init 1000 (fun i ->
-        Dsim.Engine.schedule_at e ~at:(Dsim.Time.us (i + 1)) (fun () ->
-            incr fired))
+        Dsim.Engine.schedule_at e ~at:(Dsim.Time.us (i + 1)) ~label:k_test
+          (fun () -> incr fired))
   in
   Alcotest.(check int) "all pending" 1000 (Dsim.Engine.pending_count e);
   (* Cancel 9 of every 10 (a mass TCP teardown cancelling its timers). *)
@@ -166,9 +172,10 @@ let engine_cancel_keeps_order () =
   let e = Dsim.Engine.create () in
   let order = ref [] in
   let note i () = order := i :: !order in
-  let _h1 = Dsim.Engine.schedule_at e ~at:(Dsim.Time.us 10) (note 1) in
-  let h2 = Dsim.Engine.schedule_at e ~at:(Dsim.Time.us 20) (note 2) in
-  let _h3 = Dsim.Engine.schedule_at e ~at:(Dsim.Time.us 30) (note 3) in
+  let at us = Dsim.Engine.schedule_at e ~at:(Dsim.Time.us us) ~label:k_test in
+  let _h1 = at 10 (note 1) in
+  let h2 = at 20 (note 2) in
+  let _h3 = at 30 (note 3) in
   Dsim.Engine.cancel h2;
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check (list int)) "cancelled event skipped, order kept" [ 1; 3 ]
