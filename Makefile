@@ -28,14 +28,17 @@ perfdiff: profile
 # Flight-recorder smoke: record a journal and replay it (every dispatch
 # re-verified against the recording) for Fig. 4 (Baseline and
 # Scenario 1), for Fig. 6, whose Scenario 2 runs take the shared umtx
-# and run the app crossing window, and for the seeded chaos run, a
-# gated entry of the same registry. Then record Fig. 4 again with
+# and run the app crossing window, for the seeded chaos run, a gated
+# entry of the same registry, and for the quick fleet, whose churn
+# through hundreds of TIME_WAIT sockets and epoll registrations no
+# other journaled run exercises. Then record Fig. 4 again with
 # metrics, flow tracing and 1-in-1 sampling on: instruments must not
 # perturb a single dispatch, so the two journals must be byte-identical
 # (cmp) and jdiff equivalent.
 journal:
 	@for run in "fig4 --quick --iterations 300" \
-	            "fig6 --quick --iterations 300" "chaos --seed 42 --quick"; do \
+	            "fig6 --quick --iterations 300" "chaos --seed 42 --quick" \
+	            "fleet --seed 42 --quick"; do \
 	  set -- $$run; j=/tmp/netrepro-check.$$1.journal.jsonl; \
 	  dune exec bin/netrepro.exe -- $$run --journal $$j > /dev/null || exit 1; \
 	  dune exec bin/netrepro.exe -- replay $$j || exit 1; \
@@ -49,7 +52,7 @@ journal:
 	  /tmp/netrepro-check.fig4-instrumented.journal.jsonl
 	dune exec bin/netrepro.exe -- jdiff /tmp/netrepro-check.fig4.journal.jsonl \
 	  /tmp/netrepro-check.fig4-instrumented.journal.jsonl
-	@echo "journal: record/replay OK (fig4, fig6, chaos); instruments neutral on fig4"
+	@echo "journal: record/replay OK (fig4, fig6, chaos, fleet); instruments neutral on fig4"
 
 # Full gate, and the whole of CI: build, unit/property tests (plus the
 # edgebench --smoke run, the zero-copy regression gates — the Fig. 4
@@ -63,7 +66,7 @@ journal:
 # audit and the fleet observatory must each pass their gates (each
 # exits non-zero otherwise), the profiled Fig. 4 run must report its
 # measured wall time and hold against the checked-in perf baseline,
-# recorded Fig. 4, Fig. 6 and chaos journals must replay clean, and a
+# recorded Fig. 4, Fig. 6, chaos and fleet journals must replay clean, and a
 # Fig. 4 journal recorded with every instrument on must equal the plain
 # one.
 check:

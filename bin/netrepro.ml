@@ -511,7 +511,7 @@ let gated =
          or if a seeded capability fault goes unattributed.";
       ] );
     ( "fleet",
-      [ Tenants; Seed; Quick; Scaling; Json ],
+      [ Tenants; Seed; Quick; Scaling; Json; Journal ],
       [
         "Scale the Scenario 2 shared-stack topology to N application cVMs \
          and drive a seeded connection-churn workload against an epoll \

@@ -62,6 +62,23 @@ let build h ~payload =
   Bytes.blit payload 0 b header_len (Bytes.length payload);
   b
 
+(* RFC 791 options between [off] and [limit]: EOL ends the list, NOP
+   is one byte, any other option is type, length and data, with a
+   length of at least 2 that ends inside the header. A lying length is
+   rejected, as [Tcp_wire.parse_options] does: a parser that stops early
+   would hide the lie from the drop ledger. *)
+let rec options_valid b off limit =
+  if off >= limit then true
+  else
+    match Char.code (Bytes.get b off) with
+    | 0 -> true
+    | 1 -> options_valid b (off + 1) limit
+    | _ ->
+      off + 1 < limit
+      &&
+      let olen = Char.code (Bytes.get b (off + 1)) in
+      olen >= 2 && off + olen <= limit && options_valid b (off + olen) limit
+
 let parse b ~off ~len =
   if len < header_len then Error Dsim.Flowtrace.Bad_length
   else begin
@@ -73,6 +90,9 @@ let parse b ~off ~len =
       else if len < ihl then Error Dsim.Flowtrace.Bad_option
       else if not (Checksum.valid b ~off ~len:ihl) then
         Error Dsim.Flowtrace.Bad_checksum
+      else if
+        ihl > header_len && not (options_valid b (off + header_len) (off + ihl))
+      then Error Dsim.Flowtrace.Bad_option
       else begin
         let total_len = get_u16 b (off + 2) in
         (* More Fragments set or a non-zero fragment offset: this stack

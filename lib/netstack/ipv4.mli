@@ -1,7 +1,8 @@
 (** IPv4 (RFC 791): header construction, parsing and validation.
 
-    No options and no fragmentation — the stack always sends DF packets
-    sized to the device MTU, as F-Stack/DPDK data paths do. *)
+    The stack sends no options and does no fragmentation: it always
+    sends DF packets sized to the device MTU, as F-Stack/DPDK data
+    paths do. Received options are validated and skipped. *)
 
 type protocol = Icmp | Tcp | Udp | Unknown_proto of int
 
@@ -33,8 +34,10 @@ val parse :
     drop reason of each check: a truncated header or a total length
     outside [[ihl, len]] is [Bad_length]; a version other than 4 or an
     IHL below 5 is [Parse_error]; options running past [len] are
-    [Bad_option]; a wrong checksum is [Bad_checksum]; a fragment is
-    [Frag_unsupported]. *)
+    [Bad_option]; a wrong checksum is [Bad_checksum]; an option whose
+    length is below 2 or runs past the IHL, or whose type byte has no
+    length byte after it, is [Bad_option] (RFC 791's walk: EOL, NOP,
+    then type-length-data); a fragment is [Frag_unsupported]. *)
 
 val pseudo_header_sum : src:Ipv4_addr.t -> dst:Ipv4_addr.t -> protocol:protocol -> len:int -> int
 (** One's-complement sum of the TCP/UDP pseudo-header, for transport

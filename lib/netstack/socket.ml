@@ -7,6 +7,7 @@ type tcp_sock = {
   mutable pending_error : Errno.t option;
   mutable connect_started : bool;
   mutable closed_by_app : bool;
+  mutable parked_until : Dsim.Time.t;
 }
 
 type udp_sock = {

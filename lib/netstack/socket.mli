@@ -14,6 +14,9 @@ type tcp_sock = {
   mutable pending_error : Errno.t option;
   mutable connect_started : bool;
   mutable closed_by_app : bool;
+  mutable parked_until : Dsim.Time.t;
+      (** The 2MSL deadline under which the stack's TIME_WAIT queue
+          holds this socket, or [-1] while it is not queued. *)
 }
 
 type udp_sock = {
@@ -29,6 +32,10 @@ type sock =
   | Epoll_inst of Epoll.t
 
 type table
+
+val first_fd : int
+(** The lowest fd; a table of [max_fds] allocates from [first_fd] to
+    [first_fd + max_fds - 1]. *)
 
 val create_table : ?max_fds:int -> unit -> table
 

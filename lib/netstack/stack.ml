@@ -134,9 +134,18 @@ type t = {
      connections the per-tick service pass must visit. Idle established
      connections cost nothing per loop iteration. *)
   armed : (int, Socket.tcp_sock) Hashtbl.t;
-  (* Live epoll instances, so closing an fd tears out stale interest
-     registrations without scanning the whole fd table. *)
-  epolls : (int, Epoll.t) Hashtbl.t;
+  (* TIME_WAIT sockets whose 2MSL expiry is their only pending work,
+     with that deadline, kept out of [armed] until it passes. Every
+     socket of a stack shares [config.tcp.time_wait_duration], so the
+     FIFO is in deadline order; [time_wait_last] is the deadline pushed
+     last, which keeps it so. An entry whose socket's [parked_until]
+     no longer matches is stale and skipped. *)
+  time_wait : (Dsim.Time.t * Socket.tcp_sock) Queue.t;
+  mutable time_wait_last : Dsim.Time.t;
+  (* fd -> the epoll instances that registered it: readiness changes
+     reach exactly those ready lists, and closing an fd tears out its
+     registrations without visiting any other instance. *)
+  watchers : Epoll.t list array;
   arp : Arp_cache.t;
   rng : Dsim.Rng.t;
   counters : counters;
@@ -175,7 +184,9 @@ let create engine mem dev config =
     sock_ctx = Hashtbl.create 64;
     bound_ports = Hashtbl.create 64;
     armed = Hashtbl.create 64;
-    epolls = Hashtbl.create 4;
+    time_wait = Queue.create ();
+    time_wait_last = Dsim.Time.zero;
+    watchers = Array.make (Socket.first_fd + config.max_fds) [];
     arp = Arp_cache.create ();
     rng = Dsim.Rng.create ~seed:config.rng_seed;
     metrics = make_metrics ~ip:config.ip;
@@ -259,27 +270,76 @@ let timers_armed (cb : Tcp_cb.t) =
   || cb.Tcp_cb.ack_deadline <> None
   || cb.Tcp_cb.time_wait_deadline <> None
 
-(* Re-derive a socket's membership in the armed-timer set. Called after
-   every excursion into the TCP machinery (input, timers, user calls) —
-   the deadline fields are plain mutables, so membership is recomputed
-   at the call sites that can change them. *)
+(* A TIME_WAIT socket waiting only for 2MSL: no rtx or ack deadline and
+   no ACK owed, so [Tcp_output.flush] provably emits nothing for it and
+   [Tcp_timer.check] does nothing before the deadline. *)
+let time_wait_only (cb : Tcp_cb.t) =
+  cb.Tcp_cb.state = Tcp_cb.Time_wait
+  && Option.is_none cb.Tcp_cb.rtx_deadline
+  && Option.is_none cb.Tcp_cb.ack_deadline
+  && (not cb.Tcp_cb.need_ack_now)
+  && cb.Tcp_cb.segs_since_ack < cb.Tcp_cb.config.Tcp_cb.ack_every_segments
+
+let not_parked = -1
+
+(* Re-derive a socket's membership in the armed-timer set, or its place
+   in the TIME_WAIT queue. Called after every excursion into the TCP
+   machinery (input, timers, user calls) — the deadline fields are
+   plain mutables, so membership is recomputed at the call sites that
+   can change them. The queue takes no deadline earlier than its tail,
+   which keeps it in deadline order; such a socket stays armed. *)
 let update_armed t (sock : Socket.tcp_sock) =
-  if timers_armed sock.Socket.cb && sock.Socket.cb.Tcp_cb.state <> Tcp_cb.Closed
-  then Hashtbl.replace t.armed sock.Socket.fd sock
-  else Hashtbl.remove t.armed sock.Socket.fd
+  let cb = sock.Socket.cb and fd = sock.Socket.fd in
+  if cb.Tcp_cb.state = Tcp_cb.Closed || not (timers_armed cb) then begin
+    Hashtbl.remove t.armed fd;
+    sock.Socket.parked_until <- not_parked
+  end
+  else
+    match cb.Tcp_cb.time_wait_deadline with
+    | Some d
+      when time_wait_only cb
+           && (sock.Socket.parked_until = d || Dsim.Time.(d >= t.time_wait_last))
+      ->
+      Hashtbl.remove t.armed fd;
+      if sock.Socket.parked_until <> d then begin
+        Queue.push (d, sock) t.time_wait;
+        t.time_wait_last <- d;
+        sock.Socket.parked_until <- d
+      end
+    | _ ->
+      Hashtbl.replace t.armed fd sock;
+      sock.Socket.parked_until <- not_parked
+
+(* Top-level, so a notify allocates no closure on the frame path. *)
+let rec notify_all fd = function
+  | [] -> ()
+  | ep :: rest ->
+    Epoll.notify ep ~fd;
+    notify_all fd rest
+
+(* Put [fd] on the ready list of every epoll instance watching it: the
+   stack's half of the {!Epoll} notify contract. *)
+let notify t fd = notify_all fd t.watchers.(fd)
+
+let unwatch t fd ep = t.watchers.(fd) <- List.filter (fun e -> e != ep) t.watchers.(fd)
 
 (* Closing an fd must also tear it out of every epoll interest set: fd
    numbers are recycled by [Socket.alloc], so a stale registration
    would report a permanent EPOLLERR|EPOLLHUP storm until it aliases a
    future, unrelated socket — exactly the close/epoll race a hostile
-   app drives on purpose. *)
+   app drives on purpose. Closing an epoll instance drops it from the
+   watcher lists of the fds it registered. *)
 let release_fd t fd =
   (match Socket.find t.table fd with
-  | Some (Socket.Tcp s) -> port_bound_decr t s.Socket.cb.Tcp_cb.local_port
-  | Some (Socket.Epoll_inst _) -> Hashtbl.remove t.epolls fd
+  | Some (Socket.Tcp s) ->
+    port_bound_decr t s.Socket.cb.Tcp_cb.local_port;
+    s.Socket.parked_until <- not_parked
+  | Some (Socket.Epoll_inst ep) ->
+    List.iter (fun (wfd, _) -> unwatch t wfd ep) (Epoll.registered ep)
   | Some (Socket.Udp _) | None -> ());
   Hashtbl.remove t.armed fd;
-  Hashtbl.iter (fun _ ep -> Epoll.forget ep ~fd) t.epolls;
+  List.iter (fun ep -> Epoll.forget ep ~fd) t.watchers.(fd);
+  t.watchers.(fd) <- [];
   Socket.release t.table fd
 
 (* ------------------------------------------------------------------ *)
@@ -502,13 +562,18 @@ let emit_tcp t (cb : Tcp_cb.t) header payload =
         (Tcp_wire.write_header ~src:cb.local_ip ~dst:cb.remote_ip header b ~off
            ~payload_len))
 
+(* Every TCP event can raise the socket's readiness (data, window,
+   FIN, connection, error, close), so each one notifies its epoll
+   watchers; a completed handshake also readies the listener. *)
 let handle_event t (sock : Socket.tcp_sock) ~parent event =
-  match (event : Tcp_cb.event) with
+  (match (event : Tcp_cb.event) with
   | Tcp_cb.Connected -> (
     match parent with
     | Some (listener : Socket.tcp_sock) ->
-      if Queue.length listener.Socket.accept_q < listener.Socket.backlog then
-        Queue.push sock listener.Socket.accept_q
+      if Queue.length listener.Socket.accept_q < listener.Socket.backlog then begin
+        Queue.push sock listener.Socket.accept_q;
+        notify t listener.Socket.fd
+      end
       else begin
         (* Backlog overflow: abort the fresh connection. *)
         sock.Socket.closed_by_app <- true;
@@ -522,7 +587,8 @@ let handle_event t (sock : Socket.tcp_sock) ~parent event =
     Hashtbl.remove t.conns (conn_key_of sock.Socket.cb);
     Hashtbl.remove t.sock_ctx sock.Socket.fd;
     if sock.Socket.closed_by_app then release_fd t sock.Socket.fd
-  | Tcp_cb.Data_readable | Tcp_cb.Writable | Tcp_cb.Peer_closed -> ()
+  | Tcp_cb.Data_readable | Tcp_cb.Writable | Tcp_cb.Peer_closed -> ());
+  notify t sock.Socket.fd
 
 let note_stat t (s : Tcp_cb.stat) =
   match s with
@@ -561,6 +627,7 @@ let new_tcp_sock t fd ~local_port : Socket.tcp_sock =
     pending_error = None;
     connect_started = false;
     closed_by_app = false;
+    parked_until = not_parked;
   }
 
 let fresh_iss t = Dsim.Rng.int t.rng 0x7FFFFFFF
@@ -684,6 +751,7 @@ let udp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
         let data_len = hdr.Udp.length - Udp.header_len in
         let data = Bytes.sub buf payload_off data_len in
         Queue.push (ip_hdr.Ipv4.src, hdr.Udp.src_port, data) sock.Socket.rcv_q;
+        notify t sock.Socket.ufd;
         Dsim.Flowtrace.hop flow Sock ~at:(now t)
       end)
 
@@ -760,17 +828,37 @@ let handle_frame t ?(flow = None) (s : Dsim.Slice.t) =
 (* Main loop                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-tick TCP servicing visits only the armed-timer set: every
-   connection with pending work holds at least one deadline (data in
-   flight arms the rtx timer, zero-window persist arms it explicitly,
-   delayed ACKs arm the ack timer), so skipping timer-less connections
-   emits exactly the same segments the old full-table scan did while
-   idle connections cost nothing. Serviced in fd order so the schedule
-   is independent of hash-table layout. *)
+(* Pop the TIME_WAIT queue's entries whose deadline has passed onto
+   [acc], skipping stale ones. *)
+let rec expired_time_wait t now_ acc =
+  if Queue.is_empty t.time_wait then acc
+  else begin
+    let d, (sock : Socket.tcp_sock) = Queue.peek t.time_wait in
+    if Dsim.Time.(d > now_) then acc
+    else begin
+      ignore (Queue.pop t.time_wait);
+      if sock.Socket.parked_until = d then begin
+        sock.Socket.parked_until <- not_parked;
+        expired_time_wait t now_ (sock :: acc)
+      end
+      else expired_time_wait t now_ acc
+    end
+  end
+
+(* Per-tick TCP servicing visits the armed-timer set and the TIME_WAIT
+   sockets whose 2MSL deadline has passed. Every connection with
+   pending work holds at least one deadline (data in flight arms the
+   rtx timer, zero-window persist arms it explicitly, delayed ACKs arm
+   the ack timer), and a queued TIME_WAIT socket neither emits nor
+   changes state before its deadline, so the pass emits exactly the
+   segments a walk over every socket would, while idle connections and
+   TIME_WAIT sockets cost nothing until due. Serviced in fd order so the
+   schedule is independent of hash-table layout. *)
 let service_tcp t =
-  if Hashtbl.length t.armed > 0 then begin
+  let due = expired_time_wait t (now t) [] in
+  if Hashtbl.length t.armed > 0 || not (List.is_empty due) then begin
     let socks =
-      Hashtbl.fold (fun _ s acc -> s :: acc) t.armed []
+      Hashtbl.fold (fun _ s acc -> s :: acc) t.armed due
       |> List.sort (fun (a : Socket.tcp_sock) b ->
              compare a.Socket.fd b.Socket.fd)
     in
@@ -947,6 +1035,8 @@ let read t fd ~buf ~off ~len =
           Tcp_output.send_ack cb (get_ctx t sock);
           update_armed t sock
         end;
+        (* Drained after the peer's FIN: now it reads as HUP. *)
+        if cb.Tcp_cb.fin_received then notify t fd;
         Ok n
       end
       else if cb.Tcp_cb.fin_received then Ok 0
@@ -991,7 +1081,8 @@ let flush_fd t fd =
   | None -> ()
   | Some sock ->
     Tcp_output.flush sock.Socket.cb (get_ctx t sock);
-    update_armed t sock
+    update_armed t sock;
+    notify t fd
 
 let close t fd =
   match Socket.find t.table fd with
@@ -1046,9 +1137,6 @@ let close t fd =
 
 let epoll_create t =
   match Socket.alloc t.table (fun _fd -> Socket.Epoll_inst (Epoll.create ())) with
-  | Ok (fd, Socket.Epoll_inst ep) ->
-    Hashtbl.replace t.epolls fd ep;
-    Ok fd
   | Ok (fd, _) -> Ok fd
   | Error e -> Error e
 
@@ -1057,9 +1145,15 @@ let epoll_ctl t ~epfd ~op ~fd events =
   if Socket.find t.table fd = None then Error Errno.EBADF
   else begin
     match op with
-    | `Add -> Epoll.ctl_add ep ~fd events
+    | `Add ->
+      let* () = Epoll.ctl_add ep ~fd events in
+      t.watchers.(fd) <- ep :: t.watchers.(fd);
+      Ok ()
     | `Mod -> Epoll.ctl_mod ep ~fd events
-    | `Del -> Epoll.ctl_del ep ~fd
+    | `Del ->
+      let* () = Epoll.ctl_del ep ~fd in
+      unwatch t fd ep;
+      Ok ()
   end
 
 let readiness_of t fd =

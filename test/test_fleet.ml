@@ -2,7 +2,7 @@
    engine (arithmetic, trace ingestion, telescoping decomposition,
    drop attribution), determinism of the full fleet run, and the
    stack-level scaling fixes the fleet leans on (port index, epoll
-   registration cache, timer wheel). *)
+   ready lists, the TIME_WAIT queue). *)
 
 open Netstack
 
@@ -226,10 +226,25 @@ let get = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected errno %s" (Errno.to_string e)
 
+let connect_to stack fd ~port =
+  match Stack.connect stack fd ~ip:ip_left ~port with
+  | Ok () | Error Errno.EINPROGRESS -> ()
+  | Error e -> Alcotest.failf "connect: %s" (Errno.to_string e)
+
+(* The fds [epoll_wait] reports, each with whether it carries [flag]. *)
+let reported stack ~epfd flag =
+  List.map
+    (fun (fd, ev) -> (fd, Epoll.has ev flag))
+    (get (Stack.epoll_wait stack ~epfd ~max:512))
+
+let fd_flags = Alcotest.(list (pair int bool))
+
 (* A farm of listeners: the port index must answer port_in_use without
    scanning every socket, bind collisions must still be detected, and
    one epoll instance over hundreds of registrations must report
-   exactly the ready fd. *)
+   exactly the ready fd. Every readiness change the stack makes reaches
+   the epoll ready lists: an accept, data to read, send space freed by
+   ACKs, the peer's FIN, a close, an RST and an RTO give-up. *)
 let listener_farm () =
   let engine, left, right = make_world () in
   let n = 200 in
@@ -256,11 +271,91 @@ let listener_farm () =
   | Ok () | Error Errno.EINPROGRESS -> ()
   | Error e -> Alcotest.failf "connect: %s" (Errno.to_string e));
   run_for engine (Dsim.Time.ms 50);
-  (match get (Stack.epoll_wait left ~epfd ~max:512) with
-  | [ (_, ev) ] ->
-    Alcotest.(check bool) "the one ready fd is readable" true
-      (Epoll.has ev Epoll.epollin)
-  | evs -> Alcotest.failf "expected one ready fd, got %d" (List.length evs))
+  let lfd =
+    match get (Stack.epoll_wait left ~epfd ~max:512) with
+    | [ (lfd, ev) ] ->
+      Alcotest.(check bool) "the one ready fd is readable" true
+        (Epoll.has ev Epoll.epollin);
+      lfd
+    | evs -> Alcotest.failf "expected one ready fd, got %d" (List.length evs)
+  in
+  let afd, _, _ = get (Stack.accept left lfd) in
+  Alcotest.check fd_flags "accepted: listener idle again" []
+    (reported left ~epfd Epoll.epollin);
+  get (Stack.epoll_ctl left ~epfd ~op:`Add ~fd:afd Epoll.epollin);
+  Alcotest.check fd_flags "fresh connection idle" []
+    (reported left ~epfd Epoll.epollin);
+  (* Read: the peer's bytes make it readable, draining them does not. *)
+  let msg = Bytes.of_string "hello" in
+  ignore (get (Stack.write right cfd ~buf:msg ~off:0 ~len:5));
+  run_for engine (Dsim.Time.ms 5);
+  Alcotest.check fd_flags "data readable" [ (afd, true) ]
+    (reported left ~epfd Epoll.epollin);
+  let buf = Bytes.create 4096 in
+  Alcotest.(check int) "read it" 5
+    (get (Stack.read left afd ~buf ~off:0 ~len:4096));
+  Alcotest.check fd_flags "drained" [] (reported left ~epfd Epoll.epollin);
+  (* Write: a full send buffer is not writable until ACKs free it. *)
+  get (Stack.epoll_ctl left ~epfd ~op:`Mod ~fd:afd Epoll.epollout);
+  Alcotest.check fd_flags "writable" [ (afd, true) ]
+    (reported left ~epfd Epoll.epollout);
+  let rec fill () =
+    match Stack.write left afd ~buf ~off:0 ~len:4096 with
+    | Ok _ -> fill ()
+    | Error Errno.EAGAIN -> ()
+    | Error e -> Alcotest.failf "write: %s" (Errno.to_string e)
+  in
+  fill ();
+  Alcotest.check fd_flags "send buffer full" []
+    (reported left ~epfd Epoll.epollout);
+  run_for engine (Dsim.Time.ms 5);
+  Alcotest.check fd_flags "ACKs free the buffer" [ (afd, true) ]
+    (reported left ~epfd Epoll.epollout);
+  (* The peer reads it all, so the close below is not stuck behind a
+     zero window. *)
+  for _ = 1 to 20 do
+    (match Stack.read right cfd ~buf ~off:0 ~len:4096 with
+    | Ok _ | Error Errno.EAGAIN -> ()
+    | Error e -> Alcotest.failf "peer read: %s" (Errno.to_string e));
+    run_for engine (Dsim.Time.us 200)
+  done;
+  (* Peer FIN: EOF reads as IN|HUP. *)
+  get (Stack.epoll_ctl left ~epfd ~op:`Mod ~fd:afd Epoll.epollin);
+  Alcotest.check fd_flags "idle for IN" [] (reported left ~epfd Epoll.epollin);
+  get (Stack.close right cfd);
+  run_for engine (Dsim.Time.ms 5);
+  Alcotest.check fd_flags "peer FIN" [ (afd, true) ]
+    (reported left ~epfd Epoll.epollhup);
+  (* Close: the registration goes when the socket is released. *)
+  get (Stack.close left afd);
+  run_for engine (Dsim.Time.ms 5);
+  Alcotest.(check (option int)) "closed fd unregistered" None
+    (Option.map (fun _ -> 0)
+       (List.assoc_opt afd (get (Stack.epoll_wait left ~epfd ~max:512))));
+  Alcotest.check fd_flags "farm idle after the close" []
+    (reported left ~epfd Epoll.epollin);
+  (* RST: a SYN to a port nobody listens on is refused. *)
+  let repfd = get (Stack.epoll_create right) in
+  let rfd = get (Stack.socket_stream right) in
+  get (Stack.epoll_ctl right ~epfd:repfd ~op:`Add ~fd:rfd Epoll.epollout);
+  connect_to right rfd ~port:5999;
+  Alcotest.check fd_flags "connecting" [] (reported right ~epfd:repfd Epoll.epollerr);
+  run_for engine (Dsim.Time.ms 5);
+  Alcotest.check fd_flags "refused by RST" [ (rfd, true) ]
+    (reported right ~epfd:repfd Epoll.epollerr);
+  get (Stack.close right rfd);
+  (* RTO give-up: the peer stops answering while data is in flight. *)
+  let gfd = get (Stack.socket_stream right) in
+  connect_to right gfd ~port:6007;
+  run_for engine (Dsim.Time.ms 5);
+  get (Stack.epoll_ctl right ~epfd:repfd ~op:`Add ~fd:gfd Epoll.epollin);
+  Alcotest.check fd_flags "established, idle" []
+    (reported right ~epfd:repfd Epoll.epollerr);
+  Stack.stop left;
+  ignore (get (Stack.write right gfd ~buf:msg ~off:0 ~len:5));
+  run_for engine (Dsim.Time.sec 2);
+  Alcotest.check fd_flags "retransmissions given up" [ (gfd, true) ]
+    (reported right ~epfd:repfd Epoll.epollerr)
 
 (* Ephemeral allocation under churn: closed-and-released ports must be
    reusable and fresh connections must keep finding free ports. *)
@@ -298,9 +393,9 @@ let ephemeral_churn () =
   Alcotest.(check bool) "server sockets drained after churn" true
     (Stack.live_sockets left <= 2)
 
-(* The timer wheel under the armed-set walk: a TIME_WAIT expiry far in
-   the future must still fire when only a handful of timers are armed
-   among thousands of ticks. *)
+(* The TIME_WAIT queue under the armed-set walk: a 2MSL expiry far in
+   the future must still fire when the socket waits outside the armed
+   set through thousands of ticks. *)
 let time_wait_expires () =
   let engine, left, right = make_world () in
   let lfd = get (Stack.socket_stream left) in
@@ -326,6 +421,86 @@ let time_wait_expires () =
   Alcotest.(check bool) "TIME_WAIT timer fired and reclaimed" true
     (Stack.live_sockets right < live_before)
 
+(* TIME_WAIT sockets cost nothing until they expire: with 300 of them
+   on one otherwise idle stack, a loop iteration allocates next to
+   nothing (a pass over each of them would cons and sort all 300), and
+   2MSL still reclaims every one. *)
+let time_wait_costs_nothing () =
+  let engine, left, right = make_world () in
+  let n = 300 in
+  let lfd = get (Stack.socket_stream left) in
+  get (Stack.bind left lfd ~port:7200);
+  get (Stack.listen left lfd ~backlog:n);
+  (* Batches of 10 stay inside the ARP queue while the first resolves. *)
+  let cfds =
+    List.concat
+      (List.init (n / 10) (fun _ ->
+           let batch =
+             List.init 10 (fun _ ->
+                 let fd = get (Stack.socket_stream right) in
+                 connect_to right fd ~port:7200;
+                 fd)
+           in
+           run_for engine (Dsim.Time.ms 1);
+           batch))
+  in
+  run_for engine (Dsim.Time.ms 30);
+  let rec accept_all acc =
+    match Stack.accept left lfd with
+    | Ok (afd, _, _) -> accept_all (afd :: acc)
+    | Error _ -> acc
+  in
+  let afds = accept_all [] in
+  Alcotest.(check int) "all accepted" n (List.length afds);
+  (* Active close on the right: its sockets end in TIME_WAIT. A loop
+     iteration takes 32 frames, so each burst of 300 FINs needs a few
+     milliseconds to drain. *)
+  List.iter (fun fd -> get (Stack.close right fd)) cfds;
+  run_for engine (Dsim.Time.ms 20);
+  List.iter (fun fd -> get (Stack.close left fd)) afds;
+  run_for engine (Dsim.Time.ms 20);
+  let in_time_wait () =
+    List.length
+      (List.filter
+         (fun fd ->
+           match Stack.tcp_sock_of_fd right fd with
+           | Some s -> s.Socket.cb.Tcp_cb.state = Tcp_cb.Time_wait
+           | None -> false)
+         cfds)
+  in
+  Alcotest.(check int) "all in TIME_WAIT" n (in_time_wait ());
+  let base =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let words = ref 0. in
+  for _ = 1 to 10 do
+    let a = Gc.minor_words () in
+    ignore (Stack.loop_once right);
+    words := !words +. (Gc.minor_words () -. a -. base)
+  done;
+  (* About 30 words an iteration, none of them per socket; consing the
+     300 sockets alone would take 900. *)
+  let budget = 10. *. 64. in
+  if !words > budget then
+    Alcotest.failf "10 idle loop iterations allocated %.0f minor words (budget %.0f)"
+      !words budget;
+  (* Each goes at its own 2MSL deadline, within one idle loop gap. *)
+  let deadlines =
+    List.filter_map
+      (fun fd ->
+        Option.bind (Stack.tcp_sock_of_fd right fd) (fun s ->
+            s.Socket.cb.Tcp_cb.time_wait_deadline))
+      cfds
+  in
+  let first = List.fold_left Dsim.Time.min max_int deadlines
+  and last = List.fold_left Dsim.Time.max Dsim.Time.zero deadlines in
+  Dsim.Engine.run engine ~until:(Dsim.Time.sub first (Dsim.Time.ns 1));
+  Alcotest.(check int) "held until the first deadline" n (in_time_wait ());
+  Dsim.Engine.run engine ~until:(Dsim.Time.add last (Dsim.Time.us 20));
+  Alcotest.(check int) "2MSL reclaimed every one" 0 (in_time_wait ());
+  Alcotest.(check int) "sockets released" 0 (Stack.live_sockets right)
+
 let suite =
   [
     Alcotest.test_case "jain fairness vectors" `Quick jain_vectors;
@@ -343,4 +518,6 @@ let suite =
     Alcotest.test_case "ephemeral churn recycles ports" `Quick ephemeral_churn;
     Alcotest.test_case "TIME_WAIT expiry via armed timers" `Quick
       time_wait_expires;
+    Alcotest.test_case "TIME_WAIT sockets cost nothing until they expire"
+      `Quick time_wait_costs_nothing;
   ]

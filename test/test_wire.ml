@@ -333,6 +333,38 @@ let ipv4_parse_errors () =
   check_reject "total length past the buffer" Dsim.Flowtrace.Bad_length
     (parse (edited (fun b -> Bytes.set_uint16_be b 2 22)))
 
+(* RFC 791's option walk over a 4-byte option area (IHL 6): a lying
+   length is rejected like a lying TCP option, never skipped. *)
+let ipv4_option_walk () =
+  let with_options opts =
+    let h =
+      { Netstack.Ipv4.src = ip "1.1.1.1"; dst = ip "2.2.2.2";
+        protocol = Netstack.Ipv4.Udp; ttl = 1; ident = 0; total_len = 25 }
+    in
+    let b = Bytes.create 25 in
+    Netstack.Ipv4.build_into h b ~off:0;
+    Bytes.set b 0 '\x46';
+    Bytes.blit_string opts 0 b 20 4;
+    Bytes.set b 24 'x';
+    fix_checksum b ~off:0 ~len:24 ~field:10;
+    Netstack.Ipv4.parse b ~off:0 ~len:25
+  in
+  check_reject "timestamp claiming 255 bytes (44 ff 05 00)"
+    Dsim.Flowtrace.Bad_option
+    (with_options "\x44\xff\x05\x00");
+  check_reject "length below 2" Dsim.Flowtrace.Bad_option
+    (with_options "\x07\x01\x00\x00");
+  check_reject "type byte with no length byte" Dsim.Flowtrace.Bad_option
+    (with_options "\x01\x01\x01\x07");
+  let parses what opts =
+    match with_options opts with
+    | Ok (_, poff) -> Alcotest.(check int) (what ^ ": payload after IHL") 24 poff
+    | Error r -> fail_reason r
+  in
+  parses "timestamp filling the area" "\x44\x04\x05\x00";
+  parses "NOPs then EOL" "\x01\x01\x01\x00";
+  parses "EOL hides the bytes after it" "\x00\xff\xff\xff"
+
 (* ------------------------------------------------------------------ *)
 (* ICMP                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -681,12 +713,16 @@ type mutation =
           so a truncation is not simply refused as [Bad_length]. *)
   | Option_length of int * int
       (** Give the n-th TCP option of the seed segment this length. *)
+  | Ip_option of int * int
+      (** Grow the IPv4 header by a 4-byte option area holding an option
+          of this type and length. *)
 
 let pp_mutation = function
   | Set (pos, v) -> Printf.sprintf "set %d=0x%02x" pos v
   | Truncate n -> Printf.sprintf "truncate %d" n
   | Fit_ip_length -> "fit ip length"
   | Option_length (i, v) -> Printf.sprintf "option %d length %d" i v
+  | Ip_option (k, v) -> Printf.sprintf "ip option type %d length %d" k v
 
 (* The seed TCP segment's option-length bytes: Ethernet 14 + IPv4 20 +
    TCP 20, then MSS (length at +1), NOP + window scale (+6), two NOPs
@@ -705,6 +741,25 @@ let mutate b = function
     let pos = option_length_offsets.(i) in
     if pos < Bytes.length b then Bytes.set_uint8 b pos v;
     b
+  | Ip_option (kind, olen) ->
+    let len = Bytes.length b in
+    let vihl = if len > 14 then Bytes.get_uint8 b 14 else 0 in
+    let ihl = (vihl land 0xf) * 4 in
+    if len < 18 || vihl lsr 4 <> 4 || ihl < 20 || ihl > 56 || 14 + ihl > len
+    then b
+    else begin
+      (* The area goes after the present header; the total length
+         grows with it, so only the option walk can object. *)
+      let at = 14 + ihl in
+      let b' = Bytes.make (len + 4) '\000' in
+      Bytes.blit b 0 b' 0 at;
+      Bytes.set_uint8 b' at kind;
+      Bytes.set_uint8 b' (at + 1) olen;
+      Bytes.blit b at b' (at + 4) (len - at);
+      Bytes.set_uint8 b' 14 (vihl + 1);
+      Bytes.set_uint16_be b' 16 ((Bytes.get_uint16_be b 16 + 4) land 0xffff);
+      b'
+    end
 
 (* Re-checksum whatever the mutated header bytes still describe — the
    IPv4 header, then the transport its total length covers — so a
@@ -774,7 +829,12 @@ let parsers_reject_typed_prop =
           (1, return Fit_ip_length);
           ( 2,
             map2 (fun i v -> Option_length (i, v)) (int_bound 2) (int_bound 255)
-          ) ])
+          );
+          ( 2,
+            map2
+              (fun k v -> Ip_option (k, v))
+              (oneofl [ 0; 1; 7; 0x44; 0x83; 0x94 ])
+              (int_bound 8) ) ])
   in
   let print (seed, ms, fix) =
     Printf.sprintf "seed %d, [%s], checksums %s" seed
@@ -833,6 +893,7 @@ let suite =
     Alcotest.test_case "checksum: window past the buffer" `Quick
       checksum_window_past_buffer;
     QCheck_alcotest.to_alcotest parsers_reject_typed_prop;
+    Alcotest.test_case "ipv4: option walk" `Quick ipv4_option_walk;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -905,10 +966,159 @@ let epoll_err_always_reported () =
   Alcotest.(check string) "events pp" "IN|ERR"
     (Format.asprintf "%a" pp_events (epollin lor epollerr))
 
+(* The full-scan [Epoll.wait] the ready list replaced, kept as the
+   reference it must reproduce: every registered fd in ascending order,
+   the start rotated by one rank per call, truncated at [max]. *)
+module Scan_epoll = struct
+  open Netstack.Epoll
+
+  type t = { mutable interests : (int * events) list; mutable rotation : int }
+
+  let create () = { interests = []; rotation = 0 }
+  let mem t fd = List.mem_assoc fd t.interests
+
+  let ctl_add t ~fd ev =
+    if mem t fd then Error Netstack.Errno.EINVAL
+    else begin
+      t.interests <- List.sort compare ((fd, ev) :: t.interests);
+      Ok ()
+    end
+
+  let ctl_mod t ~fd ev =
+    if not (mem t fd) then Error Netstack.Errno.EINVAL
+    else begin
+      t.interests <-
+        List.map (fun (f, e) -> if f = fd then (f, ev) else (f, e)) t.interests;
+      Ok ()
+    end
+
+  let ctl_del t ~fd =
+    if not (mem t fd) then Error Netstack.Errno.EINVAL
+    else begin
+      t.interests <- List.remove_assoc fd t.interests;
+      Ok ()
+    end
+
+  let forget t ~fd = t.interests <- List.remove_assoc fd t.interests
+
+  let wait t ~readiness ~max =
+    let arr = Array.of_list t.interests in
+    let n = Array.length arr in
+    if n = 0 || max <= 0 then []
+    else begin
+      let start = t.rotation mod n in
+      t.rotation <- t.rotation + 1;
+      let out = ref [] and count = ref 0 in
+      for i = 0 to n - 1 do
+        if !count < max then begin
+          let fd, want = arr.((start + i) mod n) in
+          let reported = readiness fd land (want lor epollerr lor epollhup) in
+          if reported <> 0 then begin
+            out := (fd, reported) :: !out;
+            incr count
+          end
+        end
+      done;
+      List.rev !out
+    end
+end
+
+type epoll_op =
+  | Ep_add of int * int
+  | Ep_mod of int * int
+  | Ep_del of int
+  | Ep_forget of int
+  | Ep_flip of int * int  (** New readiness for an fd, then its notify. *)
+  | Ep_wait of int
+
+let pp_epoll_op = function
+  | Ep_add (fd, ev) -> Printf.sprintf "add %d 0x%x" fd ev
+  | Ep_mod (fd, ev) -> Printf.sprintf "mod %d 0x%x" fd ev
+  | Ep_del fd -> Printf.sprintf "del %d" fd
+  | Ep_forget fd -> Printf.sprintf "forget %d" fd
+  | Ep_flip (fd, ev) -> Printf.sprintf "ready %d 0x%x" fd ev
+  | Ep_wait max -> Printf.sprintf "wait %d" max
+
+(* Random registrations, readiness flips (each followed by the notify
+   the contract asks for) and waits over a dozen fds: every wait of the
+   ready list must equal the full scan's, rotation and truncation
+   included, and so must every ctl verdict. *)
+let epoll_matches_scan_prop =
+  let nfds = 12 in
+  let op =
+    QCheck.Gen.(
+      let fd = int_range 3 (2 + nfds) in
+      let events = map (fun m -> m land 0x1d) (int_bound 31) in
+      frequency
+        [ (3, map2 (fun fd ev -> Ep_add (fd, ev)) fd events);
+          (2, map2 (fun fd ev -> Ep_mod (fd, ev)) fd events);
+          (1, map (fun fd -> Ep_del fd) fd);
+          (1, map (fun fd -> Ep_forget fd) fd);
+          (4, map2 (fun fd ev -> Ep_flip (fd, ev)) fd events);
+          (3, map (fun m -> Ep_wait m) (int_range 1 (nfds + 2))) ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"epoll: ready list matches a full scan"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_epoll_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) op))
+    (fun ops ->
+      let open Netstack in
+      let ep = Epoll.create () and scan = Scan_epoll.create () in
+      let ready = Array.make (3 + nfds) 0 in
+      let readiness fd = ready.(fd) in
+      List.for_all
+        (function
+          | Ep_add (fd, ev) -> Epoll.ctl_add ep ~fd ev = Scan_epoll.ctl_add scan ~fd ev
+          | Ep_mod (fd, ev) -> Epoll.ctl_mod ep ~fd ev = Scan_epoll.ctl_mod scan ~fd ev
+          | Ep_del fd -> Epoll.ctl_del ep ~fd = Scan_epoll.ctl_del scan ~fd
+          | Ep_forget fd ->
+            Epoll.forget ep ~fd;
+            Scan_epoll.forget scan ~fd;
+            true
+          | Ep_flip (fd, ev) ->
+            ready.(fd) <- ev;
+            Epoll.notify ep ~fd;
+            true
+          | Ep_wait max ->
+            Epoll.wait ep ~readiness ~max = Scan_epoll.wait scan ~readiness ~max)
+        ops
+      && Epoll.registered ep = scan.Scan_epoll.interests)
+
+(* A wait's cost follows the ready list: once a first wait has found 500
+   fresh registrations idle, the next evaluates none of them (the full
+   scan evaluated all 500 on every call), and a notified fd is the only
+   one looked at. *)
+let epoll_idle_interests_cost_nothing () =
+  let open Netstack.Epoll in
+  let ep = create () in
+  for fd = 3 to 502 do
+    ignore (ctl_add ep ~fd epollin)
+  done;
+  let calls = ref 0 and hot = ref (-1) in
+  let readiness fd =
+    incr calls;
+    if fd = !hot then epollin else 0
+  in
+  Alcotest.(check int) "fresh registrations idle" 0
+    (List.length (wait ep ~readiness ~max:64));
+  Alcotest.(check int) "each fresh registration evaluated once" 500 !calls;
+  calls := 0;
+  Alcotest.(check int) "still idle" 0 (List.length (wait ep ~readiness ~max:64));
+  Alcotest.(check int) "idle interests evaluated" 0 !calls;
+  hot := 250;
+  notify ep ~fd:250;
+  (match wait ep ~readiness ~max:64 with
+  | [ (250, ev) ] -> Alcotest.(check bool) "IN" true (has ev epollin)
+  | evs -> Alcotest.failf "expected fd 250 alone, got %d fds" (List.length evs));
+  Alcotest.(check int) "only the notified fd evaluated" 1 !calls
+
 let unit_suite =
   [
     Alcotest.test_case "socket table: limits and reuse" `Quick socket_table_limits;
     Alcotest.test_case "socket table: kind lookups" `Quick socket_find_kinds;
     Alcotest.test_case "epoll: rotation fairness" `Quick epoll_rotation_fairness;
     Alcotest.test_case "epoll: ERR always reported" `Quick epoll_err_always_reported;
+    QCheck_alcotest.to_alcotest epoll_matches_scan_prop;
+    Alcotest.test_case "epoll: idle interests cost nothing" `Quick
+      epoll_idle_interests_cost_nothing;
   ]
