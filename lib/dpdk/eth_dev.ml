@@ -144,7 +144,7 @@ let rx_burst t ~max =
   in
   let mbufs = List.map take completions in
   restock t;
-  if mbufs <> [] && Dsim.Metrics.enabled Dsim.Metrics.default then begin
+  if (not (List.is_empty mbufs)) && Dsim.Metrics.enabled Dsim.Metrics.default then begin
     Dsim.Metrics.incr t.m_rx_bursts;
     Dsim.Metrics.incr_by t.m_rx_packets (List.length mbufs);
     Dsim.Metrics.incr_by t.m_rx_bytes

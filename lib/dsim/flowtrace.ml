@@ -198,11 +198,15 @@ let origin_ns t ~at_ns ~flow ?parent stage =
     end
   end
 
+let next_sampled t = t.on && t.tick = 0 && t.n_sampled < t.capacity
+
 (* The float timestamp is boxed on its way to [origin_ns], so convert
-   only once the registry is on. *)
+   it only for an origin the sampler takes; any other origin still
+   counts and advances the 1-in-N counter. *)
 let origin t ~at ~flow ?parent stage =
-  if t.on then origin_ns t ~at_ns:(Time.to_float_ns at) ~flow ?parent stage
-  else None
+  if next_sampled t then
+    origin_ns t ~at_ns:(Time.to_float_ns at) ~flow ?parent stage
+  else origin_ns t ~at_ns:0. ~flow ?parent stage
 
 let hop_ns flow stage ~at_ns =
   match flow with

@@ -128,6 +128,14 @@ val origin :
     recording call downstream accepts the option directly. [?parent]
     links a retransmission to the trace id of the original segment. *)
 
+val next_sampled : t -> bool
+(** Whether the next {!origin} or {!origin_ns} call will start a trace:
+    the registry is enabled, the 1-in-N counter is at its sampling
+    point and the capacity is not reached. Reads only; the counter
+    still advances on every origin, so a caller may skip building a
+    flow label when this is false and pass any label, and the traces,
+    their ids and their labels stay exactly as if it had built it. *)
+
 val origin_ns :
   t -> at_ns:float -> flow:string -> ?parent:int -> stage -> ctx option
 (** As {!origin} with a raw float nanosecond timestamp (used by the

@@ -10,33 +10,16 @@ type packet = {
 
 let packet_len = 28
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set_ip b off ip =
-  let v = Ipv4_addr.to_int32 ip in
-  for i = 0 to 3 do
-    Bytes.set b (off + i)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v ((3 - i) * 8)) land 0xff))
-  done
-
-let get_ip b off =
-  let v = ref 0l in
-  for i = 0 to 3 do
-    v := Int32.logor (Int32.shift_left !v 8) (Int32.of_int (Char.code (Bytes.get b (off + i))))
-  done;
-  Ipv4_addr.of_int32 !v
+let set_ip b off ip = Bytes.set_int32_be b off (Ipv4_addr.to_int32 ip)
+let get_ip b off = Ipv4_addr.of_int32 (Bytes.get_int32_be b off)
 
 let build p =
   let b = Bytes.create packet_len in
-  set_u16 b 0 1 (* htype ethernet *);
-  set_u16 b 2 0x0800 (* ptype ipv4 *);
+  Bytes.set_uint16_be b 0 1 (* htype ethernet *);
+  Bytes.set_uint16_be b 2 0x0800 (* ptype ipv4 *);
   Bytes.set b 4 '\006' (* hlen *);
   Bytes.set b 5 '\004' (* plen *);
-  set_u16 b 6 (match p.op with Request -> 1 | Reply -> 2);
+  Bytes.set_uint16_be b 6 (match p.op with Request -> 1 | Reply -> 2);
   Bytes.blit_string (Nic.Mac_addr.to_bytes p.sender_mac) 0 b 8 6;
   set_ip b 14 p.sender_ip;
   Bytes.blit_string (Nic.Mac_addr.to_bytes p.target_mac) 0 b 18 6;
@@ -45,10 +28,12 @@ let build p =
 
 let parse b ~off =
   if Bytes.length b - off < packet_len then Error Dsim.Flowtrace.Parse_error
-  else if get_u16 b off <> 1 || get_u16 b (off + 2) <> 0x0800 then
+  else if
+    Bytes.get_uint16_be b off <> 1 || Bytes.get_uint16_be b (off + 2) <> 0x0800
+  then
     Error Dsim.Flowtrace.Parse_error
   else begin
-    match get_u16 b (off + 6) with
+    match Bytes.get_uint16_be b (off + 6) with
     | (1 | 2) as opv ->
       Ok
         {

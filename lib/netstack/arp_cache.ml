@@ -5,12 +5,22 @@ type entry = { mac : Nic.Mac_addr.t; expires : Dsim.Time.t }
    [next_retry]. *)
 type resolve = { mutable attempts : int; mutable next_retry : Dsim.Time.t }
 
+(* The resolved-entry table is looked up for every transmitted packet,
+   so its addresses hash to themselves rather than through the
+   polymorphic hash. The other tables are off the frame path. *)
+module Ip_tbl = Hashtbl.Make (struct
+  type t = Ipv4_addr.t
+
+  let equal = Ipv4_addr.equal
+  let hash ip = Int32.to_int (Ipv4_addr.to_int32 ip)
+end)
+
 type t = {
   entry_lifetime : Dsim.Time.t;
   max_pending : int;
   max_attempts : int;
   negative_lifetime : Dsim.Time.t;
-  table : (Ipv4_addr.t, entry) Hashtbl.t;
+  table : entry Ip_tbl.t;
   pending : (Ipv4_addr.t, bytes Queue.t) Hashtbl.t;
   requests : (Ipv4_addr.t, resolve) Hashtbl.t;
   negative : (Ipv4_addr.t, Dsim.Time.t) Hashtbl.t;
@@ -28,18 +38,18 @@ let create ?(entry_lifetime = Dsim.Time.sec 60) ?(max_pending_per_ip = 16)
     max_pending = max_pending_per_ip;
     max_attempts;
     negative_lifetime;
-    table = Hashtbl.create 16;
+    table = Ip_tbl.create 16;
     pending = Hashtbl.create 8;
     requests = Hashtbl.create 8;
     negative = Hashtbl.create 8;
   }
 
 let lookup t ~now ip =
-  match Hashtbl.find_opt t.table ip with
+  match Ip_tbl.find_opt t.table ip with
   | None -> None
   | Some e ->
     if Dsim.Time.(now > e.expires) then begin
-      Hashtbl.remove t.table ip;
+      Ip_tbl.remove t.table ip;
       None
     end
     else Some e.mac
@@ -47,7 +57,7 @@ let lookup t ~now ip =
 let insert t ~now ip mac =
   Hashtbl.remove t.requests ip;
   Hashtbl.remove t.negative ip;
-  Hashtbl.replace t.table ip
+  Ip_tbl.replace t.table ip
     { mac; expires = Dsim.Time.add now t.entry_lifetime }
 
 let enqueue_pending t ip pkt =
@@ -129,4 +139,4 @@ let expire_failed t ~now =
   end
 
 let entries t =
-  Hashtbl.fold (fun ip e acc -> (ip, e.mac) :: acc) t.table []
+  Ip_tbl.fold (fun ip e acc -> (ip, e.mac) :: acc) t.table []

@@ -3,21 +3,15 @@ type message =
   | Echo_reply of { ident : int; seq : int; data : bytes }
   | Other of { typ : int; code : int }
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
 let build_echo ~typ ~ident ~seq ~data =
   let b = Bytes.create (8 + Bytes.length data) in
   Bytes.set b 0 (Char.chr typ);
   Bytes.set b 1 '\000' (* code *);
-  set_u16 b 2 0 (* checksum placeholder *);
-  set_u16 b 4 ident;
-  set_u16 b 6 seq;
+  Bytes.set_uint16_be b 2 0 (* checksum placeholder *);
+  Bytes.set_uint16_be b 4 ident;
+  Bytes.set_uint16_be b 6 seq;
   Bytes.blit data 0 b 8 (Bytes.length data);
-  set_u16 b 2 (Checksum.compute b ~off:0 ~len:(Bytes.length b));
+  Bytes.set_uint16_be b 2 (Checksum.compute b ~off:0 ~len:(Bytes.length b));
   b
 
 let build = function
@@ -27,7 +21,7 @@ let build = function
     let b = Bytes.create 8 in
     Bytes.set b 0 (Char.chr typ);
     Bytes.set b 1 (Char.chr code);
-    set_u16 b 2 (Checksum.compute b ~off:0 ~len:8);
+    Bytes.set_uint16_be b 2 (Checksum.compute b ~off:0 ~len:8);
     b
 
 let parse b ~off ~len =
@@ -37,7 +31,8 @@ let parse b ~off ~len =
   else begin
     let typ = Char.code (Bytes.get b off) in
     let code = Char.code (Bytes.get b (off + 1)) in
-    let ident = get_u16 b (off + 4) and seq = get_u16 b (off + 6) in
+    let ident = Bytes.get_uint16_be b (off + 4)
+    and seq = Bytes.get_uint16_be b (off + 6) in
     let data = Bytes.sub b (off + 8) (len - 8) in
     match typ with
     | 8 when code = 0 -> Ok (Echo_request { ident; seq; data })

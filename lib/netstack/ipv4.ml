@@ -23,38 +23,21 @@ let protocol_of_int = function
   | 17 -> Udp
   | v -> Unknown_proto v
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set_ip b off ip =
-  let v = Ipv4_addr.to_int32 ip in
-  for i = 0 to 3 do
-    Bytes.set b (off + i)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v ((3 - i) * 8)) land 0xff))
-  done
-
-let get_ip b off =
-  let v = ref 0l in
-  for i = 0 to 3 do
-    v := Int32.logor (Int32.shift_left !v 8) (Int32.of_int (Char.code (Bytes.get b (off + i))))
-  done;
-  Ipv4_addr.of_int32 !v
+let set_ip b off ip = Bytes.set_int32_be b off (Ipv4_addr.to_int32 ip)
+let get_ip b off = Ipv4_addr.of_int32 (Bytes.get_int32_be b off)
 
 let build_into h b ~off =
   Bytes.set b off '\x45' (* version 4, ihl 5 *);
   Bytes.set b (off + 1) '\000' (* dscp/ecn *);
-  set_u16 b (off + 2) h.total_len;
-  set_u16 b (off + 4) h.ident;
-  set_u16 b (off + 6) 0x4000 (* DF, fragment offset 0 *);
+  Bytes.set_uint16_be b (off + 2) h.total_len;
+  Bytes.set_uint16_be b (off + 4) h.ident;
+  Bytes.set_uint16_be b (off + 6) 0x4000 (* DF, fragment offset 0 *);
   Bytes.set b (off + 8) (Char.chr (h.ttl land 0xff));
   Bytes.set b (off + 9) (Char.chr (protocol_to_int h.protocol land 0xff));
-  set_u16 b (off + 10) 0 (* checksum placeholder *);
+  Bytes.set_uint16_be b (off + 10) 0 (* checksum placeholder *);
   set_ip b (off + 12) h.src;
   set_ip b (off + 16) h.dst;
-  set_u16 b (off + 10) (Checksum.compute b ~off ~len:header_len)
+  Bytes.set_uint16_be b (off + 10) (Checksum.compute b ~off ~len:header_len)
 
 let build h ~payload =
   let b = Bytes.create (header_len + Bytes.length payload) in
@@ -94,12 +77,12 @@ let parse b ~off ~len =
         ihl > header_len && not (options_valid b (off + header_len) (off + ihl))
       then Error Dsim.Flowtrace.Bad_option
       else begin
-        let total_len = get_u16 b (off + 2) in
+        let total_len = Bytes.get_uint16_be b (off + 2) in
         (* More Fragments set or a non-zero fragment offset: this stack
            does no reassembly, and treating a fragment as a whole
            datagram would hand the upper parser payload bytes that are
            not where its header claims. Typed reject instead. *)
-        let frag_field = get_u16 b (off + 6) in
+        let frag_field = Bytes.get_uint16_be b (off + 6) in
         if frag_field land 0x3fff <> 0 then
           Error Dsim.Flowtrace.Frag_unsupported
         else if total_len < ihl || total_len > len then
@@ -111,7 +94,7 @@ let parse b ~off ~len =
                 dst = get_ip b (off + 16);
                 protocol = protocol_of_int (Char.code (Bytes.get b (off + 9)));
                 ttl = Char.code (Bytes.get b (off + 8));
-                ident = get_u16 b (off + 4);
+                ident = Bytes.get_uint16_be b (off + 4);
                 total_len;
               },
               off + ihl )

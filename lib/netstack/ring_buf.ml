@@ -17,10 +17,10 @@ let write t src ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length src || len > Bytes.length src - off
   then
     invalid_arg "Ring_buf.write: bad source range";
-  let n = min len (free_space t) in
+  let n = Int.min len (free_space t) in
   let cap = capacity t in
   let tail = (t.head + t.len) mod cap in
-  let first = min n (cap - tail) in
+  let first = Int.min n (cap - tail) in
   Bytes.blit src off t.data tail first;
   if n > first then Bytes.blit src (off + first) t.data 0 (n - first);
   t.len <- t.len + n;
@@ -31,7 +31,7 @@ let blit_to t ~off ~len ~dst ~dst_off =
     invalid_arg "Ring_buf.blit_to: range exceeds buffered data";
   let cap = capacity t in
   let start = (t.head + off) mod cap in
-  let first = min len (cap - start) in
+  let first = Int.min len (cap - start) in
   Bytes.blit t.data start dst dst_off first;
   if len > first then Bytes.blit t.data 0 dst (dst_off + first) (len - first)
 
@@ -48,7 +48,7 @@ let drop t n =
   t.len <- t.len - n
 
 let read_into t ~dst ~dst_off ~len =
-  let n = min len t.len in
+  let n = Int.min len t.len in
   if n > 0 then begin
     blit_to t ~off:0 ~len:n ~dst ~dst_off;
     drop t n

@@ -8,6 +8,7 @@ type tcp_sock = {
   mutable connect_started : bool;
   mutable closed_by_app : bool;
   mutable parked_until : Dsim.Time.t;
+  mutable ctx : Tcp_cb.ctx option;
 }
 
 type udp_sock = {
@@ -19,9 +20,11 @@ type udp_sock = {
 
 type sock = Tcp of tcp_sock | Udp of udp_sock | Epoll_inst of Epoll.t
 
+(* Slots are indexed by fd; the first [first_fd] are never used. *)
 type table = {
-  socks : (int, sock) Hashtbl.t;
+  socks : sock option array;
   max_fds : int;
+  mutable live : int;
   mutable next_hint : int;
 }
 
@@ -29,23 +32,25 @@ type table = {
 let first_fd = 3
 
 let create_table ?(max_fds = 1024) () =
-  { socks = Hashtbl.create 64; max_fds; next_hint = first_fd }
+  { socks = Array.make (first_fd + max_fds) None; max_fds; live = 0;
+    next_hint = first_fd }
 
 let alloc t build =
-  if Hashtbl.length t.socks >= t.max_fds then Error Errno.EMFILE
+  if t.live >= t.max_fds then Error Errno.EMFILE
   else begin
     let rec probe fd =
       let fd = if fd >= first_fd + t.max_fds then first_fd else fd in
-      if Hashtbl.mem t.socks fd then probe (fd + 1) else fd
+      if Option.is_some t.socks.(fd) then probe (fd + 1) else fd
     in
     let fd = probe t.next_hint in
     t.next_hint <- fd + 1;
     let sock = build fd in
-    Hashtbl.replace t.socks fd sock;
+    t.socks.(fd) <- Some sock;
+    t.live <- t.live + 1;
     Ok (fd, sock)
   end
 
-let find t fd = Hashtbl.find_opt t.socks fd
+let find t fd = if fd < 0 || fd >= Array.length t.socks then None else t.socks.(fd)
 
 let find_tcp t fd =
   match find t fd with
@@ -65,12 +70,20 @@ let find_epoll t fd =
   | Some _ -> Error Errno.EINVAL
   | None -> Error Errno.EBADF
 
-let release t fd = Hashtbl.remove t.socks fd
-let fds t = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.socks [] |> List.sort compare
-let live_count t = Hashtbl.length t.socks
+let release t fd =
+  if Option.is_some (find t fd) then begin
+    t.socks.(fd) <- None;
+    t.live <- t.live - 1
+  end
 
-let iter_tcp t f =
-  Hashtbl.iter (fun _ s -> match s with Tcp ts -> f ts | Udp _ | Epoll_inst _ -> ()) t.socks
+let fds t =
+  let acc = ref [] in
+  for fd = Array.length t.socks - 1 downto first_fd do
+    if Option.is_some t.socks.(fd) then acc := fd :: !acc
+  done;
+  !acc
+
+let live_count t = t.live
 
 let tcp_readiness s =
   let open Tcp_cb in
@@ -93,7 +106,7 @@ let tcp_readiness s =
     | Closed when s.connect_started -> ev := !ev lor Epoll.epollhup
     | _ -> ())
   end;
-  if s.pending_error <> None then ev := !ev lor Epoll.epollerr lor Epoll.epollin;
+  if Option.is_some s.pending_error then ev := !ev lor Epoll.epollerr lor Epoll.epollin;
   !ev
 
 let udp_readiness s =

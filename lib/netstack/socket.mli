@@ -17,6 +17,10 @@ type tcp_sock = {
   mutable parked_until : Dsim.Time.t;
       (** The 2MSL deadline under which the stack's TIME_WAIT queue
           holds this socket, or [-1] while it is not queued. *)
+  mutable ctx : Tcp_cb.ctx option;
+      (** The callbacks the stack hands the TCP machinery for this
+          socket: made on first use, dropped when the connection reaches
+          CLOSED. *)
 }
 
 type udp_sock = {
@@ -32,6 +36,8 @@ type sock =
   | Epoll_inst of Epoll.t
 
 type table
+(** An array of [first_fd + max_fds] slots indexed by fd, with a count
+    of the live ones: lookups hash nothing. *)
 
 val first_fd : int
 (** The lowest fd; a table of [max_fds] allocates from [first_fd] to
@@ -44,14 +50,18 @@ val alloc : table -> (int -> sock) -> (int * sock, Errno.t) result
     callback. [Error EMFILE] when the table is full. *)
 
 val find : table -> int -> sock option
+(** [None] for a free slot and for any fd outside the table. *)
+
 val find_tcp : table -> int -> (tcp_sock, Errno.t) result
 val find_udp : table -> int -> (udp_sock, Errno.t) result
 val find_epoll : table -> int -> (Epoll.t, Errno.t) result
 val release : table -> int -> unit
-val fds : table -> int list
-val live_count : table -> int
+(** Free the fd's slot; a free or out-of-range fd is left alone. *)
 
-val iter_tcp : table -> (tcp_sock -> unit) -> unit
+val fds : table -> int list
+(** The live fds, ascending. *)
+
+val live_count : table -> int
 
 (** {1 Readiness (level-triggered)} *)
 

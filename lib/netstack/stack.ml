@@ -39,7 +39,27 @@ type counters = {
   mutable arp_failures : int;
 }
 
-type conn_key = int32 * int * int (* remote ip, remote port, local port *)
+(* fds hash to themselves: the armed-set updates after every segment
+   call no polymorphic hash. *)
+module Fd_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash fd = fd
+end)
+
+(* Connection demux key: remote ip, remote port, local port. Hashed and
+   compared field by field, so a lookup on the frame path calls no
+   polymorphic hash or compare. *)
+module Conn_tbl = Hashtbl.Make (struct
+  type t = Ipv4_addr.t * int * int
+
+  let equal ((ip, rp, lp) : t) ((ip', rp', lp') : t) =
+    Ipv4_addr.equal ip ip' && Int.equal rp rp' && Int.equal lp lp'
+
+  let hash ((ip, rp, lp) : t) =
+    (((Int32.to_int (Ipv4_addr.to_int32 ip) * 65599) + rp) * 65599) + lp
+end)
 
 (* Registry instruments, one set per stack, labelled by host IP.  The
    plain [counters] record above stays authoritative for tests; these
@@ -123,9 +143,8 @@ type t = {
   mac : Nic.Mac_addr.t;
   table : Socket.table;
   listeners : (int, Socket.tcp_sock) Hashtbl.t;
-  conns : (conn_key, Socket.tcp_sock) Hashtbl.t;
+  conns : Socket.tcp_sock Conn_tbl.t;
   udp_binds : (int, Socket.udp_sock) Hashtbl.t;
-  sock_ctx : (int, Tcp_cb.ctx) Hashtbl.t;  (* fd -> its stable ctx *)
   (* Local TCP port -> number of live sockets bound to it, so port
      allocation never rescans the socket table. Passive children share
      their listener's port, hence a refcount rather than a set. *)
@@ -133,7 +152,7 @@ type t = {
   (* TCP sockets with at least one timer deadline armed: the only
      connections the per-tick service pass must visit. Idle established
      connections cost nothing per loop iteration. *)
-  armed : (int, Socket.tcp_sock) Hashtbl.t;
+  armed : Socket.tcp_sock Fd_tbl.t;
   (* TIME_WAIT sockets whose 2MSL expiry is their only pending work,
      with that deadline, kept out of [armed] until it passes. Every
      socket of a stack shares [config.tcp.time_wait_duration], so the
@@ -179,11 +198,10 @@ let create engine mem dev config =
     mac = Nic.Igb.mac (Dpdk.Eth_dev.port dev);
     table = Socket.create_table ~max_fds:config.max_fds ();
     listeners = Hashtbl.create 8;
-    conns = Hashtbl.create 64;
+    conns = Conn_tbl.create 64;
     udp_binds = Hashtbl.create 8;
-    sock_ctx = Hashtbl.create 64;
     bound_ports = Hashtbl.create 64;
-    armed = Hashtbl.create 64;
+    armed = Fd_tbl.create 64;
     time_wait = Queue.create ();
     time_wait_last = Dsim.Time.zero;
     watchers = Array.make (Socket.first_fd + config.max_fds) [];
@@ -266,9 +284,9 @@ let port_bound_decr t port =
     | None -> ()
 
 let timers_armed (cb : Tcp_cb.t) =
-  cb.Tcp_cb.rtx_deadline <> None
-  || cb.Tcp_cb.ack_deadline <> None
-  || cb.Tcp_cb.time_wait_deadline <> None
+  Option.is_some cb.Tcp_cb.rtx_deadline
+  || Option.is_some cb.Tcp_cb.ack_deadline
+  || Option.is_some cb.Tcp_cb.time_wait_deadline
 
 (* A TIME_WAIT socket waiting only for 2MSL: no rtx or ack deadline and
    no ACK owed, so [Tcp_output.flush] provably emits nothing for it and
@@ -291,7 +309,7 @@ let not_parked = -1
 let update_armed t (sock : Socket.tcp_sock) =
   let cb = sock.Socket.cb and fd = sock.Socket.fd in
   if cb.Tcp_cb.state = Tcp_cb.Closed || not (timers_armed cb) then begin
-    Hashtbl.remove t.armed fd;
+    Fd_tbl.remove t.armed fd;
     sock.Socket.parked_until <- not_parked
   end
   else
@@ -300,14 +318,14 @@ let update_armed t (sock : Socket.tcp_sock) =
       when time_wait_only cb
            && (sock.Socket.parked_until = d || Dsim.Time.(d >= t.time_wait_last))
       ->
-      Hashtbl.remove t.armed fd;
+      Fd_tbl.remove t.armed fd;
       if sock.Socket.parked_until <> d then begin
         Queue.push (d, sock) t.time_wait;
         t.time_wait_last <- d;
         sock.Socket.parked_until <- d
       end
     | _ ->
-      Hashtbl.replace t.armed fd sock;
+      Fd_tbl.replace t.armed fd sock;
       sock.Socket.parked_until <- not_parked
 
 (* Top-level, so a notify allocates no closure on the frame path. *)
@@ -337,7 +355,7 @@ let release_fd t fd =
   | Some (Socket.Epoll_inst ep) ->
     List.iter (fun (wfd, _) -> unwatch t wfd ep) (Epoll.registered ep)
   | Some (Socket.Udp _) | None -> ());
-  Hashtbl.remove t.armed fd;
+  Fd_tbl.remove t.armed fd;
   List.iter (fun ep -> Epoll.forget ep ~fd) t.watchers.(fd);
   t.watchers.(fd) <- [];
   Socket.release t.table fd
@@ -356,9 +374,11 @@ let send_frame t ?(flow = None) ~dst_mac ~ethertype payload =
       flow
     | None when Dsim.Flowtrace.(enabled default) ->
       let label =
-        match ethertype with
-        | Ethernet.Arp -> "arp:" ^ Ipv4_addr.to_string t.config.ip
-        | _ -> "eth:" ^ Ipv4_addr.to_string t.config.ip
+        if not Dsim.Flowtrace.(next_sampled default) then ""
+        else
+          match ethertype with
+          | Ethernet.Arp -> "arp:" ^ Ipv4_addr.to_string t.config.ip
+          | _ -> "eth:" ^ Ipv4_addr.to_string t.config.ip
       in
       Dsim.Flowtrace.origin Dsim.Flowtrace.default ~at:(now t) ~flow:label
         Eth_tx
@@ -422,15 +442,18 @@ let ip_output_into t ?(flow = None) ~dst ~protocol ~payload_len write_payload =
       Dsim.Flowtrace.hop flow Ip_out ~at:(now t);
       flow
     | None when Dsim.Flowtrace.(enabled default) ->
+      (* The label is formatted only for an origin the sampler takes. *)
       let label =
-        Printf.sprintf "%s>%s:%s"
-          (Ipv4_addr.to_string t.config.ip)
-          (Ipv4_addr.to_string dst)
-          (match protocol with
-          | Ipv4.Tcp -> "tcp"
-          | Ipv4.Udp -> "udp"
-          | Ipv4.Icmp -> "icmp"
-          | Ipv4.Unknown_proto n -> string_of_int n)
+        if not Dsim.Flowtrace.(next_sampled default) then ""
+        else
+          Printf.sprintf "%s>%s:%s"
+            (Ipv4_addr.to_string t.config.ip)
+            (Ipv4_addr.to_string dst)
+            (match protocol with
+            | Ipv4.Tcp -> "tcp"
+            | Ipv4.Udp -> "udp"
+            | Ipv4.Icmp -> "icmp"
+            | Ipv4.Unknown_proto n -> string_of_int n)
       in
       Dsim.Flowtrace.origin Dsim.Flowtrace.default ~at:(now t) ~flow:label
         Ip_out
@@ -515,14 +538,16 @@ let ip_output t ?(flow = None) ~dst ~protocol payload =
 (* TCP plumbing                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let conn_key_of (cb : Tcp_cb.t) : conn_key =
-  (Ipv4_addr.to_int32 cb.remote_ip, cb.remote_port, cb.local_port)
+let conn_key_of (cb : Tcp_cb.t) = (cb.remote_ip, cb.remote_port, cb.local_port)
 
 let emit_tcp t (cb : Tcp_cb.t) header payload =
   let payload_len = Tcp_cb.payload_len payload in
   let ft = Dsim.Flowtrace.default in
   let flow =
     if not (Dsim.Flowtrace.enabled ft) then None
+    else if not (Dsim.Flowtrace.next_sampled ft) then
+      (* An origin all the same, so the 1-in-N counter advances. *)
+      Dsim.Flowtrace.origin ft ~at:(now t) ~flow:"" Tcp_out
     else begin
       let label =
         Printf.sprintf "%s:%d>%s:%d"
@@ -584,8 +609,8 @@ let handle_event t (sock : Socket.tcp_sock) ~parent event =
   | Tcp_cb.Conn_refused -> sock.Socket.pending_error <- Some Errno.ECONNREFUSED
   | Tcp_cb.Conn_reset -> sock.Socket.pending_error <- Some Errno.ECONNRESET
   | Tcp_cb.Closed_done ->
-    Hashtbl.remove t.conns (conn_key_of sock.Socket.cb);
-    Hashtbl.remove t.sock_ctx sock.Socket.fd;
+    Conn_tbl.remove t.conns (conn_key_of sock.Socket.cb);
+    sock.Socket.ctx <- None;
     if sock.Socket.closed_by_app then release_fd t sock.Socket.fd
   | Tcp_cb.Data_readable | Tcp_cb.Writable | Tcp_cb.Peer_closed -> ());
   notify t sock.Socket.fd
@@ -610,11 +635,11 @@ let make_ctx t sock ~parent : Tcp_cb.ctx =
 (* Each TCP socket gets one stable ctx, installed on first use; passive
    children capture their listener in it. *)
 let get_ctx t (sock : Socket.tcp_sock) =
-  match Hashtbl.find_opt t.sock_ctx sock.Socket.fd with
+  match sock.Socket.ctx with
   | Some c -> c
   | None ->
     let c = make_ctx t sock ~parent:None in
-    Hashtbl.replace t.sock_ctx sock.Socket.fd c;
+    sock.Socket.ctx <- Some c;
     c
 
 let new_tcp_sock t fd ~local_port : Socket.tcp_sock =
@@ -628,6 +653,7 @@ let new_tcp_sock t fd ~local_port : Socket.tcp_sock =
     connect_started = false;
     closed_by_app = false;
     parked_until = not_parked;
+    ctx = None;
   }
 
 let fresh_iss t = Dsim.Rng.int t.rng 0x7FFFFFFF
@@ -673,10 +699,10 @@ let spawn_passive t listener ~(ip_hdr : Ipv4.header) (hdr : Tcp_wire.header) =
   in
   match Socket.alloc t.table build with
   | Error _ -> drop_rx t Dsim.Flowtrace.Tcp_in Dsim.Flowtrace.No_socket
-  | Ok (fd, Socket.Tcp child) ->
+  | Ok (_, Socket.Tcp child) ->
     let ctx = make_ctx t child ~parent:(Some listener) in
-    Hashtbl.replace t.sock_ctx fd ctx;
-    Hashtbl.replace t.conns (conn_key_of child.Socket.cb) child;
+    child.Socket.ctx <- Some ctx;
+    Conn_tbl.replace t.conns (conn_key_of child.Socket.cb) child;
     port_bound_incr t child.Socket.cb.Tcp_cb.local_port;
     Tcp_input.accept_syn child.Socket.cb ctx hdr ~iss:(fresh_iss t);
     update_armed t child
@@ -691,10 +717,8 @@ let tcp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
        in-order data straight into the receive ring and copies only what
        must outlive the frame (reassembly queue). *)
     let payload_len = off + len - payload_off in
-    let key : conn_key =
-      (Ipv4_addr.to_int32 ip_hdr.Ipv4.src, hdr.Tcp_wire.src_port, hdr.Tcp_wire.dst_port)
-    in
-    match Hashtbl.find_opt t.conns key with
+    let key = (ip_hdr.Ipv4.src, hdr.Tcp_wire.src_port, hdr.Tcp_wire.dst_port) in
+    match Conn_tbl.find_opt t.conns key with
     | Some sock ->
       let ctx = get_ctx t sock in
       let readable_before = Tcp_cb.readable_bytes sock.Socket.cb in
@@ -856,9 +880,9 @@ let rec expired_time_wait t now_ acc =
    schedule is independent of hash-table layout. *)
 let service_tcp t =
   let due = expired_time_wait t (now t) [] in
-  if Hashtbl.length t.armed > 0 || not (List.is_empty due) then begin
+  if Fd_tbl.length t.armed > 0 || not (List.is_empty due) then begin
     let socks =
-      Hashtbl.fold (fun _ s acc -> s :: acc) t.armed due
+      Fd_tbl.fold (fun _ s acc -> s :: acc) t.armed due
       |> List.sort (fun (a : Socket.tcp_sock) b ->
              compare a.Socket.fd b.Socket.fd)
     in
@@ -867,7 +891,7 @@ let service_tcp t =
         let ctx = get_ctx t sock in
         Tcp_timer.check sock.Socket.cb ctx;
         if sock.Socket.cb.Tcp_cb.state = Tcp_cb.Closed then
-          Hashtbl.remove t.conns (conn_key_of sock.Socket.cb)
+          Conn_tbl.remove t.conns (conn_key_of sock.Socket.cb)
         else Tcp_output.flush sock.Socket.cb ctx;
         update_armed t sock)
       socks
@@ -1006,9 +1030,7 @@ let connect t fd ~ip ~port =
     else begin
       sock.Socket.connect_started <- true;
       let ctx = get_ctx t sock in
-      Hashtbl.replace t.conns
-        (Ipv4_addr.to_int32 ip, port, sock.Socket.cb.Tcp_cb.local_port)
-        sock;
+      Conn_tbl.replace t.conns (ip, port, sock.Socket.cb.Tcp_cb.local_port) sock;
       Tcp_cb.open_active sock.Socket.cb ctx ~remote_ip:ip ~remote_port:port
         ~iss:(fresh_iss t);
       update_armed t sock;
@@ -1114,6 +1136,14 @@ let close t fd =
       let cb = sock.Socket.cb in
       let ctx = get_ctx t sock in
       (match cb.Tcp_cb.state with
+      | (Tcp_cb.Established | Tcp_cb.Close_wait)
+        when Tcp_cb.readable_bytes cb > 0 ->
+        (* Unread data is lost with the socket: abort with an RST, as
+           Linux and FreeBSD do (RFC 9293 §3.6.1, RFC 2525 §2.17). A FIN
+           would keep the data and advertise a zero window that nothing
+           would reopen. *)
+        Tcp_output.send_reset cb ctx;
+        Tcp_cb.to_closed cb ctx
       | Tcp_cb.Established ->
         cb.Tcp_cb.state <- Tcp_cb.Fin_wait_1;
         cb.Tcp_cb.fin_queued <- true;
@@ -1166,7 +1196,7 @@ let readiness_of t fd =
 let epoll_wait t ~epfd ~max =
   let* ep = Socket.find_epoll t.table epfd in
   let ready = Epoll.wait ep ~readiness:(readiness_of t) ~max in
-  if ready <> [] then Dsim.Metrics.incr t.metrics.m_epoll_wakeups;
+  if not (List.is_empty ready) then Dsim.Metrics.incr t.metrics.m_epoll_wakeups;
   Ok ready
 
 (* ------------------------------------------------------------------ *)

@@ -87,6 +87,10 @@ val write : t -> int -> buf:bytes -> off:int -> len:int -> (int, Errno.t) result
 (** Short writes on a full send buffer; [EAGAIN] when full. *)
 
 val close : t -> int -> (unit, Errno.t) result
+(** Release an fd. A connected TCP socket sends its FIN after any
+    buffered data; one with received data the application never read
+    is aborted instead: an RST goes out and the socket is released at
+    once. *)
 
 val epoll_create : t -> (int, Errno.t) result
 val epoll_ctl :
@@ -116,6 +120,8 @@ type counters = {
   mutable rx_dropped : int;  (** Parse errors, no-listener TCP, etc. *)
   mutable tx_no_mbuf : int;
   mutable rst_sent : int;
+      (** RSTs answering segments that reached no socket (not the
+          abortive close's). *)
   mutable arp_requests : int;
   mutable arp_failures : int;
       (** TX packets dropped because ARP resolution exhausted its retry

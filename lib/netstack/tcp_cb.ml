@@ -224,13 +224,13 @@ let ts_now ctx =
 let flight_size t = Tcp_seq.sub t.snd_nxt t.snd_una
 
 let send_window t =
-  let w = min t.cwnd t.snd_wnd - flight_size t in
-  max w 0
+  let w = Int.min t.cwnd t.snd_wnd - flight_size t in
+  Int.max w 0
 
 (* Receive window to advertise, in bytes (the wire encoding shifts it
    right by [rcv_wscale]). *)
 let rcv_window t =
-  min (Ring_buf.free_space t.rcv_buf) (0xffff lsl t.rcv_wscale)
+  Int.min (Ring_buf.free_space t.rcv_buf) (0xffff lsl t.rcv_wscale)
 
 (* The 16-bit value to place in an outgoing non-SYN header. *)
 let rcv_window_field t = rcv_window t lsr t.rcv_wscale

@@ -34,7 +34,7 @@ let update_ts_recent cb (hdr : Tcp_wire.header) =
 let negotiate_wscale cb hdr =
   match Tcp_wire.find_wscale hdr with
   | Some peer_shift ->
-    cb.snd_wscale <- min peer_shift 14;
+    cb.snd_wscale <- Int.min peer_shift 14;
     cb.rcv_wscale <- cb.config.window_scale
   | None ->
     (* Peer did not offer: both sides fall back to unscaled. *)
@@ -43,8 +43,8 @@ let negotiate_wscale cb hdr =
 
 let negotiated_mss cb hdr =
   match Tcp_wire.find_mss hdr with
-  | Some peer_mss -> min cb.config.mss peer_mss
-  | None -> min cb.config.mss 536
+  | Some peer_mss -> Int.min cb.config.mss peer_mss
+  | None -> Int.min cb.config.mss 536
 
 let enter_established cb ctx =
   cb.state <- Established;
@@ -70,11 +70,11 @@ let congestion_on_new_ack cb ~acked =
       cb.dup_acks <- 0
     end
   end
-  else if cb.cwnd < cb.ssthresh then cb.cwnd <- cb.cwnd + min acked cb.mss
-  else cb.cwnd <- cb.cwnd + max 1 (cb.mss * cb.mss / cb.cwnd)
+  else if cb.cwnd < cb.ssthresh then cb.cwnd <- cb.cwnd + Int.min acked cb.mss
+  else cb.cwnd <- cb.cwnd + Int.max 1 (cb.mss * cb.mss / cb.cwnd)
 
 let enter_fast_retransmit cb ctx =
-  cb.ssthresh <- max (flight_size cb / 2) (2 * cb.mss);
+  cb.ssthresh <- Int.max (flight_size cb / 2) (2 * cb.mss);
   cb.recover <- cb.snd_nxt;
   cb.in_fast_recovery <- true;
   Tcp_output.retransmit_head cb ctx;
@@ -95,7 +95,7 @@ let process_ack cb ctx (hdr : Tcp_wire.header) ~payload_len =
        sequence slots but no buffer bytes, hence the clamping. *)
     let buf_acked =
       let d = Tcp_seq.sub hdr.ack cb.snd_buf_seq in
-      max 0 (min d (Ring_buf.length cb.snd_buf))
+      Int.max 0 (Int.min d (Ring_buf.length cb.snd_buf))
     in
     if buf_acked > 0 then begin
       Ring_buf.drop cb.snd_buf buf_acked;
@@ -162,7 +162,7 @@ let ooo_insert cb ctx ~seq payload =
    receive ring. *)
 let rec accept_in_order cb ctx ~seq ~buf ~off ~len =
   (* Trim any prefix we already consumed (retransmission overlap). *)
-  let skip = min len (max 0 (Tcp_seq.sub cb.rcv_nxt seq)) in
+  let skip = Int.min len (Int.max 0 (Tcp_seq.sub cb.rcv_nxt seq)) in
   let fresh = len - skip in
   if fresh > 0 then begin
     let accepted = Ring_buf.write cb.rcv_buf buf ~off:(off + skip) ~len:fresh in
@@ -205,13 +205,13 @@ let process_payload cb ctx (hdr : Tcp_wire.header) ~buf ~off ~len =
       cb.need_ack_now <- true
     end
     else begin
-      let fresh = len - min len (Tcp_seq.sub cb.rcv_nxt seq) in
+      let fresh = len - Int.min len (Tcp_seq.sub cb.rcv_nxt seq) in
       if fresh > 0 then begin
         accept_in_order cb ctx ~seq ~buf ~off ~len;
         cb.segs_since_ack <- cb.segs_since_ack + 1;
         if cb.segs_since_ack >= cb.config.ack_every_segments then
           cb.need_ack_now <- true
-        else if cb.ack_deadline = None then
+        else if Option.is_none cb.ack_deadline then
           cb.ack_deadline <-
             Some (Dsim.Time.add (ctx.now ()) cb.config.delayed_ack_timeout)
       end
@@ -282,7 +282,7 @@ let process cb ctx (hdr : Tcp_wire.header) ~buf ~off ~len =
     if hdr.flags.rst then begin
       if
         Tcp_seq.between hdr.seq ~low:cb.rcv_nxt
-          ~high:(Tcp_seq.add cb.rcv_nxt (max 1 (rcv_window cb)))
+          ~high:(Tcp_seq.add cb.rcv_nxt (Int.max 1 (rcv_window cb)))
         || hdr.seq = cb.rcv_nxt
       then begin
         ctx.on_event Conn_reset;

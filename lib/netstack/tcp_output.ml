@@ -25,7 +25,7 @@ let clear_ack_state cb =
   cb.ack_deadline <- None
 
 let arm_rtx cb ctx =
-  if cb.rtx_deadline = None then
+  if Option.is_none cb.rtx_deadline then
     cb.rtx_deadline <- Some (Dsim.Time.add (ctx.now ()) cb.rto)
 
 (* Bytes of [snd_buf] already streamed out (excludes the FIN's sequence
@@ -57,7 +57,7 @@ let send_syn_ack cb ctx =
       ack = cb.rcv_nxt;
       flags = Tcp_wire.flag ~syn:true ~ack:true ();
       (* The window in a SYN is never scaled. *)
-      window = min (rcv_window cb) 0xffff;
+      window = Int.min (rcv_window cb) 0xffff;
       options =
         Tcp_wire.Mss cb.config.mss
         :: Tcp_wire.Wscale cb.config.window_scale
@@ -97,7 +97,7 @@ let flush cb ctx =
     while !continue do
       let window = send_window cb in
       let unsent = Ring_buf.length cb.snd_buf - sent_bytes cb in
-      let len = min (min cb.mss unsent) window in
+      let len = Int.min (Int.min cb.mss unsent) window in
       (* Nagle + sender-side silly-window avoidance: emit a sub-MSS
          segment only when nothing is in flight (so the small piece is
          not delaying anything) or when it is the final data before a
@@ -122,12 +122,13 @@ let flush cb ctx =
       && sent_bytes cb = Ring_buf.length cb.snd_buf
       && send_window cb > 0
     then send_fin cb ctx;
-    (* Zero-window persist: with data pending, no flight and a closed
-       peer window, nothing will ever arm the retransmission timer — arm
-       it here so Tcp_timer probes. *)
+    (* Zero-window persist: with data or the FIN pending, no flight and
+       a closed peer window, nothing will ever arm the retransmission
+       timer — arm it here so Tcp_timer probes. *)
     if
       cb.snd_wnd = 0 && flight_size cb = 0
-      && Ring_buf.length cb.snd_buf - sent_bytes cb > 0
+      && (Ring_buf.length cb.snd_buf - sent_bytes cb > 0
+         || (cb.fin_queued && not cb.fin_sent))
     then begin
       ctx.stat Window_stall;
       arm_rtx cb ctx
@@ -166,7 +167,7 @@ let retransmit_head cb ctx =
         seq = cb.iss;
         ack = 0;
         flags = Tcp_wire.flag ~syn:true ();
-        window = min (rcv_window cb) 0xffff;
+        window = Int.min (rcv_window cb) 0xffff;
         options =
           [ Tcp_wire.Mss cb.config.mss;
             Tcp_wire.Timestamps { tsval = ts_now ctx; tsecr = 0 } ];
@@ -184,7 +185,7 @@ let retransmit_head cb ctx =
     let buffered = Ring_buf.length cb.snd_buf in
     let head_off = Tcp_seq.sub cb.snd_una cb.snd_buf_seq in
     let avail = buffered - head_off in
-    let len = min cb.mss avail in
+    let len = Int.min cb.mss avail in
     if len > 0 then begin
       cb.retransmissions <- cb.retransmissions + 1;
       ctx.stat Retransmit;
@@ -207,6 +208,15 @@ let send_window_probe cb ctx =
     cb.snd_nxt <- Tcp_seq.add cb.snd_nxt 1;
     cb.snd_max <- Tcp_seq.max cb.snd_max cb.snd_nxt
   end
+
+(* Abort: RST|ACK at snd_nxt, the sequence the peer expects next, so it
+   lands in the peer's window. *)
+let send_reset cb ctx =
+  let header =
+    make_header cb ctx ~seq:cb.snd_nxt ~flags:(Tcp_wire.flag ~rst:true ~ack:true ())
+  in
+  note_segment cb ~payload_len:0;
+  ctx.emit header Payload_none
 
 let make_rst ~to_header ~payload_len =
   let open Tcp_wire in

@@ -20,6 +20,14 @@ val retransmit_head : Tcp_cb.t -> Tcp_cb.ctx -> unit
 val send_window_probe : Tcp_cb.t -> Tcp_cb.ctx -> unit
 (** One payload byte into a zero window (persist timer). *)
 
+val send_fin : Tcp_cb.t -> Tcp_cb.ctx -> unit
+(** Emit the queued FIN at [snd_nxt] and arm the retransmission timer;
+    also the persist probe when the FIN is all that is left to send. *)
+
+val send_reset : Tcp_cb.t -> Tcp_cb.ctx -> unit
+(** Emit an RST|ACK at [snd_nxt] (abortive close); the caller moves the
+    connection to CLOSED. *)
+
 val make_rst :
   to_header:Tcp_wire.header -> payload_len:int -> Tcp_wire.header option
 (** The RST answering an unexpected segment (RFC 793 p.36); [None] when

@@ -24,10 +24,17 @@ let on_rto cb ctx =
       then
         (* Persist: probe the closed window with one byte. *)
         Tcp_output.send_window_probe cb ctx
+      else if cb.snd_wnd = 0 && flight_size cb = 0 && cb.fin_queued
+              && not cb.fin_sent
+      then
+        (* Persist with only the FIN left: the FIN is the probe. Like the
+           one-byte probe it takes one sequence number, and a receiver
+           that has drained its buffer takes it at once. *)
+        Tcp_output.send_fin cb ctx
       else begin
         (* RFC 5681 timeout: collapse to one segment and go back to
            snd_una; flush (called right after by the loop) resends. *)
-        cb.ssthresh <- max (flight_size cb / 2) (2 * cb.mss);
+        cb.ssthresh <- Int.max (flight_size cb / 2) (2 * cb.mss);
         cb.cwnd <- cb.mss;
         cb.in_fast_recovery <- false;
         cb.dup_acks <- 0;

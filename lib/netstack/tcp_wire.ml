@@ -40,23 +40,8 @@ let options_len options =
 
 let header_len h = base_header_len + options_len h.options
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set_u32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
-
-let get_u32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
 
 let flags_to_int f =
   (if f.fin then 0x01 else 0)
@@ -80,7 +65,7 @@ let write_option b off = function
   | Mss v ->
     Bytes.set b off '\002';
     Bytes.set b (off + 1) '\004';
-    set_u16 b (off + 2) v;
+    Bytes.set_uint16_be b (off + 2) v;
     off + 4
   | Wscale v ->
     Bytes.set b off '\001' (* NOP for alignment *);
@@ -105,22 +90,22 @@ let write_option b off = function
 let write_header ~src ~dst h b ~off ~payload_len =
   let hl = header_len h in
   let len = hl + payload_len in
-  set_u16 b off h.src_port;
-  set_u16 b (off + 2) h.dst_port;
+  Bytes.set_uint16_be b off h.src_port;
+  Bytes.set_uint16_be b (off + 2) h.dst_port;
   set_u32 b (off + 4) h.seq;
   set_u32 b (off + 8) h.ack;
   Bytes.set b (off + 12) (Char.chr ((hl / 4) lsl 4));
   Bytes.set b (off + 13) (Char.chr (flags_to_int h.flags));
-  set_u16 b (off + 14) (min h.window 0xffff);
-  set_u16 b (off + 16) 0 (* checksum *);
-  set_u16 b (off + 18) 0 (* urgent pointer *);
+  Bytes.set_uint16_be b (off + 14) (Int.min h.window 0xffff);
+  Bytes.set_uint16_be b (off + 16) 0 (* checksum *);
+  Bytes.set_uint16_be b (off + 18) 0 (* urgent pointer *);
   let o =
     List.fold_left (fun o opt -> write_option b o opt) (off + base_header_len)
       h.options
   in
   assert (o = off + hl);
   let init = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.Tcp ~len in
-  set_u16 b (off + 16) (Checksum.compute ~init b ~off ~len);
+  Bytes.set_uint16_be b (off + 16) (Checksum.compute ~init b ~off ~len);
   hl
 
 let build ~src ~dst h ~payload =
@@ -151,7 +136,7 @@ let parse_options b ~off ~limit =
           else begin
             let opt =
               match kind with
-              | 2 when olen = 4 -> Mss (get_u16 b (off + 2))
+              | 2 when olen = 4 -> Mss (Bytes.get_uint16_be b (off + 2))
               | 3 when olen = 3 -> Wscale (Char.code (Bytes.get b (off + 2)))
               | 8 when olen = 10 ->
                 Timestamps { tsval = get_u32 b (off + 2); tsecr = get_u32 b (off + 6) }
@@ -182,12 +167,12 @@ let parse ~src ~dst b ~off ~len =
         | Ok options ->
           Ok
             ( {
-                src_port = get_u16 b off;
-                dst_port = get_u16 b (off + 2);
+                src_port = Bytes.get_uint16_be b off;
+                dst_port = Bytes.get_uint16_be b (off + 2);
                 seq = Tcp_seq.of_int (get_u32 b (off + 4));
                 ack = Tcp_seq.of_int (get_u32 b (off + 8));
                 flags = flags_of_int (Char.code (Bytes.get b (off + 13)));
-                window = get_u16 b (off + 14);
+                window = Bytes.get_uint16_be b (off + 14);
                 options;
               },
               off + data_off )

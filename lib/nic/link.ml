@@ -1,5 +1,14 @@
 type endpoint = A | B
 
+(* Frame lengths hash to themselves: the pool lookup on the frame path
+   calls no polymorphic hash. *)
+module Len_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash n = n
+end)
+
 type tamper =
   now:Dsim.Time.t -> ipv4:bool -> len:int -> Dsim.Chaos.frame_action
 
@@ -26,7 +35,7 @@ type t = {
      process-global): a frame is rented by one endpoint's TX engine and
      released by the peer endpoint's RX completion, and both live on
      the same link. *)
-  pool : (int, bytes Stack.t) Hashtbl.t;
+  pool : bytes Stack.t Len_tbl.t;
 }
 
 let overhead_bytes = 24
@@ -45,7 +54,7 @@ let create engine ?(bps = 1e9) ?(prop_delay = Dsim.Time.ns 500) () =
   let dir () = { busy_until = Dsim.Time.zero; handler = None; carried = 0 } in
   { engine; bps; prop_delay; a_to_b = dir (); b_to_a = dir (); dropped = 0;
     tampered = 0; injected = 0; up = true; tamper = None;
-    pool = Hashtbl.create 8 }
+    pool = Len_tbl.create 8 }
 
 (* Recycling exact-size buffers keeps the fast path's allocation rate
    flat: a streaming TCP flow reuses the same few MSS-sized buffers
@@ -55,18 +64,18 @@ let create engine ?(bps = 1e9) ?(prop_delay = Dsim.Time.ns 500) () =
 let pool_depth = 32
 
 let rent t len =
-  match Hashtbl.find_opt t.pool len with
+  match Len_tbl.find_opt t.pool len with
   | Some s when not (Stack.is_empty s) -> Stack.pop s
   | _ -> Bytes.create len
 
 let release t frame =
   let len = Bytes.length frame in
   let s =
-    match Hashtbl.find_opt t.pool len with
+    match Len_tbl.find_opt t.pool len with
     | Some s -> s
     | None ->
       let s = Stack.create () in
-      Hashtbl.replace t.pool len s;
+      Len_tbl.replace t.pool len s;
       s
   in
   if Stack.length s < pool_depth then Stack.push frame s

@@ -8,7 +8,7 @@ let () =
       ("nic", Test_nic.suite);
       ("rss", Test_rss.suite);
       ("dpdk", Test_dpdk.suite);
-      ("wire", Test_wire.suite @ Test_wire.unit_suite);
+      ("wire", Test_wire.suite @ Test_wire.unit_suite @ Test_wire.kernel_suite);
       ("tcp", Test_tcp.suite);
       ("stack", Test_stack.suite);
       ("capvm", Test_capvm.suite);

@@ -510,3 +510,114 @@ let suite =
       Alcotest.test_case "capture: protocol summaries" `Quick capture_summaries;
       Alcotest.test_case "capture: bounded storage" `Quick capture_limit;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Teardown corner cases                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A connection between the two stacks: [(cli, cfd, srv, afd)], the
+   client on the left, the accepted socket on the right. *)
+let connected_pair w ~port =
+  let srv = w.right.nif.Core.Topology.stack in
+  let cli = w.left.nif.Core.Topology.stack in
+  let lfd = get (Stack.socket_stream srv) in
+  get (Stack.bind srv lfd ~port);
+  get (Stack.listen srv lfd ~backlog:4);
+  let cfd = get (Stack.socket_stream cli) in
+  ignore (Stack.connect cli cfd ~ip:ip_right ~port);
+  run_for w (Dsim.Time.ms 20);
+  let afd, _, _ = get (Stack.accept srv lfd) in
+  (cli, cfd, srv, afd)
+
+let tcp_state stack fd =
+  match Stack.tcp_sock_of_fd stack fd with
+  | Some s -> s.Socket.cb
+  | None -> Alcotest.failf "fd %d is not a TCP socket" fd
+
+(* As much as a sender can be sure to put into the peer's untouched
+   receive buffer: the window is advertised in 16-byte units (scale 4),
+   so the last 15 bytes of the buffer are never offered, and once these
+   bytes are in, the advertised window is zero. *)
+let fill_bytes = Tcp_cb.default_config.Tcp_cb.rcv_buf_size - 15
+
+(* Write [total] bytes from [cli]'s [cfd], running the engine while the
+   send buffer is full; the receiver does not read. *)
+let write_unread w cli cfd ~total =
+  let chunk = Bytes.make 8192 'u' in
+  let sent = ref 0 in
+  while !sent < total do
+    (match Stack.write cli cfd ~buf:chunk ~off:0 ~len:(min 8192 (total - !sent)) with
+    | Ok n -> sent := !sent + n
+    | Error Errno.EAGAIN -> run_for w (Dsim.Time.ms 1)
+    | Error e -> Alcotest.failf "write: %s" (Errno.to_string e))
+  done;
+  run_for w (Dsim.Time.ms 10)
+
+(* Closing a socket with unread data aborts the connection (RFC 9293
+   §3.6.1, RFC 2525 §2.17): an RST instead of a FIN, so neither end is
+   left behind a zero window that nothing reopens. *)
+let tcp_close_with_unread_data_resets () =
+  let w = make_world () in
+  let cli, cfd, srv, afd = connected_pair w ~port:5301 in
+  let cap = Capture.create () in
+  Stack.set_capture srv (Some cap);
+  write_unread w cli cfd ~total:fill_bytes;
+  let reader = tcp_state srv afd and writer = tcp_state cli cfd in
+  Alcotest.(check int) "256 KB unread" fill_bytes (Tcp_cb.readable_bytes reader);
+  let live = Stack.live_sockets srv in
+  get (Stack.close srv afd);
+  Alcotest.(check bool) "reader CLOSED at once" true
+    (reader.Tcp_cb.state = Tcp_cb.Closed);
+  Alcotest.(check bool) "fd released" true (Stack.tcp_sock_of_fd srv afd = None);
+  Alcotest.(check int) "one socket fewer" (live - 1) (Stack.live_sockets srv);
+  Alcotest.(check bool) "RST sent" true (Capture.matching cap "Flags [R.]" <> []);
+  Alcotest.(check bool) "no FIN sent" true (Capture.matching cap "Flags [F" = []);
+  run_for w (Dsim.Time.ms 5);
+  Alcotest.(check bool) "writer CLOSED" true (writer.Tcp_cb.state = Tcp_cb.Closed);
+  expect_err Errno.ECONNRESET
+    (Stack.write cli cfd ~buf:(Bytes.make 1 'x') ~off:0 ~len:1)
+
+(* A FIN queued behind a zero window with nothing in flight arms the
+   persist timer, and the probe it sends is the FIN itself: a receiver
+   that drains its buffer without sending a window update still gets
+   the FIN within one persist interval, and both ends finish. *)
+let tcp_fin_behind_zero_window () =
+  let w = make_world () in
+  let cli, cfd, srv, afd = connected_pair w ~port:5302 in
+  write_unread w cli cfd ~total:fill_bytes;
+  let reader = tcp_state srv afd and writer = tcp_state cli cfd in
+  Alcotest.(check int) "receive buffer full" fill_bytes (Tcp_cb.readable_bytes reader);
+  Alcotest.(check int) "zero window" 0 writer.Tcp_cb.snd_wnd;
+  Alcotest.(check int) "nothing in flight" 0 (Tcp_cb.flight_size writer);
+  get (Stack.close cli cfd);
+  Alcotest.(check bool) "FIN held by the window" false writer.Tcp_cb.fin_sent;
+  (* The reader drains everything and sends nothing. *)
+  let tx_before = (Stack.counters srv).Stack.tx_frames in
+  let buf = Bytes.create 65536 in
+  let rec drain n =
+    match Stack.read srv afd ~buf ~off:0 ~len:65536 with
+    | Ok k -> drain (n + k)
+    | Error Errno.EAGAIN -> n
+    | Error e -> Alcotest.failf "read: %s" (Errno.to_string e)
+  in
+  Alcotest.(check int) "drained" fill_bytes (drain 0);
+  Alcotest.(check int) "no window update" tx_before
+    (Stack.counters srv).Stack.tx_frames;
+  run_for w (Dsim.Time.add writer.Tcp_cb.rto (Dsim.Time.us 100));
+  Alcotest.(check bool) "FIN arrived within one persist interval" true
+    reader.Tcp_cb.fin_received;
+  get (Stack.close srv afd);
+  run_for w (Dsim.Time.ms 200);
+  Alcotest.(check bool) "reader CLOSED" true (reader.Tcp_cb.state = Tcp_cb.Closed);
+  Alcotest.(check bool) "writer CLOSED" true (writer.Tcp_cb.state = Tcp_cb.Closed);
+  Alcotest.(check bool) "both fds released" true
+    (Stack.tcp_sock_of_fd cli cfd = None && Stack.tcp_sock_of_fd srv afd = None)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "tcp: close with unread data sends RST" `Quick
+        tcp_close_with_unread_data_resets;
+      Alcotest.test_case "tcp: FIN behind a zero window is probed" `Quick
+        tcp_fin_behind_zero_window;
+    ]

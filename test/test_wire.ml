@@ -75,18 +75,27 @@ let fcs_known_answers () =
     (Nic.Fcs.compute (Bytes.of_string "123456789"));
   Alcotest.(check int) "empty frame" 0 (Nic.Fcs.compute Bytes.empty)
 
-(* Each case also checks the seven shorter prefixes, so every tail
-   length 0-7 behind the eight-byte steps is covered. *)
+(* Lengths 0-2048, with the fold's boundaries drawn often: under and at
+   16 and 64 bytes (where the fold starts), one 16-byte step past 64,
+   and full-size frames. Each case also checks its fifteen shorter
+   prefixes, so every tail length 0-15 behind the 16-byte fold and
+   every tail 0-7 behind the eight-byte table steps is covered. *)
 let fcs_matches_bytewise_prop =
-  QCheck.Test.make ~name:"fcs: slicing-by-8 = byte-at-a-time" ~count:300
-    QCheck.(string_of_size Gen.(int_range 0 2048))
+  let len =
+    QCheck.Gen.(
+      frequency
+        [ (1, int_range 0 2048);
+          (1, oneofl [ 15; 16; 63; 64; 65; 79; 80; 1514; 1518; 2048 ]) ])
+  in
+  QCheck.Test.make ~name:"fcs: slicing-by-8 = byte-at-a-time" ~count:500
+    (QCheck.string_of_size len)
     (fun s ->
       let b = Bytes.of_string s in
       List.for_all
         (fun k ->
           let p = Bytes.sub b 0 (max 0 (Bytes.length b - k)) in
           Nic.Fcs.compute p = crc32_bytewise p)
-        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+        (List.init 16 Fun.id))
 
 (* A buffer (random, all 0x00 or all 0xFF), a window at offset 0-7 of
    any parity, an [init], and a split point where the sum is chained. *)
@@ -139,7 +148,10 @@ let checksum_window_past_buffer () =
       Alcotest.(check bool)
         (Printf.sprintf "off %d len %d raises" off len)
         true (raises ~off ~len))
-    [ (0, 11); (3, 8); (7, 4); (9, 2); (10, 1); (12, 2); (-1, 4) ]
+    [ (0, 11); (3, 8); (7, 4); (9, 2); (10, 1); (12, 2); (-1, 4);
+      (* [off + len] wraps past [max_int] here: the check must not. *)
+      (2, max_int); (1, max_int); (9, max_int - 8); (10, max_int - 9);
+      (max_int, 1); (max_int, max_int); (min_int, 4); (-1, max_int) ]
 
 (* ------------------------------------------------------------------ *)
 (* IPv4 addresses                                                       *)
@@ -1122,3 +1134,38 @@ let unit_suite =
     Alcotest.test_case "epoll: idle interests cost nothing" `Quick
       epoll_idle_interests_cost_nothing;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Kernel allocation                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The FCS and checksum kernels are [@@noalloc] C stubs over untagged
+   ints: a thousand calls, on both FCS paths (a full-size frame folds,
+   a minimum-size one takes the tables), leave the minor heap alone. *)
+let kernels_allocate_nothing () =
+  let frame = Bytes.init 1514 (fun i -> Char.chr (i land 0xff)) in
+  let runt = Bytes.sub frame 0 60 in
+  let sink = ref 0 in
+  let words_over_1000 f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      sink := !sink lxor f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  let cases =
+    [ ("fcs, 1514 bytes", fun () -> Nic.Fcs.compute frame);
+      ("fcs, 60 bytes", fun () -> Nic.Fcs.compute runt);
+      ( "checksum sum",
+        fun () -> Netstack.Checksum.ones_complement_sum frame ~off:14 ~len:1500 );
+      ("checksum", fun () -> Netstack.Checksum.compute frame ~off:1 ~len:1513) ]
+  in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (float 0.)) (what ^ ": minor words") 0. (words_over_1000 f))
+    cases;
+  ignore (Sys.opaque_identity !sink)
+
+let kernel_suite =
+  [ Alcotest.test_case "kernels: no allocation per call" `Quick
+      kernels_allocate_nothing ]
