@@ -34,7 +34,10 @@ perfdiff: profile
 # other journaled run exercises. Then record Fig. 4 again with
 # metrics, flow tracing and 1-in-1 sampling on: instruments must not
 # perturb a single dispatch, so the two journals must be byte-identical
-# (cmp) and jdiff equivalent.
+# (cmp) and jdiff equivalent. Last, record the fleet again with
+# randomized hash tables (OCAMLRUNPARAM=R): no dispatch may depend on a
+# table's layout, so that journal must be byte-identical to the plain
+# one.
 journal:
 	@for run in "fig4 --quick --iterations 300" \
 	            "fig6 --quick --iterations 300" "chaos --seed 42 --quick" \
@@ -52,7 +55,11 @@ journal:
 	  /tmp/netrepro-check.fig4-instrumented.journal.jsonl
 	dune exec bin/netrepro.exe -- jdiff /tmp/netrepro-check.fig4.journal.jsonl \
 	  /tmp/netrepro-check.fig4-instrumented.journal.jsonl
-	@echo "journal: record/replay OK (fig4, fig6, chaos, fleet); instruments neutral on fig4"
+	OCAMLRUNPARAM=R dune exec bin/netrepro.exe -- fleet --seed 42 --quick \
+	  --journal /tmp/netrepro-check.fleet-randomized.journal.jsonl > /dev/null
+	cmp /tmp/netrepro-check.fleet.journal.jsonl \
+	  /tmp/netrepro-check.fleet-randomized.journal.jsonl
+	@echo "journal: record/replay OK (fig4, fig6, chaos, fleet); instruments neutral on fig4; fleet independent of hash seeds"
 
 # Full gate, and the whole of CI: build, unit/property tests (plus the
 # edgebench --smoke run, the zero-copy regression gates — the Fig. 4

@@ -61,7 +61,7 @@ let from_sources ~root =
 (* Refreshed from `wc -l` at release time; used when the source tree is
    not present at runtime. *)
 let recorded =
-  [ mk "F-Stack (netstack)" 163 4651; mk "DPDK" 39 605 ]
+  [ mk "F-Stack (netstack)" 163 4712; mk "DPDK" 39 666 ]
 
 let compute () =
   match from_sources ~root:"." with Some rows -> rows | None -> recorded

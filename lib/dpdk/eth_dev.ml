@@ -38,11 +38,34 @@ let ring_take r ~addr =
   r.count <- r.count - 1;
   m
 
+(* The mbufs of one RX burst, in completion order: collected before any
+   is handed to the caller's handler, so a burst allocates nothing. *)
+type burst = {
+  mutable mbufs : Mbuf.t array;
+  mutable n : int;
+  mutable bytes : int;
+}
+
+let burst_push b m =
+  if b.n = Array.length b.mbufs then begin
+    let bigger = Array.make (max 32 (2 * b.n)) m in
+    Array.blit b.mbufs 0 bigger 0 b.n;
+    b.mbufs <- bigger
+  end;
+  b.mbufs.(b.n) <- m;
+  b.n <- b.n + 1;
+  b.bytes <- b.bytes + Mbuf.data_len m
+
 type t = {
   port : Nic.Igb.port;
   rx_pool : Mbuf.pool;
   rx_ring : ring;
   tx_ring : ring;
+  burst : burst;
+  (* The completion callbacks handed to [Nic.Igb.rx_burst] and
+     [Nic.Igb.tx_reap], made once at [attach]. *)
+  on_rx : addr:int -> len:int -> flow:Dsim.Flowtrace.ctx option -> unit;
+  on_tx : int -> unit;
   m_rx_bursts : Dsim.Metrics.counter;
   m_tx_bursts : Dsim.Metrics.counter;
   m_rx_packets : Dsim.Metrics.counter;
@@ -52,15 +75,31 @@ type t = {
   m_drops : Dsim.Metrics.gauge;
 }
 
+(* An RX completion: the device filled [len] bytes at the head mbuf's
+   data address; reflect that in the mbuf and add it to the burst. *)
+let rx_complete port rx_ring burst ~addr ~len ~flow =
+  let m = ring_take rx_ring ~addr in
+  ignore (Mbuf.append m len);
+  Dsim.Flowtrace.hop flow Rx_ring ~at:(Dsim.Engine.now (Nic.Igb.engine port));
+  Mbuf.set_flow m flow;
+  burst_push burst m
+
+let tx_complete tx_ring addr = Mbuf.free (ring_take tx_ring ~addr)
+
 let attach _eal port ~rx_pool =
   let reg = Dsim.Metrics.default in
   let p = [ ("port", Nic.Mac_addr.to_string (Nic.Igb.mac port)) ] in
   let dir d = ("dir", d) :: p in
+  let rx_ring = ring () and tx_ring = ring () in
+  let burst = { mbufs = [||]; n = 0; bytes = 0 } in
   {
     port;
     rx_pool;
-    rx_ring = ring ();
-    tx_ring = ring ();
+    rx_ring;
+    tx_ring;
+    burst;
+    on_rx = rx_complete port rx_ring burst;
+    on_tx = tx_complete tx_ring;
     m_rx_bursts =
       Dsim.Metrics.counter reg ~help:"Non-empty PMD bursts, by direction."
         ~labels:(dir "rx") "dpdk_bursts_total";
@@ -113,64 +152,62 @@ let post_rx t m =
     false
   end
 
-let restock t =
-  let rec go () =
-    if Nic.Igb.rx_free_slots t.port > 0 then
-      match Mbuf.alloc t.rx_pool with
-      | None -> ()
-      | Some m -> if post_rx t m then go ()
-  in
-  go ()
+let rec restock t =
+  if Nic.Igb.rx_free_slots t.port > 0 then
+    match Mbuf.alloc t.rx_pool with
+    | None -> ()
+    | Some m -> if post_rx t m then restock t
 
 let start t = restock t
 
-let reap t =
-  List.iter
-    (fun addr -> Mbuf.free (ring_take t.tx_ring ~addr))
-    (Nic.Igb.tx_reap t.port ~max:max_int)
+let reap t = ignore (Nic.Igb.tx_reap t.port ~max:max_int t.on_tx)
 
-let rx_burst t ~max =
+let rx_burst t ~max handle =
   reap t;
-  let completions = Nic.Igb.rx_burst t.port ~max in
-  let now = Dsim.Engine.now (Nic.Igb.engine t.port) in
-  let take (addr, pkt_len, flow) =
-    let m = ring_take t.rx_ring ~addr in
-    (* Geometry: the device filled [pkt_len] bytes at the data address;
-       reflect that in the mbuf. *)
-    ignore (Mbuf.append m pkt_len);
-    Dsim.Flowtrace.hop flow Rx_ring ~at:now;
-    Mbuf.set_flow m flow;
-    m
-  in
-  let mbufs = List.map take completions in
+  let b = t.burst in
+  b.n <- 0;
+  b.bytes <- 0;
+  let n = Nic.Igb.rx_burst t.port ~max t.on_rx in
   restock t;
-  if (not (List.is_empty mbufs)) && Dsim.Metrics.enabled Dsim.Metrics.default then begin
+  if n > 0 && Dsim.Metrics.enabled Dsim.Metrics.default then begin
     Dsim.Metrics.incr t.m_rx_bursts;
-    Dsim.Metrics.incr_by t.m_rx_packets (List.length mbufs);
-    Dsim.Metrics.incr_by t.m_rx_bytes
-      (List.fold_left (fun n m -> n + Mbuf.data_len m) 0 mbufs)
+    Dsim.Metrics.incr_by t.m_rx_packets n;
+    Dsim.Metrics.incr_by t.m_rx_bytes b.bytes
   end;
   sync_drops t;
-  mbufs
+  for i = 0 to n - 1 do
+    handle b.mbufs.(i)
+  done;
+  n
+
+(* Ring the doorbell for each of [mbufs] until the TX ring refuses
+   one; the refused suffix. Top-level, like [prefix_bytes], so a burst
+   allocates no closure or tuple. *)
+let rec enqueue_tx t = function
+  | [] -> []
+  | m :: rest as mbufs ->
+    let addr = Mbuf.data_addr m in
+    let len = Mbuf.data_len m in
+    if Nic.Igb.tx_enqueue t.port ~flow:(Mbuf.flow m) ~addr ~len () then begin
+      ring_push t.tx_ring m;
+      enqueue_tx t rest
+    end
+    else mbufs
+
+let rec prefix_bytes mbufs n acc =
+  match mbufs with
+  | m :: rest when n > 0 -> prefix_bytes rest (n - 1) (acc + Mbuf.data_len m)
+  | _ -> acc
 
 let tx_burst t mbufs =
   reap t;
-  let rec go sent bytes = function
-    | [] -> (sent, bytes, [])
-    | m :: rest ->
-      let addr = Mbuf.data_addr m in
-      let len = Mbuf.data_len m in
-      if Nic.Igb.tx_enqueue t.port ~flow:(Mbuf.flow m) ~addr ~len () then begin
-        ring_push t.tx_ring m;
-        go (sent + 1) (bytes + len) rest
-      end
-      else (sent, bytes, m :: rest)
-  in
-  let sent, bytes, leftover = go 0 0 mbufs in
+  let queued = t.tx_ring.count in
+  let leftover = enqueue_tx t mbufs in
+  let sent = t.tx_ring.count - queued in
   if sent > 0 then begin
     Dsim.Metrics.incr t.m_tx_bursts;
     Dsim.Metrics.incr_by t.m_tx_packets sent;
-    Dsim.Metrics.incr_by t.m_tx_bytes bytes
+    Dsim.Metrics.incr_by t.m_tx_bytes (prefix_bytes mbufs sent 0)
   end;
   sync_drops t;
   leftover

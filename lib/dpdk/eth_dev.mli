@@ -24,11 +24,21 @@ val rx_posted : t -> int
 val tx_queued : t -> int
 (** TX mbufs accepted by {!tx_burst} and not yet recycled. *)
 
-val rx_burst : t -> max:int -> Mbuf.t list
-(** Completed receives (data region = the frame). Ownership moves to the
-    caller, who must {!Mbuf.free} each buffer when done. The ring is
-    restocked from the pool on every call; pool exhaustion (caller
-    sitting on buffers) leaves the ring short — hardware back-pressure. *)
+val rx_burst : t -> max:int -> (Mbuf.t -> unit) -> int
+(** Hand up to [max] completed receives (data region = the frame) to
+    the handler, oldest first, and return how many. Ownership of each
+    mbuf moves to the handler, which must {!Mbuf.free} it when done.
+
+    The order of side effects is fixed: reap completed TX buffers
+    ({!reap}); take the completions from the device, each matched to
+    its ring's head mbuf and collected into a device-owned array;
+    restock the RX ring from the pool; count the burst in the metrics;
+    and only then call the handler on each mbuf in turn. So the ring is
+    restocked before the stack sees a frame, and pool exhaustion
+    (handlers sitting on buffers) leaves the ring short — hardware
+    back-pressure. The handler must not call [rx_burst] on the same
+    device. Made once by the caller (not per call), it lets a burst run
+    without allocating. *)
 
 val tx_burst : t -> Mbuf.t list -> Mbuf.t list
 (** Enqueue frames for transmission; returns the *rejected* suffix when
@@ -38,4 +48,6 @@ val tx_burst : t -> Mbuf.t list -> Mbuf.t list
 
 val reap : t -> unit
 (** Recycle completed TX buffers; called internally by both bursts, and
-    callable from an idle loop. *)
+    callable from an idle loop. A completion that is not its ring's head
+    raises [Invalid_argument] (RX completions likewise), so a device
+    that completes descriptors out of order fails loudly. *)

@@ -1,7 +1,12 @@
 type pool = {
   name : string;
   mem : Cheri.Tagged_memory.t;
-  free_list : t Queue.t;
+  (* The free list: a FIFO in a fixed array of [capacity], so [alloc]
+     and [free] allocate nothing. A double free is refused before it
+     reaches the array, so [free_count] never exceeds [capacity]. *)
+  mutable free_ring : t array;
+  mutable free_head : int;
+  mutable free_count : int;
   capacity : int;
   mutable alloc_failures : int;
   in_use_metric : Dsim.Metrics.gauge;
@@ -42,7 +47,9 @@ let pool_create eal ~name ~n ~buf_len =
     {
       name;
       mem;
-      free_list = Queue.create ();
+      free_ring = [||];
+      free_head = 0;
+      free_count = 0;
       capacity = n;
       alloc_failures = 0;
       in_use_metric =
@@ -58,30 +65,29 @@ let pool_create eal ~name ~n ~buf_len =
           ~resource:"dpdk_mbuf_in_use" ~kind:"pool_exhausted" ();
     }
   in
-  for i = 0 to n - 1 do
-    let off = i * buf_len in
-    let bcap =
-      Cheri.Capability.derive zone ~offset:off ~length:buf_len
-        ~perms:Cheri.Perms.data
-    in
-    Cheri.Provenance.record_derive ~label:"mbuf" ~parent:zone bcap;
-    Queue.push
-      {
-        pool;
-        bcap;
-        buf_addr = Cheri.Capability.base bcap;
-        buf_len;
-        data_off = default_headroom;
-        data_len = 0;
-        in_use = false;
-        flow = None;
-      }
-      pool.free_list
-  done;
+  pool.free_ring <-
+    Array.init n (fun i ->
+        let off = i * buf_len in
+        let bcap =
+          Cheri.Capability.derive zone ~offset:off ~length:buf_len
+            ~perms:Cheri.Perms.data
+        in
+        Cheri.Provenance.record_derive ~label:"mbuf" ~parent:zone bcap;
+        {
+          pool;
+          bcap;
+          buf_addr = Cheri.Capability.base bcap;
+          buf_len;
+          data_off = default_headroom;
+          data_len = 0;
+          in_use = false;
+          flow = None;
+        });
+  pool.free_count <- n;
   pool
 
 let pool_name p = p.name
-let available p = Queue.length p.free_list
+let available p = p.free_count
 let capacity p = p.capacity
 let alloc_failures p = p.alloc_failures
 
@@ -96,10 +102,10 @@ let set_flow m f = m.flow <- f
 (* Set absolutely, not by deltas, so enabling the registry mid-run
    still reads the true level. *)
 let sync_in_use p =
-  Dsim.Metrics.set p.in_use_metric (p.capacity - Queue.length p.free_list)
+  Dsim.Metrics.set p.in_use_metric (p.capacity - p.free_count)
 
 let alloc p =
-  if Queue.is_empty p.free_list then begin
+  if p.free_count = 0 then begin
     (* Exhaustion is a counted, recoverable condition — callers turn the
        [None] into a typed drop, never an exception. *)
     p.alloc_failures <- p.alloc_failures + 1;
@@ -108,7 +114,10 @@ let alloc p =
     None
   end
   else begin
-    let m = Queue.pop p.free_list in
+    let m = p.free_ring.(p.free_head) in
+    p.free_head <-
+      (if p.free_head + 1 = p.capacity then 0 else p.free_head + 1);
+    p.free_count <- p.free_count - 1;
     m.in_use <- true;
     reset m;
     sync_in_use p;
@@ -126,8 +135,11 @@ let free m =
   (* Drop the trace context now, not at the next alloc: a free pool
      buffer must not pin trace records live across reuse. *)
   m.flow <- None;
-  Queue.push m m.pool.free_list;
-  sync_in_use m.pool
+  let p = m.pool in
+  let j = p.free_head + p.free_count in
+  p.free_ring.(if j >= p.capacity then j - p.capacity else j) <- m;
+  p.free_count <- p.free_count + 1;
+  sync_in_use p
 
 let buf_addr m = m.buf_addr
 let buf_len m = m.buf_len

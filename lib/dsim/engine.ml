@@ -1,76 +1,131 @@
-type handle = {
-  at : Time.t;
-  seq : int;
-  fn : unit -> unit;
-  label : Profile.key;
-  (* Journal seq of the dispatch whose handler scheduled this event
-     (-1 outside dispatch): the causal parent edge jdiff walks back to
-     a common ancestor. *)
-  sched_parent : int;
-  owner : t;
-  mutable cancelled : bool;
-  mutable fired : bool;
-}
+(* A handle is the event's schedule seq: unique per engine, so it names
+   the event for as long as it sits in the heap. *)
+type handle = int
 
-(* Pending events: a binary min-heap in [heap.(0 .. len - 1)]. *)
-and t = {
+(* Pending events: a binary min-heap on [(at, seq)] in three parallel
+   int arrays, [at.(0 .. len - 1)], [seq] and [slot], so a sift step
+   moves ints and calls no write barrier. The closure, label and causal
+   parent of each pending event sit in a slab at its [slot]; a slot is
+   taken from the free-slot stack at schedule time and returned when
+   its entry leaves the heap. Slots in use never exceed [len], so the
+   heap and the slab share one capacity. *)
+type t = {
   mutable clock : Time.t;
-  mutable heap : handle array;
+  mutable at : int array;
+  mutable seq : int array;
+  mutable slot : int array;
   mutable len : int;
+  mutable fns : (unit -> unit) array;
+  mutable labels : Profile.key array;
+  (* Journal seq of the dispatch whose handler scheduled the event (-1
+     outside dispatch): the causal parent edge jdiff walks back to a
+     common ancestor. *)
+  mutable parents : int array;
+  mutable free : int array;
+  mutable n_free : int;
   mutable next_seq : int; (* FIFO tie-break among equal deadlines *)
   mutable live : int;
   mutable fired_count : int;
 }
 
-(* The heap order, compared inline: [(at, seq)] is a total order (no
-   two handles share a seq), so equal deadlines pop FIFO and any
-   correct heap pops in exactly this order. *)
-let precedes a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
+(* The closure of a cancelled event, and the filler of unused slab
+   slots: a cancelled entry is recognised by [fns.(slot) == cancelled],
+   and cancelling drops the event's own closure at once. *)
+let cancelled () = ()
 
-(* Hole-moving sifts: each step writes one slot instead of swapping
-   two, and as top-level functions they allocate no closure. *)
-let rec sift_up a i h =
-  if i = 0 then a.(0) <- h
+(* [(at, seq)] is a total order (no two entries share a seq), so equal
+   deadlines pop FIFO and any correct heap pops in exactly this order.
+   Hole-moving sifts: each step writes one position instead of swapping
+   two, and as top-level functions they allocate no closure. The
+   annotations keep the comparisons on ints, not polymorphic. *)
+let rec sift_up (ha : int array) (hs : int array) (hl : int array) i
+    (at : int) (sq : int) (sl : int) =
+  if i = 0 then begin
+    ha.(0) <- at;
+    hs.(0) <- sq;
+    hl.(0) <- sl
+  end
   else begin
     let p = (i - 1) / 2 in
-    let ph = a.(p) in
-    if precedes h ph then begin
-      a.(i) <- ph;
-      sift_up a p h
+    let pat = ha.(p) in
+    if at < pat || (at = pat && sq < hs.(p)) then begin
+      ha.(i) <- pat;
+      hs.(i) <- hs.(p);
+      hl.(i) <- hl.(p);
+      sift_up ha hs hl p at sq sl
     end
-    else a.(i) <- h
+    else begin
+      ha.(i) <- at;
+      hs.(i) <- sq;
+      hl.(i) <- sl
+    end
   end
 
-let rec sift_down a n i h =
+let rec sift_down (ha : int array) (hs : int array) (hl : int array) n i
+    (at : int) (sq : int) (sl : int) =
   let l = (2 * i) + 1 in
-  if l >= n then a.(i) <- h
+  if l >= n then begin
+    ha.(i) <- at;
+    hs.(i) <- sq;
+    hl.(i) <- sl
+  end
   else begin
-    let c = if l + 1 < n && precedes a.(l + 1) a.(l) then l + 1 else l in
-    let ch = a.(c) in
-    if precedes ch h then begin
-      a.(i) <- ch;
-      sift_down a n c h
+    let r = l + 1 in
+    let c =
+      if r < n && (ha.(r) < ha.(l) || (ha.(r) = ha.(l) && hs.(r) < hs.(l)))
+      then r
+      else l
+    in
+    let cat = ha.(c) in
+    if cat < at || (cat = at && hs.(c) < sq) then begin
+      ha.(i) <- cat;
+      hs.(i) <- hs.(c);
+      hl.(i) <- hl.(c);
+      sift_down ha hs hl n c at sq sl
     end
-    else a.(i) <- h
+    else begin
+      ha.(i) <- at;
+      hs.(i) <- sq;
+      hl.(i) <- sl
+    end
   end
 
-let push t h =
-  if t.len = Array.length t.heap then begin
-    (* [h] only fills the fresh slots; [len] bounds every read. *)
-    let bigger = Array.make (max 16 (2 * t.len)) h in
-    Array.blit t.heap 0 bigger 0 t.len;
-    t.heap <- bigger
-  end;
-  t.len <- t.len + 1;
-  sift_up t.heap (t.len - 1) h
+let grow_ints a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
+(* Double every array; the fresh slots go on the free stack. [label]
+   only fills the fresh label slots, which are written before any read. *)
+let grow t label =
+  let old = Array.length t.at in
+  let n = max 16 (2 * old) in
+  t.at <- grow_ints t.at n;
+  t.seq <- grow_ints t.seq n;
+  t.slot <- grow_ints t.slot n;
+  t.parents <- grow_ints t.parents n;
+  let fns = Array.make n cancelled in
+  Array.blit t.fns 0 fns 0 old;
+  t.fns <- fns;
+  let labels = Array.make n label in
+  Array.blit t.labels 0 labels 0 old;
+  t.labels <- labels;
+  t.free <- grow_ints t.free n;
+  for s = n - 1 downto old do
+    t.free.(t.n_free) <- s;
+    t.n_free <- t.n_free + 1
+  done
+
+let release_slot t s =
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1
+
+(* Remove the root. *)
 let pop t =
-  let a = t.heap in
-  let top = a.(0) in
   let n = t.len - 1 in
   t.len <- n;
-  if n > 0 then sift_down a n 0 a.(n);
-  top
+  if n > 0 then
+    sift_down t.at t.seq t.slot n 0 t.at.(n) t.seq.(n) t.slot.(n)
 
 (* All engines share one heap-depth gauge: a metered run drives one
    engine at a time. *)
@@ -94,8 +149,15 @@ let note_depth n =
 let create () =
   {
     clock = Time.zero;
-    heap = [||];
+    at = [||];
+    seq = [||];
+    slot = [||];
     len = 0;
+    fns = [||];
+    labels = [||];
+    parents = [||];
+    free = [||];
+    n_free = 0;
     next_seq = 0;
     live = 0;
     fired_count = 0;
@@ -105,47 +167,70 @@ let now t = t.clock
 
 let schedule_at t ~at ~label fn =
   let at = Time.max at t.clock in
-  let h =
-    { at; seq = t.next_seq; fn; label; sched_parent = Journal.parent_seq ();
-      owner = t; cancelled = false; fired = false }
-  in
-  t.next_seq <- t.next_seq + 1;
+  if t.len = Array.length t.at then grow t label;
+  t.n_free <- t.n_free - 1;
+  let s = t.free.(t.n_free) in
+  (* The free stack hands back the slot freed last, so a handler that
+     reschedules itself (a stack loop, a NIC stage) usually finds its
+     own closure and label there already: skip those write barriers. *)
+  if t.fns.(s) != fn then t.fns.(s) <- fn;
+  if t.labels.(s) != label then t.labels.(s) <- label;
+  t.parents.(s) <- Journal.parent_seq ();
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
   t.live <- t.live + 1;
-  push t h;
+  t.len <- t.len + 1;
+  sift_up t.at t.seq t.slot (t.len - 1) at sq s;
   if Metrics.enabled Metrics.default then note_depth t.len;
-  h
+  sq
 
 let schedule t ~delay ~label fn =
   schedule_at t ~at:(Time.add t.clock delay) ~label fn
 
-(* Drop cancelled entries in place, then re-heapify bottom-up. The
-   heap order is total, so compaction cannot perturb event ordering. *)
+(* Drop cancelled entries in place, freeing their slots, then
+   re-heapify bottom-up. The heap order is total, so compaction cannot
+   perturb event ordering. *)
 let compact t =
-  let a = t.heap in
+  let ha = t.at and hs = t.seq and hl = t.slot in
   let n = ref 0 in
   for i = 0 to t.len - 1 do
-    if not a.(i).cancelled then begin
-      a.(!n) <- a.(i);
+    let s = hl.(i) in
+    if t.fns.(s) == cancelled then release_slot t s
+    else begin
+      ha.(!n) <- ha.(i);
+      hs.(!n) <- hs.(i);
+      hl.(!n) <- s;
       incr n
     end
   done;
   t.len <- !n;
   for i = (!n / 2) - 1 downto 0 do
-    sift_down a !n i a.(i)
+    sift_down ha hs hl !n i ha.(i) hs.(i) hl.(i)
   done
 
-(* Compact once cancelled handles outnumber live ones. *)
+(* Compact once cancelled entries outnumber live ones. *)
 let compaction_floor = 64
 
-let cancel h =
-  if (not h.cancelled) && not h.fired then begin
-    h.cancelled <- true;
-    let t = h.owner in
+(* The heap position of the pending (not cancelled) event [h], or -1.
+   A linear scan: only tests cancel. *)
+let find_pending t h =
+  let rec go i =
+    if i >= t.len then -1
+    else if t.seq.(i) = h then
+      if t.fns.(t.slot.(i)) == cancelled then -1 else i
+    else go (i + 1)
+  in
+  go 0
+
+let cancel t h =
+  let i = find_pending t h in
+  if i >= 0 then begin
+    t.fns.(t.slot.(i)) <- cancelled;
     t.live <- t.live - 1;
     if t.len > compaction_floor && 2 * t.live < t.len then compact t
   end
 
-let is_pending h = (not h.cancelled) && not h.fired
+let is_pending t h = find_pending t h >= 0
 let pending_count t = t.live
 let heap_size t = t.len
 let events_fired t = t.fired_count
@@ -153,33 +238,41 @@ let events_fired t = t.fired_count
 (* Drop cancelled heads; [true] when a live event is pending. *)
 let rec has_next t =
   if t.len = 0 then false
-  else if t.heap.(0).cancelled then begin
-    ignore (pop t);
-    has_next t
+  else begin
+    let s = t.slot.(0) in
+    if t.fns.(s) == cancelled then begin
+      pop t;
+      release_slot t s;
+      has_next t
+    end
+    else true
   end
-  else true
 
-(* No [Some] cell is allocated per fired event, which matters at
-   millions of events per simulated second. [has_next] has already
-   discarded cancelled heads. *)
+(* Allocates nothing: no [Some] cell, no handle, no closure per fired
+   event, which matters at millions of events per simulated second.
+   [has_next] has already discarded cancelled heads. *)
 let dispatch t =
-  let h = pop t in
+  let at = t.at.(0) and s = t.slot.(0) in
+  pop t;
+  let fn = t.fns.(s) and label = t.labels.(s) and parent = t.parents.(s) in
+  (* The slot is free before the handler runs, so an event that
+     reschedules itself reuses it. *)
+  release_slot t s;
   t.live <- t.live - 1;
-  t.clock <- h.at;
-  h.fired <- true;
+  t.clock <- at;
   t.fired_count <- t.fired_count + 1;
   (* Journal bracket: assigns this dispatch its global seq, snapshots
      the RNG draw counter, and on exit writes the black-box ring slot
      and streams/verifies the record. Exception-safe so a trapping
      handler still leaves a complete record for the supervisor's
      black-box dump. *)
-  Journal.begin_dispatch ~at:h.at ~parent:h.sched_parent h.label;
+  Journal.begin_dispatch ~at ~parent label;
   (* Flat branches, no closure: this is the hottest line in the
      simulator and a per-dispatch allocation here shows up in both
      the zero-copy allocation budget and the perf baseline. *)
   if Profile.hot () then begin
-    Profile.enter_event h.label;
-    match h.fn () with
+    Profile.enter_event label;
+    match fn () with
     | () ->
       Profile.exit_event ();
       Journal.end_dispatch ()
@@ -189,7 +282,7 @@ let dispatch t =
       raise e
   end
   else
-    match h.fn () with
+    match fn () with
     | () -> Journal.end_dispatch ()
     | exception e ->
       Journal.end_dispatch ();
@@ -213,9 +306,8 @@ let run ?until ?max_events t =
   let rec loop () =
     if not (has_next t) then finish ()
     else begin
-      let h = t.heap.(0) in
       let in_window =
-        match until with None -> true | Some u -> Time.(h.at <= u)
+        match until with None -> true | Some u -> Time.(t.at.(0) <= u)
       in
       if in_window && budget_ok () then begin
         dispatch t;

@@ -20,8 +20,12 @@
 
 type t
 
-type handle
-(** A scheduled event, cancellable until it fires. *)
+type handle = int
+(** A scheduled event, cancellable until it fires: its schedule seq,
+    unique per engine. Scheduling allocates no handle record; the
+    pending events live in a heap of ints and a slab of closures, so
+    [schedule] plus its dispatch allocate nothing beyond the closure the
+    caller passes. *)
 
 val create : unit -> t
 
@@ -41,13 +45,18 @@ val schedule :
   t -> delay:Time.t -> label:Profile.key -> (unit -> unit) -> handle
 (** {!schedule_at} relative to {!now}. *)
 
-val cancel : handle -> unit
-(** Idempotent; cancelling a fired event is a no-op. When cancelled
-    handles come to outnumber live ones, the heap is compacted in
-    place, so mass cancellation (e.g. tearing down every TCP timer)
-    does not pin dead closures until their deadline pops. *)
+val cancel : t -> handle -> unit
+(** Idempotent; cancelling a fired event is a no-op. The event's
+    closure is dropped at once, and when cancelled entries come to
+    outnumber live ones, the heap is compacted in place, so mass
+    cancellation does not keep dead entries until their deadline pops.
+    Finds the event by a linear scan of the heap: no library caller
+    cancels (TCP timers are deadlines the stack loop polls), only
+    tests do. *)
 
-val is_pending : handle -> bool
+val is_pending : t -> handle -> bool
+(** [true] until the event fires or is cancelled; a linear scan of the
+    heap, like {!cancel}. *)
 
 val pending_count : t -> int
 (** Live (not cancelled, not fired) events. Exact: cancelled events are

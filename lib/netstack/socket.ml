@@ -8,6 +8,7 @@ type tcp_sock = {
   mutable connect_started : bool;
   mutable closed_by_app : bool;
   mutable parked_until : Dsim.Time.t;
+  mutable armed : bool;
   mutable ctx : Tcp_cb.ctx option;
 }
 

@@ -17,6 +17,9 @@ type tcp_sock = {
   mutable parked_until : Dsim.Time.t;
       (** The 2MSL deadline under which the stack's TIME_WAIT queue
           holds this socket, or [-1] while it is not queued. *)
+  mutable armed : bool;
+      (** Whether the socket is in the stack's armed-timer set, the
+          fd-sorted array its per-loop service pass visits. *)
   mutable ctx : Tcp_cb.ctx option;
       (** The callbacks the stack hands the TCP machinery for this
           socket: made on first use, dropped when the connection reaches

@@ -39,15 +39,6 @@ type counters = {
   mutable arp_failures : int;
 }
 
-(* fds hash to themselves: the armed-set updates after every segment
-   call no polymorphic hash. *)
-module Fd_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash fd = fd
-end)
-
 (* Connection demux key: remote ip, remote port, local port. Hashed and
    compared field by field, so a lookup on the frame path calls no
    polymorphic hash or compare. *)
@@ -149,10 +140,14 @@ type t = {
      allocation never rescans the socket table. Passive children share
      their listener's port, hence a refcount rather than a set. *)
   bound_ports : (int, int) Hashtbl.t;
-  (* TCP sockets with at least one timer deadline armed: the only
-     connections the per-tick service pass must visit. Idle established
-     connections cost nothing per loop iteration. *)
-  armed : Socket.tcp_sock Fd_tbl.t;
+  (* TCP sockets with at least one timer deadline armed, the only
+     connections the per-tick service pass must visit, sorted by fd in
+     [armed.(0 .. armed_n - 1)]; a socket's [Socket.armed] flag says
+     whether it is there. Idle established connections cost nothing per
+     loop iteration. [pass] is the service pass's copy. *)
+  mutable armed : Socket.tcp_sock array;
+  mutable armed_n : int;
+  mutable pass : Socket.tcp_sock array;
   (* TIME_WAIT sockets whose 2MSL expiry is their only pending work,
      with that deadline, kept out of [armed] until it passes. Every
      socket of a stack shares [config.tcp.time_wait_duration], so the
@@ -183,9 +178,12 @@ type t = {
   mutable cur_rx_flow : Dsim.Flowtrace.ctx option;
   (* Attribution key for this stack's main loop iterations. *)
   k_loop : Dsim.Profile.key;
+  (* The per-frame handler [loop_once] passes to [Dpdk.Eth_dev.rx_burst],
+     made once by [create]. *)
+  mutable rx_frame : Dpdk.Mbuf.t -> unit;
 }
 
-let create engine mem dev config =
+let make engine mem dev config =
   {
     k_loop =
       Dsim.Profile.(key default) ~component:"netstack"
@@ -201,7 +199,9 @@ let create engine mem dev config =
     conns = Conn_tbl.create 64;
     udp_binds = Hashtbl.create 8;
     bound_ports = Hashtbl.create 64;
-    armed = Fd_tbl.create 64;
+    armed = [||];
+    armed_n = 0;
+    pass = [||];
     time_wait = Queue.create ();
     time_wait_last = Dsim.Time.zero;
     watchers = Array.make (Socket.first_fd + config.max_fds) [];
@@ -227,6 +227,7 @@ let create engine mem dev config =
     hook = None;
     capture = None;
     cur_rx_flow = None;
+    rx_frame = ignore;
   }
 
 let engine t = t.engine
@@ -300,6 +301,40 @@ let time_wait_only (cb : Tcp_cb.t) =
 
 let not_parked = -1
 
+(* The index in [armed.(lo .. hi - 1)], sorted by fd, of the first
+   socket whose fd is not below [fd]. Top-level, so it allocates no
+   closure. *)
+let rec armed_search (armed : Socket.tcp_sock array) fd lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if armed.(mid).Socket.fd < fd then armed_search armed fd (mid + 1) hi
+    else armed_search armed fd lo mid
+
+let arm t (sock : Socket.tcp_sock) =
+  if not sock.Socket.armed then begin
+    sock.Socket.armed <- true;
+    let n = t.armed_n in
+    if n = Array.length t.armed then begin
+      let bigger = Array.make (max 16 (2 * n)) sock in
+      Array.blit t.armed 0 bigger 0 n;
+      t.armed <- bigger
+    end;
+    let i = armed_search t.armed sock.Socket.fd 0 n in
+    Array.blit t.armed i t.armed (i + 1) (n - i);
+    t.armed.(i) <- sock;
+    t.armed_n <- n + 1
+  end
+
+let disarm t (sock : Socket.tcp_sock) =
+  if sock.Socket.armed then begin
+    sock.Socket.armed <- false;
+    let i = armed_search t.armed sock.Socket.fd 0 t.armed_n in
+    let n = t.armed_n - 1 in
+    Array.blit t.armed (i + 1) t.armed i (n - i);
+    t.armed_n <- n
+  end
+
 (* Re-derive a socket's membership in the armed-timer set, or its place
    in the TIME_WAIT queue. Called after every excursion into the TCP
    machinery (input, timers, user calls) — the deadline fields are
@@ -307,9 +342,9 @@ let not_parked = -1
    can change them. The queue takes no deadline earlier than its tail,
    which keeps it in deadline order; such a socket stays armed. *)
 let update_armed t (sock : Socket.tcp_sock) =
-  let cb = sock.Socket.cb and fd = sock.Socket.fd in
+  let cb = sock.Socket.cb in
   if cb.Tcp_cb.state = Tcp_cb.Closed || not (timers_armed cb) then begin
-    Fd_tbl.remove t.armed fd;
+    disarm t sock;
     sock.Socket.parked_until <- not_parked
   end
   else
@@ -318,14 +353,14 @@ let update_armed t (sock : Socket.tcp_sock) =
       when time_wait_only cb
            && (sock.Socket.parked_until = d || Dsim.Time.(d >= t.time_wait_last))
       ->
-      Fd_tbl.remove t.armed fd;
+      disarm t sock;
       if sock.Socket.parked_until <> d then begin
         Queue.push (d, sock) t.time_wait;
         t.time_wait_last <- d;
         sock.Socket.parked_until <- d
       end
     | _ ->
-      Fd_tbl.replace t.armed fd sock;
+      arm t sock;
       sock.Socket.parked_until <- not_parked
 
 (* Top-level, so a notify allocates no closure on the frame path. *)
@@ -351,11 +386,11 @@ let release_fd t fd =
   (match Socket.find t.table fd with
   | Some (Socket.Tcp s) ->
     port_bound_decr t s.Socket.cb.Tcp_cb.local_port;
-    s.Socket.parked_until <- not_parked
+    s.Socket.parked_until <- not_parked;
+    disarm t s
   | Some (Socket.Epoll_inst ep) ->
     List.iter (fun (wfd, _) -> unwatch t wfd ep) (Epoll.registered ep)
   | Some (Socket.Udp _) | None -> ());
-  Fd_tbl.remove t.armed fd;
   List.iter (fun ep -> Epoll.forget ep ~fd) t.watchers.(fd);
   t.watchers.(fd) <- [];
   Socket.release t.table fd
@@ -653,6 +688,7 @@ let new_tcp_sock t fd ~local_port : Socket.tcp_sock =
     connect_started = false;
     closed_by_app = false;
     parked_until = not_parked;
+    armed = false;
     ctx = None;
   }
 
@@ -852,22 +888,46 @@ let handle_frame t ?(flow = None) (s : Dsim.Slice.t) =
 (* Main loop                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Pop the TIME_WAIT queue's entries whose deadline has passed onto
-   [acc], skipping stale ones. *)
-let rec expired_time_wait t now_ acc =
-  if Queue.is_empty t.time_wait then acc
+(* Insert [sock] into [pass.(0 .. i - 1)], kept sorted by fd; [pass]
+   has room. *)
+let rec pass_insert (pass : Socket.tcp_sock array) i (sock : Socket.tcp_sock) =
+  if i > 0 && pass.(i - 1).Socket.fd > sock.Socket.fd then begin
+    pass.(i) <- pass.(i - 1);
+    pass_insert pass (i - 1) sock
+  end
+  else pass.(i) <- sock
+
+(* Pop the TIME_WAIT queue's entries whose deadline has passed into
+   [t.pass] after its first [n] sockets, in fd order, skipping stale
+   ones; the new count. *)
+let rec expired_time_wait t now_ n =
+  if Queue.is_empty t.time_wait then n
   else begin
     let d, (sock : Socket.tcp_sock) = Queue.peek t.time_wait in
-    if Dsim.Time.(d > now_) then acc
+    if Dsim.Time.(d > now_) then n
     else begin
       ignore (Queue.pop t.time_wait);
       if sock.Socket.parked_until = d then begin
         sock.Socket.parked_until <- not_parked;
-        expired_time_wait t now_ (sock :: acc)
+        if n = Array.length t.pass then begin
+          let bigger = Array.make (max 16 (2 * n)) sock in
+          Array.blit t.pass 0 bigger 0 n;
+          t.pass <- bigger
+        end;
+        pass_insert t.pass n sock;
+        expired_time_wait t now_ (n + 1)
       end
-      else expired_time_wait t now_ acc
+      else expired_time_wait t now_ n
     end
   end
+
+let service_one t (sock : Socket.tcp_sock) =
+  let ctx = get_ctx t sock in
+  Tcp_timer.check sock.Socket.cb ctx;
+  if sock.Socket.cb.Tcp_cb.state = Tcp_cb.Closed then
+    Conn_tbl.remove t.conns (conn_key_of sock.Socket.cb)
+  else Tcp_output.flush sock.Socket.cb ctx;
+  update_armed t sock
 
 (* Per-tick TCP servicing visits the armed-timer set and the TIME_WAIT
    sockets whose 2MSL deadline has passed. Every connection with
@@ -877,25 +937,19 @@ let rec expired_time_wait t now_ acc =
    changes state before its deadline, so the pass emits exactly the
    segments a walk over every socket would, while idle connections and
    TIME_WAIT sockets cost nothing until due. Serviced in fd order so the
-   schedule is independent of hash-table layout. *)
+   schedule is independent of the order sockets were armed. The pass
+   walks a copy of the fd-sorted armed set, into which the expired
+   TIME_WAIT sockets (never armed while queued) are merged, because
+   servicing a socket re-derives its membership. *)
 let service_tcp t =
-  let due = expired_time_wait t (now t) [] in
-  if Fd_tbl.length t.armed > 0 || not (List.is_empty due) then begin
-    let socks =
-      Fd_tbl.fold (fun _ s acc -> s :: acc) t.armed due
-      |> List.sort (fun (a : Socket.tcp_sock) b ->
-             compare a.Socket.fd b.Socket.fd)
-    in
-    List.iter
-      (fun (sock : Socket.tcp_sock) ->
-        let ctx = get_ctx t sock in
-        Tcp_timer.check sock.Socket.cb ctx;
-        if sock.Socket.cb.Tcp_cb.state = Tcp_cb.Closed then
-          Conn_tbl.remove t.conns (conn_key_of sock.Socket.cb)
-        else Tcp_output.flush sock.Socket.cb ctx;
-        update_armed t sock)
-      socks
-  end
+  let k = t.armed_n in
+  if Array.length t.pass < k then
+    t.pass <- Array.make (Array.length t.armed) t.armed.(0);
+  Array.blit t.armed 0 t.pass 0 k;
+  let n = expired_time_wait t (now t) k in
+  for i = 0 to n - 1 do
+    service_one t t.pass.(i)
+  done
 
 (* ARP resolution maintenance: retransmit due requests (the cache applies
    its capped exponential backoff), and for resolutions whose last attempt
@@ -918,6 +972,19 @@ let service_arp t =
 
 let set_hook t hook = t.hook <- hook
 
+(* Borrow the frame in place (one capability check), process it, and
+   only then return the mbuf to the pool. *)
+let rx_frame t m =
+  let flow = Dpdk.Mbuf.flow m in
+  let s = Dpdk.Mbuf.borrow t.mem m in
+  handle_frame t ~flow s;
+  Dpdk.Mbuf.free m
+
+let create engine mem dev config =
+  let t = make engine mem dev config in
+  t.rx_frame <- rx_frame t;
+  t
+
 (* CPU cost of one iteration: every frame that crossed the stack during
    the iteration (received bursts, plus transmissions triggered by TCP
    flushes and by the application hook) is charged [per_packet_ns]. In
@@ -926,17 +993,7 @@ let loop_once t =
   t.loops <- t.loops + 1;
   Dsim.Metrics.set t.metrics.m_live_sockets (Socket.live_count t.table);
   let tx_before = t.counters.tx_frames in
-  let mbufs = Dpdk.Eth_dev.rx_burst t.dev ~max:t.config.burst in
-  let n = List.length mbufs in
-  List.iter
-    (fun m ->
-      let flow = Dpdk.Mbuf.flow m in
-      (* Borrow the frame in place (one capability check), process it,
-         and only then return the mbuf to the pool. *)
-      let s = Dpdk.Mbuf.borrow t.mem m in
-      handle_frame t ~flow s;
-      Dpdk.Mbuf.free m)
-    mbufs;
+  let n = Dpdk.Eth_dev.rx_burst t.dev ~max:t.config.burst t.rx_frame in
   service_tcp t;
   service_arp t;
   (match t.hook with Some h -> h t | None -> ());

@@ -21,7 +21,19 @@
     occupancy is a {!Dsim.Metrics} gauge ([nic_tx_ring], [nic_rx_ring])
     with its size as capacity, and each overflow a [ring_full] stall,
     all labelled [port=<MAC>] like the port's DPDK series. The two
-    ports share the PCI bus. *)
+    ports share the PCI bus.
+
+    Descriptors move through three timed stages: TX DMA read, TX on the
+    wire, RX DMA write. Each stage of a port keeps its in-flight
+    descriptors in a FIFO of parallel arrays, completed by one handler
+    made at {!create}. This rests on one invariant: completion times
+    never decrease per (port, stage), because each PCI lane
+    ({!Pci_bus.reserve}) and each wire direction ({!Link.send}) is a
+    serial FIFO resource and the engine dispatches equal times in
+    schedule order. A completion that finds a different entry at the
+    head raises [Invalid_argument]. A frame from the doorbell to its RX
+    completion on the peer allocates nothing once the FIFOs and the
+    link's frame pool have reached their working depth. *)
 
 type t
 type port
@@ -63,19 +75,30 @@ val connect : port -> Link.t -> Link.endpoint -> unit
 (** Attach the port to its wire end and install the receive path. *)
 
 val deliver : port -> ?flow:Dsim.Flowtrace.ctx option -> bytes -> unit
-(** Frame arriving from the wire (used by {!connect}; exposed so tests
-    can inject frames without a link). [flow] is the sampled trace
-    context travelling with the frame; MAC-filter and no-descriptor
-    drops are attributed to it. *)
+(** Frame arriving from the wire, with a valid FCS (exposed so tests
+    can inject frames without a link; {!connect}'s handler takes the
+    same path). The device works on a copy, so the caller keeps the
+    frame. [flow] is the sampled trace context travelling with the
+    frame; MAC-filter and no-descriptor drops are attributed to it. *)
 
 (** {1 Driver-facing descriptor operations} *)
 
 val rx_refill : port -> addr:int -> len:int -> bool
 (** Give the device an empty buffer; [false] when the RX ring is full. *)
 
-val rx_burst : port -> max:int -> (int * int * Dsim.Flowtrace.ctx option) list
-(** Completed receives as [(buffer_addr, packet_len, flow)], oldest
-    first; [flow] is the trace context carried across the wire. *)
+val rx_burst :
+  port ->
+  max:int ->
+  (addr:int -> len:int -> flow:Dsim.Flowtrace.ctx option -> unit) ->
+  int
+(** Hand up to [max] completed receives to the callback, oldest first,
+    and return how many it got. Each is a posted buffer's address, the
+    frame length written there and the trace context carried across
+    the wire. Completions come in {!rx_refill} order: a dropped frame
+    consumes no buffer. A completion leaves the device before the
+    callback sees it, so a callback that raises loses only the
+    completions not yet handed over. The callback should be a closure
+    made once, not per call: then a burst allocates nothing. *)
 
 val rx_pending : port -> int
 (** Completed-but-not-collected receives. *)
@@ -88,7 +111,10 @@ val tx_enqueue :
     counter bump plus a [Tx_ring]/[Tx_ring_full] drop attribution) when
     the TX ring is full. *)
 
-val tx_reap : port -> max:int -> int list
-(** Buffer addresses whose transmission fully completed. *)
+val tx_reap : port -> max:int -> (int -> unit) -> int
+(** Hand up to [max] buffer addresses whose transmission fully completed
+    to the callback, in doorbell order, and return how many. The same
+    contract as {!rx_burst}: each leaves the device (and the TX ring's
+    in-flight count) before the callback sees it. *)
 
 val tx_in_flight : port -> int

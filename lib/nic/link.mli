@@ -30,7 +30,9 @@ val create :
 
 val rent : t -> int -> bytes
 (** Rent an exact-[len] frame buffer from the link's recycling pool
-    (fresh allocation when the pool is dry). The pool is per-link, not
+    (fresh allocation when the pool is dry). Each length keeps up to 32
+    spare buffers in a fixed array, so renting and releasing allocate
+    nothing once a length has been seen. The pool is per-link, not
     process-global: a frame rented by one endpoint's TX DMA is
     {!release}d by the peer endpoint's RX completion. *)
 
@@ -61,6 +63,16 @@ val transmit :
     descriptor can complete). Frames to an endpoint with no handler, or
     on an administratively-down link, are counted as dropped (and
     attributed [Wire]/[Link_down] in {!Dsim.Flowtrace}). *)
+
+val send :
+  t -> flow:Dsim.Flowtrace.ctx option -> from:endpoint -> bytes -> Dsim.Time.t
+(** {!transmit} with the flow context passed as it is, so the call
+    allocates no option cell: the NIC's TX path uses it. Each direction
+    keeps its frames in flight in a FIFO completed by one arrival
+    handler made at {!create}: arrival times never decrease in a
+    direction, since [from]'s MAC serialises frames and the propagation
+    delay is fixed. A frame's send, arrival and delivery to a handler
+    allocate nothing unless the tamper hook acts on it. *)
 
 val inject :
   t ->

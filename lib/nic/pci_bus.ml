@@ -17,11 +17,14 @@ let of_cost_model (cm : Dsim.Cost_model.t) =
 
 let lane_of t = function To_memory -> t.rx | From_memory -> t.tx
 
+(* [Time.of_float_ns] inlined: a cross-module call would box [f]. *)
+let[@inline] ns_of_float f = if f <= 0. then 0 else int_of_float (Float.round f)
+
 let reserve t dir ~now ~bytes =
   let l = lane_of t dir in
   let start = Dsim.Time.max now l.busy_until in
   let dur_ns = (float_of_int bytes *. 8. /. l.bps *. 1e9) +. t.per_transfer_ns in
-  let fin = Dsim.Time.add start (Dsim.Time.of_float_ns dur_ns) in
+  let fin = Dsim.Time.add start (ns_of_float dur_ns) in
   l.busy_until <- fin;
   l.transfers <- l.transfers + 1;
   fin

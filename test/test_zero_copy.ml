@@ -157,7 +157,7 @@ let engine_mass_cancel_compacts () =
   in
   Alcotest.(check int) "all pending" 1000 (Dsim.Engine.pending_count e);
   (* Cancel 9 of every 10 (a mass TCP teardown cancelling its timers). *)
-  List.iteri (fun i h -> if i mod 10 <> 0 then Dsim.Engine.cancel h) handles;
+  List.iteri (fun i h -> if i mod 10 <> 0 then Dsim.Engine.cancel e h) handles;
   Alcotest.(check int) "exact live count" 100 (Dsim.Engine.pending_count e);
   Alcotest.(check bool)
     (Printf.sprintf "heap compacted (size %d)" (Dsim.Engine.heap_size e))
@@ -176,7 +176,7 @@ let engine_cancel_keeps_order () =
   let _h1 = at 10 (note 1) in
   let h2 = at 20 (note 2) in
   let _h3 = at 30 (note 3) in
-  Dsim.Engine.cancel h2;
+  Dsim.Engine.cancel e h2;
   Dsim.Engine.run_until_quiet e;
   Alcotest.(check (list int)) "cancelled event skipped, order kept" [ 1; 3 ]
     (List.rev !order)
@@ -234,13 +234,15 @@ let bandwidth_samples_bit_identical () =
 (* ------------------------------------------------------------------ *)
 
 (* Minor words per DUT NIC packet on the Fig. 4 data path (ff_write ->
-   segment -> wire -> ACK). The budget is ~10% above the cost measured
-   when it was last tightened (544 words/packet, once untraced frames
-   stopped formatting flow labels and virtual time was unboxed; the
-   zero-copy path measured 912 when it landed, and the copy-per-layer
-   code before it 1880). Reintroducing one per-frame copy (a 1.5 KiB
-   frame is ~190 words) or a per-frame label trips it. *)
-let fig4_minor_words_budget = 600.0
+   segment -> wire -> ACK). The budget was last tightened when the event
+   heap became arrays of ints and the NIC and PMD stopped allocating
+   per frame (224 words/packet, from 529). Before that it was 600, ~10%
+   above 544 words/packet once untraced frames stopped formatting flow
+   labels and virtual time was unboxed; the zero-copy path measured 912
+   when it landed, and the copy-per-layer code before it 1880.
+   Reintroducing one per-frame copy (a 1.5 KiB frame is ~190 words) or
+   a per-frame label trips it. *)
+let fig4_minor_words_budget = 350.0
 
 let dut_nic_packets (b : Core.Scenarios.built) =
   let nic = Core.Topology.nic b.Core.Scenarios.dut in
