@@ -91,9 +91,8 @@ let () =
   let k_heartbeat = drone_key "heartbeat" and k_attitude = drone_key "attitude" in
   let rec heartbeat () =
     send (Core.Mavlink.Heartbeat { vehicle_type = 2; autopilot = 12; base_mode = 81; status = 4 });
-    ignore
-      (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 100) ~label:k_heartbeat
-         heartbeat)
+    Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 100) ~label:k_heartbeat
+      heartbeat
   in
   let angle = ref 0 in
   let rec attitude () =
@@ -104,9 +103,8 @@ let () =
            roll_cdeg = (!angle mod 1200) - 600;
            pitch_cdeg = (!angle mod 800) - 400;
            yaw_cdeg = !angle - 18000 });
-    ignore
-      (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 20) ~label:k_attitude
-         attitude)
+    Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 20) ~label:k_attitude
+      attitude
   in
   heartbeat ();
   attitude ();

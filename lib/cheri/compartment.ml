@@ -1,16 +1,9 @@
-type t = { name : string; id : int; ddc : Capability.t; pcc : Capability.t }
+type t = { ddc : Capability.t; pcc : Capability.t }
 
-let make ~name ~id ~ddc ~pcc = { name; id; ddc; pcc }
-let name t = t.name
-let id t = t.id
-let ddc t = t.ddc
-let pcc t = t.pcc
-let with_ddc t ddc = { t with ddc }
+let make ~ddc ~pcc = { ddc; pcc }
 
 let load_bytes t mem ~addr ~len = Tagged_memory.load_bytes mem ~cap:t.ddc ~addr ~len
 let store_bytes t mem ~addr b = Tagged_memory.store_bytes mem ~cap:t.ddc ~addr b
-let get_u8 t mem ~addr = Tagged_memory.get_u8 mem ~cap:t.ddc ~addr
-let set_u8 t mem ~addr v = Tagged_memory.set_u8 mem ~cap:t.ddc ~addr v
 
 let can_access t ~addr ~len ~write =
   let open Capability in
@@ -20,6 +13,3 @@ let can_access t ~addr ~len ~write =
   && (if write then (perms t.ddc).Perms.store else (perms t.ddc).Perms.load)
 
 let check_fetch t ~addr = Capability.check_access t.pcc Execute ~addr ~len:4
-
-let pp fmt t =
-  Format.fprintf fmt "compartment %s(#%d) ddc=%a" t.name t.id Capability.pp t.ddc

@@ -3,22 +3,14 @@
     In hybrid-mode CHERI every legacy (integer-pointer) memory access is
     implicitly checked against the Default Data Capability, and every
     instruction fetch against the Program Counter Capability. A
-    compartment is exactly such a pair plus an identity; the Intravisor
-    installs a cVM's pair before jumping into it, and any access outside
-    the DDC raises the out-of-bounds exception of the paper's Fig. 3. *)
+    compartment is exactly such a pair (its identity is the {!Capvm}
+    cVM's); the Intravisor installs a cVM's pair before jumping into
+    it, and any access outside the DDC raises the out-of-bounds
+    exception of the paper's Fig. 3. *)
 
 type t
 
-val make : name:string -> id:int -> ddc:Capability.t -> pcc:Capability.t -> t
-val name : t -> string
-val id : t -> int
-val ddc : t -> Capability.t
-val pcc : t -> Capability.t
-
-val with_ddc : t -> Capability.t -> t
-(** Replace the DDC (e.g. to install a narrowed view); monotonicity is
-    the caller's obligation and is enforced by how the new DDC was
-    derived. *)
+val make : ddc:Capability.t -> pcc:Capability.t -> t
 
 (** {1 Hybrid-mode accesses}
 
@@ -27,13 +19,9 @@ val with_ddc : t -> Capability.t -> t
 
 val load_bytes : t -> Tagged_memory.t -> addr:int -> len:int -> bytes
 val store_bytes : t -> Tagged_memory.t -> addr:int -> bytes -> unit
-val get_u8 : t -> Tagged_memory.t -> addr:int -> int
-val set_u8 : t -> Tagged_memory.t -> addr:int -> int -> unit
 
 val can_access : t -> addr:int -> len:int -> write:bool -> bool
 (** Non-raising predicate. *)
 
 val check_fetch : t -> addr:int -> unit
 (** Instruction fetch at [addr] against the PCC. *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,11 +30,6 @@ val raise_fault : kind -> address:int -> detail:string -> 'a
     {!Dsim.Metrics.default} (when enabled), attributing the fault to the
     ambient {!current_context}. *)
 
-val all_kinds : kind list
-
-val kind_label : kind -> string
-(** Short snake_case form for metric labels ("out_of_bounds", ...). *)
-
 (** {1 Compartment attribution}
 
     The capability machinery has no notion of cVMs; the Intravisor

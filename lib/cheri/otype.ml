@@ -1,7 +1,5 @@
 type t = int
 
-let unsealed_sentinel = -1
-
 type allocator = { mutable next : int }
 
 let allocator () = { next = 1 }
@@ -17,5 +15,4 @@ let of_int_exn v =
 
 let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
 let pp fmt t = Format.fprintf fmt "otype:%d" t

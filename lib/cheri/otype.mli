@@ -8,9 +8,6 @@
 
 type t = private int
 
-val unsealed_sentinel : t
-(** Pseudo-otype used internally for "not sealed"; never allocated. *)
-
 type allocator
 
 val allocator : unit -> allocator
@@ -20,5 +17,4 @@ val of_int_exn : int -> t
 
 val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -10,7 +10,6 @@ type node = {
   mutable holders : string list;
   mutable children : int list;
   mutable revoked : string option;
-  mutable channel : bool;
 }
 
 (* The DAG is process-wide, like Dsim.Audit.default: the hooks live in
@@ -99,7 +98,6 @@ let add_node ~cap ~owner ~label ~parent =
       holders = [ owner ];
       children = [];
       revoked = None;
-      channel = false;
     }
   in
   Hashtbl.replace nodes id n;
@@ -203,12 +201,6 @@ let record_grant cap ~cvm =
     end
   end
 
-let mark_channel cap =
-  if on () then
-    match find cap with
-    | Some n -> n.channel <- true
-    | None -> ()
-
 let crossing_begin ~from_cvm ~into =
   if on () then begin
     crossings := (from_cvm, into) :: !crossings;
@@ -256,8 +248,6 @@ let record_exercise cap ~address =
       let ctx = Fault.current_context () in
       if not (is_tcb ctx) then
         if holder_in_lineage n ctx then ()
-        else if lineage_find (fun m -> m.channel) n <> None then
-          bump_edge n.owner ctx
         else begin
           (* An active trampoline crossing into [ctx] explains the
              possession when the caller side could hold the capability. *)
@@ -274,7 +264,7 @@ let record_exercise cap ~address =
               ~detail:
                 (Printf.sprintf
                    "%s [0x%x,+0x%x) owned by %s exercised by %s with no \
-                    grant/channel/crossing"
+                    grant/crossing"
                    n.label n.base n.length n.owner ctx)
               ~source:"exercise"
         end)

@@ -14,8 +14,8 @@
     - {b temporal safety}: no dereference through a lineage containing
       a revoked/freed node ([Revoked_parent]);
     - {b confinement}: a capability minted for cVM A is never exercised
-      by cVM B unless a recorded grant, channel endpoint or trampoline
-      crossing explains the possession ([Confinement]).
+      by cVM B unless a recorded grant or trampoline crossing explains
+      the possession ([Confinement]).
 
     Violations are ledgered in {!Dsim.Audit} with the same attribution
     discipline as chaos injections (charged to the ambient
@@ -37,13 +37,12 @@ type node = {
   length : int;
   perms : Perms.t;
   otype : int;  (** -1 when unsealed. *)
-  label : string;  (** "root", "region", "alloc", "mbuf", "channel"... *)
+  label : string;  (** "root", "region", "alloc", "mbuf"... *)
   parent : int;  (** Node id, -1 for roots. *)
   mutable owner : string;  (** Compartment the capability was minted for. *)
   mutable holders : string list;  (** Compartments with a recorded grant. *)
   mutable children : int list;
   mutable revoked : string option;  (** Reason, when revoked. *)
-  mutable channel : bool;  (** A shared-channel endpoint view. *)
 }
 
 (** {1 Recording} — all no-ops while [Dsim.Audit.default] is disabled. *)
@@ -65,11 +64,6 @@ val record_unseal : parent:Capability.t -> Capability.t -> unit
 val record_grant : Capability.t -> cvm:string -> unit
 (** Adds [cvm] to the node's holders; when the current owner is the
     TCB, ownership follows the grant. *)
-
-val mark_channel : Capability.t -> unit
-(** Flag the node as a shared-channel endpoint: exercises by any
-    compartment are explained (and counted as cross-compartment
-    edges) rather than flagged as confinement violations. *)
 
 val crossing_begin : from_cvm:string -> into:string -> unit
 (** A trampoline entered [into] on behalf of [from_cvm]; while the
@@ -118,7 +112,7 @@ type surface = {
   s_caps : int;  (** Live tracked capabilities held. *)
   s_reachable_bytes : int;
       (** Interval union of object-level capabilities (allocations,
-          mbufs, channels) — the working-set attack surface. *)
+          mbufs) — the working-set attack surface. *)
   s_region_bytes : int;
       (** Interval union of ambient capabilities (region/DDC/PCC) —
           the address-space ceiling, reported separately. *)
@@ -129,8 +123,8 @@ val surfaces : unit -> surface list
 (** Per-compartment attack surface, sorted by compartment name. *)
 
 val edges : unit -> (string * string * int) list
-(** Cross-compartment edges (from, to, count) observed via crossings,
-    channels and explained exercises; sorted. *)
+(** Cross-compartment edges (from, to, count) observed via crossings
+    and explained exercises; sorted. *)
 
 val clear : unit -> unit
 (** Drop the DAG, edges, crossings and untracked counter. *)

@@ -102,20 +102,6 @@ let of_json j =
     Ok { sample_every; origins; sampled; dropped_frames; traces; drops }
   | _ -> Error "flow-trace file: top-level JSON object expected"
 
-let of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | contents -> (
-    match Dsim.Json.parse contents with
-    | exception Dsim.Json.Parse_error msg ->
-      Error (Printf.sprintf "%s: %s" path msg)
-    | j -> of_json j)
-
 (* ------------------------------------------------------------------ *)
 (* Derived views                                                        *)
 (* ------------------------------------------------------------------ *)

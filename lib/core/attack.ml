@@ -54,7 +54,7 @@ let catching f =
   | leaked -> Leaked leaked
   | exception Cheri.Fault.Capability_fault fault -> Trapped fault
 
-let cheri_attack kind ~mem ~attacker ~victim_cvm ~iv =
+let cheri_attack kind ~mem ~attacker ~victim_cvm ~stack_data ~iv =
   let buf = Capvm.Cvm.malloc attacker 256 in
   let base = Cheri.Capability.base buf in
   match kind with
@@ -69,11 +69,10 @@ let cheri_attack kind ~mem ~attacker ~victim_cvm ~iv =
         "overwrote 16 bytes past the buffer")
   | Ddc_escape ->
     catching (fun () ->
-        let victim_base = Cheri.Capability.base (Capvm.Cvm.region victim_cvm) in
         let b =
           Cheri.Compartment.load_bytes
             (Capvm.Cvm.compartment attacker)
-            mem ~addr:victim_base ~len:32
+            mem ~addr:stack_data ~len:32
         in
         hex b)
   | Forge_capability ->
@@ -109,7 +108,7 @@ let cheri_attack kind ~mem ~attacker ~victim_cvm ~iv =
    a conventional single-address-space system would allow. Expressible
    only for the memory-safety attacks; the capability-machinery attacks
    have no baseline analogue. *)
-let baseline_attack kind ~mem ~attacker ~victim_cvm =
+let baseline_attack kind ~mem ~attacker ~stack_data =
   let buf = Capvm.Cvm.malloc attacker 256 in
   let base = Cheri.Capability.base buf in
   (* Adjacent allocation standing in for another component's state. *)
@@ -128,12 +127,21 @@ let baseline_attack kind ~mem ~attacker ~victim_cvm =
       ~src:(Bytes.make 16 'X') ~src_off:0 ~len:16;
     Some (Leaked "silently corrupted the adjacent component's state")
   | Ddc_escape ->
-    let victim_base = Cheri.Capability.base (Capvm.Cvm.region victim_cvm) in
     let b = Bytes.create 32 in
-    Cheri.Tagged_memory.unchecked_blit_out mem ~addr:victim_base ~dst:b
+    Cheri.Tagged_memory.unchecked_blit_out mem ~addr:stack_data ~dst:b
       ~dst_off:0 ~len:32;
     Some (Leaked (Printf.sprintf "read network-stack memory: %s" (hex b)))
   | Forge_capability | Unseal_entry | Escalate_perms -> None
+
+(* What ddc-escape reads: data the network stack's cVM1 holds. It is
+   the data room of the first mbuf of the DUT pool's memzone (past
+   DPDK's 128-byte RTE_PKTMBUF_HEADROOM), which the DMA of a received
+   frame, or the stack's TX path, has filled by the time of the attack. *)
+let stack_data (nif : Topology.netif) =
+  let zone = "mbuf-" ^ Dpdk.Mbuf.pool_name nif.Topology.pool in
+  match Dpdk.Eal.memzone_lookup nif.Topology.eal ~name:zone with
+  | Some cap -> Cheri.Capability.base cap + 128
+  | None -> invalid_arg "attack: no DUT mbuf zone"
 
 let measure_flow engine flow ~window =
   let t0 = Dsim.Engine.now engine in
@@ -161,8 +169,9 @@ let run ?(seed = 46L) kind =
     | [] -> invalid_arg "attack: no victim cVM"
   in
   let attacker = Capvm.Intravisor.create_cvm iv ~name:"attacker" ~size:(1 lsl 20) in
-  let cheri = cheri_attack kind ~mem ~attacker ~victim_cvm ~iv in
-  let baseline = baseline_attack kind ~mem ~attacker ~victim_cvm in
+  let stack_data = stack_data (List.hd built.Scenarios.dut_netifs) in
+  let cheri = cheri_attack kind ~mem ~attacker ~victim_cvm ~stack_data ~iv in
+  let baseline = baseline_attack kind ~mem ~attacker ~stack_data in
   (* The attacker compartment is dead; the victim must not notice. *)
   let after = measure_flow engine flow ~window:(Dsim.Time.ms 200) in
   built.Scenarios.stop ();

@@ -31,7 +31,6 @@ type outcome =
   | Leaked of string  (** The access went through (non-CHERI baseline). *)
 
 val outcome_is_trap : outcome -> bool
-val pp_outcome : Format.formatter -> outcome -> unit
 
 type report = {
   attack : attack;

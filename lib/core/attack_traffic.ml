@@ -536,46 +536,39 @@ let leaked ledger id detail = V.resolve ledger id (V.Leaked { detail })
    resolving with that key. A launch none of whose counters ever move
    stays Pending and fails the gate at [until]. *)
 let launch_wire ledger engine link ~target ~stack_name attack ~at ~until ids =
-  ignore
-    (Engine.schedule_at engine ~at ~label:k_inject (fun () ->
-         if attack.wa_frames = [] then ()
-         else begin
-           let at_ns = Time.to_float_ns (Engine.now engine) in
-           let id =
-             V.record ledger attack.wa_cls ~name:attack.wa_name ~at_ns ~target
-           in
-           ids := id :: !ids;
-           let before =
-             List.map (fun k -> (k, drop_count k)) attack.wa_expect
-           in
-           List.iter
-             (fun f ->
-               ignore
-                 (Nic.Link.inject link ~into:Nic.Link.A ~frame:(Bytes.copy f)
-                    ()))
-             attack.wa_frames;
-           let rec check () =
-             match
-               List.find_opt (fun (k, b) -> drop_count k > b) before
-             with
-             | Some ((st, re), b) ->
-               caught_at ledger id (st, re)
-                 ~provenance:
-                   (Printf.sprintf
-                      "%s; attributed at %s's %s/%s guard (+%d typed drops)"
-                      attack.wa_note stack_name (Ft.stage_name st)
-                      (Ft.reason_name re)
-                      (drop_count (st, re) - b))
-             | None ->
-               if Time.(Engine.now engine < until) then
-                 ignore
-                   (Engine.schedule engine ~delay:(Time.us 100)
-                      ~label:k_check check)
-           in
-           ignore
-             (Engine.schedule engine ~delay:(Time.us 100) ~label:k_check
-                check)
-         end))
+  Engine.schedule_at engine ~at ~label:k_inject (fun () ->
+      if attack.wa_frames = [] then ()
+      else begin
+        let at_ns = Time.to_float_ns (Engine.now engine) in
+        let id =
+          V.record ledger attack.wa_cls ~name:attack.wa_name ~at_ns ~target
+        in
+        ids := id :: !ids;
+        let before =
+          List.map (fun k -> (k, drop_count k)) attack.wa_expect
+        in
+        List.iter
+          (fun f ->
+            ignore (Nic.Link.inject link ~into:Nic.Link.A (Bytes.copy f)))
+          attack.wa_frames;
+        let rec check () =
+          match
+            List.find_opt (fun (k, b) -> drop_count k > b) before
+          with
+          | Some ((st, re), b) ->
+            caught_at ledger id (st, re)
+              ~provenance:
+                (Printf.sprintf
+                   "%s; attributed at %s's %s/%s guard (+%d typed drops)"
+                   attack.wa_note stack_name (Ft.stage_name st)
+                   (Ft.reason_name re)
+                   (drop_count (st, re) - b))
+          | None ->
+            if Time.(Engine.now engine < until) then
+              Engine.schedule engine ~delay:(Time.us 100) ~label:k_check check
+        in
+        Engine.schedule engine ~delay:(Time.us 100) ~label:k_check check
+      end)
 
 let exhaust_expect =
   [ (Ft.Eth_tx, Ft.Mbuf_exhausted); (Ft.Rx_dma, Ft.Rx_ring_full) ]
@@ -592,93 +585,82 @@ let exhaust_expect =
    the window. *)
 let launch_exhaust ledger engine pool ~target ~at ~window ~until ?spray ids
     recovered_flag =
-  ignore
-    (Engine.schedule_at engine ~at ~label:k_inject (fun () ->
-         let at_ns = Time.to_float_ns (Engine.now engine) in
-         let id =
-           V.record ledger Resource ~name:"mbuf_exhaust_spray" ~at_ns ~target
-         in
-         ids := id :: !ids;
-         let before = List.map (fun k -> (k, drop_count k)) exhaust_expect in
-         let stolen = ref [] in
-         let held = ref 0 in
-         let steal () =
-           let rec go () =
-             match Dpdk.Mbuf.alloc pool with
-             | Some m ->
-               stolen := m :: !stolen;
-               incr held;
-               go ()
-             | None -> ()
-           in
-           go ()
-         in
-         steal ();
-         let t_free = Time.add (Engine.now engine) window in
-         (* Re-steal on a cadence faster than the stack's loop gap:
-            mbufs released by the victim's own RX/TX processing must be
-            gone again before the next iteration's descriptor restock
-            can re-arm the ring from them. *)
-         let rec pin () =
-           if Time.(Engine.now engine < t_free) then begin
-             steal ();
-             ignore
-               (Engine.schedule engine ~delay:(Time.us 1) ~label:k_inject
-                  pin)
-           end
-         in
-         ignore
-           (Engine.schedule engine ~delay:(Time.us 1) ~label:k_inject pin);
-         let sprayed =
-           match spray with
-           | Some (link, frame, n) ->
-             for _ = 1 to n do
-               ignore
-                 (Nic.Link.inject link ~into:Nic.Link.A
-                    ~frame:(Bytes.copy frame) ())
-             done;
-             n
-           | None -> 0
-         in
-         ignore
-           (Engine.schedule_at engine ~at:t_free ~label:k_inject (fun () ->
-                List.iter Dpdk.Mbuf.free !stolen;
-                stolen := []));
-         let resolved = ref false in
-         let rec check () =
-           (match
-              List.find_opt (fun (k, b) -> drop_count k > b) before
-            with
-           | Some ((st, re), b) when not !resolved ->
-             resolved := true;
-             caught_at ledger id (st, re)
-               ~provenance:
-                 (Printf.sprintf
-                    "drained %d mbufs out of the rx pool%s; typed \
-                     backpressure (%s/%s drops +%d)"
-                    !held
-                    (if sprayed > 0 then
-                       Printf.sprintf " and sprayed %d runt frames" sprayed
-                     else "")
-                    (Ft.stage_name st) (Ft.reason_name re)
-                    (drop_count (st, re) - b))
-           | _ -> ());
-           if
-             (not !recovered_flag)
-             && !stolen = []
-             && Dpdk.Mbuf.available pool > 0
-           then recovered_flag := true;
-           if
-             ((not !resolved) || not !recovered_flag)
-             && Time.(Engine.now engine < until)
-           then
-             ignore
-               (Engine.schedule engine ~delay:(Time.us 100) ~label:k_check
-                  check)
-         in
-         ignore
-           (Engine.schedule engine ~delay:(Time.us 100) ~label:k_check
-              check)))
+  Engine.schedule_at engine ~at ~label:k_inject (fun () ->
+      let at_ns = Time.to_float_ns (Engine.now engine) in
+      let id =
+        V.record ledger Resource ~name:"mbuf_exhaust_spray" ~at_ns ~target
+      in
+      ids := id :: !ids;
+      let before = List.map (fun k -> (k, drop_count k)) exhaust_expect in
+      let stolen = ref [] in
+      let held = ref 0 in
+      let steal () =
+        let rec go () =
+          match Dpdk.Mbuf.alloc pool with
+          | Some m ->
+            stolen := m :: !stolen;
+            incr held;
+            go ()
+          | None -> ()
+        in
+        go ()
+      in
+      steal ();
+      let t_free = Time.add (Engine.now engine) window in
+      (* Re-steal on a cadence faster than the stack's loop gap:
+         mbufs released by the victim's own RX/TX processing must be
+         gone again before the next iteration's descriptor restock
+         can re-arm the ring from them. *)
+      let rec pin () =
+        if Time.(Engine.now engine < t_free) then begin
+          steal ();
+          Engine.schedule engine ~delay:(Time.us 1) ~label:k_inject pin
+        end
+      in
+      Engine.schedule engine ~delay:(Time.us 1) ~label:k_inject pin;
+      let sprayed =
+        match spray with
+        | Some (link, frame, n) ->
+          for _ = 1 to n do
+            ignore (Nic.Link.inject link ~into:Nic.Link.A (Bytes.copy frame))
+          done;
+          n
+        | None -> 0
+      in
+      Engine.schedule_at engine ~at:t_free ~label:k_inject (fun () ->
+          List.iter Dpdk.Mbuf.free !stolen;
+          stolen := []);
+      let resolved = ref false in
+      let rec check () =
+        (match
+           List.find_opt (fun (k, b) -> drop_count k > b) before
+         with
+        | Some ((st, re), b) when not !resolved ->
+          resolved := true;
+          caught_at ledger id (st, re)
+            ~provenance:
+              (Printf.sprintf
+                 "drained %d mbufs out of the rx pool%s; typed \
+                  backpressure (%s/%s drops +%d)"
+                 !held
+                 (if sprayed > 0 then
+                    Printf.sprintf " and sprayed %d runt frames" sprayed
+                  else "")
+                 (Ft.stage_name st) (Ft.reason_name re)
+                 (drop_count (st, re) - b))
+        | _ -> ());
+        if
+          (not !recovered_flag)
+          && !stolen = []
+          && Dpdk.Mbuf.available pool > 0
+        then recovered_flag := true;
+        if
+          ((not !resolved) || not !recovered_flag)
+          && Time.(Engine.now engine < until)
+        then
+          Engine.schedule engine ~delay:(Time.us 100) ~label:k_check check
+      in
+      Engine.schedule engine ~delay:(Time.us 100) ~label:k_check check)
 
 (* ------------------------------------------------------------------ *)
 (* Phase: baseline dual-port (MMU-only model)                          *)
@@ -700,55 +682,54 @@ let secret = "DRONE-TELEMETRY-KEY-0xC4FE"
    records what actually leaked/corrupted — the baseline's expected
    outcome, and the paper's motivation. *)
 let mmu_attacks ledger engine iv mem ~at ids =
-  ignore
-    (Engine.schedule_at engine ~at ~label:k_inject (fun () ->
-         let at_ns = Time.to_float_ns (Engine.now engine) in
-         let attacker =
-           Capvm.Intravisor.create_cvm iv ~name:"redteam" ~size:(1 lsl 20)
-         in
-         let lid name cls =
-           let id =
-             V.record ledger cls ~name ~at_ns ~target:"process memory"
-           in
-           ids := id :: !ids;
-           id
-         in
-         (* Lying-length overread: the bytes past the rx buffer are an
-            adjacent component's secret. *)
-         let buf = Capvm.Cvm.malloc attacker 256 in
-         let neighbour = Capvm.Cvm.malloc attacker (String.length secret) in
-         Cheri.Tagged_memory.store_bytes mem ~cap:neighbour
-           ~addr:(Cheri.Capability.base neighbour)
-           (Bytes.of_string secret);
-         let id = lid "mmu_lying_len_overread" Parser_bounds in
-         let leak = Bytes.create 16 in
-         Cheri.Tagged_memory.unchecked_blit_out mem
-           ~addr:(Cheri.Capability.base buf + 256)
-           ~dst:leak ~dst_off:0 ~len:16;
-         leaked ledger id
-           (Printf.sprintf "read past rx buffer: %S" (Bytes.to_string leak));
-         (* Use-after-close write through a stale pointer. *)
-         let stale = Capvm.Cvm.malloc attacker 64 in
-         let stale_base = Cheri.Capability.base stale in
-         Capvm.Cvm.free attacker stale;
-         let id = lid "mmu_use_after_close" Temporal in
-         Cheri.Tagged_memory.unchecked_blit_in mem ~addr:stale_base
-           ~src:(Bytes.make 16 'X') ~src_off:0 ~len:16;
-         leaked ledger id
-           "wrote 16 bytes through a freed buffer pointer; no trap, \
-            successor allocation silently corrupted";
-         (* Cross-tenant read of the network process's private region. *)
-         match Capvm.Intravisor.cvms iv with
-         | victim :: _ ->
-           let id = lid "mmu_cross_tenant_read" Cross_tenant in
-           let b = Bytes.create 32 in
-           Cheri.Tagged_memory.unchecked_blit_out mem
-             ~addr:(Cheri.Capability.base (Capvm.Cvm.region victim))
-             ~dst:b ~dst_off:0 ~len:32;
-           leaked ledger id
-             (Printf.sprintf "read 32 bytes of %s's region with no grant"
-                (Capvm.Cvm.name victim))
-         | [] -> ()))
+  Engine.schedule_at engine ~at ~label:k_inject (fun () ->
+      let at_ns = Time.to_float_ns (Engine.now engine) in
+      let attacker =
+        Capvm.Intravisor.create_cvm iv ~name:"redteam" ~size:(1 lsl 20)
+      in
+      let lid name cls =
+        let id =
+          V.record ledger cls ~name ~at_ns ~target:"process memory"
+        in
+        ids := id :: !ids;
+        id
+      in
+      (* Lying-length overread: the bytes past the rx buffer are an
+         adjacent component's secret. *)
+      let buf = Capvm.Cvm.malloc attacker 256 in
+      let neighbour = Capvm.Cvm.malloc attacker (String.length secret) in
+      Cheri.Tagged_memory.store_bytes mem ~cap:neighbour
+        ~addr:(Cheri.Capability.base neighbour)
+        (Bytes.of_string secret);
+      let id = lid "mmu_lying_len_overread" Parser_bounds in
+      let leak = Bytes.create 16 in
+      Cheri.Tagged_memory.unchecked_blit_out mem
+        ~addr:(Cheri.Capability.base buf + 256)
+        ~dst:leak ~dst_off:0 ~len:16;
+      leaked ledger id
+        (Printf.sprintf "read past rx buffer: %S" (Bytes.to_string leak));
+      (* Use-after-close write through a stale pointer. *)
+      let stale = Capvm.Cvm.malloc attacker 64 in
+      let stale_base = Cheri.Capability.base stale in
+      Capvm.Cvm.free attacker stale;
+      let id = lid "mmu_use_after_close" Temporal in
+      Cheri.Tagged_memory.unchecked_blit_in mem ~addr:stale_base
+        ~src:(Bytes.make 16 'X') ~src_off:0 ~len:16;
+      leaked ledger id
+        "wrote 16 bytes through a freed buffer pointer; no trap, \
+         successor allocation silently corrupted";
+      (* Cross-tenant read of the network process's private region. *)
+      match Capvm.Intravisor.cvms iv with
+      | victim :: _ ->
+        let id = lid "mmu_cross_tenant_read" Cross_tenant in
+        let b = Bytes.create 32 in
+        Cheri.Tagged_memory.unchecked_blit_out mem
+          ~addr:(Cheri.Capability.base (Capvm.Cvm.region victim))
+          ~dst:b ~dst_off:0 ~len:32;
+        leaked ledger id
+          (Printf.sprintf "read 32 bytes of %s's region with no grant"
+             (Capvm.Cvm.name victim))
+      | [] -> ())
 
 let phase_baseline ledger rng profile ~seed =
   let topo_seed = Int64.add seed 3L in
@@ -988,44 +969,42 @@ let phase_s2 ledger rng profile ~seed ~blackbox_dir =
         ~until:t_end ids)
     wire;
   (* Arm the close race mid-transfer. *)
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.45) ~label:k_inject
-       (fun () ->
-         race_armed := true));
+  Engine.schedule_at engine ~at:(Br.frac w 0.45) ~label:k_inject
+    (fun () ->
+      race_armed := true);
   (* Stale-fd epoll probe against the shared stack's own API: close an
      fd that is still in an epoll interest set, then verify no stale
      wakeup ever surfaces. *)
   let ff = nif.Topology.ff in
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.55) ~label:k_inject
-       (fun () ->
-         let at_ns = Time.to_float_ns (Engine.now engine) in
-         let id =
-           V.record ledger Temporal ~name:"epoll_stale_fd" ~at_ns
-             ~target:"cVM1 (shared stack)"
-         in
-         ids := id :: !ids;
-         match
-           (Netstack.Ff_api.ff_socket ff, Netstack.Ff_api.ff_epoll_create ff)
-         with
-         | Ok fd, Ok ep ->
-           ignore
-             (Netstack.Ff_api.ff_epoll_ctl ff ~epfd:ep ~op:`Add ~fd
-                Netstack.Epoll.epollin);
-           ignore (Netstack.Ff_api.ff_close ff fd);
-           (match Netstack.Ff_api.ff_epoll_wait ff ~epfd:ep ~max:8 with
-           | Ok evs ->
-             if List.exists (fun (f, _) -> f = fd) evs then
-               leaked ledger id "stale wakeup for a closed fd escaped epoll"
-             else
-               V.resolve ledger id
-                 ~provenance:
-                   "socket close revoked the fd from every epoll interest \
-                    set before reuse"
-                 (V.Caught { stage = "sock"; reason = "fd_forgotten_on_close" })
-           | Error _ -> leaked ledger id "epoll_wait failed");
-           ignore (Netstack.Ff_api.ff_close ff ep)
-         | _ -> leaked ledger id "could not allocate probe fds"));
+  Engine.schedule_at engine ~at:(Br.frac w 0.55) ~label:k_inject
+    (fun () ->
+      let at_ns = Time.to_float_ns (Engine.now engine) in
+      let id =
+        V.record ledger Temporal ~name:"epoll_stale_fd" ~at_ns
+          ~target:"cVM1 (shared stack)"
+      in
+      ids := id :: !ids;
+      match
+        (Netstack.Ff_api.ff_socket ff, Netstack.Ff_api.ff_epoll_create ff)
+      with
+      | Ok fd, Ok ep ->
+        ignore
+          (Netstack.Ff_api.ff_epoll_ctl ff ~epfd:ep ~op:`Add ~fd
+             Netstack.Epoll.epollin);
+        ignore (Netstack.Ff_api.ff_close ff fd);
+        (match Netstack.Ff_api.ff_epoll_wait ff ~epfd:ep ~max:8 with
+        | Ok evs ->
+          if List.exists (fun (f, _) -> f = fd) evs then
+            leaked ledger id "stale wakeup for a closed fd escaped epoll"
+          else
+            V.resolve ledger id
+              ~provenance:
+                "socket close revoked the fd from every epoll interest \
+                 set before reuse"
+              (V.Caught { stage = "sock"; reason = "fd_forgotten_on_close" })
+        | Error _ -> leaked ledger id "epoll_wait failed");
+        ignore (Netstack.Ff_api.ff_close ff ep)
+      | _ -> leaked ledger id "could not allocate probe fds");
   let pool_recovered = ref false in
   launch_exhaust ledger engine nif.Topology.pool ~target:"cVM1 (shared stack)"
     ~at:(Br.frac w 0.70) ~window:profile.exhaust_window ~until:t_end ids

@@ -37,9 +37,6 @@ type cls =
   | Resource  (** Floods driving pools into typed backpressure. *)
   | Cross_tenant  (** Probes at sibling cVMs through the shared stack. *)
 
-val cls_name : cls -> string
-val all_classes : cls list
-
 type profile = {
   window : Blast_radius.window;  (** Attacks land in the measured window. *)
   sample_every : Dsim.Time.t;

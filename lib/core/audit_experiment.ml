@@ -124,9 +124,8 @@ let run_chaos_section profile ~seed =
   let window =
     { Blast_radius.warmup = profile.warmup; duration = profile.duration }
   in
-  ignore
-    (Engine.schedule_at engine ~at:(Blast_radius.frac window 0.35)
-       ~label:k_audit_arm (fun () -> ci.ci_arm "cVM1"));
+  Engine.schedule_at engine ~at:(Blast_radius.frac window 0.35)
+    ~label:k_audit_arm (fun () -> ci.ci_arm "cVM1");
   run_to_end built profile;
   let violations = Au.violations au in
   let cap_targets =

@@ -1,7 +1,6 @@
 type sample = { label : string; mbit_s : float; efficiency_pct : float }
 
 let theoretical_port_mbit = 1000.
-let expected_single_port_goodput_mbit = 1000. *. Dsim.Cost_model.ethernet_goodput_ratio
 
 let run (built : Scenarios.built) ?(warmup = Dsim.Time.ms 300)
     ?(duration = Dsim.Time.sec 2) ?(fair_share_mbit = theoretical_port_mbit) ()

@@ -15,9 +15,6 @@ type sample = {
 val theoretical_port_mbit : float
 (** 1000 Mbit/s per Ethernet port. *)
 
-val expected_single_port_goodput_mbit : float
-(** 941 Mbit/s: line rate x 1448/1538. *)
-
 val run :
   Scenarios.built ->
   ?warmup:Dsim.Time.t ->

@@ -23,12 +23,11 @@ let drive labels w ~sample_every ?(on_tick = fun ~now_ns:_ _ -> ())
   in
   let t0 = w.warmup in
   let t_end = Time.add t0 w.duration in
-  ignore
-    (Engine.schedule_at engine ~at:t0 ~label:labels.arm (fun () ->
-         List.iter
-           (fun f -> ignore (f.Scenarios.take_bytes ()))
-           built.Scenarios.flows;
-         after_warmup ()));
+  Engine.schedule_at engine ~at:t0 ~label:labels.arm (fun () ->
+      List.iter
+        (fun f -> ignore (f.Scenarios.take_bytes ()))
+        built.Scenarios.flows;
+      after_warmup ());
   let rec tick prev () =
     let now = Engine.now engine in
     let now_ns = Time.to_float_ns now and prev_ns = Time.to_float_ns prev in
@@ -45,13 +44,10 @@ let drive labels w ~sample_every ?(on_tick = fun ~now_ns:_ _ -> ())
       deltas;
     on_tick ~now_ns deltas;
     if Time.(now < t_end) then
-      ignore
-        (Engine.schedule engine ~delay:sample_every ~label:labels.tick
-           (tick now))
+      Engine.schedule engine ~delay:sample_every ~label:labels.tick (tick now)
   in
-  ignore
-    (Engine.schedule_at engine ~at:(Time.add t0 sample_every)
-       ~label:labels.tick (tick t0));
+  Engine.schedule_at engine ~at:(Time.add t0 sample_every)
+    ~label:labels.tick (tick t0);
   Engine.run ~until:t_end engine;
   built.Scenarios.stop ();
   List.map (fun (l, r) -> (l, List.rev !r)) samples

@@ -182,44 +182,37 @@ let phase_a ch profile ~seed ~blackbox_dir =
   let flap = ref None and mbuf = ref None in
   let pool = (List.hd built.Scenarios.dut_netifs).Topology.pool in
   let stolen = ref [] in
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.30) ~label:k_inject (fun () ->
-         let at_ns = Time.to_float_ns (Engine.now engine) in
-         flap := Some (Ch.inject ch Ch.Link_flap ~at_ns ~target:"link0", at_ns);
-         Nic.Link.set_up link0 false;
-         ignore
-           (Engine.schedule engine ~delay:profile.flap_down ~label:k_inject (fun () ->
-                Nic.Link.set_up link0 true))));
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.55) ~label:k_inject (fun () ->
-         let at_ns = Time.to_float_ns (Engine.now engine) in
-         let id =
-           Ch.inject ch Ch.Mbuf_exhaust ~at_ns
-             ~target:(Dpdk.Mbuf.pool_name pool)
-         in
-         let rec steal () =
-           match Dpdk.Mbuf.alloc pool with
-           | Some m ->
-             stolen := m :: !stolen;
-             steal ()
-           | None -> ()
-         in
-         steal ();
-         ignore
-           (Engine.schedule engine ~delay:profile.mbuf_window ~label:k_inject (fun () ->
-                List.iter Dpdk.Mbuf.free !stolen;
-                stolen := [];
-                (* Only now can the watcher call it recovered. *)
-                mbuf := Some (id, at_ns)))));
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.18) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.45) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.80) ~label:k_inject (fun () ->
-         Ch.set_armed ch false));
+  Engine.schedule_at engine ~at:(Br.frac w 0.30) ~label:k_inject (fun () ->
+      let at_ns = Time.to_float_ns (Engine.now engine) in
+      flap := Some (Ch.inject ch Ch.Link_flap ~at_ns ~target:"link0", at_ns);
+      Nic.Link.set_up link0 false;
+      Engine.schedule engine ~delay:profile.flap_down ~label:k_inject (fun () ->
+          Nic.Link.set_up link0 true));
+  Engine.schedule_at engine ~at:(Br.frac w 0.55) ~label:k_inject (fun () ->
+      let at_ns = Time.to_float_ns (Engine.now engine) in
+      let id =
+        Ch.inject ch Ch.Mbuf_exhaust ~at_ns
+          ~target:(Dpdk.Mbuf.pool_name pool)
+      in
+      let rec steal () =
+        match Dpdk.Mbuf.alloc pool with
+        | Some m ->
+          stolen := m :: !stolen;
+          steal ()
+        | None -> ()
+      in
+      steal ();
+      Engine.schedule engine ~delay:profile.mbuf_window ~label:k_inject (fun () ->
+          List.iter Dpdk.Mbuf.free !stolen;
+          stolen := [];
+          (* Only now can the watcher call it recovered. *)
+          mbuf := Some (id, at_ns)));
+  Engine.schedule_at engine ~at:(Br.frac w 0.18) ~label:k_inject (fun () ->
+      ci.ci_arm victim);
+  Engine.schedule_at engine ~at:(Br.frac w 0.45) ~label:k_inject (fun () ->
+      ci.ci_arm victim);
+  Engine.schedule_at engine ~at:(Br.frac w 0.80) ~label:k_inject (fun () ->
+      Ch.set_armed ch false);
   (* Flap and exhaustion count as recovered when the victim moves
      application bytes again after the outage ends. *)
   let on_tick ~now_ns deltas =
@@ -350,18 +343,15 @@ let phase_b ch profile ~seed ~blackbox_dir =
     if Ch.armed ch && Sup.state sup ~cvm:victim_cvm = Sup.Running then
       ignore (Capvm.Musl_shim.clock_gettime shim);
     if Time.(Engine.now engine < t_end) then
-      ignore (Engine.schedule engine ~delay:profile.eintr_every ~label:k_heartbeat heartbeat)
+      Engine.schedule engine ~delay:profile.eintr_every ~label:k_heartbeat heartbeat
   in
-  ignore (Engine.schedule_at engine ~at:w.warmup ~label:k_heartbeat heartbeat);
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.25) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.60) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
-  ignore
-    (Engine.schedule_at engine ~at:(Br.frac w 0.80) ~label:k_inject (fun () ->
-         Ch.set_armed ch false));
+  Engine.schedule_at engine ~at:w.warmup ~label:k_heartbeat heartbeat;
+  Engine.schedule_at engine ~at:(Br.frac w 0.25) ~label:k_inject (fun () ->
+      ci.ci_arm victim);
+  Engine.schedule_at engine ~at:(Br.frac w 0.60) ~label:k_inject (fun () ->
+      ci.ci_arm victim);
+  Engine.schedule_at engine ~at:(Br.frac w 0.80) ~label:k_inject (fun () ->
+      Ch.set_armed ch false);
   let samples =
     Br.drive labels w ~sample_every
       ~after_warmup:(fun () -> Ch.set_armed ch true)

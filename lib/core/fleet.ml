@@ -445,13 +445,12 @@ let tenant_driver f ~profile tn =
       (if tenant_body f ~conc:profile.p_concurrency ff tn then 1
        else min backoff_cap (2 * tn.tn_backoff))
   and poll () =
-    ignore
-      (Dsim.Engine.schedule engine
-         ~delay:
-           (Dsim.Time.of_float_ns
-              (Dsim.Time.to_float_ns profile.p_poll_interval
-              *. float_of_int tn.tn_backoff))
-         ~label:k_step step)
+    Dsim.Engine.schedule engine
+      ~delay:
+        (Dsim.Time.of_float_ns
+           (Dsim.Time.to_float_ns profile.p_poll_interval
+           *. float_of_int tn.tn_backoff))
+      ~label:k_step step
   in
   let k_arrival =
     Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name
@@ -470,27 +469,23 @@ let tenant_driver f ~profile tn =
         tn.tn_queue;
       if not tn.tn_polling then begin
         tn.tn_polling <- true;
-        ignore
-          (Dsim.Engine.schedule engine ~delay:Dsim.Time.zero ~label:k_step
-             step)
+        Dsim.Engine.schedule engine ~delay:Dsim.Time.zero ~label:k_step step
       end;
-      ignore
-        (Dsim.Engine.schedule engine
-           ~delay:
-             (Dsim.Time.of_float_ns
-                (Dsim.Rng.exponential tn.tn_rng
-                   ~mean:profile.p_arrival_mean_ns))
-           ~label:k_arrival arrival)
+      Dsim.Engine.schedule engine
+        ~delay:
+          (Dsim.Time.of_float_ns
+             (Dsim.Rng.exponential tn.tn_rng
+                ~mean:profile.p_arrival_mean_ns))
+        ~label:k_arrival arrival
     end
   in
   (* First arrival after one exponential gap, so the fleet's opening
      burst is already Poisson-spread instead of synchronized at t0. *)
-  ignore
-    (Dsim.Engine.schedule engine
-       ~delay:
-         (Dsim.Time.of_float_ns
-            (Dsim.Rng.exponential tn.tn_rng ~mean:profile.p_arrival_mean_ns))
-       ~label:k_arrival arrival)
+  Dsim.Engine.schedule engine
+    ~delay:
+      (Dsim.Time.of_float_ns
+         (Dsim.Rng.exponential tn.tn_rng ~mean:profile.p_arrival_mean_ns))
+    ~label:k_arrival arrival
 
 (* ------------------------------------------------------------------ *)
 (* Topology                                                             *)

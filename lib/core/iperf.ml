@@ -11,7 +11,6 @@ let get = function
 type server = {
   s_ff : Ff.t;
   s_buf : Cheri.Capability.t;
-  s_port : int;
   s_epfd : int;
   s_lfd : int;
   mutable s_conns : int list;
@@ -30,7 +29,6 @@ let server ff ~buf ~port =
   {
     s_ff = ff;
     s_buf = buf;
-    s_port = port;
     s_epfd = epfd;
     s_lfd = lfd;
     s_conns = [];
@@ -86,15 +84,10 @@ let server_step s =
         then server_drop_conn s fd)
       events
 
-let server_rx_bytes s = s.s_rx
-
 let server_take_rx s =
   let delta = s.s_rx - s.s_rx_mark in
   s.s_rx_mark <- s.s_rx;
   delta
-
-let server_connections s = List.length s.s_conns
-let server_port s = s.s_port
 
 let server_stop s =
   List.iter (fun fd -> server_drop_conn s fd) s.s_conns;
@@ -175,9 +168,6 @@ let client_step c =
             client_pump c
           end)
         events)
-
-let client_connected c = c.c_state = Running
-let client_tx_bytes c = c.c_tx
 
 let client_take_tx c =
   let delta = c.c_tx - c.c_tx_mark in

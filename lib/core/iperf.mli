@@ -21,12 +21,8 @@ val server : Netstack.Ff_api.t -> buf:Cheri.Capability.t -> port:int -> server
     staging buffer (an app-compartment capability). *)
 
 val server_step : server -> unit
-val server_rx_bytes : server -> int
 val server_take_rx : server -> int
 (** Bytes received since the previous call (bandwidth windows). *)
-
-val server_connections : server -> int
-val server_port : server -> int
 
 val server_stop : server -> unit
 (** Close every accepted connection, the listener and the epoll
@@ -49,8 +45,6 @@ val client :
 (** [write_size] defaults to the full buffer capability length. *)
 
 val client_step : client -> unit
-val client_connected : client -> bool
-val client_tx_bytes : client -> int
 val client_take_tx : client -> int
 val client_stop : client -> unit
 (** Close the connection (FIN). *)

@@ -23,8 +23,4 @@ val compute : unit -> row list
 (** Counts the sources under the current directory; falls back to
     recorded counts when they are unreadable. *)
 
-val from_sources : root:string -> row list option
-val recorded : row list
-(** Snapshot counts, refreshed at release time. *)
-
 val pp : Format.formatter -> row list -> unit

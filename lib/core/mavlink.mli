@@ -10,19 +10,11 @@
     *caller's capability* — the difference between a trap and a
     takeover in {!Attack}-style demos. *)
 
-val magic : int
-(** 0xFE (MAVLink v1 start byte). *)
-
-val max_payload : int
-(** 255 bytes, from the 8-bit length field. *)
-
 type message =
   | Heartbeat of { vehicle_type : int; autopilot : int; base_mode : int; status : int }
   | Attitude of { time_ms : int; roll_cdeg : int; pitch_cdeg : int; yaw_cdeg : int }
   | Command of { command : int; param1 : int; param2 : int; confirmation : int }
   | Raw of { msgid : int; payload : bytes }  (** Anything else. *)
-
-val msgid : message -> int
 
 type frame = {
   seq : int;
@@ -56,7 +48,8 @@ val decode_into :
 
 val forge_oversized : declared_len:int -> bytes
 (** An attack frame whose length field declares [declared_len] (may
-    exceed both the actual payload and {!max_payload} consumers expect)
+    exceed both the actual payload and the 255-byte maximum consumers
+    expect)
     — the malformed input of the CVE. *)
 
 val pp : Format.formatter -> frame -> unit

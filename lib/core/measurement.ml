@@ -131,51 +131,47 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
     | (Baseline | Scenario1), _ | Scenario2 _, None ->
       (* Same protection domain as the stack: plain call. *)
       ignore (Netstack.Ff_api.ff_write ff fd ~buf ~nbytes:write_size);
-      ignore
-        (Dsim.Engine.schedule engine
-           ~delay:(Dsim.Time.of_float_ns ff_write_model_ns) ~label:k_ff_done
-           (fun () ->
-             Dsim.Flowtrace.hop flow Ff_write ~at:(Dsim.Engine.now engine);
-             k ()))
+      Dsim.Engine.schedule engine
+        ~delay:(Dsim.Time.of_float_ns ff_write_model_ns) ~label:k_ff_done
+        (fun () ->
+          Dsim.Flowtrace.hop flow Ff_write ~at:(Dsim.Engine.now engine);
+          k ())
     | Scenario2 _, Some mu ->
       (* Cross into cVM1, take the shared mutex, run the real ff_write
          (whose TCP output work extends the hold), come back. *)
-      ignore
-        (Dsim.Engine.schedule engine
-           ~delay:(Dsim.Time.of_float_ns cm.Dsim.Cost_model.tramp_oneway_ns)
-           ~label:k_tramp_in
-           (fun () ->
-             Dsim.Flowtrace.hop flow Tramp_in ~at:(Dsim.Engine.now engine);
-             Capvm.Umtx.acquire mu ~flow ~owner:"cVM2-measured"
-               (fun ~wait_ns:_ ->
-                 let write_result, _tramp_ns =
-                   Capvm.Intravisor.trampoline iv ~into:mt.Scenarios.mt_stack_cvm
-                     (fun () -> Netstack.Ff_api.ff_write ff fd ~buf ~nbytes:write_size)
-                 in
-                 ignore (write_result : (int, Netstack.Errno.t) Stdlib.result);
-                 (* ff_write itself only appends to the socket buffer:
-                    the segmentation it may trigger is main-loop work
-                    (charged there), not part of the API call's hold. *)
-                 let hold_ns =
-                   cm.Dsim.Cost_model.mutex_uncontended_ns +. ff_write_model_ns
-                 in
-                 ignore
-                   (Dsim.Engine.schedule engine
-                      ~delay:(Dsim.Time.of_float_ns hold_ns) ~label:k_hold
-                      (fun () ->
-                        Dsim.Flowtrace.hop flow Ff_write
-                          ~at:(Dsim.Engine.now engine);
-                        Capvm.Umtx.release mu;
-                        ignore
-                          (Dsim.Engine.schedule engine
-                             ~delay:
-                               (Dsim.Time.of_float_ns
-                                  cm.Dsim.Cost_model.tramp_oneway_ns)
-                             ~label:k_tramp_out
-                             (fun () ->
-                               Dsim.Flowtrace.hop flow Tramp_out
-                                 ~at:(Dsim.Engine.now engine);
-                               k ())))))))
+      Dsim.Engine.schedule engine
+        ~delay:(Dsim.Time.of_float_ns cm.Dsim.Cost_model.tramp_oneway_ns)
+        ~label:k_tramp_in
+        (fun () ->
+          Dsim.Flowtrace.hop flow Tramp_in ~at:(Dsim.Engine.now engine);
+          Capvm.Umtx.acquire mu ~flow ~owner:"cVM2-measured"
+            (fun ~wait_ns:_ ->
+              let write_result, _tramp_ns =
+                Capvm.Intravisor.trampoline iv ~into:mt.Scenarios.mt_stack_cvm
+                  (fun () -> Netstack.Ff_api.ff_write ff fd ~buf ~nbytes:write_size)
+              in
+              ignore (write_result : (int, Netstack.Errno.t) Stdlib.result);
+              (* ff_write itself only appends to the socket buffer:
+                 the segmentation it may trigger is main-loop work
+                 (charged there), not part of the API call's hold. *)
+              let hold_ns =
+                cm.Dsim.Cost_model.mutex_uncontended_ns +. ff_write_model_ns
+              in
+              Dsim.Engine.schedule engine
+                ~delay:(Dsim.Time.of_float_ns hold_ns) ~label:k_hold
+                (fun () ->
+                  Dsim.Flowtrace.hop flow Ff_write
+                    ~at:(Dsim.Engine.now engine);
+                  Capvm.Umtx.release mu;
+                  Dsim.Engine.schedule engine
+                    ~delay:
+                      (Dsim.Time.of_float_ns
+                         cm.Dsim.Cost_model.tramp_oneway_ns)
+                    ~label:k_tramp_out
+                    (fun () ->
+                      Dsim.Flowtrace.hop flow Tramp_out
+                        ~at:(Dsim.Engine.now engine);
+                      k ()))))
   in
   let rec iterate remaining =
     if remaining = 0 then done_flag := true
@@ -187,19 +183,17 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
         Dsim.Flowtrace.origin_ns Dsim.Flowtrace.default ~at_ns:v1 ~flow:label
           App
       in
-      ignore
-        (Dsim.Engine.schedule engine ~delay:(Dsim.Time.of_float_ns c1)
-           ~label:k_clock_ret (fun () ->
-             Dsim.Flowtrace.hop flow Clock_ret ~at:(Dsim.Engine.now engine);
-             do_ff_write flow (fun () ->
-                 let v2, c2 = clock () in
-                 Dsim.Flowtrace.hop_ns flow Clock_entry ~at_ns:v2;
-                 record v1 v2;
-                 ignore
-                   (Dsim.Engine.schedule engine
-                      ~delay:(Dsim.Time.add interval (Dsim.Time.of_float_ns c2))
-                      ~label:k_next
-                      (fun () -> iterate (remaining - 1))))))
+      Dsim.Engine.schedule engine ~delay:(Dsim.Time.of_float_ns c1)
+        ~label:k_clock_ret (fun () ->
+          Dsim.Flowtrace.hop flow Clock_ret ~at:(Dsim.Engine.now engine);
+          do_ff_write flow (fun () ->
+              let v2, c2 = clock () in
+              Dsim.Flowtrace.hop_ns flow Clock_entry ~at_ns:v2;
+              record v1 v2;
+              Dsim.Engine.schedule engine
+                ~delay:(Dsim.Time.add interval (Dsim.Time.of_float_ns c2))
+                ~label:k_next
+                (fun () -> iterate (remaining - 1))))
     end
   in
   iterate iterations;

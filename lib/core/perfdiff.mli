@@ -8,9 +8,10 @@
     Event counts are deterministic per seed, so any change beyond the
     threshold flags — it means the simulation did different work, on any
     machine. Wall-time (ns/event) comparisons are gated by noise floors
-    (the key must have held ≥ {!share_floor_pct} of old self time {e and}
-    grown by ≥ {!abs_floor_ns}) so cross-machine jitter in cold keys
-    cannot fail CI. A snapshot without a [hotspots] list is rejected. *)
+    (the key must have held ≥ 2% of old total self time {e and} its
+    self time must have grown by ≥ 5 ms) so cross-machine jitter in cold
+    keys cannot fail CI. A snapshot without a [hotspots] list is
+    rejected. *)
 
 type direction = Lower_better | Informational
 
@@ -28,13 +29,6 @@ type report = {
   regressions : delta list;
   text : string;  (** Rendered table + verdict. *)
 }
-
-val share_floor_pct : float
-(** A profile wall-time key must have held at least this share of old
-    total self time before its ns/event movement can regress (2%). *)
-
-val abs_floor_ns : float
-(** ... and its self time must have grown by at least this much (5 ms). *)
 
 val compare_json :
   ?max_regress_pct:float -> Dsim.Json.t -> Dsim.Json.t -> (report, string) result

@@ -65,14 +65,13 @@ let supervised_stack_loop sup ~cvm ~running stack =
               Netstack.Stack.loop_once stack)
         with
         | Capvm.Supervisor.Done work_ns ->
-          ignore
-            (Dsim.Engine.schedule engine
-               ~delay:(Dsim.Time.add (Dsim.Time.of_float_ns work_ns) gap)
-               ~label:k_loop iter)
+          Dsim.Engine.schedule engine
+            ~delay:(Dsim.Time.add (Dsim.Time.of_float_ns work_ns) gap)
+            ~label:k_loop iter
         | Capvm.Supervisor.Faulted _ | Capvm.Supervisor.Refused _ ->
-          ignore (Dsim.Engine.schedule engine ~delay:down_poll ~label:k_poll iter))
+          Dsim.Engine.schedule engine ~delay:down_poll ~label:k_poll iter)
       | _ ->
-        ignore (Dsim.Engine.schedule engine ~delay:down_poll ~label:k_poll iter)
+        Dsim.Engine.schedule engine ~delay:down_poll ~label:k_poll iter
   in
   iter ()
 
@@ -345,12 +344,11 @@ let stack_loop ?(sample = ignore) sh =
       Capvm.Umtx.acquire sh.sh_mutex ~owner:"cVM1-loop" (fun ~wait_ns:_ ->
           let work_ns = Netstack.Stack.loop_once stack in
           sample ();
-          ignore
-            (Dsim.Engine.schedule engine
-               ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-               (fun () ->
-                 Capvm.Umtx.release sh.sh_mutex;
-                 ignore (Dsim.Engine.schedule engine ~delay:gap ~label:k_gap iter))))
+          Dsim.Engine.schedule engine
+            ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
+            (fun () ->
+              Capvm.Umtx.release sh.sh_mutex;
+              Dsim.Engine.schedule engine ~delay:gap ~label:k_gap iter))
   in
   iter ()
 
@@ -414,12 +412,11 @@ let enter sh ap flow body k =
     +. ((Netstack.Stack.config stack).Netstack.Stack.per_packet_ns
        *. float_of_int tx)
   in
-  ignore
-    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.of_float_ns hold_ns)
-       ~label:ap.ap_k_hold (fun () ->
-         Capvm.Umtx.release sh.sh_mutex;
-         Dsim.Flowtrace.hop flow Tramp_out ~at:(Dsim.Engine.now engine);
-         k ()))
+  Dsim.Engine.schedule engine ~delay:(Dsim.Time.of_float_ns hold_ns)
+    ~label:ap.ap_k_hold (fun () ->
+      Capvm.Umtx.release sh.sh_mutex;
+      Dsim.Flowtrace.hop flow Tramp_out ~at:(Dsim.Engine.now engine);
+      k ())
 
 let crossing sh ap body k =
   (* One trace per window: App origin, then the umtx wait and the
@@ -482,7 +479,7 @@ let s2_app ?sup ?app_hook sh ~app_cvm ~interval ~extra_tramp make_app =
         | Capvm.Supervisor.Running -> crossing sh ap step resched
         | _ -> resched ())
   and resched () =
-    ignore (Dsim.Engine.schedule engine ~delay:interval ~label:k_iter iter)
+    Dsim.Engine.schedule engine ~delay:interval ~label:k_iter iter
   in
   (match sup with
   | None -> ()
@@ -684,7 +681,7 @@ let build_udp_blast ?(seed = 47L) ~offered_mbit () =
            ~buf:datagram
        with
       | Ok () | Error _ -> ());
-      ignore (Dsim.Engine.schedule engine ~delay:interval ~label:k_tick tick)
+      Dsim.Engine.schedule engine ~delay:interval ~label:k_tick tick
     end
   in
   tick ();

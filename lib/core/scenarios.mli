@@ -42,12 +42,6 @@ type built = {
   stop : unit -> unit;
 }
 
-val app_buffer_size : int
-(** iperf's default 128 KiB write/read chunk. *)
-
-val ip_dut : int -> Netstack.Ipv4_addr.t
-(** 10.0.[subnet].1 — the DUT side of subnet [subnet]. *)
-
 val ip_peer : int -> Netstack.Ipv4_addr.t
 (** 10.0.[subnet].2 — the load-generator side. *)
 

@@ -29,7 +29,6 @@ let make_node engine ~name ?(cost = Dsim.Cost_model.default)
   let nic = Nic.Igb.create engine (Capvm.Intravisor.mem iv) ~bus ~macs () in
   { name; engine; iv; cost; bus; nic; next_mac = ports }
 
-let node_name t = t.name
 let intravisor t = t.iv
 let node_mem t = Capvm.Intravisor.mem t.iv
 let node_cost t = t.cost
@@ -65,7 +64,7 @@ let pool_bufs = 4096
 
 let make_netif node ~region ~port_idx ~ip ?(stack_tuning = Fun.id) () =
   let mem = node_mem node in
-  let eal = Dpdk.Eal.create node.engine mem ~region in
+  let eal = Dpdk.Eal.create mem ~region in
   incr pool_counter;
   let pool_name = Printf.sprintf "%s-p%d-%d" node.name port_idx !pool_counter in
   let pool =

@@ -23,7 +23,6 @@ val make_node :
     test server. Each NIC port has one RX/TX descriptor-ring pair
     ({!Nic.Igb}). *)
 
-val node_name : node -> string
 val intravisor : node -> Capvm.Intravisor.t
 val node_mem : node -> Cheri.Tagged_memory.t
 val node_cost : node -> Dsim.Cost_model.t

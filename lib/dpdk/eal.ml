@@ -1,19 +1,16 @@
 type t = {
-  engine : Dsim.Engine.t;
   mem : Cheri.Tagged_memory.t;
   alloc : Cheri.Alloc.t;
   zones : (string, Cheri.Capability.t) Hashtbl.t;
 }
 
-let create engine mem ~region =
+let create mem ~region =
   {
-    engine;
     mem;
     alloc = Cheri.Alloc.create ~label:"memzone" ~region ();
     zones = Hashtbl.create 16;
   }
 
-let engine t = t.engine
 let mem t = t.mem
 
 let memzone_reserve t ~name ~size =
@@ -27,4 +24,3 @@ let memzone_reserve t ~name ~size =
   cap
 
 let memzone_lookup t ~name = Hashtbl.find_opt t.zones name
-let free_bytes t = Cheri.Alloc.free_bytes t.alloc

@@ -9,11 +9,9 @@
 
 type t
 
-val create :
-  Dsim.Engine.t -> Cheri.Tagged_memory.t -> region:Cheri.Capability.t -> t
+val create : Cheri.Tagged_memory.t -> region:Cheri.Capability.t -> t
 (** [region] is the compartment's DPDK heap (must be read-write). *)
 
-val engine : t -> Dsim.Engine.t
 val mem : t -> Cheri.Tagged_memory.t
 
 val memzone_reserve : t -> name:string -> size:int -> Cheri.Capability.t
@@ -23,4 +21,3 @@ val memzone_reserve : t -> name:string -> size:int -> Cheri.Capability.t
     @raise Invalid_argument on duplicates, [Out_of_memory] when full. *)
 
 val memzone_lookup : t -> name:string -> Cheri.Capability.t option
-val free_bytes : t -> int

@@ -8,7 +8,6 @@ type pool = {
   mutable free_head : int;
   mutable free_count : int;
   capacity : int;
-  mutable alloc_failures : int;
   in_use_metric : Dsim.Metrics.gauge;
   alloc_fail_metric : Dsim.Metrics.counter;
   exhausted : Dsim.Metrics.counter;
@@ -51,7 +50,6 @@ let pool_create eal ~name ~n ~buf_len =
       free_head = 0;
       free_count = 0;
       capacity = n;
-      alloc_failures = 0;
       in_use_metric =
         Dsim.Metrics.gauge Dsim.Metrics.default
           ~help:"Mbufs currently allocated from the pool." ~capacity:n ~labels
@@ -89,7 +87,6 @@ let pool_create eal ~name ~n ~buf_len =
 let pool_name p = p.name
 let available p = p.free_count
 let capacity p = p.capacity
-let alloc_failures p = p.alloc_failures
 
 let reset m =
   m.data_off <- default_headroom;
@@ -108,7 +105,6 @@ let alloc p =
   if p.free_count = 0 then begin
     (* Exhaustion is a counted, recoverable condition — callers turn the
        [None] into a typed drop, never an exception. *)
-    p.alloc_failures <- p.alloc_failures + 1;
     Dsim.Metrics.incr p.alloc_fail_metric;
     Dsim.Metrics.incr p.exhausted;
     None

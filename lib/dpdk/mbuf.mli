@@ -27,10 +27,6 @@ val pool_name : pool -> string
 val available : pool -> int
 val capacity : pool -> int
 
-val alloc_failures : pool -> int
-(** Allocation attempts refused because the pool was empty (also the
-    [dpdk_mbuf_alloc_failures_total] metric). *)
-
 val alloc : pool -> t option
 (** [None] when the pool is exhausted (the poll loops treat this as
     back-pressure, counted — never an exception). Data offset starts at

@@ -47,9 +47,6 @@ type violation_kind =
   | Confinement
   | Hw_fault
 
-let all_violation_kinds =
-  [ Bounds_widening; Perm_widening; Revoked_parent; Confinement; Hw_fault ]
-
 let violation_kind_name = function
   | Bounds_widening -> "bounds_widening"
   | Perm_widening -> "perm_widening"
@@ -87,9 +84,9 @@ type t = {
   mutable violations_rev : violation list;
 }
 
-let create ?(enabled = false) () =
+let default =
   {
-    enabled;
+    enabled = false;
     strict = false;
     sample_every = 64;
     sample_tick = 0;
@@ -98,10 +95,8 @@ let create ?(enabled = false) () =
     violations_rev = [];
   }
 
-let default = create ()
 let enabled t = t.enabled
 let set_enabled t b = t.enabled <- b
-let strict t = t.strict
 let set_strict t b = t.strict <- b
 let sample_every t = t.sample_every
 
@@ -196,31 +191,3 @@ let violation_count ?kind t =
 
 let invariant_violations t =
   List.filter (fun v -> v.v_kind <> Hw_fault) (violations t)
-
-let to_json t =
-  let events =
-    List.filter_map
-      (fun k ->
-        let n = event_count t k in
-        if n = 0 then None else Some (event_name k, Json.Int n))
-      all_events
-  in
-  let violation_json v =
-    Json.Obj
-      [
-        ("id", Json.Int v.v_id);
-        ("kind", Json.String (violation_kind_name v.v_kind));
-        ("cvm", Json.String v.v_cvm);
-        ("address", Json.Int v.v_address);
-        ("detail", Json.String v.v_detail);
-        ("source", Json.String v.v_source);
-      ]
-  in
-  Json.Obj
-    [
-      ("sample_every", Json.Int t.sample_every);
-      ("events", Json.Obj events);
-      ("violations", Json.List (List.map violation_json (violations t)));
-      ( "invariant_violations",
-        Json.Int (List.length (invariant_violations t)) );
-    ]

@@ -23,7 +23,7 @@ type event =
   | Seal
   | Unseal
   | Grant  (** Handed to a cVM as part of its initial endowment. *)
-  | Transfer  (** Cross-boundary: trampoline entry, channel, syscall. *)
+  | Transfer  (** Cross-boundary: trampoline entry, syscall. *)
   | Exercise  (** A (sampled) dereference through the capability. *)
   | Revoke  (** Free / supervisor teardown. *)
   | Restore  (** Re-grant after a successful supervised restart. *)
@@ -35,8 +35,8 @@ type violation_kind =
   | Revoked_parent
       (** Dereference through a revoked/freed lineage (temporal leak). *)
   | Confinement
-      (** Exercised by a compartment with no recorded grant, channel or
-          crossing that explains possession. *)
+      (** Exercised by a compartment with no recorded grant or crossing
+          that explains possession. *)
   | Hw_fault
       (** A {!Cheri.Fault.Capability_fault} was raised — recorded for
           cross-referencing with the chaos ledger, not an invariant
@@ -56,12 +56,8 @@ exception Audit_fault of violation
     only — [Hw_fault] is already an in-flight capability fault). *)
 
 val all_events : event list
-val all_violation_kinds : violation_kind list
 val event_name : event -> string
 val violation_kind_name : violation_kind -> string
-
-val create : ?enabled:bool -> unit -> t
-(** Disabled by default. *)
 
 val default : t
 (** The process-wide ledger every layer records into. Disabled by
@@ -72,8 +68,6 @@ val set_enabled : t -> bool -> unit
 
 val clear : t -> unit
 (** Zero the counters, drop the violations, reset the sampling phase. *)
-
-val strict : t -> bool
 
 val set_strict : t -> bool -> unit
 (** In strict mode an invariant violation raises {!Audit_fault} at the
@@ -123,5 +117,3 @@ val invariant_violations : t -> violation list
 (** Violations of the DAG invariants proper — every kind except
     [Hw_fault]. [netrepro audit] gates on this list being empty for the
     stock scenarios. *)
-
-val to_json : t -> Json.t

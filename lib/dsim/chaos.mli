@@ -85,9 +85,6 @@ val resolve_pending : t -> ?limit:int -> kind -> Verdict.outcome -> unit
 val draw : t -> p:float -> bool
 (** One Bernoulli draw (non-frame opportunities: EINTR, DMA errors). *)
 
-val uniform_ns : t -> lo:float -> hi:float -> float
-(** Uniform draw for schedule points and hold times. *)
-
 val frame_opportunity :
   t -> at_ns:float -> ipv4:bool -> len:int -> target:string -> frame_action
 (** The per-frame lottery; records the ledger entry on a hit.  DMA

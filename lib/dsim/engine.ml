@@ -1,7 +1,3 @@
-(* A handle is the event's schedule seq: unique per engine, so it names
-   the event for as long as it sits in the heap. *)
-type handle = int
-
 (* Pending events: a binary min-heap on [(at, seq)] in three parallel
    int arrays, [at.(0 .. len - 1)], [seq] and [slot], so a sift step
    moves ints and calls no write barrier. The closure, label and causal
@@ -24,14 +20,8 @@ type t = {
   mutable free : int array;
   mutable n_free : int;
   mutable next_seq : int; (* FIFO tie-break among equal deadlines *)
-  mutable live : int;
   mutable fired_count : int;
 }
-
-(* The closure of a cancelled event, and the filler of unused slab
-   slots: a cancelled entry is recognised by [fns.(slot) == cancelled],
-   and cancelling drops the event's own closure at once. *)
-let cancelled () = ()
 
 (* [(at, seq)] is a total order (no two entries share a seq), so equal
    deadlines pop FIFO and any correct heap pops in exactly this order.
@@ -95,8 +85,9 @@ let grow_ints a n =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* Double every array; the fresh slots go on the free stack. [label]
-   only fills the fresh label slots, which are written before any read. *)
+(* Double every array; the fresh slots go on the free stack. [ignore]
+   and [label] only fill the fresh closure and label slots, which are
+   written before any read. *)
 let grow t label =
   let old = Array.length t.at in
   let n = max 16 (2 * old) in
@@ -104,7 +95,7 @@ let grow t label =
   t.seq <- grow_ints t.seq n;
   t.slot <- grow_ints t.slot n;
   t.parents <- grow_ints t.parents n;
-  let fns = Array.make n cancelled in
+  let fns = Array.make n ignore in
   Array.blit t.fns 0 fns 0 old;
   t.fns <- fns;
   let labels = Array.make n label in
@@ -116,10 +107,6 @@ let grow t label =
     t.n_free <- t.n_free + 1
   done
 
-let release_slot t s =
-  t.free.(t.n_free) <- s;
-  t.n_free <- t.n_free + 1
-
 (* Remove the root. *)
 let pop t =
   let n = t.len - 1 in
@@ -130,9 +117,7 @@ let pop t =
 (* All engines share one heap-depth gauge: a metered run drives one
    engine at a time. *)
 let heap_depth =
-  Metrics.gauge Metrics.default
-    ~help:"Entries in the event heap, cancelled ones included."
-    "event_heap"
+  Metrics.gauge Metrics.default ~help:"Entries in the event heap." "event_heap"
 
 let heap_growth =
   Metrics.stall Metrics.default ~resource:"event_heap" ~kind:"heap_growth" ()
@@ -159,7 +144,6 @@ let create () =
     free = [||];
     n_free = 0;
     next_seq = 0;
-    live = 0;
     fired_count = 0;
   }
 
@@ -178,87 +162,26 @@ let schedule_at t ~at ~label fn =
   t.parents.(s) <- Journal.parent_seq ();
   let sq = t.next_seq in
   t.next_seq <- sq + 1;
-  t.live <- t.live + 1;
   t.len <- t.len + 1;
   sift_up t.at t.seq t.slot (t.len - 1) at sq s;
-  if Metrics.enabled Metrics.default then note_depth t.len;
-  sq
+  if Metrics.enabled Metrics.default then note_depth t.len
 
 let schedule t ~delay ~label fn =
   schedule_at t ~at:(Time.add t.clock delay) ~label fn
 
-(* Drop cancelled entries in place, freeing their slots, then
-   re-heapify bottom-up. The heap order is total, so compaction cannot
-   perturb event ordering. *)
-let compact t =
-  let ha = t.at and hs = t.seq and hl = t.slot in
-  let n = ref 0 in
-  for i = 0 to t.len - 1 do
-    let s = hl.(i) in
-    if t.fns.(s) == cancelled then release_slot t s
-    else begin
-      ha.(!n) <- ha.(i);
-      hs.(!n) <- hs.(i);
-      hl.(!n) <- s;
-      incr n
-    end
-  done;
-  t.len <- !n;
-  for i = (!n / 2) - 1 downto 0 do
-    sift_down ha hs hl !n i ha.(i) hs.(i) hl.(i)
-  done
-
-(* Compact once cancelled entries outnumber live ones. *)
-let compaction_floor = 64
-
-(* The heap position of the pending (not cancelled) event [h], or -1.
-   A linear scan: only tests cancel. *)
-let find_pending t h =
-  let rec go i =
-    if i >= t.len then -1
-    else if t.seq.(i) = h then
-      if t.fns.(t.slot.(i)) == cancelled then -1 else i
-    else go (i + 1)
-  in
-  go 0
-
-let cancel t h =
-  let i = find_pending t h in
-  if i >= 0 then begin
-    t.fns.(t.slot.(i)) <- cancelled;
-    t.live <- t.live - 1;
-    if t.len > compaction_floor && 2 * t.live < t.len then compact t
-  end
-
-let is_pending t h = find_pending t h >= 0
-let pending_count t = t.live
-let heap_size t = t.len
+let pending_count t = t.len
 let events_fired t = t.fired_count
 
-(* Drop cancelled heads; [true] when a live event is pending. *)
-let rec has_next t =
-  if t.len = 0 then false
-  else begin
-    let s = t.slot.(0) in
-    if t.fns.(s) == cancelled then begin
-      pop t;
-      release_slot t s;
-      has_next t
-    end
-    else true
-  end
-
 (* Allocates nothing: no [Some] cell, no handle, no closure per fired
-   event, which matters at millions of events per simulated second.
-   [has_next] has already discarded cancelled heads. *)
+   event, which matters at millions of events per simulated second. *)
 let dispatch t =
   let at = t.at.(0) and s = t.slot.(0) in
   pop t;
   let fn = t.fns.(s) and label = t.labels.(s) and parent = t.parents.(s) in
   (* The slot is free before the handler runs, so an event that
      reschedules itself reuses it. *)
-  release_slot t s;
-  t.live <- t.live - 1;
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1;
   t.clock <- at;
   t.fired_count <- t.fired_count + 1;
   (* Journal bracket: assigns this dispatch its global seq, snapshots
@@ -289,7 +212,7 @@ let dispatch t =
       raise e
 
 let step t =
-  if has_next t then begin
+  if t.len > 0 then begin
     dispatch t;
     true
   end
@@ -304,7 +227,7 @@ let run ?until ?max_events t =
     match max_events with None -> true | Some m -> !fired < m
   in
   let rec loop () =
-    if not (has_next t) then finish ()
+    if t.len = 0 then finish ()
     else begin
       let in_window =
         match until with None -> true | Some u -> Time.(t.at.(0) <= u)
@@ -318,5 +241,3 @@ let run ?until ?max_events t =
     end
   in
   loop ()
-
-let run_until_quiet t = run t

@@ -77,15 +77,6 @@ let stage_name = function
 let stage_of_name s =
   List.find_opt (fun st -> String.equal (stage_name st) s) all_stages
 
-let all_reasons =
-  [
-    Tx_ring_full; Rx_ring_full; Mac_filter; Link_down; Bad_checksum;
-    Parse_error; Out_of_window; Dup_segment; Rcv_buf_full; Mbuf_exhausted;
-    No_socket; Sock_queue_full; Capability_fault; Unknown_proto; Fcs_error;
-    Dma_error; Chaos_injected; Arp_unresolved; Bad_length; Bad_option;
-    Frag_unsupported;
-  ]
-
 let reason_name = function
   | Tx_ring_full -> "tx_ring_full"
   | Rx_ring_full -> "rx_ring_full"
@@ -108,9 +99,6 @@ let reason_name = function
   | Bad_length -> "bad_length"
   | Bad_option -> "bad_option"
   | Frag_unsupported -> "frag_unsupported"
-
-let reason_of_name s =
-  List.find_opt (fun r -> String.equal (reason_name r) s) all_reasons
 
 type ctx = {
   tr_id : int;

@@ -89,7 +89,6 @@ val stage_name : stage -> string
 
 val stage_of_name : string -> stage option
 val reason_name : reason -> string
-val reason_of_name : string -> reason option
 val all_stages : stage list
 (** In pipeline order; the order used by reports. *)
 

@@ -228,9 +228,6 @@ let emit rs line =
     Buffer.clear rs.rs_buf
   | _ -> ()
 
-let recording () = match !mode with Record _ -> true | _ -> false
-let verifying () = match !mode with Verify _ -> true | _ -> false
-
 let stop () =
   (match !mode with
   | Record rs -> (

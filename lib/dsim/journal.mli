@@ -54,8 +54,6 @@ type dispatch = {
   d_rng : int;  (** {!Rng} draws made by the handler. *)
 }
 
-val dispatch_json : dispatch -> Json.t
-
 val differing_field : dispatch -> dispatch -> string option
 (** The first field, in the order ["virtual_time"], ["label"],
     ["causal_parent"], ["rng_draws"], in which two records of the same
@@ -103,9 +101,6 @@ val record_to : ?header:(string * Json.t) list -> sink -> unit
     dispatch sequence to 0, and emit the header line ([header] fields
     are appended after ["schema"]). [To_buffer] clears the buffer
     first. *)
-
-val recording : unit -> bool
-val verifying : unit -> bool
 
 val stop : unit -> unit
 (** Flush and close the active sink (if any) and disarm. Idempotent. *)
@@ -167,9 +162,6 @@ val verify_finish : unit -> verify_outcome
 
 val set_ring_size : int -> unit
 (** Replace the ring (default 512 slots); clears its contents. *)
-
-val ring_size : unit -> int
-(** The current ring capacity. *)
 
 val blackbox : unit -> dispatch list
 (** The last [min ring-size total] completed dispatches, oldest

@@ -33,11 +33,10 @@ type t = {
      runaway label set (hundreds of tenants, per-flow labels, ...)
      cannot blow up the export. Registrations past the cap still get a
      live (but unexported) instrument, and are tallied. *)
-  mutable max_series : int;
   mutable dropped_series : int;
 }
 
-let default_max_series = 8192
+let max_series = 8192
 
 let create ?(enabled = false) () =
   {
@@ -45,7 +44,6 @@ let create ?(enabled = false) () =
     table = Hashtbl.create 64;
     order = [];
     meta = Hashtbl.create 32;
-    max_series = default_max_series;
     dropped_series = 0;
   }
 
@@ -53,9 +51,6 @@ let default = create ()
 
 let enabled t = t.sw.on
 let set_enabled t b = t.sw.on <- b
-let max_series t = t.max_series
-let set_max_series t n = t.max_series <- max 0 n
-let dropped_series t = t.dropped_series
 
 let normalize_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
@@ -80,7 +75,7 @@ let register t ~name ~labels ~help make =
   let key = series_key name labels in
   match Hashtbl.find_opt t.table key with
   | Some s -> s.s_instrument
-  | None when Hashtbl.length t.table >= t.max_series ->
+  | None when Hashtbl.length t.table >= max_series ->
     (* Over the cardinality cap: hand back a working instrument that is
        interned nowhere — updates stay cheap and safe, the series just
        never reaches the export — and account for the drop. *)
@@ -162,7 +157,6 @@ let observe h x =
   end
 
 let observations h = Histogram.count h.h_ladder
-let sum h = h.h_sum
 let percentile h p = Histogram.percentile h.h_ladder p
 
 let mean h =
@@ -198,11 +192,6 @@ let find_counter t ?(labels = []) name =
 let find_gauge t ?(labels = []) name =
   match Hashtbl.find_opt t.table (series_key name (normalize_labels labels)) with
   | Some { s_instrument = Gauge g; _ } -> Some g
-  | _ -> None
-
-let find_histogram t ?(labels = []) name =
-  match Hashtbl.find_opt t.table (series_key name (normalize_labels labels)) with
-  | Some { s_instrument = Histogram h; _ } -> Some h
   | _ -> None
 
 let reset t =

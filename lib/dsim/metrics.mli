@@ -50,26 +50,20 @@ val default : t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
-(** {1 Label-cardinality guard}
-
-    The series intern table is bounded (default 8192 series). A
-    registration that would create a series past the cap instead
-    returns a live but {e unexported} instrument — hot-path updates on
-    it remain one branch, it simply never appears in {!snapshot} or
-    {!to_prometheus} — and bumps the dropped-series tally, which the
-    Prometheus dump surfaces as [metrics_dropped_series_total] when
-    non-zero. This keeps a 256-tenant (or adversarially label-happy)
-    run from growing the export without bound. *)
-
-val max_series : t -> int
-val set_max_series : t -> int -> unit
-val dropped_series : t -> int
-
 val reset : t -> unit
 (** Zero every instrument, high watermarks included, keeping all
     series registered. *)
 
 (** {1 Registration}
+
+    The series intern table is bounded at 8192 series. A registration
+    that would create a series past the cap instead returns a live but
+    {e unexported} instrument — hot-path updates on it remain one
+    branch, it simply never appears in {!snapshot} or {!to_prometheus}
+    — and bumps the dropped-series tally, which the Prometheus dump
+    surfaces as [metrics_dropped_series_total] when non-zero. This
+    keeps a 256-tenant (or adversarially label-happy) run from growing
+    the export without bound.
 
     Get-or-create: the same name and label set yields the same
     instrument. Registering one name with two different instrument
@@ -125,7 +119,6 @@ val high : gauge -> int
 
 val capacity : gauge -> int option
 val observations : histogram -> int
-val sum : histogram -> float
 val mean : histogram -> float
 
 val percentile : histogram -> float -> float
@@ -134,7 +127,6 @@ val percentile : histogram -> float -> float
 
 val find_counter : t -> ?labels:labels -> string -> counter option
 val find_gauge : t -> ?labels:labels -> string -> gauge option
-val find_histogram : t -> ?labels:labels -> string -> histogram option
 
 type value =
   | Counter_value of int

@@ -5,7 +5,7 @@ type row = {
 
 type t = {
   mutable on : bool;
-  mutable ival : Time.t;
+  ival : Time.t;
   capacity : int;
   mutable rows_rev : row list;
   mutable n : int;
@@ -19,13 +19,7 @@ let create ?(enabled = false) ?(interval = Time.ms 10) ?(capacity = 4096) () =
 
 let default = create ()
 
-let enabled t = t.on
 let set_enabled t b = t.on <- b
-let interval t = t.ival
-
-let set_interval t i =
-  if Time.(i <= Time.zero) then invalid_arg "Sampler.set_interval";
-  t.ival <- i
 
 let clear t =
   t.rows_rev <- [];
@@ -62,10 +56,10 @@ let attach t engine metrics =
         (* Reschedule only while something else is pending: a sampler
            must never be what keeps the simulation running. *)
         if Engine.pending_count engine > 0 then
-          ignore (Engine.schedule engine ~delay:t.ival ~label:tick_label tick)
+          Engine.schedule engine ~delay:t.ival ~label:tick_label tick
       end
     in
-    ignore (Engine.schedule engine ~delay:t.ival ~label:tick_label tick)
+    Engine.schedule engine ~delay:t.ival ~label:tick_label tick
   end
 
 let rows t = List.rev t.rows_rev

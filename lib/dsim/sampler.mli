@@ -9,7 +9,7 @@
     The recurring event stops rescheduling itself when the registry is
     disabled, when the row capacity is reached, or when it would be the
     only event keeping the simulation alive — so attaching a sampler
-    never prevents [run_until_quiet] from terminating. *)
+    never keeps an unbounded {!Engine.run} from terminating. *)
 
 type t
 
@@ -24,10 +24,7 @@ val create :
 
 val default : t
 
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-val interval : t -> Time.t
-val set_interval : t -> Time.t -> unit
 val clear : t -> unit
 
 val truncated : t -> bool

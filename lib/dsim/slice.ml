@@ -59,19 +59,7 @@ let get_u32_be t off =
   let b k = Char.code (Bytes.get t.base (i + k)) in
   (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
 
-let set_u32_be t off v =
-  check t ~off ~len:4;
-  let i = t.off + off in
-  Bytes.set t.base i (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set t.base (i + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set t.base (i + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set t.base (i + 3) (Char.chr (v land 0xff))
-
 let to_bytes t = Bytes.sub t.base t.off t.len
-
-let blit_to t ~off ~len ~dst ~dst_off =
-  check t ~off ~len;
-  Bytes.blit t.base (t.off + off) dst dst_off len
 
 let blit_from t ~off ~src ~src_off ~len =
   check t ~off ~len;

@@ -17,16 +17,14 @@ type oob = { raise_oob : 'a. addr:int -> len:int -> detail:string -> 'a }
 (** Out-of-window handler; [addr] is the absolute address of the
     offending access (window origin + offset). *)
 
-val default_oob : oob
-(** Raises [Invalid_argument] — the behaviour of plain slices not backed
-    by a capability borrow. *)
-
 type t
 
 val make : ?abs:int -> ?oob:oob -> bytes -> off:int -> len:int -> t
 (** Window [\[off, off+len)] of [base]. [abs] is the absolute address
     the window starts at in the simulated address space (diagnostics
-    only; defaults to 0). *)
+    only; defaults to 0). [oob] defaults to raising [Invalid_argument],
+    the behaviour of plain slices not backed by a capability borrow.
+    @raise Invalid_argument when the window does not fit in [base]. *)
 
 val of_bytes : bytes -> t
 (** The whole buffer as a slice. *)
@@ -56,11 +54,9 @@ val set_u8 : t -> int -> int -> unit
 val get_u16_be : t -> int -> int
 val set_u16_be : t -> int -> int -> unit
 val get_u32_be : t -> int -> int
-val set_u32_be : t -> int -> int -> unit
 
 val to_bytes : t -> bytes
 (** Materialize a copy (the escape hatch for data that outlives the
     borrow, e.g. packets parked awaiting ARP resolution). *)
 
-val blit_to : t -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
 val blit_from : t -> off:int -> src:bytes -> src_off:int -> len:int -> unit

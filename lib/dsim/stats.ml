@@ -124,9 +124,3 @@ let iqr_filter ?(k = 1.5) t =
     done;
     out
   end
-
-let pp_boxplot fmt b =
-  Format.fprintf fmt
-    "n=%d mean=%.1f sd=%.1f [%.1f | %.1f %.1f %.1f | %.1f] outliers=%d"
-    b.n b.mean b.stddev b.whisker_low b.q1 b.median b.q3 b.whisker_high
-    b.outliers

@@ -47,5 +47,3 @@ val iqr_filter : ?k:float -> t -> t
 (** Fresh buffer containing only samples within
     [\[q1 - k*IQR, q3 + k*IQR\]] ([k] defaults to 1.5, the "standard IQR
     strategy" of the paper). *)
-
-val pp_boxplot : Format.formatter -> boxplot -> unit

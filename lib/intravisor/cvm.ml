@@ -33,7 +33,7 @@ let make ~name ~id ~region ~entry_otype ~sealed_entry =
     name;
     id;
     region;
-    compartment = Cheri.Compartment.make ~name ~id ~ddc ~pcc;
+    compartment = Cheri.Compartment.make ~ddc ~pcc;
     heap = Cheri.Alloc.create ~region:ddc ();
     entry_otype;
     sealed_entry;

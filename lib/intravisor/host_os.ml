@@ -45,8 +45,6 @@ let create engine ~cost =
         sc_slots;
   }
 
-let engine t = t.engine
-let cost_model t = t.cost
 let clock_monotonic_raw t = Dsim.Engine.now t.engine
 let syscall_body_ns t sc = Syscall.kernel_cost_ns t.cost sc
 let svc_entry_exit_ns t = t.cost.Dsim.Cost_model.mmu_syscall_extra_ns

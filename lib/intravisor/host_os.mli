@@ -8,8 +8,6 @@
 type t
 
 val create : Dsim.Engine.t -> cost:Dsim.Cost_model.t -> t
-val engine : t -> Dsim.Engine.t
-val cost_model : t -> Dsim.Cost_model.t
 
 val clock_monotonic_raw : t -> Dsim.Time.t
 (** The timer value CLOCK_MONOTONIC_RAW reads. *)

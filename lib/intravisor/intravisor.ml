@@ -52,7 +52,6 @@ let note_crossing t ~caller =
   | Some r -> r := !r + 2 (* in + out *)
   | None -> Hashtbl.replace t.crossings_by_caller caller (ref 2)
 
-let engine t = t.engine
 let mem t = t.mem
 let host t = t.host
 let cost_model t = t.cost
@@ -125,10 +124,6 @@ let trampoline t ?(flow = None) ~into f =
   (result, trampoline_cost_ns t)
 
 let total_trampolines t = t.trampolines
-
-let crossings_by_caller t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.crossings_by_caller []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let crossings_from t ~caller =
   match Hashtbl.find_opt t.crossings_by_caller caller with

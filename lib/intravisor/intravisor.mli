@@ -15,7 +15,6 @@ type t
 val create :
   Dsim.Engine.t -> mem_size:int -> cost:Dsim.Cost_model.t -> t
 
-val engine : t -> Dsim.Engine.t
 val mem : t -> Cheri.Tagged_memory.t
 val host : t -> Host_os.t
 val cost_model : t -> Dsim.Cost_model.t
@@ -40,12 +39,6 @@ val trampoline_cost_ns : t -> float
 (** Round-trip cost without executing anything. *)
 
 val total_trampolines : t -> int
-
-val crossings_by_caller : t -> (string * int) list
-(** Round-trip crossings ({!trampoline} and {!syscall}) grouped by the
-    calling compartment's fault context at entry, sorted by name — the
-    per-tenant attribution of boundary traffic when many app cVMs share
-    one stack cVM. Callers that never crossed are absent. *)
 
 val crossings_from : t -> caller:string -> int
 (** Crossings charged to one caller; 0 if it never crossed. *)

@@ -27,7 +27,6 @@ let create iv cvm =
         "musl_eintr_retries_total";
   }
 
-let cvm t = t.cvm
 let set_transient t tr = t.transient <- tr
 
 (* musl's TEMP_FAILURE_RETRY discipline, with a small exponential
@@ -78,6 +77,5 @@ let getpid t =
     invalid_arg "musl getpid: kernel returned a non-int value"
 
 let futex_wake t = snd (invoke t Syscall.Futex_wake)
-let futex_wait_cost t = snd (invoke t Syscall.Futex_wait)
 let write_console t s = snd (invoke t (Syscall.Write_console (String.length s)))
 let calls t = t.calls

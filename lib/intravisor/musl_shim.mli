@@ -9,7 +9,6 @@
 type t
 
 val create : Intravisor.t -> Cvm.t -> t
-val cvm : t -> Cvm.t
 
 type transient = {
   should_fail : attempt:int -> bool;
@@ -37,6 +36,5 @@ val getpid : t -> int * float
 val futex_wake : t -> float
 (** Returns the CPU cost; the actual wake semantics live in {!Umtx}. *)
 
-val futex_wait_cost : t -> float
 val write_console : t -> string -> float
 val calls : t -> int

@@ -43,7 +43,6 @@ type entry = {
   mutable e_restarts : int;
   mutable e_cleanups : (unit -> unit) list; (* reverse registration order *)
   mutable e_restart_fn : unit -> unit;
-  mutable e_last_fault : Cheri.Fault.t option;
   mutable e_trapped_at : Dsim.Time.t;
   (* Head = most recent quarantine window; [None] end = still open. *)
   mutable e_windows : (Dsim.Time.t * Dsim.Time.t option) list;
@@ -93,7 +92,6 @@ let register t ?policy cvm =
         e_restarts = 0;
         e_cleanups = [];
         e_restart_fn = (fun () -> ());
-        e_last_fault = None;
         e_trapped_at = Dsim.Time.ns 0;
         e_windows = [];
         e_blackbox = None;
@@ -124,7 +122,6 @@ let state t ~cvm = (entry t cvm).e_state
 let blackbox t ~cvm = (entry t cvm).e_blackbox
 let faults t ~cvm = (entry t cvm).e_faults
 let restarts t ~cvm = (entry t cvm).e_restarts
-let last_fault t ~cvm = (entry t cvm).e_last_fault
 let quarantine_windows t ~cvm = List.rev (entry t cvm).e_windows
 
 let set_state t e s =
@@ -227,7 +224,6 @@ let backoff_delay t e =
 let rec handle_fault t e fault =
   let now = Dsim.Engine.now t.engine in
   e.e_faults <- e.e_faults + 1;
-  e.e_last_fault <- Some fault;
   e.e_trapped_at <- now;
   Dsim.Journal.note_fault ~cvm:e.e_name
     ~fault:(Cheri.Fault.to_string fault);
@@ -249,9 +245,8 @@ let rec handle_fault t e fault =
   | Restart { budget; _ } when e.e_restarts >= budget -> set_state t e Dead
   | Restart _ ->
     let delay = backoff_delay t e in
-    ignore
-      (Dsim.Engine.schedule t.engine ~delay ~label:k_restart (fun () ->
-           attempt_restart t e)));
+    Dsim.Engine.schedule t.engine ~delay ~label:k_restart (fun () ->
+        attempt_restart t e));
   capture_blackbox t e fault ~now ~revoked
 
 and attempt_restart t e =

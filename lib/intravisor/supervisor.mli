@@ -4,12 +4,11 @@
     into a catchable {!Cheri.Fault.Capability_fault}; what the paper's
     Figure 3 leaves implicit is everything that must happen next for
     the fault to stay contained. This module is that machinery: every
-    entry into a cVM (trampoline, main-loop iteration, channel
-    callback) runs under {!run}, which catches the fault, attributes
-    it to the faulting cVM, runs the cVM's registered cleanups (socket
-    teardown, mbuf returns, shared-mutex {!Umtx.force_release} — the
-    Scenario 2 lock must never be left held by a dead compartment),
-    and drives the lifecycle
+    entry into a cVM (trampoline, main-loop iteration) runs under
+    {!run}, which catches the fault, attributes it to the faulting cVM,
+    runs the cVM's registered cleanups (socket teardown, mbuf returns,
+    shared-mutex {!Umtx.force_release} — the Scenario 2 lock must never
+    be left held by a dead compartment), and drives the lifecycle
 
     {v Running -> Trapped -> Quarantined -> (Restarting -> Running)* v}
 
@@ -34,9 +33,6 @@ type policy =
       jitter_pct : float;  (** +/- fraction applied to each delay. *)
     }
 
-val default_restart : policy
-(** 3 restarts, 50 us base doubling to a 5 ms cap, 10% jitter. *)
-
 type 'a outcome =
   | Done of 'a  (** The entry completed normally. *)
   | Faulted of Cheri.Fault.t
@@ -48,6 +44,8 @@ type 'a outcome =
 type t
 
 val create : Dsim.Engine.t -> ?seed:int64 -> ?policy:policy -> unit -> t
+(** [policy] defaults to [Restart] with a budget of 3 restarts, 50 us
+    base backoff doubling to a 5 ms cap, and 10% jitter. *)
 
 val register : t -> ?policy:policy -> Cvm.t -> unit
 (** Place a cVM under supervision ([Running], no-op restart). [policy]
@@ -71,7 +69,6 @@ val run : t -> cvm:Cvm.t -> (unit -> 'a) -> 'a outcome
 val state : t -> cvm:Cvm.t -> state
 val faults : t -> cvm:Cvm.t -> int
 val restarts : t -> cvm:Cvm.t -> int
-val last_fault : t -> cvm:Cvm.t -> Cheri.Fault.t option
 
 val quarantine_windows :
   t -> cvm:Cvm.t -> (Dsim.Time.t * Dsim.Time.t option) list

@@ -110,19 +110,18 @@ let release t =
       Dsim.Metrics.incr t.acq_metric;
       Dsim.Metrics.incr t.cont_metric;
       (* The kernel wake costs [wake_ns] before the waiter resumes. *)
-      ignore
-        (Dsim.Engine.schedule t.engine
-           ~delay:(Dsim.Time.of_float_ns t.wake_ns) ~label:t.k_wake
-           (fun () ->
-             let waited =
-               Dsim.Time.to_float_ns
-                 (Dsim.Time.sub (Dsim.Engine.now t.engine) next.since)
-             in
-             t.total_wait_ns <- t.total_wait_ns +. waited;
-             Dsim.Metrics.observe t.wait_metric waited;
-             Dsim.Flowtrace.hop next.wflow Umtx_wait
-               ~at:(Dsim.Engine.now t.engine);
-             next.k ~wait_ns:waited)))
+      Dsim.Engine.schedule t.engine
+        ~delay:(Dsim.Time.of_float_ns t.wake_ns) ~label:t.k_wake
+        (fun () ->
+          let waited =
+            Dsim.Time.to_float_ns
+              (Dsim.Time.sub (Dsim.Engine.now t.engine) next.since)
+          in
+          t.total_wait_ns <- t.total_wait_ns +. waited;
+          Dsim.Metrics.observe t.wait_metric waited;
+          Dsim.Flowtrace.hop next.wflow Umtx_wait
+            ~at:(Dsim.Engine.now t.engine);
+          next.k ~wait_ns:waited))
 
 (* Crash cleanup: a dead compartment must leave nothing behind in the
    kernel lock — neither the hold (siblings would deadlock on the next

@@ -137,6 +137,3 @@ let expire_failed t ~now =
         (ip, take_pending t ip))
       failed
   end
-
-let entries t =
-  Ip_tbl.fold (fun ip e acc -> (ip, e.mac) :: acc) t.table []

@@ -50,5 +50,3 @@ val due_retries : t -> now:Dsim.Time.t -> Ipv4_addr.t list
 val expire_failed : t -> now:Dsim.Time.t -> (Ipv4_addr.t * bytes list) list
 (** Resolutions whose final attempt expired unanswered: each enters the
     negative cache and returns its stranded queue for counted drops. *)
-
-val entries : t -> (Ipv4_addr.t * Nic.Mac_addr.t) list

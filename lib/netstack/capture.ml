@@ -76,13 +76,6 @@ let summarize frame =
           Printf.sprintf "IP %s > %s: protocol %d" (Ipv4_addr.to_string src)
             (Ipv4_addr.to_string dst) p)))
 
-let pp_entry fmt e =
-  Format.fprintf fmt "%a %s %s" Dsim.Time.pp e.at
-    (match e.dir with Rx -> "<" | Tx -> ">")
-    (summarize e.frame)
-
-let dump fmt t = List.iter (fun e -> Format.fprintf fmt "%a@." pp_entry e) (entries t)
-
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in

@@ -33,8 +33,5 @@ val summarize : bytes -> string
     100, win 16384, length 0"], ["ARP, Request who-has 10.0.0.2 tell
     10.0.0.1"], etc. Never raises on malformed input. *)
 
-val pp_entry : Format.formatter -> entry -> unit
-val dump : Format.formatter -> t -> unit
-
 val matching : t -> string -> entry list
 (** Entries whose summary contains the substring. *)

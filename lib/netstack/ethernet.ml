@@ -44,12 +44,3 @@ let parse_at frame ~off ~len =
   end
 
 let parse frame = parse_at frame ~off:0 ~len:(Bytes.length frame)
-
-let pp_header fmt h =
-  let kind =
-    match h.ethertype with
-    | Ipv4 -> "ipv4"
-    | Arp -> "arp"
-    | Unknown v -> Printf.sprintf "0x%04x" v
-  in
-  Format.fprintf fmt "%a -> %a (%s)" Nic.Mac_addr.pp h.src Nic.Mac_addr.pp h.dst kind

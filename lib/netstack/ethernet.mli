@@ -29,5 +29,3 @@ val parse_at :
   bytes -> off:int -> len:int -> (header * int, Dsim.Flowtrace.reason) result
 (** Parse a frame in place at [off]; the returned payload offset is
     absolute (relative to [b]'s start, like [off]). *)
-
-val pp_header : Format.formatter -> header -> unit

@@ -3,7 +3,6 @@
 type t = { stack : Stack.t; mem : Cheri.Tagged_memory.t; mutable staging : bytes }
 
 let attach stack mem = { stack; mem; staging = Bytes.empty }
-let stack t = t.stack
 
 (* Capability violations at the F-Stack API boundary still raise (the
    compartment dies, as on hardware), but the flow-trace drop table
@@ -68,37 +67,3 @@ let ff_close t fd = Stack.close t.stack fd
 let ff_epoll_create t = Stack.epoll_create t.stack
 let ff_epoll_ctl t ~epfd ~op ~fd events = Stack.epoll_ctl t.stack ~epfd ~op ~fd events
 let ff_epoll_wait t ~epfd ~max = Stack.epoll_wait t.stack ~epfd ~max
-
-let ff_sendto t fd ~ip ~port ~buf ~nbytes =
-  if nbytes < 0 then Error Errno.EINVAL
-  else begin
-    let addr = Cheri.Capability.cursor buf in
-    Cheri.Provenance.record_exercise buf ~address:addr;
-    (* Not [t.staging]: [udp_sendto] takes the datagram's length from
-       its buffer, so this one is exactly [nbytes] long. *)
-    let datagram = Bytes.create nbytes in
-    (match
-       Cheri.Tagged_memory.blit_out t.mem ~cap:buf ~addr ~dst:datagram
-         ~dst_off:0 ~len:nbytes
-     with
-    | () -> ()
-    | exception (Cheri.Fault.Capability_fault _ as e) -> drop_and_reraise e);
-    Stack.udp_sendto t.stack fd ~ip ~port ~buf:datagram
-  end
-
-let ff_recvfrom t fd ~buf ~nbytes =
-  if nbytes < 0 then Error Errno.EINVAL
-  else begin
-    let addr = Cheri.Capability.cursor buf in
-    probe_store buf ~addr ~nbytes;
-    Cheri.Provenance.record_exercise buf ~address:addr;
-    match Stack.udp_recvfrom t.stack fd with
-    | Error _ as e -> e
-    | Ok None -> Ok None
-    | Ok (Some (src_ip, src_port, data)) ->
-      let n = min nbytes (Bytes.length data) in
-      if n > 0 then
-        Cheri.Tagged_memory.blit_in t.mem ~cap:buf ~addr ~src:data ~src_off:0
-          ~len:n;
-      Ok (Some (src_ip, src_port, n))
-  end

@@ -19,8 +19,6 @@ type t
 val attach : Stack.t -> Cheri.Tagged_memory.t -> t
 (** Bind the API to a stack instance and the shared address space. *)
 
-val stack : t -> Stack.t
-
 val ff_socket : t -> (int, Errno.t) result
 (** [socket(AF_INET, SOCK_STREAM, 0)]. *)
 
@@ -48,12 +46,3 @@ val ff_epoll_ctl :
 
 val ff_epoll_wait :
   t -> epfd:int -> max:int -> ((int * Epoll.events) list, Errno.t) result
-
-val ff_sendto :
-  t -> int -> ip:Ipv4_addr.t -> port:int -> buf:Cheri.Capability.t ->
-  nbytes:int -> (unit, Errno.t) result
-
-val ff_recvfrom :
-  t -> int -> buf:Cheri.Capability.t -> nbytes:int ->
-  ((Ipv4_addr.t * int * int) option, Errno.t) result
-(** [(src_ip, src_port, len)], or [None] when the queue is empty. *)

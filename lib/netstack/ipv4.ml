@@ -111,14 +111,3 @@ let pseudo_header_sum ~src ~dst ~protocol ~len =
     (v lsr 16) + (v land 0xffff)
   in
   halves src + halves dst + protocol_to_int protocol + len
-
-let pp_header fmt h =
-  let proto =
-    match h.protocol with
-    | Icmp -> "icmp"
-    | Tcp -> "tcp"
-    | Udp -> "udp"
-    | Unknown_proto v -> string_of_int v
-  in
-  Format.fprintf fmt "%a > %a %s len=%d ttl=%d" Ipv4_addr.pp h.src Ipv4_addr.pp
-    h.dst proto h.total_len h.ttl

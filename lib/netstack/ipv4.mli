@@ -18,7 +18,6 @@ type header = {
 val header_len : int
 (** 20 (no options). *)
 
-val protocol_to_int : protocol -> int
 val protocol_of_int : int -> protocol
 
 val build_into : header -> bytes -> off:int -> unit
@@ -42,5 +41,3 @@ val parse :
 val pseudo_header_sum : src:Ipv4_addr.t -> dst:Ipv4_addr.t -> protocol:protocol -> len:int -> int
 (** One's-complement sum of the TCP/UDP pseudo-header, for transport
     checksums. *)
-
-val pp_header : Format.formatter -> header -> unit

@@ -25,7 +25,6 @@ let of_string_exn s =
 
 let any = 0l
 let broadcast = 0xffffffffl
-let localhost = make 127 0 0 1
 
 let mask_of_prefix prefix =
   if prefix <= 0 then 0l
@@ -37,8 +36,6 @@ let in_same_subnet a b ~prefix =
   Int32.equal (Int32.logand a m) (Int32.logand b m)
 
 let equal = Int32.equal
-let compare = Int32.compare
-let hash = Hashtbl.hash
 
 let to_string t =
   let b n = Int32.to_int (Int32.logand (Int32.shift_right_logical t n) 0xffl) in

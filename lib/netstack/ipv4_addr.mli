@@ -12,11 +12,7 @@ val any : t  (** 0.0.0.0 *)
 
 val broadcast : t  (** 255.255.255.255 *)
 
-val localhost : t
-
 val in_same_subnet : t -> t -> prefix:int -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

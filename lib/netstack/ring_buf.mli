@@ -8,7 +8,6 @@
 type t
 
 val create : capacity:int -> t
-val capacity : t -> int
 val length : t -> int
 val free_space : t -> int
 val is_empty : t -> bool

@@ -232,7 +232,6 @@ let make engine mem dev config =
 
 let engine t = t.engine
 let ip t = t.config.ip
-let mac t = t.mac
 let config t = t.config
 let now t = Dsim.Engine.now t.engine
 let counters t = t.counters
@@ -243,7 +242,6 @@ let tcp_sock_of_fd t fd =
   match Socket.find t.table fd with Some (Socket.Tcp s) -> Some s | _ -> None
 
 let set_capture t cap = t.capture <- cap
-let capture t = t.capture
 
 (* Capture is the only consumer that needs a frame as owned bytes; when
    detached (the common case) the zero-copy paths materialize nothing. *)
@@ -1021,7 +1019,7 @@ let start ?hook t =
         end
       in
       let delay = Dsim.Time.add (Dsim.Time.of_float_ns work_ns) gap in
-      ignore (Dsim.Engine.schedule t.engine ~delay ~label:t.k_loop iterate)
+      Dsim.Engine.schedule t.engine ~delay ~label:t.k_loop iterate
     end
   in
   iterate ()
@@ -1154,14 +1152,6 @@ let write t fd ~buf ~off ~len =
       | Tcp_cb.Fin_wait_1 | Tcp_cb.Fin_wait_2 | Tcp_cb.Closing
       | Tcp_cb.Last_ack | Tcp_cb.Time_wait -> Error Errno.EPIPE)
   end
-
-let flush_fd t fd =
-  match tcp_sock_of_fd t fd with
-  | None -> ()
-  | Some sock ->
-    Tcp_output.flush sock.Socket.cb (get_ctx t sock);
-    update_armed t sock;
-    notify t fd
 
 let close t fd =
   match Socket.find t.table fd with

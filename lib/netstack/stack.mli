@@ -40,10 +40,8 @@ val create :
 
 val engine : t -> Dsim.Engine.t
 val ip : t -> Ipv4_addr.t
-val mac : t -> Nic.Mac_addr.t
 
 val config : t -> config
-val now : t -> Dsim.Time.t
 
 (** {1 Main loop} *)
 
@@ -133,11 +131,6 @@ val live_sockets : t -> int
 val tcp_sock_of_fd : t -> int -> Socket.tcp_sock option
 (** For tests and the measurement harness. *)
 
-val flush_fd : t -> int -> unit
-(** Force TCP output for one socket (used after external buffer pokes). *)
-
 val set_capture : t -> Capture.t option -> unit
 (** Attach/detach a packet capture; every frame sent or received by this
     stack is recorded while attached. *)
-
-val capture : t -> Capture.t option

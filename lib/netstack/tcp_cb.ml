@@ -277,12 +277,3 @@ let to_closed t ctx =
   t.ack_deadline <- None;
   t.time_wait_deadline <- None;
   ctx.on_event Closed_done
-
-let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%a:%d <-> %a:%d %a una=%a nxt=%a wnd=%d cwnd=%d flight=%d rcvq=%d sndq=%d"
-    Ipv4_addr.pp t.local_ip t.local_port Ipv4_addr.pp t.remote_ip t.remote_port
-    pp_state t.state Tcp_seq.pp t.snd_una Tcp_seq.pp t.snd_nxt t.snd_wnd t.cwnd
-    (flight_size t) (Ring_buf.length t.rcv_buf) (Ring_buf.length t.snd_buf)

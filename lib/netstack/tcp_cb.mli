@@ -180,6 +180,3 @@ val tx_trace_find : t -> Tcp_seq.t -> int option
 val enter_time_wait : t -> ctx -> unit
 val to_closed : t -> ctx -> unit
 (** Transition to [Closed] and fire [Closed_done]. *)
-
-val pp_state : Format.formatter -> state -> unit
-val pp : Format.formatter -> t -> unit

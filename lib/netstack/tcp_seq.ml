@@ -14,4 +14,3 @@ let gt a b = sub a b > 0
 let ge a b = sub a b >= 0
 let between x ~low ~high = le low x && lt x high
 let max a b = if ge a b then a else b
-let pp fmt t = Format.fprintf fmt "%u" t

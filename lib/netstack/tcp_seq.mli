@@ -22,4 +22,3 @@ val between : t -> low:t -> high:t -> bool
 (** [low <= x < high] in serial arithmetic. *)
 
 val max : t -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -190,12 +190,3 @@ let find_timestamps h =
 
 let find_wscale h =
   List.find_map (function Wscale v -> Some v | _ -> None) h.options
-
-let pp_flags fmt f =
-  let c b ch = if b then ch else "" in
-  Format.fprintf fmt "%s%s%s%s%s%s" (c f.syn "S") (c f.ack ".") (c f.fin "F")
-    (c f.rst "R") (c f.psh "P") (c f.urg "U")
-
-let pp_header fmt h =
-  Format.fprintf fmt "%d > %d [%a] seq=%a ack=%a win=%d" h.src_port h.dst_port
-    pp_flags h.flags Tcp_seq.pp h.seq Tcp_seq.pp h.ack h.window

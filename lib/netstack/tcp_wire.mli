@@ -33,9 +33,6 @@ type header = {
   options : option_ list;
 }
 
-val base_header_len : int
-(** 20 bytes, before options. *)
-
 val header_len : header -> int
 (** With options, padded to 4 bytes. *)
 
@@ -62,4 +59,3 @@ val parse :
 val find_mss : header -> int option
 val find_timestamps : header -> (int * int) option
 val find_wscale : header -> int option
-val pp_header : Format.formatter -> header -> unit

@@ -2,10 +2,10 @@
 
     The simulator carries the FCS *alongside* the frame bytes rather
     than appending four bytes to every buffer (the wire-time cost of the
-    FCS is already in {!Link.overhead_bytes}).  The transmitting MAC
-    computes it, the receiving MAC recomputes and compares — so wire
-    corruption injected between the two is detected exactly where real
-    hardware detects it. *)
+    FCS is already in {!Link}'s 24-byte per-frame overhead).  The
+    transmitting MAC computes it, the receiving MAC recomputes and
+    compares — so wire corruption injected between the two is detected
+    exactly where real hardware detects it. *)
 
 val compute : bytes -> int
 (** CRC-32 (reflected polynomial [0xEDB88320], initial value and final

@@ -164,9 +164,8 @@ let tx_dma_done p () =
       now
   in
   Fifo.push p.tx_wire ~addr ~len ~flow ~frame:Bytes.empty ~due:tx_done_at;
-  ignore
-    (Dsim.Engine.schedule_at p.engine ~at:tx_done_at ~label:p.k_tx_wire
-       p.on_tx_wire)
+  Dsim.Engine.schedule_at p.engine ~at:tx_done_at ~label:p.k_tx_wire
+    p.on_tx_wire
 
 let tx_wire_done p () =
   let q = p.tx_wire in
@@ -293,9 +292,7 @@ let tx_enqueue p ?(flow = None) ~addr ~len () =
     Dsim.Flowtrace.hop flow Tx_ring ~at:now;
     let dma_done = Pci_bus.reserve p.bus From_memory ~now ~bytes:len in
     Fifo.push p.tx_dma ~addr ~len ~flow ~frame:Bytes.empty ~due:dma_done;
-    ignore
-      (Dsim.Engine.schedule_at p.engine ~at:dma_done ~label:p.k_tx_dma
-         p.on_tx_dma);
+    Dsim.Engine.schedule_at p.engine ~at:dma_done ~label:p.k_tx_dma p.on_tx_dma;
     true
   end
 
@@ -370,9 +367,7 @@ let deliver_frame p ~flow ~fcs frame =
     let now = Dsim.Engine.now p.engine in
     let dma_done = Pci_bus.reserve p.bus To_memory ~now ~bytes:len in
     Fifo.push p.rx_dma ~addr ~len ~flow ~frame ~due:dma_done;
-    ignore
-      (Dsim.Engine.schedule_at p.engine ~at:dma_done ~label:p.k_rx_dma
-         p.on_rx_dma)
+    Dsim.Engine.schedule_at p.engine ~at:dma_done ~label:p.k_rx_dma p.on_rx_dma
   end
 
 (* Test/injection entry: the frame never crossed a MAC, so its FCS is

@@ -44,7 +44,6 @@ type t = {
   b_to_a : dir_state;
   mutable dropped : int;
   mutable tampered : int;
-  mutable injected : int;
   mutable up : bool;
   mutable tamper : tamper option;
   (* Frame-buffer recycling pool, keyed by exact length. Per-link (not
@@ -108,20 +107,18 @@ let tampered t f tam ~flow ~fcs frame =
        receiving NIC as soon as its RX DMA completes. *)
     let copy = Bytes.copy frame in
     f ~flow ~fcs frame;
-    ignore
-      (Dsim.Engine.schedule t.engine ~delay:(Dsim.Time.ns 1000) ~label:k_dup
-         (fun () ->
-           if t.up then f ~flow:None ~fcs copy
-           else begin
-             t.dropped <- t.dropped + 1;
-             Dsim.Flowtrace.(drop default Wire Link_down)
-           end))
+    Dsim.Engine.schedule t.engine ~delay:(Dsim.Time.ns 1000) ~label:k_dup
+      (fun () ->
+        if t.up then f ~flow:None ~fcs copy
+        else begin
+          t.dropped <- t.dropped + 1;
+          Dsim.Flowtrace.(drop default Wire Link_down)
+        end)
   | Dsim.Chaos.Hold_frame { extra_ns } ->
     t.tampered <- t.tampered + 1;
-    ignore
-      (Dsim.Engine.schedule t.engine ~delay:(Dsim.Time.of_float_ns extra_ns)
-         ~label:k_hold (fun () ->
-           if t.up then f ~flow ~fcs frame else drop_down t flow))
+    Dsim.Engine.schedule t.engine ~delay:(Dsim.Time.of_float_ns extra_ns)
+      ~label:k_hold (fun () ->
+        if t.up then f ~flow ~fcs frame else drop_down t flow)
 
 (* The arrival handler of direction [d]: completes the head frame. *)
 let arrive t d () =
@@ -178,7 +175,7 @@ let create engine ?(bps = 1e9) ?(prop_delay = Dsim.Time.ns 500) () =
   in
   let t =
     { engine; bps; prop_delay; a_to_b = dir (); b_to_a = dir (); dropped = 0;
-      tampered = 0; injected = 0; up = true; tamper = None;
+      tampered = 0; up = true; tamper = None;
       pool = Len_tbl.create 8 }
   in
   t.a_to_b.on_arrival <- arrive t t.a_to_b;
@@ -236,28 +233,20 @@ let send t ~flow ~from frame =
   (* The transmitting MAC's FCS over the untampered frame; corruption
      injected at arrival happens "on the wire", after this point. *)
   push d ~frame ~flow ~fcs:(Fcs.compute frame) ~due:arrival;
-  ignore
-    (Dsim.Engine.schedule_at t.engine ~at:arrival ~label:k_deliver
-       d.on_arrival);
+  Dsim.Engine.schedule_at t.engine ~at:arrival ~label:k_deliver d.on_arrival;
   tx_done
-
-let transmit t ?(flow = None) ~from ~frame () = send t ~flow ~from frame
 
 let peer = function A -> B | B -> A
 
 (* A red-team frame enters the wire exactly like a legitimate one —
    same serialization queue, FCS, tamper lottery and propagation — so
    an attacked run stays deterministic and the receiver cannot tell a
-   crafted frame from a forwarded one by timing alone. Only the
-   [injected] counter distinguishes them, for reports. *)
-let inject t ?(flow = None) ~into ~frame () =
-  t.injected <- t.injected + 1;
-  transmit t ~flow ~from:(peer into) ~frame ()
+   crafted frame from a forwarded one by timing alone. *)
+let inject t ~into frame = send t ~flow:None ~from:(peer into) frame
 
 let carried_bytes t ~from = (dir_of t from).carried
 let dropped t = t.dropped
 let tampered t = t.tampered
-let injected t = t.injected
 let up t = t.up
 let set_up t b = t.up <- b
 let set_tamper t f = t.tamper <- f

@@ -21,10 +21,6 @@ type tamper =
 (** Consulted once per frame at delivery time (down links drop frames
     before the lottery, keeping attribution unambiguous). *)
 
-val overhead_bytes : int
-(** Per-frame wire overhead beyond the frame buffer: preamble (8) +
-    inter-frame gap (12) + FCS (4) = 24. *)
-
 val create :
   Dsim.Engine.t -> ?bps:float -> ?prop_delay:Dsim.Time.t -> unit -> t
 
@@ -50,42 +46,29 @@ val attach :
     the FCS computed by the transmitting MAC — the receiving MAC
     recomputes and compares ({!Igb}). *)
 
-val transmit :
-  t ->
-  ?flow:Dsim.Flowtrace.ctx option ->
-  from:endpoint ->
-  frame:bytes ->
-  unit ->
-  Dsim.Time.t
-(** Serialise [frame] out of [from]'s MAC starting no earlier than now;
-    deliver to the opposite endpoint's handler after propagation.
-    Returns the time the last bit leaves the MAC (i.e. when the TX
-    descriptor can complete). Frames to an endpoint with no handler, or
-    on an administratively-down link, are counted as dropped (and
-    attributed [Wire]/[Link_down] in {!Dsim.Flowtrace}). *)
-
 val send :
   t -> flow:Dsim.Flowtrace.ctx option -> from:endpoint -> bytes -> Dsim.Time.t
-(** {!transmit} with the flow context passed as it is, so the call
-    allocates no option cell: the NIC's TX path uses it. Each direction
-    keeps its frames in flight in a FIFO completed by one arrival
-    handler made at {!create}: arrival times never decrease in a
-    direction, since [from]'s MAC serialises frames and the propagation
-    delay is fixed. A frame's send, arrival and delivery to a handler
-    allocate nothing unless the tamper hook acts on it. *)
+(** Serialise the frame out of [from]'s MAC starting no earlier than
+    now; deliver it to the opposite endpoint's handler after
+    propagation. Returns the time the last bit leaves the MAC (i.e. when
+    the TX descriptor can complete). Frames to an endpoint with no
+    handler, or on an administratively-down link, are counted as
+    dropped (and attributed [Wire]/[Link_down] in {!Dsim.Flowtrace}).
 
-val inject :
-  t ->
-  ?flow:Dsim.Flowtrace.ctx option ->
-  into:endpoint ->
-  frame:bytes ->
-  unit ->
-  Dsim.Time.t
+    The flow context is passed as it is ([None] when unsampled), so the
+    call allocates no option cell. Each direction keeps its frames in
+    flight in a FIFO completed by one arrival handler made at
+    {!create}: arrival times never decrease in a direction, since
+    [from]'s MAC serialises frames and the propagation delay is fixed.
+    A frame's send, arrival and delivery to a handler allocate nothing
+    unless the tamper hook acts on it. *)
+
+val inject : t -> into:endpoint -> bytes -> Dsim.Time.t
 (** Red-team entry point: place a crafted hostile frame on the wire
     towards [into], as if transmitted by the opposite endpoint's MAC.
     The frame shares the legitimate traffic's serialization queue, FCS
     computation, tamper lottery and propagation delay, so attacked runs
-    remain deterministic. Counted in {!injected}. *)
+    remain deterministic. *)
 
 val carried_bytes : t -> from:endpoint -> int
 (** Wire bytes (incl. overhead) sent from this endpoint; diagnostics. *)
@@ -93,9 +76,6 @@ val carried_bytes : t -> from:endpoint -> int
 val dropped : t -> int
 val tampered : t -> int
 (** Frames the tamper hook acted on (any non-[Pass] verdict). *)
-
-val injected : t -> int
-(** Frames placed on the wire via {!inject}. *)
 
 val up : t -> bool
 val set_up : t -> bool -> unit

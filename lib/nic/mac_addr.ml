@@ -35,8 +35,6 @@ let is_broadcast t = String.equal t broadcast
 let is_multicast t = Char.code t.[0] land 0x01 = 1
 let to_bytes t = t
 let equal = String.equal
-let compare = String.compare
-let hash = Hashtbl.hash
 
 (* Allocation-free destination-address tests against a frame in place:
    the RX filter runs per packet, so it must not build a [t]. *)

@@ -25,7 +25,5 @@ val is_multicast_at : bytes -> off:int -> bool
     address, so this also covers it. Allocation-free. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -29,5 +29,4 @@ let reserve t dir ~now ~bytes =
   l.transfers <- l.transfers + 1;
   fin
 
-let busy_until t dir = (lane_of t dir).busy_until
 let transfers t dir = (lane_of t dir).transfers

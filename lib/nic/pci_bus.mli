@@ -24,8 +24,5 @@ val reserve : t -> direction -> now:Dsim.Time.t -> bytes:int -> Dsim.Time.t
 (** Book a transfer starting no earlier than [now]; returns its
     completion time and advances the direction's busy horizon. *)
 
-val busy_until : t -> direction -> Dsim.Time.t
-(** The direction's busy horizon. *)
-
 val transfers : t -> direction -> int
 (** Number of transfers booked so far (diagnostics). *)

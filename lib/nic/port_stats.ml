@@ -22,21 +22,3 @@ let create () =
     rx_dma_errors = 0;
     tx_ring_full = 0;
   }
-
-let reset t =
-  t.tx_packets <- 0;
-  t.tx_bytes <- 0;
-  t.rx_packets <- 0;
-  t.rx_bytes <- 0;
-  t.rx_no_desc <- 0;
-  t.rx_filtered <- 0;
-  t.rx_crc_errors <- 0;
-  t.rx_dma_errors <- 0;
-  t.tx_ring_full <- 0
-
-let pp fmt t =
-  Format.fprintf fmt
-    "tx=%d pkts/%d B rx=%d pkts/%d B drops(no_desc=%d filtered=%d crc=%d \
-     dma=%d ring_full=%d)"
-    t.tx_packets t.tx_bytes t.rx_packets t.rx_bytes t.rx_no_desc t.rx_filtered
-    t.rx_crc_errors t.rx_dma_errors t.tx_ring_full

@@ -163,16 +163,6 @@ let confinement_detected_and_explained () =
       Alcotest.(check bool) "crossing leaves an edge" true
         (List.exists
            (fun (f, t, _) -> f = "cVMa" && t = "cVMb")
-           (Pv.edges ()));
-      (* A shared-channel endpoint is reachable from any compartment. *)
-      Pv.mark_channel buf;
-      Cheri.Fault.set_context "cVMc";
-      Pv.record_exercise buf ~address:0x4000;
-      Alcotest.(check int) "channel explains possession" 1
-        (Au.violation_count ~kind:Au.Confinement au);
-      Alcotest.(check bool) "channel edge owner->user" true
-        (List.exists
-           (fun (f, t, _) -> f = "cVMa" && t = "cVMc")
            (Pv.edges ())))
 
 let strict_mode_raises () =

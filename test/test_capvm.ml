@@ -103,10 +103,9 @@ let syscall_translation () =
 let syscall_paths () =
   let engine, iv = make_iv () in
   let a = Capvm.Intravisor.create_cvm iv ~name:"a" ~size:0x10000 in
-  ignore
-    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) ~label:k_test
-       (fun () -> ()));
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) ~label:k_test
+    (fun () -> ());
+  Dsim.Engine.run engine;
   (* cVM path: trampolines + kernel body. *)
   let v, cvm_cost = Capvm.Intravisor.syscall iv ~from:a Capvm.Syscall.Clock_gettime in
   (match v with
@@ -126,10 +125,9 @@ let musl_shim_calls () =
   let engine, iv = make_iv () in
   let a = Capvm.Intravisor.create_cvm iv ~name:"a" ~size:0x10000 in
   let shim = Capvm.Musl_shim.create iv a in
-  ignore
-    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 3) ~label:k_test
-       (fun () -> ()));
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 3) ~label:k_test
+    (fun () -> ());
+  Dsim.Engine.run engine;
   let t, cost = Capvm.Musl_shim.clock_gettime shim in
   Alcotest.(check int) "time value" 3_000 t;
   Alcotest.(check bool) "cost positive" true (cost > 0.);
@@ -166,10 +164,9 @@ let umtx_contended_wait () =
   Capvm.Umtx.acquire mu ~owner:"app" (fun ~wait_ns -> waited := wait_ns);
   Alcotest.(check int) "queued" 1 (Capvm.Umtx.waiters mu);
   (* Hold for 5us of simulated time, then release. *)
-  ignore
-    (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) ~label:k_test
-       (fun () -> Capvm.Umtx.release mu));
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 5) ~label:k_test
+    (fun () -> Capvm.Umtx.release mu);
+  Dsim.Engine.run engine;
   Alcotest.(check (float 1.)) "waited hold + wake" 5_100. !waited;
   Alcotest.(check (option string)) "handed off" (Some "app") (Capvm.Umtx.holder mu);
   Alcotest.(check int) "contended counted" 1 (Capvm.Umtx.contended_acquisitions mu);
@@ -188,7 +185,7 @@ let umtx_policies () =
             Capvm.Umtx.release mu))
       [ "first"; "second"; "third" ];
     Capvm.Umtx.release mu;
-    Dsim.Engine.run_until_quiet engine;
+    Dsim.Engine.run engine;
     List.rev !log
   in
   Alcotest.(check (list string)) "fifo order" [ "first"; "second"; "third" ]
@@ -207,7 +204,7 @@ let umtx_try_acquire () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-let pre_channel_suite =
+let suite =
   [
     Alcotest.test_case "cvm: regions disjoint" `Quick cvm_regions_disjoint;
     Alcotest.test_case "cvm: no sealing authority" `Quick cvm_no_sealing_authority;
@@ -223,93 +220,3 @@ let pre_channel_suite =
     Alcotest.test_case "umtx: hand-off policies" `Quick umtx_policies;
     Alcotest.test_case "umtx: try_acquire/release errors" `Quick umtx_try_acquire;
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Capability channels                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let channel_roundtrip () =
-  let _, iv = make_iv () in
-  let prod, cons = Capvm.Channel.create iv ~name:"t" ~capacity:64 in
-  let chan = prod.Capvm.Channel.channel in
-  Alcotest.(check int) "rounded capacity" 64 (Capvm.Channel.capacity chan);
-  Alcotest.(check int) "sent all" 5 (Capvm.Channel.send prod (Bytes.of_string "hello"));
-  Alcotest.(check int) "used" 5 (Capvm.Channel.used chan);
-  Alcotest.(check string) "received" "hello"
-    (Bytes.to_string (Capvm.Channel.recv cons ~max:16));
-  Alcotest.(check int) "drained" 0 (Capvm.Channel.used chan);
-  Alcotest.(check (pair int int)) "stats" (5, 5) (Capvm.Channel.peek_stats chan)
-
-let channel_wraparound () =
-  let _, iv = make_iv () in
-  let prod, cons = Capvm.Channel.create iv ~name:"w" ~capacity:16 in
-  ignore (Capvm.Channel.send prod (Bytes.of_string "0123456789"));
-  ignore (Capvm.Channel.recv cons ~max:8);
-  (* head at 8; writing 12 wraps past the end of the ring *)
-  Alcotest.(check int) "wrap write" 12 (Capvm.Channel.send prod (Bytes.of_string "abcdefghijkl"));
-  Alcotest.(check string) "order preserved across the wrap" "89abcdefghijkl"
-    (Bytes.to_string (Capvm.Channel.recv cons ~max:32))
-
-let channel_backpressure () =
-  let _, iv = make_iv () in
-  let prod, cons = Capvm.Channel.create iv ~name:"bp" ~capacity:16 in
-  Alcotest.(check int) "short write when full" 16
-    (Capvm.Channel.send prod (Bytes.make 32 'x'));
-  Alcotest.(check int) "refused when full" 0 (Capvm.Channel.send prod (Bytes.of_string "y"));
-  ignore (Capvm.Channel.recv cons ~max:4);
-  Alcotest.(check int) "space again" 1 (Capvm.Channel.send prod (Bytes.of_string "y"))
-
-let channel_views_enforced () =
-  let _, iv = make_iv () in
-  let prod, cons = Capvm.Channel.create iv ~name:"sec" ~capacity:32 in
-  (* The consumer view cannot send; the producer view cannot receive. *)
-  Alcotest.(check bool) "consumer cannot send" true
-    (match Capvm.Channel.send cons (Bytes.of_string "evil") with
-    | _ -> false
-    | exception Cheri.Fault.Capability_fault f ->
-      f.Cheri.Fault.kind = Cheri.Fault.Permission_violation);
-  ignore (Capvm.Channel.send prod (Bytes.of_string "data"));
-  Alcotest.(check bool) "producer cannot receive" true
-    (match Capvm.Channel.recv prod ~max:4 with
-    | _ -> false
-    | exception Cheri.Fault.Capability_fault f ->
-      f.Cheri.Fault.kind = Cheri.Fault.Permission_violation)
-
-let channel_fifo_prop =
-  QCheck.Test.make ~name:"channel: byte FIFO under random send/recv" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 40) (pair bool (int_range 1 12)))
-    (fun ops ->
-      let _, iv = make_iv () in
-      let prod, cons = Capvm.Channel.create iv ~name:"prop" ~capacity:32 in
-      let model = Buffer.create 64 and next = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (is_send, n) ->
-          if is_send then begin
-            let b = Bytes.init n (fun i -> Char.chr ((!next + i) land 0xff)) in
-            let accepted = Capvm.Channel.send prod b in
-            Buffer.add_subbytes model b 0 accepted;
-            next := !next + accepted
-          end
-          else begin
-            let got = Capvm.Channel.recv cons ~max:n in
-            let expected = Buffer.sub model 0 (Bytes.length got) in
-            if Bytes.to_string got <> expected then ok := false;
-            let rest = Buffer.sub model (Bytes.length got) (Buffer.length model - Bytes.length got) in
-            Buffer.clear model;
-            Buffer.add_string model rest
-          end)
-        ops;
-      !ok
-      && Capvm.Channel.used prod.Capvm.Channel.channel = Buffer.length model)
-
-
-let suite =
-  pre_channel_suite
-  @ [
-      Alcotest.test_case "channel: roundtrip" `Quick channel_roundtrip;
-      Alcotest.test_case "channel: wraparound" `Quick channel_wraparound;
-      Alcotest.test_case "channel: backpressure" `Quick channel_backpressure;
-      Alcotest.test_case "channel: view permissions enforced" `Quick channel_views_enforced;
-      QCheck_alcotest.to_alcotest channel_fifo_prop;
-    ]

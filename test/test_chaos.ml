@@ -94,8 +94,8 @@ let wire_flip_caught_by_fcs () =
          Dsim.Chaos.Flip { byte = 0; bit = 3; post_fcs = false }));
   let frame = Bytes.make 64 '\x2a' in
   let pristine = Bytes.copy frame in
-  ignore (Nic.Link.transmit link ~from:Nic.Link.A ~frame ());
-  Dsim.Engine.run_until_quiet engine;
+  ignore (Nic.Link.send link ~flow:None ~from:Nic.Link.A frame);
+  Dsim.Engine.run engine;
   match !got with
   | None -> Alcotest.fail "frame not delivered"
   | Some (fcs, delivered) ->
@@ -139,7 +139,7 @@ let supervisor_restart_recovers () =
   (match Capvm.Supervisor.run sup ~cvm (fun () -> 0) with
   | Capvm.Supervisor.Refused _ -> ()
   | _ -> Alcotest.fail "quarantined cVM accepted an entry");
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   Alcotest.(check bool) "running again after backoff" true
     (Capvm.Supervisor.state sup ~cvm = Capvm.Supervisor.Running);
   Alcotest.(check int) "one fault" 1 (Capvm.Supervisor.faults sup ~cvm);
@@ -167,11 +167,11 @@ let supervisor_budget_exhaustion () =
   Capvm.Supervisor.set_on_transition sup
     (Some (fun ~cvm:_ ~old_state:_ st -> transitions := st :: !transitions));
   ignore (Capvm.Supervisor.run sup ~cvm boom);
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   Alcotest.(check bool) "budget 1: first fault survives" true
     (Capvm.Supervisor.state sup ~cvm = Capvm.Supervisor.Running);
   ignore (Capvm.Supervisor.run sup ~cvm boom);
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   Alcotest.(check bool) "second fault exhausts the budget" true
     (Capvm.Supervisor.state sup ~cvm = Capvm.Supervisor.Dead);
   (match Capvm.Supervisor.run sup ~cvm (fun () -> 0) with
@@ -199,7 +199,7 @@ let supervisor_kill_policy () =
   let released = ref false in
   Capvm.Supervisor.add_cleanup sup ~cvm (fun () -> released := true);
   ignore (Capvm.Supervisor.run sup ~cvm boom);
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   Alcotest.(check bool) "killed on first fault" true
     (Capvm.Supervisor.state sup ~cvm = Capvm.Supervisor.Dead);
   Alcotest.(check int) "no restart attempted" 0
@@ -212,9 +212,9 @@ let supervisor_backoff_deterministic () =
     let sup = Capvm.Supervisor.create engine ~seed () in
     Capvm.Supervisor.register sup cvm;
     ignore (Capvm.Supervisor.run sup ~cvm boom);
-    Dsim.Engine.run_until_quiet engine;
+    Dsim.Engine.run engine;
     ignore (Capvm.Supervisor.run sup ~cvm boom);
-    Dsim.Engine.run_until_quiet engine;
+    Dsim.Engine.run engine;
     Capvm.Supervisor.quarantine_windows sup ~cvm
   in
   let w1 = windows 11L and w2 = windows 11L and w3 = windows 12L in

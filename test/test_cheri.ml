@@ -532,7 +532,7 @@ let compartment_ddc () =
   let mem = Cheri.Tagged_memory.create ~size:0x10000 in
   let ddc = Cheri.Capability.root ~base:0x1000 ~length:0x1000 ~perms:Cheri.Perms.read_write in
   let pcc = Cheri.Capability.root ~base:0x1000 ~length:0x1000 ~perms:Cheri.Perms.execute_only in
-  let c = Cheri.Compartment.make ~name:"test" ~id:1 ~ddc ~pcc in
+  let c = Cheri.Compartment.make ~ddc ~pcc in
   Cheri.Compartment.store_bytes c mem ~addr:0x1100 (Bytes.of_string "in");
   Alcotest.(check string) "in-bounds access" "in"
     (Bytes.to_string (Cheri.Compartment.load_bytes c mem ~addr:0x1100 ~len:2));

@@ -173,6 +173,45 @@ let attack_forge () =
   | Core.Attack.Leaked _ -> Alcotest.fail "forged capability dereferenced");
   Alcotest.(check bool) "no baseline analogue" true (r.Core.Attack.baseline = None)
 
+(* ddc-escape reads data the network stack wrote: the Baseline leak is
+   what cVM1's own capability reads at the trapping address, and it is
+   not the zeros of memory nothing wrote. [Attack.run] attacks at 500 ms
+   (a 300 ms warm-up, then a 200 ms window) into its seed-46 Scenario 2
+   run, so the same build run to 500 ms holds the same bytes there. *)
+let attack_ddc_escape () =
+  let r = Core.Attack.run Core.Attack.Ddc_escape in
+  let addr =
+    match r.Core.Attack.cheri with
+    | Core.Attack.Trapped f ->
+      Alcotest.(check bool) "out-of-bounds fault" true
+        (f.Cheri.Fault.kind = Cheri.Fault.Out_of_bounds);
+      f.Cheri.Fault.address
+    | Core.Attack.Leaked _ -> Alcotest.fail "leaked under CHERI"
+  in
+  let built =
+    Core.Scenarios.build_scenario2 ~seed:46L
+      ~direction:Core.Scenarios.Dut_receives ()
+  in
+  Dsim.Engine.run built.Core.Scenarios.engine ~until:(Dsim.Time.ms 500);
+  let dut = built.Core.Scenarios.dut in
+  let cvm1 = List.hd (Capvm.Intravisor.cvms (Core.Topology.intravisor dut)) in
+  let own =
+    Cheri.Tagged_memory.load_bytes (Core.Topology.node_mem dut)
+      ~cap:(Capvm.Cvm.region cvm1) ~addr ~len:32
+  in
+  built.Core.Scenarios.stop ();
+  Alcotest.(check bool) "stack-written, not zero" true
+    (Bytes.exists (fun c -> c <> '\000') own);
+  let hex =
+    String.concat ""
+      (List.init 32 (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get own i))))
+  in
+  Alcotest.(check (option string)) "baseline leaks what cVM1 reads"
+    (Some ("read network-stack memory: " ^ hex))
+    (match r.Core.Attack.baseline with
+    | Some (Core.Attack.Leaked s) -> Some s
+    | _ -> None)
+
 let attack_metadata () =
   Alcotest.(check int) "six attack classes" 6 (List.length Core.Attack.all_attacks);
   List.iter
@@ -291,4 +330,6 @@ let suite =
     Alcotest.test_case "report: table rendering" `Quick report_table_render;
     Alcotest.test_case "report: ascii boxplot" `Quick report_boxplot_render;
     Alcotest.test_case "iperf over the wire" `Slow iperf_over_loopback;
+    Alcotest.test_case "attack: ddc-escape reads stack data" `Slow
+      attack_ddc_escape;
   ]

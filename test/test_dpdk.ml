@@ -4,7 +4,7 @@ let make_eal ?(size = 0x100000) () =
   let engine = Dsim.Engine.create () in
   let mem = Cheri.Tagged_memory.create ~size:(size * 2) in
   let region = Cheri.Capability.root ~base:0 ~length:size ~perms:Cheri.Perms.all in
-  (engine, mem, Dpdk.Eal.create engine mem ~region)
+  (engine, mem, Dpdk.Eal.create mem ~region)
 
 (* ------------------------------------------------------------------ *)
 (* EAL                                                                  *)
@@ -57,7 +57,7 @@ let mbuf_pool_page_geometry () =
   let page = Cheri.Tagged_memory.page_size in
   let mem = Cheri.Tagged_memory.create ~size:(2 * page) in
   let eal_at base =
-    Dpdk.Eal.create (Dsim.Engine.create ()) mem
+    Dpdk.Eal.create mem
       ~region:(Cheri.Capability.root ~base ~length:0x10000 ~perms:Cheri.Perms.all)
   in
   Alcotest.(check bool) "straddling buffer rejected" true
@@ -204,7 +204,7 @@ let make_pair () =
   let engine = Dsim.Engine.create () in
   let mem = Cheri.Tagged_memory.create ~size:0x400000 in
   let region = Cheri.Capability.root ~base:0 ~length:0x400000 ~perms:Cheri.Perms.all in
-  let eal = Dpdk.Eal.create engine mem ~region in
+  let eal = Dpdk.Eal.create mem ~region in
   let bus = Nic.Pci_bus.create () in
   let macs = [ Nic.Mac_addr.make 2 0 0 0 0 1; Nic.Mac_addr.make 2 0 0 0 0 2 ] in
   let nic = Nic.Igb.create engine mem ~bus ~macs ~rx_ring_size:32 ~tx_ring_size:32 () in
@@ -235,7 +235,7 @@ let ethdev_burst_roundtrip () =
   Bytes.blit_string "dpdk-data" 0 frame 14 9;
   Dpdk.Mbuf.write mem m ~off:0 frame;
   Alcotest.(check (list reject)) "all accepted" [] (Dpdk.Eth_dev.tx_burst a [ m ]);
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   (match rx_list b ~max:8 with
   | [ rx ] ->
     Alcotest.(check int) "length" 80 (Dpdk.Mbuf.data_len rx);
@@ -261,7 +261,7 @@ let ethdev_restock () =
     Dpdk.Mbuf.write _mem m ~off:0 f;
     ignore (Dpdk.Eth_dev.tx_burst a [ m ])
   done;
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   let got = rx_list b ~max:16 in
   Alcotest.(check int) "all ten received" 10 (List.length got);
   (* The ring was restocked during the burst; more traffic still flows. *)
@@ -271,7 +271,7 @@ let ethdev_restock () =
   Bytes.blit_string dst 0 f 0 6;
   Dpdk.Mbuf.write _mem m ~off:0 f;
   ignore (Dpdk.Eth_dev.tx_burst a [ m ]);
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   Alcotest.(check int) "ring restocked" 1 (List.length (rx_list b ~max:4));
   List.iter Dpdk.Mbuf.free got
 
@@ -326,11 +326,11 @@ let ethdev_rings_neither_leak_nor_reorder () =
   (* 40 frames against a 32-descriptor TX ring, then 32 more without b
      collecting anything, which overflows b's 32-descriptor RX ring. *)
   List.iter Dpdk.Mbuf.free (Dpdk.Eth_dev.tx_burst a (frames 40));
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   rings_match "first burst";
   Alcotest.(check (list reject)) "second burst accepted" []
     (Dpdk.Eth_dev.tx_burst a (frames 32));
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   rings_match "second burst";
   let sa = Nic.Igb.stats pa and sb = Nic.Igb.stats pb in
   List.iter
@@ -367,7 +367,7 @@ let ethdev_rings_neither_leak_nor_reorder () =
   let m = List.hd (frames 1) in
   Alcotest.(check (list reject)) "queued behind it" []
     (Dpdk.Eth_dev.tx_burst a [ m ]);
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   Alcotest.check_raises "completion off the ring head"
     (Invalid_argument
        (Printf.sprintf "Eth_dev: completion at 0x%x, ring head at 0x%x"

@@ -53,13 +53,10 @@ let engine_order () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 30) ~label:k_test (note "c"));
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test (note "a"));
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) ~label:k_test (note "b"));
-  Dsim.Engine.run_until_quiet e;
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 30) ~label:k_test (note "c");
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test (note "a");
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) ~label:k_test (note "b");
+  Dsim.Engine.run e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
   Alcotest.(check int) "clock at last event" 30 (Dsim.Engine.now e)
 
@@ -67,38 +64,19 @@ let engine_ties_fifo () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test
-       (note "first"));
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test
-       (note "second"));
-  Dsim.Engine.run_until_quiet e;
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test (note "first");
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test (note "second");
+  Dsim.Engine.run e;
   Alcotest.(check (list string)) "insertion order on ties" [ "first"; "second" ]
     (List.rev !log)
-
-let engine_cancel () =
-  let e = Dsim.Engine.create () in
-  let fired = ref false in
-  let h =
-    Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test (fun () ->
-        fired := true)
-  in
-  Alcotest.(check bool) "pending before" true (Dsim.Engine.is_pending e h);
-  Dsim.Engine.cancel e h;
-  Alcotest.(check bool) "not pending after" false (Dsim.Engine.is_pending e h);
-  Dsim.Engine.run_until_quiet e;
-  Alcotest.(check bool) "cancelled never fires" false !fired
 
 let engine_until () =
   let e = Dsim.Engine.create () in
   let fired = ref 0 in
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test
-       (fun () -> incr fired));
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) ~label:k_test
-       (fun () -> incr fired));
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test
+    (fun () -> incr fired);
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 20) ~label:k_test
+    (fun () -> incr fired);
   Dsim.Engine.run e ~until:(Dsim.Time.ns 15);
   Alcotest.(check int) "only first fired" 1 !fired;
   Alcotest.(check int) "clock parked at until" 15 (Dsim.Engine.now e);
@@ -108,15 +86,13 @@ let engine_until () =
 
 let engine_past_schedules_now () =
   let e = Dsim.Engine.create () in
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 50) ~label:k_test
-       (fun () -> ()));
-  Dsim.Engine.run_until_quiet e;
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 50) ~label:k_test
+    (fun () -> ());
+  Dsim.Engine.run e;
   let fired_at = ref Dsim.Time.zero in
-  ignore
-    (Dsim.Engine.schedule_at e ~at:(Dsim.Time.ns 10) ~label:k_test (fun () ->
-         fired_at := Dsim.Engine.now e));
-  Dsim.Engine.run_until_quiet e;
+  Dsim.Engine.schedule_at e ~at:(Dsim.Time.ns 10) ~label:k_test (fun () ->
+      fired_at := Dsim.Engine.now e);
+  Dsim.Engine.run e;
   Alcotest.(check int) "past event fires at current clock" 50 !fired_at
 
 let engine_self_reschedule_budget () =
@@ -124,99 +100,72 @@ let engine_self_reschedule_budget () =
   let count = ref 0 in
   let rec tick () =
     incr count;
-    ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick)
+    Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick
   in
-  ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick);
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick;
   Dsim.Engine.run e ~max_events:100;
   Alcotest.(check int) "bounded by max_events" 100 !count
 
 let engine_step () =
   let e = Dsim.Engine.create () in
   Alcotest.(check bool) "step on empty" false (Dsim.Engine.step e);
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test
-       (fun () -> ()));
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test
+    (fun () -> ());
   Alcotest.(check bool) "step fires" true (Dsim.Engine.step e)
 
 let engine_nested_schedule () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
-  ignore
-    (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test (fun () ->
-         log := "outer" :: !log;
-         ignore
-           (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test
-              (fun () -> log := "inner" :: !log))));
-  Dsim.Engine.run_until_quiet e;
+  Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 10) ~label:k_test (fun () ->
+      log := "outer" :: !log;
+      Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 5) ~label:k_test
+        (fun () -> log := "inner" :: !log));
+  Dsim.Engine.run e;
   Alcotest.(check (list string)) "nested events run" [ "outer"; "inner" ]
     (List.rev !log);
   Alcotest.(check int) "clock advanced by nested delay" 15 (Dsim.Engine.now e)
 
 (* One generated scenario: [n] events at delays of 0-7 ns, so deadlines
-   collide; when it fires, each may schedule a child at a 0-7 ns delay
-   and cancel any handle scheduled so far (pending, fired or already
-   cancelled). A shuffled two thirds of the events are cancelled before
-   the run, which is past the compaction floor of 64, so the heap is
-   compacted. The dispatch order must be the stable sort of every
-   uncancelled event by deadline, i.e. (time, schedule order), and
-   [pending_count] must equal the live count at every dispatch. *)
+   collide; when it fires, each may schedule a child at a 0-7 ns delay.
+   The dispatch order must be the stable sort of every event by
+   deadline, i.e. (time, schedule order), and [pending_count] must
+   equal the scheduled-but-unfired count at every dispatch. *)
 let engine_dispatch_order_prop =
   let gen =
     QCheck.Gen.(
       int_range 130 300 >>= fun n ->
-      pair
-        (list_repeat n
-           (triple (int_bound 7) (opt (int_bound 7)) (opt small_nat)))
-        (shuffle_l (List.init n Fun.id)))
+      list_repeat n (pair (int_bound 7) (opt (int_bound 7))))
   in
   QCheck.Test.make ~count:100
     ~name:"engine: dispatch order is (time, schedule order)"
-    (QCheck.make gen) (fun (events, shuffled) ->
+    (QCheck.make gen) (fun events ->
       let e = Dsim.Engine.create () in
-      let n = List.length events in
-      let handles = Array.make (2 * n) None in
-      let at = Array.make (2 * n) 0 in
-      let fired = Array.make (2 * n) false in
-      let dead = Array.make (2 * n) false in
-      let scheduled = ref 0 and n_fired = ref 0 and n_dead = ref 0 in
+      let at = Array.make (2 * List.length events) 0 in
+      let scheduled = ref 0 and n_fired = ref 0 in
       let log = ref [] and counts_ok = ref true in
-      let cancel j =
-        if (not fired.(j)) && not dead.(j) then begin
-          dead.(j) <- true;
-          incr n_dead
-        end;
-        Option.iter (Dsim.Engine.cancel e) handles.(j)
-      in
       let schedule delay on_fire =
         let id = !scheduled in
         incr scheduled;
         at.(id) <- Dsim.Engine.now e + delay;
-        handles.(id) <-
-          Some
-            (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns delay) ~label:k_test
-               (fun () ->
-                 fired.(id) <- true;
-                 incr n_fired;
-                 log := id :: !log;
-                 if Dsim.Engine.pending_count e <> !scheduled - !n_fired - !n_dead
-                 then counts_ok := false;
-                 on_fire ()))
+        Dsim.Engine.schedule e ~delay:(Dsim.Time.ns delay) ~label:k_test
+          (fun () ->
+            incr n_fired;
+            log := id :: !log;
+            if Dsim.Engine.pending_count e <> !scheduled - !n_fired then
+              counts_ok := false;
+            on_fire ())
       in
       List.iter
-        (fun (delay, child, victim) ->
+        (fun (delay, child) ->
           schedule delay (fun () ->
-              Option.iter (fun d -> schedule d ignore) child;
-              Option.iter (fun k -> cancel (k mod !scheduled)) victim))
+              Option.iter (fun d -> schedule d ignore) child))
         events;
-      List.iteri (fun i j -> if 3 * i < 2 * n then cancel j) shuffled;
-      let compacted = Dsim.Engine.heap_size e < n in
-      Dsim.Engine.run_until_quiet e;
+      Dsim.Engine.run e;
       let expected =
         List.init !scheduled Fun.id
-        |> List.filter (fun id -> not dead.(id))
         |> List.stable_sort (fun a b -> compare at.(a) at.(b))
       in
-      compacted && !counts_ok && List.rev !log = expected
+      !counts_ok && List.rev !log = expected
       && Dsim.Engine.pending_count e = 0)
 
 (* A schedule and its dispatch allocate nothing beyond the closure the
@@ -228,11 +177,11 @@ let engine_events_allocate_nothing () =
   let rec tick () =
     decr left;
     if !left > 0 then
-      ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick)
+      Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick
   in
   let drive n =
     left := n;
-    ignore (Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick);
+    Dsim.Engine.schedule e ~delay:(Dsim.Time.ns 1) ~label:k_test tick;
     while Dsim.Engine.step e do
       ()
     done
@@ -454,7 +403,6 @@ let suite =
     Alcotest.test_case "time: pretty printing" `Quick time_pp;
     Alcotest.test_case "engine: events fire in time order" `Quick engine_order;
     Alcotest.test_case "engine: ties break by insertion" `Quick engine_ties_fifo;
-    Alcotest.test_case "engine: cancellation" `Quick engine_cancel;
     Alcotest.test_case "engine: run ~until" `Quick engine_until;
     Alcotest.test_case "engine: past schedules fire now" `Quick engine_past_schedules_now;
     Alcotest.test_case "engine: max_events bounds runaway loops" `Quick engine_self_reschedule_budget;

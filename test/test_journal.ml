@@ -28,22 +28,18 @@ let k_b = Dsim.Profile.(key default) ~component:"jtest" ~cvm:"b" ~stage:"tock"
 let tiny_run ?(extra = false) ?(draws = 2) () =
   let engine = Dsim.Engine.create () in
   let rng = Dsim.Rng.create ~seed:7L in
-  ignore
-    (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a (fun () ->
-         ignore
-           (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_b
-              (fun () ->
-                for _ = 1 to draws do
-                  ignore (Dsim.Rng.bits64 rng)
-                done));
-         ignore
-           (Dsim.Engine.schedule engine ~delay:(Time.us 2) ~label:k_a
-              (fun () -> ()))));
+  Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a (fun () ->
+      Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_b
+        (fun () ->
+          for _ = 1 to draws do
+            ignore (Dsim.Rng.bits64 rng)
+          done);
+      Dsim.Engine.schedule engine ~delay:(Time.us 2) ~label:k_a
+        (fun () -> ()));
   if extra then
-    ignore
-      (Dsim.Engine.schedule engine ~delay:(Time.us 9) ~label:k_b (fun () ->
-           ()));
-  Dsim.Engine.run_until_quiet engine
+    Dsim.Engine.schedule engine ~delay:(Time.us 9) ~label:k_b (fun () ->
+        ());
+  Dsim.Engine.run engine
 
 let roundtrip () =
   jreset ();
@@ -270,11 +266,10 @@ let fifo_on_equal_deadlines () =
       let at = Time.us 5 in
       for i = 0 to n - 1 do
         let label = if i mod 3 = 0 then k_a else k_b in
-        ignore
-          (Dsim.Engine.schedule_at engine ~at ~label (fun () ->
-               order := i :: !order))
+        Dsim.Engine.schedule_at engine ~at ~label (fun () ->
+            order := i :: !order)
       done;
-      Dsim.Engine.run_until_quiet engine;
+      Dsim.Engine.run engine;
       Alcotest.(check (list int))
         (Printf.sprintf "%d colliding deadlines dispatch FIFO" n)
         (List.init n Fun.id) (List.rev !order))
@@ -326,11 +321,10 @@ let ring_keeps_last_n () =
   J.set_ring_size 4;
   let engine = Dsim.Engine.create () in
   for i = 1 to 10 do
-    ignore
-      (Dsim.Engine.schedule engine ~delay:(Time.us i) ~label:k_a (fun () ->
-           ()))
+    Dsim.Engine.schedule engine ~delay:(Time.us i) ~label:k_a (fun () ->
+        ())
   done;
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   let ring = J.blackbox () in
   Alcotest.(check int) "bounded to ring size" 4 (List.length ring);
   Alcotest.(check (list int))
@@ -368,17 +362,16 @@ let blackbox_on_trap () =
   Capvm.Supervisor.set_blackbox_dir sup (Some dir);
   (* Warm the ring with some traffic, then trap inside a dispatched
      handler so the faulting dispatch is in flight at capture time. *)
-  ignore (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a Fun.id);
-  ignore
-    (Dsim.Engine.schedule engine ~delay:(Time.us 2) ~label:k_b (fun () ->
-         match
-           Capvm.Supervisor.run sup ~cvm (fun () ->
-               Cheri.Fault.raise_fault Cheri.Fault.Out_of_bounds
-                 ~address:0xbad ~detail:"test: blackbox")
-         with
-         | Capvm.Supervisor.Faulted _ -> ()
-         | _ -> Alcotest.fail "fault not surfaced"));
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a Fun.id;
+  Dsim.Engine.schedule engine ~delay:(Time.us 2) ~label:k_b (fun () ->
+      match
+        Capvm.Supervisor.run sup ~cvm (fun () ->
+            Cheri.Fault.raise_fault Cheri.Fault.Out_of_bounds
+              ~address:0xbad ~detail:"test: blackbox")
+      with
+      | Capvm.Supervisor.Faulted _ -> ()
+      | _ -> Alcotest.fail "fault not surfaced");
+  Dsim.Engine.run engine;
   (match Capvm.Supervisor.blackbox sup ~cvm with
   | None -> Alcotest.fail "no black box captured"
   | Some dump ->
@@ -431,17 +424,16 @@ let annotations_recorded () =
     record_to_string (fun () ->
         let engine, cvm, sup = mk_supervised ~policy:Capvm.Supervisor.Kill in
         let ch = Dsim.Chaos.create ~seed:5L in
-        ignore
-          (Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a
-             (fun () ->
-               ignore
-                 (Dsim.Chaos.inject ch Dsim.Chaos.Wire_bit_flip ~at_ns:1000.
-                    ~target:"link0");
-               ignore
-                 (Capvm.Supervisor.run sup ~cvm (fun () ->
-                      Cheri.Fault.raise_fault Cheri.Fault.Tag_violation
-                        ~address:0xdead ~detail:"test: annotate"))));
-        Dsim.Engine.run_until_quiet engine)
+        Dsim.Engine.schedule engine ~delay:(Time.us 1) ~label:k_a
+          (fun () ->
+            ignore
+              (Dsim.Chaos.inject ch Dsim.Chaos.Wire_bit_flip ~at_ns:1000.
+                 ~target:"link0");
+            ignore
+              (Capvm.Supervisor.run sup ~cvm (fun () ->
+                   Cheri.Fault.raise_fault Cheri.Fault.Tag_violation
+                     ~address:0xdead ~detail:"test: annotate")));
+        Dsim.Engine.run engine)
   in
   let l = load_ok s in
   let chaos, supervisor, faults = J.aux_counts l in

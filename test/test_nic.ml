@@ -68,10 +68,10 @@ let link_delivery () =
   let got = ref [] in
   Nic.Link.attach l Nic.Link.B (fun ~flow:_ ~fcs:_ f -> got := Bytes.to_string f :: !got);
   let frame = Bytes.make 100 'x' in
-  let tx_done = Nic.Link.transmit l ~from:Nic.Link.A ~frame () in
+  let tx_done = Nic.Link.send l ~flow:None ~from:Nic.Link.A frame in
   (* (100 + 24 overhead) * 8ns = 992ns serialization *)
   Alcotest.(check int) "tx done after serialization" 992 tx_done;
-  Dsim.Engine.run_until_quiet e;
+  Dsim.Engine.run e;
   Alcotest.(check int) "delivered after propagation" 1492 (Dsim.Engine.now e);
   Alcotest.(check (list string)) "payload" [ Bytes.to_string frame ] !got
 
@@ -79,8 +79,8 @@ let link_back_to_back () =
   let e = Dsim.Engine.create () in
   let l = Nic.Link.create e ~bps:1e9 ~prop_delay:Dsim.Time.zero () in
   Nic.Link.attach l Nic.Link.B (fun ~flow:_ ~fcs:_ _ -> ());
-  let t1 = Nic.Link.transmit l ~from:Nic.Link.A ~frame:(Bytes.make 100 'a') () in
-  let t2 = Nic.Link.transmit l ~from:Nic.Link.A ~frame:(Bytes.make 100 'b') () in
+  let t1 = Nic.Link.send l ~flow:None ~from:Nic.Link.A (Bytes.make 100 'a') in
+  let t2 = Nic.Link.send l ~flow:None ~from:Nic.Link.A (Bytes.make 100 'b') in
   Alcotest.(check int) "second serializes after first" (t1 * 2) t2
 
 let link_full_duplex () =
@@ -88,8 +88,8 @@ let link_full_duplex () =
   let l = Nic.Link.create e ~bps:1e9 ~prop_delay:Dsim.Time.zero () in
   Nic.Link.attach l Nic.Link.A (fun ~flow:_ ~fcs:_ _ -> ());
   Nic.Link.attach l Nic.Link.B (fun ~flow:_ ~fcs:_ _ -> ());
-  let t1 = Nic.Link.transmit l ~from:Nic.Link.A ~frame:(Bytes.make 100 'a') () in
-  let t2 = Nic.Link.transmit l ~from:Nic.Link.B ~frame:(Bytes.make 100 'b') () in
+  let t1 = Nic.Link.send l ~flow:None ~from:Nic.Link.A (Bytes.make 100 'a') in
+  let t2 = Nic.Link.send l ~flow:None ~from:Nic.Link.B (Bytes.make 100 'b') in
   Alcotest.(check int) "directions independent" t1 t2
 
 let link_down_drops () =
@@ -98,27 +98,27 @@ let link_down_drops () =
   let got = ref 0 in
   Nic.Link.attach l Nic.Link.B (fun ~flow:_ ~fcs:_ _ -> incr got);
   Nic.Link.set_up l false;
-  ignore (Nic.Link.transmit l ~from:Nic.Link.A ~frame:(Bytes.make 10 'x') ());
-  Dsim.Engine.run_until_quiet e;
+  ignore (Nic.Link.send l ~flow:None ~from:Nic.Link.A (Bytes.make 10 'x'));
+  Dsim.Engine.run e;
   Alcotest.(check int) "nothing delivered" 0 !got;
   Alcotest.(check int) "counted as dropped" 1 (Nic.Link.dropped l);
   Nic.Link.set_up l true;
-  ignore (Nic.Link.transmit l ~from:Nic.Link.A ~frame:(Bytes.make 10 'x') ());
-  Dsim.Engine.run_until_quiet e;
+  ignore (Nic.Link.send l ~flow:None ~from:Nic.Link.A (Bytes.make 10 'x'));
+  Dsim.Engine.run e;
   Alcotest.(check int) "delivered when up" 1 !got
 
 let link_no_handler_drops () =
   let e = Dsim.Engine.create () in
   let l = Nic.Link.create e () in
-  ignore (Nic.Link.transmit l ~from:Nic.Link.A ~frame:(Bytes.make 10 'x') ());
-  Dsim.Engine.run_until_quiet e;
+  ignore (Nic.Link.send l ~flow:None ~from:Nic.Link.A (Bytes.make 10 'x'));
+  Dsim.Engine.run e;
   Alcotest.(check int) "dropped without handler" 1 (Nic.Link.dropped l)
 
 let link_carried_accounting () =
   let e = Dsim.Engine.create () in
   let l = Nic.Link.create e () in
   Nic.Link.attach l Nic.Link.B (fun ~flow:_ ~fcs:_ _ -> ());
-  ignore (Nic.Link.transmit l ~from:Nic.Link.A ~frame:(Bytes.make 100 'x') ());
+  ignore (Nic.Link.send l ~flow:None ~from:Nic.Link.A (Bytes.make 100 'x'));
   Alcotest.(check int) "wire bytes include overhead" 124
     (Nic.Link.carried_bytes l ~from:Nic.Link.A)
 
@@ -176,7 +176,7 @@ let igb_rx_roundtrip () =
   let frame = frame_for rig "ping-payload" in
   Nic.Igb.deliver rig.port frame;
   Alcotest.(check int) "not yet DMA-complete" 0 (Nic.Igb.rx_pending rig.port);
-  Dsim.Engine.run_until_quiet rig.engine;
+  Dsim.Engine.run rig.engine;
   (match rx_list rig.port ~max:4 with
   | [ (addr, len, _) ] ->
     Alcotest.(check int) "buffer address" 0x2000 addr;
@@ -191,7 +191,7 @@ let igb_rx_roundtrip () =
 let igb_rx_no_desc_drop () =
   let rig = make_rig () in
   Nic.Igb.deliver rig.port (frame_for rig "no buffer posted");
-  Dsim.Engine.run_until_quiet rig.engine;
+  Dsim.Engine.run rig.engine;
   Alcotest.(check int) "dropped" 1 (Nic.Igb.stats rig.port).Nic.Port_stats.rx_no_desc;
   Alcotest.(check int) "nothing received" 0 (Nic.Igb.rx_pending rig.port)
 
@@ -201,12 +201,12 @@ let igb_mac_filter () =
   let other = Bytes.make 60 '\000' in
   Bytes.blit_string (Nic.Mac_addr.to_bytes (Nic.Mac_addr.make 2 9 9 9 9 9)) 0 other 0 6;
   Nic.Igb.deliver rig.port other;
-  Dsim.Engine.run_until_quiet rig.engine;
+  Dsim.Engine.run rig.engine;
   Alcotest.(check int) "filtered" 1 (Nic.Igb.stats rig.port).Nic.Port_stats.rx_filtered;
   (* Promiscuous mode accepts it. *)
   Nic.Igb.set_promisc rig.port true;
   Nic.Igb.deliver rig.port other;
-  Dsim.Engine.run_until_quiet rig.engine;
+  Dsim.Engine.run rig.engine;
   Alcotest.(check int) "accepted promisc" 1 (Nic.Igb.rx_pending rig.port)
 
 let igb_broadcast_accepted () =
@@ -214,7 +214,7 @@ let igb_broadcast_accepted () =
   ignore (Nic.Igb.rx_refill rig.port ~addr:0x2000 ~len:2048);
   let bcast = Bytes.make 60 '\255' in
   Nic.Igb.deliver rig.port bcast;
-  Dsim.Engine.run_until_quiet rig.engine;
+  Dsim.Engine.run rig.engine;
   Alcotest.(check int) "broadcast received" 1 (Nic.Igb.rx_pending rig.port)
 
 let igb_rx_ring_bounded () =
@@ -259,7 +259,7 @@ let igb_tx_to_peer () =
   Alcotest.(check bool) "tx accepted" true
     (Nic.Igb.tx_enqueue a ~addr:0x4000 ~len:(Bytes.length frame) ());
   Alcotest.(check int) "in flight" 1 (Nic.Igb.tx_in_flight a);
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   (match reap_list a ~max:8 with
   | [ addr ] -> Alcotest.(check int) "reaped buffer" 0x4000 addr
   | l -> Alcotest.failf "expected one reap, got %d" (List.length l));
@@ -289,7 +289,7 @@ let igb_rx_ordering () =
   ignore (Nic.Igb.rx_refill rig.port ~addr:0x2800 ~len:2048);
   Nic.Igb.deliver rig.port (frame_for rig "first");
   Nic.Igb.deliver rig.port (frame_for rig "second");
-  Dsim.Engine.run_until_quiet rig.engine;
+  Dsim.Engine.run rig.engine;
   match rx_list rig.port ~max:8 with
   | [ (a1, _, _); (a2, _, _) ] ->
     Alcotest.(check int) "first buffer first" 0x2000 a1;

@@ -132,9 +132,7 @@ let watermark_growth_alarm () =
   with_default_metrics (fun m ->
       let engine = Dsim.Engine.create () in
       for _ = 1 to 5000 do
-        ignore
-          (Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 1) ~label:k_test
-             ignore)
+        Dsim.Engine.schedule engine ~delay:(Dsim.Time.us 1) ~label:k_test ignore
       done;
       (* Stalls at 2048 and 4096 — doubling keeps an unbounded leak at
          O(log n) stalls. *)
@@ -148,12 +146,11 @@ let watermark_growth_alarm () =
    just a None from alloc. *)
 let mbuf_exhaustion_backpressure () =
   with_default_metrics (fun m ->
-      let engine = Dsim.Engine.create () in
       let mem = Cheri.Tagged_memory.create ~size:0x200000 in
       let region =
         Cheri.Capability.root ~base:0 ~length:0x100000 ~perms:Cheri.Perms.all
       in
-      let eal = Dpdk.Eal.create engine mem ~region in
+      let eal = Dpdk.Eal.create mem ~region in
       let pool = Dpdk.Mbuf.pool_create eal ~name:"squeeze" ~n:8 ~buf_len:256 in
       let live = ref [] in
       let refusals = ref 0 in
@@ -281,10 +278,9 @@ let dispatch_labelled events =
   let engine = Dsim.Engine.create () in
   List.iter
     (fun (d, label) ->
-      ignore
-        (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ns d) ~label ignore))
+      Dsim.Engine.schedule engine ~delay:(Dsim.Time.ns d) ~label ignore)
     events;
-  Dsim.Engine.run_until_quiet engine
+  Dsim.Engine.run engine
 
 let engine_dispatch_attribution () =
   with_synthetic_profiler (fun p ->
@@ -480,12 +476,11 @@ let sampler_truncation () =
   (* A 50 ms event chain keeps the sim alive across ~50 intervals. *)
   let rec tick n =
     if n > 0 then
-      ignore
-        (Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 1) ~label:k_test
-           (fun () -> tick (n - 1)))
+      Dsim.Engine.schedule engine ~delay:(Dsim.Time.ms 1) ~label:k_test
+        (fun () -> tick (n - 1))
   in
   tick 50;
-  Dsim.Engine.run_until_quiet engine;
+  Dsim.Engine.run engine;
   Alcotest.(check int) "rows capped at capacity" 3
     (List.length (Dsim.Sampler.rows s));
   Alcotest.(check bool) "truncation flagged" true (Dsim.Sampler.truncated s);

@@ -1169,3 +1169,134 @@ let kernels_allocate_nothing () =
 let kernel_suite =
   [ Alcotest.test_case "kernels: no allocation per call" `Quick
       kernels_allocate_nothing ]
+
+(* ------------------------------------------------------------------ *)
+(* Window checks near max_int                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every entry point below takes an [(off, len)] window and documents
+   when it accepts it: [off >= lo], [len >= 0] and [off + len <= hi]
+   ([lo] is a capability's base and 0 otherwise; [hi] is a capability's
+   limit or the buffer's size). The oracle computes that in Int64,
+   where the sum of two 63-bit ints cannot overflow. Each entry point
+   must accept exactly when the oracle holds, and otherwise raise its
+   own typed error and nothing else. Offsets and lengths come from the
+   edges an overflow hides behind (0, +-1, min_int, max_int, lo and hi
+   +-1, hi - off, max_int - off and max_int - off + 1) and from random
+   ints. *)
+
+exception Slice_oob
+
+let fits ~lo ~hi ~off ~len =
+  let open Int64 in
+  let off = of_int off and len = of_int len in
+  compare off (of_int lo) >= 0
+  && compare len 0L >= 0
+  && compare (add off len) (of_int hi) <= 0
+
+let window_gen =
+  QCheck.Gen.(
+    pair (oneofl [ 0; 1; 0x1000 ]) (int_range 0 64) >>= fun (lo, size) ->
+    let hi = lo + size in
+    let edge =
+      [ 0; 1; -1; min_int; max_int; lo - 1; lo; lo + 1; hi - 1; hi; hi + 1 ]
+    in
+    let pick extra =
+      oneof [ oneofl (extra @ edge); int; int_range (lo - 8) (hi + 8) ]
+    in
+    pick [] >>= fun off ->
+    pick
+      [ hi - off; hi - off - 1; hi - off + 1; max_int - off; max_int - off + 1 ]
+    >>= fun len -> return (lo, size, off, len))
+
+let window_checks_match_contract =
+  QCheck.Test.make ~count:2000
+    ~name:"bounds: window checks accept exactly their contract"
+    (QCheck.make
+       ~print:(fun (lo, size, off, len) ->
+         Printf.sprintf "lo=%d size=%d off=%d len=%d" lo size off len)
+       window_gen)
+    (fun (lo, size, off, len) ->
+      (* [Some true]: accepted; [Some false]: the typed error; [None]:
+         any other exception, or a wrong side effect. *)
+      let outcome is_typed f =
+        match f () with
+        | () -> Some true
+        | exception e -> if is_typed e then Some false else None
+      in
+      let invalid_arg = function Invalid_argument _ -> true | _ -> false in
+      let in_buffer = fits ~lo:0 ~hi:size ~off ~len in
+      let cap =
+        Cheri.Capability.root ~base:lo ~length:size ~perms:Cheri.Perms.data
+      in
+      let cap_fault = function
+        | Cheri.Fault.Capability_fault f ->
+          f.Cheri.Fault.kind = Cheri.Fault.Out_of_bounds
+        | _ -> false
+      in
+      let window =
+        Dsim.Slice.make (Bytes.create (size + 8)) ~off:4 ~len:size
+          ~oob:
+            { Dsim.Slice.raise_oob =
+                (fun ~addr:_ ~len:_ ~detail:_ -> raise Slice_oob) }
+      in
+      let ring = Netstack.Ring_buf.create ~capacity:64 in
+      (* Wrap the head around so the window straddles the ring's end. *)
+      ignore (Netstack.Ring_buf.write ring (Bytes.make 37 'x') ~off:0 ~len:37);
+      Netstack.Ring_buf.drop ring 37;
+      let data = Bytes.init size (fun i -> Char.chr (i land 0xff)) in
+      ignore (Netstack.Ring_buf.write ring data ~off:0 ~len:size);
+      let checks =
+        [ ( "Capability.in_bounds",
+            Some (Cheri.Capability.in_bounds cap ~addr:off ~len),
+            fits ~lo ~hi:(lo + size) ~off ~len );
+          ( "Capability.check_access",
+            outcome cap_fault (fun () ->
+                Cheri.Capability.check_access cap Cheri.Capability.Load
+                  ~addr:off ~len),
+            fits ~lo ~hi:(lo + size) ~off ~len );
+          ( "Slice.make",
+            outcome invalid_arg (fun () ->
+                ignore (Dsim.Slice.make (Bytes.create size) ~off ~len)),
+            in_buffer );
+          ( "Slice.check",
+            outcome (( = ) Slice_oob) (fun () ->
+                Dsim.Slice.check window ~off ~len),
+            in_buffer );
+          ( "Ring_buf.peek",
+            outcome invalid_arg (fun () ->
+                let got = Netstack.Ring_buf.peek ring ~off ~len in
+                if not (in_buffer && Bytes.equal got (Bytes.sub data off len))
+                then failwith "Ring_buf.peek: wrong window"),
+            in_buffer );
+          ( "Ring_buf.blit_to",
+            (* A refused window writes nothing, and [dst] holds the whole
+               ring, so a check that passed a wrapped sum would show. *)
+            (let dst = Bytes.make 64 '\xee' in
+             match
+               outcome invalid_arg (fun () ->
+                   Netstack.Ring_buf.blit_to ring ~off ~len ~dst ~dst_off:0)
+             with
+             | Some false when Bytes.exists (( <> ) '\xee') dst -> None
+             | Some true when Bytes.sub dst 0 len <> Bytes.sub data off len ->
+               None
+             | got -> got),
+            in_buffer );
+          ( "Checksum.compute",
+            outcome invalid_arg (fun () ->
+                ignore (Netstack.Checksum.compute data ~off ~len)),
+            len <= 0 || in_buffer ) ]
+      in
+      List.for_all
+        (fun (what, got, expected) ->
+          got = Some expected
+          || QCheck.Test.fail_reportf "%s: %s, the contract says %s" what
+               (match got with
+               | Some true -> "accepted"
+               | Some false -> "rejected"
+               | None -> "an untyped exception or a wrong write")
+               (if expected then "accept" else "reject"))
+        checks)
+
+let kernel_suite =
+  kernel_suite @ [ QCheck_alcotest.to_alcotest window_checks_match_contract ]

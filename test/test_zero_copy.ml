@@ -54,12 +54,11 @@ let slice_bounds () =
 (* ------------------------------------------------------------------ *)
 
 let make_pool ?(n = 4) ?(buf_len = 2048) () =
-  let engine = Dsim.Engine.create () in
   let mem = Cheri.Tagged_memory.create ~size:0x200000 in
   let region =
     Cheri.Capability.root ~base:0 ~length:0x100000 ~perms:Cheri.Perms.all
   in
-  let eal = Dpdk.Eal.create engine mem ~region in
+  let eal = Dpdk.Eal.create mem ~region in
   (mem, Dpdk.Mbuf.pool_create eal ~name:"zc" ~n ~buf_len)
 
 let borrow_reads_in_place () =
@@ -136,50 +135,6 @@ let free_clears_flow () =
   let m' = Option.get (Dpdk.Mbuf.alloc pool) in
   Alcotest.(check bool) "recycled mbuf carries no stale trace" true
     (Dpdk.Mbuf.flow m' = None)
-
-(* ------------------------------------------------------------------ *)
-(* Engine compaction                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Every event is scheduled under a profiler label; these tests need
-   only one. *)
-let k_test =
-  Dsim.Profile.key Dsim.Profile.default ~component:"test" ~cvm:"-"
-    ~stage:"event"
-
-let engine_mass_cancel_compacts () =
-  let e = Dsim.Engine.create () in
-  let fired = ref 0 in
-  let handles =
-    List.init 1000 (fun i ->
-        Dsim.Engine.schedule_at e ~at:(Dsim.Time.us (i + 1)) ~label:k_test
-          (fun () -> incr fired))
-  in
-  Alcotest.(check int) "all pending" 1000 (Dsim.Engine.pending_count e);
-  (* Cancel 9 of every 10 (a mass TCP teardown cancelling its timers). *)
-  List.iteri (fun i h -> if i mod 10 <> 0 then Dsim.Engine.cancel e h) handles;
-  Alcotest.(check int) "exact live count" 100 (Dsim.Engine.pending_count e);
-  Alcotest.(check bool)
-    (Printf.sprintf "heap compacted (size %d)" (Dsim.Engine.heap_size e))
-    true
-    (Dsim.Engine.heap_size e <= 200);
-  Dsim.Engine.run_until_quiet e;
-  Alcotest.(check int) "survivors all fire" 100 !fired;
-  Alcotest.(check int) "fired counter" 100 (Dsim.Engine.events_fired e);
-  Alcotest.(check int) "drained" 0 (Dsim.Engine.pending_count e)
-
-let engine_cancel_keeps_order () =
-  let e = Dsim.Engine.create () in
-  let order = ref [] in
-  let note i () = order := i :: !order in
-  let at us = Dsim.Engine.schedule_at e ~at:(Dsim.Time.us us) ~label:k_test in
-  let _h1 = at 10 (note 1) in
-  let h2 = at 20 (note 2) in
-  let _h3 = at 30 (note 3) in
-  Dsim.Engine.cancel e h2;
-  Dsim.Engine.run_until_quiet e;
-  Alcotest.(check (list int)) "cancelled event skipped, order kept" [ 1; 3 ]
-    (List.rev !order)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the published figures                                 *)
@@ -381,10 +336,6 @@ let suite =
       borrow_frame_write_and_prepend;
     Alcotest.test_case "mbuf: free clears the flow context" `Quick
       free_clears_flow;
-    Alcotest.test_case "engine: mass cancel compacts the heap" `Quick
-      engine_mass_cancel_compacts;
-    Alcotest.test_case "engine: cancellation preserves firing order" `Quick
-      engine_cancel_keeps_order;
     Alcotest.test_case "determinism: Fig.4 medians bit-identical" `Slow
       fig4_medians_bit_identical;
     Alcotest.test_case "determinism: bandwidth samples bit-identical" `Slow
